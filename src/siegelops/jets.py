@@ -21,7 +21,7 @@ import itertools
 from fractions import Fraction
 
 from .poly import MultiPoly, _perm_sign
-from .scalars import RatFunc, scalar_from_text, scalar_to_text
+from .scalars import RatFunc, _binpow, scalar_from_text, scalar_to_text
 
 JetVar = tuple  # (symbol: str, derivs: tuple[(i, j), ...])
 JetMono = tuple  # sorted tuple of JetVar, repetitions allowed
@@ -112,14 +112,7 @@ class JetPoly:
         return JetPoly(out, self.field)
 
     def __pow__(self, n: int) -> "JetPoly":
-        out = JetPoly.const(1, self.field)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _binpow(self, n) if n else JetPoly.const(1, self.field)
 
     def scale(self, c) -> "JetPoly":
         field = "Qa" if isinstance(c, RatFunc) else self.field

@@ -41,8 +41,9 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .poly import (MultiPoly, coeff_R, index_set_N, index_set_Nprime,
-                   minor_coeff_R, poly_from_text, poly_to_text, r_var, x_var)
+from .poly import (MultiPoly, _mono_lower, _mono_times, _poly_from_lines, coeff_R,
+                   index_set_N, index_set_Nprime, minor_coeff_R, poly_to_text, r_var,
+                   x_var)
 from .scalars import RatFunc, frac_to_text, scalar_from_text, scalar_to_text
 
 SECOND_ORDER_FACTOR = 2
@@ -109,18 +110,34 @@ def build_Q(g: int, a) -> OperatorSpec:
         raise ValueError(f"weight a={a} violates a >= g/2 = {Fraction(g, 2)}")
     c1 = constant_C(g, a, 1)
     coeffs = {}
-    Q = MultiPoly.zero("Qa" if symbolic else "Q")
+    terms: dict = {}
     for n in index_set_N(g):
         cn = coeff_c(g, a, n)
         if not cn:
             continue
         cn = cn / c1
         coeffs[n] = cn
-        basis = coeff_R(g, n)
-        if symbolic:
-            basis = basis.promote()
-        Q = Q + basis.scale(cn)
+        scaled: dict = {}  # basis coefficient -> cn times it
+        for m, c in coeff_R(g, n).terms.items():
+            x = scaled.get(c)
+            if x is None:
+                x = scaled[c] = cn * c
+            _accumulate(terms, m, x)
+    Q = MultiPoly(terms, "Qa" if symbolic else "Q")
     return OperatorSpec(g=g, a=a, k=2 * a, symbolic=symbolic, coeffs=coeffs, Q=Q)
+
+
+def _accumulate(terms: dict, m, c):
+    """terms[m] += c, dropping the monomial when the sum cancels."""
+    s = terms.get(m)
+    if s is None:
+        terms[m] = c
+        return
+    s = s + c
+    if s:
+        terms[m] = s
+    else:
+        del terms[m]
 
 
 def apply_D11(g: int, h: int, p: MultiPoly, k,
@@ -130,30 +147,41 @@ def apply_D11(g: int, h: int, p: MultiPoly, k,
     D_{h;11} P = k d_{h;11} P + factor * sum_{u,w} r_{h;uw} d_{h;1u} d_{h;1w} P
     with symmetrized derivatives d.  The default factor 2 matches the
     pullback Laplacian up to an irrelevant global constant.
+
+    One pass over the monomials: only the factors r_{h;1u} of a monomial are
+    differentiated, so each monomial yields its first-order term and one
+    second-order term per pair of such factors.
     """
     if isinstance(k, RatFunc) and p.field != "Qa":
         p = p.promote()
-    out = p.diff_sym(h, 1, 1).scale(k)
-    first = {u: p.diff_sym(h, 1, u) for u in range(1, g + 1)}
-    for u in range(1, g + 1):
-        if first[u].is_zero():
-            continue
-        for w in range(u, g + 1):
-            dd = first[u].diff_sym(h, 1, w)
-            if dd.is_zero():
-                continue
-            mult = second_order_factor if u == w else 2 * second_order_factor
-            out = out + dd.mul_var(r_var(h, u, w)).scale(Fraction(mult))
-    return out
+    f = second_order_factor
+    row = {r_var(h, 1, u): u for u in range(1, g + 1)}
+    # d_{h;1u} carries the symmetrization factor 1/2 for u != 1
+    den = {u: 1 if u == 1 else 2 for u in range(1, g + 1)}
+    out: dict = {}
+    for m, c in p.terms.items():
+        hits = [(idx, row[v], e) for idx, (v, e) in enumerate(m) if v in row]
+        for i, (iu, u, eu) in enumerate(hits):
+            if u == 1:  # k d_{h;11}
+                _accumulate(out, _mono_lower(m, iu), c * (k * eu))
+            if eu > 1:  # f r_{h;uu} d_{h;1u}^2
+                q = Fraction(f * eu * (eu - 1), den[u] ** 2)
+                _accumulate(out, _mono_times(_mono_lower(m, iu, 2), r_var(h, u, u)), c * q)
+            for iw, w, ew in hits[i + 1:]:  # 2 f r_{h;uw} d_{h;1u} d_{h;1w}, u < w
+                q = Fraction(2 * f * eu * ew, den[u] * den[w])
+                rest = _mono_lower(_mono_lower(m, iw), iu)
+                _accumulate(out, _mono_times(rest, r_var(h, u, w)), c * q)
+    return MultiPoly(out, p.field)
 
 
 def verify_pluriharmonic(spec: OperatorSpec,
                          second_order_factor: int = SECOND_ORDER_FACTOR) -> bool:
     """Check that sum_h D_{h;11} Q is the zero polynomial, exactly."""
-    total = MultiPoly.zero(spec.Q.field)
+    total: dict = {}
     for h in range(1, spec.g + 1):
-        total = total + apply_D11(spec.g, h, spec.Q, spec.k, second_order_factor)
-    return total.is_zero()
+        for m, c in apply_D11(spec.g, h, spec.Q, spec.k, second_order_factor).terms.items():
+            _accumulate(total, m, c)
+    return not total
 
 
 def verify_harmonic_condition(g: int, a) -> bool:
@@ -231,13 +259,16 @@ def xspace_oracle(g: int, k: int, p: MultiPoly) -> MultiPoly:
 
 # -- operator spec serialization ----------------------------------------------
 
+NORMALIZATION_LINE = "normalization second-order-factor=2 leading-coefficient=1"
+
+
 def opspec_to_text(spec: OperatorSpec) -> str:
     lines = [
         "OPSPEC1",
         f"genus {spec.g}",
         f"mode {'symbolic' if spec.symbolic else 'numeric'}",
         f"a {'a' if spec.symbolic else frac_to_text(spec.a)}",
-        "normalization second-order-factor=2 leading-coefficient=1",
+        NORMALIZATION_LINE,
         f"coeffs {len(spec.coeffs)}",
     ]
     for n in sorted(spec.coeffs):
@@ -246,17 +277,48 @@ def opspec_to_text(spec: OperatorSpec) -> str:
 
 
 def opspec_from_text(text: str) -> OperatorSpec:
+    """Read an OPSPEC1 file; a malformed file raises ValueError naming its line."""
     lines = text.splitlines()
-    if lines[0].strip() != "OPSPEC1":
-        raise ValueError("not an OPSPEC1 block")
-    g = int(lines[1].split()[1])
-    symbolic = lines[2].split()[1] == "symbolic"
-    a = RatFunc.var() if symbolic else Fraction(lines[3].split()[1])
-    ncoeffs = int(lines[5].split()[1])
+
+    def fail(idx: int, msg: str):
+        raise ValueError(f"OPSPEC1 line {idx + 1}: {msg}")
+
+    def value(idx: int, key: str, conv=str):
+        parts = lines[idx].split() if idx < len(lines) else []
+        if len(parts) != 2 or parts[0] != key:
+            fail(idx, f"expected '{key} <value>', found {' '.join(parts)!r}")
+        try:
+            return conv(parts[1])
+        except (ValueError, ZeroDivisionError):
+            fail(idx, f"bad {key} value {parts[1]!r}")
+
+    if not lines or lines[0].strip() != "OPSPEC1":
+        fail(0, "not an OPSPEC1 block")
+    g = value(1, "genus", int)
+    mode = value(2, "mode")
+    if mode not in ("symbolic", "numeric"):
+        fail(2, f"mode must be symbolic or numeric, found {mode!r}")
+    symbolic = mode == "symbolic"
+    if symbolic and value(3, "a") != "a":
+        fail(3, "a symbolic operator has the weight 'a'")
+    a = RatFunc.var() if symbolic else value(3, "a", Fraction)
+    if len(lines) < 5 or lines[4] != NORMALIZATION_LINE:
+        fail(4, f"expected {NORMALIZATION_LINE!r}")
+    ncoeffs = value(5, "coeffs", int)
     coeffs = {}
-    for ln in lines[6:6 + ncoeffs]:
-        head, _, val = ln.partition("|")
-        n = tuple(int(v) for v in head.strip()[2:].split(","))
-        coeffs[n] = scalar_from_text(val.strip())
-    q = poly_from_text("\n".join(lines[6 + ncoeffs:]))
+    idx = 6
+    while idx < len(lines) and lines[idx].startswith("n="):
+        head, _, val = lines[idx].partition("|")
+        try:
+            n = tuple(int(v) for v in head.strip()[2:].split(","))
+            c = scalar_from_text(val.strip())
+        except (ValueError, ZeroDivisionError) as exc:
+            fail(idx, f"cannot parse {lines[idx]!r} ({exc})")
+        if n in coeffs:
+            fail(idx, f"duplicate coefficient n={head.strip()[2:]}")
+        coeffs[n] = c
+        idx += 1
+    if len(coeffs) != ncoeffs:
+        fail(5, f"declares {ncoeffs} coefficients, found {len(coeffs)}")
+    q = _poly_from_lines(lines, idx, "OPSPEC1")
     return OperatorSpec(g=g, a=a, k=2 * a, symbolic=symbolic, coeffs=coeffs, Q=q)

@@ -16,18 +16,29 @@ The central objects built here are the coefficients of
     det(t_1 R_1 + ... + t_g R_g) = sum over n of  B(n) * t^n,
 
 with n running over nonnegative integer vectors summing to g, together with
-the same expansion for first minors.  Leibniz expansion over permutations is
-used throughout: for g <= 6 the permutation count stays at most 720, so no
-elimination strategy is needed.
+the same expansion for first minors.  One Leibniz generator over
+permutations serves both (for g <= 6 there are at most 720 permutations, so
+no elimination strategy is needed).  It packs a monomial into one int with
+4 bits per variable, laid out in the global variable order: t_h takes
+nibble h - 1 and r_{h;ij} a nibble of the h-th block of g(g+1)/2 nibbles
+after the t's.  A pencil entry t_h r_{h;i,sigma(i)} is then an int with two
+set nibbles, and a Leibniz term's key is the sum of its g entry ints (no
+exponent exceeds g, far below 16 for any feasible g, so nibbles never
+carry).  Keys are counted, one counter
+per permutation parity, and each distinct key is decoded to a Mono once,
+block by block through a memo of block values.  The B(n) are read from one
+cached split of an expansion by t-exponent, made in a single scan, and
+share their term dicts with it.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
-from .scalars import RatFunc, frac_to_text, scalar_from_text, scalar_to_text
+from .scalars import RatFunc, _binpow, scalar_from_text, scalar_to_text
 
 VarId = tuple
 Mono = tuple  # tuple of (VarId, exponent) pairs, sorted by _var_key
@@ -35,6 +46,7 @@ Mono = tuple  # tuple of (VarId, exponent) pairs, sorted by _var_key
 _KIND_ORDER = {"t": 0, "r": 1, "x": 2}
 
 
+@lru_cache(maxsize=None)
 def _var_key(v: VarId):
     return (_KIND_ORDER[v[0]],) + v[1:]
 
@@ -68,6 +80,28 @@ def _mono_mul(m1: Mono, m2: Mono) -> Mono:
     if not m2:
         return m1
     return _mono_from_pairs(list(m1) + list(m2))
+
+
+def _mono_times(m: Mono, v: VarId, e: int = 1) -> Mono:
+    """m * v^e, inserting v at its place in the variable order."""
+    if not e:
+        return m
+    key = _var_key(v)
+    for idx, (w, f) in enumerate(m):
+        if w == v:
+            rest = m[idx + 1:]
+            return m[:idx] + ((v, f + e),) + rest if f + e else m[:idx] + rest
+        if _var_key(w) > key:
+            return m[:idx] + ((v, e),) + m[idx:]
+    return m + ((v, e),)
+
+
+def _mono_lower(m: Mono, idx: int, e: int = 1) -> Mono:
+    """m with the exponent of its idx-th variable lowered by e (dropped at 0)."""
+    v, f = m[idx]
+    if f > e:
+        return m[:idx] + ((v, f - e),) + m[idx + 1:]
+    return m[:idx] + m[idx + 1:]
 
 
 class FieldMismatch(ValueError):
@@ -156,14 +190,7 @@ class MultiPoly:
         return MultiPoly(out, self.field)
 
     def __pow__(self, n: int) -> "MultiPoly":
-        out = MultiPoly.const(1, self.field)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _binpow(self, n) if n else MultiPoly.const(1, self.field)
 
     def scale(self, c) -> "MultiPoly":
         """Multiply by a scalar; promotes the field tag when c is a RatFunc."""
@@ -184,31 +211,20 @@ class MultiPoly:
 
     def diff_sym(self, h: int, i: int, j: int) -> "MultiPoly":
         """Symmetrized partial derivative ((1+delta_ij)/2) d/dr_{h;ij}."""
-        v = r_var(h, i, j)
-        half = Fraction(1, 2) if i != j else Fraction(1)
-        out: dict = {}
-        for m, c in self.terms.items():
-            for idx, (vm, e) in enumerate(m):
-                if vm == v:
-                    rest = m[:idx] + ((vm, e - 1),) + m[idx + 1:] if e > 1 else m[:idx] + m[idx + 1:]
-                    cc = c * (e * half)
-                    s = out.get(rest)
-                    s = cc if s is None else s + cc
-                    if s:
-                        out[rest] = s
-                    elif rest in out:
-                        del out[rest]
-                    break
-        return MultiPoly(out, self.field)
+        return self._diff(r_var(h, i, j), Fraction(1, 2) if i != j else 1)
 
     def diff_plain(self, v: VarId) -> "MultiPoly":
         """Plain partial derivative d/dv (no symmetrization; used for x-vars)."""
+        return self._diff(v, 1)
+
+    def _diff(self, v: VarId, factor) -> "MultiPoly":
+        """factor * d/dv."""
         out: dict = {}
         for m, c in self.terms.items():
             for idx, (vm, e) in enumerate(m):
                 if vm == v:
-                    rest = m[:idx] + ((vm, e - 1),) + m[idx + 1:] if e > 1 else m[:idx] + m[idx + 1:]
-                    cc = c * e
+                    rest = _mono_lower(m, idx)
+                    cc = c * (e * factor)
                     s = out.get(rest)
                     s = cc if s is None else s + cc
                     if s:
@@ -219,7 +235,7 @@ class MultiPoly:
         return MultiPoly(out, self.field)
 
     def mul_var(self, v: VarId, e: int = 1) -> "MultiPoly":
-        return MultiPoly({_mono_mul(m, ((v, e),)): c for m, c in self.terms.items()},
+        return MultiPoly({_mono_times(m, v, e): c for m, c in self.terms.items()},
                          self.field)
 
     def substitute(self, mapping: dict) -> "MultiPoly":
@@ -256,9 +272,6 @@ class MultiPoly:
                 out[tuple(rest)] = c
         return MultiPoly(out, self.field)
 
-    def total_degree(self) -> int:
-        return max((sum(e for _, e in m) for m in self.terms), default=0)
-
     def __repr__(self):
         return f"MultiPoly({len(self.terms)} terms, field={self.field})"
 
@@ -288,28 +301,6 @@ def index_set_Nprime(g: int) -> list[tuple]:
 
 # -- determinant expansions --------------------------------------------------
 
-@lru_cache(maxsize=None)
-def det_expand(g: int) -> MultiPoly:
-    """det(t_1 R_1 + ... + t_g R_g) as a polynomial in all t_h and r_{h;ij}.
-
-    Homogeneous of degree g in the t's and of degree g in matrix entries.
-    Expanded by Leibniz over permutations, with each matrix entry of the
-    pencil distributed over its g summands t_h r_{h;i,sigma(i)}.
-    """
-    if g < 1:
-        raise ValueError("genus must be >= 1")
-    out: dict = {}
-    rows = range(1, g + 1)
-    for sigma in itertools.permutations(rows):
-        sign = _perm_sign(sigma)
-        for hs in itertools.product(rows, repeat=g):
-            pairs = [(t_var(h), 1) for h in hs]
-            pairs += [(r_var(h, i, sigma[i - 1]), 1) for i, h in zip(rows, hs)]
-            m = _mono_from_pairs(pairs)
-            out[m] = out.get(m, 0) + sign
-    return MultiPoly({m: Fraction(c) for m, c in out.items() if c}, "Q")
-
-
 def _perm_sign(sigma: tuple) -> int:
     sign = 1
     seen = [False] * len(sigma)
@@ -327,12 +318,73 @@ def _perm_sign(sigma: tuple) -> int:
     return sign
 
 
+def _leibniz(g: int, rows: list, cols: list) -> MultiPoly:
+    """det of the pencil t_1 R_1 + ... + t_g R_g restricted to rows x cols.
+
+    Every monomial is packed into one int (see the module docstring); the
+    sum over permutations and over the g summands of each entry runs on
+    packed keys only.
+    """
+    npairs = g * (g + 1) // 2
+    pairs = [(i, j) for i in range(1, g + 1) for j in range(i, g + 1)]
+    slot = {pair: s for s, pair in enumerate(pairs)}
+
+    def entry(h: int, i: int, j: int) -> int:
+        return (1 << 4 * (h - 1)) | (1 << 4 * (g + (h - 1) * npairs + slot[min(i, j), max(i, j)]))
+
+    counts = (Counter(), Counter())  # even and odd permutations
+    for sigma in itertools.permutations(range(len(cols))):
+        odd = _perm_sign(tuple(s + 1 for s in sigma)) < 0
+        entries = [[entry(h, r, cols[s]) for h in range(1, g + 1)]
+                   for r, s in zip(rows, sigma)]
+        counts[odd].update(map(sum, itertools.product(*entries)))
+    total = counts[0]
+    total.subtract(counts[1])
+
+    # decode block by block: the t-block, then one block per R_h
+    blocks = [(0, 4 * g, [t_var(h) for h in range(1, g + 1)])]
+    blocks += [(4 * (g + (h - 1) * npairs), 4 * npairs, [r_var(h, i, j) for i, j in pairs])
+               for h in range(1, g + 1)]
+    blocks = [(shift, (1 << width) - 1, names, {}) for shift, width, names in blocks]
+
+    def decode(key: int) -> Mono:
+        mono = ()
+        for shift, mask, names, memo in blocks:
+            bits = key >> shift & mask
+            part = memo.get(bits)
+            if part is None:
+                part, b = [], bits
+                for v in names:
+                    if b & 15:
+                        part.append((v, b & 15))
+                    b >>= 4
+                part = memo[bits] = tuple(part)
+            mono += part
+        return mono
+
+    fracs: dict = {}
+    out = {}
+    for key, c in total.items():
+        if c:
+            f = fracs.get(c)
+            if f is None:
+                f = fracs[c] = Fraction(c)
+            out[decode(key)] = f
+    return MultiPoly(out, "Q")
+
+
 @lru_cache(maxsize=None)
-def coeff_R(g: int, n: tuple) -> MultiPoly:
-    """The basis polynomial B(n): coefficient of t^n in det(t_1 R_1 + ...)."""
-    if len(n) != g or sum(n) != g or any(k < 0 for k in n):
-        raise ValueError(f"multi-index {n} is not a composition of {g} into {g} parts")
-    return det_expand(g).t_coefficient(n)
+def det_expand(g: int) -> MultiPoly:
+    """det(t_1 R_1 + ... + t_g R_g) as a polynomial in all t_h and r_{h;ij}.
+
+    Homogeneous of degree g in the t's and of degree g in matrix entries.
+    Expanded by Leibniz over permutations, with each matrix entry of the
+    pencil distributed over its g summands t_h r_{h;i,sigma(i)}.
+    """
+    if g < 1:
+        raise ValueError("genus must be >= 1")
+    rows = list(range(1, g + 1))
+    return _leibniz(g, rows, rows)
 
 
 @lru_cache(maxsize=None)
@@ -340,26 +392,48 @@ def minor_det_expand(g: int, k: int, l: int) -> MultiPoly:
     """det of the pencil t_1 R_1 + ... with row k and column l deleted."""
     if not (1 <= k <= g and 1 <= l <= g):
         raise ValueError(f"minor indices ({k},{l}) out of range for g={g}")
-    rows = [i for i in range(1, g + 1) if i != k]
-    cols = [j for j in range(1, g + 1) if j != l]
-    out: dict = {}
-    for sigma in itertools.permutations(range(g - 1)):
-        sign = _perm_sign(tuple(s + 1 for s in sigma))
-        for hs in itertools.product(range(1, g + 1), repeat=g - 1):
-            pairs = [(t_var(h), 1) for h in hs]
-            pairs += [(r_var(h, rows[i], cols[sigma[i]]), 1) for i, h in enumerate(hs)]
-            m = _mono_from_pairs(pairs)
-            out[m] = out.get(m, 0) + sign
-    return MultiPoly({m: Fraction(c) for m, c in out.items() if c}, "Q")
+    return _leibniz(g, [i for i in range(1, g + 1) if i != k],
+                    [j for j in range(1, g + 1) if j != l])
+
+
+@lru_cache(maxsize=None)
+def _t_split(g: int, minor: tuple) -> dict:
+    """{n: coefficient of t^n} for the full expansion (minor == ()) or the
+    (k, l) first minor (minor == (k, l)), from one scan of the expansion."""
+    p = minor_det_expand(g, *minor) if minor else det_expand(g)
+    buckets: dict = {}
+    for m, c in p.terms.items():
+        j = 0
+        for v, _ in m:
+            if v[0] != "t":
+                break
+            j += 1
+        bucket = buckets.get(m[:j])
+        if bucket is None:
+            bucket = buckets[m[:j]] = {}
+        bucket[m[j:]] = c
+    out = {}
+    for tpart, bucket in buckets.items():
+        n = [0] * g
+        for v, e in tpart:
+            n[v[1] - 1] = e
+        out[tuple(n)] = MultiPoly(bucket, "Q")
+    return out
+
+
+@lru_cache(maxsize=None)
+def coeff_R(g: int, n: tuple) -> MultiPoly:
+    """The basis polynomial B(n): coefficient of t^n in det(t_1 R_1 + ...)."""
+    if len(n) != g or sum(n) != g or any(k < 0 for k in n):
+        raise ValueError(f"multi-index {n} is not a composition of {g} into {g} parts")
+    return _t_split(g, ()).get(tuple(n)) or MultiPoly.zero()
 
 
 def minor_coeff_R(g: int, k: int, l: int, nprime: tuple) -> MultiPoly:
     """Coefficient of t^nprime in the (k,l) first-minor expansion."""
     if len(nprime) != g or sum(nprime) != g - 1 or any(v < 0 for v in nprime):
         raise ValueError(f"multi-index {nprime} is not a composition of {g-1} into {g} parts")
-    return minor_det_expand(g, k, l).t_coefficient(nprime)
-
-
+    return _t_split(g, (k, l)).get(tuple(nprime)) or MultiPoly.zero()
 # -- POLY1 text format --------------------------------------------------------
 
 def _var_to_text(v: VarId) -> str:
@@ -383,31 +457,92 @@ def _var_from_text(s: str) -> VarId:
 
 
 def poly_to_text(p: MultiPoly) -> str:
-    """POLY1: header line then one term per line, 'coeff | var^e var^e ...'."""
+    """POLY1: header line then one term per line, 'coeff | var^e var^e ...'.
+
+    Terms are sorted by total degree, then by their (variable, exponent)
+    pairs in the global variable order.
+    """
+    rank = {v: i for i, v in enumerate(sorted(p.vars_used(), key=_var_key))}
+    pairs: dict = {}  # (var, exp) -> ((rank, exp), 'var^exp')
+    for m in p.terms:
+        for pair in m:
+            if pair not in pairs:
+                pairs[pair] = ((rank[pair[0]], pair[1]), f"{_var_to_text(pair[0])}^{pair[1]}")
+    # keyed by id: p.terms keeps every coefficient alive while this runs
+    coeffs: dict = {}
+
+    def line(m: Mono) -> str:
+        c = p.terms[m]
+        txt = coeffs.get(id(c))
+        if txt is None:
+            txt = coeffs[id(c)] = scalar_to_text(c)
+        return f"{txt} | {' '.join([pairs[pair][1] for pair in m])}"
+
+    def sort_key(m: Mono) -> tuple:
+        return (sum([e for _, e in m]), *[pairs[pair][0] for pair in m])
+
     lines = [f"POLY1 field={p.field} terms={len(p.terms)}"]
-    for m in sorted(p.terms, key=lambda m: (sum(e for _, e in m),
-                                            tuple((_var_key(v), e) for v, e in m))):
-        vars_txt = " ".join(f"{_var_to_text(v)}^{e}" for v, e in m)
-        lines.append(f"{scalar_to_text(p.terms[m])} | {vars_txt}")
+    lines += [line(m) for m in sorted(p.terms, key=sort_key)]
     return "\n".join(lines) + "\n"
 
 
 def poly_from_text(text: str) -> MultiPoly:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    head = lines[0].split()
-    if head[0] != "POLY1":
-        raise ValueError("not a POLY1 block")
-    field = head[1].split("=")[1]
+    """Read a POLY1 block; a malformed block raises ValueError naming its line."""
+    return _poly_from_lines(text.splitlines(), 0, "POLY1")
+
+
+def _poly_from_lines(lines: list, start: int, fmt: str) -> MultiPoly:
+    """The POLY1 block that begins at lines[start]; error messages name the
+    line (1-based within lines) and the format being read (fmt)."""
+
+    def fail(idx: int, msg: str):
+        raise ValueError(f"{fmt} line {idx + 1}: {msg}")
+
+    if start >= len(lines):
+        fail(start, "missing POLY1 header")
+    head = lines[start].split()
+    fields = dict(tok.split("=", 1) for tok in head[1:] if "=" in tok)
+    if not head or head[0] != "POLY1" or fields.get("field") not in ("Q", "Qa"):
+        fail(start, f"expected 'POLY1 field=Q|Qa terms=N', found {lines[start]!r}")
+    try:
+        declared = int(fields["terms"])
+    except (KeyError, ValueError):
+        fail(start, f"missing or bad term count in {lines[start]!r}")
+    field = fields["field"]
+    tokens: dict = {}  # 'var^exp' -> ((var, exp), _var_key(var))
+    scalars: dict = {}
     terms: dict = {}
-    for ln in lines[1:]:
-        coeff_txt, _, vars_txt = ln.partition("|")
-        pairs = []
-        for tok in vars_txt.split():
-            name, _, exp = tok.rpartition("^")
-            pairs.append((_var_from_text(name), int(exp)))
-        terms[_mono_from_pairs(pairs)] = scalar_from_text(coeff_txt.strip())
+    count = 0
+    for idx in range(start + 1, len(lines)):
+        ln = lines[idx]
+        if not ln.strip():
+            continue
+        count += 1
+        coeff_txt, bar, vars_txt = ln.partition("|")
+        if not bar:
+            fail(idx, f"expected 'coeff | var^e ...', found {ln!r}")
+        try:
+            c = scalars.get(coeff_txt)
+            if c is None:
+                c = scalars[coeff_txt] = scalar_from_text(coeff_txt.strip())
+            pairs, keys = [], []
+            for tok in vars_txt.split():
+                hit = tokens.get(tok)
+                if hit is None:
+                    name, _, exp = tok.rpartition("^")
+                    v, e = _var_from_text(name), int(exp)
+                    if e < 1:
+                        raise ValueError(f"exponent of {name} is not positive")
+                    hit = tokens[tok] = ((v, e), _var_key(v))
+                pairs.append(hit[0])
+                keys.append(hit[1])
+        except (ValueError, IndexError, KeyError, ZeroDivisionError) as exc:
+            fail(idx, f"cannot parse {ln!r} ({exc})")
+        # a written block lists each monomial's variables in order already
+        m = tuple(pairs) if sorted(set(keys)) == keys else _mono_from_pairs(pairs)
+        if m in terms:
+            fail(idx, "duplicate monomial")
+        terms[m] = c
+    if count != declared:
+        fail(start, f"declares {declared} terms, found {count}")
     return MultiPoly(terms, field)
-
-
-def frac_text(q: Fraction) -> str:
-    return frac_to_text(q)

@@ -29,7 +29,7 @@ from bisect import bisect_right
 from fractions import Fraction
 
 from .jets import JetPoly
-from .scalars import RatFunc, frac_from_text, frac_to_text
+from .scalars import RatFunc, _binpow, frac_from_text, frac_to_text
 
 SCALE = 8
 DEFAULT_TRUNC = 48
@@ -214,14 +214,7 @@ class QExp2:
     def __pow__(self, n: int) -> "QExp2":
         if n < 0:
             raise ValueError("negative powers are not defined on expansions")
-        out = QExp2.one(self.trunc)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _binpow(self, n) if n else QExp2.one(self.trunc)
 
     def scale_coeff(self, c) -> "QExp2":
         c = Fraction(c)
@@ -409,14 +402,7 @@ class QExp1:
                      self.tau_factor + other.tau_factor)
 
     def __pow__(self, n: int) -> "QExp1":
-        out = QExp1.one(self.trunc)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _binpow(self, n) if n else QExp1.one(self.trunc)
 
     def scale_coeff(self, c) -> "QExp1":
         c = Fraction(c)

@@ -103,6 +103,24 @@ def _peval(p: tuple, a0: Fraction) -> Fraction:
     return acc
 
 
+def _binpow(base, n: int):
+    """base ** n for n >= 1 by left-to-right binary powering.
+
+    The result starts from base, and each bit of n after the top one costs a
+    squaring plus, for a set bit, one product with base: bit_length(n) - 1
+    squarings and popcount(n) - 1 products in all.  Every ring class keeps
+    its own __pow__, which handles n = 0 and calls this.
+    """
+    if n < 1:
+        raise ValueError(f"binary powering needs an exponent >= 1, got {n}")
+    out = base
+    for bit in bin(n)[3:]:
+        out = out * out
+        if bit == "1":
+            out = out * base
+    return out
+
+
 class RatFunc:
     """An element of Q(a), kept in canonical reduced/monic form."""
 
@@ -187,6 +205,14 @@ class RatFunc:
         return o + (-self)
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            # a rational scalar leaves the denominator and the gcd unchanged
+            if not other:
+                return RatFunc()
+            r = RatFunc.__new__(RatFunc)
+            r.num = tuple(c * other for c in self.num)
+            r.den = self.den
+            return r
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -211,14 +237,7 @@ class RatFunc:
     def __pow__(self, n: int):
         if n < 0:
             return RatFunc(1) / self ** (-n)
-        out = RatFunc(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _binpow(self, n) if n else RatFunc(1)
 
     def __eq__(self, other):
         o = self._coerce(other)

@@ -1,5 +1,6 @@
 """Tests for operator construction and the three pluriharmonicity verifiers."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -181,3 +182,73 @@ def test_opspec_round_trip(spec2_symbolic):
     spec = build_Q(2, Fraction(5))
     back = opspec_from_text(opspec_to_text(spec))
     assert back.Q == spec.Q and back.a == Fraction(5)
+
+
+@pytest.mark.parametrize("g,a,size,digest", [
+    (4, A, 195364, "2de44e0203d0560ec86cbd6ceb6959c6593e6353450a36c606f230962f5c3dd3"),
+    (5, Fraction(3), 6703524,
+     "0a35dbb2d6fb9f9b0ebd3975a13c843880f9cc78579afbb1e7499f7c735759b1"),
+])
+def test_opspec_bytes_are_pinned(g, a, size, digest):
+    """The operator files of build_Q(4, a) and build_Q(5, 3), byte for byte."""
+    data = opspec_to_text(build_Q(g, a)).encode()
+    assert len(data) == size
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
+@pytest.mark.slow
+def test_pluriharmonic_genus5_for_every_weight():
+    """Genus-5 pluriharmonicity for every weight a, from six exact checks.
+
+    C(1) Q = sum_n c(n) B(n), and every c(n) is zero or some C(m), a
+    polynomial in a of degree g - 1 = 4.  D_{h;11} = k d_{h;11} + 2 sum
+    r d d with k = 2a adds at most one degree.  So each coefficient of
+    sum_h D_{h;11}(C(1) Q) is a polynomial in a of degree <= g = 5, and six
+    zeros at distinct weights make it vanish identically.  D is linear, and
+    C(1) has no root a >= 5/2, so at each weight below the check on Q is
+    the check on C(1) Q; hence sum_h D_{h;11} Q = 0 wherever C(1) != 0.
+    """
+    weights = (Fraction(5, 2), Fraction(3), Fraction(7, 2), Fraction(4), Fraction(9, 2),
+               Fraction(108))
+    for a in weights:
+        spec = build_Q(5, a)
+        assert constant_C(5, a, 1) != 0
+        assert len(spec.Q.terms) == 111275
+        assert verify_pluriharmonic(spec), f"genus 5, a={a}"
+
+
+def _opspec_lines():
+    return opspec_to_text(build_Q(2, Fraction(5))).splitlines()
+
+
+def test_opspec_rejects_wrong_coefficient_count():
+    lines = _opspec_lines()
+    assert lines[5] == "coeffs 3"
+    with pytest.raises(ValueError, match="OPSPEC1 line 6: declares 3 coefficients, found 2"):
+        opspec_from_text("\n".join(lines[:6] + lines[7:]))
+    with pytest.raises(ValueError, match="OPSPEC1 line 6: declares 4 coefficients, found 3"):
+        opspec_from_text("\n".join(lines[:5] + ["coeffs 4"] + lines[6:]))
+
+
+def test_opspec_rejects_other_normalization():
+    lines = _opspec_lines()
+    for norm in ("normalization second-order-factor=1 leading-coefficient=1", ""):
+        with pytest.raises(ValueError, match="OPSPEC1 line 5: expected 'normalization"):
+            opspec_from_text("\n".join(lines[:4] + [norm] + lines[5:]))
+
+
+def test_opspec_rejects_missing_header_keys():
+    lines = _opspec_lines()
+    for idx, bad in ((1, "genius 2"), (2, "mode exact"), (3, "a five"), (5, "coeffs")):
+        with pytest.raises(ValueError, match=f"OPSPEC1 line {idx + 1}: "):
+            opspec_from_text("\n".join(lines[:idx] + [bad] + lines[idx + 1:]))
+
+
+def test_opspec_rejects_truncated_polynomial():
+    lines = _opspec_lines()
+    assert lines[9] == "POLY1 field=Q terms=7"
+    with pytest.raises(ValueError, match="OPSPEC1 line 10: declares 7 terms, found 6"):
+        opspec_from_text("\n".join(lines[:-1]))
+    with pytest.raises(ValueError, match="OPSPEC1 line 18: duplicate monomial"):
+        opspec_from_text("\n".join(lines[:9] + [lines[9].replace("7", "8")]
+                                   + lines[10:] + lines[-1:]))

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from siegelops.poly import (MultiPoly, FieldMismatch, coeff_R, det_expand,
                             index_set_N, index_set_Nprime, minor_coeff_R,
-                            poly_from_text, poly_to_text, r_var, t_var, x_var)
+                            minor_det_expand, poly_from_text, poly_to_text, r_var,
+                            t_var, x_var)
 
 
 def V(v):
@@ -184,3 +185,59 @@ def test_product_reassociation_random_order():
     rng.shuffle(shuffled)
     other = shuffled[0] * (shuffled[1] * shuffled[2])
     assert ordered == other
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_t_split_matches_t_coefficient(g):
+    """The cached split by t-exponent agrees with a scan for each n."""
+    full = det_expand(g)
+    for n in index_set_N(g):
+        assert coeff_R(g, n) == full.t_coefficient(n)
+    for k in range(1, g + 1):
+        for l in range(1, g + 1):
+            minor = minor_det_expand(g, k, l)
+            for n in index_set_Nprime(g):
+                assert minor_coeff_R(g, k, l, n) == minor.t_coefficient(n), (k, l, n)
+
+
+def _poly1_lines():
+    p = (V(r_var(1, 1, 2)) * V(t_var(2)).scale(Fraction(-3, 7))
+         + V(x_var(1, 4)) ** 3 + MultiPoly.const(Fraction(5, 2)))
+    return poly_to_text(p).splitlines()
+
+
+def test_poly1_rejects_truncated_block():
+    lines = _poly1_lines()
+    assert lines[0] == "POLY1 field=Q terms=3"
+    with pytest.raises(ValueError, match="POLY1 line 1: declares 3 terms, found 2"):
+        poly_from_text("\n".join(lines[:-1]))
+
+
+def test_poly1_rejects_duplicate_monomials():
+    lines = ["POLY1 field=Q terms=2", "1 | r[1;2,1]^1", "2 | r[1;1,2]^1"]
+    with pytest.raises(ValueError, match="POLY1 line 3: duplicate monomial"):
+        poly_from_text("\n".join(lines))
+
+
+def test_poly1_rejects_bad_header():
+    lines = _poly1_lines()
+    for head in ("POLY1 field=Z terms=3", "POLY1 field=Q", "POLY2 field=Q terms=3"):
+        with pytest.raises(ValueError, match="POLY1 line 1: "):
+            poly_from_text("\n".join([head] + lines[1:]))
+
+
+def test_poly1_rejects_malformed_term_lines():
+    head = "POLY1 field=Q terms=1"
+    for term in ("1 r[1;1,1]^1", "1 | r[1;1,1]^x", "1 | q[1]^1", "1/0 | t[1]^1"):
+        with pytest.raises(ValueError, match="POLY1 line 2: "):
+            poly_from_text(f"{head}\n{term}\n")
+
+
+def test_poly1_rejects_non_positive_exponents():
+    with pytest.raises(ValueError, match="POLY1 line 2: .*not positive"):
+        poly_from_text("POLY1 field=Q terms=1\n1 | t[1]^0\n")
+
+
+def test_poly1_reads_unsorted_variables_canonically():
+    p = poly_from_text("POLY1 field=Q terms=1\n3 | r[1;2,2]^1 t[1]^2\n")
+    assert p == (V(t_var(1)) ** 2 * V(r_var(1, 2, 2))).scale(Fraction(3))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from siegelops.scalars import (A, PoleError, RatFunc, ratfunc_from_text,
+from siegelops.scalars import (A, PoleError, RatFunc, _binpow, ratfunc_from_text,
                                ratfunc_to_text)
 
 
@@ -85,3 +85,47 @@ def test_field_laws(x, y):
     assert x - x == RatFunc(0)
     if y:
         assert (x / y) * y == x
+
+
+class _Counted:
+    """An integer that counts its multiplications."""
+
+    products = 0
+
+    def __init__(self, v):
+        self.v = v
+
+    def __mul__(self, other):
+        _Counted.products += 1
+        return _Counted(self.v * other.v)
+
+
+@pytest.mark.parametrize("n", range(1, 40))
+def test_binpow_makes_no_wasted_products(n):
+    """Left-to-right powering: bit_length - 1 squarings, popcount - 1 products."""
+    _Counted.products = 0
+    assert _binpow(_Counted(3), n).v == 3 ** n
+    assert _Counted.products == n.bit_length() - 1 + bin(n).count("1") - 1
+
+
+def _ring_elements():
+    from siegelops.jets import JetPoly
+    from siegelops.poly import MultiPoly, r_var
+    from siegelops.qexp import QExp1, QExp2
+    x = MultiPoly.var(r_var(1, 1, 2)) + MultiPoly.const(Fraction(1, 3))
+    theta = QExp2({(0, 0, 0): Fraction(1), (1, 0, 1): Fraction(2), (1, 1, 1): Fraction(-1),
+                   (8, 0, 0): Fraction(1, 5)}, Fraction(1, 2), 24)
+    return [(RatFunc((1, 2), (3, 0, 1)), RatFunc(1)),
+            (x, MultiPoly.const(1)),
+            (JetPoly.symbol("F") + JetPoly.const(2), JetPoly.const(1)),
+            (theta, QExp2.one(24)),
+            (QExp1({0: Fraction(1), 1: Fraction(-24), 3: Fraction(7, 2)}, 2, 30), QExp1.one(30))]
+
+
+@pytest.mark.parametrize("x,one", _ring_elements(),
+                         ids=["RatFunc", "MultiPoly", "JetPoly", "QExp2", "QExp1"])
+def test_power_matches_repeated_multiplication(x, one):
+    acc = one
+    for n in range(10):
+        assert x ** n == acc, n
+        acc = acc * x

@@ -4,7 +4,8 @@ Subcommands: opgen, apply, theta, form, bracket, slope, verify.  Every run
 prints its effective configuration header; identical configurations produce
 byte-identical outputs (all serializers iterate in sorted order and all
 randomness is derived from the seed).  Exit status is the number of failed
-checks (0 = everything passed).
+checks (0 = everything passed); bad input (an unreadable or malformed
+file, a bad option value) prints 'error: ...' to stderr and exits 2.
 """
 
 from __future__ import annotations
@@ -59,28 +60,38 @@ def _config(args) -> RunConfig:
     if getattr(args, "symbolic", False):
         cfg.symbolic = True
     elif getattr(args, "weight", None) is not None:
-        cfg.weight = Fraction(args.weight)
+        cfg.weight = _rational(args.weight, "--weight")
     return cfg
+
+
+def _rational(text: str, option: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{option} {text!r} is not a rational number") from None
 
 
 def _parse_tau(spec: str):
     """A period matrix from 'diag:y1,y2' (pure imaginary diagonal) or a file
     of whitespace-separated 're,im' entries, one matrix row per line."""
-    if spec.startswith("diag:"):
-        ys = [float(v) for v in spec[5:].split(",")]
-        return [[(1j * ys[i] if i == j else 0j) for j in range(len(ys))]
-                for i in range(len(ys))]
-    rows = []
-    with open(spec) as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            row = []
-            for tok in line.split():
-                re, _, im = tok.partition(",")
-                row.append(complex(float(re), float(im or 0)))
-            rows.append(row)
-    return rows
+    try:
+        if spec.startswith("diag:"):
+            ys = [float(v) for v in spec[5:].split(",")]
+            return [[(1j * ys[i] if i == j else 0j) for j in range(len(ys))]
+                    for i in range(len(ys))]
+        rows = []
+        with open(spec) as fh:
+            for line in fh:
+                if not line.strip():
+                    continue
+                row = []
+                for tok in line.split():
+                    re, _, im = tok.partition(",")
+                    row.append(complex(float(re), float(im or 0)))
+                rows.append(row)
+        return rows
+    except ValueError as exc:
+        raise ValueError(f"bad --tau {spec!r} ({exc})") from None
 
 
 def _emit(text: str, out: str | None):
@@ -183,6 +194,9 @@ def cmd_theta(args) -> int:
             print(f"# {f.label}")
         return 0
     if args.action == "eval":
+        if args.tau is None:
+            print("error: theta eval needs --tau", file=sys.stderr)
+            return 2
         c = theta.char_from_text(args.char)
         tau = _parse_tau(args.tau)
         z = [complex(v) for v in (args.z.split(",") if args.z else [])] or None
@@ -223,8 +237,8 @@ def cmd_bracket(args) -> int:
     with open(args.forms[1]) as fh:
         g_form = qexp_from_text(fh.read())
     if args.weights:
-        f = f.with_weight(Fraction(args.weights[0]))
-        g_form = g_form.with_weight(Fraction(args.weights[1]))
+        f = f.with_weight(_rational(args.weights[0], "--weights"))
+        g_form = g_form.with_weight(_rational(args.weights[1], "--weights"))
     result = brackets.scalar_bracket_q(f, g_form)
     print(f"# scalar bracket: weight {frac_to_text(result.weight)}")
     if not result.is_zero():
@@ -341,8 +355,9 @@ def cmd_verify(args) -> int:
     elif what == "cond":
         taus = [args.tau] if args.tau else ["diag:1.1,1.7", "diag:0.9,1.45"]
         for spec_txt in taus:
+            tau = _parse_tau(spec_txt)
             try:
-                rep = theta.check_condition_star(_parse_tau(spec_txt), cfg.tol_zero)
+                rep = theta.check_condition_star(tau, cfg.tol_zero)
             except ValueError as exc:
                 failures += _status(f"gradient determinant at {spec_txt}", False,
                                     str(exc)) != 0
@@ -446,7 +461,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -19,14 +19,27 @@ Differentiation is normalized: the operator stored per index pair is
 the stripped power of 2 pi i is tracked in the tau_factor field so numeric
 cross-checks can reinstate it.
 
-The multiplication kernel packs exponent triples into single integers and
-clears denominators so the inner loop is pure integer arithmetic.
+Products use Kronecker substitution along beta.  The kernel clears each
+operand's denominators, groups its terms by (alpha, gamma) and packs each
+group's beta-row into one integer, one slot of S bits per step of the stride
+s (the gcd of the beta differences of both operands; 8 for theta constants,
+which makes their rows dense).  Multiplying two packed rows convolves them;
+every group pair whose weights sum to at most trunc adds its product into
+the output group (alpha1 + alpha2, gamma1 + gamma2).  A coefficient of the
+product is a sum of at most min(len a, len b) terms, each at most
+max|a| * max|b| in size, so S = bits(max|a|) + bits(max|b|) +
+bits(min(len a, len b)) + 2 holds every output digit with its sign for any
+input, and each output integer is decoded once with signed digits (take the
+low S bits r; if r >= 2^(S-1), the digit is r - 2^S and it borrows one from
+the rest).  Genus-1 products use the same packing with the whole series as
+one row along n, and decoding stops at the truncation.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
+from math import gcd, lcm
 
 from .jets import JetPoly
 from .scalars import RatFunc, _binpow, frac_from_text, frac_to_text
@@ -34,65 +47,143 @@ from .scalars import RatFunc, _binpow, frac_from_text, frac_to_text
 SCALE = 8
 DEFAULT_TRUNC = 48
 
-_BOFF = 1 << 20
-_CORR = _BOFF << 21
-_M21 = (1 << 21) - 1
+
+def _cleared(terms: dict, keep) -> tuple[int, dict]:
+    """(common denominator d, {key: d * coefficient}) over the kept keys."""
+    terms = {k: c for k, c in terms.items() if keep(k)}
+    den = lcm(*[c.denominator for c in terms.values()]) if terms else 1
+    if den == 1:
+        return 1, {k: c.numerator for k, c in terms.items()}
+    return den, {k: c.numerator * (den // c.denominator) for k, c in terms.items()}
 
 
-def _pack(a: int, b: int, c: int) -> int:
-    return (a << 42) | ((b + _BOFF) << 21) | c
+def _slot_width(ca: dict, cb: dict) -> int:
+    """Bits per slot that hold any coefficient of the product with its sign."""
+    return (max(map(abs, ca.values())).bit_length()
+            + max(map(abs, cb.values())).bit_length()
+            + min(len(ca), len(cb)).bit_length() + 2)
 
 
-def _unpack(key: int) -> tuple[int, int, int]:
-    return (key >> 42, ((key >> 21) & _M21) - _BOFF, key & _M21)
+def _pack(row: list, S: int) -> tuple[int, int]:
+    """(lowest slot, packed integer) of a row of distinct (slot, coefficient)."""
+    row.sort(reverse=True)
+    P = 0
+    prev = row[0][0]
+    for i, c in row:
+        P = (P << (S * (prev - i))) + c
+        prev = i
+    return prev, P
 
 
-def _prep(terms: dict) -> tuple[int, list]:
-    """Clear denominators; return (common denominator, weight-sorted items)."""
-    den = 1
-    for c in terms.values():
-        d = c.denominator
-        if d != 1:
-            from math import gcd
-            den = den * d // gcd(den, d)
-    items = [(a + g2, _pack(a, b, g2), int(c * den))
-             for (a, b, g2), c in terms.items()]
-    items.sort(key=lambda t: t[0])
-    return den, items
+def _unpack(P: int, S: int, slots: int | None = None) -> list:
+    """The nonzero signed S-bit digits of P as (slot, digit), lowest first;
+    only the lowest `slots` slots when given (they do not depend on the rest)."""
+    mask = (1 << S) - 1
+    half = 1 << (S - 1)
+    full = 1 << S
+    out = []
+    k = 0
+    while P and k != slots:
+        r = P & mask
+        P >>= S
+        if r:
+            if r >= half:
+                r -= full
+                P += 1
+            out.append((k, r))
+        k += 1
+    return out
+
+
+def _stride(*cols) -> int:
+    """The gcd of the differences within each collection (1 if all are 0)."""
+    s = 0
+    for col in cols:
+        x0 = next(iter(col))
+        s = gcd(s, *[x - x0 for x in col])
+    return s or 1
 
 
 def _mul_terms(ta: dict, tb: dict, trunc: int) -> dict:
-    """Truncated convolution of two canonical term dicts."""
-    if not ta or not tb:
+    """Truncated convolution of two canonical term dicts (alpha, gamma >= 0)."""
+    da, ca = _cleared(ta, lambda k: k[0] + k[2] <= trunc)
+    db, cb = _cleared(tb, lambda k: k[0] + k[2] <= trunc)
+    if not ca or not cb:
         return {}
-    if trunc >= _BOFF:
-        raise ValueError(f"truncation {trunc} exceeds the packed-key range")
-    da, ia = _prep(ta)
-    db, ib = _prep(tb)
-    if len(ia) > len(ib):
-        ia, ib = ib, ia
-    bw = [t[0] for t in ib]
-    bk = [t[1] - _CORR for t in ib]
-    bc = [t[2] for t in ib]
-    out: dict[int, int] = {}
-    get = out.get
-    prev_w = -1
-    bks = bcs = []
-    for wa, ka, ca in ia:
-        if wa != prev_w:
-            prev_w = wa
-            lim = bisect_right(bw, trunc - wa)
-            if lim == 0:
-                break
-            bks = bk[:lim]
-            bcs = bc[:lim]
-        for kb, cb in zip(bks, bcs):
-            kk = ka + kb
-            v = get(kk)
-            cc = ca * cb
-            out[kk] = cc if v is None else v + cc
+    S = _slot_width(ca, cb)
+    s = _stride([k[1] for k in ca], [k[1] for k in cb])
+    ba = next(iter(ca))[1]
+    bb = next(iter(cb))[1]
+    K = trunc + 1
+
+    def groups(cx: dict, b0: int) -> list:
+        rows: dict = {}
+        for (a, b, g2), c in cx.items():
+            rows.setdefault(a * K + g2, []).append(((b - b0) // s, c))
+        out = [(key // K + key % K, key, *_pack(row, S)) for key, row in rows.items()]
+        out.sort()
+        return out
+
+    ga, gb = groups(ca, ba), groups(cb, bb)
+    wb = [t[0] for t in gb]
+    acc: dict = {}
+    get = acc.get
+    for wa, ka, oa, Pa in ga:
+        for _, kb, ob, Pb in gb[:bisect_right(wb, trunc - wa)]:
+            key = ka + kb
+            o = oa + ob
+            cur = get(key)
+            if cur is None:
+                acc[key] = [o, Pa * Pb]
+            elif o >= cur[0]:
+                cur[1] += (Pa * Pb) << (S * (o - cur[0]))
+            else:
+                cur[1] = (cur[1] << (S * (cur[0] - o))) + Pa * Pb
+                cur[0] = o
     den = da * db
-    return {_unpack(k): Fraction(v, den) for k, v in out.items() if v}
+    base = ba + bb
+    out = {}
+    for key, (o, P) in acc.items():
+        a, g2 = divmod(key, K)
+        for i, v in _unpack(P, S):
+            out[(a, base + s * (o + i), g2)] = Fraction(v, den)
+    return out
+
+
+def _mul_series(ta: dict, tb: dict, trunc: int) -> dict:
+    """Truncated product of two genus-1 term dicts (exponents >= 0)."""
+    da, ca = _cleared(ta, lambda n: n <= trunc)
+    db, cb = _cleared(tb, lambda n: n <= trunc)
+    if not ca or not cb:
+        return {}
+    S = _slot_width(ca, cb)
+    s = _stride(ca, cb)
+    na, nb = min(ca), min(cb)
+    base = na + nb
+    if base > trunc:
+        return {}
+    _, Pa = _pack([((n - na) // s, c) for n, c in ca.items()], S)
+    _, Pb = _pack([((n - nb) // s, c) for n, c in cb.items()], S)
+    den = da * db
+    return {base + s * i: Fraction(v, den)
+            for i, v in _unpack(Pa * Pb, S, (trunc - base) // s + 1)}
+
+
+def _term2_fault(k: tuple, trunc: int) -> str | None:
+    """Why (alpha, beta, gamma) cannot be a term of a genus-2 expansion, if so."""
+    a, b, g2 = k
+    if a < 0 or g2 < 0:
+        return f"negative diagonal exponent in term {k}"
+    if a + g2 > trunc:
+        return f"term {k} exceeds truncation {trunc}"
+    if b * b > 4 * a * g2:
+        return f"term {k} violates beta^2 <= 4*alpha*gamma"
+    return None
+
+
+def _term1_fault(n: int, trunc: int) -> str | None:
+    """Why n cannot be an exponent of a genus-1 expansion, if so."""
+    return None if 0 <= n <= trunc else f"exponent {n} outside [0, {trunc}]"
 
 
 class QExp2:
@@ -115,13 +206,10 @@ class QExp2:
         self._check()
 
     def _check(self):
-        for (a, b, g2), c in self.terms.items():
-            if a < 0 or g2 < 0:
-                raise ValueError(f"negative diagonal exponent in term {(a, b, g2)}")
-            if a + g2 > self.trunc:
-                raise ValueError(f"term {(a, b, g2)} exceeds truncation {self.trunc}")
-            if b * b > 4 * a * g2:
-                raise ValueError(f"term {(a, b, g2)} violates beta^2 <= 4*alpha*gamma")
+        for k, c in self.terms.items():
+            fault = _term2_fault(k, self.trunc)
+            if fault:
+                raise ValueError(fault)
             if not isinstance(c, Fraction):
                 raise TypeError(f"coefficient {c!r} is not an exact rational")
 
@@ -300,27 +388,6 @@ class QExp2:
         return "\n".join(lines) + "\n"
 
 
-def qexp2_from_text(text: str) -> QExp2:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if lines[0].strip() != "SMF1":
-        raise ValueError("not an SMF1 block")
-    head = {}
-    idx = 1
-    while not lines[idx].startswith("terms"):
-        k, v = lines[idx].split()
-        head[k] = v
-        idx += 1
-    if head["genus"] != "2":
-        raise ValueError("genus-1 block passed to the genus-2 parser")
-    nterms = int(lines[idx].split()[1])
-    terms = {}
-    for ln in lines[idx + 1: idx + 1 + nterms]:
-        a, b, g2, c = ln.split()
-        terms[(int(a), int(b), int(g2))] = frac_from_text(c)
-    return QExp2(terms, frac_from_text(head["weight"]), int(head["trunc"]),
-                 int(head["taupow"]), bool(int(head.get("character", "0"))))
-
-
 class QExp1:
     """Truncated genus-1 expansion; exponents scaled by 8 like the genus-2 lattice."""
 
@@ -336,8 +403,9 @@ class QExp1:
         self.trunc = trunc
         self.tau_factor = tau_factor
         for n, c in self.terms.items():
-            if n < 0 or n > self.trunc:
-                raise ValueError(f"exponent {n} outside [0, {self.trunc}]")
+            fault = _term1_fault(n, self.trunc)
+            if fault:
+                raise ValueError(fault)
             if not isinstance(c, Fraction):
                 raise TypeError(f"coefficient {c!r} is not an exact rational")
 
@@ -386,18 +454,7 @@ class QExp1:
 
     def __mul__(self, other: "QExp1") -> "QExp1":
         trunc = min(self.trunc, other.trunc)
-        out: dict = {}
-        for n1, c1 in self.terms.items():
-            if n1 > trunc:
-                continue
-            for n2, c2 in other.terms.items():
-                n = n1 + n2
-                if n > trunc:
-                    continue
-                s = out.get(n)
-                cc = c1 * c2
-                out[n] = cc if s is None else s + cc
-        return QExp1({k: v for k, v in out.items() if v},
+        return QExp1(_mul_series(self.terms, other.terms, trunc),
                      self.weight + other.weight, trunc,
                      self.tau_factor + other.tau_factor)
 
@@ -445,30 +502,86 @@ class QExp1:
         return "\n".join(lines) + "\n"
 
 
-def qexp1_from_text(text: str) -> QExp1:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if lines[0].strip() != "SMF1":
-        raise ValueError("not an SMF1 block")
-    head = {}
-    idx = 1
-    while not lines[idx].startswith("terms"):
-        k, v = lines[idx].split()
-        head[k] = v
+def _smf1_from_text(text: str, genus: int):
+    """Read an SMF1 block of the given genus; a malformed block raises
+    ValueError naming its line."""
+    lines = text.splitlines()
+
+    def fail(idx: int, msg: str):
+        raise ValueError(f"SMF1 line {idx + 1}: {msg}")
+
+    def value(idx: int, key: str, conv):
+        parts = lines[idx].split() if idx < len(lines) else []
+        if len(parts) != 2 or parts[0] != key:
+            fail(idx, f"expected '{key} <value>', found {' '.join(parts)!r}")
+        try:
+            return conv(parts[1])
+        except (ValueError, ZeroDivisionError):
+            fail(idx, f"bad {key} value {parts[1]!r}")
+
+    if not lines or lines[0].strip() != "SMF1":
+        fail(0, "not an SMF1 block")
+    g = value(1, "genus", int)
+    if g != genus:
+        fail(1, f"genus-{g} block passed to the genus-{genus} reader")
+    weight = value(2, "weight", frac_from_text)
+    if value(3, "scale", int) != SCALE:
+        fail(3, f"scale must be {SCALE}")
+    trunc = value(4, "trunc", int)
+    if trunc < 0:
+        fail(4, "negative truncation")
+    taupow = value(5, "taupow", int)
+    idx = 6
+    character = 0
+    if genus == 2 and idx < len(lines) and lines[idx].startswith("character"):
+        character = value(idx, "character", int)
+        if character not in (0, 1):
+            fail(idx, "character must be 0 or 1")
         idx += 1
-    nterms = int(lines[idx].split()[1])
-    terms = {}
-    for ln in lines[idx + 1: idx + 1 + nterms]:
-        n, c = ln.split()
-        terms[int(n)] = frac_from_text(c)
-    return QExp1(terms, frac_from_text(head["weight"]), int(head["trunc"]),
-                 int(head["taupow"]))
+    declared = value(idx, "terms", int)
+    fault = _term2_fault if genus == 2 else _term1_fault
+    terms: dict = {}
+    count = 0
+    for j in range(idx + 1, len(lines)):
+        parts = lines[j].split()
+        if not parts:
+            continue
+        count += 1
+        try:
+            if len(parts) != 2 * genus:
+                raise ValueError(f"expected {2 * genus} fields")
+            exps = tuple(int(v) for v in parts[:-1])
+            c = frac_from_text(parts[-1])
+        except (ValueError, ZeroDivisionError) as exc:
+            fail(j, f"cannot parse {lines[j]!r} ({exc})")
+        key = exps if genus == 2 else exps[0]
+        why = fault(key, trunc) or ("zero coefficient" if not c else None)
+        if why:
+            fail(j, why)
+        if key in terms:
+            fail(j, "duplicate exponent")
+        terms[key] = c
+    if count != declared:
+        fail(idx, f"declares {declared} terms, found {count}")
+    if genus == 2:
+        return QExp2(terms, weight, trunc, taupow, bool(character))
+    return QExp1(terms, weight, trunc, taupow)
+
+
+def qexp2_from_text(text: str) -> QExp2:
+    return _smf1_from_text(text, 2)
+
+
+def qexp1_from_text(text: str) -> QExp1:
+    return _smf1_from_text(text, 1)
 
 
 def qexp_from_text(text: str):
-    for ln in text.splitlines():
-        if ln.startswith("genus"):
-            return qexp1_from_text(text) if ln.split()[1] == "1" else qexp2_from_text(text)
-    raise ValueError("missing genus header")
+    """Read an SMF1 block of either genus, as its second line declares."""
+    lines = text.splitlines()
+    if len(lines) > 1 and lines[1].split() == ["genus", "1"]:
+        return qexp1_from_text(text)
+    return qexp2_from_text(text)
 
 
 def product_balanced(factors: list):

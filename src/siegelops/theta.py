@@ -162,22 +162,19 @@ def schottky_qexp(g: int, trunc: int = DEFAULT_TRUNC):
     """The degree-16 theta-constant combination of weight 8.
 
     Identically zero on the expansion lattice for g <= 2 (checked in tests at
-    two truncation depths); the 16th powers are shared with the square of the
-    8th-power sum to keep the arithmetic affordable.
+    two truncation depths).  With e_i the 8th powers, it is
+    2^-g sum e_i^2 - 2^-2g (sum e_i)^2: the square of the sum takes one
+    product, not the squares and every cross term e_i e_j.
     """
     if g not in (1, 2):
         raise ValueError("expansions are implemented for genus 1 and 2")
     e8 = [theta_qexp(g, c, trunc) ** 8 for c in even_chars(g)]
-    squares = [f * f for f in e8]
-    sum16 = squares[0]
-    for s in squares[1:]:
-        sum16 = sum16 + s
-    sumsq = squares[0]
-    for s in squares[1:]:
-        sumsq = sumsq + s
-    for i in range(len(e8)):
-        for j in range(i + 1, len(e8)):
-            sumsq = sumsq + (e8[i] * e8[j]).scale_coeff(2)
+    sum16 = e8[0] * e8[0]
+    sum8 = e8[0]
+    for f in e8[1:]:
+        sum16 = sum16 + f * f
+        sum8 = sum8 + f
+    sumsq = sum8 * sum8
     return sum16.scale_coeff(Fraction(1, 2 ** g)) - sumsq.scale_coeff(Fraction(1, 2 ** (2 * g)))
 
 

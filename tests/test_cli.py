@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface and its file formats."""
 
+import hashlib
 from fractions import Fraction
 
 from siegelops.cli import main
@@ -159,3 +160,73 @@ def test_apply_zero_input_is_flagged(tmp_path, capsys):
                          "--input", str(zero_file)], capsys)
     assert code == 0
     assert "zero expansion" in out
+
+
+def test_apply_output_is_pinned(tmp_path, capsys):
+    """The README pipeline at N=120: the output SMF1 file, byte for byte."""
+    op_file, t_file, out_file = (tmp_path / n for n in ("q.opspec", "t.smf", "o.smf"))
+    run_cli(["opgen", "--genus", "2", "--weight", "5", "--out", str(op_file)], capsys)
+    run_cli(["form", "--name", "tnull", "--trunc", "120", "--out", str(t_file)], capsys)
+    code, _ = run_cli(["apply", "--operator", str(op_file), "--input", str(t_file),
+                       "--out", str(out_file)], capsys)
+    assert code == 0
+    assert hashlib.sha256(out_file.read_bytes()).hexdigest() == (
+        "5a0d88dadd2a73b7eb2dfcbcc983cffd7e19345bbfb77d80e20ed2227e476113")
+
+
+def run_cli_error(args, capsys):
+    code = main(args)
+    return code, capsys.readouterr().err
+
+
+def _pipeline_files(tmp_path, capsys):
+    op_file, t_file = tmp_path / "q25.opspec", tmp_path / "t2.smf"
+    run_cli(["opgen", "--genus", "2", "--weight", "5", "--out", str(op_file)], capsys)
+    run_cli(["form", "--name", "tnull", "--trunc", "48", "--out", str(t_file)], capsys)
+    return op_file, t_file
+
+
+def test_apply_on_truncated_operator_is_a_clean_error(tmp_path, capsys):
+    op_file, t_file = _pipeline_files(tmp_path, capsys)
+    op_file.write_text("\n".join(op_file.read_text().splitlines()[:-1]) + "\n")
+    code, err = run_cli_error(["apply", "--operator", str(op_file),
+                               "--input", str(t_file)], capsys)
+    assert code == 2
+    assert err == "error: OPSPEC1 line 10: declares 7 terms, found 6\n"
+
+
+def test_apply_on_truncated_input_is_a_clean_error(tmp_path, capsys):
+    op_file, t_file = _pipeline_files(tmp_path, capsys)
+    lines = t_file.read_text().splitlines()
+    n = int(lines[7].split()[1])
+    t_file.write_text("\n".join(lines[:-20]) + "\n")
+    code, err = run_cli_error(["apply", "--operator", str(op_file),
+                               "--input", str(t_file)], capsys)
+    assert code == 2
+    assert err == f"error: SMF1 line 8: declares {n} terms, found {n - 20}\n"
+
+
+def test_missing_file_is_a_clean_error(tmp_path, capsys):
+    op_file, _ = _pipeline_files(tmp_path, capsys)
+    missing = str(tmp_path / "missing.smf")
+    code, err = run_cli_error(["apply", "--operator", str(op_file), "--input", missing],
+                              capsys)
+    assert code == 2
+    assert err.startswith("error: ") and "missing.smf" in err
+
+
+def test_bad_weight_is_a_clean_error(capsys):
+    for bad in ("abc", "1/0"):
+        code, err = run_cli_error(["opgen", "--genus", "2", "--weight", bad], capsys)
+        assert code == 2
+        assert err == f"error: --weight '{bad}' is not a rational number\n"
+
+
+def test_bad_tau_is_a_clean_error(tmp_path, capsys):
+    for argv in (["theta", "eval", "--char", "00,00", "--tau", "diag:abc"],
+                 ["verify", "cond", "--tau", "diag:1.1,x"],
+                 ["theta", "eval", "--char", "00,00", "--tau", str(tmp_path / "none")],
+                 ["theta", "eval", "--char", "00,00"]):
+        code, err = run_cli_error(argv, capsys)
+        assert code == 2
+        assert err.startswith("error: ") and "Traceback" not in err

@@ -1,5 +1,6 @@
 """Tests for truncated expansions: ring laws, differentiation, boundary data."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from siegelops.jets import JetPoly, jet_det_partial
 from siegelops.qexp import (QExp1, QExp2, eval_jetpoly, product_balanced,
                             qexp1_from_text, qexp2_from_text, qexp_from_text)
-from siegelops.theta import ThetaChar, even_chars, theta_qexp
+from siegelops.theta import ThetaChar, even_chars, theta_qexp, tnull_qexp
 
 
 def test_exponent_addition():
@@ -152,3 +153,81 @@ def test_qexp1_diff_and_order():
     assert f.order() == 1
     with pytest.raises(ValueError):
         QExp1.zero().order()
+
+
+def _drop(text: str, idx: int) -> str:
+    lines = text.splitlines()
+    return "\n".join(lines[:idx] + lines[idx + 1:]) + "\n"
+
+
+def _replace(text: str, idx: int, line: str) -> str:
+    lines = text.splitlines()
+    lines[idx] = line
+    return "\n".join(lines) + "\n"
+
+
+def test_smf1_rejects_truncated_blocks(t2_48):
+    text = t2_48.to_text()
+    n = len(t2_48.terms)
+    cut = "\n".join(text.splitlines()[:-20]) + "\n"
+    with pytest.raises(ValueError, match=f"SMF1 line 8: declares {n} terms, found {n - 20}"):
+        qexp2_from_text(cut)
+    with pytest.raises(ValueError, match=f"SMF1 line 8: declares {n} terms, found {n - 20}"):
+        qexp_from_text(cut)
+    one = QExp1({0: Fraction(1), 8: Fraction(-3, 7)}, Fraction(4), 16, 1).to_text()
+    with pytest.raises(ValueError, match="SMF1 line 7: declares 2 terms, found 1"):
+        qexp_from_text(_drop(one, 8))
+
+
+def test_smf1_rejects_duplicate_exponents(t2_48):
+    lines = t2_48.to_text().splitlines()
+    with pytest.raises(ValueError, match=f"SMF1 line {len(lines)}: duplicate exponent"):
+        qexp2_from_text(_replace(t2_48.to_text(), len(lines) - 1, lines[8]))
+    one = QExp1({0: Fraction(1), 8: Fraction(2)}, Fraction(4), 16).to_text()
+    with pytest.raises(ValueError, match="SMF1 line 9: duplicate exponent"):
+        qexp1_from_text(_replace(one, 8, "0 5"))
+
+
+@pytest.mark.parametrize("idx,key", [(1, "genus"), (2, "weight"), (3, "scale"),
+                                     (4, "trunc"), (5, "taupow"), (7, "terms")])
+def test_smf1_requires_every_header_line(t2_48, idx, key):
+    with pytest.raises(ValueError, match=f"SMF1 line {idx + 1}: expected '{key} <value>'"):
+        qexp2_from_text(_drop(t2_48.to_text(), idx))
+
+
+def test_smf1_rejects_bad_header_values(t2_48):
+    text = t2_48.to_text()
+    cases = [(0, "SMF2", "SMF1 line 1: not an SMF1 block"),
+             (1, "genus x", "SMF1 line 2: bad genus value"),
+             (1, "genus 1", "SMF1 line 2: genus-1 block passed to the genus-2 reader"),
+             (2, "weight 1/0", "SMF1 line 3: bad weight value"),
+             (3, "scale 4", "SMF1 line 4: scale must be 8"),
+             (4, "trunc -1", "SMF1 line 5: negative truncation"),
+             (6, "character 2", "SMF1 line 7: character must be 0 or 1"),
+             (7, "terms many", "SMF1 line 8: bad terms value")]
+    for idx, line, msg in cases:
+        with pytest.raises(ValueError, match=msg):
+            qexp2_from_text(_replace(text, idx, line))
+    with pytest.raises(ValueError, match="SMF1 line 2: genus-2 block passed to the genus-1 reader"):
+        qexp1_from_text(text)
+
+
+def test_smf1_rejects_bad_term_lines(t2_48):
+    text = t2_48.to_text()
+    cases = [("0 0 4", "cannot parse"), ("0 0 4 1 1", "cannot parse"),
+             ("0 x 4 1", "cannot parse"), ("0 0 4 1/0", "cannot parse"),
+             ("0 0 4 0", "zero coefficient"), ("40 0 9 1", "exceeds truncation 48"),
+             ("1 9 1 1", "violates beta"), ("-1 0 4 1", "negative diagonal")]
+    for line, msg in cases:
+        with pytest.raises(ValueError, match=f"SMF1 line 9: .*{msg}"):
+            qexp2_from_text(_replace(text, 8, line))
+    one = QExp1({0: Fraction(1), 8: Fraction(2)}, Fraction(4), 16).to_text()
+    with pytest.raises(ValueError, match=r"SMF1 line 9: exponent 24 outside \[0, 16\]"):
+        qexp1_from_text(_replace(one, 8, "24 1"))
+
+
+def test_tnull_text_is_pinned():
+    """tnull_qexp(120) serialized, byte for byte."""
+    data = tnull_qexp(120).to_text().encode()
+    assert hashlib.sha256(data).hexdigest() == (
+        "c97a1d6aef737732f6a644827a6d310b61d75475eced376f3df0090d6c54deed")

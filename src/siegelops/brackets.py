@@ -21,6 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .jets import JetPoly, jet_diff
+from .poly import _signed_pairings
 from .qexp import DEFAULT_TRUNC, QExp1
 
 WEIGHT_F = "k"
@@ -58,16 +59,12 @@ def vector_bracket_jet(f, k, g_form, h, genus: int) -> list[list[JetPoly]]:
 
 
 def _jet_det(matrix: list[list[JetPoly]]) -> JetPoly:
-    import itertools
-
-    from .poly import _perm_sign
     n = len(matrix)
     out = JetPoly.zero(matrix[0][0].field)
-    for sigma in itertools.permutations(range(n)):
-        sign = _perm_sign(tuple(s + 1 for s in sigma))
+    for sign, pairing in _signed_pairings(range(n), range(n)):
         term = JetPoly.const(sign, matrix[0][0].field)
-        for i in range(n):
-            term = term * matrix[i][sigma[i]]
+        for i, j in pairing:
+            term = term * matrix[i][j]
         out = out + term
     return out
 

@@ -11,6 +11,7 @@ file, a bad option value) prints 'error: ...' to stderr and exits 2.
 from __future__ import annotations
 
 import argparse
+import math
 import random
 import sys
 from dataclasses import dataclass
@@ -162,11 +163,8 @@ def cmd_apply(args) -> int:
         print(f"error: operator weight a={spec.a} does not match the input "
               f"weight {f.weight}", file=sys.stderr)
         return 2
-    gfact = 1
-    for v in range(2, spec.g + 1):
-        gfact *= v
     jet = jet_apply(spec.Q, {h: "F" for h in range(1, spec.g + 1)}, spec.g)
-    result = eval_jetpoly(jet, {"F": f}).scale_coeff(Fraction(1, gfact))
+    result = eval_jetpoly(jet, {"F": f}).scale_coeff(Fraction(1, math.factorial(spec.g)))
     print(f"# output weight: {frac_to_text(result.weight)}")
     if result.is_zero():
         print("# output is the zero expansion at this truncation")

@@ -44,7 +44,7 @@ from fractions import Fraction
 from .poly import (MultiPoly, _mono_lower, _mono_times, _poly_from_lines, coeff_R,
                    index_set_N, index_set_Nprime, minor_coeff_R, poly_to_text, r_var,
                    x_var)
-from .scalars import RatFunc, frac_to_text, scalar_from_text, scalar_to_text
+from .scalars import RatFunc, _accumulate, frac_to_text, scalar_from_text, scalar_to_text
 
 SECOND_ORDER_FACTOR = 2
 
@@ -125,19 +125,6 @@ def build_Q(g: int, a) -> OperatorSpec:
             _accumulate(terms, m, x)
     Q = MultiPoly(terms, "Qa" if symbolic else "Q")
     return OperatorSpec(g=g, a=a, k=2 * a, symbolic=symbolic, coeffs=coeffs, Q=Q)
-
-
-def _accumulate(terms: dict, m, c):
-    """terms[m] += c, dropping the monomial when the sum cancels."""
-    s = terms.get(m)
-    if s is None:
-        terms[m] = c
-        return
-    s = s + c
-    if s:
-        terms[m] = s
-    else:
-        del terms[m]
 
 
 def apply_D11(g: int, h: int, p: MultiPoly, k,

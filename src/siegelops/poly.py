@@ -10,25 +10,30 @@ A monomial is a tuple of (VarId, exponent) pairs sorted by the global
 variable order (t's first, then matrix entries by (h,i,j), then x-entries);
 a polynomial is a dict mapping monomials to nonzero coefficients, plus a
 coefficient-field tag ("Q" for Fraction coefficients, "Qa" for RatFunc).
+The ring code on such dicts lives once, in the private base _SparsePoly:
+MultiPoly and the JetPoly of jets.py are its two subclasses and differ only
+in their monomial product and their own constructors and methods.
 
 The central objects built here are the coefficients of
 
     det(t_1 R_1 + ... + t_g R_g) = sum over n of  B(n) * t^n,
 
 with n running over nonnegative integer vectors summing to g, together with
-the same expansion for first minors.  One Leibniz generator over
-permutations serves both (for g <= 6 there are at most 720 permutations, so
-no elimination strategy is needed).  It packs a monomial into one int with
-4 bits per variable, laid out in the global variable order: t_h takes
-nibble h - 1 and r_{h;ij} a nibble of the h-th block of g(g+1)/2 nibbles
-after the t's.  A pencil entry t_h r_{h;i,sigma(i)} is then an int with two
-set nibbles, and a Leibniz term's key is the sum of its g entry ints (no
-exponent exceeds g, far below 16 for any feasible g, so nibbles never
-carry).  Keys are counted, one counter
-per permutation parity, and each distinct key is decoded to a Mono once,
-block by block through a memo of block values.  The B(n) are read from one
-cached split of an expansion by t-exponent, made in a single scan, and
-share their term dicts with it.
+the same expansion for first minors.  One Leibniz generator,
+_signed_pairings, yields the signed row-column pairings of a determinant
+over permutations; it serves both expansions here and every determinant of
+jets.py and brackets.py (for g <= 6 there are at most 720 permutations, so
+no elimination strategy is needed).  The pencil expansion packs a monomial
+into one int with 4 bits per variable, laid out in the global variable
+order: t_h takes nibble h - 1 and r_{h;ij} a nibble of the h-th block of
+g(g+1)/2 nibbles after the t's.  A pencil entry t_h r_{h;i,sigma(i)} is
+then an int with two set nibbles, and a Leibniz term's key is the sum of
+its g entry ints (no exponent exceeds g, far below 16 for any feasible g,
+so nibbles never carry).  Keys are counted, one counter per permutation
+parity, and each distinct key is decoded to a Mono once, block by block
+through a memo of block values.  The B(n) are read from one cached split of
+an expansion by t-exponent, made in a single scan, and share their term
+dicts with it.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
-from .scalars import RatFunc, _binpow, scalar_from_text, scalar_to_text
+from .scalars import RatFunc, _accumulate, _binpow, scalar_from_text, scalar_to_text
 
 VarId = tuple
 Mono = tuple  # tuple of (VarId, exponent) pairs, sorted by _var_key
@@ -108,8 +113,19 @@ class FieldMismatch(ValueError):
     pass
 
 
-class MultiPoly:
-    """Sparse exact multivariate polynomial; immutable by convention."""
+def _field_one(field: str):
+    """The unit coefficient of a field tag: 1 in Q or in Q(a)."""
+    return RatFunc(1) if field == "Qa" else Fraction(1)
+
+
+class _SparsePoly:
+    """A sparse dict polynomial over Q or Q(a): the ring code shared by
+    MultiPoly and JetPoly.
+
+    terms maps monomials to nonzero coefficients, and field is the
+    coefficient-field tag.  A subclass supplies _mono_mul, the product of two
+    of its monomials, and lists the shared methods in its own class body.
+    """
 
     __slots__ = ("terms", "field")
 
@@ -120,19 +136,14 @@ class MultiPoly:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, field: str = "Q") -> "MultiPoly":
+    def zero(cls, field: str = "Q"):
         return cls({}, field)
 
     @classmethod
-    def const(cls, c, field: str = "Q") -> "MultiPoly":
+    def const(cls, c, field: str = "Q"):
         if not isinstance(c, RatFunc):
             c = Fraction(c)
         return cls({(): c} if c else {}, field)
-
-    @classmethod
-    def var(cls, v: VarId, field: str = "Q") -> "MultiPoly":
-        one = RatFunc(1) if field == "Qa" else Fraction(1)
-        return cls({((v, 1),): one}, field)
 
     # -- predicates --------------------------------------------------------
 
@@ -143,69 +154,81 @@ class MultiPoly:
         return bool(self.terms)
 
     def __eq__(self, other):
-        if not isinstance(other, MultiPoly):
+        if not isinstance(other, type(self)):
             return NotImplemented
         return self.terms == other.terms
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
-    def _check_field(self, other: "MultiPoly"):
+    def _check_field(self, other):
         if self.field != other.field:
             raise FieldMismatch(f"field tags differ: {self.field} vs {other.field}")
 
     # -- arithmetic --------------------------------------------------------
 
-    def __add__(self, other: "MultiPoly") -> "MultiPoly":
+    def __add__(self, other):
         self._check_field(other)
         out = dict(self.terms)
         for m, c in other.terms.items():
-            s = out.get(m)
-            s = c if s is None else s + c
-            if s:
-                out[m] = s
-            elif m in out:
-                del out[m]
-        return MultiPoly(out, self.field)
+            _accumulate(out, m, c)
+        return type(self)(out, self.field)
 
-    def __neg__(self) -> "MultiPoly":
-        return MultiPoly({m: -c for m, c in self.terms.items()}, self.field)
+    def __neg__(self):
+        return type(self)({m: -c for m, c in self.terms.items()}, self.field)
 
-    def __sub__(self, other: "MultiPoly") -> "MultiPoly":
+    def __sub__(self, other):
         return self + (-other)
 
-    def __mul__(self, other: "MultiPoly") -> "MultiPoly":
+    def __mul__(self, other):
         self._check_field(other)
+        mono_mul = self._mono_mul
         out: dict = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                m = _mono_mul(m1, m2)
-                c = c1 * c2
-                s = out.get(m)
-                s = c if s is None else s + c
-                if s:
-                    out[m] = s
-                elif m in out:
-                    del out[m]
-        return MultiPoly(out, self.field)
+                _accumulate(out, mono_mul(m1, m2), c1 * c2)
+        return type(self)(out, self.field)
 
-    def __pow__(self, n: int) -> "MultiPoly":
-        return _binpow(self, n) if n else MultiPoly.const(1, self.field)
+    def __pow__(self, n: int):
+        return _binpow(self, n) if n else self.const(1, self.field)
 
-    def scale(self, c) -> "MultiPoly":
+    def scale(self, c):
         """Multiply by a scalar; promotes the field tag when c is a RatFunc."""
-        field = self.field
-        if isinstance(c, RatFunc):
-            field = "Qa"
+        field = "Qa" if isinstance(c, RatFunc) else self.field
         if not c:
-            return MultiPoly.zero(field)
-        return MultiPoly({m: c * cm for m, cm in self.terms.items()}, field)
+            return self.zero(field)
+        return type(self)({m: c * cm for m, cm in self.terms.items()}, field)
 
-    def promote(self) -> "MultiPoly":
+    def promote(self):
         """View a Q-polynomial as a Q(a)-polynomial."""
         if self.field == "Qa":
             return self
-        return MultiPoly({m: RatFunc(c) for m, c in self.terms.items()}, "Qa")
+        return type(self)({m: RatFunc(c) for m, c in self.terms.items()}, "Qa")
+
+    def __repr__(self):
+        return f"{type(self).__name__}({len(self.terms)} terms, field={self.field})"
+
+
+class MultiPoly(_SparsePoly):
+    """Sparse exact multivariate polynomial; immutable by convention."""
+
+    __slots__ = ()
+
+    # The shared methods are entries of each subclass's own namespace, so a
+    # wrapper set on one class's method (as the span recorder of perfbench
+    # installs) leaves the other class's method alone.
+    __add__ = _SparsePoly.__add__
+    __neg__ = _SparsePoly.__neg__
+    __sub__ = _SparsePoly.__sub__
+    __mul__ = _SparsePoly.__mul__
+    __pow__ = _SparsePoly.__pow__
+    scale = _SparsePoly.scale
+    promote = _SparsePoly.promote
+    _mono_mul = staticmethod(_mono_mul)
+
+    @classmethod
+    def var(cls, v: VarId, field: str = "Q") -> "MultiPoly":
+        return cls({((v, 1),): _field_one(field)}, field)
 
     # -- calculus and substitution ----------------------------------------
 
@@ -223,14 +246,7 @@ class MultiPoly:
         for m, c in self.terms.items():
             for idx, (vm, e) in enumerate(m):
                 if vm == v:
-                    rest = _mono_lower(m, idx)
-                    cc = c * (e * factor)
-                    s = out.get(rest)
-                    s = cc if s is None else s + cc
-                    if s:
-                        out[rest] = s
-                    elif rest in out:
-                        del out[rest]
+                    _accumulate(out, _mono_lower(m, idx), c * (e * factor))
                     break
         return MultiPoly(out, self.field)
 
@@ -245,9 +261,7 @@ class MultiPoly:
             term = MultiPoly.const(c, self.field)
             for v, e in m:
                 if v in mapping:
-                    repl = mapping[v]
-                    for _ in range(e):
-                        term = term * repl
+                    term = term * mapping[v] ** e
                 else:
                     term = term.mul_var(v, e)
             out = out + term
@@ -301,21 +315,17 @@ def index_set_Nprime(g: int) -> list[tuple]:
 
 # -- determinant expansions --------------------------------------------------
 
-def _perm_sign(sigma: tuple) -> int:
-    sign = 1
-    seen = [False] * len(sigma)
-    for start in range(len(sigma)):
-        if seen[start]:
-            continue
-        length = 0
-        k = start
-        while not seen[k]:
-            seen[k] = True
-            k = sigma[k] - 1
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+def _signed_pairings(rows: list, cols: list):
+    """The Leibniz terms of the determinant of a rows x cols matrix.
+
+    Yields (sign, [(row, col), ...]) once per bijection: the k-th row is
+    paired with column cols[sigma(k)], over the permutations sigma in
+    lexicographic order, and sign is the parity of sigma.  Empty rows and
+    cols yield the single term (1, []).
+    """
+    for sigma in itertools.permutations(range(len(cols))):
+        inversions = sum(1 for s, t in itertools.combinations(sigma, 2) if s > t)
+        yield (-1) ** inversions, [(r, cols[s]) for r, s in zip(rows, sigma)]
 
 
 def _leibniz(g: int, rows: list, cols: list) -> MultiPoly:
@@ -333,11 +343,9 @@ def _leibniz(g: int, rows: list, cols: list) -> MultiPoly:
         return (1 << 4 * (h - 1)) | (1 << 4 * (g + (h - 1) * npairs + slot[min(i, j), max(i, j)]))
 
     counts = (Counter(), Counter())  # even and odd permutations
-    for sigma in itertools.permutations(range(len(cols))):
-        odd = _perm_sign(tuple(s + 1 for s in sigma)) < 0
-        entries = [[entry(h, r, cols[s]) for h in range(1, g + 1)]
-                   for r, s in zip(rows, sigma)]
-        counts[odd].update(map(sum, itertools.product(*entries)))
+    for sign, pairing in _signed_pairings(rows, cols):
+        entries = [[entry(h, r, c) for h in range(1, g + 1)] for r, c in pairing]
+        counts[sign < 0].update(map(sum, itertools.product(*entries)))
     total = counts[0]
     total.subtract(counts[1])
 

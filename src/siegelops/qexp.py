@@ -42,7 +42,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .jets import JetPoly
-from .scalars import RatFunc, _binpow, frac_from_text, frac_to_text
+from .scalars import RatFunc, _accumulate, _binpow, frac_from_text, frac_to_text
 
 SCALE = 8
 DEFAULT_TRUNC = 48
@@ -274,14 +274,8 @@ class QExp2:
         trunc = min(self.trunc, other.trunc)
         out = {k: v for k, v in self.terms.items() if k[0] + k[2] <= trunc}
         for k, v in other.terms.items():
-            if k[0] + k[2] > trunc:
-                continue
-            s = out.get(k)
-            s = v if s is None else s + v
-            if s:
-                out[k] = s
-            elif k in out:
-                del out[k]
+            if k[0] + k[2] <= trunc:
+                _accumulate(out, k, v)
         return QExp2(out, self.weight, trunc, self.tau_factor, self.character)
 
     def __neg__(self) -> "QExp2":
@@ -435,14 +429,8 @@ class QExp1:
         trunc = min(self.trunc, other.trunc)
         out = {k: v for k, v in self.terms.items() if k <= trunc}
         for k, v in other.terms.items():
-            if k > trunc:
-                continue
-            s = out.get(k)
-            s = v if s is None else s + v
-            if s:
-                out[k] = s
-            elif k in out:
-                del out[k]
+            if k <= trunc:
+                _accumulate(out, k, v)
         return QExp1(out, self.weight, trunc, self.tau_factor)
 
     def __neg__(self) -> "QExp1":

@@ -121,6 +121,23 @@ def _binpow(base, n: int):
     return out
 
 
+def _accumulate(terms: dict, m, c):
+    """terms[m] += c, dropping the key when the sum cancels.
+
+    The one add-and-drop-zero step of every sparse dict in the package
+    (polynomials, jets, expansions).
+    """
+    s = terms.get(m)
+    if s is None:
+        terms[m] = c
+        return
+    s = s + c
+    if s:
+        terms[m] = s
+    else:
+        del terms[m]
+
+
 class RatFunc:
     """An element of Q(a), kept in canonical reduced/monic form."""
 

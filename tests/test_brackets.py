@@ -29,6 +29,9 @@ def test_antisymmetry_symbolic_weights():
     for i in range(2):
         for j in range(2):
             assert (m1[i][j] + m2[i][j]).is_zero()
+    # in odd genus det(-M) = -det(M), so the scalar bracket is antisymmetric;
+    # g = 3 is the first genus whose Leibniz terms include 3-cycles
+    assert scalar_bracket_jet(G, H, F, K, 3) == -scalar_bracket_jet(F, K, G, H, 3)
 
 
 def test_bilinearity_in_first_slot():
@@ -49,10 +52,11 @@ def test_self_power_bracket_vanishes(n):
     assert scalar_bracket_jet(F, K, fn, kn, 2).is_zero()
 
 
-def test_restriction_to_zero_locus():
-    """[F, G] reduces to h^g G^g det(dF) modulo the bare symbol F (g = 2)."""
-    br = scalar_bracket_jet(F, K, G, H, 2)
-    expect = H * H * G * G * jet_det_partial("F", 2)
+@pytest.mark.parametrize("g", [2, 3, 4])
+def test_restriction_to_zero_locus(g):
+    """[F, G] reduces to h^g G^g det(dF) modulo the bare symbol F."""
+    br = scalar_bracket_jet(F, K, G, H, g)
+    expect = H ** g * G ** g * jet_det_partial("F", g)
     assert jet_mod_symbol(br, "F") == expect
 
 

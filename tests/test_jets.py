@@ -7,8 +7,7 @@ import pytest
 from fractions import Fraction
 
 from siegelops.jets import (JetPoly, diffresult_expand, jet_apply, jet_det_operator,
-                            jet_det_partial, jet_diff, jet_equal, jet_from_text,
-                            jet_mod_symbol, jet_to_text, jet_var)
+                            jet_det_partial, jet_diff, jet_mod_symbol, jet_var)
 from siegelops.opgen import symbolic_weight
 from siegelops.poly import MultiPoly, coeff_R, index_set_N, r_var
 from siegelops.scalars import RatFunc
@@ -62,8 +61,8 @@ def test_mod_symbol_drops_bare_factors(spec2_symbolic):
 def test_jet_equal_detects_difference():
     p = jet_det_partial("F", 2)
     q = p + JetPoly({(jet_var("F", ((1, 1),)),): Fraction(1)})
-    assert not jet_equal(p, q)
-    assert jet_equal(p, jet_det_partial("F", 2))
+    assert p != q
+    assert p == jet_det_partial("F", 2)
 
 
 def test_printed_genus2_operator(spec2_symbolic):
@@ -145,11 +144,3 @@ def test_jet_diff_leibniz():
     d = jet_diff(F * F, 1, 2)
     assert d == (F * JetPoly({(jet_var("F", ((1, 2),)),): Fraction(1)})).scale(Fraction(2))
 
-
-def test_jet1_round_trip(spec3_symbolic):
-    jet = jet_apply(spec3_symbolic.Q, all_F(3), 3)
-    assert jet_from_text(jet_to_text(jet)) == jet
-    plain = jet_det_partial("G", 2) * JetPoly.symbol("H")
-    assert jet_from_text(jet_to_text(plain)) == plain
-    const = JetPoly.const(Fraction(-7, 3))
-    assert jet_from_text(jet_to_text(const)) == const

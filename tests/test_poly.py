@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from siegelops.jets import JetPoly
 from siegelops.poly import (MultiPoly, FieldMismatch, coeff_R, det_expand,
                             index_set_N, index_set_Nprime, minor_coeff_R,
                             minor_det_expand, poly_from_text, poly_to_text, r_var,
@@ -144,6 +145,9 @@ def test_field_mismatch_raises():
     q = p.promote()
     with pytest.raises(FieldMismatch):
         _ = p + q
+    jet = JetPoly.symbol("F")
+    with pytest.raises(FieldMismatch):
+        _ = jet * jet.promote()
 
 
 def test_poly1_round_trip():

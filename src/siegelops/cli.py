@@ -188,7 +188,7 @@ def cmd_theta(args) -> int:
         c = theta.char_from_text(args.char, args.genus)
         f = theta.theta_qexp(args.genus, c, cfg.trunc)
         _emit(f.to_text(), cfg.out)
-        if getattr(f, "label", ""):
+        if f.label:
             print(f"# {f.label}")
         return 0
     if args.action == "eval":
@@ -240,8 +240,7 @@ def cmd_bracket(args) -> int:
     result = brackets.scalar_bracket_q(f, g_form)
     print(f"# scalar bracket: weight {frac_to_text(result.weight)}")
     if not result.is_zero():
-        order = result.fj_order() if result.genus == 2 else result.order()
-        print(f"# boundary order: {frac_to_text(order)}")
+        print(f"# boundary order: {frac_to_text(result.fj_order())}")
     _emit(result.to_text(), cfg.out)
     return 0
 
@@ -437,7 +436,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--name")
     sp.add_argument("--genus", type=int, default=2)
     sp.add_argument("--cls")
-    sp.add_argument("--moving", action="store_true")
     sp.add_argument("--op", action="store_true")
     sp.add_argument("--hyperelliptic", action="store_true")
     common(sp)

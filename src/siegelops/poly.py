@@ -142,7 +142,7 @@ class _SparsePoly:
     @classmethod
     def const(cls, c, field: str = "Q"):
         if not isinstance(c, RatFunc):
-            c = Fraction(c)
+            c = RatFunc.const(c) if field == "Qa" else Fraction(c)
         return cls({(): c} if c else {}, field)
 
     # -- predicates --------------------------------------------------------

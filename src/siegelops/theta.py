@@ -111,33 +111,19 @@ def theta_qexp(g: int, char: ThetaChar, trunc: int = DEFAULT_TRUNC):
     if char.g != g:
         raise ValueError(f"characteristic genus {char.g} != {g}")
     half = Fraction(1, 2)
+    cls = QExp1 if g == 1 else QExp2
     if not char.is_even():
-        if g == 1:
-            return QExp1({}, half, trunc)
-        return QExp2({}, half, trunc, label="identically zero (odd characteristic)")
-    if g == 1:
-        terms: dict = {}
-        bound = isqrt(trunc) // 2 + 2
-        for n in range(-bound, bound + 1):
-            a = (2 * n + char.eps[0]) ** 2
-            if a > trunc:
-                continue
-            terms[a] = terms.get(a, 0) + _phase(char, (n,))
-        return QExp1({k: Fraction(v) for k, v in terms.items() if v}, half, trunc)
-    terms = {}
-    bound = isqrt(trunc) // 2 + 2
-    for n1 in range(-bound, bound + 1):
-        a = (2 * n1 + char.eps[0]) ** 2
-        if a > trunc:
+        return cls({}, half, trunc, label="identically zero (odd characteristic)")
+    terms: dict = {}
+    bound = (isqrt(trunc) + 1) // 2  # every kept m = 2n + eps has |m| <= isqrt(trunc)
+    for n in itertools.product(range(-bound, bound + 1), repeat=g):
+        m = [2 * ni + e for ni, e in zip(n, char.eps)]
+        sq = [x * x for x in m]
+        if sum(sq) > trunc:
             continue
-        for n2 in range(-bound, bound + 1):
-            c = (2 * n2 + char.eps[1]) ** 2
-            if a + c > trunc:
-                continue
-            b = 2 * (2 * n1 + char.eps[0]) * (2 * n2 + char.eps[1])
-            key = (a, b, c)
-            terms[key] = terms.get(key, 0) + _phase(char, (n1, n2))
-    return QExp2({k: Fraction(v) for k, v in terms.items() if v}, half, trunc)
+        key = sq[0] if g == 1 else (sq[0], 2 * m[0] * m[1], sq[1])
+        terms[key] = terms.get(key, 0) + _phase(char, n)
+    return cls({k: Fraction(v) for k, v in terms.items() if v}, half, trunc)
 
 
 def tnull_qexp(trunc: int = DEFAULT_TRUNC) -> QExp2:

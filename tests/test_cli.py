@@ -67,6 +67,14 @@ def test_theta_qexp_command(tmp_path, capsys):
     assert f.terms[(0, 0, 0)] == 1 and f.terms[(4, 0, 0)] == -2
 
 
+def test_theta_qexp_odd_characteristic_is_noted(capsys):
+    for genus, char in ((1, "1,1"), (2, "11,01")):
+        code, out = run_cli(["theta", "qexp", "--genus", str(genus), "--char", char,
+                             "--trunc", "16"], capsys)
+        assert code == 0
+        assert out.endswith("terms 0\n# identically zero (odd characteristic)\n")
+
+
 def test_theta_eval_command(capsys):
     code, out = run_cli(["theta", "eval", "--char", "0,0", "--tau", "diag:1.0"],
                         capsys)
@@ -94,7 +102,7 @@ def test_slope_commands(capsys):
     assert code == 0 and "(?) <= 43/6" in out
     code, out = run_cli(["slope", "class", "--name", "tnull", "--genus", "3"], capsys)
     assert code == 0 and "18L - 2D" in out and "slope 9" in out
-    code, out = run_cli(["slope", "bound", "--moving", "--genus", "5",
+    code, out = run_cli(["slope", "bound", "--genus", "5",
                          "--cls", "108,14"], capsys)
     assert code == 0 and out.strip().endswith("271/35")
     code, out = run_cli(["slope", "bound", "--hyperelliptic", "--genus", "3"], capsys)

@@ -150,6 +150,16 @@ def test_field_mismatch_raises():
         _ = jet * jet.promote()
 
 
+def test_qa_constant_has_a_ratfunc_coefficient():
+    from siegelops.scalars import RatFunc
+    p = MultiPoly.const(1, "Qa") + MultiPoly.var(r_var(1, 1, 1), "Qa")
+    assert all(isinstance(c, RatFunc) for c in p.terms.values())
+    assert all(isinstance(c, RatFunc) for c in (JetPoly.const(3, "Qa").terms.values()))
+    assert poly_to_text(p).splitlines()[1:] == ["1*a^0;1*a^0 | ",
+                                                "1*a^0;1*a^0 | r[1;1,1]^1"]
+    assert poly_from_text(poly_to_text(p)) == p
+
+
 def test_poly1_round_trip():
     p = (V(r_var(1, 1, 2)) * V(t_var(2)).scale(Fraction(-3, 7))
          + V(x_var(1, 4)) ** 3 + MultiPoly.const(Fraction(5, 2)))

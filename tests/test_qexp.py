@@ -150,9 +150,58 @@ def test_smf1_round_trip(t2_48):
 def test_qexp1_diff_and_order():
     f = QExp1({8: Fraction(3)}, Fraction(4), 24)
     assert f.q_diff().terms == {8: Fraction(3)}
-    assert f.order() == 1
+    assert f.fj_order() == 1
     with pytest.raises(ValueError):
-        QExp1.zero().order()
+        QExp1.zero().fj_order()
+
+
+def test_eval_jetpoly_empty_is_the_bound_class_zero():
+    from siegelops.brackets import eis1_qexp
+    got = eval_jetpoly(JetPoly.zero(), {"F": eis1_qexp(4, 160), "G": eis1_qexp(6, 96)},
+                       weight=10)
+    assert got == QExp1.zero(weight=10, trunc=96)
+    got = eval_jetpoly(JetPoly.zero(), {"F": QExp2.one(24)}, weight=10)
+    assert got == QExp2.zero(weight=10, trunc=24)
+
+
+def _genus1(terms: dict, trunc: int, weight=Fraction(1, 2)) -> QExp1:
+    return QExp1({a: Fraction(c) for (a, _, _), c in terms.items()}, weight, trunc)
+
+
+def _genus2(terms: dict, trunc: int, weight=Fraction(1, 2)) -> QExp2:
+    return QExp2({k: Fraction(c) for k, c in terms.items()}, weight, trunc)
+
+
+@pytest.mark.parametrize("make", [_genus1, _genus2], ids=["QExp1", "QExp2"])
+def test_ring_methods_agree_across_genera(make):
+    """Keys (a, 0, 0) embed a genus-1 series into genus 2 with weight a, so
+    add, sub, scale, truncate and equality must give the same coefficients."""
+    f = make({(0, 0, 0): 1, (8, 0, 0): -3, (24, 0, 0): 5, (40, 0, 0): 7}, 40)
+    g = make({(8, 0, 0): 3, (16, 0, 0): Fraction(1, 2), (24, 0, 0): 2}, 24)
+    assert f + g == g + f == make({(0, 0, 0): 1, (16, 0, 0): Fraction(1, 2),
+                                   (24, 0, 0): 7}, 24)
+    assert f - g == make({(0, 0, 0): 1, (8, 0, 0): -6, (16, 0, 0): Fraction(-1, 2),
+                          (24, 0, 0): 3}, 24)
+    assert g - f == -(f - g)
+    assert (f - f).is_zero() and (f - f).trunc == 40
+    assert f.scale_coeff(Fraction(-2, 3)) == make(
+        {(0, 0, 0): Fraction(-2, 3), (8, 0, 0): 2, (24, 0, 0): Fraction(-10, 3),
+         (40, 0, 0): Fraction(-14, 3)}, 40)
+    assert f.scale_coeff(0) == make({}, 40)
+    assert f.truncate(16) == make({(0, 0, 0): 1, (8, 0, 0): -3}, 16)
+    assert f.truncate(99) == f
+    assert f != f.truncate(39)
+    assert f != f.with_weight(1)
+    with pytest.raises(ValueError, match="weight mismatch"):
+        _ = f + f.with_weight(1)
+    with pytest.raises(ValueError, match="tau-factor mismatch"):
+        _ = f + f.q_diff(1, 1)
+    with pytest.raises(ValueError, match="negative powers"):
+        _ = f ** -1
+    other = _genus2 if make is _genus1 else _genus1
+    for op in (lambda x, y: x + y, lambda x, y: x * y):
+        with pytest.raises(ValueError, match="genus mismatch"):
+            op(f, other({(0, 0, 0): 1}, 40))
 
 
 def _drop(text: str, idx: int) -> str:

@@ -17,6 +17,19 @@ modularity transformation law, and the nondegeneracy of the theta-null
 gradient on its zero locus.  Double precision with explicit tail bounds;
 nothing here is certified, tolerances are arguments with stated defaults.
 
+Every lattice sum goes through one batched numpy kernel, _lattice_sums.  A
+batch is a list of (characteristic, d_tau, d_z) requests at one (tau, z).
+Its box [-r, r]^g is the largest that _pick_radius gives any request: r is
+the least radius > 1/2 + max|Im z| / lambda_min(Im tau) at which
+
+    (2r + 3)^g (7 (r + 2)^2)^#d_tau (7 (r + 2))^#d_z
+        exp(-pi lambda_min (r - 1/2 - max|Im z| / lambda_min)^2) < tol,
+
+so no request sums over a smaller box than it would alone.  The
+exponentials are computed once per lattice point and eps class and shared by
+every delta and derivative of the batch.  The checks report the radius, the
+point count and the tail tolerance they used.
+
 Heat equation convention: the series satisfy
 
     d^2 theta / dz_i dz_j = 2 pi i (1 + delta_ij) d theta / dtau_ij,
@@ -26,14 +39,13 @@ validated analytically at genus 1 (both sides reduce to pi i n^2 summands).
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -198,6 +210,75 @@ def _pick_radius(lam_min: float, g: int, n_dtau: int, n_dz: int,
         "tolerance (suggested radius > 60)")
 
 
+class _Box(NamedTuple):
+    """The lattice box a batch summed over: radius, point count, tail tolerance."""
+
+    radius: int
+    points: int
+    tol: float
+
+
+def _check_index(name: str, k, g: int) -> None:
+    if not 1 <= k <= g:
+        raise ValueError(f"{name} index {k!r} is outside 1..{g}")
+
+
+def _lattice_sums(g: int, tau, z, requests, tol: float = 1e-12,
+                  radius: int | None = None) -> tuple[list[complex], _Box]:
+    """Every (char, d_tau, d_z) request of a batch, summed on one shared grid.
+
+    The grid is the box [-radius, radius]^g of n, with m = n + eps/2.  The
+    exponential exp(pi i (m^T tau m + 2 m.z)) is computed once per point and
+    eps class; delta only multiplies a term by (-1)^(n.delta) i^(eps.delta),
+    and each requested derivative by its monomial in m, so a request is a real
+    weight vector and the whole class is summed in one matrix product.
+    """
+    tau = _as_matrix(tau)
+    if tau.shape[0] != g:
+        raise ValueError("tau size does not match the genus")
+    lam_min = _check_tau(tau)
+    z = np.zeros(g, dtype=complex) if z is None else np.array([complex(v) for v in z])
+    if z.shape != (g,):
+        raise ValueError(f"z has {len(z)} entries, expected {g}")
+    for char, d_tau, d_z in requests:
+        if char.g != g:
+            raise ValueError("characteristic genus mismatch")
+        if len(d_tau) > 2 or len(d_z) > 2:
+            raise ValueError("derivatives are supported up to order 2")
+        for i, j in d_tau:
+            _check_index("d_tau", i, g)
+            _check_index("d_tau", j, g)
+        for k in d_z:
+            _check_index("d_z", k, g)
+    if radius is None:
+        z_shift = float(np.abs(z.imag).max())
+        orders = {(len(d_tau), len(d_z)) for _, d_tau, d_z in requests}
+        radius = max(_pick_radius(lam_min, g, nt, nz, z_shift, tol) for nt, nz in orders)
+    axis = np.arange(-radius, radius + 1)
+    n = np.stack(np.meshgrid(*[axis] * g, indexing="ij"), axis=-1).reshape(-1, g)
+    upper = np.triu(tau) * (2.0 - np.eye(g))  # m^T tau m from the upper triangle
+    pi_i = 1j * math.pi
+    out = np.empty(len(requests), dtype=complex)
+    for eps in sorted({char.eps for char, _, _ in requests}):
+        m = n + np.array(eps) / 2.0
+        expo = np.exp(pi_i * (np.einsum("pi,ij,pj->p", m, upper, m) + 2.0 * (m @ z)))
+        rows = [r for r, (char, _, _) in enumerate(requests) if char.eps == eps]
+        weights = np.empty((len(rows), len(n)))
+        for w, r in zip(weights, rows):
+            char, d_tau, d_z = requests[r]
+            w[:] = 1 - 2 * ((n @ np.array(char.delta)) % 2)
+            const = 1j ** (sum(e * d for e, d in zip(eps, char.delta)) % 4)
+            for i, j in d_tau:
+                w *= m[:, i - 1] * m[:, j - 1]
+                const *= pi_i * (2 - (i == j))
+            for i in d_z:
+                w *= m[:, i - 1]
+                const *= 2 * pi_i
+            out[r] = const
+        out[rows] *= weights @ expo
+    return out.tolist(), _Box(radius, len(n), tol)
+
+
 def theta_numeric(g: int, char: ThetaChar, tau, z=None, d_tau=(), d_z=(),
                   radius: int | None = None, tol: float = 1e-12) -> complex:
     """Lattice-sum value of a theta function or of a derivative.
@@ -206,43 +287,8 @@ def theta_numeric(g: int, char: ThetaChar, tau, z=None, d_tau=(), d_z=(),
     plain derivative d/dtau_ij (no symmetrization factor); d_z a sequence of
     1-based indices for z-derivatives.  At most order 2 in each group.
     """
-    if char.g != g:
-        raise ValueError("characteristic genus mismatch")
-    if len(d_tau) > 2 or len(d_z) > 2:
-        raise ValueError("derivatives are supported up to order 2")
-    tau = _as_matrix(tau)
-    if tau.shape[0] != g:
-        raise ValueError("tau size does not match the genus")
-    lam_min = _check_tau(tau)
-    if z is None:
-        z = [0.0] * g
-    z = [complex(v) for v in z]
-    if radius is None:
-        z_shift = max((abs(v.imag) for v in z), default=0.0)
-        radius = _pick_radius(lam_min, g, len(d_tau), len(d_z), z_shift, tol)
-    eps = char.eps
-    delta = char.delta
-    taus = [[complex(tau[i, j]) for j in range(g)] for i in range(g)]
-    total = 0j
-    pi_i = 1j * math.pi
-    for n in itertools.product(range(-radius, radius + 1), repeat=g):
-        m = [n[i] + eps[i] / 2.0 for i in range(g)]
-        quad = 0j
-        for i in range(g):
-            mi = m[i]
-            if not mi:
-                continue
-            quad += mi * mi * taus[i][i]
-            for j in range(i + 1, g):
-                quad += 2 * mi * m[j] * taus[i][j]
-        lin = sum(2 * m[i] * (z[i] + delta[i] / 2.0) for i in range(g))
-        term = cmath.exp(pi_i * (quad + lin))
-        for (i, j) in d_tau:
-            term *= pi_i * (2 - (i == j)) * m[i - 1] * m[j - 1]
-        for i in d_z:
-            term *= 2 * pi_i * m[i - 1]
-        total += term
-    return total
+    values, _ = _lattice_sums(g, tau, z, [(char, tuple(d_tau), tuple(d_z))], tol, radius)
+    return values[0]
 
 
 @dataclass
@@ -250,22 +296,23 @@ class HeatReport:
     max_residual: float
     entries: dict
     radius_tol: float
+    radius: int
+    points: int
 
 
 def check_heat(g: int, char: ThetaChar, tau, z, tol: float = TOL_HEAT) -> HeatReport:
     """Componentwise residual of the heat equation at one point.
 
     Residual for (i, j):  |d2theta/dz_i dz_j - 2 pi i (1+delta_ij) dtheta/dtau_ij|,
-    both sides by lattice sum at tail tolerance tol*1e-3.
+    both sides by lattice sum at tail tolerance tol*1e-3, on one grid.
     """
-    inner_tol = tol * 1e-3
-    entries = {}
-    for i in range(1, g + 1):
-        for j in range(i, g + 1):
-            zz = theta_numeric(g, char, tau, z, d_z=(i, j), tol=inner_tol)
-            tt = theta_numeric(g, char, tau, z, d_tau=((i, j),), tol=inner_tol)
-            entries[(i, j)] = abs(zz - 2j * math.pi * (1 + (i == j)) * tt)
-    return HeatReport(max(entries.values()), entries, inner_tol)
+    pairs = [(i, j) for i in range(1, g + 1) for j in range(i, g + 1)]
+    requests = [req for p in pairs for req in ((char, (), p), (char, (p,), ()))]
+    values, box = _lattice_sums(g, tau, z, requests, tol * 1e-3)
+    zz, tt = values[0::2], values[1::2]
+    entries = {(i, j): abs(zz[k] - 2j * math.pi * (1 + (i == j)) * tt[k])
+               for k, (i, j) in enumerate(pairs)}
+    return HeatReport(max(entries.values()), entries, box.tol, box.radius, box.points)
 
 
 # -- numeric forms and the transformation law -----------------------------------
@@ -279,10 +326,15 @@ class NumericForm:
     weight: int
     character: bool
     label: str
-    fn: Callable[[np.ndarray], complex]
+    fn: Callable[[np.ndarray], tuple[complex, _Box]]
 
     def eval(self, tau) -> complex:
-        return self.fn(_as_matrix(tau))
+        return self.eval_box(tau)[0]
+
+    def eval_box(self, tau) -> tuple[complex, _Box]:
+        """The value and the lattice box its theta sums used."""
+        value, box = self.fn(_as_matrix(tau))
+        return complex(value), box
 
 
 def form_theta_product(chars: list[ThetaChar], power: int = 1,
@@ -293,10 +345,11 @@ def form_theta_product(chars: list[ThetaChar], power: int = 1,
         raise ValueError("half-integral weights are not supported numerically")
 
     def fn(tau):
+        values, box = _lattice_sums(g, tau, None, [(c, (), ()) for c in chars])
         out = 1.0 + 0j
-        for c in chars:
-            out *= theta_numeric(g, c, tau) ** power
-        return out
+        for v in values:
+            out *= v ** power
+        return out, box
 
     return NumericForm(g, int(weight), character,
                        label or f"theta product^{power}", fn)
@@ -309,27 +362,24 @@ def form_tnull(power: int = 1) -> NumericForm:
 
 
 def _tnull_derivatives(tau: np.ndarray):
-    """Value, symmetrized gradient, and symmetrized Hessian of the product.
+    """Value, symmetrized gradient, symmetrized Hessian, and lattice box.
 
     Aggregated through first and second logarithmic derivatives of the theta
-    factors; valid away from the zero locus of every factor.
+    factors; valid away from the zero locus of every factor.  Every theta
+    value and derivative comes from one batch on one grid.
     """
     chars = even_chars(2)
     pairs = [(1, 1), (1, 2), (2, 2)]
-    vals = {}
-    d1 = {}
-    d2 = {}
-    for c in chars:
-        vals[c] = theta_numeric(2, c, tau)
-        for p in pairs:
-            sym = 0.5 if p[0] != p[1] else 1.0
-            d1[c, p] = sym * theta_numeric(2, c, tau, d_tau=(p,))
-        for pa in pairs:
-            for pb in pairs:
-                if pa <= pb:
-                    sa = 0.5 if pa[0] != pa[1] else 1.0
-                    sb = 0.5 if pb[0] != pb[1] else 1.0
-                    d2[c, pa, pb] = sa * sb * theta_numeric(2, c, tau, d_tau=(pa, pb))
+    sym = {p: 0.5 if p[0] != p[1] else 1.0 for p in pairs}
+    orders = [()] + [(p,) for p in pairs] + [(pa, pb) for pa in pairs for pb in pairs
+                                             if pa <= pb]
+    keys = [(c, d) for c in chars for d in orders]
+    values, box = _lattice_sums(2, tau, None, [(c, d, ()) for c, d in keys])
+    table = dict(zip(keys, values))
+    vals = {c: table[c, ()] for c in chars}
+    d1 = {(c, p): sym[p] * table[c, (p,)] for c in chars for p in pairs}
+    d2 = {(c, pa, pb): sym[pa] * sym[pb] * table[c, (pa, pb)]
+          for c in chars for pa, pb in orders[4:]}
     T = np.prod([vals[c] for c in chars])
     L = {p: sum(d1[c, p] / vals[c] for c in chars) for p in pairs}
     grad = {p: T * L[p] for p in pairs}
@@ -340,7 +390,7 @@ def _tnull_derivatives(tau: np.ndarray):
                 corr = sum(d2[c, pa, pb] / vals[c] - d1[c, pa] * d1[c, pb] / vals[c] ** 2
                            for c in chars)
                 hess[pa, pb] = T * (L[pa] * L[pb] + corr)
-    return T, grad, hess
+    return T, grad, hess, box
 
 
 def form_operator_tnull(a: int) -> NumericForm:
@@ -353,10 +403,10 @@ def form_operator_tnull(a: int) -> NumericForm:
     coeff = 2 * a / (1 - 2 * a)
 
     def fn(tau):
-        T, grad, hess = _tnull_derivatives(tau)
+        T, grad, hess, box = _tnull_derivatives(tau)
         det_grad = grad[(1, 1)] * grad[(2, 2)] - grad[(1, 2)] ** 2
         det_op = hess[(1, 1), (2, 2)] - hess[(1, 2), (1, 2)]
-        return det_grad + coeff * T * det_op
+        return det_grad + coeff * T * det_op, box
 
     return NumericForm(2, 2 * a + 2, False, f"operator output (a={a})", fn)
 
@@ -400,6 +450,9 @@ class ModularityReport:
     sign: int
     inconclusive: bool
     value: complex
+    radius: int
+    points: int
+    radius_tol: float
 
 
 def check_modularity(form: NumericForm, gamma, tau,
@@ -408,22 +461,28 @@ def check_modularity(form: NumericForm, gamma, tau,
 
     For forms with a character the sign is a free +-1 and the better match is
     reported.  Points where |f(tau)| is negligible are flagged inconclusive.
+    The reported box is the larger of the two evaluations' boxes.
     """
     tau = _as_matrix(tau)
-    f0 = form.eval(tau)
+    f0, box = form.eval_box(tau)
+
+    def report(rel_err, sign, inconclusive=False):
+        return ModularityReport(rel_err, sign, inconclusive, f0, *box)
+
     if abs(f0) < 1e-12:
-        return ModularityReport(float("nan"), +1, True, f0)
+        return report(float("nan"), +1, True)
     taup, det = symplectic_act(gamma, tau)
     taup = (taup + taup.T) / 2  # symmetrize away roundoff
-    f1 = form.eval(taup)
+    f1, box1 = form.eval_box(taup)
+    box = max(box, box1)  # radius is the first field
     target = det ** form.weight * f0
     rel_plus = abs(f1 - target) / abs(f0 * det ** form.weight)
     if not form.character:
-        return ModularityReport(rel_plus, +1, False, f0)
+        return report(rel_plus, +1)
     rel_minus = abs(f1 + target) / abs(f0 * det ** form.weight)
     if rel_minus < rel_plus:
-        return ModularityReport(rel_minus, -1, False, f0)
-    return ModularityReport(rel_plus, +1, False, f0)
+        return report(rel_minus, -1)
+    return report(rel_plus, +1)
 
 
 # -- nondegeneracy of the theta-null gradient on its zero locus -------------------
@@ -434,6 +493,9 @@ class ConditionReport:
     det_value: complex
     vanishing_char: ThetaChar
     vanishing_abs: float
+    radius: int
+    points: int
+    radius_tol: float
 
 
 def check_condition_star(tau, tol_zero: float = TOL_ZERO) -> ConditionReport:
@@ -449,20 +511,21 @@ def check_condition_star(tau, tol_zero: float = TOL_ZERO) -> ConditionReport:
     """
     tau = _as_matrix(tau)
     chars = even_chars(2)
-    vals = {c: theta_numeric(2, c, tau) for c in chars}
+    values, box = _lattice_sums(2, tau, None, [(c, (), ()) for c in chars])
+    vals = dict(zip(chars, values))
     star = min(chars, key=lambda c: abs(vals[c]))
     scale = max(abs(v) for v in vals.values())
     if abs(vals[star]) > tol_zero * max(scale, 1.0):
         raise ValueError(
             f"point is not on the theta-null locus: min |theta| = {abs(vals[star]):.3e}")
     two_pi_i = 2j * math.pi
-    m = {}
-    for (i, j) in ((1, 1), (1, 2), (2, 2)):
-        sym = 0.5 if i != j else 1.0
-        m[(i, j)] = sym * theta_numeric(2, star, tau, d_tau=((i, j),)) / two_pi_i
+    pairs = ((1, 1), (1, 2), (2, 2))
+    grads, box1 = _lattice_sums(2, tau, None, [(star, (p,), ()) for p in pairs])
+    m = {(i, j): (0.5 if i != j else 1.0) * v / two_pi_i
+         for (i, j), v in zip(pairs, grads)}
     det_star = m[(1, 1)] * m[(2, 2)] - m[(1, 2)] ** 2
     rest = 1.0 + 0j
     for c in chars:
         if c != star:
             rest *= vals[c] ** 2
-    return ConditionReport(det_star * rest, star, abs(vals[star]))
+    return ConditionReport(det_star * rest, star, abs(vals[star]), *max(box, box1))

@@ -238,3 +238,10 @@ def test_bad_tau_is_a_clean_error(tmp_path, capsys):
         code, err = run_cli_error(argv, capsys)
         assert code == 2
         assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_theta_eval_with_short_z_is_a_clean_error(capsys):
+    code, err = run_cli_error(["theta", "eval", "--char", "00,00", "--tau", "diag:1.1,1.7",
+                               "--z", "0.1"], capsys)
+    assert code == 2
+    assert err.startswith("error: z ") and "Traceback" not in err

@@ -1,9 +1,11 @@
-"""The benchmark's span recorder must still install on the expansion classes.
+"""The benchmark's span recorder must still find the spans its metrics read.
 
 perfbench/spans.py wraps ``cls.__dict__[name]`` on each class it traces, so a
 method that a class inherits without binding it in its own body breaks traced
-runs.  This runs the recorder in a fresh interpreter, because installing it
-rewraps the library for the rest of the process.
+runs; and it sums self time by function name, so a renamed theta entry point
+would silently zero a per-layer metric.  Each test runs the recorder in a
+fresh interpreter, because installing it rewraps the library for the rest of
+the process.
 """
 
 import os
@@ -28,12 +30,38 @@ print(" ".join(sorted({s[0] for s in rec.spans})))
 """
 
 
-def test_span_recorder_wraps_both_expansion_classes():
+def _span_names(program: str) -> set:
+    """The span names a program prints after installing the recorder."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"),
                                                        str(ROOT / "perfbench")]))
-    done = subprocess.run([sys.executable, "-c", PROGRAM], cwd=ROOT, env=env,
+    done = subprocess.run([sys.executable, "-c", program], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    names = set(done.stdout.split())
+    return set(done.stdout.split())
+
+
+def test_span_recorder_wraps_both_expansion_classes():
+    names = _span_names(PROGRAM)
     for cls in ("QExp1", "QExp2"):
         assert {f"qexp.{cls}.__mul__", f"qexp.{cls}.__add__"} <= names
+
+
+THETA_PROGRAM = """
+import spans
+from siegelops import theta
+
+rec = spans.Recorder()
+spans.install(rec)
+tau = [[0.2 + 1.7j, 0.1 + 0.08j], [0.1 + 0.08j, -0.1 + 1.9j]]
+c = theta.ThetaChar((0, 0), (0, 0))
+theta.theta_numeric(2, c, tau)
+assert theta.check_heat(2, c, tau, [0.1, 0.2]).max_residual < theta.TOL_HEAT
+assert theta.check_modularity(theta.form_tnull(2), theta.gamma_J(2), tau).rel_err < 1e-8
+print(" ".join(sorted({s[0] for s in rec.spans})))
+"""
+
+
+def test_span_recorder_wraps_the_theta_numerics():
+    """perfbench/spans.py reads these three span names for its theta metrics."""
+    names = _span_names(THETA_PROGRAM)
+    assert {"theta.theta_numeric", "theta.check_heat", "theta.check_modularity"} <= names

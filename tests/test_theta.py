@@ -1,15 +1,18 @@
 """Tests for theta characteristics, exact expansions, and the numeric lab."""
 
+import cmath
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
 
-from siegelops.theta import (ThetaChar, all_chars, char_from_text, check_condition_star,
-                             check_heat, check_modularity, even_chars, form_tnull,
-                             form_operator_tnull, gamma_J, gamma_translation, gamma_gl,
-                             odd_chars, schottky_qexp, theta_numeric, theta_pow8_sum,
-                             theta_qexp, tnull_qexp)
+from siegelops.theta import (ThetaChar, _as_matrix, _check_tau, _lattice_sums, _pick_radius,
+                             _tnull_derivatives, all_chars, char_from_text,
+                             check_condition_star, check_heat, check_modularity, even_chars,
+                             form_tnull, form_operator_tnull, gamma_J, gamma_translation,
+                             gamma_gl, odd_chars, schottky_qexp, symplectic_act, theta_numeric,
+                             theta_pow8_sum, theta_qexp, tnull_qexp)
 
 
 def test_parity_examples():
@@ -158,12 +161,11 @@ def test_product_rule_aggregation(t2_48):
     """Log-derivative gradient of the product vs direct product differentiation."""
     import random
     rng = random.Random(11)
-    from siegelops.theta import _tnull_derivatives
     for _ in range(3):
         y3 = rng.uniform(-0.2, 0.2)
         tau = [[complex(rng.uniform(-0.3, 0.3), rng.uniform(1.0, 1.6)), complex(0.1, y3)],
                [complex(0.1, y3), complex(rng.uniform(-0.3, 0.3), rng.uniform(1.0, 1.6))]]
-        T, grad, hess = _tnull_derivatives(tau)
+        T, grad, hess, _ = _tnull_derivatives(tau)
         for (i, j) in ((1, 1), (1, 2), (2, 2)):
             sym = 0.5 if i != j else 1.0
             direct = 0j
@@ -232,3 +234,153 @@ def test_modularity_inconclusive_near_zero_locus():
     # any diagonal period matrix lies on the zero locus of the product
     rep = check_modularity(form_tnull(1), gamma_J(2), [[1.1j, 0], [0, 1.7j]])
     assert rep.inconclusive
+
+
+# -- the batched lattice kernel against the per-point loop ------------------------
+
+
+def _reference_theta(g, char, tau, z=None, d_tau=(), d_z=(), tol=1e-12):
+    """Per-point lattice sum over the box of _pick_radius: the kernel's oracle."""
+    tau = _as_matrix(tau)
+    lam_min = _check_tau(tau)
+    z = [complex(v) for v in (z or [0.0] * g)]
+    z_shift = max(abs(v.imag) for v in z)
+    radius = _pick_radius(lam_min, g, len(d_tau), len(d_z), z_shift, tol)
+    eps, delta = char.eps, char.delta
+    taus = [[complex(tau[i, j]) for j in range(g)] for i in range(g)]
+    total = 0j
+    pi_i = 1j * math.pi
+    for n in itertools.product(range(-radius, radius + 1), repeat=g):
+        m = [n[i] + eps[i] / 2.0 for i in range(g)]
+        quad = 0j
+        for i in range(g):
+            mi = m[i]
+            if not mi:
+                continue
+            quad += mi * mi * taus[i][i]
+            for j in range(i + 1, g):
+                quad += 2 * mi * m[j] * taus[i][j]
+        lin = sum(2 * m[i] * (z[i] + delta[i] / 2.0) for i in range(g))
+        term = cmath.exp(pi_i * (quad + lin))
+        for (i, j) in d_tau:
+            term *= pi_i * (2 - (i == j)) * m[i - 1] * m[j - 1]
+        for i in d_z:
+            term *= 2 * pi_i * m[i - 1]
+        total += term
+    return total
+
+
+def _close(new, old):
+    return abs(new - old) <= 1e-12 * max(1.0, abs(old))
+
+
+KERNEL_POINTS = {
+    1: ([[0.2 + 1.1j]], [0.1 + 0.07j]),
+    2: ([[0.3 + 1.2j, 0.1 + 0.15j], [0.1 + 0.15j, -0.2 + 1.4j]], [0.1 + 0.07j, -0.2 - 0.1j]),
+}
+
+
+def _derivative_orders(g):
+    pairs = [(i, j) for i in range(1, g + 1) for j in range(1, g + 1)]  # both index orders
+    d_taus = [()] + [(p,) for p in pairs] + [(p, q) for p in pairs for q in pairs if p <= q]
+    d_zs = [()] + [(i,) for i in range(1, g + 1)] + [(i, j) for i in range(1, g + 1)
+                                                     for j in range(1, g + 1)]
+    return d_taus, d_zs
+
+
+@pytest.mark.parametrize("char", all_chars(1) + all_chars(2), ids=lambda c: f"g{c.g}-{c}")
+def test_kernel_matches_per_point_loop(char):
+    g = char.g
+    tau, z = KERNEL_POINTS[g]
+    d_taus, d_zs = _derivative_orders(g)
+    for d_tau in d_taus:
+        for d_z in d_zs:
+            old = _reference_theta(g, char, tau, z, d_tau, d_z)
+            new = theta_numeric(g, char, tau, z, d_tau=d_tau, d_z=d_z)
+            assert _close(new, old), (d_tau, d_z, new, old)
+
+
+@pytest.mark.parametrize("g", [1, 2])
+def test_batch_radius_is_the_largest_request_radius(g):
+    tau, z = KERNEL_POINTS[g]
+    d_taus, d_zs = _derivative_orders(g)
+    requests = [(char, d_tau, d_z) for char in all_chars(g)
+                for d_tau in d_taus[::2] for d_z in d_zs[::2]]
+    values, box = _lattice_sums(g, tau, z, requests)
+    lam_min = _check_tau(_as_matrix(tau))
+    z_shift = max(abs(v.imag) for v in z)
+    singles = [_lattice_sums(g, tau, z, [req]) for req in requests]
+    assert box.radius == max(_pick_radius(lam_min, g, len(dt), len(dz), z_shift, 1e-12)
+                             for _, dt, dz in requests)
+    assert all(box.radius >= single_box.radius for _, single_box in singles)
+    assert box.points == (2 * box.radius + 1) ** g and box.tol == 1e-12
+    for value, (single, _) in zip(values, singles):
+        assert _close(value, single[0])
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_tnull_derivatives_match_the_per_point_loop(seed):
+    """Value, gradient and Hessian against the Leibniz rule on oracle theta sums."""
+    import random
+    rng = random.Random(seed)
+    y3 = rng.uniform(-0.2, 0.2)
+    tau = [[complex(rng.uniform(-0.3, 0.3), rng.uniform(1.0, 1.6)), complex(0.1, y3)],
+           [complex(0.1, y3), complex(rng.uniform(-0.3, 0.3), rng.uniform(1.0, 1.6))]]
+    chars = even_chars(2)
+    pairs = [(1, 1), (1, 2), (2, 2)]
+    sym = {p: 0.5 if p[0] != p[1] else 1.0 for p in pairs}
+    v = {c: _reference_theta(2, c, tau) for c in chars}
+    d1 = {(c, p): sym[p] * _reference_theta(2, c, tau, d_tau=(p,)) for c in chars for p in pairs}
+
+    def others(*skip):
+        return math.prod(v[c] for c in chars if c not in skip)
+
+    T, grad, hess, box = _tnull_derivatives(tau)
+    assert _close(T, others())
+    for p in pairs:
+        assert _close(grad[p], sum(d1[c, p] * others(c) for c in chars))
+    for pa in pairs:
+        for pb in pairs:
+            if pa > pb:
+                continue
+            want = sum(sym[pa] * sym[pb] * _reference_theta(2, c, tau, d_tau=(pa, pb)) * others(c)
+                       for c in chars)
+            want += sum(d1[c, pa] * d1[cc, pb] * others(c, cc)
+                        for c in chars for cc in chars if c != cc)
+            assert _close(hess[pa, pb], want), (pa, pb)
+    assert box.points == (2 * box.radius + 1) ** 2
+
+
+@pytest.mark.parametrize("g, kwargs, name", [
+    (2, {"d_tau": ((0, 0),)}, "d_tau"),
+    (2, {"d_tau": ((1, 3),)}, "d_tau"),
+    (1, {"d_tau": ((2, 2),)}, "d_tau"),
+    (2, {"d_z": (0,)}, "d_z"),
+    (2, {"d_z": (1, 3)}, "d_z"),
+    (2, {"z": [0.1]}, "z"),
+    (2, {"z": [0.1, 0.2, 0.3]}, "z"),
+])
+def test_theta_numeric_rejects_bad_indices_and_z(g, kwargs, name):
+    with pytest.raises(ValueError, match=rf"^{name} "):
+        theta_numeric(g, ThetaChar((0,) * g, (0,) * g), KERNEL_POINTS[g][0], **kwargs)
+
+
+def test_reports_state_radius_points_and_tail_tolerance():
+    heat = check_heat(2, ThetaChar((0, 0), (1, 1)), [[2j, 0j], [0j, 3j]], [0.1j, 0])
+    lam_min, z_shift = 2.0, 0.1
+    assert heat.radius == max(_pick_radius(lam_min, 2, nt, nz, z_shift, heat.radius_tol)
+                              for nt, nz in ((0, 2), (1, 0)))
+    assert heat.points == (2 * heat.radius + 1) ** 2 and heat.radius_tol == 1e-13
+
+    tau = [[0.2 + 1.7j, 0.1 + 0.08j], [0.1 + 0.08j, -0.1 + 1.9j]]
+    form = form_tnull(2)
+    rep = check_modularity(form, gamma_J(2), tau)
+    taup, _ = symplectic_act(gamma_J(2), tau)
+    radii = [form.eval_box(t)[1].radius for t in (tau, (taup + taup.T) / 2)]
+    assert rep.radius == max(radii) and rep.points == (2 * rep.radius + 1) ** 2
+    assert rep.radius_tol == 1e-12
+    assert isinstance(form.eval(tau), complex)
+
+    cond = check_condition_star([[1.1j, 0], [0, 1.7j]])
+    assert cond.radius == _pick_radius(1.1, 2, 1, 0, 0.0, 1e-12)
+    assert cond.points == (2 * cond.radius + 1) ** 2 and cond.radius_tol == 1e-12

@@ -33,18 +33,45 @@ Delta_ij(P(XX^t)) = 2 [k d_ij P + 2 sum r_uw d_iu d_jw P](XX^t), and only the
 relative weight of the two parts affects the vanishing condition.  Setting
 the factor to 1 makes the genus-2 verification fail (see tests), which is
 what pins the convention.
+
+Integer proof.  verify_pluriharmonic runs on integers, in one kernel shared
+with apply_D11.  Write every coefficient of Q as P(a) / (D L(a)): L is the
+lcm of the coefficient denominators (1 for a numeric weight), and D clears
+the rational content, so each P is an integer polynomial.  Likewise
+k = kn(a) / kd(a) with integer polynomials.  Then 4 kd D L times
+sum_h D_{h;11} Q has integer-polynomial coefficients R(a): each move of
+D_{h;11} multiplies a coefficient P by an integer times kn (the first-order
+term) or times kd (the second-order terms, whose 1/2 symmetrization factors
+the 4 clears).  Monomials are packed into ints as in poly.py, so a move is
+one integer addition to the key, and every P is evaluated at a = 2^S, so
+the kernel multiplies and adds plain ints: a residual coefficient is R(2^S).
+
+The bound behind S.  Let N be the sum of |c| over every coefficient c of
+every P, over all terms of Q, and d a bound on the total degree of every
+monomial: 14 times the most variables in one monomial, as the packing takes
+exponents up to 14.  A monomial with row-1 exponents E_h in R_h (sum_h E_h
+<= d) spreads its P over moves whose multipliers have coefficient sums
+|.| at most 4 E_h |kn| (first order) and 4 |f| (E_h^2 - E_h) |kd| (second
+order), f the second-order factor.  So every coefficient of R is at most
+N M in size, M = 4 d |kn| + 4 |f| d^2 |kd|.  With S = bitlength(N M) + 1,
+every coefficient lies strictly inside (-2^(S-1), 2^(S-1)), so R(2^S) is
+R's coefficients written as balanced base-2^S digits: R(2^S) = 0 exactly
+when R = 0, which proves the identity for every a at once, with no weight
+sampling.  For a numeric weight every polynomial is a constant and the
+evaluation changes nothing.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .poly import (MultiPoly, _mono_lower, _mono_times, _poly_from_lines, coeff_R,
-                   index_set_N, index_set_Nprime, minor_coeff_R, poly_to_text, r_var,
-                   x_var)
-from .scalars import RatFunc, _accumulate, frac_to_text, scalar_from_text, scalar_to_text
+from .poly import (MultiPoly, _packing, _poly_from_lines, coeff_R, index_set_N,
+                   index_set_Nprime, minor_coeff_R, poly_to_text, r_var, x_var)
+from .scalars import (RatFunc, _accumulate, _pdivmod, _pgcd, _pmul, frac_to_text,
+                      scalar_from_text, scalar_to_text)
 
 SECOND_ORDER_FACTOR = 2
 
@@ -60,32 +87,40 @@ def _as_weight(a):
     return Fraction(a)
 
 
-def constant_C(g: int, a, m: int):
-    """The coefficient constants; exact in Q(a) or Q."""
+def _constant_C_k(g: int, m: int) -> list:
+    """C(m) as an integer polynomial in k = 2a, coefficients low degree first."""
     if not 1 <= m <= g:
         raise ValueError(f"m={m} out of range 1..{g}")
-    a = _as_weight(a)
-    k = 2 * a
-    one = RatFunc(1) if isinstance(a, RatFunc) else Fraction(1)
     if m == 1:
-        out = one * (g - 1)
-        for i in range(1, g):
-            out = out * (k - i)
-        return out
-    out = one * ((-1) ** (m - 1) * math.factorial(m - 1)) * k ** (m - 1)
-    for i in range(m, g):
-        out = out * (k - i)
+        out, first = [g - 1], 1
+    else:
+        out, first = [0] * (m - 1) + [(-1) ** (m - 1) * math.factorial(m - 1)], m
+    for i in range(first, g):  # times (k - i)
+        out = [lo - i * hi for lo, hi in zip([0] + out, out + [0])]
     return out
+
+
+def constant_C(g: int, a, m: int):
+    """The coefficient constants; exact in Q(a) or Q."""
+    k = 2 * _as_weight(a)
+    out = k * 0
+    for c in reversed(_constant_C_k(g, m)):
+        out = out * k + c
+    return out
+
+
+def _stratum(n) -> int:
+    """The m with c(n) = C(m), or 0 where c(n) vanishes."""
+    big = [v for v in n if v > 1]
+    if len(big) >= 2:
+        return 0
+    return big[0] if big else 1
 
 
 def coeff_c(g: int, a, n: tuple):
     """c(n): C(1) for all ones, C(m) on the admissible shapes, else 0."""
-    big = [v for v in n if v > 1]
-    if len(big) >= 2:
-        return _as_weight(a) * 0
-    if not big:
-        return constant_C(g, a, 1)
-    return constant_C(g, a, big[0])
+    m = _stratum(n)
+    return constant_C(g, a, m) if m else _as_weight(a) * 0
 
 
 @dataclass
@@ -127,6 +162,131 @@ def build_Q(g: int, a) -> OperatorSpec:
     return OperatorSpec(g=g, a=a, k=2 * a, symbolic=symbolic, coeffs=coeffs, Q=Q)
 
 
+# -- the integer D_{h;11} kernel (see "Integer proof" above) -----------------
+
+_MAX_EXP = 14  # a move raises one exponent by 1, and a nibble holds 15
+
+
+def _unpack(v: int, s: int) -> tuple:
+    """The balanced base-2^s digits of v, low first: the integer polynomial
+    R with R(2^s) = v, when every coefficient of R is below 2^(s-1) in size."""
+    digits, half, mask = [], 1 << s - 1, (1 << s) - 1
+    while v:
+        d = v & mask
+        if d >= half:
+            d -= 1 << s
+        digits.append(d)
+        v = (v - d) >> s
+    return tuple(digits)
+
+
+def _integer_poly(polys: list) -> tuple[int, list]:
+    """(D, [D p for p in polys]): D clears every coefficient denominator."""
+    D = math.lcm(*(Fraction(c).denominator for p in polys for c in p))
+    return D, [tuple(int(c * D) for c in p) for p in polys]
+
+
+def _as_pair(c) -> tuple:
+    """A coefficient or weight as (numerator, denominator) polynomials in a."""
+    if isinstance(c, RatFunc):
+        return c.num, c.den
+    return (Fraction(c),), (Fraction(1),)
+
+
+class _IntegerForm:
+    """p and k over one integer denominator, packed for the D_{h;11} kernel.
+
+    terms maps each packed monomial to the integer P(2^S) of its
+    coefficient; kn and kd are 4 kn(2^S) and 4 kd(2^S).  p may hold the t_h
+    and r_{h;ij} of genus g, with exponents up to _MAX_EXP.
+    """
+
+    def __init__(self, g: int, p: MultiPoly, k, factor: int):
+        self.g, self.factor = g, factor
+        self.field = "Qa" if p.field == "Qa" or isinstance(k, RatFunc) else "Q"
+        self.unit, self.decode = _packing(g)
+        # distinct coefficients by identity: p.terms keeps every one alive
+        counts = Counter(map(id, p.terms.values()))
+        distinct = {id(c): c for c in p.terms.values()}
+        pairs = {i: _as_pair(c) for i, c in distinct.items()}
+        L = (Fraction(1),)
+        for den in {den for _, den in pairs.values()}:
+            L = _pmul(L, _pdivmod(den, _pgcd(L, den))[0])
+        D, polys = _integer_poly([_pmul(num, _pdivmod(L, den)[0])
+                                  for num, den in pairs.values()])
+        _, (kn, kd) = _integer_poly(list(_as_pair(k)))
+        d = _MAX_EXP * max(map(len, p.terms), default=0)
+        spread = 4 * d * sum(map(abs, kn)) + 4 * abs(factor) * d * d * sum(map(abs, kd))
+        size = sum(counts[i] * sum(map(abs, P)) for i, P in zip(pairs, polys))
+        self.s = s = (size * spread).bit_length() + 1
+
+        def at_2s(P):
+            return sum(c << s * j for j, c in enumerate(P))
+
+        value = {i: at_2s(P) for i, P in zip(pairs, polys)}
+        step = {(v, e): e * u for v, u in self.unit.items() for e in range(1, _MAX_EXP + 1)}
+        try:
+            self.terms = {sum(map(step.__getitem__, m)): value[id(c)]
+                          for m, c in p.terms.items()}
+        except KeyError as exc:
+            v, e = exc.args[0]
+            raise ValueError(f"factor {v}^{e} is not a genus-{g} variable to a power "
+                             f"up to {_MAX_EXP}") from None
+        self.kn, self.kd = 4 * at_2s(kn), 4 * at_2s(kd)
+        self.den = _pmul(tuple(4 * D * c for c in kd), L)
+
+    def d11(self, hs) -> dict:
+        """4 kd D L sum_{h in hs} D_{h;11} p at a = 2^S: packed key -> int
+        (cancelled keys are kept with the value 0)."""
+        mask = (1 << 4 * self.g) - 1  # the row-1 nibbles r_{h;11..1g} of R_h
+        rows = [(self.unit[r_var(h, 1, 1)].bit_length() - 1, h, {}) for h in hs]
+        out: dict = {}
+        get = out.get
+        for key, c in self.terms.items():
+            for shift, h, memo in rows:
+                bits = key >> shift & mask
+                if bits:
+                    moves = memo.get(bits)
+                    if moves is None:
+                        moves = memo[bits] = self._moves(h, bits)
+                    for delta, mult in moves:
+                        k2 = key + delta
+                        out[k2] = get(k2, 0) + c * mult
+        return out
+
+    def _moves(self, h: int, bits: int) -> list:
+        """(key change, multiplier) of each term of D_{h;11} on a monomial
+        whose row-1 exponents in R_h are the nibbles of bits."""
+        unit, f, kd = self.unit, self.factor, self.kd
+        hits = [(u, bits >> 4 * (u - 1) & 15) for u in range(1, self.g + 1)]
+        hits = [(u, e, unit[r_var(h, 1, u)]) for u, e in hits if e]
+        acc: dict = {}
+
+        def add(delta, mult):
+            acc[delta] = acc.get(delta, 0) + mult
+
+        # d_{h;1u} carries the symmetrization factor 1/2 for u != 1
+        for i, (u, eu, bu) in enumerate(hits):
+            if u == 1:  # k d_{h;11}
+                add(-bu, self.kn * eu)
+            if eu > 1:  # f r_{h;uu} d_{h;1u}^2
+                add(unit[r_var(h, u, u)] - 2 * bu,
+                    f * eu * (eu - 1) * kd // (1 if u == 1 else 4))
+            for w, ew, bw in hits[i + 1:]:  # 2 f r_{h;uw} d_{h;1u} d_{h;1w}, u < w
+                add(unit[r_var(h, u, w)] - bu - bw,
+                    2 * f * eu * ew * kd // (2 if u == 1 else 4))
+        return [(delta, mult) for delta, mult in acc.items() if mult]
+
+    def to_poly(self, residual: dict) -> MultiPoly:
+        """A kernel residual divided back into the field of p and k."""
+        out = {}
+        for key, v in residual.items():
+            if v:
+                out[self.decode(key)] = (RatFunc(_unpack(v, self.s), self.den)
+                                         if self.field == "Qa" else Fraction(v) / self.den[0])
+        return MultiPoly(out, self.field)
+
+
 def apply_D11(g: int, h: int, p: MultiPoly, k,
               second_order_factor: int = SECOND_ORDER_FACTOR) -> MultiPoly:
     """The row-(1,1) second-order operator on the R_h variables.
@@ -135,52 +295,50 @@ def apply_D11(g: int, h: int, p: MultiPoly, k,
     with symmetrized derivatives d.  The default factor 2 matches the
     pullback Laplacian up to an irrelevant global constant.
 
-    One pass over the monomials: only the factors r_{h;1u} of a monomial are
-    differentiated, so each monomial yields its first-order term and one
-    second-order term per pair of such factors.
+    Runs the integer kernel of verify_pluriharmonic for this h alone and
+    divides its residual back into the field: Q(a) when p or k is there.
     """
-    if isinstance(k, RatFunc) and p.field != "Qa":
-        p = p.promote()
-    f = second_order_factor
-    row = {r_var(h, 1, u): u for u in range(1, g + 1)}
-    # d_{h;1u} carries the symmetrization factor 1/2 for u != 1
-    den = {u: 1 if u == 1 else 2 for u in range(1, g + 1)}
-    out: dict = {}
-    for m, c in p.terms.items():
-        hits = [(idx, row[v], e) for idx, (v, e) in enumerate(m) if v in row]
-        for i, (iu, u, eu) in enumerate(hits):
-            if u == 1:  # k d_{h;11}
-                _accumulate(out, _mono_lower(m, iu), c * (k * eu))
-            if eu > 1:  # f r_{h;uu} d_{h;1u}^2
-                q = Fraction(f * eu * (eu - 1), den[u] ** 2)
-                _accumulate(out, _mono_times(_mono_lower(m, iu, 2), r_var(h, u, u)), c * q)
-            for iw, w, ew in hits[i + 1:]:  # 2 f r_{h;uw} d_{h;1u} d_{h;1w}, u < w
-                q = Fraction(2 * f * eu * ew, den[u] * den[w])
-                rest = _mono_lower(_mono_lower(m, iw), iu)
-                _accumulate(out, _mono_times(rest, r_var(h, u, w)), c * q)
-    return MultiPoly(out, p.field)
+    form = _IntegerForm(g, p, k, second_order_factor)
+    return form.to_poly(form.d11((h,)))
 
 
 def verify_pluriharmonic(spec: OperatorSpec,
                          second_order_factor: int = SECOND_ORDER_FACTOR) -> bool:
-    """Check that sum_h D_{h;11} Q is the zero polynomial, exactly."""
-    total: dict = {}
-    for h in range(1, spec.g + 1):
-        for m, c in apply_D11(spec.g, h, spec.Q, spec.k, second_order_factor).terms.items():
-            _accumulate(total, m, c)
-    return not total
+    """Check that sum_h D_{h;11} Q is the zero polynomial, exactly.
+
+    One scan of Q by the integer kernel for every h at once; in Q(a) a
+    zero residual proves the identity for every a (module docstring).
+    """
+    form = _IntegerForm(spec.g, spec.Q, spec.k, second_order_factor)
+    return not any(form.d11(range(1, spec.g + 1)).values())
 
 
 def verify_harmonic_condition(g: int, a) -> bool:
-    """The coefficient identity sum_h (k - n'_h) c(n' + e_h) = 0 for all n'."""
+    """The coefficient identity sum_h (k - n'_h) c(n' + e_h) = 0 for all n'.
+
+    Checked on integers.  With every C(m) an integer polynomial of degree
+    g - 1 in k = 2a, the left side is one of degree g.  A numeric k = p/q
+    enters as q^g times its value.  In Q(a) the left side is evaluated at
+    k = 2^S, where 2^(S-1) exceeds (2g - 1) max_m |C(m)|, a bound on its
+    coefficients (|.| the sum of |coefficients|), so a zero value proves it
+    zero for every a.
+    """
     a = _as_weight(a)
-    k = 2 * a
+    if isinstance(a, RatFunc) and a.is_constant():
+        a = a.num[0] if a.num else Fraction(0)
+    C = [_constant_C_k(g, m) for m in range(1, g + 1)]
+    if isinstance(a, RatFunc):
+        kn, kd = 1 << ((2 * g - 1) * max(sum(map(abs, c)) for c in C)).bit_length() + 1, 1
+    else:
+        kn, kd = (2 * a).numerator, (2 * a).denominator
+    value = [0] + [sum(c * kn ** i * kd ** (g - 1 - i) for i, c in enumerate(cm)) for cm in C]
     for nprime in index_set_Nprime(g):
-        total = k * 0
+        n = list(nprime)
+        total = 0
         for h in range(g):
-            n = list(nprime)
             n[h] += 1
-            total = total + (k - nprime[h]) * coeff_c(g, a, tuple(n))
+            total += (kn - nprime[h] * kd) * value[_stratum(n)]
+            n[h] -= 1
         if total:
             return False
     return True
@@ -282,6 +440,8 @@ def opspec_from_text(text: str) -> OperatorSpec:
     if not lines or lines[0].strip() != "OPSPEC1":
         fail(0, "not an OPSPEC1 block")
     g = value(1, "genus", int)
+    if g < 2:
+        fail(1, f"genus must be >= 2, found {g}")
     mode = value(2, "mode")
     if mode not in ("symbolic", "numeric"):
         fail(2, f"mode must be symbolic or numeric, found {mode!r}")
@@ -289,23 +449,32 @@ def opspec_from_text(text: str) -> OperatorSpec:
     if symbolic and value(3, "a") != "a":
         fail(3, "a symbolic operator has the weight 'a'")
     a = RatFunc.var() if symbolic else value(3, "a", Fraction)
+    if not symbolic and 2 * a < g:
+        fail(3, f"weight a={frac_to_text(a)} violates a >= g/2 = {frac_to_text(Fraction(g, 2))}")
     if len(lines) < 5 or lines[4] != NORMALIZATION_LINE:
         fail(4, f"expected {NORMALIZATION_LINE!r}")
     ncoeffs = value(5, "coeffs", int)
+    field_tag = "Qa" if symbolic else "Q"
     coeffs = {}
     idx = 6
     while idx < len(lines) and lines[idx].startswith("n="):
         head, _, val = lines[idx].partition("|")
         try:
             n = tuple(int(v) for v in head.strip()[2:].split(","))
-            c = scalar_from_text(val.strip())
+            c = scalar_from_text(val.strip(), field_tag)
         except (ValueError, ZeroDivisionError) as exc:
             fail(idx, f"cannot parse {lines[idx]!r} ({exc})")
+        if len(n) != g or sum(n) != g or min(n) < 0:
+            fail(idx, f"n={head.strip()[2:]} is not a multi-index of genus {g}")
         if n in coeffs:
             fail(idx, f"duplicate coefficient n={head.strip()[2:]}")
         coeffs[n] = c
         idx += 1
     if len(coeffs) != ncoeffs:
         fail(5, f"declares {ncoeffs} coefficients, found {len(coeffs)}")
-    q = _poly_from_lines(lines, idx, "OPSPEC1")
+    variables = {r_var(h, i, j) for h in range(1, g + 1)
+                 for i in range(1, g + 1) for j in range(i, g + 1)}
+    q = _poly_from_lines(lines, idx, "OPSPEC1", variables)
+    if q.field != field_tag:
+        fail(idx, f"mode {mode} needs POLY1 field={field_tag}, found field={q.field}")
     return OperatorSpec(g=g, a=a, k=2 * a, symbolic=symbolic, coeffs=coeffs, Q=q)

@@ -31,9 +31,10 @@ then an int with two set nibbles, and a Leibniz term's key is the sum of
 its g entry ints (no exponent exceeds g, far below 16 for any feasible g,
 so nibbles never carry).  Keys are counted, one counter per permutation
 parity, and each distinct key is decoded to a Mono once, block by block
-through a memo of block values.  The B(n) are read from one cached split of
-an expansion by t-exponent, made in a single scan, and share their term
-dicts with it.
+through a memo of block values.  _packing holds this layout and its
+decoder; the integer D_{h;11} kernel of opgen.py packs monomials the same
+way.  The B(n) are read from one cached split of an expansion by
+t-exponent, made in a single scan, and share their term dicts with it.
 """
 
 from __future__ import annotations
@@ -328,36 +329,27 @@ def _signed_pairings(rows: list, cols: list):
         yield (-1) ** inversions, [(r, cols[s]) for r, s in zip(rows, sigma)]
 
 
-def _leibniz(g: int, rows: list, cols: list) -> MultiPoly:
-    """det of the pencil t_1 R_1 + ... + t_g R_g restricted to rows x cols.
+def _packing(g: int):
+    """The packed-int monomial layout of the module docstring, for genus g.
 
-    Every monomial is packed into one int (see the module docstring); the
-    sum over permutations and over the g summands of each entry runs on
-    packed keys only.
+    Returns (unit, decode): unit[v] is the int with a 1 in the nibble of v,
+    for every t_h and r_{h;ij} (i <= j) of genus g, and decode(key) is the
+    Mono whose exponents are the nibbles of key.
     """
-    npairs = g * (g + 1) // 2
     pairs = [(i, j) for i in range(1, g + 1) for j in range(i, g + 1)]
-    slot = {pair: s for s, pair in enumerate(pairs)}
-
-    def entry(h: int, i: int, j: int) -> int:
-        return (1 << 4 * (h - 1)) | (1 << 4 * (g + (h - 1) * npairs + slot[min(i, j), max(i, j)]))
-
-    counts = (Counter(), Counter())  # even and odd permutations
-    for sign, pairing in _signed_pairings(rows, cols):
-        entries = [[entry(h, r, c) for h in range(1, g + 1)] for r, c in pairing]
-        counts[sign < 0].update(map(sum, itertools.product(*entries)))
-    total = counts[0]
-    total.subtract(counts[1])
-
-    # decode block by block: the t-block, then one block per R_h
-    blocks = [(0, 4 * g, [t_var(h) for h in range(1, g + 1)])]
-    blocks += [(4 * (g + (h - 1) * npairs), 4 * npairs, [r_var(h, i, j) for i, j in pairs])
-               for h in range(1, g + 1)]
-    blocks = [(shift, (1 << width) - 1, names, {}) for shift, width, names in blocks]
+    # the t-block, then one block per R_h
+    blocks = [[t_var(h) for h in range(1, g + 1)]]
+    blocks += [[r_var(h, i, j) for i, j in pairs] for h in range(1, g + 1)]
+    unit, layout, shift = {}, [], 0
+    for names in blocks:
+        for s, v in enumerate(names):
+            unit[v] = 1 << shift + 4 * s
+        layout.append((shift, (1 << 4 * len(names)) - 1, names, {}))
+        shift += 4 * len(names)
 
     def decode(key: int) -> Mono:
         mono = ()
-        for shift, mask, names, memo in blocks:
+        for shift, mask, names, memo in layout:
             bits = key >> shift & mask
             part = memo.get(bits)
             if part is None:
@@ -369,6 +361,28 @@ def _leibniz(g: int, rows: list, cols: list) -> MultiPoly:
                 part = memo[bits] = tuple(part)
             mono += part
         return mono
+
+    return unit, decode
+
+
+def _leibniz(g: int, rows: list, cols: list) -> MultiPoly:
+    """det of the pencil t_1 R_1 + ... + t_g R_g restricted to rows x cols.
+
+    Every monomial is packed into one int (see the module docstring); the
+    sum over permutations and over the g summands of each entry runs on
+    packed keys only.
+    """
+    unit, decode = _packing(g)
+
+    def entry(h: int, i: int, j: int) -> int:
+        return unit[t_var(h)] | unit[r_var(h, i, j)]
+
+    counts = (Counter(), Counter())  # even and odd permutations
+    for sign, pairing in _signed_pairings(rows, cols):
+        entries = [[entry(h, r, c) for h in range(1, g + 1)] for r, c in pairing]
+        counts[sign < 0].update(map(sum, itertools.product(*entries)))
+    total = counts[0]
+    total.subtract(counts[1])
 
     fracs: dict = {}
     out = {}
@@ -499,9 +513,11 @@ def poly_from_text(text: str) -> MultiPoly:
     return _poly_from_lines(text.splitlines(), 0, "POLY1")
 
 
-def _poly_from_lines(lines: list, start: int, fmt: str) -> MultiPoly:
+def _poly_from_lines(lines: list, start: int, fmt: str, variables=None) -> MultiPoly:
     """The POLY1 block that begins at lines[start]; error messages name the
-    line (1-based within lines) and the format being read (fmt)."""
+    line (1-based within lines) and the format being read (fmt).  Every
+    coefficient must belong to the declared field, and, when variables is
+    given, every variable to that set."""
 
     def fail(idx: int, msg: str):
         raise ValueError(f"{fmt} line {idx + 1}: {msg}")
@@ -532,7 +548,7 @@ def _poly_from_lines(lines: list, start: int, fmt: str) -> MultiPoly:
         try:
             c = scalars.get(coeff_txt)
             if c is None:
-                c = scalars[coeff_txt] = scalar_from_text(coeff_txt.strip())
+                c = scalars[coeff_txt] = scalar_from_text(coeff_txt.strip(), field)
             pairs, keys = [], []
             for tok in vars_txt.split():
                 hit = tokens.get(tok)
@@ -541,6 +557,8 @@ def _poly_from_lines(lines: list, start: int, fmt: str) -> MultiPoly:
                     v, e = _var_from_text(name), int(exp)
                     if e < 1:
                         raise ValueError(f"exponent of {name} is not positive")
+                    if variables is not None and v not in variables:
+                        raise ValueError(f"variable {name} is not allowed here")
                     hit = tokens[tok] = ((v, e), _var_key(v))
                 pairs.append(hit[0])
                 keys.append(hit[1])

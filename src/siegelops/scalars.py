@@ -330,7 +330,9 @@ def scalar_to_text(c) -> str:
     return frac_to_text(c)
 
 
-def scalar_from_text(s: str):
-    if ";" in s:
-        return ratfunc_from_text(s)
-    return frac_from_text(s)
+def scalar_from_text(s: str, field: str):
+    """Read a coefficient of the field tagged field, as scalar_to_text wrote
+    it: "Q" takes only rational text and "Qa" only ``num ; den`` text."""
+    if (";" in s) != (field == "Qa"):
+        raise ValueError(f"{s!r} is not a coefficient of field {field}")
+    return ratfunc_from_text(s) if field == "Qa" else frac_from_text(s)

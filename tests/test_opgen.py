@@ -1,19 +1,50 @@
 """Tests for operator construction and the three pluriharmonicity verifiers."""
 
+import dataclasses
 import hashlib
 from fractions import Fraction
 
 import pytest
 
-from siegelops.opgen import (apply_D11, build_Q, coeff_c, constant_C,
+from siegelops.opgen import (_IntegerForm, apply_D11, build_Q, coeff_c, constant_C,
                              opspec_from_text, opspec_to_text, symbolic_weight,
                              verify_deriv_lemma, verify_harmonic_condition,
                              verify_pluriharmonic, xspace_oracle)
-from siegelops.poly import MultiPoly, coeff_R, index_set_N, r_var
-from siegelops.scalars import RatFunc
+from siegelops.poly import (MultiPoly, _mono_lower, _mono_times, coeff_R, index_set_N,
+                            r_var, t_var, x_var)
+from siegelops.scalars import RatFunc, _accumulate
 
 A = symbolic_weight()
 K = 2 * A
+
+
+def _reference_d11(g, h, p, k, second_order_factor=2):
+    """D_{h;11} p by per-term field arithmetic: the reference for the kernel.
+
+    D_{h;11} P = k d_{h;11} P + factor * sum_{u,w} r_{h;uw} d_{h;1u} d_{h;1w} P
+    with symmetrized d; each monomial yields its first-order term and one
+    second-order term per pair of its factors r_{h;1u}.
+    """
+    if isinstance(k, RatFunc) and p.field != "Qa":
+        p = p.promote()
+    f = second_order_factor
+    row = {r_var(h, 1, u): u for u in range(1, g + 1)}
+    # d_{h;1u} carries the symmetrization factor 1/2 for u != 1
+    den = {u: 1 if u == 1 else 2 for u in range(1, g + 1)}
+    out: dict = {}
+    for m, c in p.terms.items():
+        hits = [(idx, row[v], e) for idx, (v, e) in enumerate(m) if v in row]
+        for i, (iu, u, eu) in enumerate(hits):
+            if u == 1:  # k d_{h;11}
+                _accumulate(out, _mono_lower(m, iu), c * (k * eu))
+            if eu > 1:  # f r_{h;uu} d_{h;1u}^2
+                q = Fraction(f * eu * (eu - 1), den[u] ** 2)
+                _accumulate(out, _mono_times(_mono_lower(m, iu, 2), r_var(h, u, u)), c * q)
+            for iw, w, ew in hits[i + 1:]:  # 2 f r_{h;uw} d_{h;1u} d_{h;1w}, u < w
+                q = Fraction(2 * f * eu * ew, den[u] * den[w])
+                rest = _mono_lower(_mono_lower(m, iw), iu)
+                _accumulate(out, _mono_times(rest, r_var(h, u, w)), c * q)
+    return MultiPoly(out, p.field)
 
 
 def test_constants_genus2():
@@ -100,6 +131,60 @@ def test_misnormalized_operator_fails_with_known_residual(spec2_symbolic):
     residual = ((MultiPoly.var(r_var(1, 2, 2)) + MultiPoly.var(r_var(2, 2, 2)))
                 .promote().scale(2 * A * Fraction(-1, 2) / (2 * A - 1)))
     assert total == residual
+
+
+@pytest.mark.parametrize("factor", [1, 2])
+@pytest.mark.parametrize("g,a", [(2, A), (3, A), (4, A), (4, Fraction(5, 2)),
+                                 (4, Fraction(3)), (4, Fraction(108))])
+def test_kernel_residual_matches_reference(g, a, factor):
+    """The integer kernel's full residual, unpacked into the field, is the
+    per-term reference residual; at factor 1 it is nonzero, so in Q(a) a
+    packing base 2^S too small to hold its coefficients would show here."""
+    spec = build_Q(g, a)
+    form = _IntegerForm(g, spec.Q, spec.k, factor)
+    residual = form.to_poly(form.d11(range(1, g + 1)))
+    reference = MultiPoly.zero(spec.Q.field)
+    for h in range(1, g + 1):
+        reference = reference + _reference_d11(g, h, spec.Q, spec.k, factor)
+    assert residual.field == reference.field == spec.Q.field
+    assert residual == reference
+    assert residual.is_zero() == (factor == 2)
+    assert verify_pluriharmonic(spec, factor) == (factor == 2)
+
+
+@pytest.mark.parametrize("g,h,p,k", [
+    (3, 1, coeff_R(3, (2, 1, 0)), K),
+    (3, 2, coeff_R(3, (1, 1, 1)).promote(), Fraction(7, 3)),
+    (2, 1, coeff_R(2, (2, 0)) * MultiPoly.var(t_var(2)) ** 3, Fraction(5)),
+    (2, 2, MultiPoly.var(r_var(2, 1, 1)) ** 4 * MultiPoly.var(r_var(2, 1, 2)) ** 3,
+     1 / (A + 3)),
+])
+def test_apply_D11_matches_reference(g, h, p, k):
+    """apply_D11 runs the kernel for one h: the reference's exact output,
+    for either field of p and k, high exponents and t-variables."""
+    for factor in (1, 2):
+        assert apply_D11(g, h, p, k, factor) == _reference_d11(g, h, p, k, factor)
+
+
+def test_apply_D11_rejects_what_the_packing_cannot_hold():
+    for p in (MultiPoly.var(x_var(1, 1)), MultiPoly.var(r_var(3, 1, 1)),
+              MultiPoly.var(r_var(1, 1, 2)) ** 15):
+        with pytest.raises(ValueError, match="is not a genus-2 variable to a power up to 14"):
+            apply_D11(2, 1, p, K)
+
+
+@pytest.mark.parametrize("a", [A, Fraction(3)])
+def test_perturbed_operator_fails(a):
+    """One coefficient of Q changed, by a term with a fresh denominator, and
+    the verifier rejects the result."""
+    spec = build_Q(3, a)
+    m = next(m for m in sorted(spec.Q.terms) if m[0] == (r_var(1, 1, 1), 1))
+    bump = 1 / (A ** 3 + 7) if spec.symbolic else Fraction(1, 10 ** 30)
+    terms = dict(spec.Q.terms)
+    terms[m] = terms[m] + bump
+    bad = dataclasses.replace(spec, Q=MultiPoly(terms, spec.Q.field))
+    assert verify_pluriharmonic(spec)
+    assert not verify_pluriharmonic(bad)
 
 
 @pytest.mark.parametrize("g", [2, 3, 4, 5, 6])
@@ -217,6 +302,17 @@ def test_pluriharmonic_genus5_for_every_weight():
         assert verify_pluriharmonic(spec), f"genus 5, a={a}"
 
 
+@pytest.mark.slow
+def test_pluriharmonic_genus5_in_Qa():
+    """Genus-5 pluriharmonicity proved in Q(a) directly, for every weight at
+    once: the kernel evaluates each coefficient polynomial at a = 2^S with
+    S above its stated bound.  The factor-1 control fails there too."""
+    spec = build_Q(5, A)
+    assert len(spec.Q.terms) == 111275
+    assert verify_pluriharmonic(spec)
+    assert not verify_pluriharmonic(spec, second_order_factor=1)
+
+
 def _opspec_lines():
     return opspec_to_text(build_Q(2, Fraction(5))).splitlines()
 
@@ -252,3 +348,39 @@ def test_opspec_rejects_truncated_polynomial():
     with pytest.raises(ValueError, match="OPSPEC1 line 18: duplicate monomial"):
         opspec_from_text("\n".join(lines[:9] + [lines[9].replace("7", "8")]
                                    + lines[10:] + lines[-1:]))
+
+
+def test_opspec_rejects_a_body_of_the_other_field():
+    symbolic = opspec_to_text(build_Q(2, A)).splitlines()
+    assert symbolic[9] == "POLY1 field=Qa terms=7"
+    edited = symbolic[:9] + ["POLY1 field=Q terms=7"] + symbolic[10:]
+    with pytest.raises(ValueError, match="OPSPEC1 line 11: .*not a coefficient of field Q"):
+        opspec_from_text("\n".join(edited))
+    # a symbolic header and coefficient table over a numeric body
+    numeric = _opspec_lines()
+    with pytest.raises(ValueError, match="OPSPEC1 line 10: mode symbolic needs POLY1 field=Qa"):
+        opspec_from_text("\n".join(symbolic[:9] + numeric[9:]))
+    with pytest.raises(ValueError, match="OPSPEC1 line 7: .*not a coefficient of field Qa"):
+        opspec_from_text("\n".join(numeric[:2] + ["mode symbolic", "a a"] + numeric[4:]))
+
+
+def test_opspec_rejects_a_weight_build_Q_refuses():
+    lines = _opspec_lines()
+    with pytest.raises(ValueError, match="OPSPEC1 line 4: weight a=1/4 violates a >= g/2 = 1"):
+        opspec_from_text("\n".join(lines[:3] + ["a 1/4"] + lines[4:]))
+    with pytest.raises(ValueError, match="OPSPEC1 line 2: genus must be >= 2"):
+        opspec_from_text("\n".join(lines[:1] + ["genus 1"] + lines[2:]))
+
+
+def test_opspec_rejects_a_body_of_another_genus():
+    lines = _opspec_lines()
+    g3 = opspec_to_text(build_Q(3, Fraction(5))).splitlines()
+    with pytest.raises(ValueError, match="OPSPEC1 line 7: n=0,0,3 is not a multi-index of genus 2"):
+        opspec_from_text("\n".join(lines[:1] + ["genus 2"] + g3[2:]))
+    body = g3[g3.index("POLY1 field=Q terms=108"):]
+    with pytest.raises(ValueError, match=r"OPSPEC1 line 11: .*variable r\[\d;\d,3\] is not allowed"):
+        opspec_from_text("\n".join(lines[:9] + body))
+    for var in ("r[3;1,1]", "t[1]", "x[1,1]"):
+        with pytest.raises(ValueError, match=f"OPSPEC1 line 11: .*variable .* is not allowed"):
+            opspec_from_text("\n".join(lines[:10] + [f"-10/9 | {var}^1 r[1;2,2]^1"]
+                                        + lines[11:]))

@@ -255,3 +255,14 @@ def test_poly1_rejects_non_positive_exponents():
 def test_poly1_reads_unsorted_variables_canonically():
     p = poly_from_text("POLY1 field=Q terms=1\n3 | r[1;2,2]^1 t[1]^2\n")
     assert p == (V(t_var(1)) ** 2 * V(r_var(1, 2, 2))).scale(Fraction(3))
+
+
+def test_poly1_rejects_coefficients_of_the_other_field():
+    """field=Q takes only rational text and field=Qa only 'num ; den' text,
+    which is all poly_to_text writes."""
+    for text in ("POLY1 field=Q terms=1\n1*a^1;1*a^0 | r[1;1,1]^1\n",
+                 "POLY1 field=Q terms=2\n1 | r[1;1,2]^1\n1*a^0 ; 1*a^0 | r[1;1,1]^1\n",
+                 "POLY1 field=Qa terms=1\n3/2 | r[1;1,1]^1\n"):
+        line = len(text.splitlines())
+        with pytest.raises(ValueError, match=f"POLY1 line {line}: .*not a coefficient of field"):
+            poly_from_text(text)

@@ -2,8 +2,9 @@
 
 perfbench/spans.py wraps ``cls.__dict__[name]`` on each class it traces, so a
 method that a class inherits without binding it in its own body breaks traced
-runs; and it sums self time by function name, so a renamed theta entry point
-would silently zero a per-layer metric.  Each test runs the recorder in a
+runs, as does a method removed from its class; and it sums self time by
+function name, so a renamed theta or opgen entry point would silently zero a
+per-layer metric.  Each test runs the recorder in a
 fresh interpreter, because installing it rewraps the library for the rest of
 the process.
 """
@@ -65,3 +66,29 @@ def test_span_recorder_wraps_the_theta_numerics():
     """perfbench/spans.py reads these three span names for its theta metrics."""
     names = _span_names(THETA_PROGRAM)
     assert {"theta.theta_numeric", "theta.check_heat", "theta.check_modularity"} <= names
+
+
+OPGEN_PROGRAM = """
+from fractions import Fraction
+import spans
+from siegelops import opgen
+
+missing = [f"{cls.__name__}.{name}" for cls, names in spans.METHODS.items()
+           for name in names if name not in cls.__dict__]
+assert not missing, f"spans.METHODS names methods the classes do not bind: {missing}"
+rec = spans.Recorder()
+spans.install(rec)
+spec = opgen.build_Q(2, Fraction(5))
+assert opgen.verify_harmonic_condition(2, Fraction(5))
+assert opgen.opspec_from_text(opgen.opspec_to_text(spec)).Q == spec.Q
+print(" ".join(sorted({s[0] for s in rec.spans})))
+"""
+
+
+def test_span_recorder_wraps_the_operator_layer():
+    """Every METHODS entry is bound in its class's own body (install indexes
+    cls.__dict__, so MultiPoly.t_coefficient, say, must stay), and the
+    operator spans the opgen metrics read are recorded."""
+    names = _span_names(OPGEN_PROGRAM)
+    assert {"opgen.build_Q", "opgen.verify_harmonic_condition", "opgen.opspec_to_text",
+            "opgen.opspec_from_text"} <= names

@@ -1,11 +1,14 @@
 """Command-line interface: operator generation, application, and verification.
 
-Subcommands: opgen, apply, theta, form, bracket, slope, verify.  Every run
-prints its effective configuration header; identical configurations produce
-byte-identical outputs (all serializers iterate in sorted order and all
-randomness is derived from the seed).  Exit status is the number of failed
-checks (0 = everything passed); bad input (an unreadable or malformed
-file, a bad option value) prints 'error: ...' to stderr and exits 2.
+Subcommands: opgen, apply, theta, form, bracket, slope, verify.  Each one
+registers only the options its code reads, with their defaults, so the
+parsed arguments are the run configuration; opgen, apply and verify print
+the settings they used as a '# config:' header.  Identical configurations
+produce byte-identical outputs (all serializers iterate in sorted order and
+all randomness is derived from the seed).  Exit status is the number of
+failed checks (0 = everything passed); bad input (an unreadable or
+malformed file, a bad or missing option value) prints an error to stderr
+and exits 2.
 """
 
 from __future__ import annotations
@@ -14,55 +17,13 @@ import argparse
 import math
 import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import brackets, opgen, slopes, theta
 from .jets import jet_apply
 from .qexp import eval_jetpoly, qexp_from_text
-from .scalars import frac_to_text
+from .scalars import RatFunc, frac_to_text
 from .slopes import DivClass, make_class, render_table, slope as class_slope
-
-DEFAULTS = {
-    "trunc": 48,
-    "seed": 0,
-    "tol_modularity": theta.TOL_MODULARITY,
-    "tol_heat": theta.TOL_HEAT,
-    "tol_zero": theta.TOL_ZERO,
-}
-
-
-@dataclass
-class RunConfig:
-    genus: int = 2
-    symbolic: bool = False
-    weight: Fraction | None = None
-    trunc: int = DEFAULTS["trunc"]
-    seed: int = DEFAULTS["seed"]
-    tol_modularity: float = DEFAULTS["tol_modularity"]
-    tol_heat: float = DEFAULTS["tol_heat"]
-    tol_zero: float = DEFAULTS["tol_zero"]
-    out: str | None = None
-
-    def header(self) -> str:
-        wt = "a (symbolic)" if self.symbolic else (
-            frac_to_text(self.weight) if self.weight is not None else "-")
-        return (f"# config: genus={self.genus} weight={wt} trunc={self.trunc} "
-                f"seed={self.seed} tol-modularity={self.tol_modularity:g} "
-                f"tol-heat={self.tol_heat:g} tol-zero={self.tol_zero:g}")
-
-
-def _config(args) -> RunConfig:
-    cfg = RunConfig()
-    for name in ("genus", "trunc", "seed", "tol_modularity", "tol_heat",
-                 "tol_zero", "out"):
-        if getattr(args, name, None) is not None:
-            setattr(cfg, name, getattr(args, name))
-    if getattr(args, "symbolic", False):
-        cfg.symbolic = True
-    elif getattr(args, "weight", None) is not None:
-        cfg.weight = _rational(args.weight, "--weight")
-    return cfg
 
 
 def _rational(text: str, option: str) -> Fraction:
@@ -70,6 +31,40 @@ def _rational(text: str, option: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"{option} {text!r} is not a rational number") from None
+
+
+def _truncation(text: str) -> int:
+    """The --trunc value; argparse exits 2 on anything but an integer >= 0."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"{text!r} is not a nonnegative integer")
+    return int(text)
+
+
+def _needed(value, option: str, command: str):
+    if value is None:
+        raise ValueError(f"{command} needs {option}")
+    return value
+
+
+def _weight(args):
+    """The weight --symbolic or --weight selects: the generator of Q(a), a
+    rational, or None when neither is given."""
+    if args.symbolic:
+        return opgen.symbolic_weight()
+    return None if args.weight is None else _rational(args.weight, "--weight")
+
+
+def _weight_text(a) -> str:
+    if a is None:
+        return "-"
+    return "a (symbolic)" if isinstance(a, RatFunc) else frac_to_text(a)
+
+
+def _div_class(text: str | None) -> DivClass:
+    parts = _needed(text, "--cls LAMBDA,DELTA", "slope bound").split(",")
+    if len(parts) != 2:
+        raise ValueError(f"--cls {text!r} is not LAMBDA,DELTA")
+    return make_class(*(_rational(v, "--cls") for v in parts))
 
 
 def _parse_tau(spec: str):
@@ -108,61 +103,73 @@ def _status(name: str, ok: bool, detail: str = "") -> int:
     return 0 if ok else 1
 
 
+def _check_operator(g: int, a) -> tuple:
+    """Build Q for (g, a) and check it by the coefficient identity and the
+    second-order verifier: (the spec, the number of failed checks)."""
+    spec = opgen.build_Q(g, a)
+    failures = _status(f"harmonic-condition g={g}", opgen.verify_harmonic_condition(g, a))
+    failures += _status(f"pluriharmonic g={g}", opgen.verify_pluriharmonic(spec))
+    return spec, failures
+
+
+def _operator_suite():
+    """The pluriharmonicity sweep as (stage, passed), each computed when it is
+    reached: the coefficient identity for genus 2..6 and the second-order
+    verifier for genus 2..4, all in Q(a); the verifier at genus 5 at two
+    weights; the matrix-space oracle at the small genus-2 weights; and the
+    factor-1 normalization, which must fail."""
+    a = opgen.symbolic_weight()
+    for g in range(2, 7):
+        yield (f"coefficient condition, genus {g} (symbolic)",
+               opgen.verify_harmonic_condition(g, a))
+    for g in (2, 3, 4):
+        yield (f"second-order verifier, genus {g} (symbolic)",
+               opgen.verify_pluriharmonic(opgen.build_Q(g, a)))
+    for w in (3, 108):
+        yield (f"second-order verifier, genus 5, weight {w}",
+               opgen.verify_pluriharmonic(opgen.build_Q(5, Fraction(w))))
+    for w in (1, 2):
+        yield (f"matrix-space oracle, genus 2, weight {w}",
+               opgen.xspace_oracle(2, 2 * w, opgen.build_Q(2, Fraction(w)).Q).is_zero())
+    yield ("mis-normalized control fails (factor 1)",
+           not opgen.verify_pluriharmonic(opgen.build_Q(2, a), second_order_factor=1))
+
+
 # -- subcommands -----------------------------------------------------------------
 
 
 def cmd_opgen(args) -> int:
-    cfg = _config(args)
-    print(cfg.header())
-    a = opgen.symbolic_weight() if cfg.symbolic else cfg.weight
-    if a is None:
-        print("error: give --symbolic or --weight A", file=sys.stderr)
-        return 2
-    spec = opgen.build_Q(cfg.genus, a)
-    failures = 0
-    failures += _status(f"harmonic-condition g={cfg.genus}",
-                        opgen.verify_harmonic_condition(cfg.genus, a)) != 0
-    failures += _status(f"pluriharmonic g={cfg.genus}",
-                        opgen.verify_pluriharmonic(spec)) != 0
+    a = _weight(args)
+    print(f"# config: genus={args.genus} weight={_weight_text(a)}")
+    spec, failures = _check_operator(args.genus, a)
     if args.oracle_x:
-        if cfg.symbolic:
+        k = 2 * a
+        if args.symbolic:
             print("note: the substitution oracle needs a numeric weight; skipped")
+        elif k.denominator != 1 or int(k) % 2:
+            print("note: the substitution oracle needs an even integer 2a; skipped")
         else:
-            k = 2 * cfg.weight
-            if k.denominator != 1 or int(k) % 2:
-                print("note: the substitution oracle needs an even integer 2a; skipped")
-            else:
-                failures += _status(
-                    "matrix-space oracle",
-                    opgen.xspace_oracle(cfg.genus, int(k), spec.Q).is_zero()) != 0
-    text = opgen.opspec_to_text(spec)
-    if cfg.out:
-        _emit(text, cfg.out)
-        print(f"# wrote operator spec to {cfg.out}")
-    else:
-        sys.stdout.write(text)
+            failures += _status("matrix-space oracle",
+                                opgen.xspace_oracle(args.genus, int(k), spec.Q).is_zero())
+    _emit(opgen.opspec_to_text(spec), args.out)
+    if args.out:
+        print(f"# wrote operator spec to {args.out}")
     return failures
 
 
 def cmd_apply(args) -> int:
-    cfg = _config(args)
-    print(cfg.header())
     with open(args.operator) as fh:
         spec = opgen.opspec_from_text(fh.read())
     with open(args.input) as fh:
         f = qexp_from_text(fh.read())
+    print(f"# config: genus={spec.g} weight={_weight_text(spec.a)} trunc={f.trunc}")
     if f.genus != spec.g:
-        print(f"error: operator genus {spec.g} vs input genus {f.genus}",
-              file=sys.stderr)
-        return 2
+        raise ValueError(f"operator genus {spec.g} vs input genus {f.genus}")
     if spec.symbolic:
-        print("error: apply needs an operator built at a numeric weight",
-              file=sys.stderr)
-        return 2
+        raise ValueError("apply needs an operator built at a numeric weight")
     if f.weight != spec.a:
-        print(f"error: operator weight a={spec.a} does not match the input "
-              f"weight {f.weight}", file=sys.stderr)
-        return 2
+        raise ValueError(f"operator weight a={spec.a} does not match the input "
+                         f"weight {f.weight}")
     jet = jet_apply(spec.Q, {h: "F" for h in range(1, spec.g + 1)}, spec.g)
     result = eval_jetpoly(jet, {"F": f}).scale_coeff(Fraction(1, math.factorial(spec.g)))
     print(f"# output weight: {frac_to_text(result.weight)}")
@@ -178,58 +185,48 @@ def cmd_apply(args) -> int:
               f"(lower bound {frac_to_text(spec.g * b_in)})")
         print(f"# output class: {actual}  slope: {frac_to_text(class_slope(actual))}"
               + ("" if actual.delta == cls.delta else "  [exceeds the generic bound]"))
-    _emit(result.to_text(), cfg.out)
+    _emit(result.to_text(), args.out)
     return 0
 
 
 def cmd_theta(args) -> int:
-    cfg = _config(args)
     if args.action == "qexp":
         c = theta.char_from_text(args.char, args.genus)
-        f = theta.theta_qexp(args.genus, c, cfg.trunc)
-        _emit(f.to_text(), cfg.out)
+        f = theta.theta_qexp(args.genus, c, args.trunc)
+        _emit(f.to_text(), args.out)
         if f.label:
             print(f"# {f.label}")
         return 0
-    if args.action == "eval":
-        if args.tau is None:
-            print("error: theta eval needs --tau", file=sys.stderr)
-            return 2
-        c = theta.char_from_text(args.char)
-        tau = _parse_tau(args.tau)
-        z = [complex(v) for v in (args.z.split(",") if args.z else [])] or None
-        val = theta.theta_numeric(c.g, c, tau, z)
-        print(f"{val.real!r} {val.imag!r}")
-        return 0
-    print("error: unknown theta action", file=sys.stderr)
-    return 2
+    tau = _parse_tau(_needed(args.tau, "--tau", "theta eval"))
+    c = theta.char_from_text(args.char)
+    z = [complex(v) for v in (args.z.split(",") if args.z else [])] or None
+    val = theta.theta_numeric(c.g, c, tau, z)
+    print(f"{val.real!r} {val.imag!r}")
+    return 0
 
 
 def cmd_form(args) -> int:
-    cfg = _config(args)
-    name = args.name
+    name, trunc = args.name, args.trunc
     if name == "tnull":
-        f = theta.tnull_qexp(cfg.trunc)
+        f = theta.tnull_qexp(trunc)
     elif name == "tnull-sq":
-        t = theta.tnull_qexp(cfg.trunc)
+        t = theta.tnull_qexp(trunc)
         f = t * t
     elif name == "schottky":
-        f = theta.schottky_qexp(args.genus or 2, cfg.trunc)
+        f = theta.schottky_qexp(args.genus, trunc)
     elif name == "theta8sum":
-        f = theta.theta_pow8_sum(cfg.trunc)
+        f = theta.theta_pow8_sum(trunc)
     elif name in ("eis4", "eis6"):
-        f = brackets.eis1_qexp(4 if name == "eis4" else 6, cfg.trunc)
+        f = brackets.eis1_qexp(4 if name == "eis4" else 6, trunc)
     elif name == "delta":
-        f = brackets.delta1_qexp(cfg.trunc)
+        f = brackets.delta1_qexp(trunc)
     else:
-        print(f"error: unknown form {name!r}", file=sys.stderr)
-        return 2
-    _emit(f.to_text(), cfg.out)
+        raise ValueError(f"unknown form {name!r}")
+    _emit(f.to_text(), args.out)
     return 0
 
 
 def cmd_bracket(args) -> int:
-    cfg = _config(args)
     with open(args.forms[0]) as fh:
         f = qexp_from_text(fh.read())
     with open(args.forms[1]) as fh:
@@ -241,45 +238,54 @@ def cmd_bracket(args) -> int:
     print(f"# scalar bracket: weight {frac_to_text(result.weight)}")
     if not result.is_zero():
         print(f"# boundary order: {frac_to_text(result.fj_order())}")
-    _emit(result.to_text(), cfg.out)
+    _emit(result.to_text(), args.out)
     return 0
 
 
+def _slope_report():
+    """The slope ledger: the table, the operator-output class behind each
+    row, the hyperelliptic thresholds and the genus-4 curve-side pullback."""
+    print(render_table())
+    print("operator-derived classes:")
+    for g, base in ((2, slopes.class_tnull(2)), (3, slopes.class_tnull(3)),
+                    (4, slopes.class_N0prime(4)), (5, slopes.class_N0prime(5)),
+                    (6, slopes.CITED_GENUS6_FORM_CLASS)):
+        out = slopes.class_operator_output(g, base)
+        print(f"  g={g}: {base.label or base} -> {out}  "
+              f"slope {class_slope(out)}  bound {slopes.moving_bound(g, base)}")
+    print("\nhyperelliptic thresholds: "
+          + ", ".join(f"g={g}: {slopes.hyperelliptic_bound(g)}" for g in (3, 4, 5, 6)))
+    pb = slopes.torelli_pullback(slopes.class_operator_output(4, slopes.class_N0prime(4)))
+    print(f"curve-side pullback at g=4: {pb.lam1}L1 - {pb.deltap}D'  "
+          f"slope {pb.slope()}")
+
+
 def cmd_slope(args) -> int:
+    g = args.genus
     if args.action == "table":
         sys.stdout.write(render_table())
-        return 0
-    if args.action == "class":
-        g = args.genus
-        if args.name == "tnull":
+    elif args.action == "report":
+        _slope_report()
+    elif args.action == "class":
+        name = _needed(args.name, "--name", "slope class")
+        if name == "tnull":
             c = slopes.class_tnull(g)
-        elif args.name == "n0prime":
+        elif name == "n0prime":
             c = slopes.class_N0prime(g)
-        elif args.name == "operator-tnull":
-            c = slopes.class_operator_output(g, slopes.class_tnull(g))
         else:
-            print(f"error: unknown class {args.name!r}", file=sys.stderr)
-            return 2
+            c = slopes.class_operator_output(g, slopes.class_tnull(g))
         s = class_slope(c)
         print(f"{c}  slope {frac_to_text(s) if s != slopes.INF else 'infinite'}")
-        return 0
-    if args.action == "bound":
-        g = args.genus
-        if args.hyperelliptic:
-            print(frac_to_text(slopes.hyperelliptic_bound(g)))
-            return 0
-        lam, delta = (Fraction(v) for v in args.cls.split(","))
-        c = make_class(lam, delta)
-        if args.op:
-            # slope of the flagged operator-output class; coincides with the
-            # moving bound exactly when the order lower bound is attained
-            out = slopes.class_operator_output(g, c)
-            print(f"{out}  slope {frac_to_text(class_slope(out))}")
-            return 0
-        print(frac_to_text(slopes.moving_bound(g, c)))
-        return 0
-    print("error: unknown slope action", file=sys.stderr)
-    return 2
+    elif args.hyperelliptic:
+        print(frac_to_text(slopes.hyperelliptic_bound(g)))
+    elif args.op:
+        # slope of the flagged operator-output class; coincides with the
+        # moving bound exactly when the order lower bound is attained
+        out = slopes.class_operator_output(g, _div_class(args.cls))
+        print(f"{out}  slope {frac_to_text(class_slope(out))}")
+    else:
+        print(frac_to_text(slopes.moving_bound(g, _div_class(args.cls))))
+    return 0
 
 
 EXPECTED_TABLE = {
@@ -306,19 +312,20 @@ def _random_z(rng: random.Random, g: int):
 
 
 def cmd_verify(args) -> int:
-    cfg = _config(args)
-    print(cfg.header())
-    rng = random.Random(cfg.seed)
+    a = _weight(args)
+    print(f"# config: genus={args.genus} weight={_weight_text(a)} trunc={args.trunc} "
+          f"seed={args.seed} tol-modularity={args.tol_modularity:g} "
+          f"tol-heat={args.tol_heat:g} tol-zero={args.tol_zero:g}")
+    rng = random.Random(args.seed)
     failures = 0
     what = args.what
 
     if what == "pluriharmonic":
-        a = opgen.symbolic_weight() if cfg.symbolic or cfg.weight is None else cfg.weight
-        spec = opgen.build_Q(cfg.genus, a)
-        failures += _status(f"harmonic-condition g={cfg.genus}",
-                            opgen.verify_harmonic_condition(cfg.genus, a)) != 0
-        failures += _status(f"pluriharmonic g={cfg.genus}",
-                            opgen.verify_pluriharmonic(spec)) != 0
+        failures += _check_operator(args.genus, opgen.symbolic_weight() if a is None else a)[1]
+
+    elif what == "suite":
+        for name, ok in _operator_suite():
+            failures += _status(name, ok)
 
     elif what == "heat":
         for g in (1, 2):
@@ -327,10 +334,10 @@ def cmd_verify(args) -> int:
                 z = _random_z(rng, g)
                 chars = theta.even_chars(g)
                 c = chars[rng.randrange(len(chars))]
-                rep = theta.check_heat(g, c, tau, z, cfg.tol_heat)
+                rep = theta.check_heat(g, c, tau, z, args.tol_heat)
                 failures += _status(f"heat g={g} point {i + 1}",
-                                    rep.max_residual < cfg.tol_heat,
-                                    f"residual {rep.max_residual:.2e}") != 0
+                                    rep.max_residual < args.tol_heat,
+                                    f"residual {rep.max_residual:.2e}")
 
     elif what == "modularity":
         forms = {"T2SQ": theta.form_tnull(2), "D25T2": theta.form_operator_tnull(5)}
@@ -344,41 +351,36 @@ def cmd_verify(args) -> int:
             for i in range(3):
                 tau = _random_tau(rng, 2)
                 for gname, gam in gammas:
-                    rep = theta.check_modularity(form, gam, tau, cfg.tol_modularity)
-                    ok = (not rep.inconclusive) and rep.rel_err < cfg.tol_modularity
+                    rep = theta.check_modularity(form, gam, tau, args.tol_modularity)
+                    ok = (not rep.inconclusive) and rep.rel_err < args.tol_modularity
                     failures += _status(f"modularity {name} {gname} point {i + 1}",
-                                        ok, f"rel {rep.rel_err:.2e}") != 0
+                                        ok, f"rel {rep.rel_err:.2e}")
 
     elif what == "cond":
         taus = [args.tau] if args.tau else ["diag:1.1,1.7", "diag:0.9,1.45"]
         for spec_txt in taus:
             tau = _parse_tau(spec_txt)
             try:
-                rep = theta.check_condition_star(tau, cfg.tol_zero)
+                rep = theta.check_condition_star(tau, args.tol_zero)
             except ValueError as exc:
-                failures += _status(f"gradient determinant at {spec_txt}", False,
-                                    str(exc)) != 0
+                failures += _status(f"gradient determinant at {spec_txt}", False, str(exc))
                 continue
             failures += _status(f"gradient determinant at {spec_txt}",
                                 abs(rep.det_value) > 1e-6,
-                                f"|det| {abs(rep.det_value):.2e}") != 0
+                                f"|det| {abs(rep.det_value):.2e}")
 
     elif what == "schottky-vanishing":
-        failures += _status(f"genus-2 vanishing at trunc {cfg.trunc}",
-                            theta.schottky_qexp(2, cfg.trunc).is_zero()) != 0
-        failures += _status(f"genus-1 vanishing at trunc {cfg.trunc}",
-                            theta.schottky_qexp(1, cfg.trunc).is_zero()) != 0
+        failures += _status(f"genus-2 vanishing at trunc {args.trunc}",
+                            theta.schottky_qexp(2, args.trunc).is_zero())
+        failures += _status(f"genus-1 vanishing at trunc {args.trunc}",
+                            theta.schottky_qexp(1, args.trunc).is_zero())
 
-    elif what == "table":
+    else:  # table
         for row in slopes.known_slopes_table():
             want = EXPECTED_TABLE[row.genus]
             got = (row.eff.render(), row.mov.render())
-            failures += _status(f"table row g={row.genus}", got == want,
-                                f"{got}") != 0
+            failures += _status(f"table row g={row.genus}", got == want, f"{got}")
 
-    else:
-        print(f"error: unknown verification {what!r}", file=sys.stderr)
-        return 2
     print(f"# {failures} failure(s)")
     return failures
 
@@ -387,26 +389,25 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="siegelops")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--trunc", type=int)
-        sp.add_argument("--seed", type=int)
-        sp.add_argument("--tol-modularity", dest="tol_modularity", type=float)
-        sp.add_argument("--tol-heat", dest="tol_heat", type=float)
-        sp.add_argument("--tol-zero", dest="tol_zero", type=float)
-        sp.add_argument("--out")
+    def weight_options(sp, required: bool):
+        group = sp.add_mutually_exclusive_group(required=required)
+        group.add_argument("--symbolic", action="store_true")
+        group.add_argument("--weight")
+
+    def trunc_option(sp):
+        sp.add_argument("--trunc", type=_truncation, default=48)
 
     sp = sub.add_parser("opgen", help="build the operator polynomial and verify it")
     sp.add_argument("--genus", type=int, required=True)
-    sp.add_argument("--symbolic", action="store_true")
-    sp.add_argument("--weight")
+    weight_options(sp, required=True)
     sp.add_argument("--oracle-x", dest="oracle_x", action="store_true")
-    common(sp)
+    sp.add_argument("--out")
     sp.set_defaults(fn=cmd_opgen)
 
     sp = sub.add_parser("apply", help="apply a built operator to an expansion")
     sp.add_argument("--operator", required=True)
     sp.add_argument("--input", required=True)
-    common(sp)
+    sp.add_argument("--out")
     sp.set_defaults(fn=cmd_apply)
 
     sp = sub.add_parser("theta", help="theta-constant expansions and values")
@@ -415,41 +416,46 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--char", required=True)
     sp.add_argument("--tau")
     sp.add_argument("--z")
-    common(sp)
+    trunc_option(sp)
+    sp.add_argument("--out")
     sp.set_defaults(fn=cmd_theta)
 
     sp = sub.add_parser("form", help="write a named form as an SMF1 expansion")
     sp.add_argument("--name", required=True)
-    sp.add_argument("--genus", type=int)
-    common(sp)
+    sp.add_argument("--genus", type=int, default=2)
+    trunc_option(sp)
+    sp.add_argument("--out")
     sp.set_defaults(fn=cmd_form)
 
     sp = sub.add_parser("bracket", help="scalar bracket of two expansions")
     sp.add_argument("--scalar", dest="forms", nargs=2, required=True,
                     metavar=("F.smf", "G.smf"))
     sp.add_argument("--weights", nargs=2)
-    common(sp)
+    sp.add_argument("--out")
     sp.set_defaults(fn=cmd_bracket)
 
-    sp = sub.add_parser("slope", help="divisor classes, slopes, and the table")
-    sp.add_argument("action", choices=["table", "class", "bound"])
-    sp.add_argument("--name")
+    sp = sub.add_parser("slope", help="divisor classes, slopes, the table and the report")
+    sp.add_argument("action", choices=["table", "report", "class", "bound"])
+    sp.add_argument("--name", choices=["tnull", "n0prime", "operator-tnull"])
     sp.add_argument("--genus", type=int, default=2)
     sp.add_argument("--cls")
     sp.add_argument("--op", action="store_true")
     sp.add_argument("--hyperelliptic", action="store_true")
-    common(sp)
     sp.set_defaults(fn=cmd_slope)
 
     sp = sub.add_parser("verify", help="run a named verification suite")
-    sp.add_argument("what", choices=["pluriharmonic", "heat", "modularity",
+    sp.add_argument("what", choices=["pluriharmonic", "suite", "heat", "modularity",
                                      "cond", "schottky-vanishing", "table"])
-    sp.add_argument("--genus", type=int)
-    sp.add_argument("--symbolic", action="store_true")
-    sp.add_argument("--weight")
+    sp.add_argument("--genus", type=int, default=2)
+    weight_options(sp, required=False)
     sp.add_argument("--form", choices=["T2SQ", "D25T2"])
     sp.add_argument("--tau")
-    common(sp)
+    trunc_option(sp)
+    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--tol-modularity", dest="tol_modularity", type=float,
+                    default=theta.TOL_MODULARITY)
+    sp.add_argument("--tol-heat", dest="tol_heat", type=float, default=theta.TOL_HEAT)
+    sp.add_argument("--tol-zero", dest="tol_zero", type=float, default=theta.TOL_ZERO)
     sp.set_defaults(fn=cmd_verify)
 
     return p

@@ -70,8 +70,8 @@ from fractions import Fraction
 
 from .poly import (MultiPoly, _packing, _poly_from_lines, coeff_R, index_set_N,
                    index_set_Nprime, minor_coeff_R, poly_to_text, r_var, x_var)
-from .scalars import (RatFunc, _accumulate, _pdivmod, _pgcd, _pmul, frac_to_text,
-                      scalar_from_text, scalar_to_text)
+from .scalars import (RatFunc, _accumulate, _line_reader, _pdivmod, _pgcd, _pmul,
+                      _unpack, frac_to_text, scalar_from_text, scalar_to_text)
 
 SECOND_ORDER_FACTOR = 2
 
@@ -165,19 +165,6 @@ def build_Q(g: int, a) -> OperatorSpec:
 # -- the integer D_{h;11} kernel (see "Integer proof" above) -----------------
 
 _MAX_EXP = 14  # a move raises one exponent by 1, and a nibble holds 15
-
-
-def _unpack(v: int, s: int) -> tuple:
-    """The balanced base-2^s digits of v, low first: the integer polynomial
-    R with R(2^s) = v, when every coefficient of R is below 2^(s-1) in size."""
-    digits, half, mask = [], 1 << s - 1, (1 << s) - 1
-    while v:
-        d = v & mask
-        if d >= half:
-            d -= 1 << s
-        digits.append(d)
-        v = (v - d) >> s
-    return tuple(digits)
 
 
 def _integer_poly(polys: list) -> tuple[int, list]:
@@ -278,12 +265,18 @@ class _IntegerForm:
         return [(delta, mult) for delta, mult in acc.items() if mult]
 
     def to_poly(self, residual: dict) -> MultiPoly:
-        """A kernel residual divided back into the field of p and k."""
+        """A kernel residual divided back into the field of p and k; in Q(a)
+        a value R(2^S) is read as R's balanced base-2^S digits."""
         out = {}
         for key, v in residual.items():
-            if v:
-                out[self.decode(key)] = (RatFunc(_unpack(v, self.s), self.den)
-                                         if self.field == "Qa" else Fraction(v) / self.den[0])
+            if not v:
+                continue
+            if self.field == "Q":
+                out[self.decode(key)] = Fraction(v) / self.den[0]
+            else:
+                digits = dict(_unpack(v, self.s))
+                num = [digits.get(j, 0) for j in range(max(digits) + 1)]
+                out[self.decode(key)] = RatFunc(num, self.den)
         return MultiPoly(out, self.field)
 
 
@@ -424,19 +417,7 @@ def opspec_to_text(spec: OperatorSpec) -> str:
 def opspec_from_text(text: str) -> OperatorSpec:
     """Read an OPSPEC1 file; a malformed file raises ValueError naming its line."""
     lines = text.splitlines()
-
-    def fail(idx: int, msg: str):
-        raise ValueError(f"OPSPEC1 line {idx + 1}: {msg}")
-
-    def value(idx: int, key: str, conv=str):
-        parts = lines[idx].split() if idx < len(lines) else []
-        if len(parts) != 2 or parts[0] != key:
-            fail(idx, f"expected '{key} <value>', found {' '.join(parts)!r}")
-        try:
-            return conv(parts[1])
-        except (ValueError, ZeroDivisionError):
-            fail(idx, f"bad {key} value {parts[1]!r}")
-
+    fail, value = _line_reader(lines, "OPSPEC1")
     if not lines or lines[0].strip() != "OPSPEC1":
         fail(0, "not an OPSPEC1 block")
     g = value(1, "genus", int)

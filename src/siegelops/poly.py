@@ -44,7 +44,8 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
-from .scalars import RatFunc, _accumulate, _binpow, scalar_from_text, scalar_to_text
+from .scalars import (RatFunc, _accumulate, _binpow, _line_reader, scalar_from_text,
+                      scalar_to_text)
 
 VarId = tuple
 Mono = tuple  # tuple of (VarId, exponent) pairs, sorted by _var_key
@@ -518,10 +519,7 @@ def _poly_from_lines(lines: list, start: int, fmt: str, variables=None) -> Multi
     line (1-based within lines) and the format being read (fmt).  Every
     coefficient must belong to the declared field, and, when variables is
     given, every variable to that set."""
-
-    def fail(idx: int, msg: str):
-        raise ValueError(f"{fmt} line {idx + 1}: {msg}")
-
+    fail, _ = _line_reader(lines, fmt)
     if start >= len(lines):
         fail(start, "missing POLY1 header")
     head = lines[start].split()

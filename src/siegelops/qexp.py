@@ -50,7 +50,8 @@ from math import gcd, lcm
 from operator import itemgetter
 
 from .jets import JetPoly
-from .scalars import RatFunc, _accumulate, _binpow, frac_from_text, frac_to_text
+from .scalars import (RatFunc, _accumulate, _binpow, _line_reader, _pack, _unpack,
+                      frac_from_text, frac_to_text)
 
 SCALE = 8
 DEFAULT_TRUNC = 48
@@ -70,37 +71,6 @@ def _slot_width(ca: dict, cb: dict) -> int:
     return (max(map(abs, ca.values())).bit_length()
             + max(map(abs, cb.values())).bit_length()
             + min(len(ca), len(cb)).bit_length() + 2)
-
-
-def _pack(row: list, S: int) -> tuple[int, int]:
-    """(lowest slot, packed integer) of a row of distinct (slot, coefficient)."""
-    row.sort(reverse=True)
-    P = 0
-    prev = row[0][0]
-    for i, c in row:
-        P = (P << (S * (prev - i))) + c
-        prev = i
-    return prev, P
-
-
-def _unpack(P: int, S: int, slots: int | None = None) -> list:
-    """The nonzero signed S-bit digits of P as (slot, digit), lowest first;
-    only the lowest `slots` slots when given (they do not depend on the rest)."""
-    mask = (1 << S) - 1
-    half = 1 << (S - 1)
-    full = 1 << S
-    out = []
-    k = 0
-    while P and k != slots:
-        r = P & mask
-        P >>= S
-        if r:
-            if r >= half:
-                r -= full
-                P += 1
-            out.append((k, r))
-        k += 1
-    return out
 
 
 def _stride(*cols) -> int:
@@ -457,19 +427,7 @@ def _smf1_from_text(text: str, genus: int):
     """Read an SMF1 block of the given genus; a malformed block raises
     ValueError naming its line."""
     lines = text.splitlines()
-
-    def fail(idx: int, msg: str):
-        raise ValueError(f"SMF1 line {idx + 1}: {msg}")
-
-    def value(idx: int, key: str, conv):
-        parts = lines[idx].split() if idx < len(lines) else []
-        if len(parts) != 2 or parts[0] != key:
-            fail(idx, f"expected '{key} <value>', found {' '.join(parts)!r}")
-        try:
-            return conv(parts[1])
-        except (ValueError, ZeroDivisionError):
-            fail(idx, f"bad {key} value {parts[1]!r}")
-
+    fail, value = _line_reader(lines, "SMF1")
     if not lines or lines[0].strip() != "SMF1":
         fail(0, "not an SMF1 block")
     g = value(1, "genus", int)

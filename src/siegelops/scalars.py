@@ -138,6 +138,42 @@ def _accumulate(terms: dict, m, c):
         del terms[m]
 
 
+# Kronecker substitution: integers as the signed S-bit digits of one integer.
+# The expansion product kernels of qexp and the integer D_{h;11} kernel of
+# opgen decode with the same _unpack.
+
+
+def _pack(row: list, S: int) -> tuple[int, int]:
+    """(lowest slot, packed integer) of a row of distinct (slot, coefficient)."""
+    row.sort(reverse=True)
+    P = 0
+    prev = row[0][0]
+    for i, c in row:
+        P = (P << (S * (prev - i))) + c
+        prev = i
+    return prev, P
+
+
+def _unpack(P: int, S: int, slots: int | None = None) -> list:
+    """The nonzero signed S-bit digits of P as (slot, digit), lowest first;
+    only the lowest `slots` slots when given (they do not depend on the rest)."""
+    mask = (1 << S) - 1
+    half = 1 << (S - 1)
+    full = 1 << S
+    out = []
+    k = 0
+    while P and k != slots:
+        r = P & mask
+        P >>= S
+        if r:
+            if r >= half:
+                r -= full
+                P += 1
+            out.append((k, r))
+        k += 1
+    return out
+
+
 class RatFunc:
     """An element of Q(a), kept in canonical reduced/monic form."""
 
@@ -336,3 +372,23 @@ def scalar_from_text(s: str, field: str):
     if (";" in s) != (field == "Qa"):
         raise ValueError(f"{s!r} is not a coefficient of field {field}")
     return ratfunc_from_text(s) if field == "Qa" else frac_from_text(s)
+
+
+def _line_reader(lines: list, fmt: str):
+    """(fail, value) for the parsers of the text formats.  fail(idx, msg)
+    raises ValueError naming line idx + 1 of a fmt block; value(idx, key,
+    conv) reads the header line 'key <value>' at idx through conv."""
+
+    def fail(idx: int, msg: str):
+        raise ValueError(f"{fmt} line {idx + 1}: {msg}")
+
+    def value(idx: int, key: str, conv=str):
+        parts = lines[idx].split() if idx < len(lines) else []
+        if len(parts) != 2 or parts[0] != key:
+            fail(idx, f"expected '{key} <value>', found {' '.join(parts)!r}")
+        try:
+            return conv(parts[1])
+        except (ValueError, ZeroDivisionError):
+            fail(idx, f"bad {key} value {parts[1]!r}")
+
+    return fail, value

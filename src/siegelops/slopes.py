@@ -68,12 +68,18 @@ def class_N0prime(g: int) -> DivClass:
     return DivClass(lam, delta, label=f"N0' g={g}")
 
 
+def _check_genus(g: int):
+    if g < 1:
+        raise ValueError(f"genus must be >= 1, found {g}")
+
+
 def class_operator_output(g: int, c: DivClass) -> DivClass:
     """Class of the degree-g operator output: (g a + 2) lambda - (g b) delta.
 
     The boundary coefficient is a lower bound on the true vanishing order and
     the result is flagged accordingly.
     """
+    _check_genus(g)
     return DivClass(g * c.lam + 2, g * c.delta,
                     label=f"operator output of ({c.label or c})",
                     delta_lower_bound=True)
@@ -81,6 +87,7 @@ def class_operator_output(g: int, c: DivClass) -> DivClass:
 
 def moving_bound(g: int, c: DivClass) -> Fraction:
     """Moving-slope upper bound a/b + 2/(b g) from a class a*lambda - b*delta."""
+    _check_genus(g)
     if c.delta <= 0:
         raise ValueError("the bound needs a boundary-vanishing class")
     return c.lam / c.delta + Fraction(2) / (c.delta * g)

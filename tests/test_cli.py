@@ -245,3 +245,162 @@ def test_theta_eval_with_short_z_is_a_clean_error(capsys):
                                "--z", "0.1"], capsys)
     assert code == 2
     assert err.startswith("error: z ") and "Traceback" not in err
+
+
+# -- the option surface and the commands that replaced the experiment scripts --
+
+import argparse
+import shlex
+from pathlib import Path
+
+import pytest
+
+from siegelops.cli import build_parser
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+OPTIONS = {
+    "opgen": {"genus", "symbolic", "weight", "oracle-x", "out"},
+    "apply": {"operator", "input", "out"},
+    "theta": {"genus", "char", "tau", "z", "trunc", "out"},
+    "form": {"name", "genus", "trunc", "out"},
+    "bracket": {"scalar", "weights", "out"},
+    "slope": {"name", "genus", "cls", "op", "hyperelliptic"},
+    "verify": {"genus", "symbolic", "weight", "form", "tau", "trunc", "seed",
+               "tol-modularity", "tol-heat", "tol-zero"},
+}
+
+
+def _subparsers():
+    action = next(a for a in build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def test_each_subcommand_takes_only_the_options_it_reads():
+    found = {name: {a.option_strings[-1][2:] for a in sp._actions
+                    if a.option_strings and a.dest != "help"}
+             for name, sp in _subparsers().items()}
+    assert found == OPTIONS
+    assert sum(map(len, found.values())) == 36
+
+
+def expect_usage_error(argv, capsys, *words):
+    """argv is rejected by the parser: exit status 2, and the message names
+    every one of words."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == 2 and "Traceback" not in err
+    assert all(w in err for w in words), err
+
+
+@pytest.mark.parametrize("argv", [
+    ["opgen", "--genus", "2", "--weight", "1", "--seed", "1"],
+    ["apply", "--operator", "q.opspec", "--input", "t.smf", "--trunc", "16"],
+    ["slope", "table", "--out", "x"],
+    ["bracket", "--scalar", "a.smf", "b.smf", "--tol-heat", "1"],
+])
+def test_removed_options_are_rejected(argv, capsys):
+    expect_usage_error(argv, capsys, "unrecognized arguments", argv[-2])
+
+
+def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):
+    """Every 'siegelops ...' line of the README's command block exits 0,
+    run in order in one directory (later lines read earlier files)."""
+    text = README.read_text()
+    block = next(b for b in text.split("```")[1::2] if "siegelops opgen" in b)
+    lines = [ln for ln in block.splitlines() if ln.startswith("siegelops ")]
+    assert len(lines) >= 15
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        assert main(shlex.split(line, comments=True)[1:]) == 0, line
+        capsys.readouterr()
+
+
+def test_slope_report_is_pinned(capsys):
+    code, out = run_cli(["slope", "report"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "8bd91a20f16a81442591ebedeafc3f0d56505c769f36ce7d798aad1c009fe517")
+
+
+def test_verify_suite_runs_the_operator_sweep(capsys):
+    code, out = run_cli(["verify", "suite"], capsys)
+    lines = out.splitlines()
+    assert code == 0
+    assert lines[0].startswith("# config: genus=2 weight=- trunc=48 seed=0")
+    assert lines[1:] == (
+        [f"PASS  coefficient condition, genus {g} (symbolic)" for g in range(2, 7)]
+        + [f"PASS  second-order verifier, genus {g} (symbolic)" for g in (2, 3, 4)]
+        + [f"PASS  second-order verifier, genus 5, weight {w}" for w in (3, 108)]
+        + [f"PASS  matrix-space oracle, genus 2, weight {w}" for w in (1, 2)]
+        + ["PASS  mis-normalized control fails (factor 1)", "# 0 failure(s)"])
+
+
+def test_opgen_and_apply_headers_show_what_they_read(tmp_path, capsys):
+    op_file, t_file = tmp_path / "q.opspec", tmp_path / "t.smf"
+    _, out = run_cli(["opgen", "--genus", "2", "--weight", "5", "--out", str(op_file)],
+                     capsys)
+    assert out.splitlines()[0] == "# config: genus=2 weight=5"
+    _, out = run_cli(["opgen", "--genus", "2", "--symbolic"], capsys)
+    assert out.splitlines()[0] == "# config: genus=2 weight=a (symbolic)"
+    run_cli(["form", "--name", "tnull", "--trunc", "24", "--out", str(t_file)], capsys)
+    _, out = run_cli(["apply", "--operator", str(op_file), "--input", str(t_file)], capsys)
+    assert out.splitlines()[0] == "# config: genus=2 weight=5 trunc=24"
+
+
+@pytest.mark.parametrize("argv", [
+    ["slope", "bound", "--genus", "5"],
+    ["slope", "bound", "--op", "--genus", "4"],
+])
+def test_slope_bound_without_cls_is_a_clean_error(argv, capsys):
+    code, err = run_cli_error(argv, capsys)
+    assert code == 2
+    assert err == "error: slope bound needs --cls LAMBDA,DELTA\n"
+
+
+@pytest.mark.parametrize("cls", ["1", "1,2,3", "a,1"])
+def test_slope_bound_with_a_bad_cls_names_it(cls, capsys):
+    code, err = run_cli_error(["slope", "bound", "--genus", "5", "--cls", cls], capsys)
+    assert code == 2
+    assert err.startswith("error: --cls ") and "Traceback" not in err
+
+
+def test_slope_class_without_name_is_a_clean_error(capsys):
+    code, err = run_cli_error(["slope", "class", "--genus", "3"], capsys)
+    assert code == 2
+    assert err == "error: slope class needs --name\n"
+
+
+@pytest.mark.parametrize("command", ["opgen", "verify"])
+def test_symbolic_and_weight_are_exclusive(command, capsys):
+    argv = ([command, "--genus", "2"] if command == "opgen"
+            else [command, "pluriharmonic"]) + ["--symbolic", "--weight", "5"]
+    expect_usage_error(argv, capsys, "--weight", "--symbolic")
+
+
+def test_opgen_needs_a_weight(capsys):
+    expect_usage_error(["opgen", "--genus", "2"], capsys, "--symbolic", "--weight")
+
+
+@pytest.mark.parametrize("argv", [
+    ["form", "--name", "tnull", "--trunc", "-5"],
+    ["theta", "qexp", "--char", "00,00", "--trunc", "-1"],
+    ["verify", "schottky-vanishing", "--trunc", "-8"],
+    ["form", "--name", "eis4", "--trunc", "-8"],
+    ["form", "--name", "eis4", "--trunc", "x"],
+])
+def test_negative_trunc_is_rejected(argv, capsys):
+    expect_usage_error(argv, capsys, "--trunc", f"'{argv[-1]}' is not a nonnegative integer")
+
+
+@pytest.mark.parametrize("argv", [
+    ["slope", "bound", "--genus", "0", "--cls", "12,1"],
+    ["slope", "bound", "--op", "--genus", "0", "--cls", "12,1"],
+    ["slope", "bound", "--genus", "-3", "--cls", "12,1"],
+])
+def test_slope_bound_below_genus_1_is_a_clean_error(argv, capsys):
+    code, err = run_cli_error(argv, capsys)
+    assert code == 2
+    assert err == f"error: genus must be >= 1, found {argv[-3]}\n"

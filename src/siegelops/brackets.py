@@ -19,6 +19,8 @@ boundary orders or slopes.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 
 from .jets import JetPoly, jet_diff
 from .poly import _signed_pairings
@@ -46,32 +48,32 @@ def vector_bracket_jet(f, k, g_form, h, genus: int) -> list[list[JetPoly]]:
     """The bracket matrix on jets; weights may be numbers or weight symbols."""
     f, g_form = _as_jet(f), _as_jet(g_form)
     k, h = _as_jet(k), _as_jet(h)
-    rows = []
-    for i in range(1, genus + 1):
-        row = []
-        for j in range(1, genus + 1):
-            if j < i:
-                row.append(rows[j - 1][i - 1])
-                continue
-            row.append(h * g_form * jet_diff(f, i, j) - k * f * jet_diff(g_form, i, j))
-        rows.append(row)
-    return rows
+    return _symmetric(genus, lambda i, j: h * g_form * jet_diff(f, i, j)
+                      - k * f * jet_diff(g_form, i, j))
 
 
-def _jet_det(matrix: list[list[JetPoly]]) -> JetPoly:
+def _symmetric(genus: int, entry) -> list[list]:
+    """The symmetric matrix with entry(i, j) at 1 <= i <= j <= genus."""
+    upper = {(i, j): entry(i, j) for i in range(1, genus + 1) for j in range(i, genus + 1)}
+    return [[upper[min(i, j), max(i, j)] for j in range(1, genus + 1)]
+            for i in range(1, genus + 1)]
+
+
+def _det(matrix: list[list]):
+    """The Leibniz determinant of a square matrix of jets or expansions:
+    multiply the entries of each pairing, negate the odd terms, then sum."""
     n = len(matrix)
-    out = JetPoly.zero(matrix[0][0].field)
+    total = None
     for sign, pairing in _signed_pairings(range(n), range(n)):
-        term = JetPoly.const(sign, matrix[0][0].field)
-        for i, j in pairing:
-            term = term * matrix[i][j]
-        out = out + term
-    return out
+        term = reduce(mul, [matrix[i][j] for i, j in pairing])
+        term = term if sign > 0 else -term
+        total = term if total is None else total + term
+    return total
 
 
 def scalar_bracket_jet(f, k, g_form, h, genus: int) -> JetPoly:
     """det of the vector bracket as a jet polynomial."""
-    return _jet_det(vector_bracket_jet(f, k, g_form, h, genus))
+    return _det(vector_bracket_jet(f, k, g_form, h, genus))
 
 
 def vector_bracket_q(f, g_form) -> list[list]:
@@ -81,28 +83,14 @@ def vector_bracket_q(f, g_form) -> list[list]:
     k, h = f.weight, g_form.weight
     genus = f.genus
     entry_weight = k + h + Fraction(2, genus)
-    rows = []
-    for i in range(1, genus + 1):
-        row = []
-        for j in range(1, genus + 1):
-            if j < i:
-                row.append(rows[j - 1][i - 1])
-                continue
-            e = g_form.scale_coeff(h) * f.q_diff(i, j) - f.scale_coeff(k) * g_form.q_diff(i, j)
-            row.append(e.with_weight(entry_weight))
-        rows.append(row)
-    return rows
+    return _symmetric(genus, lambda i, j: (g_form.scale_coeff(h) * f.q_diff(i, j)
+                                           - f.scale_coeff(k) * g_form.q_diff(i, j))
+                      .with_weight(entry_weight))
 
 
 def scalar_bracket_q(f, g_form):
     """det of the bracket matrix; weight g(k+h) + 2, always boundary-vanishing."""
-    m = vector_bracket_q(f, g_form)
-    genus = f.genus
-    if genus == 1:
-        return m[0][0]
-    if genus == 2:
-        return m[0][0] * m[1][1] - m[0][1] * m[0][1]
-    raise ValueError("expansion brackets are implemented for genus 1 and 2")
+    return _det(vector_bracket_q(f, g_form))
 
 
 def sigma_power_sum(power: int, n: int) -> int:
@@ -117,9 +105,9 @@ def eis1_qexp(weight: int, trunc: int = DEFAULT_TRUNC) -> QExp1:
         const, power = -504, 5
     else:
         raise ValueError("only weights 4 and 6 are provided")
-    terms = {0: Fraction(1)}
+    terms = {(0,): Fraction(1)}
     for n in range(1, trunc // QExp1.scale + 1):
-        terms[n * QExp1.scale] = Fraction(const * sigma_power_sum(power, n))
+        terms[(n * QExp1.scale,)] = Fraction(const * sigma_power_sum(power, n))
     return QExp1(terms, Fraction(weight), trunc)
 
 

@@ -190,15 +190,17 @@ def cmd_apply(args) -> int:
 
 
 def cmd_theta(args) -> int:
+    c = theta.char_from_text(args.char)
+    if args.genus not in (None, c.g):
+        raise ValueError(f"--genus {args.genus} disagrees with --char {args.char!r} "
+                         f"of genus {c.g}")
     if args.action == "qexp":
-        c = theta.char_from_text(args.char, args.genus)
-        f = theta.theta_qexp(args.genus, c, args.trunc)
+        f = theta.theta_qexp(c.g, c, args.trunc)
         _emit(f.to_text(), args.out)
         if f.label:
             print(f"# {f.label}")
         return 0
     tau = _parse_tau(_needed(args.tau, "--tau", "theta eval"))
-    c = theta.char_from_text(args.char)
     z = [complex(v) for v in (args.z.split(",") if args.z else [])] or None
     val = theta.theta_numeric(c.g, c, tau, z)
     print(f"{val.real!r} {val.imag!r}")
@@ -412,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("theta", help="theta-constant expansions and values")
     sp.add_argument("action", choices=["qexp", "eval"])
-    sp.add_argument("--genus", type=int, default=2)
+    sp.add_argument("--genus", type=int)  # defaults to the genus of --char
     sp.add_argument("--char", required=True)
     sp.add_argument("--tau")
     sp.add_argument("--z")

@@ -1,45 +1,43 @@
-"""Truncated Fourier expansions of genus-1 and genus-2 forms, exact arithmetic.
+"""Truncated Fourier expansions of genus-g forms, exact arithmetic.
 
-QExp2 (genus 2) and QExp1 (genus 1) are thin subclasses of one private base,
-_Expansion, which holds the constructor and its term check, the ring
-operations, scaling, truncation, equality, the boundary order and the SMF1
-header.  A subclass gives only what depends on its exponent key: the key's
-truncation weight, its term check, its product kernel, differentiation and
-its SMF1 term lines.
+One private class, _Expansion, holds every piece that depends on the
+exponent key: the term check, the ring operations and their product kernel,
+truncation, differentiation, the boundary order and the SMF1 codec.  QExp1
+and QExp2 are its genus-1 and genus-2 cases.
 
-Genus-2 expansions live on an integer exponent lattice: writing the period
-matrix in block coordinates with q1 = exp(2 pi i tau11), zeta = exp(2 pi i
-tau12), q2 = exp(2 pi i tau22), every theta-constant exponent lies in
-(1/8)Z x (1/4)Z x (1/8)Z, so all three exponents are scaled by a global
-factor of 8 and stored as integers (alpha, beta, gamma).  Invariants:
+Keys.  A term c * exp(2 pi i sum_{i<=j} T_ij tau_ij / 8) is stored under its
+g(g+1)/2 scaled exponents T_ij (i <= j), row by row: (alpha, beta, gamma) =
+(T_11, T_12, T_22) at genus 2 and (n,) at genus 1.  Theta-constant exponents
+lie in (1/8)Z on the diagonal and (1/4)Z off it, so the factor 8 makes every
+key integral.  The public constructor and the SMF1 reader check each term,
+and ring operations keep the invariants, so their results skip the check:
 
-  * alpha >= 0, gamma >= 0 and alpha + gamma <= trunc for every stored term;
-  * beta^2 <= 4 alpha gamma (positive semidefiniteness of the exponent
-    form, preserved under multiplication);
+  * every diagonal T_ii >= 0, and the weight T_11 + ... + T_gg <= trunc;
+  * beta^2 <= 4 alpha gamma for each off-diagonal beta = T_ij, with
+    alpha = T_ii and gamma = T_jj (positive semidefiniteness, preserved
+    under multiplication);
   * no zero coefficients; coefficients are exact rationals.
 
-Truncation by the scaled weight alpha + gamma is a ring congruence, so every
-computed coefficient inside the window is exact.
+Truncation by the weight is a ring congruence, so every computed
+coefficient inside the window is exact.  Differentiation is normalized: the
+operator per index pair is (1/(2 pi i)) (1+delta_ij)/2 d/dtau_ij, so a term
+picks up T_ij/8 on the diagonal and T_ij/16 off it; the stripped power of
+2 pi i is tracked in tau_factor so numeric cross-checks can reinstate it.
 
-Differentiation is normalized: the operator stored per index pair is
-(1/(2 pi i)) (1+delta_ij)/2 d/dtau_ij, which keeps all coefficients rational;
-the stripped power of 2 pi i is tracked in the tau_factor field so numeric
-cross-checks can reinstate it.
-
-Products use Kronecker substitution along beta.  The kernel clears each
-operand's denominators, groups its terms by (alpha, gamma) and packs each
-group's beta-row into one integer, one slot of S bits per step of the stride
-s (the gcd of the beta differences of both operands; 8 for theta constants,
-which makes their rows dense).  Multiplying two packed rows convolves them;
-every group pair whose weights sum to at most trunc adds its product into
-the output group (alpha1 + alpha2, gamma1 + gamma2).  A coefficient of the
-product is a sum of at most min(len a, len b) terms, each at most
-max|a| * max|b| in size, so S = bits(max|a|) + bits(max|b|) +
-bits(min(len a, len b)) + 2 holds every output digit with its sign for any
-input, and each output integer is decoded once with signed digits (take the
-low S bits r; if r >= 2^(S-1), the digit is r - 2^S and it borrows one from
-the rest).  Genus-1 products use the same packing with the whole series as
-one row along n, and decoding stops at the truncation.
+Products use one Kronecker-substitution kernel.  It clears each operand's
+denominators, groups its terms by all key entries but the packed one (the
+last off-diagonal T_{g-1,g}, beta at genus 2; n at genus 1) and packs each
+group's row into one integer, one slot of S bits per step of the stride s
+(the gcd of the packed entries' differences; 8 for theta constants, which
+makes their rows dense).  Multiplying two packed rows convolves them; every
+group pair whose weights sum to at most trunc adds its product into the
+output group.  A product coefficient sums at most min(len a, len b) terms,
+each at most max|a| * max|b|, so S = bits(max|a|) + bits(max|b|) +
+bits(min(len a, len b)) + 2 holds every output digit with its sign, and each
+output integer is decoded once with signed digits (take the low S bits r; if
+r >= 2^(S-1), the digit is r - 2^S and it borrows one from the rest).  At
+genus 1 the packed entry is the weight itself: the series is one row, and
+decoding stops at the truncation.
 """
 
 from __future__ import annotations
@@ -47,7 +45,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from fractions import Fraction
 from math import gcd, lcm
-from operator import itemgetter
+from operator import add, itemgetter
 
 from .jets import JetPoly
 from .scalars import (RatFunc, _accumulate, _binpow, _line_reader, _pack, _unpack,
@@ -57,13 +55,61 @@ SCALE = 8
 DEFAULT_TRUNC = 48
 
 
-def _cleared(terms: dict, keep) -> tuple[int, dict]:
-    """(common denominator d, {key: d * coefficient}) over the kept keys."""
-    terms = {k: c for k, c in terms.items() if keep(k)}
-    den = lcm(*[c.denominator for c in terms.values()]) if terms else 1
+class _Layout:
+    """Where each T_ij sits in a genus-g key: pairs lists the (i, j) of the
+    entries in key order, diag(key) gives the diagonal entries (their sum is
+    the weight), off holds (n, ii, jj) per off-diagonal entry n and its two
+    diagonal partners; the kernel packs along entry pack and groups by
+    rest(key), whose diagonal entries sit at rest_diag."""
+
+    def __init__(self, g: int):
+        self.genus = g
+        self.pairs = pairs = [(i, j) for i in range(1, g + 1) for j in range(i, g + 1)]
+        at = {p: n for n, p in enumerate(pairs)}
+        self.off = [(at[i, j], at[i, i], at[j, j]) for i, j in pairs if i < j]
+        self.pack = self.off[-1][0] if self.off else 0
+        others = [n for n in range(len(pairs)) if n != self.pack]
+        self.rest_diag = [m for m, n in enumerate(others) if pairs[n][0] == pairs[n][1]]
+        # a genus-1 key is all diagonal, and nothing is left beside its packed entry
+        self.diag = itemgetter(*(at[i, i] for i in range(1, g + 1))) if g > 1 else tuple
+        self.rest = itemgetter(*others) if g > 1 else (lambda k: ())
+
+    def fault(self, k, trunc: int) -> str | None:
+        """Why k cannot be a key of an expansion truncated at trunc, if so."""
+        if (type(k) is not tuple or len(k) != len(self.pairs)
+                or not all(type(v) is int for v in k)):
+            return f"key {k!r} is not a genus-{self.genus} key of {len(self.pairs)} integers"
+        d = self.diag(k)
+        if min(d) < 0:
+            return f"negative diagonal exponent in term {k}"
+        if sum(d) > trunc:
+            return f"term {k} exceeds truncation {trunc}"
+        for n, i, j in self.off:
+            if k[n] * k[n] > 4 * k[i] * k[j]:
+                return f"term {k} violates beta^2 <= 4*alpha*gamma"
+        return None
+
+
+def _rows(terms: dict, trunc: int, lay: _Layout) -> tuple[int, dict, dict]:
+    """Over the terms within the truncation: the common denominator d,
+    {key: d * coefficient}, and the keys grouped by their rest, the key
+    without its packed entry, as {rest: (its weight, [key, ...])}."""
+    grouped: dict = {}
+    rest = lay.rest
+    for k in terms:
+        grouped.setdefault(rest(k), []).append(k)
+    rows = {}
+    for r, keys in grouped.items():
+        w = sum([r[i] for i in lay.rest_diag])
+        if lay.genus == 1:  # the packed entry n is the weight itself
+            keys = [k for k in keys if k[0] <= trunc - w]
+        if keys and w <= trunc:
+            rows[r] = (w, keys)
+    kept = {k: terms[k] for _, keys in rows.values() for k in keys}
+    den = lcm(*{c.denominator for c in kept.values()})
     if den == 1:
-        return 1, {k: c.numerator for k, c in terms.items()}
-    return den, {k: c.numerator * (den // c.denominator) for k, c in terms.items()}
+        return 1, {k: c.numerator for k, c in kept.items()}, rows
+    return den, {k: c.numerator * (den // c.denominator) for k, c in kept.items()}, rows
 
 
 def _slot_width(ca: dict, cb: dict) -> int:
@@ -83,103 +129,75 @@ def _stride(*cols) -> int:
 
 
 def _mul_terms(ta: dict, tb: dict, trunc: int) -> dict:
-    """Truncated convolution of two canonical term dicts (alpha, gamma >= 0)."""
-    da, ca = _cleared(ta, lambda k: k[0] + k[2] <= trunc)
-    db, cb = _cleared(tb, lambda k: k[0] + k[2] <= trunc)
+    """Truncated convolution of two canonical term dicts of one genus."""
+    if not ta or not tb:
+        return {}
+    lay = _LAYOUTS[len(next(iter(ta)))]
+    (da, ca, ra), (db, cb, rb) = _rows(ta, trunc, lay), _rows(tb, trunc, lay)
     if not ca or not cb:
         return {}
+    p = lay.pack
     S = _slot_width(ca, cb)
-    s = _stride([k[1] for k in ca], [k[1] for k in cb])
-    ba = next(iter(ca))[1]
-    bb = next(iter(cb))[1]
-    K = trunc + 1
+    s = _stride({k[p] for k in ca}, {k[p] for k in cb})
+    # a rest is coded as one int in base R = 2 trunc + 1 with digits in
+    # [-trunc, trunc], which holds every entry of a kept key (|T_ij| <= T_ii + T_jj),
+    # so the code of a product's rest is the sum of its factors' codes
+    R = 2 * trunc + 1
 
-    def groups(cx: dict, b0: int) -> list:
-        rows: dict = {}
-        for (a, b, g2), c in cx.items():
-            rows.setdefault(a * K + g2, []).append(((b - b0) // s, c))
-        out = [(key // K + key % K, key, *_pack(row, S)) for key, row in rows.items()]
-        out.sort()
-        return out
+    def groups(rows: dict, cx: dict) -> tuple[int, list]:
+        x0 = next(iter(cx))[p]
+        out = [(w, sum(v * R ** t for t, v in enumerate(r)), r,
+                *_pack([((k[p] - x0) // s, cx[k]) for k in keys], S))
+               for r, (w, keys) in rows.items()]
+        out.sort()  # by weight, then code: no two groups share a code
+        return x0, out
 
-    ga, gb = groups(ca, ba), groups(cb, bb)
+    (xa, ga), (xb, gb) = groups(ra, ca), groups(rb, cb)
     wb = [t[0] for t in gb]
     acc: dict = {}
     get = acc.get
-    for wa, ka, oa, Pa in ga:
-        for _, kb, ob, Pb in gb[:bisect_right(wb, trunc - wa)]:
+    for wa, ka, rest_a, oa, Pa in ga:
+        for _, kb, rest_b, ob, Pb in gb[:bisect_right(wb, trunc - wa)]:
             key = ka + kb
             o = oa + ob
             cur = get(key)
             if cur is None:
-                acc[key] = [o, Pa * Pb]
+                acc[key] = [o, Pa * Pb, rest_a, rest_b]
             elif o >= cur[0]:
                 cur[1] += (Pa * Pb) << (S * (o - cur[0]))
             else:
                 cur[1] = (cur[1] << (S * (cur[0] - o))) + Pa * Pb
                 cur[0] = o
     den = da * db
-    base = ba + bb
     out = {}
-    for key, (o, P) in acc.items():
-        a, g2 = divmod(key, K)
-        for i, v in _unpack(P, S):
-            out[(a, base + s * (o + i), g2)] = Fraction(v, den)
+    for o, P, rest_a, rest_b in acc.values():
+        r = tuple(map(add, rest_a, rest_b))
+        head, tail, first = r[:p], r[p:], xa + xb + s * o
+        # at genus 1, decode only the slots within the truncation
+        slots = max(0, (trunc - first) // s + 1) if lay.genus == 1 else None
+        for i, v in _unpack(P, S, slots):
+            out[(*head, first + s * i, *tail)] = Fraction(v, den) if den > 1 else Fraction(v)
     return out
 
 
-def _mul_series(ta: dict, tb: dict, trunc: int) -> dict:
-    """Truncated product of two genus-1 term dicts (exponents >= 0)."""
-    da, ca = _cleared(ta, lambda n: n <= trunc)
-    db, cb = _cleared(tb, lambda n: n <= trunc)
-    if not ca or not cb:
-        return {}
-    S = _slot_width(ca, cb)
-    s = _stride(ca, cb)
-    na, nb = min(ca), min(cb)
-    base = na + nb
-    if base > trunc:
-        return {}
-    _, Pa = _pack([((n - na) // s, c) for n, c in ca.items()], S)
-    _, Pb = _pack([((n - nb) // s, c) for n, c in cb.items()], S)
-    den = da * db
-    return {base + s * i: Fraction(v, den)
-            for i, v in _unpack(Pa * Pb, S, (trunc - base) // s + 1)}
-
-
-def _term2_fault(k: tuple, trunc: int) -> str | None:
-    """Why (alpha, beta, gamma) cannot be a term of a genus-2 expansion, if so."""
-    a, b, g2 = k
-    if a < 0 or g2 < 0:
-        return f"negative diagonal exponent in term {k}"
-    if a + g2 > trunc:
-        return f"term {k} exceeds truncation {trunc}"
-    if b * b > 4 * a * g2:
-        return f"term {k} violates beta^2 <= 4*alpha*gamma"
-    return None
-
-
-def _term1_fault(n: int, trunc: int) -> str | None:
-    """Why n cannot be an exponent of a genus-1 expansion, if so."""
-    return None if 0 <= n <= trunc else f"exponent {n} outside [0, {trunc}]"
-
-
 class _Expansion:
-    """A truncated expansion with exact rational coefficients: the ring code
+    """A truncated expansion with exact rational coefficients: the code
     shared by QExp2 and QExp1.
 
-    terms maps exponent keys to nonzero Fractions, and every key's weight is
-    at most trunc.  weight is the modular weight, tau_factor the number of
-    stripped powers of 2 pi i, character the sign-character flag and label a
-    note for the reader (set by the constructor; no operation carries it on).
-    A subclass supplies its key's data (_origin, _cut, _boundary), its term
-    check (_fault), its product kernel (_kernel), q_diff and to_text, and
-    lists the shared methods in its own class body.
+    terms maps keys to nonzero Fractions, and every key's weight is at most
+    trunc.  weight is the modular weight, tau_factor the number of stripped
+    powers of 2 pi i, character the sign-character flag and label a note for
+    the reader (set by the constructor; no operation carries it on).  A
+    subclass sets genus, which fixes the key layout, and lists the shared
+    methods in its own class body.
     """
 
     __slots__ = ("weight", "trunc", "terms", "tau_factor", "character", "label")
 
     scale = SCALE
+
+    def __init_subclass__(cls):
+        cls._layout = _Layout(cls.genus)
 
     def __init__(self, terms: dict | None = None, weight=Fraction(0),
                  trunc: int = DEFAULT_TRUNC, tau_factor: int = 0,
@@ -190,13 +208,23 @@ class _Expansion:
         self.tau_factor = tau_factor
         self.character = character
         self.label = label
-        fault = self._fault
+        fault = self._layout.fault
         for k, c in self.terms.items():
             why = fault(k, trunc)
             if why:
                 raise ValueError(why)
             if not isinstance(c, Fraction):
                 raise TypeError(f"coefficient {c!r} is not an exact rational")
+
+    @classmethod
+    def _checked(cls, terms: dict, weight: Fraction, trunc: int, tau_factor: int,
+                 character: bool):
+        """An expansion of terms that already keep the invariants (read and
+        checked, or computed from checked operands): no second check."""
+        out = cls.__new__(cls)
+        out.terms, out.weight, out.trunc = terms, weight, trunc
+        out.tau_factor, out.character, out.label = tau_factor, character, ""
+        return out
 
     # -- constructors --------------------------------------------------------
 
@@ -206,18 +234,21 @@ class _Expansion:
 
     @classmethod
     def one(cls, trunc: int = DEFAULT_TRUNC):
-        return cls({cls._origin: Fraction(1)}, Fraction(0), trunc)
+        return cls({(0,) * len(cls._layout.pairs): Fraction(1)}, Fraction(0), trunc)
 
     def _clone(self, terms: dict, weight=None, trunc=None, tau_factor=None,
                character=None):
-        return type(self)(terms,
-                          self.weight if weight is None else weight,
-                          self.trunc if trunc is None else trunc,
-                          self.tau_factor if tau_factor is None else tau_factor,
-                          self.character if character is None else character)
+        return self._checked(terms,
+                             self.weight if weight is None else weight,
+                             self.trunc if trunc is None else trunc,
+                             self.tau_factor if tau_factor is None else tau_factor,
+                             self.character if character is None else character)
 
     def with_weight(self, weight):
         return self._clone(self.terms, weight=Fraction(weight))
+
+    def with_character(self, flag: bool):
+        return self._clone(self.terms, character=flag)
 
     # -- predicates -----------------------------------------------------------
 
@@ -240,6 +271,10 @@ class _Expansion:
         if self.genus != other.genus:
             raise ValueError(f"genus mismatch: {self.genus} vs {other.genus}")
 
+    def _cut(self, terms: dict, trunc: int) -> dict:
+        diag = self._layout.diag
+        return {k: v for k, v in terms.items() if sum(diag(k)) <= trunc}
+
     def __add__(self, other):
         self._check_genus(other)
         if self.weight != other.weight:
@@ -254,7 +289,7 @@ class _Expansion:
         rest = self._cut(other.terms, trunc) if other.trunc > trunc else other.terms
         for k, v in rest.items():
             _accumulate(out, k, v)
-        return type(self)(out, self.weight, trunc, self.tau_factor, self.character)
+        return self._checked(out, self.weight, trunc, self.tau_factor, self.character)
 
     def __neg__(self):
         return self._clone({k: -v for k, v in self.terms.items()})
@@ -265,10 +300,10 @@ class _Expansion:
     def __mul__(self, other):
         self._check_genus(other)
         trunc = min(self.trunc, other.trunc)
-        return type(self)(self._kernel(self.terms, other.terms, trunc),
-                          self.weight + other.weight, trunc,
-                          self.tau_factor + other.tau_factor,
-                          self.character != other.character)
+        return self._checked(_mul_terms(self.terms, other.terms, trunc),
+                             self.weight + other.weight, trunc,
+                             self.tau_factor + other.tau_factor,
+                             self.character != other.character)
 
     def __pow__(self, n: int):
         if n < 0:
@@ -283,40 +318,54 @@ class _Expansion:
         trunc = min(trunc, self.trunc)
         return self._clone(self._cut(self.terms, trunc), trunc=trunc)
 
+    def q_diff(self, i: int = 1, j: int = 1):
+        """Normalized symmetrized derivative for the index pair (i, j), by
+        default (1, 1), the one pair at genus 1.
+
+        Multiplies a term by T_ij/8 on the diagonal and by T_ij/16 off it
+        (the off-diagonal carries the symmetrization factor 1/2), and
+        records one stripped power of 2 pi i.
+        """
+        pair = (min(i, j), max(i, j))
+        pairs = self._layout.pairs
+        if pair not in pairs:
+            raise ValueError(f"index pair {pair} out of range for genus {self.genus}")
+        n = pairs.index(pair)
+        den = SCALE if i == j else 2 * SCALE
+        out = {k: Fraction(v.numerator * k[n], v.denominator * den)
+               for k, v in self.terms.items() if k[n]}
+        return self._clone(out, tau_factor=self.tau_factor + 1)
+
     # -- boundary order and SMF1 text -------------------------------------------
 
     def fj_order(self) -> Fraction:
-        """Boundary vanishing order: the least boundary exponent / 8 over
-        stored terms (gamma/8 in genus 2, n/8 in genus 1)."""
+        """Boundary vanishing order: the least T_gg / 8 over stored terms
+        (gamma/8 at genus 2, n/8 at genus 1)."""
         if not self.terms:
             raise ValueError("order undetermined at this truncation (zero expansion)")
-        return Fraction(min(map(self._boundary, self.terms)), SCALE)
+        return Fraction(min(k[-1] for k in self.terms), SCALE)
 
-    def _smf1(self, term_lines: list, *extra: str) -> str:
-        """The SMF1 block: the header (with the subclass's extra header lines
-        before the term count), then one line per term."""
+    def to_text(self) -> str:
+        """The SMF1 block: the header (with a character line from genus 2
+        on), then one line per term, its key entries and its coefficient."""
+        terms = self.terms
+        entries = "%d " * len(self._layout.pairs)
+        lines = [entries % k + frac_to_text(terms[k]) for k in sorted(terms)]
         head = ["SMF1", f"genus {self.genus}", f"weight {frac_to_text(self.weight)}",
-                f"scale {SCALE}", f"trunc {self.trunc}", f"taupow {self.tau_factor}",
-                *extra, f"terms {len(term_lines)}"]
-        return "\n".join(head + term_lines) + "\n"
-
-
-# (index into the key, divisor) of the normalized derivative per index pair;
-# the off-diagonal divisor carries the symmetrization factor 1/2
-_DIFF2 = {(1, 1): (0, SCALE), (1, 2): (1, 2 * SCALE), (2, 2): (2, SCALE)}
+                f"scale {SCALE}", f"trunc {self.trunc}", f"taupow {self.tau_factor}"]
+        if self.genus > 1:
+            head.append(f"character {int(self.character)}")
+        head.append(f"terms {len(lines)}")
+        return "\n".join(head + lines) + "\n"
 
 
 class QExp2(_Expansion):
-    """Truncated genus-2 Fourier expansion on the scale-8 exponent lattice;
-    keys are (alpha, beta, gamma) of weight alpha + gamma."""
+    """Truncated genus-2 Fourier expansion; keys are (alpha, beta, gamma) of
+    weight alpha + gamma."""
 
     __slots__ = ()
 
     genus = 2
-    _origin = (0, 0, 0)
-    _boundary = itemgetter(2)
-    _fault = staticmethod(_term2_fault)
-    _kernel = staticmethod(_mul_terms)
 
     # The shared methods are entries of each subclass's own namespace, so a
     # wrapper set on one class's method (as the span recorder of perfbench
@@ -328,32 +377,13 @@ class QExp2(_Expansion):
     __pow__ = _Expansion.__pow__
     scale_coeff = _Expansion.scale_coeff
     truncate = _Expansion.truncate
-
-    @staticmethod
-    def _cut(terms: dict, trunc: int) -> dict:
-        return {k: v for k, v in terms.items() if k[0] + k[2] <= trunc}
+    q_diff = _Expansion.q_diff
+    to_text = _Expansion.to_text
 
     @classmethod
     def monomial(cls, a: int, b: int, c: int, coeff=1, weight=Fraction(0),
                  trunc: int = DEFAULT_TRUNC) -> "QExp2":
         return cls({(a, b, c): Fraction(coeff)}, weight, trunc)
-
-    def with_character(self, flag: bool) -> "QExp2":
-        return self._clone(self.terms, character=flag)
-
-    def q_diff(self, i: int, j: int) -> "QExp2":
-        """Normalized symmetrized derivative for the index pair (i, j).
-
-        Multiplies a term by alpha/8 for (1,1), beta/16 for (1,2) (the
-        off-diagonal carries the symmetrization factor 1/2), gamma/8 for
-        (2,2), and records one stripped power of 2 pi i.
-        """
-        pair = (min(i, j), max(i, j))
-        if pair not in _DIFF2:
-            raise ValueError(f"index pair {pair} out of range for genus 2")
-        idx, div = _DIFF2[pair]
-        out = {k: v * Fraction(k[idx], div) for k, v in self.terms.items() if k[idx]}
-        return self._clone(out, tau_factor=self.tau_factor + 1)
 
     def fj_slice(self, r) -> dict:
         """Terms with gamma/8 = r, reindexed by (alpha, beta)."""
@@ -375,24 +405,14 @@ class QExp2(_Expansion):
                 2j * cmath.pi * (a * t11 + b * t12 + g2 * t22) / SCALE)
         return total
 
-    def to_text(self) -> str:
-        terms = self.terms
-        return self._smf1([f"{a} {b} {g2} {frac_to_text(terms[a, b, g2])}"
-                           for a, b, g2 in sorted(terms)],
-                          f"character {int(self.character)}")
-
 
 class QExp1(_Expansion):
-    """Truncated genus-1 expansion; the key is the exponent n, scaled by 8
-    like the genus-2 lattice, and is its own weight."""
+    """Truncated genus-1 expansion; keys are (n,), the exponent scaled by 8
+    like the genus-2 lattice, which is its own weight."""
 
     __slots__ = ()
 
     genus = 1
-    _origin = 0
-    _boundary = int  # the exponent n is its own boundary exponent
-    _fault = staticmethod(_term1_fault)
-    _kernel = staticmethod(_mul_series)
 
     __add__ = _Expansion.__add__
     __neg__ = _Expansion.__neg__
@@ -400,32 +420,24 @@ class QExp1(_Expansion):
     __mul__ = _Expansion.__mul__
     __pow__ = _Expansion.__pow__
     scale_coeff = _Expansion.scale_coeff
-
-    @staticmethod
-    def _cut(terms: dict, trunc: int) -> dict:
-        return {n: v for n, v in terms.items() if n <= trunc}
-
-    def q_diff(self, i: int = 1, j: int = 1) -> "QExp1":
-        """Normalized derivative (1/(2 pi i)) d/dtau: term n picks up n/8."""
-        if (i, j) != (1, 1):
-            raise ValueError("genus-1 expansions have a single index pair (1,1)")
-        return self._clone({n: c * Fraction(n, SCALE) for n, c in self.terms.items() if n},
-                           tau_factor=self.tau_factor + 1)
+    q_diff = _Expansion.q_diff
+    to_text = _Expansion.to_text
 
     def coefficient(self, n_unscaled) -> Fraction:
         key = Fraction(n_unscaled) * SCALE
         if key.denominator != 1:
             return Fraction(0)
-        return self.terms.get(int(key), Fraction(0))
-
-    def to_text(self) -> str:
-        terms = self.terms
-        return self._smf1([f"{n} {frac_to_text(terms[n])}" for n in sorted(terms)])
+        return self.terms.get((int(key),), Fraction(0))
 
 
-def _smf1_from_text(text: str, genus: int):
-    """Read an SMF1 block of the given genus; a malformed block raises
+# the layout of each key length, for the product kernel
+_LAYOUTS = {len(cls._layout.pairs): cls._layout for cls in (QExp1, QExp2)}
+
+
+def _smf1_from_text(text: str, cls):
+    """Read an SMF1 block of the class's genus; a malformed block raises
     ValueError naming its line."""
+    genus = cls.genus
     lines = text.splitlines()
     fail, value = _line_reader(lines, "SMF1")
     if not lines or lines[0].strip() != "SMF1":
@@ -442,14 +454,14 @@ def _smf1_from_text(text: str, genus: int):
     taupow = value(5, "taupow", int)
     idx = 6
     character = 0
-    if genus == 2 and idx < len(lines) and lines[idx].startswith("character"):
+    if genus > 1 and idx < len(lines) and lines[idx].startswith("character"):
         character = value(idx, "character", int)
         if character not in (0, 1):
             fail(idx, "character must be 0 or 1")
         idx += 1
     declared = value(idx, "terms", int)
-    cls = QExp2 if genus == 2 else QExp1
-    fault = cls._fault
+    fault = cls._layout.fault
+    fields = len(cls._layout.pairs) + 1
     terms: dict = {}
     count = 0
     for j in range(idx + 1, len(lines)):
@@ -458,13 +470,12 @@ def _smf1_from_text(text: str, genus: int):
             continue
         count += 1
         try:
-            if len(parts) != 2 * genus:
-                raise ValueError(f"expected {2 * genus} fields")
-            exps = tuple(int(v) for v in parts[:-1])
+            if len(parts) != fields:
+                raise ValueError(f"expected {fields} fields")
+            key = tuple(map(int, parts[:-1]))
             c = frac_from_text(parts[-1])
         except (ValueError, ZeroDivisionError) as exc:
             fail(j, f"cannot parse {lines[j]!r} ({exc})")
-        key = exps if genus == 2 else exps[0]
         why = fault(key, trunc) or ("zero coefficient" if not c else None)
         if why:
             fail(j, why)
@@ -473,15 +484,15 @@ def _smf1_from_text(text: str, genus: int):
         terms[key] = c
     if count != declared:
         fail(idx, f"declares {declared} terms, found {count}")
-    return cls(terms, weight, trunc, taupow, bool(character))
+    return cls._checked(terms, weight, trunc, taupow, bool(character))
 
 
 def qexp2_from_text(text: str) -> QExp2:
-    return _smf1_from_text(text, 2)
+    return _smf1_from_text(text, QExp2)
 
 
 def qexp1_from_text(text: str) -> QExp1:
-    return _smf1_from_text(text, 1)
+    return _smf1_from_text(text, QExp1)
 
 
 def qexp_from_text(text: str):

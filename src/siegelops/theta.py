@@ -83,12 +83,9 @@ class ThetaChar:
         return "".join(map(str, self.eps)) + "," + "".join(map(str, self.delta))
 
 
-def char_from_text(s: str, g: int | None = None) -> ThetaChar:
+def char_from_text(s: str) -> ThetaChar:
     e, _, d = s.partition(",")
-    c = ThetaChar(tuple(int(v) for v in e.strip()), tuple(int(v) for v in d.strip()))
-    if g is not None and c.g != g:
-        raise ValueError(f"characteristic {s!r} has genus {c.g}, expected {g}")
-    return c
+    return ThetaChar(tuple(int(v) for v in e.strip()), tuple(int(v) for v in d.strip()))
 
 
 def all_chars(g: int) -> list[ThetaChar]:
@@ -130,10 +127,9 @@ def theta_qexp(g: int, char: ThetaChar, trunc: int = DEFAULT_TRUNC):
     bound = (isqrt(trunc) + 1) // 2  # every kept m = 2n + eps has |m| <= isqrt(trunc)
     for n in itertools.product(range(-bound, bound + 1), repeat=g):
         m = [2 * ni + e for ni, e in zip(n, char.eps)]
-        sq = [x * x for x in m]
-        if sum(sq) > trunc:
+        if sum(x * x for x in m) > trunc:
             continue
-        key = sq[0] if g == 1 else (sq[0], 2 * m[0] * m[1], sq[1])
+        key = tuple((2 if i < j else 1) * m[i] * m[j] for i in range(g) for j in range(i, g))
         terms[key] = terms.get(key, 0) + _phase(char, n)
     return cls({k: Fraction(v) for k, v in terms.items() if v}, half, trunc)
 

@@ -247,6 +247,27 @@ def test_theta_eval_with_short_z_is_a_clean_error(capsys):
     assert err.startswith("error: z ") and "Traceback" not in err
 
 
+def test_theta_genus_defaults_to_the_characteristic(capsys):
+    code, out = run_cli(["theta", "qexp", "--char", "0,0", "--trunc", "16"], capsys)
+    assert code == 0
+    f = qexp_from_text(out)
+    assert f.genus == 1 and f.terms == {(0,): 1, (4,): 2, (16,): 2}
+
+
+def test_theta_eval_genus_must_match_the_characteristic(capsys):
+    code, err = run_cli_error(["theta", "eval", "--genus", "5", "--char", "0,0",
+                               "--tau", "diag:1.0"], capsys)
+    assert code == 2
+    assert err == "error: --genus 5 disagrees with --char '0,0' of genus 1\n"
+
+
+def test_theta_qexp_genus_must_match_the_characteristic(capsys):
+    code, err = run_cli_error(["theta", "qexp", "--genus", "1", "--char", "00,11",
+                               "--trunc", "16"], capsys)
+    assert code == 2
+    assert err == "error: --genus 1 disagrees with --char '00,11' of genus 2\n"
+
+
 # -- the option surface and the commands that replaced the experiment scripts --
 
 import argparse

@@ -1,12 +1,15 @@
 """Tests for truncated expansions: ring laws, differentiation, boundary data."""
 
 import hashlib
+import math
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from siegelops.brackets import delta1_qexp, eis1_qexp, scalar_bracket_q
 from siegelops.jets import JetPoly, jet_det_partial
 from siegelops.qexp import (QExp1, QExp2, eval_jetpoly, product_balanced,
                             qexp1_from_text, qexp2_from_text, qexp_from_text)
@@ -140,7 +143,7 @@ def test_eval_jetpoly_unbound_symbol():
 def test_smf1_round_trip(t2_48):
     assert qexp2_from_text(t2_48.to_text()) == t2_48
     assert qexp_from_text(t2_48.to_text()) == t2_48
-    one = QExp1({0: Fraction(1), 8: Fraction(-3, 7)}, Fraction(4), 16, 1)
+    one = QExp1({(0,): Fraction(1), (8,): Fraction(-3, 7)}, Fraction(4), 16, 1)
     assert qexp1_from_text(one.to_text()) == one
     assert qexp_from_text(one.to_text()) == one
     # byte-exact: serialize twice
@@ -148,8 +151,8 @@ def test_smf1_round_trip(t2_48):
 
 
 def test_qexp1_diff_and_order():
-    f = QExp1({8: Fraction(3)}, Fraction(4), 24)
-    assert f.q_diff().terms == {8: Fraction(3)}
+    f = QExp1({(8,): Fraction(3)}, Fraction(4), 24)
+    assert f.q_diff().terms == {(8,): Fraction(3)}
     assert f.fj_order() == 1
     with pytest.raises(ValueError):
         QExp1.zero().fj_order()
@@ -165,7 +168,7 @@ def test_eval_jetpoly_empty_is_the_bound_class_zero():
 
 
 def _genus1(terms: dict, trunc: int, weight=Fraction(1, 2)) -> QExp1:
-    return QExp1({a: Fraction(c) for (a, _, _), c in terms.items()}, weight, trunc)
+    return QExp1({(a,): Fraction(c) for (a, _, _), c in terms.items()}, weight, trunc)
 
 
 def _genus2(terms: dict, trunc: int, weight=Fraction(1, 2)) -> QExp2:
@@ -223,7 +226,7 @@ def test_smf1_rejects_truncated_blocks(t2_48):
         qexp2_from_text(cut)
     with pytest.raises(ValueError, match=f"SMF1 line 8: declares {n} terms, found {n - 20}"):
         qexp_from_text(cut)
-    one = QExp1({0: Fraction(1), 8: Fraction(-3, 7)}, Fraction(4), 16, 1).to_text()
+    one = QExp1({(0,): Fraction(1), (8,): Fraction(-3, 7)}, Fraction(4), 16, 1).to_text()
     with pytest.raises(ValueError, match="SMF1 line 7: declares 2 terms, found 1"):
         qexp_from_text(_drop(one, 8))
 
@@ -232,7 +235,7 @@ def test_smf1_rejects_duplicate_exponents(t2_48):
     lines = t2_48.to_text().splitlines()
     with pytest.raises(ValueError, match=f"SMF1 line {len(lines)}: duplicate exponent"):
         qexp2_from_text(_replace(t2_48.to_text(), len(lines) - 1, lines[8]))
-    one = QExp1({0: Fraction(1), 8: Fraction(2)}, Fraction(4), 16).to_text()
+    one = QExp1({(0,): Fraction(1), (8,): Fraction(2)}, Fraction(4), 16).to_text()
     with pytest.raises(ValueError, match="SMF1 line 9: duplicate exponent"):
         qexp1_from_text(_replace(one, 8, "0 5"))
 
@@ -270,8 +273,8 @@ def test_smf1_rejects_bad_term_lines(t2_48):
     for line, msg in cases:
         with pytest.raises(ValueError, match=f"SMF1 line 9: .*{msg}"):
             qexp2_from_text(_replace(text, 8, line))
-    one = QExp1({0: Fraction(1), 8: Fraction(2)}, Fraction(4), 16).to_text()
-    with pytest.raises(ValueError, match=r"SMF1 line 9: exponent 24 outside \[0, 16\]"):
+    one = QExp1({(0,): Fraction(1), (8,): Fraction(2)}, Fraction(4), 16).to_text()
+    with pytest.raises(ValueError, match=r"SMF1 line 9: term \(24,\) exceeds truncation 16"):
         qexp1_from_text(_replace(one, 8, "24 1"))
 
 
@@ -280,3 +283,69 @@ def test_tnull_text_is_pinned():
     data = tnull_qexp(120).to_text().encode()
     assert hashlib.sha256(data).hexdigest() == (
         "c97a1d6aef737732f6a644827a6d310b61d75475eced376f3df0090d6c54deed")
+
+
+@pytest.mark.parametrize("make,digest", [
+    (lambda: delta1_qexp(400),
+     "dcbb3836e03372068753240c974a1eb4ad26374f3d3ac5b0328379649b587de8"),
+    (lambda: scalar_bracket_q(eis1_qexp(4, 400), eis1_qexp(6, 400)),
+     "eab3614efe63b841085ee8449c5059682a1539d49c0189207c5f95f4cb0d4e4c"),
+    (lambda: theta_qexp(1, ThetaChar((0,), (0,)), 400),
+     "76089cd1fe93d91705d8a342e21e537ba42bc6213180c1f5cc70433f6af5e26f"),
+], ids=["delta", "bracket-E4-E6", "theta-0-0"])
+def test_genus1_text_is_pinned(make, digest):
+    """Genus-1 SMF1 blocks at N = 400, byte for byte, and their read-back."""
+    text = make().to_text()
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert qexp_from_text(text).to_text() == text
+
+
+@pytest.mark.parametrize("cls,key", [(QExp1, 8), (QExp1, (8, 0)), (QExp1, (8.0,)),
+                                     (QExp2, (8, 0)), (QExp2, (0, 0, 0, 8))])
+def test_constructor_rejects_keys_of_the_wrong_shape(cls, key):
+    with pytest.raises(ValueError, match=re.escape(f"key {key!r} is not a genus-{cls.genus}")):
+        cls({key: Fraction(1)}, trunc=16)
+
+
+@st.composite
+def _checked_operands(draw, genus: int):
+    """Two expansions of one genus and weight built through the public
+    constructor, at truncations up to 24; genus-2 keys fill the PSD cone."""
+    cls = QExp1 if genus == 1 else QExp2
+
+    def operand(trunc):
+        terms = {}
+        for _ in range(draw(st.integers(0, 8))):
+            a = draw(st.integers(0, trunc))
+            if genus == 1:
+                key = (a,)
+            else:
+                g2 = draw(st.integers(0, trunc - a))
+                bound = math.isqrt(4 * a * g2)
+                key = (a, draw(st.integers(-bound, bound)), g2)
+            terms[key] = Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 4)))
+        return cls(terms, Fraction(1, 2), trunc)
+
+    return operand(draw(st.integers(0, 24))), operand(draw(st.integers(0, 24)))
+
+
+def _assert_checked(f):
+    """f passes the public term check and holds no zero coefficient."""
+    assert all(f.terms.values())
+    assert type(f)(f.terms, f.weight, f.trunc, f.tau_factor, f.character) == f
+
+
+@pytest.mark.parametrize("genus", [1, 2])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_derived_expansions_keep_the_invariants(genus, data):
+    """Ring results skip the term check, so every one must still pass it."""
+    f, g = data.draw(_checked_operands(genus))
+    pairs = [(1, 1)] if genus == 1 else [(1, 1), (1, 2), (2, 2)]
+    results = [f + g, f - g, f - f, f * g, f ** data.draw(st.integers(0, 3)),
+               f.scale_coeff(data.draw(st.sampled_from([0, 1, Fraction(-2, 3)]))),
+               f.truncate(data.draw(st.integers(0, 30))),
+               f.with_weight(3), f.with_character(True)]
+    results += [f.q_diff(i, j) for i, j in pairs]
+    for r in results:
+        _assert_checked(r)

@@ -119,7 +119,7 @@ def _ring_elements():
             (x, MultiPoly.const(1)),
             (JetPoly.symbol("F") + JetPoly.const(2), JetPoly.const(1)),
             (theta, QExp2.one(24)),
-            (QExp1({0: Fraction(1), 1: Fraction(-24), 3: Fraction(7, 2)}, 2, 30), QExp1.one(30))]
+            (QExp1({(0,): Fraction(1), (1,): Fraction(-24), (3,): Fraction(7, 2)}, 2, 30), QExp1.one(30))]
 
 
 @pytest.mark.parametrize("x,one", _ring_elements(),

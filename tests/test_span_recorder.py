@@ -23,9 +23,9 @@ from siegelops.qexp import QExp1, QExp2
 
 rec = spans.Recorder()
 spans.install(rec)
-f1 = QExp1({0: Fraction(1), 8: Fraction(2)}, Fraction(0), 16)
+f1 = QExp1({(0,): Fraction(1), (8,): Fraction(2)}, Fraction(0), 16)
 f2 = QExp2({(0, 0, 0): Fraction(1), (8, 0, 8): Fraction(3)}, Fraction(0), 16)
-assert (f1 * f1 + f1).terms == {0: 2, 8: 6, 16: 4}
+assert (f1 * f1 + f1).terms == {(0,): 2, (8,): 6, (16,): 4}
 assert (f2 * f2 + f2).terms == {(0, 0, 0): 2, (8, 0, 8): 9}
 print(" ".join(sorted({s[0] for s in rec.spans})))
 """

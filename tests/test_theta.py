@@ -68,8 +68,8 @@ def test_odd_characteristics_vanish():
 
 def test_genus1_series():
     t = theta_qexp(1, ThetaChar((0,), (0,)), 40)
-    assert dict(t.terms) == {0: Fraction(1), 4: Fraction(2), 16: Fraction(2),
-                             36: Fraction(2)}
+    assert dict(t.terms) == {(0,): Fraction(1), (4,): Fraction(2), (16,): Fraction(2),
+                             (36,): Fraction(2)}
 
 
 def test_tnull_properties(t2_48):
@@ -384,3 +384,9 @@ def test_reports_state_radius_points_and_tail_tolerance():
     cond = check_condition_star([[1.1j, 0], [0, 1.7j]])
     assert cond.radius == _pick_radius(1.1, 2, 1, 0, 0.0, 1e-12)
     assert cond.points == (2 * cond.radius + 1) ** 2 and cond.radius_tol == 1e-12
+
+
+def test_schottky_vanishes_at_120():
+    """The genus-2 degree-16 identity one truncation deeper than the N = 80
+    checks of the acceptance tests."""
+    assert schottky_qexp(2, 120).is_zero()

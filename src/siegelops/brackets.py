@@ -105,10 +105,10 @@ def eis1_qexp(weight: int, trunc: int = DEFAULT_TRUNC) -> QExp1:
         const, power = -504, 5
     else:
         raise ValueError("only weights 4 and 6 are provided")
-    terms = {(0,): Fraction(1)}
+    terms = {(0,): 1}
     for n in range(1, trunc // QExp1.scale + 1):
-        terms[(n * QExp1.scale,)] = Fraction(const * sigma_power_sum(power, n))
-    return QExp1(terms, Fraction(weight), trunc)
+        terms[(n * QExp1.scale,)] = const * sigma_power_sum(power, n)
+    return QExp1._from_ints(terms, weight, trunc)
 
 
 def delta1_qexp(trunc: int = DEFAULT_TRUNC) -> QExp1:

@@ -207,23 +207,28 @@ def cmd_theta(args) -> int:
     return 0
 
 
+# each named form: its genus (for schottky, the default of --genus) and a
+# function of (genus, trunc) that makes it; each looks its layer function up
+# when called, so a wrapper installed on that function afterwards is used
+_FORMS = {
+    "tnull": (2, lambda g, n: theta.tnull_qexp(n)),
+    "tnull-sq": (2, lambda g, n: theta.tnull_qexp(n) ** 2),
+    "schottky": (2, lambda g, n: theta.schottky_qexp(g, n)),
+    "theta8sum": (2, lambda g, n: theta.theta_pow8_sum(n)),
+    "eis4": (1, lambda g, n: brackets.eis1_qexp(4, n)),
+    "eis6": (1, lambda g, n: brackets.eis1_qexp(6, n)),
+    "delta": (1, lambda g, n: brackets.delta1_qexp(n)),
+}
+
+
 def cmd_form(args) -> int:
-    name, trunc = args.name, args.trunc
-    if name == "tnull":
-        f = theta.tnull_qexp(trunc)
-    elif name == "tnull-sq":
-        t = theta.tnull_qexp(trunc)
-        f = t * t
-    elif name == "schottky":
-        f = theta.schottky_qexp(args.genus, trunc)
-    elif name == "theta8sum":
-        f = theta.theta_pow8_sum(trunc)
-    elif name in ("eis4", "eis6"):
-        f = brackets.eis1_qexp(4 if name == "eis4" else 6, trunc)
-    elif name == "delta":
-        f = brackets.delta1_qexp(trunc)
-    else:
-        raise ValueError(f"unknown form {name!r}")
+    if args.name not in _FORMS:
+        raise ValueError(f"unknown form {args.name!r}")
+    genus, make = _FORMS[args.name]
+    if args.genus is not None and args.genus != genus and args.name != "schottky":
+        raise ValueError(f"--genus {args.genus} disagrees with form {args.name!r} "
+                         f"of genus {genus}")
+    f = make(genus if args.genus is None else args.genus, args.trunc)
     _emit(f.to_text(), args.out)
     return 0
 
@@ -424,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("form", help="write a named form as an SMF1 expansion")
     sp.add_argument("--name", required=True)
-    sp.add_argument("--genus", type=int, default=2)
+    sp.add_argument("--genus", type=int)  # defaults to the genus of the named form
     trunc_option(sp)
     sp.add_argument("--out")
     sp.set_defaults(fn=cmd_form)

@@ -18,15 +18,26 @@ and ring operations keep the invariants, so their results skip the check:
     under multiplication);
   * no zero coefficients; coefficients are exact rationals.
 
+Coefficients.  An expansion stores one common denominator and integer
+numerators: the coefficient of key k is nums[k] / den, with den >= 1, every
+nums[k] a nonzero int and gcd(den, *nums.values()) == 1.  That form is
+canonical (the zero expansion is den = 1 and no terms), so equality and the
+SMF1 bytes follow from it, and every operation runs on plain ints: a sum
+scales both sides to the lcm of their denominators, a product multiplies
+numerators and denominators, a scalar or a derivative multiplies both, and
+each result is reduced by one gcd when its denominator exceeds 1.  The
+terms attribute is a read-only {key: Fraction} view of the same data, built
+on first use.
+
 Truncation by the weight is a ring congruence, so every computed
 coefficient inside the window is exact.  Differentiation is normalized: the
 operator per index pair is (1/(2 pi i)) (1+delta_ij)/2 d/dtau_ij, so a term
 picks up T_ij/8 on the diagonal and T_ij/16 off it; the stripped power of
 2 pi i is tracked in tau_factor so numeric cross-checks can reinstate it.
 
-Products use one Kronecker-substitution kernel.  It clears each operand's
-denominators, groups its terms by all key entries but the packed one (the
-last off-diagonal T_{g-1,g}, beta at genus 2; n at genus 1) and packs each
+Products use one Kronecker-substitution kernel on the numerators.  It
+groups each operand's terms by all key entries but the packed one (the last
+off-diagonal T_{g-1,g}, beta at genus 2; n at genus 1) and packs each
 group's row into one integer, one slot of S bits per step of the stride s
 (the gcd of the packed entries' differences; 8 for theta constants, which
 makes their rows dense).  Multiplying two packed rows convolves them; every
@@ -38,18 +49,24 @@ output integer is decoded once with signed digits (take the low S bits r; if
 r >= 2^(S-1), the digit is r - 2^S and it borrows one from the rest).  At
 genus 1 the packed entry is the weight itself: the series is one row, and
 decoding stops at the truncation.
+
+Jet polynomials are evaluated factor first: the monomials that share a
+factor are summed before that factor multiplies them, so the weight-5
+genus-2 operator costs 3 products, not 4.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add, itemgetter
+from types import MappingProxyType
 
 from .jets import JetPoly
 from .scalars import (RatFunc, _accumulate, _binpow, _line_reader, _pack, _unpack,
-                      frac_from_text, frac_to_text)
+                      frac_to_text)
 
 SCALE = 8
 DEFAULT_TRUNC = 48
@@ -90,26 +107,34 @@ class _Layout:
         return None
 
 
-def _rows(terms: dict, trunc: int, lay: _Layout) -> tuple[int, dict, dict]:
-    """Over the terms within the truncation: the common denominator d,
-    {key: d * coefficient}, and the keys grouped by their rest, the key
-    without its packed entry, as {rest: (its weight, [key, ...])}."""
+def _reduced(den: int, nums: dict) -> tuple[int, dict]:
+    """(den, nums) divided by gcd(den, *nums): the canonical form."""
+    if den > 1:
+        g = gcd(den, *nums.values())
+        if g > 1:
+            return den // g, {k: v // g for k, v in nums.items()}
+    return den, nums
+
+
+def _rows(nums: dict, trunc: int, lay: _Layout) -> tuple[dict, dict]:
+    """The terms within the truncation, and their keys grouped by their
+    rest, the key without its packed entry, as {rest: (its weight, [key, ...])}."""
     grouped: dict = {}
     rest = lay.rest
-    for k in terms:
+    for k in nums:
         grouped.setdefault(rest(k), []).append(k)
     rows = {}
+    kept = 0
     for r, keys in grouped.items():
         w = sum([r[i] for i in lay.rest_diag])
         if lay.genus == 1:  # the packed entry n is the weight itself
             keys = [k for k in keys if k[0] <= trunc - w]
         if keys and w <= trunc:
             rows[r] = (w, keys)
-    kept = {k: terms[k] for _, keys in rows.values() for k in keys}
-    den = lcm(*{c.denominator for c in kept.values()})
-    if den == 1:
-        return 1, {k: c.numerator for k, c in kept.items()}, rows
-    return den, {k: c.numerator * (den // c.denominator) for k, c in kept.items()}, rows
+            kept += len(keys)
+    if kept < len(nums):
+        nums = {k: nums[k] for _, keys in rows.values() for k in keys}
+    return nums, rows
 
 
 def _slot_width(ca: dict, cb: dict) -> int:
@@ -128,12 +153,13 @@ def _stride(*cols) -> int:
     return s or 1
 
 
-def _mul_terms(ta: dict, tb: dict, trunc: int) -> dict:
-    """Truncated convolution of two canonical term dicts of one genus."""
-    if not ta or not tb:
+def _mul_terms(na: dict, nb: dict, trunc: int) -> dict:
+    """Truncated convolution of two {key: int} dicts of one genus; the
+    result is {key: nonzero int}."""
+    if not na or not nb:
         return {}
-    lay = _LAYOUTS[len(next(iter(ta)))]
-    (da, ca, ra), (db, cb, rb) = _rows(ta, trunc, lay), _rows(tb, trunc, lay)
+    lay = _LAYOUTS[len(next(iter(na)))]
+    (ca, ra), (cb, rb) = _rows(na, trunc, lay), _rows(nb, trunc, lay)
     if not ca or not cb:
         return {}
     p = lay.pack
@@ -168,7 +194,6 @@ def _mul_terms(ta: dict, tb: dict, trunc: int) -> dict:
             else:
                 cur[1] = (cur[1] << (S * (cur[0] - o))) + Pa * Pb
                 cur[0] = o
-    den = da * db
     out = {}
     for o, P, rest_a, rest_b in acc.values():
         r = tuple(map(add, rest_a, rest_b))
@@ -176,23 +201,38 @@ def _mul_terms(ta: dict, tb: dict, trunc: int) -> dict:
         # at genus 1, decode only the slots within the truncation
         slots = max(0, (trunc - first) // s + 1) if lay.genus == 1 else None
         for i, v in _unpack(P, S, slots):
-            out[(*head, first + s * i, *tail)] = Fraction(v, den) if den > 1 else Fraction(v)
+            out[(*head, first + s * i, *tail)] = v
     return out
+
+
+def _smf1_number(s: str) -> tuple[int, int]:
+    """(p, q) of an SMF1 rational as to_text writes it: an integer p (q = 1),
+    or p/q in lowest terms with q >= 2.  Each part must be the decimal form
+    of its value, so a leading + or zero, a decimal point, an exponent and an
+    underscore are all errors."""
+    p, slash, q = s.partition("/")
+    num = int(p)
+    den = int(q) if slash else 1
+    if str(num) != p or slash and (str(den) != q or den < 2 or gcd(num, den) != 1):
+        raise ValueError(f"{s!r} is not an integer or p/q in lowest terms with q >= 2")
+    return num, den
 
 
 class _Expansion:
     """A truncated expansion with exact rational coefficients: the code
     shared by QExp2 and QExp1.
 
-    terms maps keys to nonzero Fractions, and every key's weight is at most
-    trunc.  weight is the modular weight, tau_factor the number of stripped
-    powers of 2 pi i, character the sign-character flag and label a note for
-    the reader (set by the constructor; no operation carries it on).  A
-    subclass sets genus, which fixes the key layout, and lists the shared
-    methods in its own class body.
+    _den and _nums hold the coefficients in the canonical form of the module
+    docstring, and terms is their {key: Fraction} view; every key's weight
+    is at most trunc.  weight is the modular weight, tau_factor the number
+    of stripped powers of 2 pi i, character the sign-character flag and
+    label a note for the reader (set by the constructor; no operation
+    carries it on).  A subclass sets genus, which fixes the key layout, and
+    lists the shared methods in its own class body.
     """
 
-    __slots__ = ("weight", "trunc", "terms", "tau_factor", "character", "label")
+    __slots__ = ("weight", "trunc", "_den", "_nums", "_terms", "tau_factor", "character",
+                 "label")
 
     scale = SCALE
 
@@ -202,29 +242,58 @@ class _Expansion:
     def __init__(self, terms: dict | None = None, weight=Fraction(0),
                  trunc: int = DEFAULT_TRUNC, tau_factor: int = 0,
                  character: bool = False, label: str = ""):
-        self.terms = {k: v for k, v in (terms or {}).items() if v}
-        self.weight = Fraction(weight)
-        self.trunc = trunc
-        self.tau_factor = tau_factor
-        self.character = character
-        self.label = label
+        terms = {k: v for k, v in (terms or {}).items() if v}
         fault = self._layout.fault
-        for k, c in self.terms.items():
+        for k, c in terms.items():
             why = fault(k, trunc)
             if why:
                 raise ValueError(why)
             if not isinstance(c, Fraction):
                 raise TypeError(f"coefficient {c!r} is not an exact rational")
+        # reduced fractions over the lcm of their denominators are canonical
+        den = lcm(*{c.denominator for c in terms.values()})
+        self._set(den, {k: c.numerator * (den // c.denominator) for k, c in terms.items()},
+                  Fraction(weight), trunc, tau_factor, character, label)
+
+    def _set(self, den, nums, weight, trunc, tau_factor, character, label):
+        self._den, self._nums, self._terms = den, nums, None
+        self.weight, self.trunc = weight, trunc
+        self.tau_factor, self.character, self.label = tau_factor, character, label
 
     @classmethod
-    def _checked(cls, terms: dict, weight: Fraction, trunc: int, tau_factor: int,
+    def _checked(cls, den: int, nums: dict, weight: Fraction, trunc: int, tau_factor: int,
                  character: bool):
-        """An expansion of terms that already keep the invariants (read and
-        checked, or computed from checked operands): no second check."""
+        """An expansion of canonical (den, nums) whose keys already keep the
+        invariants (read and checked, or computed from checked operands): no
+        second check."""
         out = cls.__new__(cls)
-        out.terms, out.weight, out.trunc = terms, weight, trunc
-        out.tau_factor, out.character, out.label = tau_factor, character, ""
+        out._set(den, nums, weight, trunc, tau_factor, character, "")
         return out
+
+    @classmethod
+    def _from_ints(cls, nums: dict, weight, trunc: int):
+        """An expansion of integer coefficients, each key checked as the
+        public constructor checks it; zero coefficients are dropped."""
+        nums = {k: v for k, v in nums.items() if v}
+        fault = cls._layout.fault
+        for k, v in nums.items():
+            why = fault(k, trunc)
+            if why:
+                raise ValueError(why)
+            if type(v) is not int:
+                raise TypeError(f"coefficient {v!r} is not an int")
+        return cls._checked(1, nums, Fraction(weight), trunc, 0, False)
+
+    @property
+    def terms(self):
+        """{key: Fraction coefficient}, a read-only view built on first use."""
+        view = self._terms
+        if view is None:
+            den = self._den
+            view = self._terms = MappingProxyType(
+                {k: Fraction(v, den) for k, v in self._nums.items()} if den > 1
+                else {k: Fraction(v) for k, v in self._nums.items()})
+        return view
 
     # -- constructors --------------------------------------------------------
 
@@ -236,34 +305,35 @@ class _Expansion:
     def one(cls, trunc: int = DEFAULT_TRUNC):
         return cls({(0,) * len(cls._layout.pairs): Fraction(1)}, Fraction(0), trunc)
 
-    def _clone(self, terms: dict, weight=None, trunc=None, tau_factor=None,
+    def _clone(self, den: int, nums: dict, weight=None, trunc=None, tau_factor=None,
                character=None):
-        return self._checked(terms,
+        return self._checked(den, nums,
                              self.weight if weight is None else weight,
                              self.trunc if trunc is None else trunc,
                              self.tau_factor if tau_factor is None else tau_factor,
                              self.character if character is None else character)
 
     def with_weight(self, weight):
-        return self._clone(self.terms, weight=Fraction(weight))
+        return self._clone(self._den, self._nums, weight=Fraction(weight))
 
     def with_character(self, flag: bool):
-        return self._clone(self.terms, character=flag)
+        return self._clone(self._den, self._nums, character=flag)
 
     # -- predicates -----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._nums
 
     def __eq__(self, other):
         if not isinstance(other, type(self)):
             return NotImplemented
-        return (self.terms == other.terms and self.weight == other.weight
-                and self.trunc == other.trunc and self.tau_factor == other.tau_factor)
+        return (self._den == other._den and self._nums == other._nums
+                and self.weight == other.weight and self.trunc == other.trunc
+                and self.tau_factor == other.tau_factor and self.character == other.character)
 
     def __repr__(self):
         return (f"{type(self).__name__}(weight={self.weight}, trunc={self.trunc}, "
-                f"terms={len(self.terms)}, taupow={self.tau_factor})")
+                f"terms={len(self._nums)}, taupow={self.tau_factor})")
 
     # -- ring operations -------------------------------------------------------
 
@@ -271,9 +341,12 @@ class _Expansion:
         if self.genus != other.genus:
             raise ValueError(f"genus mismatch: {self.genus} vs {other.genus}")
 
-    def _cut(self, terms: dict, trunc: int) -> dict:
+    def _cut(self, trunc: int) -> dict:
+        """The numerators of the terms of weight at most trunc."""
+        if self.trunc <= trunc:  # nothing to drop
+            return self._nums
         diag = self._layout.diag
-        return {k: v for k, v in terms.items() if sum(diag(k)) <= trunc}
+        return {k: v for k, v in self._nums.items() if sum(diag(k)) <= trunc}
 
     def __add__(self, other):
         self._check_genus(other)
@@ -284,15 +357,17 @@ class _Expansion:
         if self.character != other.character:
             raise ValueError("character mismatch")
         trunc = min(self.trunc, other.trunc)
-        # only the operand with the larger truncation has terms to drop
-        out = self._cut(self.terms, trunc) if self.trunc > trunc else dict(self.terms)
-        rest = self._cut(other.terms, trunc) if other.trunc > trunc else other.terms
-        for k, v in rest.items():
-            _accumulate(out, k, v)
-        return self._checked(out, self.weight, trunc, self.tau_factor, self.character)
+        da, db = self._den, other._den
+        den = lcm(da, db)
+        fa, fb = den // da, den // db
+        out = {k: v * fa for k, v in self._cut(trunc).items()}
+        for k, v in other._cut(trunc).items():
+            _accumulate(out, k, v * fb)
+        den, out = _reduced(den, out)
+        return self._checked(den, out, self.weight, trunc, self.tau_factor, self.character)
 
     def __neg__(self):
-        return self._clone({k: -v for k, v in self.terms.items()})
+        return self._clone(self._den, {k: -v for k, v in self._nums.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -300,8 +375,9 @@ class _Expansion:
     def __mul__(self, other):
         self._check_genus(other)
         trunc = min(self.trunc, other.trunc)
-        return self._checked(_mul_terms(self.terms, other.terms, trunc),
-                             self.weight + other.weight, trunc,
+        den, nums = _reduced(self._den * other._den,
+                             _mul_terms(self._nums, other._nums, trunc))
+        return self._checked(den, nums, self.weight + other.weight, trunc,
                              self.tau_factor + other.tau_factor,
                              self.character != other.character)
 
@@ -312,11 +388,15 @@ class _Expansion:
 
     def scale_coeff(self, c):
         c = Fraction(c)
-        return self._clone({k: c * v for k, v in self.terms.items()} if c else {})
+        if not c:
+            return self._clone(1, {})
+        p = c.numerator
+        nums = {k: p * v for k, v in self._nums.items()} if p != 1 else self._nums
+        return self._clone(*_reduced(self._den * c.denominator, nums))
 
     def truncate(self, trunc: int):
         trunc = min(trunc, self.trunc)
-        return self._clone(self._cut(self.terms, trunc), trunc=trunc)
+        return self._clone(*_reduced(self._den, self._cut(trunc)), trunc=trunc)
 
     def q_diff(self, i: int = 1, j: int = 1):
         """Normalized symmetrized derivative for the index pair (i, j), by
@@ -331,26 +411,29 @@ class _Expansion:
         if pair not in pairs:
             raise ValueError(f"index pair {pair} out of range for genus {self.genus}")
         n = pairs.index(pair)
-        den = SCALE if i == j else 2 * SCALE
-        out = {k: Fraction(v.numerator * k[n], v.denominator * den)
-               for k, v in self.terms.items() if k[n]}
-        return self._clone(out, tau_factor=self.tau_factor + 1)
+        den = self._den * (SCALE if i == j else 2 * SCALE)
+        nums = {k: v * k[n] for k, v in self._nums.items() if k[n]}
+        return self._clone(*_reduced(den, nums), tau_factor=self.tau_factor + 1)
 
     # -- boundary order and SMF1 text -------------------------------------------
 
     def fj_order(self) -> Fraction:
         """Boundary vanishing order: the least T_gg / 8 over stored terms
         (gamma/8 at genus 2, n/8 at genus 1)."""
-        if not self.terms:
+        if not self._nums:
             raise ValueError("order undetermined at this truncation (zero expansion)")
-        return Fraction(min(k[-1] for k in self.terms), SCALE)
+        return Fraction(min(k[-1] for k in self._nums), SCALE)
 
     def to_text(self) -> str:
         """The SMF1 block: the header (with a character line from genus 2
-        on), then one line per term, its key entries and its coefficient."""
-        terms = self.terms
-        entries = "%d " * len(self._layout.pairs)
-        lines = [entries % k + frac_to_text(terms[k]) for k in sorted(terms)]
+        on), then one line per term, its key entries and its coefficient
+        (an integer, or p/q in lowest terms)."""
+        den, nums = self._den, self._nums
+        line = "%d " * len(self._layout.pairs) + "%d"
+        lines = []
+        for k in sorted(nums):
+            g = gcd(nums[k], den)
+            lines.append(line % (*k, nums[k] // g) + ("" if g == den else f"/{den // g}"))
         head = ["SMF1", f"genus {self.genus}", f"weight {frac_to_text(self.weight)}",
                 f"scale {SCALE}", f"trunc {self.trunc}", f"taupow {self.tau_factor}"]
         if self.genus > 1:
@@ -445,7 +528,7 @@ def _smf1_from_text(text: str, cls):
     g = value(1, "genus", int)
     if g != genus:
         fail(1, f"genus-{g} block passed to the genus-{genus} reader")
-    weight = value(2, "weight", frac_from_text)
+    weight = value(2, "weight", lambda s: Fraction(*_smf1_number(s)))
     if value(3, "scale", int) != SCALE:
         fail(3, f"scale must be {SCALE}")
     trunc = value(4, "trunc", int)
@@ -462,7 +545,8 @@ def _smf1_from_text(text: str, cls):
     declared = value(idx, "terms", int)
     fault = cls._layout.fault
     fields = len(cls._layout.pairs) + 1
-    terms: dict = {}
+    nums: dict = {}
+    dens: dict = {}  # the denominator of each non-integer coefficient
     count = 0
     for j in range(idx + 1, len(lines)):
         parts = lines[j].split()
@@ -473,18 +557,24 @@ def _smf1_from_text(text: str, cls):
             if len(parts) != fields:
                 raise ValueError(f"expected {fields} fields")
             key = tuple(map(int, parts[:-1]))
-            c = frac_from_text(parts[-1])
-        except (ValueError, ZeroDivisionError) as exc:
+            p, q = _smf1_number(parts[-1])
+        except ValueError as exc:
             fail(j, f"cannot parse {lines[j]!r} ({exc})")
-        why = fault(key, trunc) or ("zero coefficient" if not c else None)
+        why = fault(key, trunc) or ("zero coefficient" if not p else None)
         if why:
             fail(j, why)
-        if key in terms:
+        if key in nums:
             fail(j, "duplicate exponent")
-        terms[key] = c
+        nums[key] = p
+        if q > 1:
+            dens[key] = q
     if count != declared:
         fail(idx, f"declares {declared} terms, found {count}")
-    return cls._checked(terms, weight, trunc, taupow, bool(character))
+    # reduced fractions over the lcm of their denominators are canonical
+    den = lcm(*set(dens.values()))
+    if den > 1:
+        nums = {k: v * (den // dens.get(k, 1)) for k, v in nums.items()}
+    return cls._checked(den, nums, weight, trunc, taupow, bool(character))
 
 
 def qexp2_from_text(text: str) -> QExp2:
@@ -535,14 +625,13 @@ def eval_jetpoly(p: JetPoly, bind: dict, weight=None):
         raise ValueError(f"unbound symbol(s) {sorted(unbound)!r}")
     cache: dict = {}
 
-    def factor(sym: str, derivs: tuple):
-        key = (sym, derivs)
+    def factor(key: tuple):
+        """The expansion of a jet variable (symbol, derivative pairs)."""
         got = cache.get(key)
         if got is None:
+            sym, derivs = key
             if derivs:
-                prev = factor(sym, derivs[:-1])
-                i, j = derivs[-1]
-                got = prev.q_diff(i, j)
+                got = factor((sym, derivs[:-1])).q_diff(*derivs[-1])
             else:
                 if sym not in bind:
                     raise ValueError(f"unbound symbol {sym!r}")
@@ -551,7 +640,7 @@ def eval_jetpoly(p: JetPoly, bind: dict, weight=None):
         return got
 
     genus = next(iter(bind.values())).genus
-    total = None
+    monos = []
     sym_weight = None
     order = None
     for mono, coeff in sorted(p.terms.items()):
@@ -565,12 +654,39 @@ def eval_jetpoly(p: JetPoly, bind: dict, weight=None):
             sym_weight, order = mw, morder
         elif (mw, morder) != (sym_weight, order):
             raise ValueError("jet polynomial is not weight/order homogeneous")
-        parts = sorted((factor(s, d) for s, d in mono), key=lambda f: len(f.terms))
-        acc = parts[0]
-        for f in parts[1:]:
-            acc = acc * f
-        acc = acc.scale_coeff(coeff)
-        total = acc if total is None else total + acc
+        monos.append((coeff, mono))
     if weight is None:
         weight = sym_weight + Fraction(2 * order, genus)
-    return total.with_weight(weight)
+    return _sum_of_products(monos, factor).with_weight(weight)
+
+
+def _sum_of_products(monos: list, factor):
+    """The sum of c * factor(x_1) * ... * factor(x_n) over (c, (x_1, ..., x_n))
+    in monos (each tuple nonempty), with each shared factor multiplied once.
+
+    The factor in the most monomials comes out first: it multiplies the sum
+    of its cofactors, which is evaluated the same way.  Exact arithmetic and
+    truncation (a ring congruence) make this equal to the term-by-term sum,
+    with fewer products.
+    """
+    total = None
+    while monos:
+        counts = Counter(x for _, xs in monos for x in set(xs))
+        pivot = min(counts, key=lambda x: (-counts[x], x))
+        inner, const, rest = [], None, []
+        for c, xs in monos:
+            if pivot not in xs:
+                rest.append((c, xs))
+            elif len(xs) == 1:
+                const = c if const is None else const + c
+            else:
+                i = xs.index(pivot)
+                inner.append((c, xs[:i] + xs[i + 1:]))
+        f = factor(pivot)
+        parts = [f * _sum_of_products(inner, factor)] if inner else []
+        if const is not None:
+            parts.append(f.scale_coeff(const))
+        for part in parts:
+            total = part if total is None else total + part
+        monos = rest
+    return total

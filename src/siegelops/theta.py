@@ -131,7 +131,7 @@ def theta_qexp(g: int, char: ThetaChar, trunc: int = DEFAULT_TRUNC):
             continue
         key = tuple((2 if i < j else 1) * m[i] * m[j] for i in range(g) for j in range(i, g))
         terms[key] = terms.get(key, 0) + _phase(char, n)
-    return cls({k: Fraction(v) for k, v in terms.items() if v}, half, trunc)
+    return cls._from_ints(terms, half, trunc)
 
 
 def tnull_qexp(trunc: int = DEFAULT_TRUNC) -> QExp2:

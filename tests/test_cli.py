@@ -268,6 +268,50 @@ def test_theta_qexp_genus_must_match_the_characteristic(capsys):
     assert err == "error: --genus 1 disagrees with --char '00,11' of genus 2\n"
 
 
+def test_form_genus_defaults_to_the_named_form(capsys):
+    for name, genus in (("eis4", 1), ("delta", 1), ("tnull", 2), ("schottky", 2)):
+        code, out = run_cli(["form", "--name", name, "--trunc", "16"], capsys)
+        assert code == 0 and qexp_from_text(out).genus == genus
+    code, out = run_cli(["form", "--name", "eis4", "--genus", "1", "--trunc", "16"], capsys)
+    assert code == 0 and qexp_from_text(out).genus == 1
+    code, out = run_cli(["form", "--name", "schottky", "--genus", "1", "--trunc", "16"],
+                        capsys)
+    assert code == 0 and qexp_from_text(out).genus == 1
+
+
+def test_form_genus_must_match_the_named_form(capsys):
+    code, err = run_cli_error(["form", "--name", "eis4", "--genus", "2", "--trunc", "16"],
+                              capsys)
+    assert code == 2
+    assert err == "error: --genus 2 disagrees with form 'eis4' of genus 1\n"
+    code, err = run_cli_error(["form", "--name", "tnull", "--genus", "1", "--trunc", "16"],
+                              capsys)
+    assert code == 2
+    assert err == "error: --genus 1 disagrees with form 'tnull' of genus 2\n"
+
+
+def test_weight5_apply_makes_three_products(tmp_path, capsys, monkeypatch):
+    """The weight-5 operator is -20/9 F F_{11,22} + 20/9 F F_{12,12}
+    + 2 F_11 F_22 - 2 F_12 F_12; F multiplies the sum of its two cofactors
+    once, so apply makes 3 expansion products, not 4."""
+    from siegelops.qexp import QExp2
+    op_file, t_file = tmp_path / "q25.opspec", tmp_path / "t2.smf"
+    run_cli(["opgen", "--genus", "2", "--weight", "5", "--out", str(op_file)], capsys)
+    run_cli(["form", "--name", "tnull", "--trunc", "48", "--out", str(t_file)], capsys)
+    products = []
+    mul = QExp2.__mul__
+
+    def counted(f, g):
+        products.append(1)
+        return mul(f, g)
+
+    monkeypatch.setattr(QExp2, "__mul__", counted)
+    code, out = run_cli(["apply", "--operator", str(op_file), "--input", str(t_file)],
+                        capsys)
+    assert code == 0 and "slope: 12" in out
+    assert len(products) == 3
+
+
 # -- the option surface and the commands that replaced the experiment scripts --
 
 import argparse

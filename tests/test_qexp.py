@@ -330,9 +330,15 @@ def _checked_operands(draw, genus: int):
 
 
 def _assert_checked(f):
-    """f passes the public term check and holds no zero coefficient."""
+    """f passes the public term check, holds no zero coefficient and stores
+    its coefficients canonically: one denominator den >= 1 over nonzero
+    integer numerators, with gcd(den, *nums) == 1."""
     assert all(f.terms.values())
     assert type(f)(f.terms, f.weight, f.trunc, f.tau_factor, f.character) == f
+    den, nums = f._den, f._nums
+    assert type(den) is int and den >= 1
+    assert all(type(v) is int and v for v in nums.values())
+    assert math.gcd(den, *nums.values()) == 1
 
 
 @pytest.mark.parametrize("genus", [1, 2])
@@ -349,3 +355,103 @@ def test_derived_expansions_keep_the_invariants(genus, data):
     results += [f.q_diff(i, j) for i, j in pairs]
     for r in results:
         _assert_checked(r)
+
+
+def test_equality_sees_the_character_flag():
+    """Two expansions whose SMF1 bytes differ in the character line are
+    unequal, and a round trip keeps the flag."""
+    t = tnull_qexp(16)
+    plain = t.with_character(False)
+    assert t.character and t != plain
+    assert t.to_text() != plain.to_text()
+    for f in (t, plain):
+        back = qexp2_from_text(f.to_text())
+        assert back == f and back.character == f.character
+
+
+@pytest.mark.parametrize("coeff,form", [
+    ("1.5", "decimal"), ("1e1", "exponent"), ("1_0e1", "exponent"), ("1_0", "underscore"),
+    ("+3", "leading plus"), ("03", "leading zero"), ("3/1", "denominator 1"),
+    ("2/4", "not reduced"), ("-6/9", "not reduced"), ("3/-4", "signed denominator"),
+    ("3/", "empty denominator")])
+def test_smf1_accepts_only_the_coefficients_it_writes(coeff, form):
+    """A term coefficient is an integer or p/q in lowest terms with q >= 2,
+    as to_text writes it; anything else is an error naming the line."""
+    one = QExp1({(0,): Fraction(1), (8,): Fraction(2)}, Fraction(4), 16).to_text()
+    with pytest.raises(ValueError, match=f"SMF1 line 9: cannot parse '8 {re.escape(coeff)}'"):
+        qexp1_from_text(_replace(one, 8, f"8 {coeff}"))
+
+
+@pytest.mark.parametrize("weight", ["5.0", "1e1", "+5", "1_0", "10/2", "5/1"])
+def test_smf1_weight_header_is_strict(t2_48, weight):
+    with pytest.raises(ValueError, match=f"SMF1 line 3: bad weight value '{re.escape(weight)}'"):
+        qexp2_from_text(_replace(t2_48.to_text(), 2, f"weight {weight}"))
+
+
+def test_smf1_reads_the_coefficients_it_writes():
+    f = QExp1({(0,): Fraction(-7, 12), (8,): Fraction(2), (16,): Fraction(5, 3)},
+              Fraction(-9, 2), 16)
+    text = f.to_text()
+    assert "weight -9/2" in text and "\n0 -7/12\n8 2\n16 5/3\n" in text
+    assert qexp1_from_text(text) == f
+
+
+# -- jet evaluation: grouped products against the term-by-term sum ---------------
+
+
+def eval_per_monomial(p: JetPoly, bind: dict):
+    """Every monomial multiplied out on its own and scaled, then summed: the
+    reference for eval_jetpoly's grouping (its weight is not set)."""
+    total = None
+    for mono, coeff in sorted(p.terms.items()):
+        acc = None
+        for sym, derivs in mono:
+            f = bind[sym]
+            for i, j in derivs:
+                f = f.q_diff(i, j)
+            acc = f if acc is None else acc * f
+        acc = acc.scale_coeff(coeff)
+        total = acc if total is None else total + acc
+    return total
+
+
+def _assert_grouping_exact(p: JetPoly, bind: dict):
+    got = eval_jetpoly(p, bind)
+    want = eval_per_monomial(p, bind).with_weight(got.weight)
+    assert got == want
+    assert got.to_text() == want.to_text()
+
+
+def test_grouped_jet_evaluation_of_the_weight5_operator(t2_48):
+    from siegelops.jets import jet_apply
+    from siegelops.opgen import build_Q
+    jet = jet_apply(build_Q(2, Fraction(5)).Q, {1: "F", 2: "F"}, 2)
+    assert len(jet.terms) == 4
+    _assert_grouping_exact(jet, {"F": t2_48})
+
+
+_DERIVS = {0: [()], 1: [((1, 1),), ((1, 2),), ((2, 2),)],
+           2: [((1, 1), (1, 1)), ((1, 1), (1, 2)), ((1, 1), (2, 2)), ((1, 2), (1, 2)),
+               ((1, 2), (2, 2)), ((2, 2), (2, 2))]}
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from("FG"), st.sampled_from("FG"), st.integers(0, 2),
+                          st.integers(0, 9), st.integers(0, 9),
+                          st.sampled_from([1, -1, 2, Fraction(-20, 9), Fraction(3, 7)])),
+                min_size=1, max_size=8))
+def test_grouped_jet_evaluation_of_random_degree2_polynomials(draws):
+    """Degree-2 jet polynomials of derivative order 2 in two symbols of one
+    weight: shared factors, repeated factors and cancelling coefficients."""
+    from siegelops.jets import _mono, jet_var
+    terms: dict = {}
+    for s1, s2, k, i1, i2, c in draws:
+        d1, d2 = _DERIVS[k], _DERIVS[2 - k]
+        mono = _mono([jet_var(s1, d1[i1 % len(d1)]), jet_var(s2, d2[i2 % len(d2)])])
+        terms[mono] = terms.get(mono, 0) + Fraction(c)
+    p = JetPoly(terms)
+    if not p.terms:
+        return
+    c0, c1 = ThetaChar((0, 0), (0, 0)), ThetaChar((1, 0), (0, 0))
+    theta0, theta1 = theta_qexp(2, c0, 24), theta_qexp(2, c1, 24)
+    _assert_grouping_exact(p, {"F": theta0 * theta0, "G": theta0 * theta1})

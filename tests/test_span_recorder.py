@@ -92,3 +92,28 @@ def test_span_recorder_wraps_the_operator_layer():
     names = _span_names(OPGEN_PROGRAM)
     assert {"opgen.build_Q", "opgen.verify_harmonic_condition", "opgen.opspec_to_text",
             "opgen.opspec_from_text"} <= names
+
+
+COUNTER_PROGRAM = """
+import spans
+from siegelops import theta
+
+rec = spans.Recorder()
+spans.install(rec)
+f = theta.tnull_qexp(24)
+g = f.q_diff(1, 2)
+before = dict(rec.counts)
+h = f * g
+grew = {k: rec.counts[k] - before.get(k, 0) for k in ("qexp.mul.terms_out", "qexp.mul.pair_ops")}
+pairs = sum(1 for a in f.terms for b in g.terms if a[0] + a[2] + b[0] + b[2] <= 24)
+assert len(h.terms) > 0 and pairs > 0
+assert grew == {"qexp.mul.terms_out": len(h.terms), "qexp.mul.pair_ops": pairs}, grew
+print("qexp.QExp2.__mul__" if "qexp.QExp2.__mul__" in {s[0] for s in rec.spans} else "")
+"""
+
+
+def test_span_recorder_counts_products_from_the_terms_view():
+    """perfbench/spans.py counts qexp.mul.terms_out and qexp.mul.pair_ops
+    from the public terms view of a traced QExp2 product; both must equal
+    the counts made here from that view."""
+    assert "qexp.QExp2.__mul__" in _span_names(COUNTER_PROGRAM)

@@ -2,13 +2,15 @@
 
 Subcommands: opgen, apply, theta, form, bracket, slope, verify.  Each one
 registers only the options its code reads, with their defaults, so the
-parsed arguments are the run configuration; opgen, apply and verify print
-the settings they used as a '# config:' header.  Identical configurations
-produce byte-identical outputs (all serializers iterate in sorted order and
-all randomness is derived from the seed).  Exit status is the number of
-failed checks (0 = everything passed); bad input (an unreadable or
-malformed file, a bad or missing option value) prints an error to stderr
-and exits 2.
+parsed arguments are the run configuration; verify has one subcommand per
+check, each with the options of that check alone.  opgen, apply and each
+verify check print the settings they used as a '# config:' header ('-' for
+a check that reads none; the suite keeps the header it always printed).
+Identical configurations produce byte-identical outputs (all serializers
+iterate in sorted order and all randomness is derived from the seed).  Exit
+status is the number of failed checks (0 = everything passed); bad input
+(an unreadable or malformed file, a bad or missing option value) prints an
+error to stderr and exits 2.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import math
 import random
 import sys
 from fractions import Fraction
+from functools import cache
 
 from . import brackets, opgen, slopes, theta
 from .jets import jet_apply
@@ -318,23 +321,50 @@ def _random_z(rng: random.Random, g: int):
     return [complex(rng.uniform(-0.3, 0.3), rng.uniform(-0.2, 0.2)) for _ in range(g)]
 
 
-def cmd_verify(args) -> int:
+def _verify_weight(args):
+    """The weight verify pluriharmonic checks: --weight, else symbolic."""
     a = _weight(args)
-    print(f"# config: genus={args.genus} weight={_weight_text(a)} trunc={args.trunc} "
-          f"seed={args.seed} tol-modularity={args.tol_modularity:g} "
-          f"tol-heat={args.tol_heat:g} tol-zero={args.tol_zero:g}")
-    rng = random.Random(args.seed)
-    failures = 0
+    return opgen.symbolic_weight() if a is None else a
+
+
+_MODULARITY_FORMS = ("T2SQ", "D25T2")
+
+
+def _setting(args, dest: str) -> str:
+    """One 'name=value' of a verify header: the value the check uses."""
+    value = getattr(args, dest)
+    if dest == "weight":
+        return f"weight={_weight_text(_verify_weight(args))}"
+    if dest == "form":
+        return f"form={value or ','.join(_MODULARITY_FORMS)}"
+    if isinstance(value, float):
+        return f"{dest.replace('_', '-')}={value:g}"
+    return f"{dest}={'-' if value is None else value}"
+
+
+# The suite reads no setting; its header is the one every check printed
+# before each took only its own options, kept so that its output stays
+# byte-identical.
+_SUITE_CONFIG = (f"genus=2 weight=- trunc=48 seed=0 tol-modularity={theta.TOL_MODULARITY:g} "
+                 f"tol-heat={theta.TOL_HEAT:g} tol-zero={theta.TOL_ZERO:g}")
+
+
+def cmd_verify(args) -> int:
     what = args.what
+    config = (_SUITE_CONFIG if what == "suite"
+              else " ".join(_setting(args, dest) for dest in args.settings) or "-")
+    print(f"# config: {config}")
+    failures = 0
 
     if what == "pluriharmonic":
-        failures += _check_operator(args.genus, opgen.symbolic_weight() if a is None else a)[1]
+        failures += _check_operator(args.genus, _verify_weight(args))[1]
 
     elif what == "suite":
         for name, ok in _operator_suite():
             failures += _status(name, ok)
 
     elif what == "heat":
+        rng = random.Random(args.seed)
         for g in (1, 2):
             for i in range(5):
                 tau = _random_tau(rng, g)
@@ -347,6 +377,7 @@ def cmd_verify(args) -> int:
                                     f"residual {rep.max_residual:.2e}")
 
     elif what == "modularity":
+        rng = random.Random(args.seed)
         forms = {"T2SQ": theta.form_tnull(2), "D25T2": theta.form_operator_tnull(5)}
         wanted = [args.form] if args.form else list(forms)
         import numpy as np
@@ -392,6 +423,7 @@ def cmd_verify(args) -> int:
     return failures
 
 
+@cache  # parse_args leaves the parser as it was; in-process callers build it once
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="siegelops")
     sub = p.add_subparsers(dest="command", required=True)
@@ -451,19 +483,33 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_slope)
 
     sp = sub.add_parser("verify", help="run a named verification suite")
-    sp.add_argument("what", choices=["pluriharmonic", "suite", "heat", "modularity",
-                                     "cond", "schottky-vanishing", "table"])
-    sp.add_argument("--genus", type=int, default=2)
-    weight_options(sp, required=False)
-    sp.add_argument("--form", choices=["T2SQ", "D25T2"])
-    sp.add_argument("--tau")
-    trunc_option(sp)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--tol-modularity", dest="tol_modularity", type=float,
+    checks = sp.add_subparsers(dest="what", required=True, metavar="CHECK")
+
+    def check(name: str, help_text: str, *settings):
+        """The subparser of one check; settings are the options it reads."""
+        cp = checks.add_parser(name, help=help_text)
+        cp.set_defaults(fn=cmd_verify, settings=settings)
+        return cp
+
+    cp = check("pluriharmonic", "the coefficient identity and the second-order verifier "
+               "(Q(a) by default)", "genus", "weight")
+    cp.add_argument("--genus", type=int, default=2)
+    weight_options(cp, required=False)
+    check("suite", "the whole pluriharmonicity sweep")
+    cp = check("heat", "theta heat equation at seeded points", "seed", "tol_heat")
+    cp.add_argument("--seed", type=int, default=0)
+    cp.add_argument("--tol-heat", dest="tol_heat", type=float, default=theta.TOL_HEAT)
+    cp = check("modularity", "transformation laws at seeded points",
+               "form", "seed", "tol_modularity")
+    cp.add_argument("--form", choices=_MODULARITY_FORMS)
+    cp.add_argument("--seed", type=int, default=0)
+    cp.add_argument("--tol-modularity", dest="tol_modularity", type=float,
                     default=theta.TOL_MODULARITY)
-    sp.add_argument("--tol-heat", dest="tol_heat", type=float, default=theta.TOL_HEAT)
-    sp.add_argument("--tol-zero", dest="tol_zero", type=float, default=theta.TOL_ZERO)
-    sp.set_defaults(fn=cmd_verify)
+    cp = check("cond", "the gradient determinant on the theta-null locus", "tau", "tol_zero")
+    cp.add_argument("--tau")
+    cp.add_argument("--tol-zero", dest="tol_zero", type=float, default=theta.TOL_ZERO)
+    trunc_option(check("schottky-vanishing", "the degree-16 vanishing identity", "trunc"))
+    check("table", "the slope table against its expected rows")
 
     return p
 

@@ -34,29 +34,43 @@ relative weight of the two parts affects the vanishing condition.  Setting
 the factor to 1 makes the genus-2 verification fail (see tests), which is
 what pins the convention.
 
+Packed operator.  build_Q never leaves the packed monomials of poly.py.
+Every key of the Leibniz pass determines its n (the degree in R_h is the
+t_h-exponent n_h), so C(1) Q is the union of the packed B(n) with
+c(n) != 0, each scaled by c(n) = C(m).  OperatorSpec stores Q as one
+cleared form:
+integer numerators over one denominator, both integers at a numeric weight
+a = p/q (q^(g-1) C(m) is an integer) and integer polynomials in a in Q(a)
+(C(m) is an integer polynomial in k = 2a).  Each C(m) is computed once,
+the numerators of B(n) are multiplied by it in one pass, and the form is
+divided by the integer content.  spec.Q decodes a MultiPoly on first
+access; the OPSPEC1 writer and reader work on the packed keys directly.
+
 Integer proof.  verify_pluriharmonic runs on integers, in one kernel shared
-with apply_D11.  Write every coefficient of Q as P(a) / (D L(a)): L is the
-lcm of the coefficient denominators (1 for a numeric weight), and D clears
-the rational content, so each P is an integer polynomial.  Likewise
-k = kn(a) / kd(a) with integer polynomials.  Then 4 kd D L times
+with apply_D11, which packs and clears its MultiPoly argument first.  Let
+Q = sum over packed keys of P(a) / L(a) times a monomial, the cleared form:
+L and every P are integer polynomials (constants for a numeric weight).
+Likewise k = kn(a) / kd(a) with integer polynomials.  Then 4 kd L times
 sum_h D_{h;11} Q has integer-polynomial coefficients R(a): each move of
 D_{h;11} multiplies a coefficient P by an integer times kn (the first-order
 term) or times kd (the second-order terms, whose 1/2 symmetrization factors
-the 4 clears).  Monomials are packed into ints as in poly.py, so a move is
-one integer addition to the key, and every P is evaluated at a = 2^S, so
-the kernel multiplies and adds plain ints: a residual coefficient is R(2^S).
+the 4 clears).  A monomial is a packed int key, so a move is one integer
+addition to the key, and every P is evaluated at a = 2^S (once per distinct
+P), so the kernel multiplies and adds plain ints: a residual coefficient is
+R(2^S).
 
 The bound behind S.  Let N be the sum of |c| over every coefficient c of
-every P, over all terms of Q, and d a bound on the total degree of every
-monomial: 14 times the most variables in one monomial, as the packing takes
-exponents up to 14.  A monomial with row-1 exponents E_h in R_h (sum_h E_h
-<= d) spreads its P over moves whose multipliers have coefficient sums
-|.| at most 4 E_h |kn| (first order) and 4 |f| (E_h^2 - E_h) |kd| (second
-order), f the second-order factor.  So every coefficient of R is at most
-N M in size, M = 4 d |kn| + 4 |f| d^2 |kd|.  With S = bitlength(N M) + 1,
-every coefficient lies strictly inside (-2^(S-1), 2^(S-1)), so R(2^S) is
-R's coefficients written as balanced base-2^S digits: R(2^S) = 0 exactly
-when R = 0, which proves the identity for every a at once, with no weight
+every P, over all terms of Q, and d the largest row-1 degree of a monomial:
+the nibble sum of its key masked to the row-1 nibbles r_{h;11}, ..,
+r_{h;1g} of every R_h, taken over the distinct masked keys.  A monomial
+with row-1 exponents E_h in R_h (sum_h E_h <= d) spreads its P over moves
+whose multipliers have coefficient sums |.| at most 4 E_h |kn| (first
+order) and 4 |f| (E_h^2 - E_h) |kd| (second order), f the second-order
+factor.  So every coefficient of R is at most N M in size,
+M = 4 d |kn| + 4 |f| d^2 |kd|.  With S = bitlength(N M) + 1, every
+coefficient lies strictly inside (-2^(S-1), 2^(S-1)), so R(2^S) is R's
+coefficients written as balanced base-2^S digits: R(2^S) = 0 exactly when
+R = 0, which proves the identity for every a at once, with no weight
 sampling.  For a numeric weight every polynomial is a constant and the
 evaluation changes nothing.
 """
@@ -68,10 +82,11 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .poly import (MultiPoly, _packing, _poly_from_lines, coeff_R, index_set_N,
-                   index_set_Nprime, minor_coeff_R, poly_to_text, r_var, x_var)
-from .scalars import (RatFunc, _accumulate, _line_reader, _pdivmod, _pgcd, _pmul,
-                      _unpack, frac_to_text, scalar_from_text, scalar_to_text)
+from .poly import (MultiPoly, _cleared, _nibble_sum, _packed_poly, _packed_to_text,
+                   _packing, _poly1_from_lines, _t_split, coeff_R, index_set_N,
+                   index_set_Nprime, minor_coeff_R, r_var, x_var)
+from .scalars import (RatFunc, _line_reader, _pmul, _unpack, frac_to_text,
+                      scalar_from_text, scalar_to_text)
 
 SECOND_ORDER_FACTOR = 2
 
@@ -125,108 +140,124 @@ def coeff_c(g: int, a, n: tuple):
 
 @dataclass
 class OperatorSpec:
-    """A built operator polynomial with its normalized coefficient table."""
+    """A built operator polynomial with its normalized coefficient table.
+
+    Q is stored as its cleared packed form (module docstring): nums maps
+    each packed monomial key to its numerator, and nums[key] / den is its
+    coefficient; den and the numerators are ints for a numeric weight and
+    integer polynomials in a (tuples, low degree first) in Q(a), with no
+    common integer factor and den > 0 (or a positive leading coefficient).
+    Q is the read-only MultiPoly view, decoded on first access.
+    """
 
     g: int
     a: object  # Fraction or RatFunc
     k: object  # 2a
     symbolic: bool
     coeffs: dict = field(repr=False)  # multi-index -> c(n)/C(1)
-    Q: MultiPoly = field(repr=False)
+    den: object = field(repr=False)
+    nums: dict = field(repr=False)
+    _Q: MultiPoly | None = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def Q(self) -> MultiPoly:
+        if self._Q is None:
+            self._Q = _packed_poly(self.g, self.den, self.nums)
+        return self._Q
 
 
 def build_Q(g: int, a) -> OperatorSpec:
-    """Assemble the normalized operator polynomial for genus g and weight a."""
+    """Assemble the normalized operator polynomial for genus g and weight a,
+    on packed keys (module docstring)."""
     if g < 2:
         raise ValueError("genus must be >= 2")
     a = _as_weight(a)
     symbolic = isinstance(a, RatFunc)
     if not symbolic and 2 * a < g:
         raise ValueError(f"weight a={a} violates a >= g/2 = {Fraction(g, 2)}")
-    c1 = constant_C(g, a, 1)
-    coeffs = {}
-    terms: dict = {}
-    for n in index_set_N(g):
-        cn = coeff_c(g, a, n)
-        if not cn:
-            continue
-        cn = cn / c1
-        coeffs[n] = cn
-        scaled: dict = {}  # basis coefficient -> cn times it
-        for m, c in coeff_R(g, n).terms.items():
-            x = scaled.get(c)
-            if x is None:
-                x = scaled[c] = cn * c
-            _accumulate(terms, m, x)
-    Q = MultiPoly(terms, "Qa" if symbolic else "Q")
-    return OperatorSpec(g=g, a=a, k=2 * a, symbolic=symbolic, coeffs=coeffs, Q=Q)
+    if symbolic:  # C(m) in a: the coefficient of k^j times 2^j
+        C = {m: tuple(c << j for j, c in enumerate(_constant_C_k(g, m)))
+             for m in range(1, g + 1)}
+        ratio = {m: RatFunc(C[m], C[1]) for m in C}
+    else:  # q^(g-1) C(m) at k = 2a = p/q
+        p, q = (2 * a).numerator, (2 * a).denominator
+        C = {m: sum(c * p ** j * q ** (g - 1 - j) for j, c in enumerate(_constant_C_k(g, m)))
+             for m in range(1, g + 1)}
+        ratio = {m: Fraction(C[m], C[1]) for m in C}
+
+    def content(x) -> int:  # of an integer or an integer polynomial
+        return math.gcd(*x) if symbolic else x
+
+    split = _t_split(g, ())
+    strata = {n: _stratum(n) for n in index_set_N(g)}
+    strata = {n: m for n, m in strata.items() if m}
+    # divide the whole form by its integer content G
+    G = math.gcd(content(C[1]), *(content(C[m]) * math.gcd(*split[n].values())
+                                  for n, m in strata.items()))
+    coeffs, nums = {}, {}
+    for n, m in strata.items():
+        coeffs[n] = ratio[m]
+        bucket, Cm = split[n], C[m]
+        if symbolic:
+            scaled = {b: tuple(b * c // G for c in Cm) for b in set(bucket.values())}
+        else:
+            scaled = {b: b * Cm // G for b in set(bucket.values())}
+        nums.update(zip(bucket, map(scaled.__getitem__, bucket.values())))
+    den = tuple(c // G for c in C[1]) if symbolic else C[1] // G
+    return OperatorSpec(g=g, a=a, k=2 * a, symbolic=symbolic, coeffs=coeffs, den=den,
+                        nums=nums)
 
 
 # -- the integer D_{h;11} kernel (see "Integer proof" above) -----------------
 
-_MAX_EXP = 14  # a move raises one exponent by 1, and a nibble holds 15
-
-
-def _integer_poly(polys: list) -> tuple[int, list]:
-    """(D, [D p for p in polys]): D clears every coefficient denominator."""
-    D = math.lcm(*(Fraction(c).denominator for p in polys for c in p))
-    return D, [tuple(int(c * D) for c in p) for p in polys]
-
-
-def _as_pair(c) -> tuple:
-    """A coefficient or weight as (numerator, denominator) polynomials in a."""
-    if isinstance(c, RatFunc):
-        return c.num, c.den
-    return (Fraction(c),), (Fraction(1),)
-
 
 class _IntegerForm:
-    """p and k over one integer denominator, packed for the D_{h;11} kernel.
+    """A cleared packed form (den, nums) and k, over one integer
+    denominator, for the D_{h;11} kernel.
 
-    terms maps each packed monomial to the integer P(2^S) of its
-    coefficient; kn and kd are 4 kn(2^S) and 4 kd(2^S).  p may hold the t_h
-    and r_{h;ij} of genus g, with exponents up to _MAX_EXP.
+    terms maps each packed key to the integer P(2^S) of its numerator; kn
+    and kd are 4 kn(2^S) and 4 kd(2^S).  Keys may hold the t_h and r_{h;ij}
+    of genus g, with exponents up to poly._MAX_EXP.
     """
 
-    def __init__(self, g: int, p: MultiPoly, k, factor: int):
+    def __init__(self, g: int, den, nums: dict, k, factor: int):
         self.g, self.factor = g, factor
-        self.field = "Qa" if p.field == "Qa" or isinstance(k, RatFunc) else "Q"
-        self.unit, self.decode = _packing(g)
-        # distinct coefficients by identity: p.terms keeps every one alive
-        counts = Counter(map(id, p.terms.values()))
-        distinct = {id(c): c for c in p.terms.values()}
-        pairs = {i: _as_pair(c) for i, c in distinct.items()}
-        L = (Fraction(1),)
-        for den in {den for _, den in pairs.values()}:
-            L = _pmul(L, _pdivmod(den, _pgcd(L, den))[0])
-        D, polys = _integer_poly([_pmul(num, _pdivmod(L, den)[0])
-                                  for num, den in pairs.values()])
-        _, (kn, kd) = _integer_poly(list(_as_pair(k)))
-        d = _MAX_EXP * max(map(len, p.terms), default=0)
+        symbolic = isinstance(den, tuple)
+        self.field = "Qa" if symbolic or isinstance(k, RatFunc) else "Q"
+        self.packing = _packing(g)
+        kd, kn = _cleared("Qa" if isinstance(k, RatFunc) else "Q", {0: k})
+
+        def poly(x) -> tuple:  # an int as a constant polynomial
+            return x if isinstance(x, tuple) else (x,)
+
+        kn, kd, L = poly(kn[0]), poly(kd), poly(den)
+        unit = self.packing.unit
+        row1 = sum(((1 << 4 * g) - 1) * unit[r_var(h, 1, 1)] for h in range(1, g + 1))
+        d = max(map(_nibble_sum, {key & row1 for key in nums}), default=0)
         spread = 4 * d * sum(map(abs, kn)) + 4 * abs(factor) * d * d * sum(map(abs, kd))
-        size = sum(counts[i] * sum(map(abs, P)) for i, P in zip(pairs, polys))
+        if symbolic:
+            counts = Counter(nums.values())
+            size = sum(n * sum(map(abs, P)) for P, n in counts.items())
+        else:
+            size = sum(map(abs, nums.values()))
         self.s = s = (size * spread).bit_length() + 1
 
         def at_2s(P):
             return sum(c << s * j for j, c in enumerate(P))
 
-        value = {i: at_2s(P) for i, P in zip(pairs, polys)}
-        step = {(v, e): e * u for v, u in self.unit.items() for e in range(1, _MAX_EXP + 1)}
-        try:
-            self.terms = {sum(map(step.__getitem__, m)): value[id(c)]
-                          for m, c in p.terms.items()}
-        except KeyError as exc:
-            v, e = exc.args[0]
-            raise ValueError(f"factor {v}^{e} is not a genus-{g} variable to a power "
-                             f"up to {_MAX_EXP}") from None
+        if symbolic:
+            value = {P: at_2s(P) for P in counts}
+            self.terms = {key: value[P] for key, P in nums.items()}
+        else:
+            self.terms = nums
         self.kn, self.kd = 4 * at_2s(kn), 4 * at_2s(kd)
-        self.den = _pmul(tuple(4 * D * c for c in kd), L)
+        self.den = _pmul(tuple(4 * c for c in kd), L)
 
     def d11(self, hs) -> dict:
-        """4 kd D L sum_{h in hs} D_{h;11} p at a = 2^S: packed key -> int
+        """4 kd L sum_{h in hs} D_{h;11} p at a = 2^S: packed key -> int
         (cancelled keys are kept with the value 0)."""
         mask = (1 << 4 * self.g) - 1  # the row-1 nibbles r_{h;11..1g} of R_h
-        rows = [(self.unit[r_var(h, 1, 1)].bit_length() - 1, h, {}) for h in hs]
+        rows = [(self.packing.unit[r_var(h, 1, 1)].bit_length() - 1, h, {}) for h in hs]
         out: dict = {}
         get = out.get
         for key, c in self.terms.items():
@@ -244,7 +275,7 @@ class _IntegerForm:
     def _moves(self, h: int, bits: int) -> list:
         """(key change, multiplier) of each term of D_{h;11} on a monomial
         whose row-1 exponents in R_h are the nibbles of bits."""
-        unit, f, kd = self.unit, self.factor, self.kd
+        unit, f, kd = self.packing.unit, self.factor, self.kd
         hits = [(u, bits >> 4 * (u - 1) & 15) for u in range(1, self.g + 1)]
         hits = [(u, e, unit[r_var(h, 1, u)]) for u, e in hits if e]
         acc: dict = {}
@@ -272,11 +303,11 @@ class _IntegerForm:
             if not v:
                 continue
             if self.field == "Q":
-                out[self.decode(key)] = Fraction(v) / self.den[0]
+                out[self.packing.decode(key)] = Fraction(v) / self.den[0]
             else:
                 digits = dict(_unpack(v, self.s))
                 num = [digits.get(j, 0) for j in range(max(digits) + 1)]
-                out[self.decode(key)] = RatFunc(num, self.den)
+                out[self.packing.decode(key)] = RatFunc(num, self.den)
         return MultiPoly(out, self.field)
 
 
@@ -288,10 +319,13 @@ def apply_D11(g: int, h: int, p: MultiPoly, k,
     with symmetrized derivatives d.  The default factor 2 matches the
     pullback Laplacian up to an irrelevant global constant.
 
-    Runs the integer kernel of verify_pluriharmonic for this h alone and
-    divides its residual back into the field: Q(a) when p or k is there.
+    Packs and clears p, runs the integer kernel of verify_pluriharmonic for
+    this h alone and divides its residual back into the field: Q(a) when p
+    or k is there.
     """
-    form = _IntegerForm(g, p, k, second_order_factor)
+    encode = _packing(g).encode
+    den, nums = _cleared(p.field, {encode(m): c for m, c in p.terms.items()})
+    form = _IntegerForm(g, den, nums, k, second_order_factor)
     return form.to_poly(form.d11((h,)))
 
 
@@ -302,7 +336,7 @@ def verify_pluriharmonic(spec: OperatorSpec,
     One scan of Q by the integer kernel for every h at once; in Q(a) a
     zero residual proves the identity for every a (module docstring).
     """
-    form = _IntegerForm(spec.g, spec.Q, spec.k, second_order_factor)
+    form = _IntegerForm(spec.g, spec.den, spec.nums, spec.k, second_order_factor)
     return not any(form.d11(range(1, spec.g + 1)).values())
 
 
@@ -411,7 +445,7 @@ def opspec_to_text(spec: OperatorSpec) -> str:
     ]
     for n in sorted(spec.coeffs):
         lines.append(f"n={','.join(map(str, n))} | {scalar_to_text(spec.coeffs[n])}")
-    return "\n".join(lines) + "\n" + poly_to_text(spec.Q)
+    return "\n".join(lines) + "\n" + _packed_to_text(spec.g, spec.den, spec.nums)
 
 
 def opspec_from_text(text: str) -> OperatorSpec:
@@ -455,7 +489,9 @@ def opspec_from_text(text: str) -> OperatorSpec:
         fail(5, f"declares {ncoeffs} coefficients, found {len(coeffs)}")
     variables = {r_var(h, i, j) for h in range(1, g + 1)
                  for i in range(1, g + 1) for j in range(i, g + 1)}
-    q = _poly_from_lines(lines, idx, "OPSPEC1", variables)
-    if q.field != field_tag:
-        fail(idx, f"mode {mode} needs POLY1 field={field_tag}, found field={q.field}")
-    return OperatorSpec(g=g, a=a, k=2 * a, symbolic=symbolic, coeffs=coeffs, Q=q)
+    body, terms = _poly1_from_lines(lines, idx, "OPSPEC1", _packing(g).reader(variables))
+    if body != field_tag:
+        fail(idx, f"mode {mode} needs POLY1 field={field_tag}, found field={body}")
+    den, nums = _cleared(body, terms)
+    return OperatorSpec(g=g, a=a, k=2 * a, symbolic=symbolic, coeffs=coeffs, den=den,
+                        nums=nums)

@@ -23,29 +23,41 @@ the same expansion for first minors.  One Leibniz generator,
 _signed_pairings, yields the signed row-column pairings of a determinant
 over permutations; it serves both expansions here and every determinant of
 jets.py and brackets.py (for g <= 6 there are at most 720 permutations, so
-no elimination strategy is needed).  The pencil expansion packs a monomial
-into one int with 4 bits per variable, laid out in the global variable
-order: t_h takes nibble h - 1 and r_{h;ij} a nibble of the h-th block of
-g(g+1)/2 nibbles after the t's.  A pencil entry t_h r_{h;i,sigma(i)} is
-then an int with two set nibbles, and a Leibniz term's key is the sum of
-its g entry ints (no exponent exceeds g, far below 16 for any feasible g,
-so nibbles never carry).  Keys are counted, one counter per permutation
-parity, and each distinct key is decoded to a Mono once, block by block
-through a memo of block values.  _packing holds this layout and its
-decoder; the integer D_{h;11} kernel of opgen.py packs monomials the same
-way.  The B(n) are read from one cached split of an expansion by
-t-exponent, made in a single scan, and share their term dicts with it.
+no elimination strategy is needed).
+
+Packed monomials.  The pencil expansion packs a monomial into one int with
+4 bits per variable, laid out in the global variable order: t_h takes
+nibble h - 1 and r_{h;ij} a nibble of the h-th block of g(g+1)/2 nibbles
+after the t's.  A pencil entry t_h r_{h;i,sigma(i)} is then an int with two
+set nibbles, and a Leibniz term's key is the sum of its g entry ints (no
+exponent exceeds g, far below 15 for any feasible g, so nibbles never
+carry).  Keys are counted, one counter per permutation parity, and the
+expansion stays a dict of packed key -> int.  Its split by t-exponent masks
+the lowest 4g bits, where the t-block sits: the masked bits give n, and
+the rest of the key is the r-part of a term of B(n), kept packed.  _Packing
+holds the layout (at most _MAX_EXP per nibble), its decoder and encoder,
+and the POLY1 rendering of a packed key.  The operator Q of opgen.py and
+its integer D_{h;11} kernel use the same keys, as a cleared form: one
+denominator over integer numerators (_packed_poly and _cleared convert
+between such a form and a MultiPoly).
+
+Decoding is lazy: det_expand, minor_det_expand, coeff_R and minor_coeff_R
+decode packed keys to Monos, block by block through a memo of block values,
+only when called (the genus <= 4 callers of jets.py and the derivative
+lemma).  det_expand decodes the Leibniz pass itself, not the split, so
+MultiPoly.t_coefficient on it checks the split independently.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
-from .scalars import (RatFunc, _accumulate, _binpow, _line_reader, scalar_from_text,
-                      scalar_to_text)
+from .scalars import (RatFunc, _accumulate, _binpow, _line_reader, _pdivmod, _pgcd, _pmul,
+                      scalar_from_text, scalar_to_text)
 
 VarId = tuple
 Mono = tuple  # tuple of (VarId, exponent) pairs, sorted by _var_key
@@ -134,6 +146,13 @@ class _SparsePoly:
     def __init__(self, terms: dict | None = None, field: str = "Q"):
         self.terms = {m: c for m, c in (terms or {}).items() if c}
         self.field = field
+
+    @classmethod
+    def _nonzero(cls, terms: dict, field: str):
+        """The polynomial of terms, taken as is: no coefficient may be zero."""
+        out = cls.__new__(cls)
+        out.terms, out.field = terms, field
+        return out
 
     # -- constructors ------------------------------------------------------
 
@@ -330,50 +349,215 @@ def _signed_pairings(rows: list, cols: list):
         yield (-1) ** inversions, [(r, cols[s]) for r, s in zip(rows, sigma)]
 
 
-def _packing(g: int):
+_MAX_EXP = 14  # the largest exponent of a packed variable (a nibble holds 15)
+
+
+_NIBBLE_SUMS = bytes((b & 15) + (b >> 4) for b in range(256))  # byte -> its nibble sum
+
+
+def _nibble_sum(key: int) -> int:
+    """The sum of the nibbles of key: the degree of a packed monomial."""
+    return sum(key.to_bytes((key.bit_length() + 7) // 8, "little").translate(_NIBBLE_SUMS))
+
+
+class _Memo(dict):
+    """A dict that fills a missing key with fn(key); a hit is one C-level lookup."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
+class _Packing:
     """The packed-int monomial layout of the module docstring, for genus g.
 
-    Returns (unit, decode): unit[v] is the int with a 1 in the nibble of v,
-    for every t_h and r_{h;ij} (i <= j) of genus g, and decode(key) is the
-    Mono whose exponents are the nibbles of key.
+    names[p] is the variable of nibble p and unit[v] the int with a 1 in the
+    nibble of v, for every t_h and r_{h;ij} (i <= j) of genus g; bits is the
+    width of the layout.  Per block of nibbles (the t's, then one block per
+    R_h) a memo maps block values to their decoded pairs and another to
+    their POLY1 text.
     """
-    pairs = [(i, j) for i in range(1, g + 1) for j in range(i, g + 1)]
-    # the t-block, then one block per R_h
-    blocks = [[t_var(h) for h in range(1, g + 1)]]
-    blocks += [[r_var(h, i, j) for i, j in pairs] for h in range(1, g + 1)]
-    unit, layout, shift = {}, [], 0
-    for names in blocks:
-        for s, v in enumerate(names):
-            unit[v] = 1 << shift + 4 * s
-        layout.append((shift, (1 << 4 * len(names)) - 1, names, {}))
-        shift += 4 * len(names)
 
-    def decode(key: int) -> Mono:
+    def __init__(self, g: int):
+        pairs = [(i, j) for i in range(1, g + 1) for j in range(i, g + 1)]
+        blocks = [[t_var(h) for h in range(1, g + 1)]]
+        blocks += [[r_var(h, i, j) for i, j in pairs] for h in range(1, g + 1)]
+        self.g = g
+        self.names = [v for names in blocks for v in names]
+        self.position = {v: p for p, v in enumerate(self.names)}
+        self.unit = {v: 1 << 4 * p for p, v in enumerate(self.names)}
+        self.bits = 4 * len(self.names)
+        self._hex = f"0{len(self.names)}x"
+        self.blocks = []  # (shift, mask, decode memo, text memo) per block
+        first = 0
+        for names in blocks:
+            self.blocks.append((4 * first, (1 << 4 * len(names)) - 1,
+                                _Memo(partial(self._decode_block, first)),
+                                _Memo(partial(self._text_block, first))))
+            first += len(names)
+
+    def _pairs(self, first: int, bits: int) -> list:
+        """(variable, exponent) per set nibble of a block value whose lowest
+        nibble is position first."""
+        out = []
+        for p in range(first, first + bits.bit_length() // 4 + 1):
+            if bits & 15:
+                out.append((self.names[p], bits & 15))
+            bits >>= 4
+        return out
+
+    def _decode_block(self, first: int, bits: int) -> Mono:
+        return tuple(self._pairs(first, bits))
+
+    def _text_block(self, first: int, bits: int) -> str:
+        return "".join(f" {_var_to_text(v)}^{e}" for v, e in self._pairs(first, bits))
+
+    def decode(self, key: int) -> Mono:
+        """The Mono whose exponents are the nibbles of key."""
         mono = ()
-        for shift, mask, names, memo in layout:
-            bits = key >> shift & mask
-            part = memo.get(bits)
-            if part is None:
-                part, b = [], bits
-                for v in names:
-                    if b & 15:
-                        part.append((v, b & 15))
-                    b >>= 4
-                part = memo[bits] = tuple(part)
-            mono += part
+        for shift, mask, memo, _ in self.blocks:
+            mono += memo[key >> shift & mask]
         return mono
 
-    return unit, decode
+    def encode(self, mono: Mono) -> int:
+        """The packed key of mono, the inverse of decode."""
+        key = 0
+        for v, e in mono:
+            if v not in self.unit or not 0 < e <= _MAX_EXP:
+                raise ValueError(f"factor {v}^{e} is not a genus-{self.g} variable "
+                                 f"to a power up to {_MAX_EXP}")
+            key += e * self.unit[v]
+        return key
+
+    def sort_key(self, key: int) -> str:
+        """A str that orders packed keys as poly_to_text orders monomials: by
+        degree, then by the (variable, exponent) pairs in the variable order.
+
+        After the degree (one code point) come the nibbles as hex digits,
+        lowest position first, with the zeros after the last variable cut
+        and every other zero written 'f': a variable absent where the other
+        key has one then sorts after it, and a key that ends first sorts
+        first.  Exact for exponents up to _MAX_EXP = 14 ('e').
+        """
+        digits = format(key, self._hex)[::-1].rstrip("0").replace("0", "f")
+        return chr(_nibble_sum(key)) + digits
+
+    def text(self, key: int) -> str:
+        """The POLY1 monomial text of key, one leading space per variable."""
+        return "".join([memo[key >> shift & mask] for shift, mask, _, memo in self.blocks])
+
+    def reader(self, variables: set):
+        """The POLY1 monomial reader onto packed keys: tokens 'var^e' (a
+        variable of variables, 1 <= e <= _MAX_EXP) -> packed key.
+
+        Each token's int is memoized and holds its exponent in the variable's
+        nibble plus one presence bit per variable above the layout and a
+        guard of bitlength(len(names)) + 1 bits.  A line of at most
+        len(names) tokens then sums without reaching the presence bits, and
+        its presence bits count one per token exactly when no variable
+        repeats, so no nibble carried.  A repeated variable (r^1 r^2 is
+        r^3) takes the slow path, which adds its exponents and rejects a
+        sum above _MAX_EXP instead of carrying into the next variable.
+        """
+        top = self.bits + len(self.names).bit_length() + 1
+        low = (1 << self.bits) - 1
+
+        def token(tok: str) -> int:
+            name, _, exp = tok.rpartition("^")
+            v, e = _var_from_text(name), int(exp)
+            if e < 1:
+                raise ValueError(f"exponent of {name} is not positive")
+            if v not in variables:
+                raise ValueError(f"variable {name} is not allowed here")
+            if e > _MAX_EXP:
+                raise ValueError(f"exponent of {name} is {e}, above {_MAX_EXP}")
+            p = self.position[v]
+            return (e << 4 * p) + (1 << top + p)
+
+        tokens = _Memo(token)
+        most = len(self.names)
+
+        def monomial(toks: list) -> int:
+            full = sum(map(tokens.__getitem__, toks))
+            if len(toks) <= most and (full >> top).bit_count() == len(toks):
+                return full & low
+            exps = Counter()
+            for tok in toks:
+                p = (tokens[tok] >> top).bit_length() - 1
+                exps[p] += tokens[tok] >> 4 * p & 15
+            for p, e in exps.items():
+                if e > _MAX_EXP:
+                    raise ValueError(f"exponents of {_var_to_text(self.names[p])} add up "
+                                     f"to {e}, above {_MAX_EXP}")
+            return sum(e << 4 * p for p, e in exps.items())
+
+        return monomial
 
 
-def _leibniz(g: int, rows: list, cols: list) -> MultiPoly:
-    """det of the pencil t_1 R_1 + ... + t_g R_g restricted to rows x cols.
+@lru_cache(maxsize=None)
+def _packing(g: int) -> _Packing:
+    return _Packing(g)
+
+
+def _packed_poly(g: int, den, nums: dict) -> MultiPoly:
+    """The MultiPoly sum of nums[key] / den * (key decoded).
+
+    A cleared form: den is a positive int and each numerator an int (field
+    Q), or den and each numerator an integer polynomial in a, a tuple of
+    ints low degree first (field Q(a)); no numerator is zero.  Each distinct
+    numerator becomes one coefficient object, shared by its terms.
+    """
+    decode = _packing(g).decode
+    if isinstance(den, tuple):
+        field, coeff = "Qa", _Memo(lambda num: RatFunc(num, den))
+    else:
+        field, coeff = "Q", _Memo(lambda num: Fraction(num, den))
+    return MultiPoly._nonzero({decode(key): coeff[num] for key, num in nums.items()}, field)
+
+
+def _cleared(field: str, terms: dict) -> tuple:
+    """(den, nums) with nums[key] / den == terms[key]: the cleared form of
+    _packed_poly for coefficients of the field tagged field.
+
+    In Q, den is the lcm of the coefficient denominators; in Q(a), the lcm L
+    of the denominator polynomials, times the least integer that makes L
+    and every numerator polynomial integral, divided by their content.
+    Either way no prime, and no factor of L, divides den and every
+    numerator, so the form is canonical (den > 0, or with a positive
+    leading coefficient).  Each distinct coefficient object is cleared once.
+    """
+    distinct = {id(c): c for c in terms.values()}
+    if field == "Q":
+        den = math.lcm(*(c.denominator for c in distinct.values()))
+        ints = {i: c.numerator * (den // c.denominator) for i, c in distinct.items()}
+    else:
+        funcs = {i: c if isinstance(c, RatFunc) else RatFunc(c) for i, c in distinct.items()}
+        L = (Fraction(1),)
+        for d in {f.den for f in funcs.values()}:
+            L = _pmul(L, _pdivmod(d, _pgcd(L, d))[0])
+        polys = {i: _pmul(f.num, _pdivmod(L, f.den)[0]) for i, f in funcs.items()}
+        D = math.lcm(*(c.denominator for P in (L, *polys.values()) for c in P))
+        G = math.gcd(*(int(c * D) for P in (L, *polys.values()) for c in P))
+        den = tuple(int(c * D) // G for c in L)
+        ints = {i: tuple(int(c * D) // G for c in P) for i, P in polys.items()}
+    return den, {key: ints[id(c)] for key, c in terms.items()}
+
+
+def _leibniz(g: int, rows: list, cols: list) -> dict:
+    """det of the pencil t_1 R_1 + ... + t_g R_g restricted to rows x cols,
+    as packed key -> nonzero int coefficient.
 
     Every monomial is packed into one int (see the module docstring); the
     sum over permutations and over the g summands of each entry runs on
     packed keys only.
     """
-    unit, decode = _packing(g)
+    unit = _packing(g).unit
 
     def entry(h: int, i: int, j: int) -> int:
         return unit[t_var(h)] | unit[r_var(h, i, j)]
@@ -384,16 +568,19 @@ def _leibniz(g: int, rows: list, cols: list) -> MultiPoly:
         counts[sign < 0].update(map(sum, itertools.product(*entries)))
     total = counts[0]
     total.subtract(counts[1])
+    return {key: c for key, c in total.items() if c}
 
-    fracs: dict = {}
-    out = {}
-    for key, c in total.items():
-        if c:
-            f = fracs.get(c)
-            if f is None:
-                f = fracs[c] = Fraction(c)
-            out[decode(key)] = f
-    return MultiPoly(out, "Q")
+
+def _minor_rows(g: int, minor: tuple) -> tuple[list, list]:
+    """The rows and columns of the full pencil (minor == ()) or of its
+    (k, l) first minor (minor == (k, l))."""
+    rows = list(range(1, g + 1))
+    if not minor:
+        return rows, rows
+    k, l = minor
+    if not (1 <= k <= g and 1 <= l <= g):
+        raise ValueError(f"minor indices ({k},{l}) out of range for g={g}")
+    return [i for i in rows if i != k], [j for j in rows if j != l]
 
 
 @lru_cache(maxsize=None)
@@ -406,42 +593,29 @@ def det_expand(g: int) -> MultiPoly:
     """
     if g < 1:
         raise ValueError("genus must be >= 1")
-    rows = list(range(1, g + 1))
-    return _leibniz(g, rows, rows)
+    return _packed_poly(g, 1, _leibniz(g, *_minor_rows(g, ())))
 
 
 @lru_cache(maxsize=None)
 def minor_det_expand(g: int, k: int, l: int) -> MultiPoly:
     """det of the pencil t_1 R_1 + ... with row k and column l deleted."""
-    if not (1 <= k <= g and 1 <= l <= g):
-        raise ValueError(f"minor indices ({k},{l}) out of range for g={g}")
-    return _leibniz(g, [i for i in range(1, g + 1) if i != k],
-                    [j for j in range(1, g + 1) if j != l])
+    return _packed_poly(g, 1, _leibniz(g, *_minor_rows(g, (k, l))))
 
 
 @lru_cache(maxsize=None)
 def _t_split(g: int, minor: tuple) -> dict:
-    """{n: coefficient of t^n} for the full expansion (minor == ()) or the
-    (k, l) first minor (minor == (k, l)), from one scan of the expansion."""
-    p = minor_det_expand(g, *minor) if minor else det_expand(g)
+    """{n: {packed r-part key: int}}: the coefficient of t^n in the full
+    expansion (minor == ()) or in the (k, l) first minor (minor == (k, l)),
+    from one pass over the packed Leibniz keys."""
+    tmask = (1 << 4 * g) - 1  # the t-block
     buckets: dict = {}
-    for m, c in p.terms.items():
-        j = 0
-        for v, _ in m:
-            if v[0] != "t":
-                break
-            j += 1
-        bucket = buckets.get(m[:j])
+    for key, c in _leibniz(g, *_minor_rows(g, minor)).items():
+        t = key & tmask
+        bucket = buckets.get(t)
         if bucket is None:
-            bucket = buckets[m[:j]] = {}
-        bucket[m[j:]] = c
-    out = {}
-    for tpart, bucket in buckets.items():
-        n = [0] * g
-        for v, e in tpart:
-            n[v[1] - 1] = e
-        out[tuple(n)] = MultiPoly(bucket, "Q")
-    return out
+            bucket = buckets[t] = {}
+        bucket[key ^ t] = c
+    return {tuple(t >> 4 * i & 15 for i in range(g)): bucket for t, bucket in buckets.items()}
 
 
 @lru_cache(maxsize=None)
@@ -449,14 +623,16 @@ def coeff_R(g: int, n: tuple) -> MultiPoly:
     """The basis polynomial B(n): coefficient of t^n in det(t_1 R_1 + ...)."""
     if len(n) != g or sum(n) != g or any(k < 0 for k in n):
         raise ValueError(f"multi-index {n} is not a composition of {g} into {g} parts")
-    return _t_split(g, ()).get(tuple(n)) or MultiPoly.zero()
+    return _packed_poly(g, 1, _t_split(g, ()).get(tuple(n), {}))
 
 
 def minor_coeff_R(g: int, k: int, l: int, nprime: tuple) -> MultiPoly:
     """Coefficient of t^nprime in the (k,l) first-minor expansion."""
     if len(nprime) != g or sum(nprime) != g - 1 or any(v < 0 for v in nprime):
         raise ValueError(f"multi-index {nprime} is not a composition of {g-1} into {g} parts")
-    return _t_split(g, (k, l)).get(tuple(nprime)) or MultiPoly.zero()
+    return _packed_poly(g, 1, _t_split(g, (k, l)).get(tuple(nprime), {}))
+
+
 # -- POLY1 text format --------------------------------------------------------
 
 def _var_to_text(v: VarId) -> str:
@@ -479,6 +655,14 @@ def _var_from_text(s: str) -> VarId:
     return x_var(int(i), int(nu))
 
 
+def _poly1_to_text(field: str, terms: dict, sort_key, line) -> str:
+    """The POLY1 writer: header line, then line(m) = 'coeff | var^e var^e ...'
+    for each monomial key m of terms, in sort_key order."""
+    lines = [f"POLY1 field={field} terms={len(terms)}"]
+    lines += map(line, sorted(terms, key=sort_key))
+    return "\n".join(lines) + "\n"
+
+
 def poly_to_text(p: MultiPoly) -> str:
     """POLY1: header line then one term per line, 'coeff | var^e var^e ...'.
 
@@ -486,11 +670,7 @@ def poly_to_text(p: MultiPoly) -> str:
     pairs in the global variable order.
     """
     rank = {v: i for i, v in enumerate(sorted(p.vars_used(), key=_var_key))}
-    pairs: dict = {}  # (var, exp) -> ((rank, exp), 'var^exp')
-    for m in p.terms:
-        for pair in m:
-            if pair not in pairs:
-                pairs[pair] = ((rank[pair[0]], pair[1]), f"{_var_to_text(pair[0])}^{pair[1]}")
+    pairs = _Memo(lambda pair: ((rank[pair[0]], pair[1]), f"{_var_to_text(pair[0])}^{pair[1]}"))
     # keyed by id: p.terms keeps every coefficient alive while this runs
     coeffs: dict = {}
 
@@ -504,21 +684,66 @@ def poly_to_text(p: MultiPoly) -> str:
     def sort_key(m: Mono) -> tuple:
         return (sum([e for _, e in m]), *[pairs[pair][0] for pair in m])
 
-    lines = [f"POLY1 field={p.field} terms={len(p.terms)}"]
-    lines += [line(m) for m in sorted(p.terms, key=sort_key)]
-    return "\n".join(lines) + "\n"
+    return _poly1_to_text(p.field, p.terms, sort_key, line)
+
+
+def _packed_to_text(g: int, den, nums: dict) -> str:
+    """POLY1 text of the cleared packed form (den, nums) of _packed_poly,
+    byte for byte poly_to_text(_packed_poly(g, den, nums)) without decoding:
+    keys sort by _Packing.sort_key, each distinct numerator is formatted
+    once, and each key is rendered through the block memos of the layout."""
+    packing = _packing(g)
+    text = packing.text
+    if isinstance(den, tuple):
+        field, coeff = "Qa", _Memo(lambda num: scalar_to_text(RatFunc(num, den)))
+    else:
+        def frac(num: int) -> str:
+            d = math.gcd(num, den)
+            return str(num // d) if d == den else f"{num // d}/{den // d}"
+        field, coeff = "Q", _Memo(frac)
+
+    def line(key: int) -> str:
+        return f"{coeff[nums[key]]} |{text(key) or ' '}"
+
+    return _poly1_to_text(field, nums, packing.sort_key, line)
 
 
 def poly_from_text(text: str) -> MultiPoly:
     """Read a POLY1 block; a malformed block raises ValueError naming its line."""
-    return _poly_from_lines(text.splitlines(), 0, "POLY1")
+    field, terms = _poly1_from_lines(text.splitlines(), 0, "POLY1", _mono_reader())
+    return MultiPoly(terms, field)
 
 
-def _poly_from_lines(lines: list, start: int, fmt: str, variables=None) -> MultiPoly:
-    """The POLY1 block that begins at lines[start]; error messages name the
-    line (1-based within lines) and the format being read (fmt).  Every
-    coefficient must belong to the declared field, and, when variables is
-    given, every variable to that set."""
+def _mono_reader():
+    """The POLY1 monomial reader onto Monos: tokens 'var^e' -> Mono, any
+    variable and any positive exponent, repeated variables added up."""
+
+    def token(tok: str) -> tuple:
+        name, _, exp = tok.rpartition("^")
+        v, e = _var_from_text(name), int(exp)
+        if e < 1:
+            raise ValueError(f"exponent of {name} is not positive")
+        return (v, e), _var_key(v)
+
+    tokens = _Memo(token)
+
+    def monomial(toks: list) -> Mono:
+        hits = [tokens[tok] for tok in toks]
+        pairs = [hit[0] for hit in hits]
+        keys = [hit[1] for hit in hits]
+        # a written block lists each monomial's variables in order already
+        return tuple(pairs) if sorted(set(keys)) == keys else _mono_from_pairs(pairs)
+
+    return monomial
+
+
+def _poly1_from_lines(lines: list, start: int, fmt: str, monomial) -> tuple[str, dict]:
+    """The POLY1 reader: (field, {monomial: coefficient}) of the block that
+    begins at lines[start].  monomial maps a line's 'var^e' tokens to its
+    monomial key (a Mono, or a packed int) and raises ValueError on a token
+    it does not take.  Every coefficient must be a nonzero element of the
+    declared field; error messages name the line (1-based within lines) and the format being
+    read (fmt).  Equal coefficient texts share one coefficient object."""
     fail, _ = _line_reader(lines, fmt)
     if start >= len(lines):
         fail(start, "missing POLY1 header")
@@ -531,8 +756,14 @@ def _poly_from_lines(lines: list, start: int, fmt: str, variables=None) -> Multi
     except (KeyError, ValueError):
         fail(start, f"missing or bad term count in {lines[start]!r}")
     field = fields["field"]
-    tokens: dict = {}  # 'var^exp' -> ((var, exp), _var_key(var))
-    scalars: dict = {}
+
+    def scalar(txt: str):
+        c = scalar_from_text(txt.strip(), field)
+        if not c:
+            raise ValueError("zero coefficient")
+        return c
+
+    scalars = _Memo(scalar)
     terms: dict = {}
     count = 0
     for idx in range(start + 1, len(lines)):
@@ -544,29 +775,13 @@ def _poly_from_lines(lines: list, start: int, fmt: str, variables=None) -> Multi
         if not bar:
             fail(idx, f"expected 'coeff | var^e ...', found {ln!r}")
         try:
-            c = scalars.get(coeff_txt)
-            if c is None:
-                c = scalars[coeff_txt] = scalar_from_text(coeff_txt.strip(), field)
-            pairs, keys = [], []
-            for tok in vars_txt.split():
-                hit = tokens.get(tok)
-                if hit is None:
-                    name, _, exp = tok.rpartition("^")
-                    v, e = _var_from_text(name), int(exp)
-                    if e < 1:
-                        raise ValueError(f"exponent of {name} is not positive")
-                    if variables is not None and v not in variables:
-                        raise ValueError(f"variable {name} is not allowed here")
-                    hit = tokens[tok] = ((v, e), _var_key(v))
-                pairs.append(hit[0])
-                keys.append(hit[1])
+            c = scalars[coeff_txt]
+            m = monomial(vars_txt.split())
         except (ValueError, IndexError, KeyError, ZeroDivisionError) as exc:
             fail(idx, f"cannot parse {ln!r} ({exc})")
-        # a written block lists each monomial's variables in order already
-        m = tuple(pairs) if sorted(set(keys)) == keys else _mono_from_pairs(pairs)
         if m in terms:
             fail(idx, "duplicate monomial")
         terms[m] = c
     if count != declared:
         fail(start, f"declares {declared} terms, found {count}")
-    return MultiPoly(terms, field)
+    return field, terms

@@ -234,6 +234,8 @@ class RatFunc:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if self.den == o.den:  # the constructor still reduces by the gcd
+            return RatFunc(_padd(self.num, o.num), self.den)
         return RatFunc(_padd(_pmul(self.num, o.den), _pmul(o.num, self.den)),
                        _pmul(self.den, o.den))
 

@@ -154,8 +154,19 @@ def test_byte_determinism(tmp_path, capsys):
 
 
 def test_config_header_reports_defaults(capsys):
+    """Each verify check echoes the defaults of the settings it reads, and
+    only those."""
+    _, out = run_cli(["verify", "modularity", "--form", "T2SQ"], capsys)
+    assert out.splitlines()[0] == "# config: form=T2SQ seed=0 tol-modularity=1e-08"
+    _, out = run_cli(["verify", "schottky-vanishing", "--trunc", "8"], capsys)
+    assert out.splitlines()[0] == "# config: trunc=8"
     _, out = run_cli(["verify", "table"], capsys)
-    assert "trunc=48" in out and "seed=0" in out and "tol-modularity=1e-08" in out
+    assert out.splitlines()[0] == "# config: -"
+    assert build_parser().parse_args(["verify", "schottky-vanishing"]).trunc == 48
+    args = build_parser().parse_args(["verify", "heat"])
+    assert (args.seed, args.tol_heat) == (0, 1e-10)
+    _, out = run_cli(["verify", "pluriharmonic", "--genus", "2"], capsys)
+    assert out.splitlines()[0] == "# config: genus=2 weight=a (symbolic)"
 
 
 def test_apply_zero_input_is_flagged(tmp_path, capsys):
@@ -331,23 +342,49 @@ OPTIONS = {
     "form": {"name", "genus", "trunc", "out"},
     "bracket": {"scalar", "weights", "out"},
     "slope": {"name", "genus", "cls", "op", "hyperelliptic"},
-    "verify": {"genus", "symbolic", "weight", "form", "tau", "trunc", "seed",
-               "tol-modularity", "tol-heat", "tol-zero"},
+    "verify": set(),  # each check of verify is a subcommand with its own options
+}
+
+VERIFY_OPTIONS = {
+    "pluriharmonic": {"genus", "symbolic", "weight"},
+    "suite": set(),
+    "heat": {"seed", "tol-heat"},
+    "modularity": {"form", "seed", "tol-modularity"},
+    "cond": {"tau", "tol-zero"},
+    "schottky-vanishing": {"trunc"},
+    "table": set(),
 }
 
 
-def _subparsers():
-    action = next(a for a in build_parser()._actions
+def _subparsers(parser=None):
+    action = next(a for a in (parser or build_parser())._actions
                   if isinstance(a, argparse._SubParsersAction))
     return action.choices
 
 
+def _options(parsers) -> dict:
+    return {name: {a.option_strings[-1][2:] for a in sp._actions
+                   if a.option_strings and a.dest != "help"}
+            for name, sp in parsers.items()}
+
+
 def test_each_subcommand_takes_only_the_options_it_reads():
-    found = {name: {a.option_strings[-1][2:] for a in sp._actions
-                    if a.option_strings and a.dest != "help"}
-             for name, sp in _subparsers().items()}
+    found = _options(_subparsers())
     assert found == OPTIONS
-    assert sum(map(len, found.values())) == 36
+    checks = _options(_subparsers(_subparsers()["verify"]))
+    assert checks == VERIFY_OPTIONS
+    assert sum(map(len, found.values())) + sum(map(len, checks.values())) == 37
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "table", "--genus", "5", "--weight", "3"],
+    ["verify", "suite", "--trunc", "80"],
+    ["verify", "pluriharmonic", "--seed", "1"],
+    ["verify", "schottky-vanishing", "--tau", "diag:1,1"],
+    ["verify", "cond", "--trunc", "8"],
+])
+def test_verify_checks_reject_settings_they_do_not_read(argv, capsys):
+    expect_usage_error(argv, capsys, "unrecognized arguments", argv[-2])
 
 
 def expect_usage_error(argv, capsys, *words):
@@ -469,3 +506,10 @@ def test_slope_bound_below_genus_1_is_a_clean_error(argv, capsys):
     code, err = run_cli_error(argv, capsys)
     assert code == 2
     assert err == f"error: genus must be >= 1, found {argv[-3]}\n"
+
+
+def test_verify_pluriharmonic_at_weight_zero_is_a_clean_error(capsys):
+    """--weight 0 is a weight, not a missing one: build_Q refuses it."""
+    code, err = run_cli_error(["verify", "pluriharmonic", "--weight", "0"], capsys)
+    assert code == 2
+    assert err == "error: weight a=0 violates a >= g/2 = 1\n"

@@ -2,7 +2,11 @@
 
 import dataclasses
 import hashlib
+import itertools
+import math
 from fractions import Fraction
+
+import re
 
 import pytest
 
@@ -10,8 +14,8 @@ from siegelops.opgen import (_IntegerForm, apply_D11, build_Q, coeff_c, constant
                              opspec_from_text, opspec_to_text, symbolic_weight,
                              verify_deriv_lemma, verify_harmonic_condition,
                              verify_pluriharmonic, xspace_oracle)
-from siegelops.poly import (MultiPoly, _mono_lower, _mono_times, coeff_R, index_set_N,
-                            r_var, t_var, x_var)
+from siegelops.poly import (MultiPoly, _cleared, _mono_lower, _mono_times, _packing,
+                            coeff_R, index_set_N, r_var, t_var, x_var)
 from siegelops.scalars import RatFunc, _accumulate
 
 A = symbolic_weight()
@@ -141,7 +145,7 @@ def test_kernel_residual_matches_reference(g, a, factor):
     per-term reference residual; at factor 1 it is nonzero, so in Q(a) a
     packing base 2^S too small to hold its coefficients would show here."""
     spec = build_Q(g, a)
-    form = _IntegerForm(g, spec.Q, spec.k, factor)
+    form = _IntegerForm(g, spec.den, spec.nums, spec.k, factor)
     residual = form.to_poly(form.d11(range(1, g + 1)))
     reference = MultiPoly.zero(spec.Q.field)
     for h in range(1, g + 1):
@@ -182,7 +186,55 @@ def test_perturbed_operator_fails(a):
     bump = 1 / (A ** 3 + 7) if spec.symbolic else Fraction(1, 10 ** 30)
     terms = dict(spec.Q.terms)
     terms[m] = terms[m] + bump
-    bad = dataclasses.replace(spec, Q=MultiPoly(terms, spec.Q.field))
+    encode = _packing(3).encode
+    den, nums = _cleared(spec.Q.field, {encode(m): c for m, c in terms.items()})
+    bad = dataclasses.replace(spec, den=den, nums=nums)
+    assert bad.Q == MultiPoly(terms, spec.Q.field)
+    assert verify_pluriharmonic(spec)
+    assert not verify_pluriharmonic(bad)
+
+
+@pytest.mark.parametrize("g,a", [(2, A), (3, A), (4, A), (3, Fraction(7, 3)),
+                                 (4, Fraction(5, 2)), (4, Fraction(108))])
+def test_packed_build_matches_the_basis_sum(g, a):
+    """The packed build is sum_n c(n)/C(1) B(n) summed in MultiPoly
+    arithmetic, over canonical cleared integers."""
+    spec = build_Q(g, a)
+    expect = MultiPoly.zero(spec.Q.field)
+    for n in index_set_N(g):
+        c = coeff_c(g, a, n) / constant_C(g, a, 1)
+        if c:
+            b = coeff_R(g, n).promote() if spec.symbolic else coeff_R(g, n)
+            expect = expect + b.scale(c)
+            assert spec.coeffs[n] == c
+    assert spec.Q == expect and set(spec.coeffs) == {n for n in index_set_N(g)
+                                                     if coeff_c(g, a, n)}
+    if spec.symbolic:
+        assert spec.den[-1] > 0
+        assert math.gcd(*spec.den, *(c for P in spec.nums.values() for c in P)) == 1
+    else:
+        assert spec.den > 0 and math.gcd(spec.den, *spec.nums.values()) == 1
+
+
+def test_operator_view_is_read_only_and_built_once(spec2_symbolic):
+    assert spec2_symbolic.Q is spec2_symbolic.Q
+    with pytest.raises(AttributeError):
+        spec2_symbolic.Q = MultiPoly.zero("Qa")
+
+
+@pytest.mark.parametrize("pick,delta", [(0, (1,)), (100, (0, 0, 0, 0, -1)), (-1, (0, 3))])
+def test_perturbed_packed_numerator_fails(spec4_symbolic, pick, delta):
+    """One numerator of the packed genus-4 Q(a) changed, by a constant or a
+    power of a, and the verifier rejects the result.  The changed monomial
+    holds r_{1;11}, so D_{1;11} does not annihilate it (a monomial with one
+    row-1 factor r_{h;1u}, u != 1, per block is annihilated by every
+    D_{h;11}, and changing its coefficient keeps Q pluriharmonic)."""
+    spec = spec4_symbolic
+    r111 = 15 * _packing(4).unit[r_var(1, 1, 1)]
+    key = [key for key in spec.nums if key & r111][pick]
+    num = spec.nums[key]
+    bumped = tuple(x + y for x, y in itertools.zip_longest(num, delta, fillvalue=0))
+    bad = dataclasses.replace(spec, nums={**spec.nums, key: bumped})
     assert verify_pluriharmonic(spec)
     assert not verify_pluriharmonic(bad)
 
@@ -384,3 +436,29 @@ def test_opspec_rejects_a_body_of_another_genus():
         with pytest.raises(ValueError, match=f"OPSPEC1 line 11: .*variable .* is not allowed"):
             opspec_from_text("\n".join(lines[:10] + [f"-10/9 | {var}^1 r[1;2,2]^1"]
                                         + lines[11:]))
+
+
+def _opspec_with_term(term: str) -> str:
+    """The genus-2, a = 5 operator file with its first term line replaced."""
+    lines = _opspec_lines()
+    return "\n".join(lines[:10] + [term] + lines[11:])
+
+
+@pytest.mark.parametrize("vars_txt,what", [
+    ("r[1;1,1]^15", "exponent of r[1;1,1] is 15, above 14"),
+    ("r[1;1,1]^9 r[1;1,1]^6", "exponents of r[1;1,1] add up to 15, above 14"),
+])
+def test_opspec_rejects_nibble_overflow(vars_txt, what):
+    with pytest.raises(ValueError, match=rf"OPSPEC1 line 11: .*\({re.escape(what)}\)"):
+        opspec_from_text(_opspec_with_term(f"-10/9 | {vars_txt}"))
+
+
+def test_opspec_reads_a_repeated_variable_and_rejects_reordered_duplicates():
+    lines = _opspec_lines()
+    assert lines[10] == "-10/9 | r[1;1,1]^1 r[1;2,2]^1"
+    back = opspec_from_text(_opspec_with_term("-10/9 | r[1;1,1]^1 r[1;1,1]^2"))
+    assert back.Q.terms[((r_var(1, 1, 1), 3),)] == Fraction(-10, 9)
+    assert ((r_var(1, 1, 1), 1), (r_var(1, 2, 2), 1)) not in back.Q.terms
+    with pytest.raises(ValueError, match="OPSPEC1 line 12: duplicate monomial"):
+        opspec_from_text("\n".join(lines[:9] + [lines[9].replace("7", "8")] + lines[10:11]
+                                   + ["-10/9 | r[1;2,2]^1 r[1;1,1]^1"] + lines[11:]))

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -9,10 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from siegelops.jets import JetPoly
-from siegelops.poly import (MultiPoly, FieldMismatch, coeff_R, det_expand,
-                            index_set_N, index_set_Nprime, minor_coeff_R,
-                            minor_det_expand, poly_from_text, poly_to_text, r_var,
-                            t_var, x_var)
+from siegelops.poly import (MultiPoly, FieldMismatch, _cleared, _packed_poly,
+                            _packed_to_text, _packing, _poly1_from_lines, _t_split,
+                            coeff_R, det_expand, index_set_N, index_set_Nprime,
+                            minor_coeff_R, minor_det_expand, poly_from_text, poly_to_text,
+                            r_var, t_var, x_var)
 
 
 def V(v):
@@ -266,3 +268,111 @@ def test_poly1_rejects_coefficients_of_the_other_field():
         line = len(text.splitlines())
         with pytest.raises(ValueError, match=f"POLY1 line {line}: .*not a coefficient of field"):
             poly_from_text(text)
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_packed_split_decodes_to_the_t_coefficient_oracle(g):
+    """Each packed B(n) and minor coefficient of the split, decoded, is the
+    coefficient of t^n that MultiPoly.t_coefficient scans out of the decoded
+    Leibniz pass; the split keeps no t-variable in its keys."""
+    tmask = (1 << 4 * g) - 1
+    for minor in [()] + [(k, l) for k in range(1, g + 1) for l in range(1, g + 1)]:
+        full = minor_det_expand(g, *minor) if minor else det_expand(g)
+        split = _t_split(g, minor)
+        ns = index_set_Nprime(g) if minor else index_set_N(g)
+        assert set(split) <= set(ns)
+        for n in ns:
+            bucket = split.get(n, {})
+            assert not any(key & tmask for key in bucket)
+            assert _packed_poly(g, 1, bucket) == full.t_coefficient(n), (minor, n)
+
+
+def _random_keys(rng, g, count):
+    """Packed genus-g keys with random variables and exponents 1..14."""
+    names = _packing(g).names
+    keys = set()
+    while len(keys) < count:
+        picked = rng.sample(range(len(names)), rng.randint(0, 4))
+        keys.add(sum(rng.randint(1, 14) << 4 * p for p in picked))
+    return sorted(keys)
+
+
+@pytest.mark.parametrize("g", [2, 3])
+def test_packed_text_is_poly_to_text_of_the_decoded_form(g):
+    """The packed POLY1 writer orders and renders keys byte for byte as
+    poly_to_text does the decoded polynomial, in both fields, on random keys
+    with exponents up to 14, t-variables and the constant monomial."""
+    rng = random.Random(g)
+    keys = _random_keys(rng, g, 300) + [0]
+    nums = {key: rng.choice([-3, -1, 1, 2, 6]) for key in keys}
+    polys = {key: (rng.randint(-4, 4), rng.choice([-1, 1])) for key in keys}
+    for den, form in ((6, nums), ((-1, 0, 2), polys)):
+        p = _packed_poly(g, den, form)
+        assert _packed_to_text(g, den, form) == poly_to_text(p)
+
+
+@pytest.mark.parametrize("g", [2, 3])
+def test_packed_reader_round_trips_the_writer(g):
+    """Reading the packed text back onto packed keys gives the cleared form
+    that _cleared makes of the decoded polynomial."""
+    rng = random.Random(10 + g)
+    packing = _packing(g)
+    keys = _random_keys(rng, g, 200)
+    nums = {key: rng.choice([-5, -1, 1, 3]) for key in keys}
+    lines = _packed_to_text(g, 15, nums).splitlines()
+    field, terms = _poly1_from_lines(lines, 0, "POLY1", packing.reader(set(packing.names)))
+    p = _packed_poly(g, 15, nums)
+    assert _cleared(field, terms) == _cleared("Q", {packing.encode(m): c
+                                                    for m, c in p.terms.items()})
+    assert _packed_poly(g, *_cleared(field, terms)) == p
+
+
+def _read_packed(text, g=2):
+    packing = _packing(g)
+    variables = {v for v in packing.names if v[0] == "r"}
+    field, terms = _poly1_from_lines(text.splitlines(), 0, "POLY1", packing.reader(variables))
+    return _packed_poly(g, *_cleared(field, terms))
+
+
+def test_packed_reader_adds_a_repeated_variable():
+    """r[1;1,1]^1 r[1;1,1]^2 reads as r[1;1,1]^3, as in poly_from_text, also
+    with more tokens than the layout has variables."""
+    text = "POLY1 field=Q terms=2\n2 | r[1;1,1]^1 r[1;2,2]^1 r[1;1,1]^2\n3 | {}\n"
+    ones = " ".join(["r[2;2,2]^1"] * 14)
+    expect = (V(r_var(1, 1, 1)) ** 3 * V(r_var(1, 2, 2))).scale(Fraction(2)) + \
+        (V(r_var(2, 2, 2)) ** 14).scale(Fraction(3))
+    assert _read_packed(text.format(ones)) == expect == poly_from_text(text.format(ones))
+
+
+@pytest.mark.parametrize("term,what", [
+    ("r[1;1,1]^15", "exponent of r[1;1,1] is 15, above 14"),
+    ("r[1;2,2]^1 r[2;2,2]^99", "exponent of r[2;2,2] is 99, above 14"),
+    ("r[1;1,1]^7 r[1;1,1]^8", "exponents of r[1;1,1] add up to 15, above 14"),
+    ("r[2;2,2]^8 r[2;2,2]^8", "exponents of r[2;2,2] add up to 16, above 14"),
+    ("r[1;1,2]^2 " + " ".join(["r[1;1,2]^1"] * 13), "exponents of r[1;1,2] add up to 15"),
+])
+def test_packed_reader_rejects_nibble_overflow(term, what):
+    """An exponent above 14, or a repeated variable whose exponents add up
+    past 14, is a line-numbered error: a packed nibble would carry into the
+    next variable."""
+    text = f"POLY1 field=Q terms=2\n1 | r[1;1,1]^1\n-2 | {term}\n"
+    with pytest.raises(ValueError, match=rf"POLY1 line 3: cannot parse .*\({re.escape(what)}"):
+        _read_packed(text)
+
+
+def test_packed_reader_rejects_two_orderings_of_one_monomial():
+    text = "POLY1 field=Q terms=2\n1 | r[1;1,1]^1 r[2;1,2]^1\n2 | r[2;1,2]^1 r[1;1,1]^1\n"
+    with pytest.raises(ValueError, match="POLY1 line 3: duplicate monomial"):
+        _read_packed(text)
+    with pytest.raises(ValueError, match="POLY1 line 3: duplicate monomial"):
+        poly_from_text(text)
+
+
+@pytest.mark.parametrize("coeff", ["0", "0*a^0;1*a^0"])
+def test_poly1_rejects_a_zero_coefficient(coeff):
+    field = "Qa" if ";" in coeff else "Q"
+    text = f"POLY1 field={field} terms=2\n1{'*a^0;1*a^0' if field == 'Qa' else ''} | " \
+        f"r[1;1,1]^1\n{coeff} | r[1;2,2]^1\n"
+    for read in (poly_from_text, _read_packed):
+        with pytest.raises(ValueError, match=r"POLY1 line 3: cannot parse .*\(zero coefficient"):
+            read(text)

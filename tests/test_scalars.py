@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from siegelops.scalars import (A, PoleError, RatFunc, _binpow, ratfunc_from_text,
-                               ratfunc_to_text)
+from siegelops.scalars import (A, PoleError, RatFunc, _binpow, _padd, _pmul,
+                               ratfunc_from_text, ratfunc_to_text)
 
 
 def test_additive_inverse_cancels():
@@ -129,3 +129,32 @@ def test_power_matches_repeated_multiplication(x, one):
     for n in range(10):
         assert x ** n == acc, n
         acc = acc * x
+
+
+def _general_sum(x, y):
+    """x + y by the cross-multiplied formula, with no same-denominator path."""
+    return RatFunc(_padd(_pmul(x.num, y.den), _pmul(y.num, x.den)), _pmul(x.den, y.den))
+
+
+def test_same_denominator_sum_cancels_to_canonical_form():
+    """a/(a^2-1) - 1/(a^2-1) = 1/(a+1): the shared-denominator sum is
+    reduced by the gcd like any other."""
+    d = A ** 2 - 1
+    x, y = A / d, -1 / d
+    assert x.den == y.den
+    assert x + y == _general_sum(x, y) == 1 / (A + 1)
+    assert (x + y).num == (1 / (A + 1)).num and (x + y).den == (1 / (A + 1)).den
+
+
+@settings(max_examples=60, deadline=None)
+@given(ratfuncs(), small_fracs.filter(bool), small_fracs, ratfuncs())
+def test_same_denominator_sum_matches_the_general_formula(x, s, t, y):
+    """s x + t has x's denominator, so x + (s x + t) and x - (s x + t) take
+    the fast path; they, and a sum over different denominators, equal the
+    general formula in canonical form."""
+    q = x * s + t
+    assert q.den == x.den
+    for p, r in ((x, q), (x, -q), (x, y)):
+        total = p + r
+        assert total == _general_sum(p, r)
+        assert total.num == _general_sum(p, r).num and total.den[-1] == 1

@@ -43,6 +43,16 @@ def _truncation(text: str) -> int:
     return int(text)
 
 
+def _tolerance(text: str) -> float:
+    """A --tol-* value; argparse exits 2 on anything but a positive finite number."""
+    try:
+        if 0 < float(text) < math.inf:
+            return float(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"{text!r} is not a positive finite number")
+
+
 def _needed(value, option: str, command: str):
     if value is None:
         raise ValueError(f"{command} needs {option}")
@@ -498,16 +508,16 @@ def build_parser() -> argparse.ArgumentParser:
     check("suite", "the whole pluriharmonicity sweep")
     cp = check("heat", "theta heat equation at seeded points", "seed", "tol_heat")
     cp.add_argument("--seed", type=int, default=0)
-    cp.add_argument("--tol-heat", dest="tol_heat", type=float, default=theta.TOL_HEAT)
+    cp.add_argument("--tol-heat", dest="tol_heat", type=_tolerance, default=theta.TOL_HEAT)
     cp = check("modularity", "transformation laws at seeded points",
                "form", "seed", "tol_modularity")
     cp.add_argument("--form", choices=_MODULARITY_FORMS)
     cp.add_argument("--seed", type=int, default=0)
-    cp.add_argument("--tol-modularity", dest="tol_modularity", type=float,
+    cp.add_argument("--tol-modularity", dest="tol_modularity", type=_tolerance,
                     default=theta.TOL_MODULARITY)
     cp = check("cond", "the gradient determinant on the theta-null locus", "tau", "tol_zero")
     cp.add_argument("--tau")
-    cp.add_argument("--tol-zero", dest="tol_zero", type=float, default=theta.TOL_ZERO)
+    cp.add_argument("--tol-zero", dest="tol_zero", type=_tolerance, default=theta.TOL_ZERO)
     trunc_option(check("schottky-vanishing", "the degree-16 vanishing identity", "trunc"))
     check("table", "the slope table against its expected rows")
 

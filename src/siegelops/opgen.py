@@ -82,8 +82,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .poly import (MultiPoly, _cleared, _nibble_sum, _packed_poly, _packed_to_text,
-                   _packing, _poly1_from_lines, _t_split, coeff_R, index_set_N,
+from .poly import (MultiPoly, _cleared, _nibble_sum, _packed_from_lines, _packed_poly,
+                   _packed_to_text, _packing, _t_split, coeff_R, index_set_N,
                    index_set_Nprime, minor_coeff_R, r_var, x_var)
 from .scalars import (RatFunc, _line_reader, _pmul, _unpack, frac_to_text,
                       scalar_from_text, scalar_to_text)
@@ -166,6 +166,26 @@ class OperatorSpec:
         return self._Q
 
 
+def _integer_C(g: int, a) -> dict:
+    """m -> C(m) times one common factor that makes every C(m) integral:
+    an integer polynomial in a (a tuple, low degree first) in Q(a), and
+    q^(g-1) C(m), an int, at a numeric weight with 2a = p/q."""
+    if isinstance(a, RatFunc):  # the coefficient of k^j times 2^j
+        return {m: tuple(c << j for j, c in enumerate(_constant_C_k(g, m)))
+                for m in range(1, g + 1)}
+    p, q = (2 * a).numerator, (2 * a).denominator
+    return {m: sum(c * p ** j * q ** (g - 1 - j) for j, c in enumerate(_constant_C_k(g, m)))
+            for m in range(1, g + 1)}
+
+
+def _coefficient_table(g: int, a) -> dict:
+    """The normalized coefficient table {n: c(n)/C(1)} over the n with
+    c(n) != 0, in Q(a) or Q: what build_Q stores and an OPSPEC1 file lists."""
+    C = _integer_C(g, a)
+    ratio = RatFunc if isinstance(a, RatFunc) else Fraction
+    return {n: ratio(C[m], C[1]) for n in index_set_N(g) if (m := _stratum(n))}
+
+
 def build_Q(g: int, a) -> OperatorSpec:
     """Assemble the normalized operator polynomial for genus g and weight a,
     on packed keys (module docstring)."""
@@ -175,28 +195,19 @@ def build_Q(g: int, a) -> OperatorSpec:
     symbolic = isinstance(a, RatFunc)
     if not symbolic and 2 * a < g:
         raise ValueError(f"weight a={a} violates a >= g/2 = {Fraction(g, 2)}")
-    if symbolic:  # C(m) in a: the coefficient of k^j times 2^j
-        C = {m: tuple(c << j for j, c in enumerate(_constant_C_k(g, m)))
-             for m in range(1, g + 1)}
-        ratio = {m: RatFunc(C[m], C[1]) for m in C}
-    else:  # q^(g-1) C(m) at k = 2a = p/q
-        p, q = (2 * a).numerator, (2 * a).denominator
-        C = {m: sum(c * p ** j * q ** (g - 1 - j) for j, c in enumerate(_constant_C_k(g, m)))
-             for m in range(1, g + 1)}
-        ratio = {m: Fraction(C[m], C[1]) for m in C}
+    C = _integer_C(g, a)
 
     def content(x) -> int:  # of an integer or an integer polynomial
         return math.gcd(*x) if symbolic else x
 
     split = _t_split(g, ())
-    strata = {n: _stratum(n) for n in index_set_N(g)}
-    strata = {n: m for n, m in strata.items() if m}
+    coeffs = _coefficient_table(g, a)
+    strata = {n: _stratum(n) for n in coeffs}
     # divide the whole form by its integer content G
     G = math.gcd(content(C[1]), *(content(C[m]) * math.gcd(*split[n].values())
                                   for n, m in strata.items()))
-    coeffs, nums = {}, {}
+    nums = {}
     for n, m in strata.items():
-        coeffs[n] = ratio[m]
         bucket, Cm = split[n], C[m]
         if symbolic:
             scaled = {b: tuple(b * c // G for c in Cm) for b in set(bucket.values())}
@@ -298,17 +309,13 @@ class _IntegerForm:
     def to_poly(self, residual: dict) -> MultiPoly:
         """A kernel residual divided back into the field of p and k; in Q(a)
         a value R(2^S) is read as R's balanced base-2^S digits."""
-        out = {}
-        for key, v in residual.items():
-            if not v:
-                continue
-            if self.field == "Q":
-                out[self.packing.decode(key)] = Fraction(v) / self.den[0]
-            else:
-                digits = dict(_unpack(v, self.s))
-                num = [digits.get(j, 0) for j in range(max(digits) + 1)]
-                out[self.packing.decode(key)] = RatFunc(num, self.den)
-        return MultiPoly(out, self.field)
+        nums = {key: v for key, v in residual.items() if v}
+        if self.field == "Q":
+            return _packed_poly(self.g, self.den[0], nums)
+        for key, v in nums.items():
+            digits = dict(_unpack(v, self.s))
+            nums[key] = tuple(digits.get(j, 0) for j in range(max(digits) + 1))
+        return _packed_poly(self.g, self.den, nums)
 
 
 def apply_D11(g: int, h: int, p: MultiPoly, k,
@@ -470,6 +477,7 @@ def opspec_from_text(text: str) -> OperatorSpec:
         fail(4, f"expected {NORMALIZATION_LINE!r}")
     ncoeffs = value(5, "coeffs", int)
     field_tag = "Qa" if symbolic else "Q"
+    table = _coefficient_table(g, a)
     coeffs = {}
     idx = 6
     while idx < len(lines) and lines[idx].startswith("n="):
@@ -483,15 +491,19 @@ def opspec_from_text(text: str) -> OperatorSpec:
             fail(idx, f"n={head.strip()[2:]} is not a multi-index of genus {g}")
         if n in coeffs:
             fail(idx, f"duplicate coefficient n={head.strip()[2:]}")
+        if n not in table or c != table[n]:
+            want = scalar_to_text(table[n]) if n in table else "0, which has no line"
+            fail(idx, f"n={head.strip()[2:]} has c(n)/C(1) = {want}, found {val.strip()}")
         coeffs[n] = c
         idx += 1
     if len(coeffs) != ncoeffs:
         fail(5, f"declares {ncoeffs} coefficients, found {len(coeffs)}")
-    variables = {r_var(h, i, j) for h in range(1, g + 1)
-                 for i in range(1, g + 1) for j in range(i, g + 1)}
-    body, terms = _poly1_from_lines(lines, idx, "OPSPEC1", _packing(g).reader(variables))
+    for i, n in enumerate(table):  # in the writer's order, sorted by n
+        if n not in coeffs:
+            fail(6 + i, f"missing the line n={','.join(map(str, n))} | "
+                        f"{scalar_to_text(table[n])}")
+    body, den, nums = _packed_from_lines(lines, idx, "OPSPEC1", g)
     if body != field_tag:
         fail(idx, f"mode {mode} needs POLY1 field={field_tag}, found field={body}")
-    den, nums = _cleared(body, terms)
     return OperatorSpec(g=g, a=a, k=2 * a, symbolic=symbolic, coeffs=coeffs, den=den,
                         nums=nums)

@@ -36,10 +36,12 @@ expansion stays a dict of packed key -> int.  Its split by t-exponent masks
 the lowest 4g bits, where the t-block sits: the masked bits give n, and
 the rest of the key is the r-part of a term of B(n), kept packed.  _Packing
 holds the layout (at most _MAX_EXP per nibble), its decoder and encoder,
-and the POLY1 rendering of a packed key.  The operator Q of opgen.py and
-its integer D_{h;11} kernel use the same keys, as a cleared form: one
-denominator over integer numerators (_packed_poly and _cleared convert
-between such a form and a MultiPoly).
+and the POLY1 text of a packed key and its reader.  The operator Q of
+opgen.py and its integer D_{h;11} kernel use the same keys, as a cleared
+form: one denominator over integer numerators (_packed_poly and _cleared
+convert between such a form and a MultiPoly).  POLY1, the body of an
+OPSPEC1 file, has one writer and one reader, both on that form:
+_packed_to_text and _packed_from_lines.
 
 Decoding is lazy: det_expand, minor_det_expand, coeff_R and minor_coeff_R
 decode packed keys to Monos, block by block through a memo of block values,
@@ -52,6 +54,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache, partial
@@ -84,21 +87,15 @@ def x_var(i: int, nu: int) -> VarId:
     return ("x", i, nu)
 
 
-def _mono_from_pairs(pairs) -> Mono:
-    """Collect (var, exp) pairs (possibly repeated vars) into a canonical monomial."""
-    acc: dict[VarId, int] = {}
-    for v, e in pairs:
-        acc[v] = acc.get(v, 0) + e
-    return tuple(sorted(((v, e) for v, e in acc.items() if e != 0),
-                        key=lambda p: _var_key(p[0])))
-
-
 def _mono_mul(m1: Mono, m2: Mono) -> Mono:
     if not m1:
         return m2
     if not m2:
         return m1
-    return _mono_from_pairs(list(m1) + list(m2))
+    acc = dict(m1)
+    for v, e in m2:
+        acc[v] = acc.get(v, 0) + e
+    return tuple(sorted(acc.items(), key=lambda p: _var_key(p[0])))
 
 
 def _mono_times(m: Mono, v: VarId, e: int = 1) -> Mono:
@@ -390,7 +387,6 @@ class _Packing:
         blocks += [[r_var(h, i, j) for i, j in pairs] for h in range(1, g + 1)]
         self.g = g
         self.names = [v for names in blocks for v in names]
-        self.position = {v: p for p, v in enumerate(self.names)}
         self.unit = {v: 1 << 4 * p for p, v in enumerate(self.names)}
         self.bits = 4 * len(self.names)
         self._hex = f"0{len(self.names)}x"
@@ -436,7 +432,7 @@ class _Packing:
         return key
 
     def sort_key(self, key: int) -> str:
-        """A str that orders packed keys as poly_to_text orders monomials: by
+        """A str that orders packed keys as a POLY1 block lists them: by
         degree, then by the (variable, exponent) pairs in the variable order.
 
         After the degree (one code point) come the nibbles as hex digits,
@@ -452,32 +448,37 @@ class _Packing:
         """The POLY1 monomial text of key, one leading space per variable."""
         return "".join([memo[key >> shift & mask] for shift, mask, _, memo in self.blocks])
 
-    def reader(self, variables: set):
-        """The POLY1 monomial reader onto packed keys: tokens 'var^e' (a
-        variable of variables, 1 <= e <= _MAX_EXP) -> packed key.
+    def reader(self):
+        """The POLY1 monomial reader onto packed keys: tokens 'var^e' (an
+        r-variable of genus g, 1 <= e <= _MAX_EXP), each variable at most
+        once -> packed key.
 
         Each token's int is memoized and holds its exponent in the variable's
         nibble plus one presence bit per variable above the layout and a
         guard of bitlength(len(names)) + 1 bits.  A line of at most
         len(names) tokens then sums without reaching the presence bits, and
         its presence bits count one per token exactly when no variable
-        repeats, so no nibble carried.  A repeated variable (r^1 r^2 is
-        r^3) takes the slow path, which adds its exponents and rejects a
-        sum above _MAX_EXP instead of carrying into the next variable.
+        repeats, so no nibble carried.  Otherwise a variable is written
+        twice (more tokens than variables force a repeat), which the writer
+        never does, and the line is rejected.
         """
         top = self.bits + len(self.names).bit_length() + 1
         low = (1 << self.bits) - 1
+        position = {}  # 'r[h;i,j]' and 'r[h;j,i]' -> the nibble of r_{h;ij}
+        for p, v in enumerate(self.names):
+            if v[0] == "r":
+                position[_var_to_text(v)] = position[f"r[{v[1]};{v[3]},{v[2]}]"] = p
 
         def token(tok: str) -> int:
             name, _, exp = tok.rpartition("^")
-            v, e = _var_from_text(name), int(exp)
+            e = int(exp)
             if e < 1:
                 raise ValueError(f"exponent of {name} is not positive")
-            if v not in variables:
+            if name not in position:
                 raise ValueError(f"variable {name} is not allowed here")
             if e > _MAX_EXP:
                 raise ValueError(f"exponent of {name} is {e}, above {_MAX_EXP}")
-            p = self.position[v]
+            p = position[name]
             return (e << 4 * p) + (1 << top + p)
 
         tokens = _Memo(token)
@@ -487,15 +488,9 @@ class _Packing:
             full = sum(map(tokens.__getitem__, toks))
             if len(toks) <= most and (full >> top).bit_count() == len(toks):
                 return full & low
-            exps = Counter()
-            for tok in toks:
-                p = (tokens[tok] >> top).bit_length() - 1
-                exps[p] += tokens[tok] >> 4 * p & 15
-            for p, e in exps.items():
-                if e > _MAX_EXP:
-                    raise ValueError(f"exponents of {_var_to_text(self.names[p])} add up "
-                                     f"to {e}, above {_MAX_EXP}")
-            return sum(e << 4 * p for p, e in exps.items())
+            seen = [(tokens[tok] >> top).bit_length() - 1 for tok in toks]
+            p = next(p for i, p in enumerate(seen) if p in seen[:i])
+            raise ValueError(f"variable {_var_to_text(self.names[p])} is written twice")
 
         return monomial
 
@@ -555,7 +550,13 @@ def _leibniz(g: int, rows: list, cols: list) -> dict:
 
     Every monomial is packed into one int (see the module docstring); the
     sum over permutations and over the g summands of each entry runs on
-    packed keys only.
+    packed keys only.  The even and odd permutations share no key, so the
+    result is the even counts beside the negated odd counts, none of them
+    zero: a key fixes its r-exponents summed over h, the multiset of the
+    unordered pairs {i, sigma(i)}.  These are the edges of a graph on
+    1..g whose components are the cycles of sigma (of sigma extended by
+    k -> l, for the (k, l) minor), so the key fixes the cycle lengths of
+    sigma and with them its parity.
     """
     unit = _packing(g).unit
 
@@ -566,9 +567,9 @@ def _leibniz(g: int, rows: list, cols: list) -> dict:
     for sign, pairing in _signed_pairings(rows, cols):
         entries = [[entry(h, r, c) for h in range(1, g + 1)] for r, c in pairing]
         counts[sign < 0].update(map(sum, itertools.product(*entries)))
-    total = counts[0]
-    total.subtract(counts[1])
-    return {key: c for key, c in total.items() if c}
+    total = dict(counts[0])
+    total.update(zip(counts[1], map(operator.neg, counts[1].values())))
+    return total
 
 
 def _minor_rows(g: int, minor: tuple) -> tuple[list, list]:
@@ -636,62 +637,15 @@ def minor_coeff_R(g: int, k: int, l: int, nprime: tuple) -> MultiPoly:
 # -- POLY1 text format --------------------------------------------------------
 
 def _var_to_text(v: VarId) -> str:
-    if v[0] == "t":
-        return f"t[{v[1]}]"
-    if v[0] == "r":
-        return f"r[{v[1]};{v[2]},{v[3]}]"
-    return f"x[{v[1]},{v[2]}]"
-
-
-def _var_from_text(s: str) -> VarId:
-    kind, body = s[0], s[s.index("[") + 1:-1]
-    if kind == "t":
-        return t_var(int(body))
-    if kind == "r":
-        h, ij = body.split(";")
-        i, j = ij.split(",")
-        return r_var(int(h), int(i), int(j))
-    i, nu = body.split(",")
-    return x_var(int(i), int(nu))
-
-
-def _poly1_to_text(field: str, terms: dict, sort_key, line) -> str:
-    """The POLY1 writer: header line, then line(m) = 'coeff | var^e var^e ...'
-    for each monomial key m of terms, in sort_key order."""
-    lines = [f"POLY1 field={field} terms={len(terms)}"]
-    lines += map(line, sorted(terms, key=sort_key))
-    return "\n".join(lines) + "\n"
-
-
-def poly_to_text(p: MultiPoly) -> str:
-    """POLY1: header line then one term per line, 'coeff | var^e var^e ...'.
-
-    Terms are sorted by total degree, then by their (variable, exponent)
-    pairs in the global variable order.
-    """
-    rank = {v: i for i, v in enumerate(sorted(p.vars_used(), key=_var_key))}
-    pairs = _Memo(lambda pair: ((rank[pair[0]], pair[1]), f"{_var_to_text(pair[0])}^{pair[1]}"))
-    # keyed by id: p.terms keeps every coefficient alive while this runs
-    coeffs: dict = {}
-
-    def line(m: Mono) -> str:
-        c = p.terms[m]
-        txt = coeffs.get(id(c))
-        if txt is None:
-            txt = coeffs[id(c)] = scalar_to_text(c)
-        return f"{txt} | {' '.join([pairs[pair][1] for pair in m])}"
-
-    def sort_key(m: Mono) -> tuple:
-        return (sum([e for _, e in m]), *[pairs[pair][0] for pair in m])
-
-    return _poly1_to_text(p.field, p.terms, sort_key, line)
+    """The POLY1 name of a t- or r-variable, the variables of the layout."""
+    return f"t[{v[1]}]" if v[0] == "t" else f"r[{v[1]};{v[2]},{v[3]}]"
 
 
 def _packed_to_text(g: int, den, nums: dict) -> str:
-    """POLY1 text of the cleared packed form (den, nums) of _packed_poly,
-    byte for byte poly_to_text(_packed_poly(g, den, nums)) without decoding:
-    keys sort by _Packing.sort_key, each distinct numerator is formatted
-    once, and each key is rendered through the block memos of the layout."""
+    """The POLY1 block of the cleared packed form (den, nums) of _packed_poly:
+    header line, then 'coeff | var^e var^e ...' per key in _Packing.sort_key
+    order, each distinct numerator formatted once and each key rendered
+    through the block memos of the layout."""
     packing = _packing(g)
     text = packing.text
     if isinstance(den, tuple):
@@ -701,49 +655,21 @@ def _packed_to_text(g: int, den, nums: dict) -> str:
             d = math.gcd(num, den)
             return str(num // d) if d == den else f"{num // d}/{den // d}"
         field, coeff = "Q", _Memo(frac)
-
-    def line(key: int) -> str:
-        return f"{coeff[nums[key]]} |{text(key) or ' '}"
-
-    return _poly1_to_text(field, nums, packing.sort_key, line)
-
-
-def poly_from_text(text: str) -> MultiPoly:
-    """Read a POLY1 block; a malformed block raises ValueError naming its line."""
-    field, terms = _poly1_from_lines(text.splitlines(), 0, "POLY1", _mono_reader())
-    return MultiPoly(terms, field)
+    lines = [f"POLY1 field={field} terms={len(nums)}"]
+    lines += [f"{coeff[nums[key]]} |{text(key) or ' '}"
+              for key in sorted(nums, key=packing.sort_key)]
+    return "\n".join(lines) + "\n"
 
 
-def _mono_reader():
-    """The POLY1 monomial reader onto Monos: tokens 'var^e' -> Mono, any
-    variable and any positive exponent, repeated variables added up."""
+def _packed_from_lines(lines: list, start: int, fmt: str, g: int) -> tuple[str, object, dict]:
+    """The POLY1 reader, the inverse of _packed_to_text: (field, den, nums),
+    the field tag and the cleared packed form of the block that begins at
+    lines[start], its monomials read by _Packing(g).reader.
 
-    def token(tok: str) -> tuple:
-        name, _, exp = tok.rpartition("^")
-        v, e = _var_from_text(name), int(exp)
-        if e < 1:
-            raise ValueError(f"exponent of {name} is not positive")
-        return (v, e), _var_key(v)
-
-    tokens = _Memo(token)
-
-    def monomial(toks: list) -> Mono:
-        hits = [tokens[tok] for tok in toks]
-        pairs = [hit[0] for hit in hits]
-        keys = [hit[1] for hit in hits]
-        # a written block lists each monomial's variables in order already
-        return tuple(pairs) if sorted(set(keys)) == keys else _mono_from_pairs(pairs)
-
-    return monomial
-
-
-def _poly1_from_lines(lines: list, start: int, fmt: str, monomial) -> tuple[str, dict]:
-    """The POLY1 reader: (field, {monomial: coefficient}) of the block that
-    begins at lines[start].  monomial maps a line's 'var^e' tokens to its
-    monomial key (a Mono, or a packed int) and raises ValueError on a token
-    it does not take.  Every coefficient must be a nonzero element of the
-    declared field; error messages name the line (1-based within lines) and the format being
-    read (fmt).  Equal coefficient texts share one coefficient object."""
+    Every coefficient must be a nonzero element of the declared field and
+    every monomial new; error messages name the line (1-based within lines)
+    and the format being read (fmt).  Equal coefficient texts share one
+    coefficient object."""
     fail, _ = _line_reader(lines, fmt)
     if start >= len(lines):
         fail(start, "missing POLY1 header")
@@ -764,6 +690,7 @@ def _poly1_from_lines(lines: list, start: int, fmt: str, monomial) -> tuple[str,
         return c
 
     scalars = _Memo(scalar)
+    monomial = _packing(g).reader()
     terms: dict = {}
     count = 0
     for idx in range(start + 1, len(lines)):
@@ -784,4 +711,4 @@ def _poly1_from_lines(lines: list, start: int, fmt: str, monomial) -> tuple[str,
         terms[m] = c
     if count != declared:
         fail(start, f"declares {declared} terms, found {count}")
-    return field, terms
+    return (field, *_cleared(field, terms))

@@ -179,6 +179,8 @@ def _as_matrix(tau) -> np.ndarray:
     m = np.asarray(tau, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("tau must be a square matrix")
+    if not np.isfinite(m).all():
+        raise ValueError("tau has a non-finite entry")
     if not np.allclose(m, m.T, atol=1e-12):
         raise ValueError("tau must be symmetric")
     return m
@@ -236,6 +238,8 @@ def _lattice_sums(g: int, tau, z, requests, tol: float = 1e-12,
     z = np.zeros(g, dtype=complex) if z is None else np.array([complex(v) for v in z])
     if z.shape != (g,):
         raise ValueError(f"z has {len(z)} entries, expected {g}")
+    if not np.isfinite(z).all():
+        raise ValueError("z has a non-finite entry")
     for char, d_tau, d_z in requests:
         if char.g != g:
             raise ValueError("characteristic genus mismatch")

@@ -497,6 +497,26 @@ def test_negative_trunc_is_rejected(argv, capsys):
     expect_usage_error(argv, capsys, "--trunc", f"'{argv[-1]}' is not a nonnegative integer")
 
 
+@pytest.mark.parametrize("tau,z,what", [
+    ("diag:1", "nan", "z"), ("diag:1.1,1.7", "0.1,inf", "z"),
+    ("diag:nan", None, "tau"), ("diag:1.1,inf", None, "tau"),
+])
+def test_theta_eval_rejects_non_finite_input(tau, z, what, capsys):
+    char = "0,0" if tau == "diag:1" else "00,00"
+    argv = ["theta", "eval", "--char", char, "--tau", tau] + (["--z", z] if z else [])
+    code, err = run_cli_error(argv, capsys)
+    assert (code, err) == (2, f"error: {what} has a non-finite entry\n")
+
+
+@pytest.mark.parametrize("check,option", [
+    ("heat", "--tol-heat"), ("modularity", "--tol-modularity"), ("cond", "--tol-zero"),
+])
+@pytest.mark.parametrize("value", ["-1", "0", "nan", "inf", "-inf", "x"])
+def test_tolerances_must_be_positive_finite_numbers(check, option, value, capsys):
+    expect_usage_error(["verify", check, f"{option}={value}"], capsys, option,
+                       f"{value!r} is not a positive finite number")
+
+
 @pytest.mark.parametrize("argv", [
     ["slope", "bound", "--genus", "0", "--cls", "12,1"],
     ["slope", "bound", "--op", "--genus", "0", "--cls", "12,1"],

@@ -378,6 +378,44 @@ def test_opspec_rejects_wrong_coefficient_count():
         opspec_from_text("\n".join(lines[:5] + ["coeffs 4"] + lines[6:]))
 
 
+def test_opspec_rejects_a_zero_in_the_coefficient_table():
+    lines = _opspec_lines()
+    assert lines[6] == "n=0,2 | -10/9"
+    with pytest.raises(ValueError, match=r"OPSPEC1 line 7: n=0,2 has c\(n\)/C\(1\) = -10/9, "
+                                         "found 0"):
+        opspec_from_text("\n".join(lines[:6] + ["n=0,2 | 0"] + lines[7:]))
+    # a multi-index with c(n) = 0 has no line at all
+    with pytest.raises(ValueError, match=r"OPSPEC1 line 7: n=0,0,2,2 has c\(n\)/C\(1\) = 0, "
+                                         "which has no line, found 0"):
+        opspec_from_text("\n".join(lines[:1] + ["genus 4"] + lines[2:6] + ["n=0,0,2,2 | 0"]
+                                    + lines[6:]))
+
+
+def test_opspec_rejects_a_wrong_value_in_the_coefficient_table():
+    lines = _opspec_lines()
+    with pytest.raises(ValueError, match=r"OPSPEC1 line 7: n=0,2 has c\(n\)/C\(1\) = -10/9, "
+                                         "found 7"):
+        opspec_from_text("\n".join(lines[:6] + ["n=0,2 | 7"] + lines[7:]))
+    # the table of a = 5 under the header of a = 6
+    with pytest.raises(ValueError, match="OPSPEC1 line 7: n=0,2 has c.* = -12/11, found -10/9"):
+        opspec_from_text("\n".join(lines[:3] + ["a 6"] + lines[4:]))
+    symbolic = opspec_to_text(build_Q(2, A)).splitlines()
+    assert symbolic[8] == "n=2,0 | -1*a^1;-1/2*a^0+1*a^1"
+    with pytest.raises(ValueError, match="OPSPEC1 line 9: n=2,0 has c.* = -1\\*a\\^1;.*, "
+                                         "found 1\\*a\\^1;"):
+        opspec_from_text("\n".join(symbolic[:8] + ["n=2,0 | 1*a^1;-1/2*a^0+1*a^1"]
+                                    + symbolic[9:]))
+
+
+def test_opspec_rejects_a_missing_row_of_the_coefficient_table():
+    lines = _opspec_lines()
+    assert lines[7] == "n=1,1 | 1"
+    with pytest.raises(ValueError, match=r"OPSPEC1 line 8: missing the line n=1,1 \| 1$"):
+        opspec_from_text("\n".join(lines[:5] + ["coeffs 2", lines[6]] + lines[8:]))
+    with pytest.raises(ValueError, match=r"OPSPEC1 line 9: missing the line n=2,0 \| -10/9$"):
+        opspec_from_text("\n".join(lines[:5] + ["coeffs 2"] + lines[6:8] + lines[9:]))
+
+
 def test_opspec_rejects_other_normalization():
     lines = _opspec_lines()
     for norm in ("normalization second-order-factor=1 leading-coefficient=1", ""):
@@ -449,16 +487,22 @@ def _opspec_with_term(term: str) -> str:
     ("r[1;1,1]^9 r[1;1,1]^6", "exponents of r[1;1,1] add up to 15, above 14"),
 ])
 def test_opspec_rejects_nibble_overflow(vars_txt, what):
-    with pytest.raises(ValueError, match=rf"OPSPEC1 line 11: .*\({re.escape(what)}\)"):
+    """Exponents of one variable that add up past 14 are rejected as a
+    variable written twice, before they could be added."""
+    error = "variable r[1;1,1] is written twice" if what.startswith("exponents") else what
+    with pytest.raises(ValueError, match=rf"OPSPEC1 line 11: .*\({re.escape(error)}\)"):
         opspec_from_text(_opspec_with_term(f"-10/9 | {vars_txt}"))
 
 
-def test_opspec_reads_a_repeated_variable_and_rejects_reordered_duplicates():
+def test_opspec_rejects_a_repeated_variable_and_reordered_duplicates():
+    """The writer writes each variable of a monomial once and each monomial
+    once, so r^1 r^2 (for r^3) and a reordered repeat of a monomial are
+    errors that name their line."""
     lines = _opspec_lines()
     assert lines[10] == "-10/9 | r[1;1,1]^1 r[1;2,2]^1"
-    back = opspec_from_text(_opspec_with_term("-10/9 | r[1;1,1]^1 r[1;1,1]^2"))
-    assert back.Q.terms[((r_var(1, 1, 1), 3),)] == Fraction(-10, 9)
-    assert ((r_var(1, 1, 1), 1), (r_var(1, 2, 2), 1)) not in back.Q.terms
+    with pytest.raises(ValueError, match=r"OPSPEC1 line 11: .*\(variable r\[1;1,1\] "
+                                         r"is written twice\)"):
+        opspec_from_text(_opspec_with_term("-10/9 | r[1;1,1]^1 r[1;1,1]^2"))
     with pytest.raises(ValueError, match="OPSPEC1 line 12: duplicate monomial"):
         opspec_from_text("\n".join(lines[:9] + [lines[9].replace("7", "8")] + lines[10:11]
                                    + ["-10/9 | r[1;2,2]^1 r[1;1,1]^1"] + lines[11:]))

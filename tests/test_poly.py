@@ -10,11 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from siegelops.jets import JetPoly
-from siegelops.poly import (MultiPoly, FieldMismatch, _cleared, _packed_poly,
-                            _packed_to_text, _packing, _poly1_from_lines, _t_split,
-                            coeff_R, det_expand, index_set_N, index_set_Nprime,
-                            minor_coeff_R, minor_det_expand, poly_from_text, poly_to_text,
-                            r_var, t_var, x_var)
+from siegelops.poly import (MultiPoly, FieldMismatch, _cleared, _leibniz, _minor_rows,
+                            _packed_from_lines, _packed_poly, _packed_to_text, _packing,
+                            _t_split, coeff_R, det_expand, index_set_N, index_set_Nprime,
+                            minor_coeff_R, minor_det_expand, r_var, t_var)
+from siegelops.scalars import scalar_to_text
 
 
 def V(v):
@@ -157,17 +157,16 @@ def test_qa_constant_has_a_ratfunc_coefficient():
     p = MultiPoly.const(1, "Qa") + MultiPoly.var(r_var(1, 1, 1), "Qa")
     assert all(isinstance(c, RatFunc) for c in p.terms.values())
     assert all(isinstance(c, RatFunc) for c in (JetPoly.const(3, "Qa").terms.values()))
-    assert poly_to_text(p).splitlines()[1:] == ["1*a^0;1*a^0 | ",
-                                                "1*a^0;1*a^0 | r[1;1,1]^1"]
-    assert poly_from_text(poly_to_text(p)) == p
+    assert _write(p).splitlines()[1:] == ["1*a^0;1*a^0 | ", "1*a^0;1*a^0 | r[1;1,1]^1"]
+    assert _read(_write(p)) == p
 
 
 def test_poly1_round_trip():
-    p = (V(r_var(1, 1, 2)) * V(t_var(2)).scale(Fraction(-3, 7))
-         + V(x_var(1, 4)) ** 3 + MultiPoly.const(Fraction(5, 2)))
-    assert poly_from_text(poly_to_text(p)) == p
+    p = (V(r_var(1, 1, 2)) * V(r_var(2, 2, 2)).scale(Fraction(-3, 7))
+         + V(r_var(1, 1, 1)) ** 3 + MultiPoly.const(Fraction(5, 2)))
+    assert _read(_write(p)) == p
     q = p.promote()
-    assert poly_from_text(poly_to_text(q)) == q
+    assert _read(_write(q)) == q
 
 
 _vars = [r_var(1, 1, 1), r_var(1, 1, 2), r_var(2, 2, 2), t_var(1)]
@@ -216,58 +215,93 @@ def test_t_split_matches_t_coefficient(g):
                 assert minor_coeff_R(g, k, l, n) == minor.t_coefficient(n), (k, l, n)
 
 
+# -- POLY1: the packed writer and reader --------------------------------------
+
+
+def _write(p, g=2):
+    """The POLY1 text of a genus-g MultiPoly, packed and cleared first."""
+    encode = _packing(g).encode
+    return _packed_to_text(g, *_cleared(p.field, {encode(m): c for m, c in p.terms.items()}))
+
+
+def _read(text, g=2):
+    _, den, nums = _packed_from_lines(text.splitlines(), 0, "POLY1", g)
+    return _packed_poly(g, den, nums)
+
+
 def _poly1_lines():
-    p = (V(r_var(1, 1, 2)) * V(t_var(2)).scale(Fraction(-3, 7))
-         + V(x_var(1, 4)) ** 3 + MultiPoly.const(Fraction(5, 2)))
-    return poly_to_text(p).splitlines()
+    p = (V(r_var(1, 1, 2)) * V(r_var(2, 2, 2)).scale(Fraction(-3, 7))
+         + V(r_var(1, 1, 1)) ** 3 + MultiPoly.const(Fraction(5, 2)))
+    return _write(p).splitlines()
 
 
 def test_poly1_rejects_truncated_block():
     lines = _poly1_lines()
     assert lines[0] == "POLY1 field=Q terms=3"
     with pytest.raises(ValueError, match="POLY1 line 1: declares 3 terms, found 2"):
-        poly_from_text("\n".join(lines[:-1]))
+        _read("\n".join(lines[:-1]))
 
 
 def test_poly1_rejects_duplicate_monomials():
     lines = ["POLY1 field=Q terms=2", "1 | r[1;2,1]^1", "2 | r[1;1,2]^1"]
     with pytest.raises(ValueError, match="POLY1 line 3: duplicate monomial"):
-        poly_from_text("\n".join(lines))
+        _read("\n".join(lines))
 
 
 def test_poly1_rejects_bad_header():
     lines = _poly1_lines()
     for head in ("POLY1 field=Z terms=3", "POLY1 field=Q", "POLY2 field=Q terms=3"):
         with pytest.raises(ValueError, match="POLY1 line 1: "):
-            poly_from_text("\n".join([head] + lines[1:]))
+            _read("\n".join([head] + lines[1:]))
 
 
 def test_poly1_rejects_malformed_term_lines():
     head = "POLY1 field=Q terms=1"
     for term in ("1 r[1;1,1]^1", "1 | r[1;1,1]^x", "1 | q[1]^1", "1/0 | t[1]^1"):
         with pytest.raises(ValueError, match="POLY1 line 2: "):
-            poly_from_text(f"{head}\n{term}\n")
+            _read(f"{head}\n{term}\n")
 
 
 def test_poly1_rejects_non_positive_exponents():
     with pytest.raises(ValueError, match="POLY1 line 2: .*not positive"):
-        poly_from_text("POLY1 field=Q terms=1\n1 | t[1]^0\n")
+        _read("POLY1 field=Q terms=1\n1 | t[1]^0\n")
 
 
 def test_poly1_reads_unsorted_variables_canonically():
-    p = poly_from_text("POLY1 field=Q terms=1\n3 | r[1;2,2]^1 t[1]^2\n")
-    assert p == (V(t_var(1)) ** 2 * V(r_var(1, 2, 2))).scale(Fraction(3))
+    p = _read("POLY1 field=Q terms=1\n3 | r[2;1,1]^2 r[1;2,2]^1\n")
+    assert p == (V(r_var(1, 2, 2)) * V(r_var(2, 1, 1)) ** 2).scale(Fraction(3))
 
 
 def test_poly1_rejects_coefficients_of_the_other_field():
     """field=Q takes only rational text and field=Qa only 'num ; den' text,
-    which is all poly_to_text writes."""
+    which is all the writer writes."""
     for text in ("POLY1 field=Q terms=1\n1*a^1;1*a^0 | r[1;1,1]^1\n",
                  "POLY1 field=Q terms=2\n1 | r[1;1,2]^1\n1*a^0 ; 1*a^0 | r[1;1,1]^1\n",
                  "POLY1 field=Qa terms=1\n3/2 | r[1;1,1]^1\n"):
         line = len(text.splitlines())
         with pytest.raises(ValueError, match=f"POLY1 line {line}: .*not a coefficient of field"):
-            poly_from_text(text)
+            _read(text)
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_leibniz_parities_share_no_key(g):
+    """No packed key of a pencil's Leibniz terms, full or minor, comes from
+    permutations of both parities, so _leibniz keeps every key, with the
+    sign of its parity and no zero coefficient."""
+    unit = _packing(g).unit
+    for minor in [()] + [(k, l) for k in range(1, g + 1) for l in range(1, g + 1)]:
+        rows, cols = _minor_rows(g, minor)
+        parities: dict = {}
+        for sigma in itertools.permutations(range(len(cols))):
+            sign = (-1) ** sum(s > t for s, t in itertools.combinations(sigma, 2))
+            for hs in itertools.product(range(1, g + 1), repeat=len(rows)):
+                key = sum(unit[t_var(h)] + unit[r_var(h, r, cols[s])]
+                          for h, r, s in zip(hs, rows, sigma))
+                parities.setdefault(key, set()).add(sign)
+        assert all(len(signs) == 1 for signs in parities.values()), minor
+        got = _leibniz(g, rows, cols)
+        assert set(got) == set(parities)
+        assert all(c * parities[key].pop() > 0 for key, c in got.items())
 
 
 @pytest.mark.parametrize("g", [1, 2, 3, 4])
@@ -287,21 +321,41 @@ def test_packed_split_decodes_to_the_t_coefficient_oracle(g):
             assert _packed_poly(g, 1, bucket) == full.t_coefficient(n), (minor, n)
 
 
-def _random_keys(rng, g, count):
-    """Packed genus-g keys with random variables and exponents 1..14."""
+def _random_keys(rng, g, count, first=0):
+    """Packed genus-g keys with random variables from nibble first on (g:
+    the r-variables) and exponents 1..14."""
     names = _packing(g).names
     keys = set()
     while len(keys) < count:
-        picked = rng.sample(range(len(names)), rng.randint(0, 4))
+        picked = rng.sample(range(first, len(names)), rng.randint(0, 4))
         keys.add(sum(rng.randint(1, 14) << 4 * p for p in picked))
     return sorted(keys)
 
 
+def _var_text(v) -> str:
+    return f"t[{v[1]}]" if v[0] == "t" else f"r[{v[1]};{v[2]},{v[3]}]"
+
+
+def poly_to_text(p) -> str:
+    """An independent POLY1 writer on decoded monomials: the terms sorted by
+    total degree, then by their (variable, exponent) pairs in the variable
+    order (t_h by h, then r_{h;ij} by (h, i, j))."""
+    def order(m):
+        return (sum(e for _, e in m), *[((v[0] == "r",) + v[1:], e) for v, e in m])
+
+    lines = [f"POLY1 field={p.field} terms={len(p.terms)}"]
+    for m in sorted(p.terms, key=order):
+        body = " ".join(f"{_var_text(v)}^{e}" for v, e in m)
+        lines.append(f"{scalar_to_text(p.terms[m])} | {body}")
+    return "\n".join(lines) + "\n"
+
+
 @pytest.mark.parametrize("g", [2, 3])
 def test_packed_text_is_poly_to_text_of_the_decoded_form(g):
-    """The packed POLY1 writer orders and renders keys byte for byte as
-    poly_to_text does the decoded polynomial, in both fields, on random keys
-    with exponents up to 14, t-variables and the constant monomial."""
+    """The packed POLY1 writer orders and renders keys byte for byte as the
+    reference writer poly_to_text does the decoded polynomial, in both
+    fields, on random keys with exponents up to 14, t-variables and the
+    constant monomial."""
     rng = random.Random(g)
     keys = _random_keys(rng, g, 300) + [0]
     nums = {key: rng.choice([-3, -1, 1, 2, 6]) for key in keys}
@@ -317,31 +371,29 @@ def test_packed_reader_round_trips_the_writer(g):
     that _cleared makes of the decoded polynomial."""
     rng = random.Random(10 + g)
     packing = _packing(g)
-    keys = _random_keys(rng, g, 200)
+    keys = _random_keys(rng, g, 200, first=g)
     nums = {key: rng.choice([-5, -1, 1, 3]) for key in keys}
     lines = _packed_to_text(g, 15, nums).splitlines()
-    field, terms = _poly1_from_lines(lines, 0, "POLY1", packing.reader(set(packing.names)))
+    field, den, back = _packed_from_lines(lines, 0, "POLY1", g)
     p = _packed_poly(g, 15, nums)
-    assert _cleared(field, terms) == _cleared("Q", {packing.encode(m): c
-                                                    for m, c in p.terms.items()})
-    assert _packed_poly(g, *_cleared(field, terms)) == p
+    assert field == "Q"
+    assert (den, back) == _cleared("Q", {packing.encode(m): c for m, c in p.terms.items()})
+    assert _packed_poly(g, den, back) == p
 
 
-def _read_packed(text, g=2):
-    packing = _packing(g)
-    variables = {v for v in packing.names if v[0] == "r"}
-    field, terms = _poly1_from_lines(text.splitlines(), 0, "POLY1", packing.reader(variables))
-    return _packed_poly(g, *_cleared(field, terms))
-
-
-def test_packed_reader_adds_a_repeated_variable():
-    """r[1;1,1]^1 r[1;1,1]^2 reads as r[1;1,1]^3, as in poly_from_text, also
-    with more tokens than the layout has variables."""
-    text = "POLY1 field=Q terms=2\n2 | r[1;1,1]^1 r[1;2,2]^1 r[1;1,1]^2\n3 | {}\n"
-    ones = " ".join(["r[2;2,2]^1"] * 14)
-    expect = (V(r_var(1, 1, 1)) ** 3 * V(r_var(1, 2, 2))).scale(Fraction(2)) + \
-        (V(r_var(2, 2, 2)) ** 14).scale(Fraction(3))
-    assert _read_packed(text.format(ones)) == expect == poly_from_text(text.format(ones))
+@pytest.mark.parametrize("term", [
+    "r[1;1,1]^1 r[1;2,2]^1 r[1;1,1]^2",
+    " ".join(["r[2;2,2]^1"] * 14),
+])
+def test_packed_reader_rejects_a_repeated_variable(term):
+    """The writer writes each variable of a monomial once, so a variable
+    written twice (r^1 r^2 for r^3), also in more tokens than the layout
+    has variables, is a line-numbered error."""
+    var = term.split()[-1].rpartition("^")[0]
+    text = f"POLY1 field=Q terms=2\n1 | r[1;2,2]^1\n-2 | {term}\n"
+    with pytest.raises(ValueError, match=rf"POLY1 line 3: cannot parse .*\(variable "
+                                         rf"{re.escape(var)} is written twice\)"):
+        _read(text)
 
 
 @pytest.mark.parametrize("term,what", [
@@ -352,20 +404,28 @@ def test_packed_reader_adds_a_repeated_variable():
     ("r[1;1,2]^2 " + " ".join(["r[1;1,2]^1"] * 13), "exponents of r[1;1,2] add up to 15"),
 ])
 def test_packed_reader_rejects_nibble_overflow(term, what):
-    """An exponent above 14, or a repeated variable whose exponents add up
-    past 14, is a line-numbered error: a packed nibble would carry into the
-    next variable."""
+    """An exponent above 14, or exponents of one variable that add up past
+    14, is a line-numbered error: a packed nibble would carry into the next
+    variable.  Exponents are never added: a variable written twice is
+    rejected as such."""
+    var = term.split()[-1].rpartition("^")[0]
+    error = f"variable {var} is written twice" if what.startswith("exponents") else what
     text = f"POLY1 field=Q terms=2\n1 | r[1;1,1]^1\n-2 | {term}\n"
-    with pytest.raises(ValueError, match=rf"POLY1 line 3: cannot parse .*\({re.escape(what)}"):
-        _read_packed(text)
+    with pytest.raises(ValueError, match=rf"POLY1 line 3: cannot parse .*\({re.escape(error)}\)"):
+        _read(text)
+
+
+@pytest.mark.parametrize("var", ["t[1]", "x[1,1]", "r[3;1,1]", "r[1;1,3]"])
+def test_packed_reader_takes_only_the_r_variables_of_its_genus(var):
+    text = f"POLY1 field=Q terms=2\n1 | r[1;1,1]^1\n-2 | {var}^1\n"
+    with pytest.raises(ValueError, match=rf"POLY1 line 3: .*variable {re.escape(var)} is not allowed"):
+        _read(text)
 
 
 def test_packed_reader_rejects_two_orderings_of_one_monomial():
     text = "POLY1 field=Q terms=2\n1 | r[1;1,1]^1 r[2;1,2]^1\n2 | r[2;1,2]^1 r[1;1,1]^1\n"
     with pytest.raises(ValueError, match="POLY1 line 3: duplicate monomial"):
-        _read_packed(text)
-    with pytest.raises(ValueError, match="POLY1 line 3: duplicate monomial"):
-        poly_from_text(text)
+        _read(text)
 
 
 @pytest.mark.parametrize("coeff", ["0", "0*a^0;1*a^0"])
@@ -373,6 +433,5 @@ def test_poly1_rejects_a_zero_coefficient(coeff):
     field = "Qa" if ";" in coeff else "Q"
     text = f"POLY1 field={field} terms=2\n1{'*a^0;1*a^0' if field == 'Qa' else ''} | " \
         f"r[1;1,1]^1\n{coeff} | r[1;2,2]^1\n"
-    for read in (poly_from_text, _read_packed):
-        with pytest.raises(ValueError, match=r"POLY1 line 3: cannot parse .*\(zero coefficient"):
-            read(text)
+    with pytest.raises(ValueError, match=r"POLY1 line 3: cannot parse .*\(zero coefficient"):
+        _read(text)

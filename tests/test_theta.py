@@ -365,6 +365,23 @@ def test_theta_numeric_rejects_bad_indices_and_z(g, kwargs, name):
         theta_numeric(g, ThetaChar((0,) * g, (0,) * g), KERNEL_POINTS[g][0], **kwargs)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0, math.nan), -math.inf])
+@pytest.mark.parametrize("g", [1, 2])
+def test_lattice_sums_reject_a_non_finite_tau_or_z(g, bad):
+    """A NaN or infinite entry of tau or z is named as such, not reported as
+    an asymmetric tau or summed into a NaN value."""
+    tau, z = KERNEL_POINTS[g]
+    request = [(ThetaChar((0,) * g, (0,) * g), (), ())]
+    bad_tau = [row[:] for row in tau]
+    bad_tau[-1][-1] = bad
+    with pytest.raises(ValueError, match="^tau has a non-finite entry$"):
+        _lattice_sums(g, bad_tau, z, request)
+    with pytest.raises(ValueError, match="^z has a non-finite entry$"):
+        _lattice_sums(g, tau, z[:-1] + [bad], request)
+    with pytest.raises(ValueError, match="^z has a non-finite entry$"):
+        theta_numeric(g, request[0][0], tau, z[:-1] + [bad])
+
+
 def test_reports_state_radius_points_and_tail_tolerance():
     heat = check_heat(2, ThetaChar((0, 0), (1, 1)), [[2j, 0j], [0j, 3j]], [0.1j, 0])
     lam_min, z_shift = 2.0, 0.1

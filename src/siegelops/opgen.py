@@ -491,10 +491,14 @@ def opspec_from_text(text: str) -> OperatorSpec:
             fail(idx, f"n={head.strip()[2:]} is not a multi-index of genus {g}")
         if n in coeffs:
             fail(idx, f"duplicate coefficient n={head.strip()[2:]}")
+        if coeffs and n < last:  # the writer sorts the rows by n
+            fail(idx, f"n={head.strip()[2:]} comes after n={','.join(map(str, last))}; "
+                      "the rows are sorted by n")
         if n not in table or c != table[n]:
             want = scalar_to_text(table[n]) if n in table else "0, which has no line"
             fail(idx, f"n={head.strip()[2:]} has c(n)/C(1) = {want}, found {val.strip()}")
         coeffs[n] = c
+        last = n
         idx += 1
     if len(coeffs) != ncoeffs:
         fail(5, f"declares {ncoeffs} coefficients, found {len(coeffs)}")

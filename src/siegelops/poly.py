@@ -450,8 +450,9 @@ class _Packing:
 
     def reader(self):
         """The POLY1 monomial reader onto packed keys: tokens 'var^e' (an
-        r-variable of genus g, 1 <= e <= _MAX_EXP), each variable at most
-        once -> packed key.
+        r-variable of genus g spelled as the writer does, r[h;i,j] with
+        i <= j, and 1 <= e <= _MAX_EXP), each variable at most once -> packed
+        key.
 
         Each token's int is memoized and holds its exponent in the variable's
         nibble plus one presence bit per variable above the layout and a
@@ -464,10 +465,8 @@ class _Packing:
         """
         top = self.bits + len(self.names).bit_length() + 1
         low = (1 << self.bits) - 1
-        position = {}  # 'r[h;i,j]' and 'r[h;j,i]' -> the nibble of r_{h;ij}
-        for p, v in enumerate(self.names):
-            if v[0] == "r":
-                position[_var_to_text(v)] = position[f"r[{v[1]};{v[3]},{v[2]}]"] = p
+        # 'r[h;i,j]', the writer's spelling (i <= j) -> the nibble of r_{h;ij}
+        position = {_var_to_text(v): p for p, v in enumerate(self.names) if v[0] == "r"}
 
         def token(tok: str) -> int:
             name, _, exp = tok.rpartition("^")

@@ -50,6 +50,16 @@ r >= 2^(S-1), the digit is r - 2^S and it borrows one from the rest).  At
 genus 1 the packed entry is the weight itself: the series is one row, and
 decoding stops at the truncation.
 
+A square (one dict as both operands: x * x, and every squaring of binary
+powering) visits each unordered group pair once, which costs about half a
+product.  A group with itself is Pa * Pa, which CPython computes by its
+squaring routine; every other pair in reach adds Pa * 2 Pb (each row is
+doubled once, before the loop), the terms of the pairs (a, b) and (b, a) at
+once.  The diagonal pair is found by its position in the group list, not by
+identity of the packed ints, since equal small ints are one object.  Each
+output integer is the same sum of the same convolution terms as in the
+general path, so S still bounds every digit.
+
 Jet polynomials are evaluated factor first: the monomials that share a
 factor are summed before that factor multiplies them, so the weight-5
 genus-2 operator costs 3 products, not 4.
@@ -158,8 +168,10 @@ def _mul_terms(na: dict, nb: dict, trunc: int) -> dict:
     result is {key: nonzero int}."""
     if not na or not nb:
         return {}
+    square = na is nb
     lay = _LAYOUTS[len(next(iter(na)))]
-    (ca, ra), (cb, rb) = _rows(na, trunc, lay), _rows(nb, trunc, lay)
+    ca, ra = _rows(na, trunc, lay)
+    cb, rb = (ca, ra) if square else _rows(nb, trunc, lay)
     if not ca or not cb:
         return {}
     p = lay.pack
@@ -178,12 +190,22 @@ def _mul_terms(na: dict, nb: dict, trunc: int) -> dict:
         out.sort()  # by weight, then code: no two groups share a code
         return x0, out
 
-    (xa, ga), (xb, gb) = groups(ra, ca), groups(rb, cb)
+    xa, ga = groups(ra, ca)
+    xb, gb = (xa, ga) if square else groups(rb, cb)
     wb = [t[0] for t in gb]
+    if square:  # each unordered pair once, found by position
+        doubled = [(*t[:4], t[4] << 1) for t in ga]
     acc: dict = {}
     get = acc.get
-    for wa, ka, rest_a, oa, Pa in ga:
-        for _, kb, rest_b, ob, Pb in gb[:bisect_right(wb, trunc - wa)]:
+    for i, (wa, ka, rest_a, oa, Pa) in enumerate(ga):
+        reach = bisect_right(wb, trunc - wa)
+        if not square:
+            partners = gb[:reach]
+        elif i < reach:  # the group with itself (Pa * Pa), then later rows doubled
+            partners = [ga[i], *doubled[i + 1:reach]]
+        else:  # weight > trunc / 2, and every later group's too
+            break
+        for _, kb, rest_b, ob, Pb in partners:
             key = ka + kb
             o = oa + ob
             cur = get(key)

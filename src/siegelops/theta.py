@@ -30,6 +30,11 @@ exponentials are computed once per lattice point and eps class and shared by
 every delta and derivative of the batch.  The checks report the radius, the
 point count and the tail tolerance they used.
 
+numpy is imported inside each numeric function, not by the module, so
+importing theta (and siegelops) and every exact computation run without it;
+the first numeric call loads it.  The functions stay here, where the span
+recorder of perfbench finds theta's public functions.
+
 Heat equation convention: the series satisfy
 
     d^2 theta / dz_i dz_j = 2 pi i (1 + delta_ij) d theta / dtau_ij,
@@ -45,11 +50,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
-from typing import Callable, NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .qexp import DEFAULT_TRUNC, QExp1, QExp2, product_balanced
+
+if TYPE_CHECKING:
+    import numpy as np
 
 TOL_HEAT = 1e-10
 TOL_MODULARITY = 1e-8
@@ -176,6 +182,7 @@ def schottky_qexp(g: int, trunc: int = DEFAULT_TRUNC):
 
 
 def _as_matrix(tau) -> np.ndarray:
+    import numpy as np
     m = np.asarray(tau, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("tau must be a square matrix")
@@ -187,6 +194,7 @@ def _as_matrix(tau) -> np.ndarray:
 
 
 def _check_tau(tau: np.ndarray) -> float:
+    import numpy as np
     lam = np.linalg.eigvalsh(tau.imag)
     if lam[0] <= 0:
         raise ValueError("Im(tau) is not positive definite")
@@ -231,6 +239,7 @@ def _lattice_sums(g: int, tau, z, requests, tol: float = 1e-12,
     and each requested derivative by its monomial in m, so a request is a real
     weight vector and the whole class is summed in one matrix product.
     """
+    import numpy as np
     tau = _as_matrix(tau)
     if tau.shape[0] != g:
         raise ValueError("tau size does not match the genus")
@@ -368,6 +377,7 @@ def _tnull_derivatives(tau: np.ndarray):
     factors; valid away from the zero locus of every factor.  Every theta
     value and derivative comes from one batch on one grid.
     """
+    import numpy as np
     chars = even_chars(2)
     pairs = [(1, 1), (1, 2), (2, 2)]
     sym = {p: 0.5 if p[0] != p[1] else 1.0 for p in pairs}
@@ -412,12 +422,14 @@ def form_operator_tnull(a: int) -> NumericForm:
 
 
 def gamma_J(g: int):
+    import numpy as np
     z = np.zeros((g, g), dtype=int)
     i = np.eye(g, dtype=int)
     return (z, -i, i, z)
 
 
 def gamma_translation(b) -> tuple:
+    import numpy as np
     b = np.asarray(b, dtype=int)
     g = b.shape[0]
     if not np.array_equal(b, b.T):
@@ -427,6 +439,7 @@ def gamma_translation(b) -> tuple:
 
 
 def gamma_gl(u) -> tuple:
+    import numpy as np
     u = np.asarray(u, dtype=int)
     if abs(round(np.linalg.det(u))) != 1:
         raise ValueError("block must be in GL(g, Z)")
@@ -437,6 +450,7 @@ def gamma_gl(u) -> tuple:
 
 
 def symplectic_act(gamma, tau):
+    import numpy as np
     a, b, c, d = (np.asarray(m, dtype=complex) for m in gamma)
     tau = _as_matrix(tau)
     num = a @ tau + b

@@ -1,6 +1,9 @@
 """End-to-end tests of the command-line interface and its file formats."""
 
 import hashlib
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 from siegelops.cli import main
@@ -533,3 +536,37 @@ def test_verify_pluriharmonic_at_weight_zero_is_a_clean_error(capsys):
     code, err = run_cli_error(["verify", "pluriharmonic", "--weight", "0"], capsys)
     assert code == 2
     assert err == "error: weight a=0 violates a >= g/2 = 1\n"
+
+
+EXACT_PROGRAM = """
+import contextlib, io, sys
+import siegelops
+from siegelops.cli import main
+
+exact = [
+    ["form", "--name", "tnull", "--trunc", "24", "--out", "t2.smf"],
+    ["opgen", "--genus", "2", "--weight", "5", "--out", "q25.opspec"],
+    ["apply", "--operator", "q25.opspec", "--input", "t2.smf", "--out", "d.smf"],
+    ["form", "--name", "eis4", "--trunc", "40", "--out", "e4.smf"],
+    ["form", "--name", "eis6", "--trunc", "40", "--out", "e6.smf"],
+    ["bracket", "--scalar", "e4.smf", "e6.smf", "--out", "br.smf"],
+    ["slope", "report"],
+]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(argv) for argv in exact]
+    exact_numpy = "numpy" in sys.modules
+    codes.append(main(["theta", "eval", "--char", "0,0", "--tau", "diag:1.0"]))
+print(codes, exact_numpy, "numpy" in sys.modules)
+"""
+
+
+def test_exact_commands_never_load_numpy(tmp_path):
+    """import siegelops and the exact commands leave numpy unloaded; the
+    first numeric call loads it (the control that the check can fail)."""
+    src = str(README.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    done = subprocess.run([sys.executable, "-c", EXACT_PROGRAM], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split("\n")[-2] == "[0, 0, 0, 0, 0, 0, 0, 0] False True"

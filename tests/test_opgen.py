@@ -416,6 +416,18 @@ def test_opspec_rejects_a_missing_row_of_the_coefficient_table():
         opspec_from_text("\n".join(lines[:5] + ["coeffs 2"] + lines[6:8] + lines[9:]))
 
 
+def test_opspec_rejects_rows_out_of_order():
+    """The writer sorts the coefficient table by n; a row that breaks the
+    order is an error at its line, even when every value is right."""
+    lines = _opspec_lines()
+    assert lines[6:9] == ["n=0,2 | -10/9", "n=1,1 | 1", "n=2,0 | -10/9"]
+    with pytest.raises(ValueError, match="OPSPEC1 line 8: n=1,1 comes after n=2,0; "
+                                         "the rows are sorted by n"):
+        opspec_from_text("\n".join(lines[:6] + lines[6:9][::-1] + lines[9:]))
+    with pytest.raises(ValueError, match="OPSPEC1 line 9: n=0,2 comes after n=2,0"):
+        opspec_from_text("\n".join(lines[:6] + [lines[7], lines[8], lines[6]] + lines[9:]))
+
+
 def test_opspec_rejects_other_normalization():
     lines = _opspec_lines()
     for norm in ("normalization second-order-factor=1 leading-coefficient=1", ""):

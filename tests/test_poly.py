@@ -243,9 +243,16 @@ def test_poly1_rejects_truncated_block():
 
 
 def test_poly1_rejects_duplicate_monomials():
-    lines = ["POLY1 field=Q terms=2", "1 | r[1;2,1]^1", "2 | r[1;1,2]^1"]
+    lines = ["POLY1 field=Q terms=2", "1 | r[1;1,2]^1", "2 | r[1;1,2]^1"]
     with pytest.raises(ValueError, match="POLY1 line 3: duplicate monomial"):
         _read("\n".join(lines))
+
+
+def test_poly1_rejects_the_swapped_spelling_of_an_r_variable():
+    """The writer spells r_{h;ij} as r[h;i,j] with i <= j, and only so."""
+    assert _read("POLY1 field=Q terms=1\n1 | r[1;1,2]^1\n") == V(r_var(1, 1, 2))
+    with pytest.raises(ValueError, match=r"POLY1 line 2: .*variable r\[1;2,1\] is not allowed"):
+        _read("POLY1 field=Q terms=1\n1 | r[1;2,1]^1\n")
 
 
 def test_poly1_rejects_bad_header():

@@ -3,25 +3,37 @@
 The reference below multiplies every pair of terms; the kernel must return
 the same dict for any operands: negative beta, strides and offsets that
 differ between the operands, mixed denominators, coefficients far above a
-machine word, empty operands and terms exactly at the truncation.
+machine word, empty operands and terms exactly at the truncation.  A square
+(one dict passed as both operands) takes its own path, which visits each
+unordered group pair once; it is checked the same way.
 """
 
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from siegelops.qexp import QExp1, _mul_terms
+from siegelops.qexp import QExp1, QExp2, _mul_terms
+
+
+def cleared(t: dict) -> tuple[int, dict]:
+    """(d, integer numerators over d) of a Fraction dict."""
+    d = lcm(*{c.denominator for c in t.values()})
+    return d, {k: c.numerator * (d // c.denominator) for k, c in t.items()}
 
 
 def kernel(ta: dict, tb: dict, trunc: int) -> dict:
     """_mul_terms on the cleared integer numerators of two Fraction dicts,
     the product's numerators read back over the product of the denominators."""
-    da, db = (lcm(*{c.denominator for c in t.values()}) for t in (ta, tb))
-    na = {k: c.numerator * (da // c.denominator) for k, c in ta.items()}
-    nb = {k: c.numerator * (db // c.denominator) for k, c in tb.items()}
+    (da, na), (db, nb) = cleared(ta), cleared(tb)
     return {k: Fraction(v, da * db) for k, v in _mul_terms(na, nb, trunc).items()}
+
+
+def square(t: dict, trunc: int) -> dict:
+    """kernel(t, t, trunc) with one dict of numerators passed as both operands."""
+    d, n = cleared(t)
+    return {k: Fraction(v, d * d) for k, v in _mul_terms(n, n, trunc).items()}
 
 
 def naive_mul2(ta: dict, tb: dict, trunc: int) -> dict:
@@ -133,3 +145,75 @@ def test_extreme_digits_at_the_slot_bound():
         got = kernel(ta, tb, 0)
         assert got == naive_mul2(ta, tb, 0)
         assert got[(0, 0, 0)] == sa * sb * 11 * m * m
+
+
+@st.composite
+def unit_groups(draw, trunc: int) -> dict:
+    """Several groups of one term each, with coefficient +-1: their packed
+    rows are equal small ints, which CPython shares between the groups."""
+    cells = draw(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=8,
+                          unique=True))
+    return {(a, draw(st.integers(-3, 3)), g2): Fraction(draw(st.sampled_from([1, -1])))
+            for a, g2 in cells if a + g2 <= trunc}
+
+
+@st.composite
+def square_case(draw):
+    trunc = draw(st.integers(0, 10))
+    terms = draw(operand2(trunc))
+    if draw(st.booleans()):
+        terms.update(draw(unit_groups(trunc)))
+    return terms, trunc
+
+
+@settings(max_examples=200, deadline=None)
+@given(square_case())
+# rows 1, 1, -1: a pair of two of these shared ints is off-diagonal and counts twice
+@example(({(0, 0, 0): Fraction(1), (0, 0, 1): Fraction(1), (1, 0, 0): Fraction(-1)}, 2))
+def test_square_kernel_matches_naive_convolution(case):
+    t, trunc = case
+    assert square(t, trunc) == naive_mul2(t, t, trunc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 60).flatmap(lambda trunc: st.tuples(operand1(trunc), st.just(trunc))))
+def test_genus1_square_kernel_matches_naive_convolution(case):
+    t, trunc = case
+    got = square({(n,): c for n, c in t.items()}, trunc)
+    assert got == {(n,): c for n, c in naive_mul1(t, t, trunc).items()}
+
+
+@st.composite
+def psd_operand2(draw) -> QExp2:
+    """A QExp2 whose terms keep the constructor's invariants."""
+    trunc = draw(st.integers(0, 12))
+    terms = {}
+    for _ in range(draw(st.integers(1, 8))):
+        a = draw(st.integers(0, trunc))
+        g2 = draw(st.integers(0, trunc - a))
+        b = draw(st.integers(-isqrt(4 * a * g2), isqrt(4 * a * g2)))
+        terms[(a, b, g2)] = draw(coefficients)
+    return QExp2(terms, Fraction(draw(st.integers(0, 3))), trunc,
+                 character=draw(st.booleans()))
+
+
+@st.composite
+def operand1_qexp(draw) -> QExp1:
+    trunc = draw(st.integers(0, 40))
+    terms = draw(operand1(trunc))
+    return QExp1({(n,): c for n, c in terms.items()}, Fraction(draw(st.integers(0, 3))),
+                 trunc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(psd_operand2(), operand1_qexp()))
+def test_powers_equal_the_left_fold_of_distinct_copies(x):
+    """x ** n squares through the square path at every step of binary
+    powering; the fold multiplies by a copy rebuilt through the constructor,
+    so its dicts are distinct and every product takes the general path."""
+    copy = type(x)(dict(x.terms), x.weight, x.trunc, x.tau_factor, x.character)
+    assert copy._nums is not x._nums
+    fold = x.one(x.trunc)
+    for n in range(10):
+        assert x ** n == fold, n
+        fold = fold * copy

@@ -26,8 +26,9 @@ from __future__ import annotations
 import itertools
 import math
 
-from .poly import MultiPoly, _field_one, _signed_pairings, _SparsePoly
-from .scalars import _accumulate
+from .poly import (MultiPoly, _cleared, _coefficients, _field_one, _signed_pairings,
+                   _SparsePoly)
+from .scalars import _accumulate, _ptrim
 
 JetVar = tuple  # (symbol: str, derivs: tuple[(i, j), ...])
 JetMono = tuple  # sorted tuple of JetVar, repetitions allowed
@@ -81,12 +82,19 @@ def jet_apply(q: MultiPoly, assignment: dict[int, str], g: int) -> JetPoly:
     slots h = 1..g of the jet variable (assignment[h], pairs for slot h);
     slots without matrix entries contribute the bare symbol.  q must involve
     matrix entries only.
+
+    The sums run on q's cleared form (poly._cleared): integer numerators
+    over one denominator, integer polynomials in a for Q(a).  The
+    numerators of the monomials that meet in one jet monomial are added
+    as integers, and each distinct nonzero sum becomes one coefficient
+    through poly._coefficient, so no field operation runs per term.
     """
     missing = set(range(1, g + 1)) - set(assignment)
     if missing:
         raise ValueError(f"matrix indices {sorted(missing)} have no assigned symbol")
-    out: dict = {}
-    for m, c in q.terms.items():
+    den, nums = _cleared(q.field, q.terms)
+    sums: dict = {}
+    for m, num in nums.items():
         per_slot: dict[int, list] = {}
         for v, e in m:
             if v[0] != "r":
@@ -97,8 +105,14 @@ def jet_apply(q: MultiPoly, assignment: dict[int, str], g: int) -> JetPoly:
             raise ValueError(f"matrix indices {sorted(unknown)} exceed genus {g}")
         mono = _mono(jet_var(assignment[h], per_slot.get(h, ()))
                      for h in range(1, g + 1))
-        _accumulate(out, mono, c)
-    return JetPoly(out, q.field)
+        sums.setdefault(mono, []).append(num)
+    if isinstance(den, tuple):  # integer polynomials, low degree first
+        sums = {m: _ptrim(list(map(sum, itertools.zip_longest(*parts, fillvalue=0))))
+                for m, parts in sums.items()}
+    else:
+        sums = {m: sum(parts) for m, parts in sums.items()}
+    coeff = _coefficients(den)
+    return JetPoly._nonzero({m: coeff[s] for m, s in sums.items() if s}, q.field)
 
 
 def _jet_leibniz(rows, cols, field: str, mono) -> JetPoly:

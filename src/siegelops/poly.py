@@ -34,20 +34,27 @@ exponent exceeds g, far below 15 for any feasible g, so nibbles never
 carry).  Keys are counted, one counter per permutation parity, and the
 expansion stays a dict of packed key -> int.  Its split by t-exponent masks
 the lowest 4g bits, where the t-block sits: the masked bits give n, and
-the rest of the key is the r-part of a term of B(n), kept packed.  _Packing
-holds the layout (at most _MAX_EXP per nibble), its decoder and encoder,
-and the POLY1 text of a packed key and its reader.  The operator Q of
-opgen.py and its integer D_{h;11} kernel use the same keys, as a cleared
-form: one denominator over integer numerators (_packed_poly and _cleared
-convert between such a form and a MultiPoly).  POLY1, the body of an
-OPSPEC1 file, has one writer and one reader, both on that form:
-_packed_to_text and _packed_from_lines.
+the rest of the key is the r-part of a term of B(n), kept packed.  The
+Leibniz pass builds the keys of each permutation by partial sums, one
+matrix row at a time.  _Packing holds the layout (at most _MAX_EXP per
+nibble), its decoder and encoder, and the POLY1 text of packed keys and
+its reader.  The operator Q of opgen.py and its integer D_{h;11} kernel use
+the same keys, as a cleared form: one denominator over integer numerators
+(_packed_poly and _cleared convert between such a form and a MultiPoly).
+POLY1, the body of an OPSPEC1 file, has one writer and one reader, both on
+that form: _packed_to_text and _packed_from_lines.
 
 Decoding is lazy: det_expand, minor_det_expand, coeff_R and minor_coeff_R
-decode packed keys to Monos, block by block through a memo of block values,
-only when called (the genus <= 4 callers of jets.py and the derivative
-lemma).  det_expand decodes the Leibniz pass itself, not the split, so
-MultiPoly.t_coefficient on it checks the split independently.
+decode packed keys to Monos only when called (the genus <= 4 callers of
+jets.py and the derivative lemma), and spec.Q of opgen.py on first access.
+A key is decoded, and written as POLY1 text, in two halves cut at a block
+boundary, each looked up in a memo of one call that is filled from
+per-block memos (_Packing).  Every cleared-form coefficient, in
+_packed_poly and jets.jet_apply, is made by _coefficient, one object per
+distinct (numerator, denominator) in a process: two views of one form
+share their coefficient objects, and each is reduced once.  det_expand
+decodes the Leibniz pass itself, not the split, so MultiPoly.t_coefficient
+on it checks the split independently.
 """
 
 from __future__ import annotations
@@ -376,9 +383,15 @@ class _Packing:
 
     names[p] is the variable of nibble p and unit[v] the int with a 1 in the
     nibble of v, for every t_h and r_{h;ij} (i <= j) of genus g; bits is the
-    width of the layout.  Per block of nibbles (the t's, then one block per
-    R_h) a memo maps block values to their decoded pairs and another to
-    their POLY1 text.
+    width of the layout.  A key is cut at a block boundary into two halves:
+    the low half key & low holds the t-block and R_1 .. R_{g//2}, the high
+    half key >> cut the other blocks.  decode and term_lines look a key up
+    by its two halves, in C-level maps, and build each distinct half once
+    per call from per-block memos (the t's, then one block per R_h) of the
+    decoded pairs and the POLY1 text, which see few distinct values and
+    persist.  At g = 5 the 111,275 keys of Q have 6,167 distinct low and
+    30,415 distinct high halves.  The half memos last one call: kept, they
+    would hold some 13 MB at g = 5 that a later call rarely reuses.
     """
 
     def __init__(self, g: int):
@@ -389,16 +402,23 @@ class _Packing:
         self.names = [v for names in blocks for v in names]
         self.unit = {v: 1 << 4 * p for p, v in enumerate(self.names)}
         self.bits = 4 * len(self.names)
-        self._hex = f"0{len(self.names)}x"
-        self.blocks = []  # (shift, mask, decode memo, text memo) per block
-        first = 0
+        first = g + g // 2 * len(pairs)  # the lowest nibble of the high half
+        self.cut, self.low = 4 * first, (1 << 4 * first) - 1
+        self._widths = (first, len(self.names) - first)  # nibbles per half
+        # per half, the (shift within the half, mask, memo) of each block: the
+        # block's pairs in _monos, its POLY1 text in _texts
+        monos, texts = ([], []), ([], [])
+        p = 0
         for names in blocks:
-            self.blocks.append((4 * first, (1 << 4 * len(names)) - 1,
-                                _Memo(partial(self._decode_block, first)),
-                                _Memo(partial(self._text_block, first))))
-            first += len(names)
+            half = p >= first
+            shift, mask = 4 * (p - half * first), (1 << 4 * len(names)) - 1
+            block = _Memo(partial(self._decode_block, p))
+            monos[half].append((shift, mask, block))
+            texts[half].append((shift, mask, _Memo(partial(self._text_block, block))))
+            p += len(names)
+        self._monos, self._texts = monos, texts
 
-    def _pairs(self, first: int, bits: int) -> list:
+    def _decode_block(self, first: int, bits: int) -> Mono:
         """(variable, exponent) per set nibble of a block value whose lowest
         nibble is position first."""
         out = []
@@ -406,20 +426,70 @@ class _Packing:
             if bits & 15:
                 out.append((self.names[p], bits & 15))
             bits >>= 4
+        return tuple(out)
+
+    @staticmethod
+    def _text_block(monos: _Memo, bits: int) -> str:
+        return "".join([f" {_var_to_text(v)}^{e}" for v, e in monos[bits]])
+
+    @staticmethod
+    def _join(blocks: list, out, bits: int):
+        """out followed by each block memo's entry for its part of a half."""
+        for shift, mask, memo in blocks:
+            out += memo[bits >> shift & mask]
         return out
 
-    def _decode_block(self, first: int, bits: int) -> Mono:
-        return tuple(self._pairs(first, bits))
+    def decode(self, keys) -> map:
+        """The Mono of each key (keys is iterated twice), whose exponents are
+        its nibbles: two half lookups per key, in C-level maps."""
+        low, high = (_Memo(partial(self._join, blocks, ())) for blocks in self._monos)
+        lows = map(low.__getitem__, map(self.low.__and__, keys))
+        highs = map(high.__getitem__, map(self.cut.__rrshift__, keys))
+        return map(operator.add, lows, highs)
 
-    def _text_block(self, first: int, bits: int) -> str:
-        return "".join(f" {_var_to_text(v)}^{e}" for v, e in self._pairs(first, bits))
+    def term_lines(self, terms: dict, coeff) -> list:
+        """The POLY1 term lines 'c | var^e var^e ...' of terms (packed key ->
+        value), c = coeff(value): ordered by degree, then by the keys'
+        (variable, exponent) pairs in the variable order, each key's text
+        the text of its low half followed by that of its high half.
 
-    def decode(self, key: int) -> Mono:
-        """The Mono whose exponents are the nibbles of key."""
-        mono = ()
-        for shift, mask, memo, _ in self.blocks:
-            mono += memo[key >> shift & mask]
-        return mono
+        Among keys of one degree this is the order of their nibble vectors,
+        lowest position first and compared with 0 read as 15 (above every
+        exponent): at the first position where two keys differ, a variable
+        absent from one key sorts it after the other, and neither key can
+        end first, as it would then have the lower degree.  The vector of a
+        key is its low half's followed by its high half's, so the order is
+        that of one int per key: its degree, over the rank of its low half,
+        over the rank of its high half, ranks taken among the distinct
+        halves of terms.  The half texts are read back from the ranks.
+        """
+        def halves():  # recomputed: kept as lists they would add ~5 MB at g = 5
+            return map(self.low.__and__, terms), map(self.cut.__rrshift__, terms)
+
+        distinct = [set(half) for half in halves()]
+        hi_bits = len(distinct[1]).bit_length()  # the low half's rank starts here
+        degree = hi_bits + len(distinct[0]).bit_length()
+        ranks, texts = [], []
+        for seen, width, shift, blocks in zip(distinct, self._widths, (hi_bits, 0), self._texts):
+            def vector(v: int, hexes=f"0{width}x") -> str:
+                return format(v, hexes)[::-1].replace("0", "f")
+            ordered = sorted(seen, key=vector)
+            ranks.append({v: _nibble_sum(v) << degree | r << shift
+                          for r, v in enumerate(ordered)})
+            texts.append([self._join(blocks, "", v) for v in ordered])
+        rank = map(operator.add, *(map(r.__getitem__, h) for r, h in zip(ranks, halves())))
+        by_rank = dict(zip(rank, terms.values()))
+        order = sorted(by_rank)
+        values = list(map(by_rank.__getitem__, order))
+        del distinct, ranks, by_rank  # freed before the lines are built
+        low_ranks = map(((1 << degree - hi_bits) - 1).__and__, map(hi_bits.__rrshift__, order))
+        high_ranks = map(((1 << hi_bits) - 1).__and__, order)
+        lines = list(map("{} |{}{}".format, map(coeff, values),
+                         map(texts[0].__getitem__, low_ranks),
+                         map(texts[1].__getitem__, high_ranks)))
+        if 0 in terms:  # the constant monomial, first by degree, is written 'c | '
+            lines[0] += " "
+        return lines
 
     def encode(self, mono: Mono) -> int:
         """The packed key of mono, the inverse of decode."""
@@ -430,23 +500,6 @@ class _Packing:
                                  f"to a power up to {_MAX_EXP}")
             key += e * self.unit[v]
         return key
-
-    def sort_key(self, key: int) -> str:
-        """A str that orders packed keys as a POLY1 block lists them: by
-        degree, then by the (variable, exponent) pairs in the variable order.
-
-        After the degree (one code point) come the nibbles as hex digits,
-        lowest position first, with the zeros after the last variable cut
-        and every other zero written 'f': a variable absent where the other
-        key has one then sorts after it, and a key that ends first sorts
-        first.  Exact for exponents up to _MAX_EXP = 14 ('e').
-        """
-        digits = format(key, self._hex)[::-1].rstrip("0").replace("0", "f")
-        return chr(_nibble_sum(key)) + digits
-
-    def text(self, key: int) -> str:
-        """The POLY1 monomial text of key, one leading space per variable."""
-        return "".join([memo[key >> shift & mask] for shift, mask, _, memo in self.blocks])
 
     def reader(self):
         """The POLY1 monomial reader onto packed keys: tokens 'var^e' (an
@@ -499,6 +552,20 @@ def _packing(g: int) -> _Packing:
     return _Packing(g)
 
 
+@lru_cache(maxsize=None)
+def _coefficient(num, den):
+    """The coefficient num / den of a cleared form (see _packed_poly), one
+    object per distinct (num, den) in a process: each is reduced once, and
+    two views of one form hold the same objects, so comparing them takes
+    the identity shortcut of dict equality."""
+    return RatFunc(num, den) if isinstance(den, tuple) else Fraction(num, den)
+
+
+def _coefficients(den) -> _Memo:
+    """numerator -> _coefficient(numerator, den)."""
+    return _Memo(lambda num: _coefficient(num, den))
+
+
 def _packed_poly(g: int, den, nums: dict) -> MultiPoly:
     """The MultiPoly sum of nums[key] / den * (key decoded).
 
@@ -507,12 +574,9 @@ def _packed_poly(g: int, den, nums: dict) -> MultiPoly:
     ints low degree first (field Q(a)); no numerator is zero.  Each distinct
     numerator becomes one coefficient object, shared by its terms.
     """
-    decode = _packing(g).decode
-    if isinstance(den, tuple):
-        field, coeff = "Qa", _Memo(lambda num: RatFunc(num, den))
-    else:
-        field, coeff = "Q", _Memo(lambda num: Fraction(num, den))
-    return MultiPoly._nonzero({decode(key): coeff[num] for key, num in nums.items()}, field)
+    coeffs = map(_coefficients(den).__getitem__, nums.values())
+    return MultiPoly._nonzero(dict(zip(_packing(g).decode(nums), coeffs)),
+                              "Qa" if isinstance(den, tuple) else "Q")
 
 
 def _cleared(field: str, terms: dict) -> tuple:
@@ -564,8 +628,11 @@ def _leibniz(g: int, rows: list, cols: list) -> dict:
 
     counts = (Counter(), Counter())  # even and odd permutations
     for sign, pairing in _signed_pairings(rows, cols):
-        entries = [[entry(h, r, c) for h in range(1, g + 1)] for r, c in pairing]
-        counts[sign < 0].update(map(sum, itertools.product(*entries)))
+        keys = [0]  # the partial sums over the rows paired so far
+        for r, c in pairing:
+            row = [entry(h, r, c) for h in range(1, g + 1)]
+            keys = [k + e for k in keys for e in row]
+        counts[sign < 0].update(keys)
     total = dict(counts[0])
     total.update(zip(counts[1], map(operator.neg, counts[1].values())))
     return total
@@ -642,21 +709,18 @@ def _var_to_text(v: VarId) -> str:
 
 def _packed_to_text(g: int, den, nums: dict) -> str:
     """The POLY1 block of the cleared packed form (den, nums) of _packed_poly:
-    header line, then 'coeff | var^e var^e ...' per key in _Packing.sort_key
-    order, each distinct numerator formatted once and each key rendered
-    through the block memos of the layout."""
+    header line, then the term lines of _Packing.term_lines, each distinct
+    numerator formatted once."""
     packing = _packing(g)
-    text = packing.text
     if isinstance(den, tuple):
-        field, coeff = "Qa", _Memo(lambda num: scalar_to_text(RatFunc(num, den)))
+        field, coeff = "Qa", _Memo(lambda num: scalar_to_text(_coefficient(num, den)))
     else:
         def frac(num: int) -> str:
             d = math.gcd(num, den)
             return str(num // d) if d == den else f"{num // d}/{den // d}"
         field, coeff = "Q", _Memo(frac)
     lines = [f"POLY1 field={field} terms={len(nums)}"]
-    lines += [f"{coeff[nums[key]]} |{text(key) or ' '}"
-              for key in sorted(nums, key=packing.sort_key)]
+    lines += packing.term_lines(nums, coeff.__getitem__)
     return "\n".join(lines) + "\n"
 
 
@@ -665,10 +729,11 @@ def _packed_from_lines(lines: list, start: int, fmt: str, g: int) -> tuple[str, 
     the field tag and the cleared packed form of the block that begins at
     lines[start], its monomials read by _Packing(g).reader.
 
-    Every coefficient must be a nonzero element of the declared field and
-    every monomial new; error messages name the line (1-based within lines)
-    and the format being read (fmt).  Equal coefficient texts share one
-    coefficient object."""
+    No line may be blank, every coefficient must be a nonzero element of
+    the declared field and every monomial new; error messages name the line
+    (1-based within lines) and the format being read (fmt).  Each distinct
+    coefficient text is read once, and the cleared form is made from the
+    distinct coefficients (_cleared), then spread over the keys."""
     fail, _ = _line_reader(lines, fmt)
     if start >= len(lines):
         fail(start, "missing POLY1 header")
@@ -682,32 +747,34 @@ def _packed_from_lines(lines: list, start: int, fmt: str, g: int) -> tuple[str, 
         fail(start, f"missing or bad term count in {lines[start]!r}")
     field = fields["field"]
 
-    def scalar(txt: str):
+    values: dict = {}  # coefficient text -> its coefficient
+
+    def scalar(txt: str) -> str:
         c = scalar_from_text(txt.strip(), field)
         if not c:
             raise ValueError("zero coefficient")
-        return c
+        values[txt] = c
+        return txt
 
-    scalars = _Memo(scalar)
+    scalars = _Memo(scalar)  # one str object per distinct coefficient text
     monomial = _packing(g).reader()
-    terms: dict = {}
-    count = 0
+    terms: dict = {}  # packed key -> its coefficient text
     for idx in range(start + 1, len(lines)):
         ln = lines[idx]
         if not ln.strip():
-            continue
-        count += 1
+            fail(idx, "blank line")
         coeff_txt, bar, vars_txt = ln.partition("|")
         if not bar:
             fail(idx, f"expected 'coeff | var^e ...', found {ln!r}")
         try:
-            c = scalars[coeff_txt]
+            coeff_txt = scalars[coeff_txt]
             m = monomial(vars_txt.split())
         except (ValueError, IndexError, KeyError, ZeroDivisionError) as exc:
             fail(idx, f"cannot parse {ln!r} ({exc})")
         if m in terms:
             fail(idx, "duplicate monomial")
-        terms[m] = c
-    if count != declared:
-        fail(start, f"declares {declared} terms, found {count}")
-    return (field, *_cleared(field, terms))
+        terms[m] = coeff_txt
+    if len(terms) != declared:
+        fail(start, f"declares {declared} terms, found {len(terms)}")
+    den, ints = _cleared(field, values)  # over the distinct coefficient texts
+    return field, den, dict(zip(terms, map(ints.__getitem__, terms.values())))

@@ -569,12 +569,11 @@ def _smf1_from_text(text: str, cls):
     fields = len(cls._layout.pairs) + 1
     nums: dict = {}
     dens: dict = {}  # the denominator of each non-integer coefficient
-    count = 0
+    last = None  # the previous line's key: the writer sorts the keys
     for j in range(idx + 1, len(lines)):
         parts = lines[j].split()
         if not parts:
-            continue
-        count += 1
+            fail(j, "blank line")
         try:
             if len(parts) != fields:
                 raise ValueError(f"expected {fields} fields")
@@ -587,11 +586,14 @@ def _smf1_from_text(text: str, cls):
             fail(j, why)
         if key in nums:
             fail(j, "duplicate exponent")
+        if last is not None and key < last:
+            fail(j, f"term {key} comes after {last}; the terms are sorted by exponent")
         nums[key] = p
+        last = key
         if q > 1:
             dens[key] = q
-    if count != declared:
-        fail(idx, f"declares {declared} terms, found {count}")
+    if len(nums) != declared:
+        fail(idx, f"declares {declared} terms, found {len(nums)}")
     # reduced fractions over the lcm of their denominators are canonical
     den = lcm(*set(dens.values()))
     if den > 1:

@@ -144,3 +144,62 @@ def test_jet_diff_leibniz():
     d = jet_diff(F * F, 1, 2)
     assert d == (F * JetPoly({(jet_var("F", ((1, 2),)),): Fraction(1)})).scale(Fraction(2))
 
+
+
+def _jet_apply_term_by_term(q, assignment, g):
+    """The oracle of jet_apply: each term's jet monomial built on its own,
+    its coefficient added in the field, one RatFunc or Fraction sum per
+    term, dropping a sum that cancels."""
+    out: dict = {}
+    for m, c in q.terms.items():
+        derivs = {h: [] for h in range(1, g + 1)}
+        for v, e in m:
+            derivs[v[1]] += [(v[2], v[3])] * e
+        mono = tuple(sorted(jet_var(assignment[h], derivs[h]) for h in range(1, g + 1)))
+        total = out.pop(mono, 0) + c
+        if total:
+            out[mono] = total
+    return JetPoly(out, q.field)
+
+
+def test_jet_apply_matches_the_term_by_term_sum_in_Qa():
+    """On the cleared form, jet_apply adds integer numerators per jet
+    monomial; the result equals the field sum term by term, on input with
+    unequal denominators (not built by build_Q), two coefficients that
+    cancel to zero in one jet monomial and two that add up in another."""
+    a = symbolic_weight()
+
+    def r(h, i, j):
+        return MultiPoly.var(r_var(h, i, j), "Qa")
+
+    # with F in both slots, r_{1;11} r_{2;22} and r_{1;22} r_{2;11} give one
+    # jet monomial F_11 F_22, and so do r_{1;12} r_{2;11} and r_{1;11} r_{2;12}
+    q = ((r(1, 1, 1) * r(2, 2, 2)).scale(1 / (a - 1))
+         + (r(1, 2, 2) * r(2, 1, 1)).scale(-1 / (a - 1))
+         + (r(1, 1, 2) * r(2, 1, 1)).scale((a + 2) / (2 * a + 3))
+         + (r(1, 1, 1) * r(2, 1, 2)).scale(Fraction(1, 3) / (a - 1))
+         + r(2, 1, 2).scale(a * a / 7) + MultiPoly.const(Fraction(5, 2), "Qa"))
+    assert q.field == "Qa" and len(q.terms) == 6
+    for assignment in ({1: "F", 2: "F"}, {1: "F", 2: "G"}):
+        got = jet_apply(q, assignment, 2)
+        assert got == _jet_apply_term_by_term(q, assignment, 2) and got.field == "Qa"
+    both_F = jet_apply(q, all_F(2), 2)
+    assert len(both_F.terms) == 3
+    assert (jet_var("F", ((1, 1),)), jet_var("F", ((2, 2),))) not in both_F.terms
+    assert both_F.terms[jet_var("F", ((1, 1),)), jet_var("F", ((1, 2),))] == \
+        (a + 2) / (2 * a + 3) + Fraction(1, 3) / (a - 1)
+    assert len(jet_apply(q, {1: "F", 2: "G"}, 2).terms) == 6
+
+
+def test_jet_apply_matches_the_term_by_term_sum_in_Q():
+    q = (coeff_R(2, (1, 1)).scale(Fraction(3, 4)) + coeff_R(2, (2, 0)).scale(Fraction(-5, 6))
+         + coeff_R(2, (0, 2)))
+    for assignment in ({1: "F", 2: "F"}, {1: "F", 2: "G"}):
+        got = jet_apply(q, assignment, 2)
+        assert got == _jet_apply_term_by_term(q, assignment, 2) and got.field == "Q"
+    assert jet_apply(q - q, all_F(2), 2).is_zero()
+
+
+def test_jet_apply_of_the_genus3_operator_matches_the_term_by_term_sum(spec3_symbolic):
+    q = spec3_symbolic.Q
+    assert jet_apply(q, all_F(3), 3) == _jet_apply_term_by_term(q, all_F(3), 3)

@@ -1,8 +1,12 @@
 """Tests for the sparse polynomial ring and the determinant-pencil expansion."""
 
 import itertools
+import json
+import os
 import random
 import re
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -14,7 +18,9 @@ from siegelops.poly import (MultiPoly, FieldMismatch, _cleared, _leibniz, _minor
                             _packed_from_lines, _packed_poly, _packed_to_text, _packing,
                             _t_split, coeff_R, det_expand, index_set_N, index_set_Nprime,
                             minor_coeff_R, minor_det_expand, r_var, t_var)
-from siegelops.scalars import scalar_to_text
+from siegelops.scalars import RatFunc, scalar_to_text
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def V(v):
@@ -248,6 +254,15 @@ def test_poly1_rejects_duplicate_monomials():
         _read("\n".join(lines))
 
 
+def test_poly1_rejects_a_blank_line():
+    """The writer writes no blank line, so the reader takes none, also at
+    the end of the block."""
+    for text, line in (("POLY1 field=Q terms=2\n1 | r[1;1,1]^1\n\n2 | r[1;2,2]^1\n", 3),
+                       ("POLY1 field=Q terms=1\n1 | r[1;1,1]^1\n  \n", 3)):
+        with pytest.raises(ValueError, match=f"POLY1 line {line}: blank line"):
+            _read(text)
+
+
 def test_poly1_rejects_the_swapped_spelling_of_an_r_variable():
     """The writer spells r_{h;ij} as r[h;i,j] with i <= j, and only so."""
     assert _read("POLY1 field=Q terms=1\n1 | r[1;1,2]^1\n") == V(r_var(1, 1, 2))
@@ -357,19 +372,66 @@ def poly_to_text(p) -> str:
     return "\n".join(lines) + "\n"
 
 
-@pytest.mark.parametrize("g", [2, 3])
+def _shared_half_keys(rng, g, count):
+    """Packed genus-g keys made of few distinct low and high halves of the
+    writer's layout, so that many keys share one half and differ in the
+    other."""
+    packing = _packing(g)
+    lows = [key & packing.low for key in _random_keys(rng, g, count)]
+    highs = [key >> packing.cut << packing.cut for key in _random_keys(rng, g, count)]
+    return sorted({lo | hi for lo in lows for hi in highs})
+
+
+@pytest.mark.parametrize("g", [2, 3, 4, 5])
 def test_packed_text_is_poly_to_text_of_the_decoded_form(g):
     """The packed POLY1 writer orders and renders keys byte for byte as the
     reference writer poly_to_text does the decoded polynomial, in both
-    fields, on random keys with exponents up to 14, t-variables and the
-    constant monomial."""
+    fields, on random keys with exponents up to 14, t-variables, keys that
+    share one half of the layout and differ in the other, and the constant
+    monomial."""
     rng = random.Random(g)
-    keys = _random_keys(rng, g, 300) + [0]
+    keys = sorted(set(_random_keys(rng, g, 300) + _shared_half_keys(rng, g, 12) + [0]))
     nums = {key: rng.choice([-3, -1, 1, 2, 6]) for key in keys}
     polys = {key: (rng.randint(-4, 4), rng.choice([-1, 1])) for key in keys}
     for den, form in ((6, nums), ((-1, 0, 2), polys)):
         p = _packed_poly(g, den, form)
         assert _packed_to_text(g, den, form) == poly_to_text(p)
+
+
+@pytest.mark.parametrize("den,nums", [
+    (6, {0: 3, 1 << 20: -4, 1 << 24: 3, 3 << 28: 5}),
+    ((1, 2), {0: (1,), 1 << 20: (0, 2), 1 << 24: (1,), 3 << 28: (-3, 0, 1)})],
+    ids=["Q", "Qa"])
+def test_packed_poly_views_share_their_coefficient_objects(den, nums):
+    """Two views of one cleared form hold the same coefficient objects, one
+    per distinct numerator, so their comparison takes the identity shortcut;
+    numerators given as equal but distinct tuples give them too."""
+    p, q = _packed_poly(2, den, nums), _packed_poly(2, den, dict(nums))
+    assert p == q and all(p.terms[m] is q.terms[m] for m in p.terms)
+    first, third = (p.terms[m] for m in _packing(2).decode([0, 1 << 24]))
+    assert first is third and first == (Fraction(1, 2) if den == 6 else RatFunc(1, (1, 2)))
+    copy = {key: num if isinstance(num, int) else tuple(list(num)) for key, num in nums.items()}
+    r = _packed_poly(2, den, copy)
+    assert all(r.terms[m] is p.terms[m] for m in p.terms)
+
+
+def test_importing_the_package_leaves_every_cache_cold(tmp_path):
+    """Each CLI call starts with cold caches, and so does each benchmark pass,
+    which refuses to start when an lru_cache of poly or theta holds an entry
+    (the cleared-form coefficient memo of poly is one of them)."""
+    code = ("import json, siegelops\n"
+            "from siegelops import poly, theta\n"
+            "caches = {f'{m.__name__}.{n}': f.cache_info().currsize for m in (poly, theta)\n"
+            "          for n, f in vars(m).items() if hasattr(f, 'cache_info')}\n"
+            "print(json.dumps([sorted(caches), sorted(n for n, s in caches.items() if s)]))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [SRC] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    names, warm = json.loads(done.stdout)
+    assert "siegelops.poly._coefficient" in names and "siegelops.poly.det_expand" in names
+    assert warm == []
 
 
 @pytest.mark.parametrize("g", [2, 3])

@@ -240,6 +240,34 @@ def test_smf1_rejects_duplicate_exponents(t2_48):
         qexp1_from_text(_replace(one, 8, "0 5"))
 
 
+def test_smf1_rejects_terms_out_of_the_writers_order(t2_48):
+    """The writer sorts the terms by their exponent tuples; a term line
+    whose key is below the previous one is an error naming its line, and a
+    repeated key still reads as a duplicate."""
+    lines = t2_48.to_text().splitlines()
+    swapped = lines[:8] + [lines[9], lines[8]] + lines[10:]
+    first, second = (tuple(map(int, ln.split()[:-1])) for ln in lines[8:10])
+    with pytest.raises(ValueError, match=re.escape(
+            f"SMF1 line 10: term {first} comes after {second}; the terms are sorted")):
+        qexp2_from_text("\n".join(swapped) + "\n")
+    one = QExp1({(0,): Fraction(1), (8,): Fraction(2), (16,): Fraction(3)},
+                Fraction(4), 16).to_text()
+    with pytest.raises(ValueError, match=r"SMF1 line 10: term \(8,\) comes after \(16,\)"):
+        qexp1_from_text(_replace(_replace(one, 8, "16 3"), 9, "8 2"))
+    with pytest.raises(ValueError, match="SMF1 line 10: duplicate exponent"):
+        qexp1_from_text(_replace(one, 9, "0 3"))
+
+
+def test_smf1_rejects_a_blank_line(t2_48):
+    """The writer writes no blank line, so the reader takes none, between
+    terms or after the last one."""
+    lines = t2_48.to_text().splitlines()
+    with pytest.raises(ValueError, match="SMF1 line 10: blank line"):
+        qexp2_from_text("\n".join(lines[:9] + [""] + lines[9:]) + "\n")
+    with pytest.raises(ValueError, match=f"SMF1 line {len(lines) + 1}: blank line"):
+        qexp2_from_text("\n".join(lines) + "\n\n")
+
+
 @pytest.mark.parametrize("idx,key", [(1, "genus"), (2, "weight"), (3, "scale"),
                                      (4, "trunc"), (5, "taupow"), (7, "terms")])
 def test_smf1_requires_every_header_line(t2_48, idx, key):

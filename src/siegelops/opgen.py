@@ -81,12 +81,13 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .poly import (MultiPoly, _cleared, _nibble_sum, _packed_from_lines, _packed_poly,
                    _packed_to_text, _packing, _t_split, coeff_R, index_set_N,
                    index_set_Nprime, minor_coeff_R, r_var, x_var)
-from .scalars import (RatFunc, _line_reader, _pmul, _unpack, frac_to_text,
-                      scalar_from_text, scalar_to_text)
+from .scalars import (RatFunc, _int_from_text, _line_reader, _pmul, _unpack, frac_from_text,
+                      frac_to_text, scalar_from_text, scalar_to_text)
 
 SECOND_ORDER_FACTOR = 2
 
@@ -140,24 +141,35 @@ def coeff_c(g: int, a, n: tuple):
 
 @dataclass
 class OperatorSpec:
-    """A built operator polynomial with its normalized coefficient table.
+    """A built operator polynomial for genus g and weight a.
 
     Q is stored as its cleared packed form (module docstring): nums maps
     each packed monomial key to its numerator, and nums[key] / den is its
     coefficient; den and the numerators are ints for a numeric weight and
     integer polynomials in a (tuples, low degree first) in Q(a), with no
     common integer factor and den > 0 (or a positive leading coefficient).
-    Q is the read-only MultiPoly view, decoded on first access.
+    The rest follows: k = 2a, symbolic, the coefficient table coeffs and Q,
+    the read-only MultiPoly view (the last two made on first access).
     """
 
     g: int
     a: object  # Fraction or RatFunc
-    k: object  # 2a
-    symbolic: bool
-    coeffs: dict = field(repr=False)  # multi-index -> c(n)/C(1)
     den: object = field(repr=False)
     nums: dict = field(repr=False)
     _Q: MultiPoly | None = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def k(self):
+        return 2 * self.a
+
+    @property
+    def symbolic(self) -> bool:
+        return isinstance(self.a, RatFunc)
+
+    @cached_property
+    def coeffs(self) -> dict:
+        """The normalized coefficient table {n: c(n)/C(1)}, c(n) != 0."""
+        return _coefficient_table(self.g, self.a)
 
     @property
     def Q(self) -> MultiPoly:
@@ -201,8 +213,7 @@ def build_Q(g: int, a) -> OperatorSpec:
         return math.gcd(*x) if symbolic else x
 
     split = _t_split(g, ())
-    coeffs = _coefficient_table(g, a)
-    strata = {n: _stratum(n) for n in coeffs}
+    strata = {n: m for n in index_set_N(g) if (m := _stratum(n))}
     # divide the whole form by its integer content G
     G = math.gcd(content(C[1]), *(content(C[m]) * math.gcd(*split[n].values())
                                   for n, m in strata.items()))
@@ -215,8 +226,7 @@ def build_Q(g: int, a) -> OperatorSpec:
             scaled = {b: b * Cm // G for b in set(bucket.values())}
         nums.update(zip(bucket, map(scaled.__getitem__, bucket.values())))
     den = tuple(c // G for c in C[1]) if symbolic else C[1] // G
-    return OperatorSpec(g=g, a=a, k=2 * a, symbolic=symbolic, coeffs=coeffs, den=den,
-                        nums=nums)
+    return OperatorSpec(g, a, den, nums)
 
 
 # -- the integer D_{h;11} kernel (see "Integer proof" above) -----------------
@@ -461,7 +471,7 @@ def opspec_from_text(text: str) -> OperatorSpec:
     fail, value = _line_reader(lines, "OPSPEC1")
     if not lines or lines[0].strip() != "OPSPEC1":
         fail(0, "not an OPSPEC1 block")
-    g = value(1, "genus", int)
+    g = value(1, "genus", _int_from_text)
     if g < 2:
         fail(1, f"genus must be >= 2, found {g}")
     mode = value(2, "mode")
@@ -470,44 +480,42 @@ def opspec_from_text(text: str) -> OperatorSpec:
     symbolic = mode == "symbolic"
     if symbolic and value(3, "a") != "a":
         fail(3, "a symbolic operator has the weight 'a'")
-    a = RatFunc.var() if symbolic else value(3, "a", Fraction)
+    a = RatFunc.var() if symbolic else value(3, "a", frac_from_text)
     if not symbolic and 2 * a < g:
         fail(3, f"weight a={frac_to_text(a)} violates a >= g/2 = {frac_to_text(Fraction(g, 2))}")
     if len(lines) < 5 or lines[4] != NORMALIZATION_LINE:
         fail(4, f"expected {NORMALIZATION_LINE!r}")
-    ncoeffs = value(5, "coeffs", int)
+    ncoeffs = value(5, "coeffs", _int_from_text)
     field_tag = "Qa" if symbolic else "Q"
     table = _coefficient_table(g, a)
-    coeffs = {}
+    rows = []  # the n of each row, strictly increasing: the writer sorts them
     idx = 6
     while idx < len(lines) and lines[idx].startswith("n="):
         head, _, val = lines[idx].partition("|")
         try:
-            n = tuple(int(v) for v in head.strip()[2:].split(","))
+            n = tuple(map(_int_from_text, head.strip()[2:].split(",")))
             c = scalar_from_text(val.strip(), field_tag)
         except (ValueError, ZeroDivisionError) as exc:
             fail(idx, f"cannot parse {lines[idx]!r} ({exc})")
         if len(n) != g or sum(n) != g or min(n) < 0:
             fail(idx, f"n={head.strip()[2:]} is not a multi-index of genus {g}")
-        if n in coeffs:
-            fail(idx, f"duplicate coefficient n={head.strip()[2:]}")
-        if coeffs and n < last:  # the writer sorts the rows by n
-            fail(idx, f"n={head.strip()[2:]} comes after n={','.join(map(str, last))}; "
+        if rows and n <= rows[-1]:
+            if n == rows[-1]:
+                fail(idx, f"duplicate coefficient n={head.strip()[2:]}")
+            fail(idx, f"n={head.strip()[2:]} comes after n={','.join(map(str, rows[-1]))}; "
                       "the rows are sorted by n")
         if n not in table or c != table[n]:
             want = scalar_to_text(table[n]) if n in table else "0, which has no line"
             fail(idx, f"n={head.strip()[2:]} has c(n)/C(1) = {want}, found {val.strip()}")
-        coeffs[n] = c
-        last = n
+        rows.append(n)
         idx += 1
-    if len(coeffs) != ncoeffs:
-        fail(5, f"declares {ncoeffs} coefficients, found {len(coeffs)}")
-    for i, n in enumerate(table):  # in the writer's order, sorted by n
-        if n not in coeffs:
+    if len(rows) != ncoeffs:
+        fail(5, f"declares {ncoeffs} coefficients, found {len(rows)}")
+    for i, n in enumerate(table):  # rows are in table, in its order: the first gap
+        if i == len(rows) or rows[i] != n:
             fail(6 + i, f"missing the line n={','.join(map(str, n))} | "
                         f"{scalar_to_text(table[n])}")
     body, den, nums = _packed_from_lines(lines, idx, "OPSPEC1", g)
     if body != field_tag:
         fail(idx, f"mode {mode} needs POLY1 field={field_tag}, found field={body}")
-    return OperatorSpec(g=g, a=a, k=2 * a, symbolic=symbolic, coeffs=coeffs, den=den,
-                        nums=nums)
+    return OperatorSpec(g, a, den, nums)

@@ -42,7 +42,10 @@ its reader.  The operator Q of opgen.py and its integer D_{h;11} kernel use
 the same keys, as a cleared form: one denominator over integer numerators
 (_packed_poly and _cleared convert between such a form and a MultiPoly).
 POLY1, the body of an OPSPEC1 file, has one writer and one reader, both on
-that form: _packed_to_text and _packed_from_lines.
+that form: _packed_to_text and _packed_from_lines.  The writer puts the
+terms in increasing order of their keys, the order of the ints themselves
+(exponent vectors compared from the last variable r_{g;gg} down), and the
+reader takes only that order, at one int comparison per line.
 
 Decoding is lazy: det_expand, minor_det_expand, coeff_R and minor_coeff_R
 decode packed keys to Monos only when called (the genus <= 4 callers of
@@ -66,8 +69,8 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache, partial
 
-from .scalars import (RatFunc, _accumulate, _binpow, _line_reader, _pdivmod, _pgcd, _pmul,
-                      scalar_from_text, scalar_to_text)
+from .scalars import (RatFunc, _accumulate, _binpow, _int_from_text, _line_reader, _Memo,
+                      _pdivmod, _pgcd, _pmul, scalar_from_text, scalar_to_text)
 
 VarId = tuple
 Mono = tuple  # tuple of (VarId, exponent) pairs, sorted by _var_key
@@ -364,20 +367,6 @@ def _nibble_sum(key: int) -> int:
     return sum(key.to_bytes((key.bit_length() + 7) // 8, "little").translate(_NIBBLE_SUMS))
 
 
-class _Memo(dict):
-    """A dict that fills a missing key with fn(key); a hit is one C-level lookup."""
-
-    __slots__ = ("fn",)
-
-    def __init__(self, fn):
-        super().__init__()
-        self.fn = fn
-
-    def __missing__(self, key):
-        value = self[key] = self.fn(key)
-        return value
-
-
 class _Packing:
     """The packed-int monomial layout of the module docstring, for genus g.
 
@@ -385,8 +374,8 @@ class _Packing:
     nibble of v, for every t_h and r_{h;ij} (i <= j) of genus g; bits is the
     width of the layout.  A key is cut at a block boundary into two halves:
     the low half key & low holds the t-block and R_1 .. R_{g//2}, the high
-    half key >> cut the other blocks.  decode and term_lines look a key up
-    by its two halves, in C-level maps, and build each distinct half once
+    half key >> cut the other blocks.  term_lines writes keys in the order
+    of the ints.  decode and term_lines look a key up by its two halves, in C-level maps, and build each distinct half once
     per call from per-block memos (the t's, then one block per R_h) of the
     decoded pairs and the POLY1 text, which see few distinct values and
     persist.  At g = 5 the 111,275 keys of Q have 6,167 distinct low and
@@ -404,7 +393,6 @@ class _Packing:
         self.bits = 4 * len(self.names)
         first = g + g // 2 * len(pairs)  # the lowest nibble of the high half
         self.cut, self.low = 4 * first, (1 << 4 * first) - 1
-        self._widths = (first, len(self.names) - first)  # nibbles per half
         # per half, the (shift within the half, mask, memo) of each block: the
         # block's pairs in _monos, its POLY1 text in _texts
         monos, texts = ([], []), ([], [])
@@ -439,55 +427,27 @@ class _Packing:
             out += memo[bits >> shift & mask]
         return out
 
+    def _halves(self, memos: tuple, empty, keys) -> map:
+        """Per key (keys is iterated twice), its low half's entry followed by
+        its high half's: two lookups in C-level maps, each distinct half
+        built once per call from the per-block memos of memos."""
+        low, high = (_Memo(partial(self._join, blocks, empty)) for blocks in memos)
+        return map(operator.add, map(low.__getitem__, map(self.low.__and__, keys)),
+                   map(high.__getitem__, map(self.cut.__rrshift__, keys)))
+
     def decode(self, keys) -> map:
         """The Mono of each key (keys is iterated twice), whose exponents are
-        its nibbles: two half lookups per key, in C-level maps."""
-        low, high = (_Memo(partial(self._join, blocks, ())) for blocks in self._monos)
-        lows = map(low.__getitem__, map(self.low.__and__, keys))
-        highs = map(high.__getitem__, map(self.cut.__rrshift__, keys))
-        return map(operator.add, lows, highs)
+        its nibbles."""
+        return self._halves(self._monos, (), keys)
 
     def term_lines(self, terms: dict, coeff) -> list:
         """The POLY1 term lines 'c | var^e var^e ...' of terms (packed key ->
-        value), c = coeff(value): ordered by degree, then by the keys'
-        (variable, exponent) pairs in the variable order, each key's text
-        the text of its low half followed by that of its high half.
-
-        Among keys of one degree this is the order of their nibble vectors,
-        lowest position first and compared with 0 read as 15 (above every
-        exponent): at the first position where two keys differ, a variable
-        absent from one key sorts it after the other, and neither key can
-        end first, as it would then have the lower degree.  The vector of a
-        key is its low half's followed by its high half's, so the order is
-        that of one int per key: its degree, over the rank of its low half,
-        over the rank of its high half, ranks taken among the distinct
-        halves of terms.  The half texts are read back from the ranks.
-        """
-        def halves():  # recomputed: kept as lists they would add ~5 MB at g = 5
-            return map(self.low.__and__, terms), map(self.cut.__rrshift__, terms)
-
-        distinct = [set(half) for half in halves()]
-        hi_bits = len(distinct[1]).bit_length()  # the low half's rank starts here
-        degree = hi_bits + len(distinct[0]).bit_length()
-        ranks, texts = [], []
-        for seen, width, shift, blocks in zip(distinct, self._widths, (hi_bits, 0), self._texts):
-            def vector(v: int, hexes=f"0{width}x") -> str:
-                return format(v, hexes)[::-1].replace("0", "f")
-            ordered = sorted(seen, key=vector)
-            ranks.append({v: _nibble_sum(v) << degree | r << shift
-                          for r, v in enumerate(ordered)})
-            texts.append([self._join(blocks, "", v) for v in ordered])
-        rank = map(operator.add, *(map(r.__getitem__, h) for r, h in zip(ranks, halves())))
-        by_rank = dict(zip(rank, terms.values()))
-        order = sorted(by_rank)
-        values = list(map(by_rank.__getitem__, order))
-        del distinct, ranks, by_rank  # freed before the lines are built
-        low_ranks = map(((1 << degree - hi_bits) - 1).__and__, map(hi_bits.__rrshift__, order))
-        high_ranks = map(((1 << hi_bits) - 1).__and__, order)
-        lines = list(map("{} |{}{}".format, map(coeff, values),
-                         map(texts[0].__getitem__, low_ranks),
-                         map(texts[1].__getitem__, high_ranks)))
-        if 0 in terms:  # the constant monomial, first by degree, is written 'c | '
+        value), c = coeff(value), in increasing order of the key: exponent
+        vectors compared from the last variable down."""
+        keys = sorted(terms)
+        lines = list(map("{} |{}".format, map(coeff, map(terms.__getitem__, keys)),
+                         self._halves(self._texts, "", keys)))
+        if keys and not keys[0]:  # the constant monomial, the least key, is written 'c | '
             lines[0] += " "
         return lines
 
@@ -523,7 +483,7 @@ class _Packing:
 
         def token(tok: str) -> int:
             name, _, exp = tok.rpartition("^")
-            e = int(exp)
+            e = _int_from_text(exp)
             if e < 1:
                 raise ValueError(f"exponent of {name} is not positive")
             if name not in position:
@@ -730,10 +690,12 @@ def _packed_from_lines(lines: list, start: int, fmt: str, g: int) -> tuple[str, 
     lines[start], its monomials read by _Packing(g).reader.
 
     No line may be blank, every coefficient must be a nonzero element of
-    the declared field and every monomial new; error messages name the line
-    (1-based within lines) and the format being read (fmt).  Each distinct
-    coefficient text is read once, and the cleared form is made from the
-    distinct coefficients (_cleared), then spread over the keys."""
+    the declared field spelled as the writer spells it, and every key must
+    exceed the one before it, the writer's order, which also rules out a
+    repeated monomial; error messages name the line (1-based within lines)
+    and the format being read (fmt).  Each distinct coefficient text is read
+    once, and the cleared form is made from the distinct coefficients
+    (_cleared), then spread over the keys."""
     fail, _ = _line_reader(lines, fmt)
     if start >= len(lines):
         fail(start, "missing POLY1 header")
@@ -742,7 +704,7 @@ def _packed_from_lines(lines: list, start: int, fmt: str, g: int) -> tuple[str, 
     if not head or head[0] != "POLY1" or fields.get("field") not in ("Q", "Qa"):
         fail(start, f"expected 'POLY1 field=Q|Qa terms=N', found {lines[start]!r}")
     try:
-        declared = int(fields["terms"])
+        declared = _int_from_text(fields["terms"])
     except (KeyError, ValueError):
         fail(start, f"missing or bad term count in {lines[start]!r}")
     field = fields["field"]
@@ -759,6 +721,7 @@ def _packed_from_lines(lines: list, start: int, fmt: str, g: int) -> tuple[str, 
     scalars = _Memo(scalar)  # one str object per distinct coefficient text
     monomial = _packing(g).reader()
     terms: dict = {}  # packed key -> its coefficient text
+    last = -1
     for idx in range(start + 1, len(lines)):
         ln = lines[idx]
         if not ln.strip():
@@ -771,9 +734,10 @@ def _packed_from_lines(lines: list, start: int, fmt: str, g: int) -> tuple[str, 
             m = monomial(vars_txt.split())
         except (ValueError, IndexError, KeyError, ZeroDivisionError) as exc:
             fail(idx, f"cannot parse {ln!r} ({exc})")
-        if m in terms:
-            fail(idx, "duplicate monomial")
+        if m <= last:
+            fail(idx, "duplicate monomial" if m == last else "term out of order")
         terms[m] = coeff_txt
+        last = m
     if len(terms) != declared:
         fail(start, f"declares {declared} terms, found {len(terms)}")
     den, ints = _cleared(field, values)  # over the distinct coefficient texts

@@ -75,8 +75,8 @@ from operator import add, itemgetter
 from types import MappingProxyType
 
 from .jets import JetPoly
-from .scalars import (RatFunc, _accumulate, _binpow, _line_reader, _pack, _unpack,
-                      frac_to_text)
+from .scalars import (RatFunc, _accumulate, _binpow, _int_from_text, _line_reader, _Memo,
+                      _number_from_text, _pack, _unpack, frac_from_text, frac_to_text)
 
 SCALE = 8
 DEFAULT_TRUNC = 48
@@ -225,19 +225,6 @@ def _mul_terms(na: dict, nb: dict, trunc: int) -> dict:
         for i, v in _unpack(P, S, slots):
             out[(*head, first + s * i, *tail)] = v
     return out
-
-
-def _smf1_number(s: str) -> tuple[int, int]:
-    """(p, q) of an SMF1 rational as to_text writes it: an integer p (q = 1),
-    or p/q in lowest terms with q >= 2.  Each part must be the decimal form
-    of its value, so a leading + or zero, a decimal point, an exponent and an
-    underscore are all errors."""
-    p, slash, q = s.partition("/")
-    num = int(p)
-    den = int(q) if slash else 1
-    if str(num) != p or slash and (str(den) != q or den < 2 or gcd(num, den) != 1):
-        raise ValueError(f"{s!r} is not an integer or p/q in lowest terms with q >= 2")
-    return num, den
 
 
 class _Expansion:
@@ -547,29 +534,30 @@ def _smf1_from_text(text: str, cls):
     fail, value = _line_reader(lines, "SMF1")
     if not lines or lines[0].strip() != "SMF1":
         fail(0, "not an SMF1 block")
-    g = value(1, "genus", int)
+    g = value(1, "genus", _int_from_text)
     if g != genus:
         fail(1, f"genus-{g} block passed to the genus-{genus} reader")
-    weight = value(2, "weight", lambda s: Fraction(*_smf1_number(s)))
-    if value(3, "scale", int) != SCALE:
+    weight = value(2, "weight", frac_from_text)
+    if value(3, "scale", _int_from_text) != SCALE:
         fail(3, f"scale must be {SCALE}")
-    trunc = value(4, "trunc", int)
+    trunc = value(4, "trunc", _int_from_text)
     if trunc < 0:
         fail(4, "negative truncation")
-    taupow = value(5, "taupow", int)
+    taupow = value(5, "taupow", _int_from_text)
     idx = 6
     character = 0
     if genus > 1 and idx < len(lines) and lines[idx].startswith("character"):
-        character = value(idx, "character", int)
+        character = value(idx, "character", _int_from_text)
         if character not in (0, 1):
             fail(idx, "character must be 0 or 1")
         idx += 1
-    declared = value(idx, "terms", int)
+    declared = value(idx, "terms", _int_from_text)
     fault = cls._layout.fault
     fields = len(cls._layout.pairs) + 1
     nums: dict = {}
     dens: dict = {}  # the denominator of each non-integer coefficient
     last = None  # the previous line's key: the writer sorts the keys
+    exponents = _Memo(_int_from_text)  # each distinct exponent text read once
     for j in range(idx + 1, len(lines)):
         parts = lines[j].split()
         if not parts:
@@ -577,8 +565,8 @@ def _smf1_from_text(text: str, cls):
         try:
             if len(parts) != fields:
                 raise ValueError(f"expected {fields} fields")
-            key = tuple(map(int, parts[:-1]))
-            p, q = _smf1_number(parts[-1])
+            key = tuple(map(exponents.__getitem__, parts[:-1]))
+            p, q = _number_from_text(parts[-1])
         except ValueError as exc:
             fail(j, f"cannot parse {lines[j]!r} ({exc})")
         why = fault(key, trunc) or ("zero coefficient" if not p else None)

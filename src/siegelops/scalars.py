@@ -13,19 +13,19 @@ is reduced (polynomial gcd 1), and the zero function has an empty numerator.
 Canonical form makes equality a structural comparison and zero-testing a
 length check.
 
-Text format: a rational is ``p/q`` (``q`` omitted when 1); a RatFunc is
-``num ; den`` where each polynomial is a ``+``-joined list of ``c*a^e``
-terms, e.g. ``2*a^1+-1*a^0 ; 1*a^0`` for 2a - 1.
+Text format: a rational is ``p/q`` in lowest terms (``q`` omitted when 1);
+a RatFunc is ``num ; den``, each polynomial a ``+``-joined list of nonzero
+``c*a^e`` terms, low degree first: ``-1*a^0+2*a^1 ; 1*a^0`` for 2a - 1.
+The file readers take a number only in this spelling (_number_from_text,
+scalar_from_text).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Union
+from math import gcd
 
 Rational = Fraction
-
-ScalarLike = Union[int, Fraction, "RatFunc"]
 
 
 class PoleError(ZeroDivisionError):
@@ -136,6 +136,20 @@ def _accumulate(terms: dict, m, c):
         terms[m] = s
     else:
         del terms[m]
+
+
+class _Memo(dict):
+    """A dict that fills a missing key with fn(key); a hit is one C-level lookup."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
 
 
 # Kronecker substitution: integers as the signed S-bit digits of one integer.
@@ -326,8 +340,28 @@ def frac_to_text(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
+def _int_from_text(s: str) -> int:
+    """An integer as str writes it: a sign +, a leading zero, a point, an
+    exponent, an underscore or a space is an error."""
+    n = int(s)
+    if str(n) != s:
+        raise ValueError(f"{s!r} is not an integer as str writes it")
+    return n
+
+
+def _number_from_text(s: str) -> tuple[int, int]:
+    """(p, q) of a rational as frac_to_text writes it, each part as
+    _int_from_text reads it: p (q = 1), or p/q in lowest terms with q >= 2."""
+    p, slash, q = s.partition("/")
+    num, den = _int_from_text(p), _int_from_text(q) if slash else 1
+    if slash and (den < 2 or gcd(num, den) != 1):
+        raise ValueError(f"{s!r} is not p/q in lowest terms with q >= 2")
+    return num, den
+
+
 def frac_from_text(s: str) -> Fraction:
-    return Fraction(s.strip())
+    """A rational as frac_to_text writes it (_number_from_text)."""
+    return Fraction(*_number_from_text(s))
 
 
 def _poly_to_text(p: tuple) -> str:
@@ -337,18 +371,14 @@ def _poly_to_text(p: tuple) -> str:
 
 
 def _poly_from_text(s: str) -> tuple:
-    s = s.strip()
-    if s == "0":
-        return ()
-    coeffs: dict[int, Fraction] = {}
-    for term in s.split("+"):
+    out: list = []
+    for term in s.split("+") if s.strip() != "0" else ():
         c, _, e = term.partition("*a^")
-        coeffs[int(e)] = coeffs.get(int(e), Fraction(0)) + Fraction(c)
-    if not coeffs:
-        return ()
-    out = [Fraction(0)] * (max(coeffs) + 1)
-    for e, c in coeffs.items():
-        out[e] = c
+        k = int(e)
+        if k < 0:
+            raise ValueError(f"negative exponent in {term!r}")
+        out += [Fraction(0)] * (k + 1 - len(out))
+        out[k] += Fraction(c)
     return _ptrim(out)
 
 
@@ -369,17 +399,25 @@ def scalar_to_text(c) -> str:
 
 
 def scalar_from_text(s: str, field: str):
-    """Read a coefficient of the field tagged field, as scalar_to_text wrote
-    it: "Q" takes only rational text and "Qa" only ``num ; den`` text."""
+    """Read a coefficient of the field tagged field, spelled exactly as
+    scalar_to_text writes it: "Q" takes only rational text and "Qa" only
+    ``num;den`` text.  A zero is left to the caller, whose format has no
+    zero coefficient."""
     if (";" in s) != (field == "Qa"):
         raise ValueError(f"{s!r} is not a coefficient of field {field}")
-    return ratfunc_from_text(s) if field == "Qa" else frac_from_text(s)
+    if field == "Q":
+        return frac_from_text(s)
+    c = ratfunc_from_text(s)
+    if c and scalar_to_text(c) != s:
+        raise ValueError(f"{s!r} is not written as {scalar_to_text(c)!r}")
+    return c
 
 
 def _line_reader(lines: list, fmt: str):
     """(fail, value) for the parsers of the text formats.  fail(idx, msg)
     raises ValueError naming line idx + 1 of a fmt block; value(idx, key,
-    conv) reads the header line 'key <value>' at idx through conv."""
+    conv) reads the header line 'key <value>' at idx through conv, which
+    for a number is _int_from_text or frac_from_text."""
 
     def fail(idx: int, msg: str):
         raise ValueError(f"{fmt} line {idx + 1}: {msg}")

@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .scalars import frac_to_text
+
 INF = math.inf
 
 
@@ -27,12 +29,7 @@ class DivClass:
     delta_lower_bound: bool = False  # the boundary coefficient is only a bound
 
     def __str__(self):
-        return f"{_fmt(self.lam)}L - {_fmt(self.delta)}D"
-
-
-def _fmt(q: Fraction) -> str:
-    q = Fraction(q)
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+        return f"{frac_to_text(self.lam)}L - {frac_to_text(self.delta)}D"
 
 
 def make_class(lam, delta, label: str = "", delta_lower_bound: bool = False) -> DivClass:
@@ -143,9 +140,9 @@ class SlopeEntry:
         if self.value is None and self.interval is None:
             return ""
         if self.interval is not None:
-            body = f"[{_fmt(self.interval[0])}, {_fmt(self.interval[1])}]"
+            body = f"[{frac_to_text(self.interval[0])}, {frac_to_text(self.interval[1])}]"
         else:
-            body = _fmt(self.value)
+            body = frac_to_text(self.value)
         if self.qualifier == "upper-bound":
             return f"<= {body}"
         if self.qualifier == "conjectural-upper":

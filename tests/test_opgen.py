@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import itertools
 import math
+import pathlib
 from fractions import Fraction
 
 import re
@@ -322,9 +323,9 @@ def test_opspec_round_trip(spec2_symbolic):
 
 
 @pytest.mark.parametrize("g,a,size,digest", [
-    (4, A, 195364, "2de44e0203d0560ec86cbd6ceb6959c6593e6353450a36c606f230962f5c3dd3"),
+    (4, A, 195364, "425c010fb02f478fb7f85c0c1ec66c28e9b856ef401807b34bbe0ca5ed24e786"),
     (5, Fraction(3), 6703524,
-     "0a35dbb2d6fb9f9b0ebd3975a13c843880f9cc78579afbb1e7499f7c735759b1"),
+     "f50f506ce45fef489ecc766baf786d45e1bc530c9eccf737c219a12887da281e"),
 ])
 def test_opspec_bytes_are_pinned(g, a, size, digest):
     """The operator files of build_Q(4, a) and build_Q(5, 3), byte for byte."""
@@ -428,6 +429,53 @@ def test_opspec_rejects_rows_out_of_order():
         opspec_from_text("\n".join(lines[:6] + [lines[7], lines[8], lines[6]] + lines[9:]))
 
 
+@pytest.mark.parametrize("idx,line,msg", [
+    (3, "a 5.0", "bad a value"), (3, "a 10/2", "bad a value"),
+    (1, "genus 0_2", "bad genus value"), (1, "genus +2", "bad genus value"),
+    (5, "coeffs 03", "bad coeffs value"),
+    (6, "n=0,2 | -20/18", "cannot parse"), (6, "n=00,2 | -10/9", "cannot parse"),
+    (9, "POLY1 field=Q terms=+7", "missing or bad term count"),
+    (10, "10/9 | r[1;1,2]^+2", "cannot parse"), (10, "10/9 | r[1;1,2]^2.0", "cannot parse"),
+])
+def test_opspec_reads_numbers_only_as_the_writer_spells_them(idx, line, msg):
+    """Each number of the file spelled otherwise than the writer spells
+    its value is an error at its line, not a value written back another
+    way."""
+    lines = _opspec_lines()
+    with pytest.raises(ValueError, match=f"OPSPEC1 line {idx + 1}: {re.escape(msg)}"):
+        opspec_from_text("\n".join(lines[:idx] + [line] + lines[idx + 1:]))
+
+
+def test_opspec_reads_symbolic_coefficients_only_as_the_writer_spells_them():
+    symbolic = opspec_to_text(build_Q(2, A)).splitlines()
+    assert symbolic[8] == "n=2,0 | -1*a^1;-1/2*a^0+1*a^1"
+    assert symbolic[10] == "1*a^1;-1/2*a^0+1*a^1 | r[1;1,2]^2"
+    for idx, line, why in ((8, "n=2,0 | -2*a^1;-1*a^0+2*a^1", "is not written as"),
+                           (8, "n=2,0 | -1*a^-1;-1/2*a^0+1*a^1", "negative exponent"),
+                           (10, "1*a^1+0*a^2;-1/2*a^0+1*a^1 | r[1;1,2]^2", "is not written as")):
+        with pytest.raises(ValueError, match=f"OPSPEC1 line {idx + 1}: cannot parse .*{why}"):
+            opspec_from_text("\n".join(symbolic[:idx] + [line] + symbolic[idx + 1:]))
+
+
+def test_opspec_takes_the_terms_only_in_increasing_key_order():
+    """Two swapped term lines, and a repeat of a term that is not next to
+    it, are errors at their line."""
+    lines = _opspec_lines()
+    with pytest.raises(ValueError, match="OPSPEC1 line 13: term out of order"):
+        opspec_from_text("\n".join(lines[:11] + [lines[12], lines[11]] + lines[13:]))
+    with pytest.raises(ValueError, match="OPSPEC1 line 14: term out of order"):
+        opspec_from_text("\n".join(lines[:9] + ["POLY1 field=Q terms=8"] + lines[10:13]
+                                   + [lines[10]] + lines[13:]))
+
+
+def test_readme_shows_the_genus2_weight5_operator_file():
+    """The OPSPEC1 example of the README is the file build_Q(2, 5) makes."""
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("  ```text\n  OPSPEC1\n", 1)[1].split("  ```", 1)[0]
+    shown = "OPSPEC1\n" + "".join(ln[2:] + "\n" for ln in block.splitlines())
+    assert shown == opspec_to_text(build_Q(2, Fraction(5)))
+
+
 def test_opspec_rejects_other_normalization():
     lines = _opspec_lines()
     for norm in ("normalization second-order-factor=1 leading-coefficient=1", ""):
@@ -511,10 +559,10 @@ def test_opspec_rejects_a_repeated_variable_and_reordered_duplicates():
     once, so r^1 r^2 (for r^3) and a reordered repeat of a monomial are
     errors that name their line."""
     lines = _opspec_lines()
-    assert lines[10] == "-10/9 | r[1;1,1]^1 r[1;2,2]^1"
+    assert lines[11] == "-10/9 | r[1;1,1]^1 r[1;2,2]^1"
     with pytest.raises(ValueError, match=r"OPSPEC1 line 11: .*\(variable r\[1;1,1\] "
                                          r"is written twice\)"):
         opspec_from_text(_opspec_with_term("-10/9 | r[1;1,1]^1 r[1;1,1]^2"))
-    with pytest.raises(ValueError, match="OPSPEC1 line 12: duplicate monomial"):
-        opspec_from_text("\n".join(lines[:9] + [lines[9].replace("7", "8")] + lines[10:11]
-                                   + ["-10/9 | r[1;2,2]^1 r[1;1,1]^1"] + lines[11:]))
+    with pytest.raises(ValueError, match="OPSPEC1 line 13: duplicate monomial"):
+        opspec_from_text("\n".join(lines[:9] + [lines[9].replace("7", "8")] + lines[10:12]
+                                   + ["-10/9 | r[1;2,2]^1 r[1;1,1]^1"] + lines[12:]))

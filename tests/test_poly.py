@@ -358,15 +358,12 @@ def _var_text(v) -> str:
     return f"t[{v[1]}]" if v[0] == "t" else f"r[{v[1]};{v[2]},{v[3]}]"
 
 
-def poly_to_text(p) -> str:
-    """An independent POLY1 writer on decoded monomials: the terms sorted by
-    total degree, then by their (variable, exponent) pairs in the variable
-    order (t_h by h, then r_{h;ij} by (h, i, j))."""
-    def order(m):
-        return (sum(e for _, e in m), *[((v[0] == "r",) + v[1:], e) for v, e in m])
-
+def poly_to_text(p, g) -> str:
+    """An independent POLY1 writer on decoded monomials, each rendered on its
+    own with its variables in the variable order (t_h by h, then r_{h;ij} by
+    (h, i, j)); the terms sorted by their packed genus-g keys."""
     lines = [f"POLY1 field={p.field} terms={len(p.terms)}"]
-    for m in sorted(p.terms, key=order):
+    for m in sorted(p.terms, key=_packing(g).encode):
         body = " ".join(f"{_var_text(v)}^{e}" for v, e in m)
         lines.append(f"{scalar_to_text(p.terms[m])} | {body}")
     return "\n".join(lines) + "\n"
@@ -395,7 +392,59 @@ def test_packed_text_is_poly_to_text_of_the_decoded_form(g):
     polys = {key: (rng.randint(-4, 4), rng.choice([-1, 1])) for key in keys}
     for den, form in ((6, nums), ((-1, 0, 2), polys)):
         p = _packed_poly(g, den, form)
-        assert _packed_to_text(g, den, form) == poly_to_text(p)
+        assert _packed_to_text(g, den, form) == poly_to_text(p, g)
+
+
+@pytest.mark.parametrize("g", [2, 3, 4, 5])
+def test_packed_writer_writes_the_keys_in_increasing_order(g):
+    """The term lines come in strictly increasing packed key, in both
+    fields; the constant monomial, the least key, is the first line,
+    written 'c | '.  Each line is read back here on its own, by name."""
+    rng = random.Random(g)
+    packing = _packing(g)
+    names = {_var_text(v): v for v in packing.names}
+    keys = set(_random_keys(rng, g, 300) + _shared_half_keys(rng, g, 8) + [0])
+    for den, form in ((6, {key: rng.choice([-3, 1, 5]) for key in keys}),
+                      ((1, 1), {key: (rng.choice([-2, 1]), 1) for key in keys})):
+        lines = _packed_to_text(g, den, form).splitlines()[1:]
+        coeff, _, rest = lines[0].partition(" | ")
+        assert rest == "" and lines[0] == f"{coeff} | "
+        read = [packing.encode([(names[name], int(e)) for name, _, e in
+                                (tok.rpartition("^") for tok in ln.split(" | ")[1].split())])
+                for ln in lines]
+        assert all(k1 < k2 for k1, k2 in zip(read, read[1:])) and set(read) == keys
+
+
+def test_packed_reader_takes_only_increasing_keys():
+    """The writer writes the keys in increasing order, so two swapped term
+    lines, and a duplicate that is not next to its first copy, are errors
+    naming their line; the variables of one line may come in any order."""
+    ok = ["POLY1 field=Q terms=3", "1 | r[1;1,1]^1", "2 | r[1;2,2]^1 r[1;1,1]^1",
+          "3 | r[2;1,1]^1"]
+    assert len(_read("\n".join(ok)).terms) == 3
+    with pytest.raises(ValueError, match="POLY1 line 4: term out of order"):
+        _read("\n".join(ok[:2] + [ok[3], ok[2]]))
+    with pytest.raises(ValueError, match="POLY1 line 5: term out of order"):
+        _read("\n".join(["POLY1 field=Q terms=4"] + ok[1:] + ["4 | r[1;1,1]^1"]))
+
+
+@pytest.mark.parametrize("field,line", [
+    ("Q", "1.0 | r[1;2,2]^1"), ("Q", "2/2 | r[1;2,2]^1"), ("Q", " +1 | r[1;2,2]^1"),
+    ("Q", "-0 | r[1;2,2]^1"), ("Q", "1 | r[1;2,2]^01"),
+    ("Qa", "2*a^0;2*a^0 | r[1;2,2]^1"), ("Qa", "1*a^0+0*a^1;1*a^0 | r[1;2,2]^1"),
+    ("Qa", "1/1*a^0;1*a^0 | r[1;2,2]^1")])
+def test_poly1_reads_numbers_only_as_the_writer_spells_them(field, line):
+    """A coefficient or exponent spelled otherwise than the writer spells
+    its value is a line-numbered error, not a value written back another
+    way; so is such a term count."""
+    one = "1" if field == "Q" else "1*a^0;1*a^0"
+    good = f"{one} | r[1;2,2]^1"
+    head = f"POLY1 field={field} terms=2"
+    assert len(_read(f"{head}\n{one} | r[1;1,1]^1\n{good}\n").terms) == 2
+    with pytest.raises(ValueError, match="POLY1 line 3: cannot parse"):
+        _read(f"{head}\n{one} | r[1;1,1]^1\n{line}\n")
+    with pytest.raises(ValueError, match="POLY1 line 1: missing or bad term count"):
+        _read(f"POLY1 field={field} terms=02\n{one} | r[1;1,1]^1\n{good}\n")
 
 
 @pytest.mark.parametrize("den,nums", [

@@ -292,6 +292,26 @@ def test_smf1_rejects_bad_header_values(t2_48):
         qexp1_from_text(text)
 
 
+@pytest.mark.parametrize("idx,line", [
+    (1, "genus +2"), (2, "weight 5.0"), (2, "weight 10/2"), (3, "scale 08"),
+    (4, "trunc 016"), (5, "taupow +0"), (6, "character 01"), (7, "terms 1_50")])
+def test_smf1_reads_header_numbers_only_as_the_writer_spells_them(t2_48, idx, line):
+    """A header number spelled otherwise than the writer spells its value
+    is an error at its line, not a value written back another way."""
+    key = line.split()[0]
+    assert t2_48.to_text().splitlines()[idx].split()[0] == key
+    with pytest.raises(ValueError, match=f"SMF1 line {idx + 1}: bad {key} value"):
+        qexp2_from_text(_replace(t2_48.to_text(), idx, line))
+
+
+def test_smf1_reads_exponents_only_as_the_writer_spells_them(t2_48):
+    lines = t2_48.to_text().splitlines()
+    assert lines[8] == "4 -20 28 64"
+    for line in ("+4 -20 28 64", "4 -20 028 64", "4 -2_0 28 64", "4 -20 28.0 64"):
+        with pytest.raises(ValueError, match="SMF1 line 9: cannot parse"):
+            qexp2_from_text(_replace(t2_48.to_text(), 8, line))
+
+
 def test_smf1_rejects_bad_term_lines(t2_48):
     text = t2_48.to_text()
     cases = [("0 0 4", "cannot parse"), ("0 0 4 1 1", "cannot parse"),

@@ -173,7 +173,7 @@ def cmd_opgen(args) -> int:
 def cmd_apply(args) -> int:
     with open(args.operator) as fh:
         spec = opgen.opspec_from_text(fh.read())
-    with open(args.input) as fh:
+    with open(args.input, newline="") as fh:  # SMF1 line ends are read as written
         f = qexp_from_text(fh.read())
     print(f"# config: genus={spec.g} weight={_weight_text(spec.a)} trunc={f.trunc}")
     if f.genus != spec.g:
@@ -247,9 +247,9 @@ def cmd_form(args) -> int:
 
 
 def cmd_bracket(args) -> int:
-    with open(args.forms[0]) as fh:
+    with open(args.forms[0], newline="") as fh:
         f = qexp_from_text(fh.read())
-    with open(args.forms[1]) as fh:
+    with open(args.forms[1], newline="") as fh:
         g_form = qexp_from_text(fh.read())
     if args.weights:
         f = f.with_weight(_rational(args.weights[0], "--weights"))

@@ -466,7 +466,15 @@ def opspec_to_text(spec: OperatorSpec) -> str:
 
 
 def opspec_from_text(text: str) -> OperatorSpec:
-    """Read an OPSPEC1 file; a malformed file raises ValueError naming its line."""
+    """Read an OPSPEC1 file; a malformed file raises ValueError naming its line.
+
+    A Q(a) coefficient, in the table or in the POLY1 body, may hold no
+    nonzero term of an exponent above g - 1: each C(m) is a polynomial of
+    degree g - 1 in a, so c(n)/C(1) and every coefficient of build_Q(g, a)
+    have numerator and denominator of degree at most g - 1 (the maxima are
+    1, 2, 3 and 4 at g = 2..5).  The bound is checked before a coefficient
+    list is built.  The returned spec holds the coefficient table checked
+    here, so reading spec.coeffs builds no second one."""
     lines = text.splitlines()
     fail, value = _line_reader(lines, "OPSPEC1")
     if not lines or lines[0].strip() != "OPSPEC1":
@@ -494,7 +502,7 @@ def opspec_from_text(text: str) -> OperatorSpec:
         head, _, val = lines[idx].partition("|")
         try:
             n = tuple(map(_int_from_text, head.strip()[2:].split(",")))
-            c = scalar_from_text(val.strip(), field_tag)
+            c = scalar_from_text(val.strip(), field_tag, g - 1)
         except (ValueError, ZeroDivisionError) as exc:
             fail(idx, f"cannot parse {lines[idx]!r} ({exc})")
         if len(n) != g or sum(n) != g or min(n) < 0:
@@ -518,4 +526,6 @@ def opspec_from_text(text: str) -> OperatorSpec:
     body, den, nums = _packed_from_lines(lines, idx, "OPSPEC1", g)
     if body != field_tag:
         fail(idx, f"mode {mode} needs POLY1 field={field_tag}, found field={body}")
-    return OperatorSpec(g, a, den, nums)
+    spec = OperatorSpec(g, a, den, nums)
+    spec.coeffs = table  # the cached property's value, checked above
+    return spec

@@ -690,12 +690,14 @@ def _packed_from_lines(lines: list, start: int, fmt: str, g: int) -> tuple[str, 
     lines[start], its monomials read by _Packing(g).reader.
 
     No line may be blank, every coefficient must be a nonzero element of
-    the declared field spelled as the writer spells it, and every key must
-    exceed the one before it, the writer's order, which also rules out a
-    repeated monomial; error messages name the line (1-based within lines)
-    and the format being read (fmt).  Each distinct coefficient text is read
-    once, and the cleared form is made from the distinct coefficients
-    (_cleared), then spread over the keys."""
+    the declared field spelled as the writer spells it (in Q(a), with no
+    nonzero term of an exponent above g - 1, the degree bound of
+    opgen.opspec_from_text), and every key must exceed the one before it,
+    the writer's order, which also rules out a repeated monomial; error
+    messages name the line (1-based within lines) and the format being
+    read (fmt).  Each distinct coefficient text is read once, and the
+    cleared form is made from the distinct coefficients (_cleared), then
+    spread over the keys."""
     fail, _ = _line_reader(lines, fmt)
     if start >= len(lines):
         fail(start, "missing POLY1 header")
@@ -712,7 +714,7 @@ def _packed_from_lines(lines: list, start: int, fmt: str, g: int) -> tuple[str, 
     values: dict = {}  # coefficient text -> its coefficient
 
     def scalar(txt: str) -> str:
-        c = scalar_from_text(txt.strip(), field)
+        c = scalar_from_text(txt.strip(), field, g - 1)
         if not c:
             raise ValueError("zero coefficient")
         values[txt] = c

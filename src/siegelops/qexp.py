@@ -60,9 +60,17 @@ identity of the packed ints, since equal small ints are one object.  Each
 output integer is the same sum of the same convolution terms as in the
 general path, so S still bounds every digit.
 
-Jet polynomials are evaluated factor first: the monomials that share a
-factor are summed before that factor multiplies them, so the weight-5
-genus-2 operator costs 3 products, not 4.
+Jet polynomials are evaluated in two steps.  First, by the Leibniz rule,
+each monomial c D_p F D_q F of two factors of one symbol with one
+derivative pair each becomes c/2 D_p D_q (F F) - c F D_p D_q F; this is
+exact, since q_diff is a derivation and truncation a ring congruence.
+F F is made once as a square, and its derivatives come from the same
+factor cache as F's.  Then the monomials are evaluated factor first: the
+monomials that share a factor are summed before that factor multiplies
+them.  The genus-2 operator, at every weight, is
+c1 F D F + c2 (F_11 F_22 - F_12^2) with D F = F_{11,22} - F_{12,12},
+which becomes c2/2 D (F F) + (c1 - c2) F D F, so it costs one square and
+one product, where the terms as they stand cost 3 products.
 """
 
 from __future__ import annotations
@@ -101,20 +109,37 @@ class _Layout:
         self.diag = itemgetter(*(at[i, i] for i in range(1, g + 1))) if g > 1 else tuple
         self.rest = itemgetter(*others) if g > 1 else (lambda k: ())
 
-    def fault(self, k, trunc: int) -> str | None:
-        """Why k cannot be a key of an expansion truncated at trunc, if so."""
+    def shape_fault(self, k) -> str | None:
+        """Why k is not a tuple of len(pairs) ints, if so."""
         if (type(k) is not tuple or len(k) != len(self.pairs)
                 or not all(type(v) is int for v in k)):
             return f"key {k!r} is not a genus-{self.genus} key of {len(self.pairs)} integers"
-        d = self.diag(k)
-        if min(d) < 0:
-            return f"negative diagonal exponent in term {k}"
-        if sum(d) > trunc:
-            return f"term {k} exceeds truncation {trunc}"
-        for n, i, j in self.off:
-            if k[n] * k[n] > 4 * k[i] * k[j]:
-                return f"term {k} violates beta^2 <= 4*alpha*gamma"
         return None
+
+    def lattice(self, trunc: int):
+        """The invariants of the module docstring at truncation trunc, as a
+        function of a key of the right shape that says why the key breaks
+        one, or None.  All but the off-diagonal test depend only on the
+        diagonal, so each distinct diagonal is tested once, and gives the
+        bound 4 T_ii T_jj of each off-diagonal entry T_ij squared."""
+        diag, off = self.diag, self.off
+        bounds: dict = {}  # diagonal -> [(n, the bound of entry n), ...]
+
+        def fault(k: tuple) -> str | None:
+            d = diag(k)
+            b = bounds.get(d)
+            if b is None:
+                if min(d) < 0:
+                    return f"negative diagonal exponent in term {k}"
+                if sum(d) > trunc:
+                    return f"term {k} exceeds truncation {trunc}"
+                b = bounds[d] = [(n, 4 * k[i] * k[j]) for n, i, j in off]
+            for n, bound in b:
+                if k[n] * k[n] > bound:
+                    return f"term {k} violates beta^2 <= 4*alpha*gamma"
+            return None
+
+        return fault
 
 
 def _reduced(den: int, nums: dict) -> tuple[int, dict]:
@@ -252,9 +277,9 @@ class _Expansion:
                  trunc: int = DEFAULT_TRUNC, tau_factor: int = 0,
                  character: bool = False, label: str = ""):
         terms = {k: v for k, v in (terms or {}).items() if v}
-        fault = self._layout.fault
+        shape, lattice = self._layout.shape_fault, self._layout.lattice(trunc)
         for k, c in terms.items():
-            why = fault(k, trunc)
+            why = shape(k) or lattice(k)
             if why:
                 raise ValueError(why)
             if not isinstance(c, Fraction):
@@ -284,9 +309,9 @@ class _Expansion:
         """An expansion of integer coefficients, each key checked as the
         public constructor checks it; zero coefficients are dropped."""
         nums = {k: v for k, v in nums.items() if v}
-        fault = cls._layout.fault
+        shape, lattice = cls._layout.shape_fault, cls._layout.lattice(trunc)
         for k, v in nums.items():
-            why = fault(k, trunc)
+            why = shape(k) or lattice(k)
             if why:
                 raise ValueError(why)
             if type(v) is not int:
@@ -526,13 +551,28 @@ class QExp1(_Expansion):
 _LAYOUTS = {len(cls._layout.pairs): cls._layout for cls in (QExp1, QExp2)}
 
 
+def _spacing_fault(line: str) -> str | None:
+    """Why line is not fields joined by single spaces, if so."""
+    if line != " ".join(line.split()):
+        return f"{line!r} has whitespace other than single spaces between fields"
+    return None
+
+
 def _smf1_from_text(text: str, cls):
-    """Read an SMF1 block of the class's genus; a malformed block raises
+    """Read an SMF1 block of the class's genus.  It takes only what to_text
+    writes: every line is fields joined by single spaces, with no other
+    whitespace, and ends in one newline.  A malformed block raises
     ValueError naming its line."""
     genus = cls.genus
-    lines = text.splitlines()
+    lines = text.split("\n")
     fail, value = _line_reader(lines, "SMF1")
-    if not lines or lines[0].strip() != "SMF1":
+    if lines.pop():  # the text after the last newline
+        fail(len(lines), "the block does not end in a newline")
+    for j, line in enumerate(lines[:8]):  # the header (a term line at genus 1)
+        why = _spacing_fault(line)
+        if why:
+            fail(j, why)
+    if not lines or lines[0] != "SMF1":
         fail(0, "not an SMF1 block")
     g = value(1, "genus", _int_from_text)
     if g != genus:
@@ -552,29 +592,30 @@ def _smf1_from_text(text: str, cls):
             fail(idx, "character must be 0 or 1")
         idx += 1
     declared = value(idx, "terms", _int_from_text)
-    fault = cls._layout.fault
+    lattice = cls._layout.lattice(trunc)
     fields = len(cls._layout.pairs) + 1
     nums: dict = {}
     dens: dict = {}  # the denominator of each non-integer coefficient
-    last = None  # the previous line's key: the writer sorts the keys
-    exponents = _Memo(_int_from_text)  # each distinct exponent text read once
-    for j in range(idx + 1, len(lines)):
-        parts = lines[j].split()
-        if not parts:
-            fail(j, "blank line")
+    last = ()  # the previous line's key (below every key): the writer sorts the keys
+    # each distinct exponent and coefficient text is read once
+    exponents, numbers = _Memo(_int_from_text), _Memo(_number_from_text)
+    for j, line in enumerate(lines[idx + 1:], idx + 1):
+        parts = line.split(" ")
         try:
             if len(parts) != fields:
                 raise ValueError(f"expected {fields} fields")
             key = tuple(map(exponents.__getitem__, parts[:-1]))
-            p, q = _number_from_text(parts[-1])
+            p, q = numbers[parts[-1]]
         except ValueError as exc:
-            fail(j, f"cannot parse {lines[j]!r} ({exc})")
-        why = fault(key, trunc) or ("zero coefficient" if not p else None)
+            if not line:
+                fail(j, "blank line")
+            fail(j, _spacing_fault(line) or f"cannot parse {line!r} ({exc})")
+        why = lattice(key) or ("zero coefficient" if not p else None)
         if why:
             fail(j, why)
-        if key in nums:
-            fail(j, "duplicate exponent")
-        if last is not None and key < last:
+        if key <= last:
+            if key in nums:
+                fail(j, "duplicate exponent")
             fail(j, f"term {key} comes after {last}; the terms are sorted by exponent")
         nums[key] = p
         last = key
@@ -599,8 +640,7 @@ def qexp1_from_text(text: str) -> QExp1:
 
 def qexp_from_text(text: str):
     """Read an SMF1 block of either genus, as its second line declares."""
-    lines = text.splitlines()
-    if len(lines) > 1 and lines[1].split() == ["genus", "1"]:
+    if text.split("\n", 2)[1:2] == ["genus 1"]:
         return qexp1_from_text(text)
     return qexp2_from_text(text)
 
@@ -626,6 +666,10 @@ def eval_jetpoly(p: JetPoly, bind: dict, weight=None):
     the result weight follows the sum rule (symbol weights) + 2*order/genus
     unless overridden.  An empty p gives the zero of the bound expansions'
     class at their least truncation.
+
+    Each monomial c D_p F D_q F (two factors of one symbol, one derivative
+    pair each) is rewritten by the Leibniz rule of the module docstring
+    before _sum_of_products sums the monomials.
     """
     if not p.terms:
         if weight is None:
@@ -638,12 +682,16 @@ def eval_jetpoly(p: JetPoly, bind: dict, weight=None):
     cache: dict = {}
 
     def factor(key: tuple):
-        """The expansion of a jet variable (symbol, derivative pairs)."""
+        """The expansion of a jet variable (symbol, derivative pairs), or of
+        (symbol, derivative pairs, 2), those derivatives of the symbol's square."""
         got = cache.get(key)
         if got is None:
-            sym, derivs = key
+            sym, derivs = key[:2]
             if derivs:
-                got = factor((sym, derivs[:-1])).q_diff(*derivs[-1])
+                got = factor((sym, derivs[:-1], *key[2:])).q_diff(*derivs[-1])
+            elif len(key) == 3:
+                f = factor((sym, ()))
+                got = f * f  # one object as both operands: the kernel's square path
             else:
                 if sym not in bind:
                     raise ValueError(f"unbound symbol {sym!r}")
@@ -652,7 +700,7 @@ def eval_jetpoly(p: JetPoly, bind: dict, weight=None):
         return got
 
     genus = next(iter(bind.values())).genus
-    monos = []
+    monos: dict = {}
     sym_weight = None
     order = None
     for mono, coeff in sorted(p.terms.items()):
@@ -666,10 +714,17 @@ def eval_jetpoly(p: JetPoly, bind: dict, weight=None):
             sym_weight, order = mw, morder
         elif (mw, morder) != (sym_weight, order):
             raise ValueError("jet polynomial is not weight/order homogeneous")
-        monos.append((coeff, mono))
+        (sym, dp), (other, dq) = mono[0], mono[-1]
+        if len(mono) == 2 and sym == other and len(dp) == len(dq) == 1:
+            # the Leibniz rule: c D_p F D_q F = c/2 D_p D_q (F F) - c F D_p D_q F
+            pq = tuple(sorted(dp + dq))
+            _accumulate(monos, ((sym, pq, 2),), Fraction(coeff) / 2)
+            _accumulate(monos, ((sym, ()), (sym, pq)), -coeff)
+        else:
+            _accumulate(monos, mono, coeff)
     if weight is None:
         weight = sym_weight + Fraction(2 * order, genus)
-    return _sum_of_products(monos, factor).with_weight(weight)
+    return _sum_of_products([(c, m) for m, c in monos.items()], factor).with_weight(weight)
 
 
 def _sum_of_products(monos: list, factor):

@@ -304,10 +304,12 @@ def test_form_genus_must_match_the_named_form(capsys):
     assert err == "error: --genus 1 disagrees with form 'tnull' of genus 2\n"
 
 
-def test_weight5_apply_makes_three_products(tmp_path, capsys, monkeypatch):
+def test_weight5_apply_makes_one_square_and_one_product(tmp_path, capsys, monkeypatch):
     """The weight-5 operator is -20/9 F F_{11,22} + 20/9 F F_{12,12}
-    + 2 F_11 F_22 - 2 F_12 F_12; F multiplies the sum of its two cofactors
-    once, so apply makes 3 expansion products, not 4."""
+    + 2 F_11 F_22 - 2 F_12 F_12.  By the Leibniz rule its last two terms are
+    (F F)_{11,22} - (F F)_{12,12} - 2 F (F_{11,22} - F_{12,12}), so apply
+    makes 2 expansion products: the square F F, with one object as both
+    operands, and F times the sum of its cofactors."""
     from siegelops.qexp import QExp2
     op_file, t_file = tmp_path / "q25.opspec", tmp_path / "t2.smf"
     run_cli(["opgen", "--genus", "2", "--weight", "5", "--out", str(op_file)], capsys)
@@ -316,14 +318,32 @@ def test_weight5_apply_makes_three_products(tmp_path, capsys, monkeypatch):
     mul = QExp2.__mul__
 
     def counted(f, g):
-        products.append(1)
+        products.append(f is g)
         return mul(f, g)
 
     monkeypatch.setattr(QExp2, "__mul__", counted)
     code, out = run_cli(["apply", "--operator", str(op_file), "--input", str(t_file)],
                         capsys)
     assert code == 0 and "slope: 12" in out
-    assert len(products) == 3
+    assert sorted(products) == [False, True]
+
+
+def test_smf1_inputs_are_read_with_their_own_line_ends(tmp_path, capsys):
+    """apply and bracket pass an input file's bytes to the SMF1 reader
+    untranslated, so a CRLF file is an error at its first line, exit 2."""
+    op_file, t_file = tmp_path / "q25.opspec", tmp_path / "t2.smf"
+    run_cli(["opgen", "--genus", "2", "--weight", "5", "--out", str(op_file)], capsys)
+    run_cli(["form", "--name", "tnull", "--trunc", "16", "--out", str(t_file)], capsys)
+    t_file.write_bytes(t_file.read_bytes().replace(b"\n", b"\r\n"))
+    code, err = run_cli_error(["apply", "--operator", str(op_file), "--input", str(t_file)],
+                              capsys)
+    assert code == 2 and err.startswith("error: SMF1 line 1: 'SMF1\\r' has whitespace")
+    e4, e6 = tmp_path / "e4.smf", tmp_path / "e6.smf"
+    run_cli(["form", "--name", "eis4", "--trunc", "16", "--out", str(e4)], capsys)
+    run_cli(["form", "--name", "eis6", "--trunc", "16", "--out", str(e6)], capsys)
+    e6.write_bytes(e6.read_bytes().replace(b"\n", b"\r\n"))
+    code, err = run_cli_error(["bracket", "--scalar", str(e4), str(e6)], capsys)
+    assert code == 2 and err.startswith("error: SMF1 line 1: ")
 
 
 # -- the option surface and the commands that replaced the experiment scripts --

@@ -566,3 +566,50 @@ def test_opspec_rejects_a_repeated_variable_and_reordered_duplicates():
     with pytest.raises(ValueError, match="OPSPEC1 line 13: duplicate monomial"):
         opspec_from_text("\n".join(lines[:9] + [lines[9].replace("7", "8")] + lines[10:12]
                                    + ["-10/9 | r[1;2,2]^1 r[1;1,1]^1"] + lines[12:]))
+
+
+@pytest.mark.parametrize("idx,edit", [
+    (8, lambda ln: "n=2,0 | 1*a^1000000;1*a^0"),
+    (10, lambda ln: "1*a^1000000;1*a^0 | " + ln.partition(" | ")[2])])
+def test_opspec_rejects_a_huge_qa_exponent_at_once(spec2_symbolic, idx, edit):
+    """No coefficient of build_Q(g, a) has a term of degree above g - 1 in
+    a, so a^1000000 in the table or in the body is an error at its line,
+    found before a coefficient list of that length is built."""
+    import time
+    lines = opspec_to_text(spec2_symbolic).splitlines()
+    bad = "\n".join(lines[:idx] + [edit(lines[idx])] + lines[idx + 1:]) + "\n"
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"OPSPEC1 line {idx + 1}: .*exponent 1000000 "
+                                         r"in '1\*a\^1000000' exceeds the degree bound 1"):
+        opspec_from_text(bad)
+    assert time.perf_counter() - start < 0.1
+
+
+@pytest.mark.parametrize("g", [2, 3, 4, 5])
+def test_opspec_coefficients_stay_within_the_degree_bound(g):
+    """The bound g - 1 of the reader is the largest degree in a that
+    build_Q makes: its cleared numerators and denominator have degree at
+    most g - 1, and the file's coefficients reach it (at g <= 4; the g = 5
+    file is 9 MB)."""
+    spec = build_Q(g, A)
+    assert max(map(len, [spec.den, *spec.nums.values()])) - 1 == g - 1
+    if g < 5:
+        text = opspec_to_text(spec)
+        assert max(map(int, re.findall(r"\*a\^(\d+)", text))) == g - 1
+
+
+def test_opspec_read_builds_the_coefficient_table_once(spec2_symbolic, monkeypatch):
+    from siegelops import opgen
+    calls = []
+    table = opgen._coefficient_table
+
+    def counted(g, a):
+        calls.append((g, a))
+        return table(g, a)
+
+    monkeypatch.setattr(opgen, "_coefficient_table", counted)
+    for text in (opspec_to_text(spec2_symbolic), "\n".join(_opspec_lines()) + "\n"):
+        calls.clear()
+        spec = opspec_from_text(text)
+        assert spec.coeffs == table(spec.g, spec.a)
+        assert len(calls) == 1

@@ -503,3 +503,135 @@ def test_grouped_jet_evaluation_of_random_degree2_polynomials(draws):
     c0, c1 = ThetaChar((0, 0), (0, 0)), ThetaChar((1, 0), (0, 0))
     theta0, theta1 = theta_qexp(2, c0, 24), theta_qexp(2, c1, 24)
     _assert_grouping_exact(p, {"F": theta0 * theta0, "G": theta0 * theta1})
+
+
+# -- the Leibniz rewrite: c D_p F D_q F = c/2 D_p D_q (F F) - c F D_p D_q F ------
+
+
+def _products(monkeypatch) -> list:
+    """Each expansion product made from here on, as True for a square (one
+    object as both operands) and False otherwise."""
+    made = []
+    for cls in (QExp1, QExp2):
+        def counted(f, g, mul=cls.__mul__):
+            made.append(f is g)
+            return mul(f, g)
+        monkeypatch.setattr(cls, "__mul__", counted)
+    return made
+
+
+@pytest.mark.parametrize("a", [Fraction(n, 2) for n in range(2, 17)])
+def test_leibniz_rewrite_is_exact_for_every_genus2_weight(t2_48, a, monkeypatch):
+    """At every weight the genus-2 operator's two-factor monomials of one
+    derivative pair each are rewritten, and the result is the term-by-term
+    sum byte for byte, from one square and one product."""
+    from siegelops.jets import jet_apply
+    from siegelops.opgen import build_Q
+    jet = jet_apply(build_Q(2, a).Q, {1: "F", 2: "F"}, 2)
+    want = eval_per_monomial(jet, {"F": t2_48})
+    made = _products(monkeypatch)
+    got = eval_jetpoly(jet, {"F": t2_48})
+    assert sorted(made) == [False, True]
+    assert got.to_text() == want.with_weight(got.weight).to_text()
+
+
+def _jet(terms: dict) -> JetPoly:
+    from siegelops.jets import _mono, jet_var
+    return JetPoly({_mono(jet_var(s, d) for s, d in mono): Fraction(c)
+                    for mono, c in terms.items()})
+
+
+def test_leibniz_rewrite_at_genus1(monkeypatch):
+    f = eis1_qexp(4, 64)
+    p = _jet({(("F", ((1, 1),)), ("F", ((1, 1),))): Fraction(-3, 7)})
+    want = eval_per_monomial(p, {"F": f})
+    made = _products(monkeypatch)
+    got = eval_jetpoly(p, {"F": f})
+    assert sorted(made) == [False, True]  # F F and F F''; F' F' is not formed
+    assert got.to_text() == want.with_weight(got.weight).to_text()
+
+
+def test_leibniz_rewrite_skips_two_symbols_and_three_factors(t2_48, monkeypatch):
+    """D_p F D_q G with G != F, and a monomial of three factors, are
+    multiplied as they stand."""
+    g = theta_qexp(2, ThetaChar((1, 0), (0, 0)), 48) ** 2
+    two = _jet({(("F", ((1, 1),)), ("G", ((2, 2),))): 2,
+                (("F", ((1, 2),)), ("G", ((1, 2),))): -2})
+    three = _jet({(("F", ((1, 1),)), ("F", ((2, 2),)), ("F", ())): 5,
+                  (("F", ((1, 2),)), ("F", ((1, 2),)), ("F", ())): -5})
+    for p, bind, products in ((two, {"F": t2_48, "G": g}, 2), (three, {"F": t2_48}, 3)):
+        want = eval_per_monomial(p, bind)
+        made = _products(monkeypatch)
+        got = eval_jetpoly(p, bind)
+        assert made == [False] * products
+        assert got.to_text() == want.with_weight(got.weight).to_text()
+        monkeypatch.undo()
+
+
+def test_smf1_reader_messages_for_misplaced_keys(t2_48):
+    """A repeated key reads as a duplicate whether or not it follows its
+    twin, a smaller key as out of order, and an off-lattice key by the
+    invariant it breaks, at both genera."""
+    lines = t2_48.to_text().splitlines()
+    text = t2_48.to_text()
+    first = tuple(map(int, lines[8].split()[:-1]))
+    last = tuple(map(int, lines[-2].split()[:-1]))
+    cases = [(_replace(text, 9, lines[8]), "SMF1 line 10: duplicate exponent"),
+             (_replace(text, len(lines) - 1, lines[8]),
+              f"SMF1 line {len(lines)}: duplicate exponent"),
+             (_replace(text, len(lines) - 1, "0 0 0 1"),
+              f"SMF1 line {len(lines)}: term (0, 0, 0) comes after {last}; "
+              "the terms are sorted by exponent"),
+             (_replace(text, 8, "0 0 49 1"),
+              "SMF1 line 9: term (0, 0, 49) exceeds truncation 48"),
+             (_replace(text, 8, "0 -1 0 1"),
+              "SMF1 line 9: term (0, -1, 0) violates beta^2 <= 4*alpha*gamma"),
+             (_replace(text, 8, "0 0 -4 1"),
+              "SMF1 line 9: negative diagonal exponent in term (0, 0, -4)")]
+    assert first < last
+    one = QExp1({(0,): Fraction(1), (8,): Fraction(2), (16,): Fraction(3)},
+                Fraction(4), 16).to_text()
+    cases += [(_replace(one, 9, "8 3"), "SMF1 line 10: duplicate exponent"),
+              (_replace(one, 9, "0 3"), "SMF1 line 10: duplicate exponent"),
+              (_replace(one, 7, "-8 1"), "SMF1 line 8: negative diagonal exponent in term (-8,)"),
+              (_replace(one, 9, "24 3"), "SMF1 line 10: term (24,) exceeds truncation 16")]
+    for bad, msg in cases:
+        with pytest.raises(ValueError) as err:
+            qexp_from_text(bad)
+        assert str(err.value) == msg
+
+
+# -- SMF1 takes only what to_text writes -----------------------------------------
+
+
+def _strict_cases(text: str) -> list:
+    """(edited text, the 1-based line its error must name) for each kind of
+    spacing and line-end the writer never writes."""
+    lines = text.split("\n")[:-1]
+    term = len(lines) - 1  # the last term line
+
+    def edit(idx, line):
+        return "\n".join(lines[:idx] + [line] + lines[idx + 1:]) + "\n"
+
+    return [(edit(4, " " + lines[4]), 5),  # ' trunc 16'
+            (edit(5, "\t" + lines[5]), 6),  # '\ttaupow 0'
+            (edit(2, lines[2].replace(" ", "\t")), 3),
+            (edit(term, lines[term].replace(" ", "\t", 1)), term + 1),
+            (edit(3, lines[3].replace(" ", "  ")), 4),
+            (edit(term, lines[term].replace(" ", "  ", 1)), term + 1),
+            (edit(1, lines[1] + " "), 2),
+            (edit(term, lines[term] + " "), term + 1),
+            (text[:-1], term + 1),  # no final newline
+            (text.replace("\n", "\r\n"), 1)]
+
+
+@pytest.mark.parametrize("genus", [1, 2])
+def test_smf1_takes_only_single_spaces_and_newlines(genus):
+    f = tnull_qexp(16) if genus == 2 else eis1_qexp(4, 24)
+    text = f.to_text()
+    assert qexp_from_text(text).to_text() == text
+    read = qexp2_from_text if genus == 2 else qexp1_from_text
+    for bad, line in _strict_cases(text):
+        for reader in (read, qexp_from_text):
+            with pytest.raises(ValueError, match=f"^SMF1 line {line}: "):
+                reader(bad)

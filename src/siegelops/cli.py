@@ -171,9 +171,10 @@ def cmd_opgen(args) -> int:
 
 
 def cmd_apply(args) -> int:
-    with open(args.operator) as fh:
+    # both files are read with their line ends as written
+    with open(args.operator, newline="") as fh:
         spec = opgen.opspec_from_text(fh.read())
-    with open(args.input, newline="") as fh:  # SMF1 line ends are read as written
+    with open(args.input, newline="") as fh:
         f = qexp_from_text(fh.read())
     print(f"# config: genus={spec.g} weight={_weight_text(spec.a)} trunc={f.trunc}")
     if f.genus != spec.g:

@@ -44,7 +44,9 @@ a = p/q (q^(g-1) C(m) is an integer) and integer polynomials in a in Q(a)
 (C(m) is an integer polynomial in k = 2a).  Each C(m) is computed once,
 the numerators of B(n) are multiplied by it in one pass, and the form is
 divided by the integer content.  spec.Q decodes a MultiPoly on first
-access; the OPSPEC1 writer and reader work on the packed keys directly.
+access.  The OPSPEC1 writer works on the packed keys directly.  A file is
+a function of its genus and weight, so the reader builds build_Q(g, a)
+again and compares the writer's lines with the text.
 
 Integer proof.  verify_pluriharmonic runs on integers, in one kernel shared
 with apply_D11, which packs and clears its MultiPoly argument first.  Let
@@ -77,17 +79,18 @@ evaluation changes nothing.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
-from .poly import (MultiPoly, _cleared, _nibble_sum, _packed_from_lines, _packed_poly,
-                   _packed_to_text, _packing, _t_split, coeff_R, index_set_N,
-                   index_set_Nprime, minor_coeff_R, r_var, x_var)
+from .poly import (MultiPoly, _cleared, _nibble_sum, _packed_lines, _packed_poly, _packing,
+                   _t_split, coeff_R, index_set_N, index_set_Nprime, minor_coeff_R, r_var,
+                   x_var)
 from .scalars import (RatFunc, _int_from_text, _line_reader, _pmul, _unpack, frac_from_text,
-                      frac_to_text, scalar_from_text, scalar_to_text)
+                      frac_to_text, scalar_to_text)
 
 SECOND_ORDER_FACTOR = 2
 
@@ -450,82 +453,90 @@ def xspace_oracle(g: int, k: int, p: MultiPoly) -> MultiPoly:
 
 NORMALIZATION_LINE = "normalization second-order-factor=2 leading-coefficient=1"
 
+_MAX_READ_GENUS = 5  # the largest genus whose operator file is read (its Q is built)
+
+
+def _opspec_lines(spec: OperatorSpec):
+    """The lines of the OPSPEC1 file of spec, without their newlines."""
+    yield "OPSPEC1"
+    yield f"genus {spec.g}"
+    yield f"mode {'symbolic' if spec.symbolic else 'numeric'}"
+    yield f"a {'a' if spec.symbolic else frac_to_text(spec.a)}"
+    yield NORMALIZATION_LINE
+    yield f"coeffs {len(spec.coeffs)}"
+    for n in sorted(spec.coeffs):
+        yield f"n={','.join(map(str, n))} | {scalar_to_text(spec.coeffs[n])}"
+    yield from _packed_lines(spec.g, spec.den, spec.nums)
+
 
 def opspec_to_text(spec: OperatorSpec) -> str:
-    lines = [
-        "OPSPEC1",
-        f"genus {spec.g}",
-        f"mode {'symbolic' if spec.symbolic else 'numeric'}",
-        f"a {'a' if spec.symbolic else frac_to_text(spec.a)}",
-        NORMALIZATION_LINE,
-        f"coeffs {len(spec.coeffs)}",
-    ]
-    for n in sorted(spec.coeffs):
-        lines.append(f"n={','.join(map(str, n))} | {scalar_to_text(spec.coeffs[n])}")
-    return "\n".join(lines) + "\n" + _packed_to_text(spec.g, spec.den, spec.nums)
+    return "\n".join(_opspec_lines(spec)) + "\n"
+
+
+def _found(text: str, pos: int) -> str:
+    """The line of text that starts at pos, as an error message shows it
+    (its first 200 characters: a file with no newline is one line)."""
+    if pos >= len(text):
+        return "end of file"
+    end = text.find("\n", pos)
+    line = text[pos:end] if end >= 0 else text[pos:]
+    shown = repr(line[:200]) + ("..." if len(line) > 200 else "")
+    return shown if end >= 0 else f"{shown} with no newline"
+
+
+def _match_lines(text: str, lines) -> None:
+    """Check that text is lines, each ended by a newline, and nothing more.
+    The lines are compared in place at a running offset, a batch of 1024
+    joined at a time, so no second text and no list of the lines of text
+    is made.  The first line that differs raises ValueError naming it, the
+    line expected and the line found."""
+    pos, idx, lines = 0, 1, iter(lines)  # idx: the number of the next line
+    while batch := list(itertools.islice(lines, 1024)):
+        chunk = "\n".join(batch) + "\n"
+        if not text.startswith(chunk, pos):
+            for want in batch:  # the first line that differs
+                if not text.startswith(want + "\n", pos):
+                    raise ValueError(f"OPSPEC1 line {idx}: expected {want!r}, "
+                                     f"found {_found(text, pos)}")
+                pos, idx = pos + len(want) + 1, idx + 1
+        pos, idx = pos + len(chunk), idx + len(batch)
+    if pos < len(text):
+        raise ValueError(f"OPSPEC1 line {idx}: expected end of file, found {_found(text, pos)}")
 
 
 def opspec_from_text(text: str) -> OperatorSpec:
     """Read an OPSPEC1 file; a malformed file raises ValueError naming its line.
 
-    A Q(a) coefficient, in the table or in the POLY1 body, may hold no
-    nonzero term of an exponent above g - 1: each C(m) is a polynomial of
-    degree g - 1 in a, so c(n)/C(1) and every coefficient of build_Q(g, a)
-    have numerator and denominator of degree at most g - 1 (the maxima are
-    1, 2, 3 and 4 at g = 2..5).  The bound is checked before a coefficient
-    list is built.  The returned spec holds the coefficient table checked
-    here, so reading spec.coeffs builds no second one."""
-    lines = text.splitlines()
-    fail, value = _line_reader(lines, "OPSPEC1")
-    if not lines or lines[0].strip() != "OPSPEC1":
-        fail(0, "not an OPSPEC1 block")
+    The file is a function of its genus and weight, so the reader takes
+    those from lines 2-4, builds build_Q(g, a), and checks that the text is
+    the writer's lines for that spec, byte for byte (_match_lines).  A
+    genus outside 2.._MAX_READ_GENUS, a mode other than symbolic and
+    numeric, and a weight that frac_from_text refuses or that violates
+    a >= g/2 are errors at their line, found before anything is built."""
+    if not text.startswith("OPSPEC1\n"):
+        raise ValueError(f"OPSPEC1 line 1: expected 'OPSPEC1', found {_found(text, 0)}")
+    end = -1
+    for _ in range(4):  # the end of the first four lines
+        end = text.find("\n", end + 1)
+        if end < 0:
+            end = len(text)
+            break
+    fail, value = _line_reader(text[:end].split("\n"), "OPSPEC1")
     g = value(1, "genus", _int_from_text)
-    if g < 2:
-        fail(1, f"genus must be >= 2, found {g}")
+    if not 2 <= g <= _MAX_READ_GENUS:
+        fail(1, f"genus must be 2..{_MAX_READ_GENUS}, found {g}")
     mode = value(2, "mode")
     if mode not in ("symbolic", "numeric"):
         fail(2, f"mode must be symbolic or numeric, found {mode!r}")
-    symbolic = mode == "symbolic"
-    if symbolic and value(3, "a") != "a":
-        fail(3, "a symbolic operator has the weight 'a'")
-    a = RatFunc.var() if symbolic else value(3, "a", frac_from_text)
-    if not symbolic and 2 * a < g:
-        fail(3, f"weight a={frac_to_text(a)} violates a >= g/2 = {frac_to_text(Fraction(g, 2))}")
-    if len(lines) < 5 or lines[4] != NORMALIZATION_LINE:
-        fail(4, f"expected {NORMALIZATION_LINE!r}")
-    ncoeffs = value(5, "coeffs", _int_from_text)
-    field_tag = "Qa" if symbolic else "Q"
-    table = _coefficient_table(g, a)
-    rows = []  # the n of each row, strictly increasing: the writer sorts them
-    idx = 6
-    while idx < len(lines) and lines[idx].startswith("n="):
-        head, _, val = lines[idx].partition("|")
-        try:
-            n = tuple(map(_int_from_text, head.strip()[2:].split(",")))
-            c = scalar_from_text(val.strip(), field_tag, g - 1)
-        except (ValueError, ZeroDivisionError) as exc:
-            fail(idx, f"cannot parse {lines[idx]!r} ({exc})")
-        if len(n) != g or sum(n) != g or min(n) < 0:
-            fail(idx, f"n={head.strip()[2:]} is not a multi-index of genus {g}")
-        if rows and n <= rows[-1]:
-            if n == rows[-1]:
-                fail(idx, f"duplicate coefficient n={head.strip()[2:]}")
-            fail(idx, f"n={head.strip()[2:]} comes after n={','.join(map(str, rows[-1]))}; "
-                      "the rows are sorted by n")
-        if n not in table or c != table[n]:
-            want = scalar_to_text(table[n]) if n in table else "0, which has no line"
-            fail(idx, f"n={head.strip()[2:]} has c(n)/C(1) = {want}, found {val.strip()}")
-        rows.append(n)
-        idx += 1
-    if len(rows) != ncoeffs:
-        fail(5, f"declares {ncoeffs} coefficients, found {len(rows)}")
-    for i, n in enumerate(table):  # rows are in table, in its order: the first gap
-        if i == len(rows) or rows[i] != n:
-            fail(6 + i, f"missing the line n={','.join(map(str, n))} | "
-                        f"{scalar_to_text(table[n])}")
-    body, den, nums = _packed_from_lines(lines, idx, "OPSPEC1", g)
-    if body != field_tag:
-        fail(idx, f"mode {mode} needs POLY1 field={field_tag}, found field={body}")
-    spec = OperatorSpec(g, a, den, nums)
-    spec.coeffs = table  # the cached property's value, checked above
+    if mode == "symbolic":
+        if value(3, "a") != "a":
+            fail(3, "a symbolic operator has the weight 'a'")
+        a = RatFunc.var()
+    else:
+        a = value(3, "a", frac_from_text)
+        if 2 * a < g:
+            fail(3, f"weight a={frac_to_text(a)} violates a >= g/2 = "
+                    f"{frac_to_text(Fraction(g, 2))}")
+    spec = build_Q(g, a)
+    _match_lines(text, _opspec_lines(spec))
     return spec

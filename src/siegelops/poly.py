@@ -37,15 +37,16 @@ the lowest 4g bits, where the t-block sits: the masked bits give n, and
 the rest of the key is the r-part of a term of B(n), kept packed.  The
 Leibniz pass builds the keys of each permutation by partial sums, one
 matrix row at a time.  _Packing holds the layout (at most _MAX_EXP per
-nibble), its decoder and encoder, and the POLY1 text of packed keys and
-its reader.  The operator Q of opgen.py and its integer D_{h;11} kernel use
-the same keys, as a cleared form: one denominator over integer numerators
+nibble), its decoder and encoder, and the POLY1 text of packed keys.
+The operator Q of opgen.py and its integer D_{h;11} kernel use the same
+keys, as a cleared form: one denominator over integer numerators
 (_packed_poly and _cleared convert between such a form and a MultiPoly).
-POLY1, the body of an OPSPEC1 file, has one writer and one reader, both on
-that form: _packed_to_text and _packed_from_lines.  The writer puts the
-terms in increasing order of their keys, the order of the ints themselves
-(exponent vectors compared from the last variable r_{g;gg} down), and the
-reader takes only that order, at one int comparison per line.
+POLY1, the body of an OPSPEC1 file, has one writer, _packed_lines, on that
+form, and no reader of its own: an OPSPEC1 file is a function of its genus
+and weight, and opgen.opspec_from_text reads one by building its operator
+and comparing the writer's lines with the text.  The writer puts the terms
+in increasing order of their keys, the order of the ints themselves
+(exponent vectors compared from the last variable r_{g;gg} down).
 
 Decoding is lazy: det_expand, minor_det_expand, coeff_R and minor_coeff_R
 decode packed keys to Monos only when called (the genus <= 4 callers of
@@ -69,8 +70,8 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache, partial
 
-from .scalars import (RatFunc, _accumulate, _binpow, _int_from_text, _line_reader, _Memo,
-                      _pdivmod, _pgcd, _pmul, scalar_from_text, scalar_to_text)
+from .scalars import (RatFunc, _accumulate, _binpow, _Memo, _pdivmod, _pgcd, _pmul,
+                      scalar_to_text)
 
 VarId = tuple
 Mono = tuple  # tuple of (VarId, exponent) pairs, sorted by _var_key
@@ -371,8 +372,8 @@ class _Packing:
     """The packed-int monomial layout of the module docstring, for genus g.
 
     names[p] is the variable of nibble p and unit[v] the int with a 1 in the
-    nibble of v, for every t_h and r_{h;ij} (i <= j) of genus g; bits is the
-    width of the layout.  A key is cut at a block boundary into two halves:
+    nibble of v, for every t_h and r_{h;ij} (i <= j) of genus g.  A key is
+    cut at a block boundary into two halves:
     the low half key & low holds the t-block and R_1 .. R_{g//2}, the high
     half key >> cut the other blocks.  term_lines writes keys in the order
     of the ints.  decode and term_lines look a key up by its two halves, in C-level maps, and build each distinct half once
@@ -390,7 +391,6 @@ class _Packing:
         self.g = g
         self.names = [v for names in blocks for v in names]
         self.unit = {v: 1 << 4 * p for p, v in enumerate(self.names)}
-        self.bits = 4 * len(self.names)
         first = g + g // 2 * len(pairs)  # the lowest nibble of the high half
         self.cut, self.low = 4 * first, (1 << 4 * first) - 1
         # per half, the (shift within the half, mask, memo) of each block: the
@@ -460,51 +460,6 @@ class _Packing:
                                  f"to a power up to {_MAX_EXP}")
             key += e * self.unit[v]
         return key
-
-    def reader(self):
-        """The POLY1 monomial reader onto packed keys: tokens 'var^e' (an
-        r-variable of genus g spelled as the writer does, r[h;i,j] with
-        i <= j, and 1 <= e <= _MAX_EXP), each variable at most once -> packed
-        key.
-
-        Each token's int is memoized and holds its exponent in the variable's
-        nibble plus one presence bit per variable above the layout and a
-        guard of bitlength(len(names)) + 1 bits.  A line of at most
-        len(names) tokens then sums without reaching the presence bits, and
-        its presence bits count one per token exactly when no variable
-        repeats, so no nibble carried.  Otherwise a variable is written
-        twice (more tokens than variables force a repeat), which the writer
-        never does, and the line is rejected.
-        """
-        top = self.bits + len(self.names).bit_length() + 1
-        low = (1 << self.bits) - 1
-        # 'r[h;i,j]', the writer's spelling (i <= j) -> the nibble of r_{h;ij}
-        position = {_var_to_text(v): p for p, v in enumerate(self.names) if v[0] == "r"}
-
-        def token(tok: str) -> int:
-            name, _, exp = tok.rpartition("^")
-            e = _int_from_text(exp)
-            if e < 1:
-                raise ValueError(f"exponent of {name} is not positive")
-            if name not in position:
-                raise ValueError(f"variable {name} is not allowed here")
-            if e > _MAX_EXP:
-                raise ValueError(f"exponent of {name} is {e}, above {_MAX_EXP}")
-            p = position[name]
-            return (e << 4 * p) + (1 << top + p)
-
-        tokens = _Memo(token)
-        most = len(self.names)
-
-        def monomial(toks: list) -> int:
-            full = sum(map(tokens.__getitem__, toks))
-            if len(toks) <= most and (full >> top).bit_count() == len(toks):
-                return full & low
-            seen = [(tokens[tok] >> top).bit_length() - 1 for tok in toks]
-            p = next(p for i, p in enumerate(seen) if p in seen[:i])
-            raise ValueError(f"variable {_var_to_text(self.names[p])} is written twice")
-
-        return monomial
 
 
 @lru_cache(maxsize=None)
@@ -667,11 +622,10 @@ def _var_to_text(v: VarId) -> str:
     return f"t[{v[1]}]" if v[0] == "t" else f"r[{v[1]};{v[2]},{v[3]}]"
 
 
-def _packed_to_text(g: int, den, nums: dict) -> str:
-    """The POLY1 block of the cleared packed form (den, nums) of _packed_poly:
-    header line, then the term lines of _Packing.term_lines, each distinct
-    numerator formatted once."""
-    packing = _packing(g)
+def _packed_lines(g: int, den, nums: dict) -> list:
+    """The lines of the POLY1 block of the cleared packed form (den, nums)
+    of _packed_poly, without their newlines: header line, then the term
+    lines of _Packing.term_lines, each distinct numerator formatted once."""
     if isinstance(den, tuple):
         field, coeff = "Qa", _Memo(lambda num: scalar_to_text(_coefficient(num, den)))
     else:
@@ -679,68 +633,5 @@ def _packed_to_text(g: int, den, nums: dict) -> str:
             d = math.gcd(num, den)
             return str(num // d) if d == den else f"{num // d}/{den // d}"
         field, coeff = "Q", _Memo(frac)
-    lines = [f"POLY1 field={field} terms={len(nums)}"]
-    lines += packing.term_lines(nums, coeff.__getitem__)
-    return "\n".join(lines) + "\n"
-
-
-def _packed_from_lines(lines: list, start: int, fmt: str, g: int) -> tuple[str, object, dict]:
-    """The POLY1 reader, the inverse of _packed_to_text: (field, den, nums),
-    the field tag and the cleared packed form of the block that begins at
-    lines[start], its monomials read by _Packing(g).reader.
-
-    No line may be blank, every coefficient must be a nonzero element of
-    the declared field spelled as the writer spells it (in Q(a), with no
-    nonzero term of an exponent above g - 1, the degree bound of
-    opgen.opspec_from_text), and every key must exceed the one before it,
-    the writer's order, which also rules out a repeated monomial; error
-    messages name the line (1-based within lines) and the format being
-    read (fmt).  Each distinct coefficient text is read once, and the
-    cleared form is made from the distinct coefficients (_cleared), then
-    spread over the keys."""
-    fail, _ = _line_reader(lines, fmt)
-    if start >= len(lines):
-        fail(start, "missing POLY1 header")
-    head = lines[start].split()
-    fields = dict(tok.split("=", 1) for tok in head[1:] if "=" in tok)
-    if not head or head[0] != "POLY1" or fields.get("field") not in ("Q", "Qa"):
-        fail(start, f"expected 'POLY1 field=Q|Qa terms=N', found {lines[start]!r}")
-    try:
-        declared = _int_from_text(fields["terms"])
-    except (KeyError, ValueError):
-        fail(start, f"missing or bad term count in {lines[start]!r}")
-    field = fields["field"]
-
-    values: dict = {}  # coefficient text -> its coefficient
-
-    def scalar(txt: str) -> str:
-        c = scalar_from_text(txt.strip(), field, g - 1)
-        if not c:
-            raise ValueError("zero coefficient")
-        values[txt] = c
-        return txt
-
-    scalars = _Memo(scalar)  # one str object per distinct coefficient text
-    monomial = _packing(g).reader()
-    terms: dict = {}  # packed key -> its coefficient text
-    last = -1
-    for idx in range(start + 1, len(lines)):
-        ln = lines[idx]
-        if not ln.strip():
-            fail(idx, "blank line")
-        coeff_txt, bar, vars_txt = ln.partition("|")
-        if not bar:
-            fail(idx, f"expected 'coeff | var^e ...', found {ln!r}")
-        try:
-            coeff_txt = scalars[coeff_txt]
-            m = monomial(vars_txt.split())
-        except (ValueError, IndexError, KeyError, ZeroDivisionError) as exc:
-            fail(idx, f"cannot parse {ln!r} ({exc})")
-        if m <= last:
-            fail(idx, "duplicate monomial" if m == last else "term out of order")
-        terms[m] = coeff_txt
-        last = m
-    if len(terms) != declared:
-        fail(start, f"declares {declared} terms, found {len(terms)}")
-    den, ints = _cleared(field, values)  # over the distinct coefficient texts
-    return field, den, dict(zip(terms, map(ints.__getitem__, terms.values())))
+    return [f"POLY1 field={field} terms={len(nums)}",
+            *_packing(g).term_lines(nums, coeff.__getitem__)]

@@ -586,7 +586,7 @@ def _smf1_from_text(text: str, cls):
     taupow = value(5, "taupow", _int_from_text)
     idx = 6
     character = 0
-    if genus > 1 and idx < len(lines) and lines[idx].startswith("character"):
+    if genus > 1:  # the writer writes the character line from genus 2 on
         character = value(idx, "character", _int_from_text)
         if character not in (0, 1):
             fail(idx, "character must be 0 or 1")

@@ -16,8 +16,9 @@ length check.
 Text format: a rational is ``p/q`` in lowest terms (``q`` omitted when 1);
 a RatFunc is ``num ; den``, each polynomial a ``+``-joined list of nonzero
 ``c*a^e`` terms, low degree first: ``-1*a^0+2*a^1 ; 1*a^0`` for 2a - 1.
-The file readers take a number only in this spelling (_number_from_text,
-scalar_from_text).
+The SMF1 reader takes a number only in this spelling (_number_from_text).
+An OPSPEC1 file is read by rebuilding its operator (opgen), so no Q(a)
+text is ever parsed.
 """
 
 from __future__ import annotations
@@ -370,35 +371,8 @@ def _poly_to_text(p: tuple) -> str:
     return "+".join(f"{frac_to_text(c)}*a^{e}" for e, c in enumerate(p) if c != 0)
 
 
-def _poly_from_text(s: str, degree: int | None = None) -> tuple:
-    """The coefficient tuple of a polynomial text; a nonzero term of an
-    exponent above degree (when given) is an error, raised before the
-    tuple is built, so a large exponent costs no time or memory."""
-    out: list = []
-    for term in s.split("+") if s.strip() != "0" else ():
-        c, _, e = term.partition("*a^")
-        k = int(e)
-        if k < 0:
-            raise ValueError(f"negative exponent in {term!r}")
-        c = Fraction(c)
-        if not c:
-            continue
-        if degree is not None and k > degree:
-            raise ValueError(f"exponent {k} in {term!r} exceeds the degree bound {degree}")
-        out += [Fraction(0)] * (k + 1 - len(out))
-        out[k] += c
-    return _ptrim(out)
-
-
 def ratfunc_to_text(f: RatFunc) -> str:
     return f"{_poly_to_text(f.num)} ; {_poly_to_text(f.den)}"
-
-
-def ratfunc_from_text(s: str, degree: int | None = None) -> RatFunc:
-    """num ; den, each read by _poly_from_text with the degree bound."""
-    num, _, den = s.partition(";")
-    return RatFunc(_poly_from_text(num, degree),
-                   _poly_from_text(den if den.strip() else "1*a^0", degree))
 
 
 def scalar_to_text(c) -> str:
@@ -406,22 +380,6 @@ def scalar_to_text(c) -> str:
     if isinstance(c, RatFunc):
         return ratfunc_to_text(c).replace(" ", "")
     return frac_to_text(c)
-
-
-def scalar_from_text(s: str, field: str, degree: int | None = None):
-    """Read a coefficient of the field tagged field, spelled exactly as
-    scalar_to_text writes it: "Q" takes only rational text and "Qa" only
-    ``num;den`` text, with no nonzero term of an exponent above degree
-    (when given).  A zero is left to the caller, whose format has no zero
-    coefficient."""
-    if (";" in s) != (field == "Qa"):
-        raise ValueError(f"{s!r} is not a coefficient of field {field}")
-    if field == "Q":
-        return frac_from_text(s)
-    c = ratfunc_from_text(s, degree)
-    if c and scalar_to_text(c) != s:
-        raise ValueError(f"{s!r} is not written as {scalar_to_text(c)!r}")
-    return c
 
 
 def _line_reader(lines: list, fmt: str):

@@ -214,7 +214,29 @@ def test_apply_on_truncated_operator_is_a_clean_error(tmp_path, capsys):
     code, err = run_cli_error(["apply", "--operator", str(op_file),
                                "--input", str(t_file)], capsys)
     assert code == 2
-    assert err == "error: OPSPEC1 line 10: declares 7 terms, found 6\n"
+    assert err == ("error: OPSPEC1 line 17: expected '-10/9 | r[2;1,1]^1 r[2;2,2]^1', "
+                   "found end of file\n")
+
+
+def test_apply_on_a_corrupted_operator_is_a_clean_error(tmp_path, capsys):
+    """A coefficient changed from 10/9 to 100/9 is an error at its line, and
+    so are the line ends and spaces the writer does not write: the operator
+    file is read with its line ends as written."""
+    op_file, t_file = _pipeline_files(tmp_path, capsys)
+    text = op_file.read_bytes()
+    for bad, error in (
+            (text.replace(b"10/9 | r[1;1,2]^2", b"100/9 | r[1;1,2]^2"),
+             "line 11: expected '10/9 | r[1;1,2]^2', found '100/9 | r[1;1,2]^2'"),
+            (text.replace(b"\n", b"\r\n"), "line 1: expected 'OPSPEC1', found 'OPSPEC1\\r'"),
+            (text[:-1], "line 17: expected '-10/9 | r[2;1,1]^1 r[2;2,2]^1', "
+                        "found '-10/9 | r[2;1,1]^1 r[2;2,2]^1' with no newline"),
+            (text.replace(b"a 5", b"a\t5"), "line 4: expected 'a 5', found 'a\\t5'"),
+            (text.replace(b"coeffs 3", b"coeffs 3 "),
+             "line 6: expected 'coeffs 3', found 'coeffs 3 '")):
+        op_file.write_bytes(bad)
+        code, err = run_cli_error(["apply", "--operator", str(op_file),
+                                   "--input", str(t_file)], capsys)
+        assert (code, err) == (2, f"error: OPSPEC1 {error}\n")
 
 
 def test_apply_on_truncated_input_is_a_clean_error(tmp_path, capsys):

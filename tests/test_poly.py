@@ -14,10 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from siegelops.jets import JetPoly
+from siegelops.opgen import build_Q, opspec_from_text, opspec_to_text, symbolic_weight
 from siegelops.poly import (MultiPoly, FieldMismatch, _cleared, _leibniz, _minor_rows,
-                            _packed_from_lines, _packed_poly, _packed_to_text, _packing,
-                            _t_split, coeff_R, det_expand, index_set_N, index_set_Nprime,
-                            minor_coeff_R, minor_det_expand, r_var, t_var)
+                            _packed_lines, _packed_poly, _packing, _t_split, coeff_R,
+                            det_expand, index_set_N, index_set_Nprime, minor_coeff_R,
+                            minor_det_expand, r_var, t_var)
 from siegelops.scalars import RatFunc, scalar_to_text
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -164,15 +165,17 @@ def test_qa_constant_has_a_ratfunc_coefficient():
     assert all(isinstance(c, RatFunc) for c in p.terms.values())
     assert all(isinstance(c, RatFunc) for c in (JetPoly.const(3, "Qa").terms.values()))
     assert _write(p).splitlines()[1:] == ["1*a^0;1*a^0 | ", "1*a^0;1*a^0 | r[1;1,1]^1"]
-    assert _read(_write(p)) == p
 
 
 def test_poly1_round_trip():
+    """A polynomial goes to its cleared packed form and back unchanged, and
+    the POLY1 text of that form is the reference writer's text of it."""
     p = (V(r_var(1, 1, 2)) * V(r_var(2, 2, 2)).scale(Fraction(-3, 7))
          + V(r_var(1, 1, 1)) ** 3 + MultiPoly.const(Fraction(5, 2)))
-    assert _read(_write(p)) == p
-    q = p.promote()
-    assert _read(_write(q)) == q
+    for q in (p, p.promote()):
+        encode = _packing(2).encode
+        assert _packed_poly(2, *_cleared(q.field, {encode(m): c for m, c in q.terms.items()})) == q
+        assert _write(q) == poly_to_text(q, 2)
 
 
 _vars = [r_var(1, 1, 1), r_var(1, 1, 2), r_var(2, 2, 2), t_var(1)]
@@ -221,7 +224,17 @@ def test_t_split_matches_t_coefficient(g):
                 assert minor_coeff_R(g, k, l, n) == minor.t_coefficient(n), (k, l, n)
 
 
-# -- POLY1: the packed writer and reader --------------------------------------
+# -- POLY1: the packed writer, and its lines in an OPSPEC1 file ----------------
+#
+# POLY1 has no reader of its own: opgen.opspec_from_text rebuilds the
+# operator of a file's genus and weight and compares the writer's lines
+# with the text.  So each POLY1 body the writer would not write is an
+# error at the first line that differs, naming the line expected and the
+# line found.
+
+
+def _packed_to_text(g, den, nums):
+    return "\n".join(_packed_lines(g, den, nums)) + "\n"
 
 
 def _write(p, g=2):
@@ -230,79 +243,90 @@ def _write(p, g=2):
     return _packed_to_text(g, *_cleared(p.field, {encode(m): c for m, c in p.terms.items()}))
 
 
-def _read(text, g=2):
-    _, den, nums = _packed_from_lines(text.splitlines(), 0, "POLY1", g)
-    return _packed_poly(g, den, nums)
+def _opspec_lines(symbolic=False):
+    """The lines of the genus-2 operator file at a = 5, or in Q(a)."""
+    return opspec_to_text(build_Q(2, symbolic_weight() if symbolic else Fraction(5))).splitlines()
 
 
-def _poly1_lines():
-    p = (V(r_var(1, 1, 2)) * V(r_var(2, 2, 2)).scale(Fraction(-3, 7))
-         + V(r_var(1, 1, 1)) ** 3 + MultiPoly.const(Fraction(5, 2)))
-    return _write(p).splitlines()
+def _rejected(lines, idx, found=None):
+    """The file of lines (each ended by a newline) is rejected at line
+    idx + 1: the error names the writer's line there and what was found
+    (lines[idx] when not given)."""
+    want = _opspec_lines(lines[2] == "mode symbolic")[idx]
+    found = repr(lines[idx]) if found is None else found
+    text = "".join(ln + "\n" for ln in lines)
+    with pytest.raises(ValueError) as err:
+        opspec_from_text(text)
+    assert str(err.value) == f"OPSPEC1 line {idx + 1}: expected {want!r}, found {found}"
+
+
+def _edited(idx, line, symbolic=False):
+    """The operator file's lines with line idx replaced by line."""
+    lines = _opspec_lines(symbolic)
+    return lines[:idx] + [line] + lines[idx + 1:]
 
 
 def test_poly1_rejects_truncated_block():
-    lines = _poly1_lines()
-    assert lines[0] == "POLY1 field=Q terms=3"
-    with pytest.raises(ValueError, match="POLY1 line 1: declares 3 terms, found 2"):
-        _read("\n".join(lines[:-1]))
+    lines = _opspec_lines()
+    assert lines[9] == "POLY1 field=Q terms=7" and len(lines) == 17
+    _rejected(lines[:-1], 16, "end of file")
 
 
 def test_poly1_rejects_duplicate_monomials():
-    lines = ["POLY1 field=Q terms=2", "1 | r[1;1,2]^1", "2 | r[1;1,2]^1"]
-    with pytest.raises(ValueError, match="POLY1 line 3: duplicate monomial"):
-        _read("\n".join(lines))
+    lines = _opspec_lines()
+    _rejected(lines[:11] + lines[10:], 11)
+    _rejected(_edited(9, "POLY1 field=Q terms=8")[:11] + lines[10:], 9)
 
 
 def test_poly1_rejects_a_blank_line():
     """The writer writes no blank line, so the reader takes none, also at
     the end of the block."""
-    for text, line in (("POLY1 field=Q terms=2\n1 | r[1;1,1]^1\n\n2 | r[1;2,2]^1\n", 3),
-                       ("POLY1 field=Q terms=1\n1 | r[1;1,1]^1\n  \n", 3)):
-        with pytest.raises(ValueError, match=f"POLY1 line {line}: blank line"):
-            _read(text)
+    lines = _opspec_lines()
+    _rejected(lines[:12] + [""] + lines[12:], 12)
+    for blank in ("", "  "):
+        with pytest.raises(ValueError, match=re.escape(f"OPSPEC1 line 18: expected end of file, "
+                                                       f"found {blank!r}")):
+            opspec_from_text("".join(ln + "\n" for ln in lines + [blank]))
 
 
 def test_poly1_rejects_the_swapped_spelling_of_an_r_variable():
     """The writer spells r_{h;ij} as r[h;i,j] with i <= j, and only so."""
-    assert _read("POLY1 field=Q terms=1\n1 | r[1;1,2]^1\n") == V(r_var(1, 1, 2))
-    with pytest.raises(ValueError, match=r"POLY1 line 2: .*variable r\[1;2,1\] is not allowed"):
-        _read("POLY1 field=Q terms=1\n1 | r[1;2,1]^1\n")
+    lines = _opspec_lines()
+    assert lines[10] == "10/9 | r[1;1,2]^2"
+    _rejected(_edited(10, "10/9 | r[1;2,1]^2"), 10)
 
 
 def test_poly1_rejects_bad_header():
-    lines = _poly1_lines()
-    for head in ("POLY1 field=Z terms=3", "POLY1 field=Q", "POLY2 field=Q terms=3"):
-        with pytest.raises(ValueError, match="POLY1 line 1: "):
-            _read("\n".join([head] + lines[1:]))
+    for head in ("POLY1 field=Z terms=7", "POLY1 field=Q", "POLY2 field=Q terms=7",
+                 "POLY1 field=Qa terms=7", "POLY1  field=Q terms=7"):
+        _rejected(_edited(9, head), 9)
 
 
 def test_poly1_rejects_malformed_term_lines():
-    head = "POLY1 field=Q terms=1"
-    for term in ("1 r[1;1,1]^1", "1 | r[1;1,1]^x", "1 | q[1]^1", "1/0 | t[1]^1"):
-        with pytest.raises(ValueError, match="POLY1 line 2: "):
-            _read(f"{head}\n{term}\n")
+    for term in ("10/9 r[1;1,2]^2", "10/9 | r[1;1,2]^x", "10/9 | q[1]^2", "10/0 | r[1;1,2]^2",
+                 "10/9 | r[1;1,2]^2 ", "10/9 |r[1;1,2]^2", "10/9\t| r[1;1,2]^2"):
+        _rejected(_edited(10, term), 10)
 
 
 def test_poly1_rejects_non_positive_exponents():
-    with pytest.raises(ValueError, match="POLY1 line 2: .*not positive"):
-        _read("POLY1 field=Q terms=1\n1 | t[1]^0\n")
+    for term in ("10/9 | r[1;1,2]^0", "10/9 | r[1;1,2]^-2", "10/9 | r[1;1,2]^2 r[1;1,1]^0"):
+        _rejected(_edited(10, term), 10)
 
 
-def test_poly1_reads_unsorted_variables_canonically():
-    p = _read("POLY1 field=Q terms=1\n3 | r[2;1,1]^2 r[1;2,2]^1\n")
-    assert p == (V(r_var(1, 2, 2)) * V(r_var(2, 1, 1)) ** 2).scale(Fraction(3))
+def test_poly1_rejects_unsorted_variables():
+    """The writer writes the variables of a monomial in the variable order,
+    so the same monomial with its variables in another order is an error."""
+    lines = _opspec_lines()
+    assert lines[12] == "1 | r[1;2,2]^1 r[2;1,1]^1"
+    _rejected(_edited(12, "1 | r[2;1,1]^1 r[1;2,2]^1"), 12)
 
 
 def test_poly1_rejects_coefficients_of_the_other_field():
-    """field=Q takes only rational text and field=Qa only 'num ; den' text,
-    which is all the writer writes."""
-    for text in ("POLY1 field=Q terms=1\n1*a^1;1*a^0 | r[1;1,1]^1\n",
-                 "POLY1 field=Q terms=2\n1 | r[1;1,2]^1\n1*a^0 ; 1*a^0 | r[1;1,1]^1\n",
-                 "POLY1 field=Qa terms=1\n3/2 | r[1;1,1]^1\n"):
-        line = len(text.splitlines())
-        with pytest.raises(ValueError, match=f"POLY1 line {line}: .*not a coefficient of field"):
-            _read(text)
+    """A numeric file takes only rational text and a symbolic one only
+    'num;den' text, which is all the writer writes."""
+    _rejected(_edited(12, "1*a^0;1*a^0 | r[1;2,2]^1 r[2;1,1]^1"), 12)
+    _rejected(_edited(12, "1 | r[1;2,2]^1 r[2;1,1]^1", symbolic=True), 12)
+    _rejected(_edited(9, "POLY1 field=Q terms=7", symbolic=True), 9)
 
 
 @pytest.mark.parametrize("g", [1, 2, 3, 4])
@@ -418,14 +442,11 @@ def test_packed_writer_writes_the_keys_in_increasing_order(g):
 def test_packed_reader_takes_only_increasing_keys():
     """The writer writes the keys in increasing order, so two swapped term
     lines, and a duplicate that is not next to its first copy, are errors
-    naming their line; the variables of one line may come in any order."""
-    ok = ["POLY1 field=Q terms=3", "1 | r[1;1,1]^1", "2 | r[1;2,2]^1 r[1;1,1]^1",
-          "3 | r[2;1,1]^1"]
-    assert len(_read("\n".join(ok)).terms) == 3
-    with pytest.raises(ValueError, match="POLY1 line 4: term out of order"):
-        _read("\n".join(ok[:2] + [ok[3], ok[2]]))
-    with pytest.raises(ValueError, match="POLY1 line 5: term out of order"):
-        _read("\n".join(["POLY1 field=Q terms=4"] + ok[1:] + ["4 | r[1;1,1]^1"]))
+    at the first line that differs."""
+    lines = _opspec_lines()
+    _rejected(lines[:11] + [lines[12], lines[11]] + lines[13:], 11)
+    _rejected(lines[:9] + ["POLY1 field=Q terms=8"] + lines[10:13] + [lines[10]] + lines[13:], 9)
+    _rejected(lines[:13] + [lines[10]] + lines[13:], 13)
 
 
 @pytest.mark.parametrize("field,line", [
@@ -436,15 +457,14 @@ def test_packed_reader_takes_only_increasing_keys():
 def test_poly1_reads_numbers_only_as_the_writer_spells_them(field, line):
     """A coefficient or exponent spelled otherwise than the writer spells
     its value is a line-numbered error, not a value written back another
-    way; so is such a term count."""
-    one = "1" if field == "Q" else "1*a^0;1*a^0"
-    good = f"{one} | r[1;2,2]^1"
-    head = f"POLY1 field={field} terms=2"
-    assert len(_read(f"{head}\n{one} | r[1;1,1]^1\n{good}\n").terms) == 2
-    with pytest.raises(ValueError, match="POLY1 line 3: cannot parse"):
-        _read(f"{head}\n{one} | r[1;1,1]^1\n{line}\n")
-    with pytest.raises(ValueError, match="POLY1 line 1: missing or bad term count"):
-        _read(f"POLY1 field={field} terms=02\n{one} | r[1;1,1]^1\n{good}\n")
+    way; so is such a term count.  Line 13 of both files is the term
+    1 r[1;2,2] r[2;1,1]."""
+    symbolic = field == "Qa"
+    lines = _opspec_lines(symbolic)
+    one = "1*a^0;1*a^0" if symbolic else "1"
+    assert lines[12] == f"{one} | r[1;2,2]^1 r[2;1,1]^1"
+    _rejected(_edited(12, f"{line} r[2;1,1]^1", symbolic), 12)
+    _rejected(_edited(9, f"POLY1 field={field} terms=07", symbolic), 9)
 
 
 @pytest.mark.parametrize("den,nums", [
@@ -485,18 +505,15 @@ def test_importing_the_package_leaves_every_cache_cold(tmp_path):
 
 @pytest.mark.parametrize("g", [2, 3])
 def test_packed_reader_round_trips_the_writer(g):
-    """Reading the packed text back onto packed keys gives the cleared form
-    that _cleared makes of the decoded polynomial."""
-    rng = random.Random(10 + g)
-    packing = _packing(g)
-    keys = _random_keys(rng, g, 200, first=g)
-    nums = {key: rng.choice([-5, -1, 1, 3]) for key in keys}
-    lines = _packed_to_text(g, 15, nums).splitlines()
-    field, den, back = _packed_from_lines(lines, 0, "POLY1", g)
-    p = _packed_poly(g, 15, nums)
-    assert field == "Q"
-    assert (den, back) == _cleared("Q", {packing.encode(m): c for m, c in p.terms.items()})
-    assert _packed_poly(g, den, back) == p
+    """Reading an operator file gives the cleared packed form that build_Q
+    made, in both fields, and the writer writes the file back byte for
+    byte."""
+    for a in (Fraction(g, 2), Fraction(7, 3), symbolic_weight()):
+        spec = build_Q(g, a)
+        text = opspec_to_text(spec)
+        back = opspec_from_text(text)
+        assert (back.g, back.a, back.den, back.nums) == (g, a, spec.den, spec.nums)
+        assert opspec_to_text(back) == text
 
 
 @pytest.mark.parametrize("term", [
@@ -507,11 +524,7 @@ def test_packed_reader_rejects_a_repeated_variable(term):
     """The writer writes each variable of a monomial once, so a variable
     written twice (r^1 r^2 for r^3), also in more tokens than the layout
     has variables, is a line-numbered error."""
-    var = term.split()[-1].rpartition("^")[0]
-    text = f"POLY1 field=Q terms=2\n1 | r[1;2,2]^1\n-2 | {term}\n"
-    with pytest.raises(ValueError, match=rf"POLY1 line 3: cannot parse .*\(variable "
-                                         rf"{re.escape(var)} is written twice\)"):
-        _read(text)
+    _rejected(_edited(11, f"-10/9 | {term}"), 11)
 
 
 @pytest.mark.parametrize("term,what", [
@@ -522,34 +535,23 @@ def test_packed_reader_rejects_a_repeated_variable(term):
     ("r[1;1,2]^2 " + " ".join(["r[1;1,2]^1"] * 13), "exponents of r[1;1,2] add up to 15"),
 ])
 def test_packed_reader_rejects_nibble_overflow(term, what):
-    """An exponent above 14, or exponents of one variable that add up past
-    14, is a line-numbered error: a packed nibble would carry into the next
-    variable.  Exponents are never added: a variable written twice is
-    rejected as such."""
-    var = term.split()[-1].rpartition("^")[0]
-    error = f"variable {var} is written twice" if what.startswith("exponents") else what
-    text = f"POLY1 field=Q terms=2\n1 | r[1;1,1]^1\n-2 | {term}\n"
-    with pytest.raises(ValueError, match=rf"POLY1 line 3: cannot parse .*\({re.escape(error)}\)"):
-        _read(text)
+    """A term whose packed key would overflow a nibble (what) is an error at
+    its line: its text is compared, never packed."""
+    _rejected(_edited(11, f"-10/9 | {term}"), 11)
 
 
 @pytest.mark.parametrize("var", ["t[1]", "x[1,1]", "r[3;1,1]", "r[1;1,3]"])
 def test_packed_reader_takes_only_the_r_variables_of_its_genus(var):
-    text = f"POLY1 field=Q terms=2\n1 | r[1;1,1]^1\n-2 | {var}^1\n"
-    with pytest.raises(ValueError, match=rf"POLY1 line 3: .*variable {re.escape(var)} is not allowed"):
-        _read(text)
+    _rejected(_edited(11, f"-10/9 | {var}^1 r[1;2,2]^1"), 11)
 
 
 def test_packed_reader_rejects_two_orderings_of_one_monomial():
-    text = "POLY1 field=Q terms=2\n1 | r[1;1,1]^1 r[2;1,2]^1\n2 | r[2;1,2]^1 r[1;1,1]^1\n"
-    with pytest.raises(ValueError, match="POLY1 line 3: duplicate monomial"):
-        _read(text)
+    lines = _opspec_lines()
+    assert lines[11] == "-10/9 | r[1;1,1]^1 r[1;2,2]^1"
+    _rejected(lines[:12] + ["-10/9 | r[1;2,2]^1 r[1;1,1]^1"] + lines[12:], 12)
 
 
 @pytest.mark.parametrize("coeff", ["0", "0*a^0;1*a^0"])
 def test_poly1_rejects_a_zero_coefficient(coeff):
-    field = "Qa" if ";" in coeff else "Q"
-    text = f"POLY1 field={field} terms=2\n1{'*a^0;1*a^0' if field == 'Qa' else ''} | " \
-        f"r[1;1,1]^1\n{coeff} | r[1;2,2]^1\n"
-    with pytest.raises(ValueError, match=r"POLY1 line 3: cannot parse .*\(zero coefficient"):
-        _read(text)
+    symbolic = ";" in coeff
+    _rejected(_edited(11, f"{coeff} | r[1;1,1]^1 r[1;2,2]^1", symbolic), 11)

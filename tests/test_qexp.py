@@ -269,7 +269,8 @@ def test_smf1_rejects_a_blank_line(t2_48):
 
 
 @pytest.mark.parametrize("idx,key", [(1, "genus"), (2, "weight"), (3, "scale"),
-                                     (4, "trunc"), (5, "taupow"), (7, "terms")])
+                                     (4, "trunc"), (5, "taupow"), (6, "character"),
+                                     (7, "terms")])
 def test_smf1_requires_every_header_line(t2_48, idx, key):
     with pytest.raises(ValueError, match=f"SMF1 line {idx + 1}: expected '{key} <value>'"):
         qexp2_from_text(_drop(t2_48.to_text(), idx))

@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from siegelops.scalars import (A, PoleError, RatFunc, _binpow, _padd, _pmul,
-                               ratfunc_from_text, ratfunc_to_text)
+from siegelops.scalars import A, PoleError, RatFunc, _binpow, _padd, _pmul
 
 
 def test_additive_inverse_cancels():
@@ -46,12 +45,6 @@ def test_division_by_zero():
 def test_monic_denominator():
     f = A / (2 * A - 1)
     assert f.den[-1] == 1
-
-
-def test_text_round_trip():
-    for f in [A, RatFunc(0), (3 * A ** 2 - A + 7) / (A ** 3 + 2),
-              RatFunc(Fraction(-5, 3))]:
-        assert ratfunc_from_text(ratfunc_to_text(f)) == f
 
 
 small_fracs = st.fractions(min_value=-5, max_value=5, max_denominator=6)

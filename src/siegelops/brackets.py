@@ -108,7 +108,7 @@ def eis1_qexp(weight: int, trunc: int = DEFAULT_TRUNC) -> QExp1:
     terms = {(0,): 1}
     for n in range(1, trunc // QExp1.scale + 1):
         terms[(n * QExp1.scale,)] = const * sigma_power_sum(power, n)
-    return QExp1._from_ints(terms, weight, trunc)
+    return QExp1(terms, weight, trunc)
 
 
 def delta1_qexp(trunc: int = DEFAULT_TRUNC) -> QExp1:

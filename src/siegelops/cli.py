@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import cache
 
 from . import brackets, opgen, slopes, theta
-from .jets import jet_apply
+from .jets import operator_jet
 from .qexp import eval_jetpoly, qexp_from_text
 from .scalars import RatFunc, frac_to_text
 from .slopes import DivClass, make_class, render_table, slope as class_slope
@@ -184,8 +184,7 @@ def cmd_apply(args) -> int:
     if f.weight != spec.a:
         raise ValueError(f"operator weight a={spec.a} does not match the input "
                          f"weight {f.weight}")
-    jet = jet_apply(spec.Q, {h: "F" for h in range(1, spec.g + 1)}, spec.g)
-    result = eval_jetpoly(jet, {"F": f}).scale_coeff(Fraction(1, math.factorial(spec.g)))
+    result = eval_jetpoly(operator_jet(spec), {"F": f})
     print(f"# output weight: {frac_to_text(result.weight)}")
     if result.is_zero():
         print("# output is the zero expansion at this truncation")
@@ -211,8 +210,8 @@ def cmd_theta(args) -> int:
     if args.action == "qexp":
         f = theta.theta_qexp(c.g, c, args.trunc)
         _emit(f.to_text(), args.out)
-        if f.label:
-            print(f"# {f.label}")
+        if not c.is_even():
+            print("# identically zero (odd characteristic)")
         return 0
     tau = _parse_tau(_needed(args.tau, "--tau", "theta eval"))
     z = [complex(v) for v in (args.z.split(",") if args.z else [])] or None

@@ -19,12 +19,16 @@ that MultiPoly also uses; its monomial product is sorted concatenation.
 Every determinant here is a sum over poly._signed_pairings, the Leibniz
 generator that also expands the pencil determinants of poly.py and the
 bracket determinant of brackets.py.
+
+operator_jet is the one definition of the operator's action on a function:
+apply and the numeric D25T2 form of theta both evaluate it.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 
 from .poly import (MultiPoly, _cleared, _coefficients, _field_one, _signed_pairings,
                    _SparsePoly)
@@ -113,6 +117,15 @@ def jet_apply(q: MultiPoly, assignment: dict[int, str], g: int) -> JetPoly:
         sums = {m: sum(parts) for m, parts in sums.items()}
     coeff = _coefficients(den)
     return JetPoly._nonzero({m: coeff[s] for m, s in sums.items() if s}, q.field)
+
+
+def operator_jet(spec) -> JetPoly:
+    """The built operator's jet on one function F: jet_apply of spec.Q (an
+    opgen.OperatorSpec) with every slot bound to F, divided by g!.  cli apply
+    evaluates it on expansions, theta.form_operator_tnull on lattice sums."""
+    g = spec.g
+    jet = jet_apply(spec.Q, dict.fromkeys(range(1, g + 1), "F"), g)
+    return jet.scale(Fraction(1, math.factorial(g)))
 
 
 def _jet_leibniz(rows, cols, field: str, mono) -> JetPoly:

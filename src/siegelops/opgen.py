@@ -201,11 +201,15 @@ def _coefficient_table(g: int, a) -> dict:
     return {n: ratio(C[m], C[1]) for n in index_set_N(g) if (m := _stratum(n))}
 
 
+_MAX_GENUS = 5  # the largest genus whose Q is built and whose operator file is read
+
+
 def build_Q(g: int, a) -> OperatorSpec:
     """Assemble the normalized operator polynomial for genus g and weight a,
-    on packed keys (module docstring)."""
-    if g < 2:
-        raise ValueError("genus must be >= 2")
+    on packed keys (module docstring).  A genus outside 2.._MAX_GENUS is
+    refused before anything is built: the Leibniz pass grows like g! g^g."""
+    if not 2 <= g <= _MAX_GENUS:
+        raise ValueError(f"genus must be 2..{_MAX_GENUS}")
     a = _as_weight(a)
     symbolic = isinstance(a, RatFunc)
     if not symbolic and 2 * a < g:
@@ -453,9 +457,6 @@ def xspace_oracle(g: int, k: int, p: MultiPoly) -> MultiPoly:
 
 NORMALIZATION_LINE = "normalization second-order-factor=2 leading-coefficient=1"
 
-_MAX_READ_GENUS = 5  # the largest genus whose operator file is read (its Q is built)
-
-
 def _opspec_lines(spec: OperatorSpec):
     """The lines of the OPSPEC1 file of spec, without their newlines."""
     yield "OPSPEC1"
@@ -510,7 +511,7 @@ def opspec_from_text(text: str) -> OperatorSpec:
     The file is a function of its genus and weight, so the reader takes
     those from lines 2-4, builds build_Q(g, a), and checks that the text is
     the writer's lines for that spec, byte for byte (_match_lines).  A
-    genus outside 2.._MAX_READ_GENUS, a mode other than symbolic and
+    genus outside 2.._MAX_GENUS, a mode other than symbolic and
     numeric, and a weight that frac_from_text refuses or that violates
     a >= g/2 are errors at their line, found before anything is built."""
     if not text.startswith("OPSPEC1\n"):
@@ -523,8 +524,8 @@ def opspec_from_text(text: str) -> OperatorSpec:
             break
     fail, value = _line_reader(text[:end].split("\n"), "OPSPEC1")
     g = value(1, "genus", _int_from_text)
-    if not 2 <= g <= _MAX_READ_GENUS:
-        fail(1, f"genus must be 2..{_MAX_READ_GENUS}, found {g}")
+    if not 2 <= g <= _MAX_GENUS:
+        fail(1, f"genus must be 2..{_MAX_GENUS}, found {g}")
     mode = value(2, "mode")
     if mode not in ("symbolic", "numeric"):
         fail(2, f"mode must be symbolic or numeric, found {mode!r}")

@@ -259,14 +259,12 @@ class _Expansion:
     _den and _nums hold the coefficients in the canonical form of the module
     docstring, and terms is their {key: Fraction} view; every key's weight
     is at most trunc.  weight is the modular weight, tau_factor the number
-    of stripped powers of 2 pi i, character the sign-character flag and
-    label a note for the reader (set by the constructor; no operation
-    carries it on).  A subclass sets genus, which fixes the key layout, and
-    lists the shared methods in its own class body.
+    of stripped powers of 2 pi i and character the sign-character flag.  A
+    subclass sets genus, which fixes the key layout, and lists the shared
+    methods in its own class body.
     """
 
-    __slots__ = ("weight", "trunc", "_den", "_nums", "_terms", "tau_factor", "character",
-                 "label")
+    __slots__ = ("weight", "trunc", "_den", "_nums", "_terms", "tau_factor", "character")
 
     scale = SCALE
 
@@ -275,24 +273,25 @@ class _Expansion:
 
     def __init__(self, terms: dict | None = None, weight=Fraction(0),
                  trunc: int = DEFAULT_TRUNC, tau_factor: int = 0,
-                 character: bool = False, label: str = ""):
+                 character: bool = False):
+        """Int or Fraction coefficients (not bool); zeros are dropped."""
         terms = {k: v for k, v in (terms or {}).items() if v}
         shape, lattice = self._layout.shape_fault, self._layout.lattice(trunc)
         for k, c in terms.items():
             why = shape(k) or lattice(k)
             if why:
                 raise ValueError(why)
-            if not isinstance(c, Fraction):
+            if type(c) is not int and not isinstance(c, Fraction):
                 raise TypeError(f"coefficient {c!r} is not an exact rational")
         # reduced fractions over the lcm of their denominators are canonical
         den = lcm(*{c.denominator for c in terms.values()})
         self._set(den, {k: c.numerator * (den // c.denominator) for k, c in terms.items()},
-                  Fraction(weight), trunc, tau_factor, character, label)
+                  Fraction(weight), trunc, tau_factor, character)
 
-    def _set(self, den, nums, weight, trunc, tau_factor, character, label):
+    def _set(self, den, nums, weight, trunc, tau_factor, character):
         self._den, self._nums, self._terms = den, nums, None
         self.weight, self.trunc = weight, trunc
-        self.tau_factor, self.character, self.label = tau_factor, character, label
+        self.tau_factor, self.character = tau_factor, character
 
     @classmethod
     def _checked(cls, den: int, nums: dict, weight: Fraction, trunc: int, tau_factor: int,
@@ -301,22 +300,8 @@ class _Expansion:
         invariants (read and checked, or computed from checked operands): no
         second check."""
         out = cls.__new__(cls)
-        out._set(den, nums, weight, trunc, tau_factor, character, "")
+        out._set(den, nums, weight, trunc, tau_factor, character)
         return out
-
-    @classmethod
-    def _from_ints(cls, nums: dict, weight, trunc: int):
-        """An expansion of integer coefficients, each key checked as the
-        public constructor checks it; zero coefficients are dropped."""
-        nums = {k: v for k, v in nums.items() if v}
-        shape, lattice = cls._layout.shape_fault, cls._layout.lattice(trunc)
-        for k, v in nums.items():
-            why = shape(k) or lattice(k)
-            if why:
-                raise ValueError(why)
-            if type(v) is not int:
-                raise TypeError(f"coefficient {v!r} is not an int")
-        return cls._checked(1, nums, Fraction(weight), trunc, 0, False)
 
     @property
     def terms(self):

@@ -9,13 +9,15 @@ summand attached to n has scaled exponents
 
 and coefficient (-1)^(n . delta) i^(eps . delta), which is +-1 for even
 characteristics (asserted), so even theta constants have integer expansions.
-Odd theta constants vanish identically and are returned as flagged zeros.
+Odd theta constants vanish identically and are returned as zeros.
 
 The numeric side evaluates theta functions, their tau- and z-derivatives (up
 to second order, term by term), and harnesses for the heat equation, the
 modularity transformation law, and the nondegeneracy of the theta-null
 gradient on its zero locus.  Double precision with explicit tail bounds;
 nothing here is certified, tolerances are arguments with stated defaults.
+The numeric operator output is jets.operator_jet, the jet that apply
+evaluates exactly, read on the derivatives of the theta-null product.
 
 Every lattice sum goes through one batched numpy kernel, _lattice_sums.  A
 batch is a list of (characteristic, d_tau, d_z) requests at one (tau, z).
@@ -48,10 +50,10 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import isqrt
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
+from . import jets, opgen
 from .qexp import DEFAULT_TRUNC, QExp1, QExp2, product_balanced
 
 if TYPE_CHECKING:
@@ -118,9 +120,8 @@ def _phase(char: ThetaChar, n: tuple) -> int:
     return s * (-1) ** ((ed // 2) % 2)
 
 
-@lru_cache(maxsize=None)
 def theta_qexp(g: int, char: ThetaChar, trunc: int = DEFAULT_TRUNC):
-    """Exact expansion of a theta constant; flagged zero for odd characteristics."""
+    """Exact expansion of a theta constant; zero for odd characteristics."""
     if g not in (1, 2):
         raise ValueError("exact expansions are implemented for genus 1 and 2")
     if char.g != g:
@@ -128,7 +129,7 @@ def theta_qexp(g: int, char: ThetaChar, trunc: int = DEFAULT_TRUNC):
     half = Fraction(1, 2)
     cls = QExp1 if g == 1 else QExp2
     if not char.is_even():
-        return cls({}, half, trunc, label="identically zero (odd characteristic)")
+        return cls({}, half, trunc)
     terms: dict = {}
     bound = (isqrt(trunc) + 1) // 2  # every kept m = 2n + eps has |m| <= isqrt(trunc)
     for n in itertools.product(range(-bound, bound + 1), repeat=g):
@@ -137,7 +138,7 @@ def theta_qexp(g: int, char: ThetaChar, trunc: int = DEFAULT_TRUNC):
             continue
         key = tuple((2 if i < j else 1) * m[i] * m[j] for i in range(g) for j in range(i, g))
         terms[key] = terms.get(key, 0) + _phase(char, n)
-    return cls._from_ints(terms, half, trunc)
+    return cls(terms, half, trunc)
 
 
 def tnull_qexp(trunc: int = DEFAULT_TRUNC) -> QExp2:
@@ -370,53 +371,44 @@ def form_tnull(power: int = 1) -> NumericForm:
                               label=f"tnull^{power}")
 
 
-def _tnull_derivatives(tau: np.ndarray):
-    """Value, symmetrized gradient, symmetrized Hessian, and lattice box.
+def _splits(d: tuple) -> list:
+    """The product rule for a derivative tuple d: (left, right) for each
+    subset of its positions, left the pairs in the subset."""
+    return [(tuple(p for i, p in enumerate(d) if m >> i & 1),
+             tuple(p for i, p in enumerate(d) if not m >> i & 1)) for m in range(1 << len(d))]
 
-    Aggregated through first and second logarithmic derivatives of the theta
-    factors; valid away from the zero locus of every factor.  Every theta
-    value and derivative comes from one batch on one grid.
+
+def _tnull_derivatives(tau, derivs) -> tuple[dict, _Box]:
+    """The derivative of the theta-null product T for each tuple of derivs
+    (symmetrized, as a jet variable's), and the lattice box.
+
+    One batch asks each theta constant for the sub-tuples of derivs only;
+    the product rule folds the factors in one at a time, with no division.
     """
-    import numpy as np
-    chars = even_chars(2)
-    pairs = [(1, 1), (1, 2), (2, 2)]
-    sym = {p: 0.5 if p[0] != p[1] else 1.0 for p in pairs}
-    orders = [()] + [(p,) for p in pairs] + [(pa, pb) for pa in pairs for pb in pairs
-                                             if pa <= pb]
-    keys = [(c, d) for c in chars for d in orders]
-    values, box = _lattice_sums(2, tau, None, [(c, d, ()) for c, d in keys])
-    table = dict(zip(keys, values))
-    vals = {c: table[c, ()] for c in chars}
-    d1 = {(c, p): sym[p] * table[c, (p,)] for c in chars for p in pairs}
-    d2 = {(c, pa, pb): sym[pa] * sym[pb] * table[c, (pa, pb)]
-          for c in chars for pa, pb in orders[4:]}
-    T = np.prod([vals[c] for c in chars])
-    L = {p: sum(d1[c, p] / vals[c] for c in chars) for p in pairs}
-    grad = {p: T * L[p] for p in pairs}
-    hess = {}
-    for pa in pairs:
-        for pb in pairs:
-            if pa <= pb:
-                corr = sum(d2[c, pa, pb] / vals[c] - d1[c, pa] * d1[c, pb] / vals[c] ** 2
-                           for c in chars)
-                hess[pa, pb] = T * (L[pa] * L[pb] + corr)
-    return T, grad, hess, box
+    subs = sorted({left for d in derivs for left, _ in _splits(d)})
+    n = len(subs)
+    values, box = _lattice_sums(2, tau, None, [(c, d, ()) for c in even_chars(2) for d in subs])
+    # each theta constant's derivatives, with the factor (1 + delta_ij)/2 per pair
+    factors = [{d: v * 0.5 ** sum(i != j for i, j in d) for d, v in zip(subs, values[k:k + n])}
+               for k in range(0, len(values), n)]
+    rules = {d: _splits(d) for d in subs}
+    product = factors[0]
+    for f in factors[1:]:
+        product = {d: sum(product[left] * f[right] for left, right in rules[d]) for d in subs}
+    return {d: product[d] for d in derivs}, box
 
 
 def form_operator_tnull(a: int) -> NumericForm:
-    """The quadratic operator output on the theta-null product, weight 2a+2.
-
-    Evaluates det of the symmetrized gradient matrix plus the coefficient
-    (2a/(1-2a)) times T times the second-order determinant operator, i.e. the
-    degree-2 normalized operator attached to the genus-2 polynomial.
-    """
-    coeff = 2 * a / (1 - 2 * a)
+    """The operator output on the theta-null product T, weight 2a+2: the jet
+    jets.operator_jet of build_Q(2, a), which apply evaluates on expansions,
+    on the derivatives of T that _tnull_derivatives gives."""
+    jet = jets.operator_jet(opgen.build_Q(2, a))
+    terms = [(float(c), [d for _, d in mono]) for mono, c in jet.terms.items()]
+    derivs = {d for _, ds in terms for d in ds}
 
     def fn(tau):
-        T, grad, hess, box = _tnull_derivatives(tau)
-        det_grad = grad[(1, 1)] * grad[(2, 2)] - grad[(1, 2)] ** 2
-        det_op = hess[(1, 1), (2, 2)] - hess[(1, 2), (1, 2)]
-        return det_grad + coeff * T * det_op, box
+        values, box = _tnull_derivatives(tau, derivs)
+        return sum(c * math.prod(values[d] for d in ds) for c, ds in terms), box
 
     return NumericForm(2, 2 * a + 2, False, f"operator output (a={a})", fn)
 

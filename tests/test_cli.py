@@ -71,11 +71,15 @@ def test_theta_qexp_command(tmp_path, capsys):
 
 
 def test_theta_qexp_odd_characteristic_is_noted(capsys):
-    for genus, char in ((1, "1,1"), (2, "11,01")):
-        code, out = run_cli(["theta", "qexp", "--genus", str(genus), "--char", char,
+    """Each odd characteristic gets the note after its empty block, and an
+    even one does not."""
+    from siegelops.theta import all_chars
+    for c in all_chars(1) + all_chars(2):
+        code, out = run_cli(["theta", "qexp", "--genus", str(c.g), "--char", str(c),
                              "--trunc", "16"], capsys)
         assert code == 0
-        assert out.endswith("terms 0\n# identically zero (odd characteristic)\n")
+        noted = out.endswith("terms 0\n# identically zero (odd characteristic)\n")
+        assert noted == (not c.is_even()), str(c)
 
 
 def test_theta_eval_command(capsys):
@@ -194,6 +198,29 @@ def test_apply_output_is_pinned(tmp_path, capsys):
     assert code == 0
     assert hashlib.sha256(out_file.read_bytes()).hexdigest() == (
         "5a0d88dadd2a73b7eb2dfcbcc983cffd7e19345bbfb77d80e20ed2227e476113")
+
+
+def test_apply_scales_the_jet_before_evaluating_it(tmp_path, capsys):
+    """apply evaluates the operator's jet divided by g!; that gives the bytes
+    of the jet evaluated first and its output divided by g! after."""
+    from siegelops.jets import jet_apply
+    from siegelops.opgen import build_Q
+    from siegelops.qexp import eval_jetpoly
+    op_file, t_file = _pipeline_files(tmp_path, capsys)
+    out_file = tmp_path / "o.smf"
+    code, _ = run_cli(["apply", "--operator", str(op_file), "--input", str(t_file),
+                       "--out", str(out_file)], capsys)
+    assert code == 0
+    jet = jet_apply(build_Q(2, 5).Q, {1: "F", 2: "F"}, 2)
+    f = qexp_from_text(t_file.read_text())
+    want = eval_jetpoly(jet, {"F": f}).scale_coeff(Fraction(1, 2))
+    assert f.trunc == 48 and out_file.read_text() == want.to_text()
+
+
+def test_a_genus_above_5_exits_2_before_a_build(capsys):
+    for argv in (["opgen", "--genus", "7", "--weight", "4"],
+                 ["verify", "pluriharmonic", "--genus", "9", "--weight", "5"]):
+        assert run_cli_error(argv, capsys) == (2, "error: genus must be 2..5\n")
 
 
 def run_cli_error(args, capsys):

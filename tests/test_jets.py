@@ -7,7 +7,7 @@ import pytest
 from fractions import Fraction
 
 from siegelops.jets import (JetPoly, diffresult_expand, jet_apply, jet_det_operator,
-                            jet_det_partial, jet_diff, jet_mod_symbol, jet_var)
+                            jet_det_partial, jet_diff, jet_mod_symbol, jet_var, operator_jet)
 from siegelops.opgen import symbolic_weight
 from siegelops.poly import MultiPoly, coeff_R, index_set_N, r_var
 from siegelops.scalars import RatFunc
@@ -74,6 +74,16 @@ def test_printed_genus2_operator(spec2_symbolic):
                  * jet_det_operator("F", [1, 2], [1, 2], "Qa")).scale(
                      2 * (2 * a) / (1 - 2 * a)))
     assert got == expect
+
+
+def test_operator_jet_is_the_genus2_operator_over_2(spec2_symbolic):
+    """operator_jet divides the expansion by g!: det(dF) + (2a/(1-2a)) F (det d)F,
+    the form that apply and the numeric D25T2 check both evaluate."""
+    a = symbolic_weight()
+    expect = (jet_det_partial("F", 2, "Qa")
+              + (JetPoly.symbol("F", "Qa")
+                 * jet_det_operator("F", [1, 2], [1, 2], "Qa")).scale(2 * a / (1 - 2 * a)))
+    assert operator_jet(spec2_symbolic) == expect
 
 
 def test_printed_genus3_operator(spec3_symbolic):

@@ -554,6 +554,18 @@ def test_opspec_of_genus_above_5_is_refused_before_a_build(monkeypatch):
         assert str(err.value) == f"OPSPEC1 {error}"
 
 
+@pytest.mark.parametrize("g", [0, 1, 6, 7])
+def test_build_Q_refuses_a_genus_outside_2_to_5_before_a_build(g):
+    """The bound of the OPSPEC1 reader: a genus-6 Q would take about 2.6 GB
+    and its file could not be read back, and g = 7 would not finish.  The
+    refusal comes before the Leibniz pass fills the t-split cache."""
+    from siegelops import poly
+    before = poly._t_split.cache_info()
+    with pytest.raises(ValueError, match=r"^genus must be 2\.\.5$"):
+        build_Q(g, 3)
+    assert poly._t_split.cache_info() == before
+
+
 def test_opspec_error_shows_at_most_200_characters_of_a_line():
     """A file with no newline is one line; the error shows its start."""
     text = _opspec_lines()

@@ -54,6 +54,15 @@ def test_psd_invariant_enforced():
         QExp2({(10, 0, 10): Fraction(1)}, trunc=16)
 
 
+def test_constructor_takes_int_and_fraction_coefficients_only():
+    mixed = QExp2({(0, 0, 0): 3, (4, 0, 0): Fraction(1, 2), (0, 0, 4): 0}, trunc=16)
+    assert mixed.terms == {(0, 0, 0): Fraction(3), (4, 0, 0): Fraction(1, 2)}
+    assert QExp1({(8,): 2}, trunc=16) == QExp1({(8,): Fraction(2)}, trunc=16)
+    for bad in (True, 1.0, "1"):
+        with pytest.raises(TypeError, match="is not an exact rational"):
+            QExp2({(0, 0, 0): bad}, trunc=16)
+
+
 def test_fj_order_and_slices(t2_48):
     theta00 = theta_qexp(2, ThetaChar((0, 0), (0, 0)), 16)
     assert theta00.fj_order() == 0

@@ -5,7 +5,7 @@ registers only the options its code reads, with their defaults, so the
 parsed arguments are the run configuration; verify has one subcommand per
 check, each with the options of that check alone.  opgen, apply and each
 verify check print the settings they used as a '# config:' header ('-' for
-a check that reads none; the suite keeps the header it always printed).
+a check that reads none).
 Identical configurations produce byte-identical outputs (all serializers
 iterate in sorted order and all randomness is derived from the seed).  Exit
 status is the number of failed checks (0 = everything passed); bad input
@@ -191,11 +191,11 @@ def cmd_apply(args) -> int:
     else:
         b_in = f.fj_order()
         order = result.fj_order()
-        cls = DivClass(spec.g * spec.a + 2, spec.g * b_in, delta_lower_bound=True)
+        cls = slopes.class_operator_output(spec.g, make_class(spec.a, b_in))
         actual = DivClass(result.weight, order)
         print(f"# input boundary order: {frac_to_text(b_in)}")
         print(f"# output boundary order: {frac_to_text(order)} "
-              f"(lower bound {frac_to_text(spec.g * b_in)})")
+              f"(lower bound {frac_to_text(cls.delta)})")
         print(f"# output class: {actual}  slope: {frac_to_text(class_slope(actual))}"
               + ("" if actual.delta == cls.delta else "  [exceeds the generic bound]"))
     _emit(result.to_text(), args.out)
@@ -267,15 +267,13 @@ def _slope_report():
     row, the hyperelliptic thresholds and the genus-4 curve-side pullback."""
     print(render_table())
     print("operator-derived classes:")
-    for g, base in ((2, slopes.class_tnull(2)), (3, slopes.class_tnull(3)),
-                    (4, slopes.class_N0prime(4)), (5, slopes.class_N0prime(5)),
-                    (6, slopes.CITED_GENUS6_FORM_CLASS)):
+    for g, (base, _) in slopes.OPERATOR_BASES.items():
         out = slopes.class_operator_output(g, base)
         print(f"  g={g}: {base.label or base} -> {out}  "
               f"slope {class_slope(out)}  bound {slopes.moving_bound(g, base)}")
     print("\nhyperelliptic thresholds: "
           + ", ".join(f"g={g}: {slopes.hyperelliptic_bound(g)}" for g in (3, 4, 5, 6)))
-    pb = slopes.torelli_pullback(slopes.class_operator_output(4, slopes.class_N0prime(4)))
+    pb = slopes.torelli_pullback(slopes.class_operator_output(4, slopes.OPERATOR_BASES[4][0]))
     print(f"curve-side pullback at g=4: {pb.lam1}L1 - {pb.deltap}D'  "
           f"slope {pb.slope()}")
 
@@ -352,18 +350,9 @@ def _setting(args, dest: str) -> str:
     return f"{dest}={'-' if value is None else value}"
 
 
-# The suite reads no setting; its header is the one every check printed
-# before each took only its own options, kept so that its output stays
-# byte-identical.
-_SUITE_CONFIG = (f"genus=2 weight=- trunc=48 seed=0 tol-modularity={theta.TOL_MODULARITY:g} "
-                 f"tol-heat={theta.TOL_HEAT:g} tol-zero={theta.TOL_ZERO:g}")
-
-
 def cmd_verify(args) -> int:
     what = args.what
-    config = (_SUITE_CONFIG if what == "suite"
-              else " ".join(_setting(args, dest) for dest in args.settings) or "-")
-    print(f"# config: {config}")
+    print(f"# config: {' '.join(_setting(args, dest) for dest in args.settings) or '-'}")
     failures = 0
 
     if what == "pluriharmonic":

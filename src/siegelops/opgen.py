@@ -101,9 +101,16 @@ def symbolic_weight() -> RatFunc:
 
 
 def _as_weight(a):
-    if isinstance(a, RatFunc):
-        return a
-    return Fraction(a)
+    """a as a weight: the generator a of Q(a) itself, or a rational.  A
+    constant of Q(a) is its rational; any other element of Q(a) is refused,
+    since a weight is a number or the formal a, not a function of it."""
+    if not isinstance(a, RatFunc):
+        return Fraction(a)
+    if a.is_constant():
+        return a.eval_at(0)
+    if a != symbolic_weight():
+        raise ValueError(f"weight {a} is neither a rational nor the symbolic weight a")
+    return a
 
 
 def _constant_C_k(g: int, m: int) -> list:
@@ -375,8 +382,6 @@ def verify_harmonic_condition(g: int, a) -> bool:
     zero for every a.
     """
     a = _as_weight(a)
-    if isinstance(a, RatFunc) and a.is_constant():
-        a = a.num[0] if a.num else Fraction(0)
     C = [_constant_C_k(g, m) for m in range(1, g + 1)]
     if isinstance(a, RatFunc):
         kn, kd = 1 << ((2 * g - 1) * max(sum(map(abs, c)) for c in C)).bit_length() + 1, 1

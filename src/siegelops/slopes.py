@@ -83,11 +83,11 @@ def class_operator_output(g: int, c: DivClass) -> DivClass:
 
 
 def moving_bound(g: int, c: DivClass) -> Fraction:
-    """Moving-slope upper bound a/b + 2/(b g) from a class a*lambda - b*delta."""
-    _check_genus(g)
+    """Moving-slope upper bound a/b + 2/(b g) from a class a*lambda - b*delta:
+    the slope of its operator output class."""
     if c.delta <= 0:
         raise ValueError("the bound needs a boundary-vanishing class")
-    return c.lam / c.delta + Fraction(2) / (c.delta * g)
+    return slope(class_operator_output(g, c))
 
 
 def hyperelliptic_bound(g: int) -> Fraction:
@@ -134,7 +134,6 @@ class SlopeEntry:
     value: Fraction | None = None
     interval: tuple | None = None
     qualifier: str = ""  # "", "upper-bound", "conjectural-upper"
-    source: str = ""
 
     def render(self) -> str:
         if self.value is None and self.interval is None:
@@ -157,41 +156,26 @@ class TableRow:
     mov: SlopeEntry
 
 
+# genus -> (the class the operator is applied to, the qualifier of its bound)
+OPERATOR_BASES = {
+    2: (class_tnull(2), ""),
+    3: (class_tnull(3), ""),
+    4: (class_N0prime(4), ""),
+    5: (class_N0prime(5), "upper-bound"),
+    6: (CITED_GENUS6_FORM_CLASS, "conjectural-upper"),
+}
+
+
 def known_slopes_table() -> list[TableRow]:
-    """Effective/moving slope table for genus 1..6, cross-computed where possible."""
-    rows = []
-    rows.append(TableRow(1, SlopeEntry(CITED_GENUS1_EFF, source="cited"),
-                         SlopeEntry()))
-    t2 = class_tnull(2)
-    rows.append(TableRow(
-        2,
-        SlopeEntry(slope(t2), source="computed: theta-null class"),
-        SlopeEntry(slope(class_operator_output(2, t2)),
-                   source="computed: operator output on the theta-null class")))
-    t3 = class_tnull(3)
-    rows.append(TableRow(
-        3,
-        SlopeEntry(slope(t3), source="computed: theta-null class"),
-        SlopeEntry(moving_bound(3, t3),
-                   source="computed: operator bound on the theta-null class")))
-    i4 = class_N0prime(4)
-    rows.append(TableRow(
-        4,
-        SlopeEntry(slope(i4), source="computed: residual singular-theta class"),
-        SlopeEntry(moving_bound(4, i4), source="computed: operator bound")))
-    i5 = class_N0prime(5)
-    rows.append(TableRow(
-        5,
-        SlopeEntry(slope(i5), source="computed: residual singular-theta class"),
-        SlopeEntry(moving_bound(5, i5), qualifier="upper-bound",
-                   source="computed: operator bound")))
-    c6 = CITED_GENUS6_FORM_CLASS
-    rows.append(TableRow(
-        6,
-        SlopeEntry(interval=(CITED_GENUS6_EFF_LOWER, slope(c6)),
-                   source="cited interval; upper endpoint from the weight-14 class"),
-        SlopeEntry(moving_bound(6, c6), qualifier="conjectural-upper",
-                   source="computed bound, conditional on the cited class")))
+    """Effective/moving slope table for genus 1..6.  Genus 1 is cited; each
+    genus in OPERATOR_BASES has the slope of its base class as the effective
+    entry (the upper end of the cited interval at genus 6) and the operator
+    bound on that class as the moving entry."""
+    rows = [TableRow(1, SlopeEntry(CITED_GENUS1_EFF), SlopeEntry())]
+    for g, (base, qualifier) in OPERATOR_BASES.items():
+        eff = (SlopeEntry(interval=(CITED_GENUS6_EFF_LOWER, slope(base))) if g == 6
+               else SlopeEntry(slope(base)))
+        rows.append(TableRow(g, eff, SlopeEntry(moving_bound(g, base), qualifier=qualifier)))
     return rows
 
 

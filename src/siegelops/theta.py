@@ -16,8 +16,9 @@ to second order, term by term), and harnesses for the heat equation, the
 modularity transformation law, and the nondegeneracy of the theta-null
 gradient on its zero locus.  Double precision with explicit tail bounds;
 nothing here is certified, tolerances are arguments with stated defaults.
-The numeric operator output is jets.operator_jet, the jet that apply
-evaluates exactly, read on the derivatives of the theta-null product.
+Each numeric form is a jet on one function F read on the derivatives of
+the theta-null product T: T^p is the jet F^p, and the operator output is
+jets.operator_jet, the jet that apply evaluates exactly.
 
 Every lattice sum goes through one batched numpy kernel, _lattice_sums.  A
 batch is a list of (characteristic, d_tau, d_z) requests at one (tau, z).
@@ -109,6 +110,9 @@ def odd_chars(g: int) -> list[ThetaChar]:
     return [c for c in all_chars(g) if not c.is_even()]
 
 
+_EVEN2 = tuple(even_chars(2))  # the ten factors of the theta-null product
+
+
 # -- exact expansions ---------------------------------------------------------
 
 
@@ -146,14 +150,14 @@ def tnull_qexp(trunc: int = DEFAULT_TRUNC) -> QExp2:
 
     Carries a character flag: only its even powers transform without sign.
     """
-    forms = [theta_qexp(2, c, trunc) for c in even_chars(2)]
+    forms = [theta_qexp(2, c, trunc) for c in _EVEN2]
     return product_balanced(forms).with_character(True)
 
 
 def theta_pow8_sum(trunc: int = DEFAULT_TRUNC) -> QExp2:
     """Sum of the eighth powers of the even theta constants (weight 4)."""
     total = None
-    for c in even_chars(2):
+    for c in _EVEN2:
         f = theta_qexp(2, c, trunc) ** 8
         total = f if total is None else total + f
     return total
@@ -236,9 +240,10 @@ def _lattice_sums(g: int, tau, z, requests, tol: float = 1e-12,
 
     The grid is the box [-radius, radius]^g of n, with m = n + eps/2.  The
     exponential exp(pi i (m^T tau m + 2 m.z)) is computed once per point and
-    eps class; delta only multiplies a term by (-1)^(n.delta) i^(eps.delta),
-    and each requested derivative by its monomial in m, so a request is a real
-    weight vector and the whole class is summed in one matrix product.
+    eps class, and the sign vector (-1)^(n.delta) once per delta; delta only
+    multiplies a term by that sign and by i^(eps.delta), and each requested
+    derivative by its monomial in m, so a request is a real weight vector and
+    the whole class is summed in one matrix product.
     """
     import numpy as np
     tau = _as_matrix(tau)
@@ -268,6 +273,7 @@ def _lattice_sums(g: int, tau, z, requests, tol: float = 1e-12,
     n = np.stack(np.meshgrid(*[axis] * g, indexing="ij"), axis=-1).reshape(-1, g)
     upper = np.triu(tau) * (2.0 - np.eye(g))  # m^T tau m from the upper triangle
     pi_i = 1j * math.pi
+    signs = {d: 1.0 - 2.0 * ((n @ np.array(d)) % 2) for d in {c.delta for c, _, _ in requests}}
     out = np.empty(len(requests), dtype=complex)
     for eps in sorted({char.eps for char, _, _ in requests}):
         m = n + np.array(eps) / 2.0
@@ -276,7 +282,7 @@ def _lattice_sums(g: int, tau, z, requests, tol: float = 1e-12,
         weights = np.empty((len(rows), len(n)))
         for w, r in zip(weights, rows):
             char, d_tau, d_z = requests[r]
-            w[:] = 1 - 2 * ((n @ np.array(char.delta)) % 2)
+            w[:] = signs[char.delta]
             const = 1j ** (sum(e * d for e, d in zip(eps, char.delta)) % 4)
             for i, j in d_tau:
                 w *= m[:, i - 1] * m[:, j - 1]
@@ -332,7 +338,6 @@ def check_heat(g: int, char: ThetaChar, tau, z, tol: float = TOL_HEAT) -> HeatRe
 class NumericForm:
     """A numeric modular-form evaluator over theta-constant leaves."""
 
-    genus: int
     weight: int
     character: bool
     label: str
@@ -345,30 +350,6 @@ class NumericForm:
         """The value and the lattice box its theta sums used."""
         value, box = self.fn(_as_matrix(tau))
         return complex(value), box
-
-
-def form_theta_product(chars: list[ThetaChar], power: int = 1,
-                       character: bool = False, label: str = "") -> NumericForm:
-    g = chars[0].g
-    weight = Fraction(len(chars) * power, 2)
-    if weight.denominator != 1:
-        raise ValueError("half-integral weights are not supported numerically")
-
-    def fn(tau):
-        values, box = _lattice_sums(g, tau, None, [(c, (), ()) for c in chars])
-        out = 1.0 + 0j
-        for v in values:
-            out *= v ** power
-        return out, box
-
-    return NumericForm(g, int(weight), character,
-                       label or f"theta product^{power}", fn)
-
-
-def form_tnull(power: int = 1) -> NumericForm:
-    """T^power for the genus-2 theta-null product T (weight 5, character)."""
-    return form_theta_product(even_chars(2), power, character=power % 2 == 1,
-                              label=f"tnull^{power}")
 
 
 def _splits(d: tuple) -> list:
@@ -387,9 +368,10 @@ def _tnull_derivatives(tau, derivs) -> tuple[dict, _Box]:
     """
     subs = sorted({left for d in derivs for left, _ in _splits(d)})
     n = len(subs)
-    values, box = _lattice_sums(2, tau, None, [(c, d, ()) for c in even_chars(2) for d in subs])
+    values, box = _lattice_sums(2, tau, None, [(c, d, ()) for c in _EVEN2 for d in subs])
     # each theta constant's derivatives, with the factor (1 + delta_ij)/2 per pair
-    factors = [{d: v * 0.5 ** sum(i != j for i, j in d) for d, v in zip(subs, values[k:k + n])}
+    scale = [0.5 ** sum(i != j for i, j in d) for d in subs]
+    factors = [{d: c * v for d, c, v in zip(subs, scale, values[k:k + n])}
                for k in range(0, len(values), n)]
     rules = {d: _splits(d) for d in subs}
     product = factors[0]
@@ -398,11 +380,9 @@ def _tnull_derivatives(tau, derivs) -> tuple[dict, _Box]:
     return {d: product[d] for d in derivs}, box
 
 
-def form_operator_tnull(a: int) -> NumericForm:
-    """The operator output on the theta-null product T, weight 2a+2: the jet
-    jets.operator_jet of build_Q(2, a), which apply evaluates on expansions,
-    on the derivatives of T that _tnull_derivatives gives."""
-    jet = jets.operator_jet(opgen.build_Q(2, a))
+def _tnull_form(jet: jets.JetPoly, weight: int, character: bool, label: str) -> NumericForm:
+    """A jet on one function F read on the theta-null product T: each jet
+    variable is the derivative of T that _tnull_derivatives gives."""
     terms = [(float(c), [d for _, d in mono]) for mono, c in jet.terms.items()]
     derivs = {d for _, ds in terms for d in ds}
 
@@ -410,7 +390,21 @@ def form_operator_tnull(a: int) -> NumericForm:
         values, box = _tnull_derivatives(tau, derivs)
         return sum(c * math.prod(values[d] for d in ds) for c, ds in terms), box
 
-    return NumericForm(2, 2 * a + 2, False, f"operator output (a={a})", fn)
+    return NumericForm(weight, character, label, fn)
+
+
+def form_tnull(power: int = 1) -> NumericForm:
+    """T^power for the genus-2 theta-null product T (weight 5, character):
+    the jet F^power."""
+    return _tnull_form(jets.JetPoly.symbol("F") ** power, 5 * power, power % 2 == 1,
+                       f"tnull^{power}")
+
+
+def form_operator_tnull(a: int) -> NumericForm:
+    """The operator output on T, weight 2a+2: the jet jets.operator_jet of
+    build_Q(2, a), which apply evaluates on expansions."""
+    return _tnull_form(jets.operator_jet(opgen.build_Q(2, a)), 2 * a + 2, False,
+                       f"operator output (a={a})")
 
 
 def gamma_J(g: int):
@@ -516,10 +510,9 @@ def check_condition_star(tau, tol_zero: float = TOL_ZERO) -> ConditionReport:
     The gradient is the symmetrized, (1/(2 pi i))-normalized matrix.
     """
     tau = _as_matrix(tau)
-    chars = even_chars(2)
-    values, box = _lattice_sums(2, tau, None, [(c, (), ()) for c in chars])
-    vals = dict(zip(chars, values))
-    star = min(chars, key=lambda c: abs(vals[c]))
+    values, box = _lattice_sums(2, tau, None, [(c, (), ()) for c in _EVEN2])
+    vals = dict(zip(_EVEN2, values))
+    star = min(_EVEN2, key=lambda c: abs(vals[c]))
     scale = max(abs(v) for v in vals.values())
     if abs(vals[star]) > tol_zero * max(scale, 1.0):
         raise ValueError(
@@ -531,7 +524,7 @@ def check_condition_star(tau, tol_zero: float = TOL_ZERO) -> ConditionReport:
          for (i, j), v in zip(pairs, grads)}
     det_star = m[(1, 1)] * m[(2, 2)] - m[(1, 2)] ** 2
     rest = 1.0 + 0j
-    for c in chars:
+    for c in _EVEN2:
         if c != star:
             rest *= vals[c] ** 2
     return ConditionReport(det_star * rest, star, abs(vals[star]), *max(box, box1))

@@ -8,6 +8,8 @@ from fractions import Fraction
 
 from siegelops.cli import main
 from siegelops.qexp import qexp_from_text
+from siegelops.scalars import frac_to_text
+from siegelops.slopes import class_operator_output, make_class
 
 
 def run_cli(args, capsys):
@@ -49,6 +51,10 @@ def test_apply_pipeline(tmp_path, capsys):
     assert "slope: 12" in out
     result = qexp_from_text(out_file.read_text())
     assert result.weight == 12 and result.fj_order() == 1
+    # the printed lower bound is the boundary coefficient of the output class
+    b_in = qexp_from_text(t2_file.read_text()).fj_order()
+    bound = class_operator_output(2, make_class(5, b_in)).delta
+    assert f"(lower bound {frac_to_text(bound)})" in out
 
 
 def test_apply_rejects_weight_mismatch(tmp_path, capsys):
@@ -503,7 +509,7 @@ def test_verify_suite_runs_the_operator_sweep(capsys):
     code, out = run_cli(["verify", "suite"], capsys)
     lines = out.splitlines()
     assert code == 0
-    assert lines[0].startswith("# config: genus=2 weight=- trunc=48 seed=0")
+    assert lines[0] == "# config: -"
     assert lines[1:] == (
         [f"PASS  coefficient condition, genus {g} (symbolic)" for g in range(2, 7)]
         + [f"PASS  second-order verifier, genus {g} (symbolic)" for g in (2, 3, 4)]

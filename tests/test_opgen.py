@@ -245,6 +245,38 @@ def test_harmonic_condition_symbolic(g):
     assert verify_harmonic_condition(g, A)
 
 
+def test_harmonic_condition_fails_for_a_perturbed_constant(monkeypatch):
+    """Negative control: with 1 added to the constant term (in k) of one
+    C(m), the coefficient identity fails in Q(a) and at a = (g+3)/2, and at
+    g <= 4 the second-order verifier rejects the operator built from it."""
+    from siegelops import opgen
+    exact = opgen._constant_C_k
+    for g in range(2, 7):
+        for m in range(1, g + 1):
+            def bumped(gg, mm, m=m):
+                c = exact(gg, mm)
+                return [c[0] + 1] + c[1:] if mm == m else c
+            monkeypatch.setattr(opgen, "_constant_C_k", bumped)
+            assert not verify_harmonic_condition(g, A), (g, m)
+            assert not verify_harmonic_condition(g, Fraction(g + 3, 2)), (g, m)
+            if g <= 4:
+                assert not verify_pluriharmonic(build_Q(g, A)), (g, m)
+
+
+def test_a_weight_is_a_rational_or_the_symbolic_a():
+    """A constant of Q(a) is its rational; any other element of Q(a) is not
+    a weight, rather than being read as the generic Q(a)."""
+    for bad in (2 * A, A + 1, 1 / A):
+        with pytest.raises(ValueError, match="neither a rational nor the symbolic weight"):
+            build_Q(2, bad)
+        with pytest.raises(ValueError):
+            verify_harmonic_condition(2, bad)
+    const, rational = build_Q(2, RatFunc(3)), build_Q(2, 3)
+    assert (const.a, const.den, const.nums) == (rational.a, rational.den, rational.nums)
+    assert opspec_to_text(const) == opspec_to_text(rational)
+    assert verify_harmonic_condition(3, RatFunc(Fraction(7, 2)))
+
+
 @pytest.mark.parametrize("m,g", [(m, g) for g in (2, 3, 4, 5, 6)
                                  for m in range(2, g)])
 def test_stratum_identity(m, g):

@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from siegelops.slopes import (CITED_GENUS6_FORM_CLASS, DivClass, INF, class_N0prime,
-                              class_operator_output, class_tnull, hyperelliptic_bound,
-                              known_slopes_table, make_class, moving_bound,
-                              render_table, slope, torelli_pullback)
+from siegelops.cli import EXPECTED_TABLE
+from siegelops.slopes import (CITED_GENUS6_EFF_LOWER, CITED_GENUS6_FORM_CLASS, DivClass, INF,
+                              OPERATOR_BASES, class_N0prime, class_operator_output,
+                              class_tnull, hyperelliptic_bound, known_slopes_table,
+                              make_class, moving_bound, render_table, slope,
+                              torelli_pullback)
 
 
 def test_slope_examples():
@@ -119,7 +121,22 @@ def test_operator_slope_matches_moving_bound(a, b, g):
     """(g a + 2)/(g b) = a/b + 2/(b g): the slope of the flagged output class
     equals the bound whenever the order lower bound is attained."""
     c = make_class(a, b)
-    assert slope(class_operator_output(g, c)) == moving_bound(g, c)
+    assert moving_bound(g, c) == slope(class_operator_output(g, c)) == a / b + 2 / (b * g)
+
+
+def test_table_rows_come_from_the_operator_bases():
+    """Rows 2..6 are the base classes of OPERATOR_BASES: the slope of the
+    base (the top of the cited interval at genus 6), and the operator bound
+    on it with the table's qualifier; they render as the expected table."""
+    rows = {r.genus: r for r in known_slopes_table()}
+    assert sorted(OPERATOR_BASES) == [2, 3, 4, 5, 6] and sorted(rows) == [1, 2, 3, 4, 5, 6]
+    for g, (base, qualifier) in OPERATOR_BASES.items():
+        eff = rows[g].eff.interval or (None, rows[g].eff.value)
+        assert eff[1] == slope(base)
+        assert rows[g].mov.value == moving_bound(g, base)
+        assert rows[g].mov.qualifier == qualifier
+    assert rows[6].eff.interval == (CITED_GENUS6_EFF_LOWER, slope(CITED_GENUS6_FORM_CLASS))
+    assert {r.genus: (r.eff.render(), r.mov.render()) for r in rows.values()} == EXPECTED_TABLE
 
 
 def test_residual_equals_schottky_class_in_genus4():

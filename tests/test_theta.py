@@ -226,6 +226,33 @@ def test_operator_form_sums_six_theta_derivatives_per_characteristic(monkeypatch
         assert sorted(d for cc, d, dz in batches[0] if cc == c and dz == ()) == sorted(wanted)
 
 
+@pytest.mark.parametrize("power", [1, 2, 3])
+def test_tnull_power_is_the_product_of_the_ten_theta_values(power, monkeypatch):
+    """T^p, read as the jet F^p, is the p-th power of the product of the ten
+    even theta values, from one lattice batch of their ten values, at the
+    points of verify modularity."""
+    import random
+    from siegelops import theta
+    from siegelops.cli import _random_tau
+    rng = random.Random(0)
+    taus = [_random_tau(rng, 2) for _ in range(3)]
+    want = [math.prod(theta_numeric(2, c, tau) for c in even_chars(2)) ** power
+            for tau in taus]
+    batches = []
+
+    def counting(g, tau, z, requests, *args):
+        batches.append(list(requests))
+        return _lattice_sums(g, tau, z, requests, *args)
+
+    form = form_tnull(power)
+    monkeypatch.setattr(theta, "_lattice_sums", counting)
+    for tau, w in zip(taus, want):
+        batches.clear()
+        assert abs(form.eval(tau) - w) < 1e-13 * abs(w)
+        assert len(batches) == 1 and len(batches[0]) == 10
+    assert (form.weight, form.character) == (5 * power, power % 2 == 1)
+
+
 def test_condition_star_points():
     rep = check_condition_star([[1.1j, 0], [0, 1.7j]])
     assert abs(rep.det_value) > 1e-6

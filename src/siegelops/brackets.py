@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
+from math import isqrt
 from operator import mul
 
 from .jets import JetPoly, jet_diff
@@ -117,3 +118,16 @@ def delta1_qexp(trunc: int = DEFAULT_TRUNC) -> QExp1:
     e6 = eis1_qexp(6, trunc)
     diff = e4 ** 3 - e6 ** 2
     return diff.scale_coeff(Fraction(1, 1728))
+
+
+def eta_power_qexp(power: int, trunc: int = DEFAULT_TRUNC) -> QExp1:
+    """eta^power for a power divisible by 3, weight power/2, as (eta^3)^(power/3).
+
+    Jacobi's identity gives eta^3 = sum_{m > 0 odd} (-4/m) m q^(m^2/8), with
+    (-4/m) = +-1 as m = +-1 mod 4, so its keys (exponents scaled by 8) are the
+    odd squares; the powers of eta^3 are exact products of that expansion.
+    """
+    if power <= 0 or power % 3:
+        raise ValueError(f"eta^{power}: the power must be a positive multiple of 3")
+    terms = {(m * m,): m if m % 4 == 1 else -m for m in range(1, isqrt(trunc) + 1, 2)}
+    return QExp1(terms, Fraction(3, 2), trunc) ** (power // 3)

@@ -412,6 +412,19 @@ def cmd_verify(args) -> int:
         failures += _status(f"genus-1 vanishing at trunc {args.trunc}",
                             theta.schottky_qexp(1, args.trunc).is_zero())
 
+    elif what == "input-lift":
+        lift = theta.tnull_qexp(args.trunc)
+        product = theta.tnull_product(args.trunc)
+        print(f"# lift: {len(lift.terms)} terms; ten-theta product: "
+              f"{len(product.terms)} terms")
+        # the lift's gamma = 4 slice is its Jacobi form, -64 eta^9 theta
+        first = product.fj_slice(Fraction(1, 2))
+        failures += _status(f"first Fourier-Jacobi coefficient is -64 eta^9 theta "
+                            f"at trunc {args.trunc}", first == lift.fj_slice(Fraction(1, 2)),
+                            f"{len(first)} terms")
+        failures += _status(f"ten-theta product equals the lift at trunc {args.trunc}",
+                            product == lift)
+
     else:  # table
         for row in slopes.known_slopes_table():
             want = EXPECTED_TABLE[row.genus]
@@ -508,6 +521,8 @@ def build_parser() -> argparse.ArgumentParser:
     cp.add_argument("--tau")
     cp.add_argument("--tol-zero", dest="tol_zero", type=_tolerance, default=theta.TOL_ZERO)
     trunc_option(check("schottky-vanishing", "the degree-16 vanishing identity", "trunc"))
+    trunc_option(check("input-lift", "the ten-theta product against its lift, "
+                       "the form tnull writes", "trunc"))
     check("table", "the slope table against its expected rows")
 
     return p

@@ -70,7 +70,9 @@ monomials that share a factor are summed before that factor multiplies
 them.  The genus-2 operator, at every weight, is
 c1 F D F + c2 (F_11 F_22 - F_12^2) with D F = F_{11,22} - F_{12,12},
 which becomes c2/2 D (F F) + (c1 - c2) F D F, so it costs one square and
-one product, where the terms as they stand cost 3 products.
+one product, where the terms as they stand cost 3 products.  Each jet
+variable's derivative pairs are taken in one pass over its base expansion
+(F or F F), each term multiplied by the product of its pairs' key entries.
 """
 
 from __future__ import annotations
@@ -78,7 +80,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import add, itemgetter
 from types import MappingProxyType
 
@@ -92,15 +94,16 @@ DEFAULT_TRUNC = 48
 
 class _Layout:
     """Where each T_ij sits in a genus-g key: pairs lists the (i, j) of the
-    entries in key order, diag(key) gives the diagonal entries (their sum is
-    the weight), off holds (n, ii, jj) per off-diagonal entry n and its two
-    diagonal partners; the kernel packs along entry pack and groups by
-    rest(key), whose diagonal entries sit at rest_diag."""
+    entries in key order and at maps each (i, j) to its position, diag(key)
+    gives the diagonal entries (their sum is the weight), off holds
+    (n, ii, jj) per off-diagonal entry n and its two diagonal partners; the
+    kernel packs along entry pack and groups by rest(key), whose diagonal
+    entries sit at rest_diag."""
 
     def __init__(self, g: int):
         self.genus = g
         self.pairs = pairs = [(i, j) for i in range(1, g + 1) for j in range(i, g + 1)]
-        at = {p: n for n, p in enumerate(pairs)}
+        self.at = at = {p: n for n, p in enumerate(pairs)}
         self.off = [(at[i, j], at[i, i], at[j, j]) for i, j in pairs if i < j]
         self.pack = self.off[-1][0] if self.off else 0
         others = [n for n in range(len(pairs)) if n != self.pack]
@@ -381,7 +384,11 @@ class _Expansion:
         fa, fb = den // da, den // db
         out = {k: v * fa for k, v in self._cut(trunc).items()}
         for k, v in other._cut(trunc).items():
-            _accumulate(out, k, v * fb)
+            v = out.get(k, 0) + v * fb
+            if v:
+                out[k] = v
+            else:
+                del out[k]
         den, out = _reduced(den, out)
         return self._checked(den, out, self.weight, trunc, self.tau_factor, self.character)
 
@@ -425,14 +432,36 @@ class _Expansion:
         (the off-diagonal carries the symmetrization factor 1/2), and
         records one stripped power of 2 pi i.
         """
-        pair = (min(i, j), max(i, j))
-        pairs = self._layout.pairs
-        if pair not in pairs:
-            raise ValueError(f"index pair {pair} out of range for genus {self.genus}")
-        n = pairs.index(pair)
-        den = self._den * (SCALE if i == j else 2 * SCALE)
-        nums = {k: v * k[n] for k, v in self._nums.items() if k[n]}
-        return self._clone(*_reduced(den, nums), tau_factor=self.tau_factor + 1)
+        return self._diff(((i, j),))
+
+    def _diff(self, pairs: tuple):
+        """q_diff for each index pair of pairs in turn, in one pass: a term
+        is multiplied by the product of its pairs' factors at once."""
+        if not pairs:
+            return self
+        at = self._layout.at
+        den = self._den
+        idx = []
+        for i, j in pairs:
+            pair = (min(i, j), max(i, j))
+            n = at.get(pair)
+            if n is None:
+                raise ValueError(f"index pair {pair} out of range for genus {self.genus}")
+            idx.append(n)
+            den *= SCALE if i == j else 2 * SCALE
+        items = self._nums.items()
+        # one and two pairs (a jet variable's second derivative) index the key
+        # directly, which takes about half the time of prod per term
+        if len(idx) == 1:
+            n = idx[0]
+            nums = {k: v * k[n] for k, v in items if k[n]}
+        elif len(idx) == 2:
+            n, m = idx
+            nums = {k: v * w for k, v in items if (w := k[n] * k[m])}
+        else:
+            get = itemgetter(*idx)
+            nums = {k: v * w for k, v in items if (w := prod(get(k)))}
+        return self._clone(*_reduced(den, nums), tau_factor=self.tau_factor + len(idx))
 
     # -- boundary order and SMF1 text -------------------------------------------
 
@@ -645,11 +674,12 @@ def product_balanced(factors: list):
 def eval_jetpoly(p: JetPoly, bind: dict, weight=None):
     """Realize a jet polynomial on actual expansions.
 
-    Every symbol occurring in p must be bound to an expansion; derivative
-    pairs are applied through q_diff with per-prefix caching.  All monomials
-    must carry the same total symbol weight and the same derivative count;
-    the result weight follows the sum rule (symbol weights) + 2*order/genus
-    unless overridden.  An empty p gives the zero of the bound expansions'
+    Every symbol occurring in p must be bound to an expansion; the
+    derivative pairs of each jet variable are applied in one pass, as the
+    q_diff chain would, and each variable's expansion is made once.  All
+    monomials must carry the same total symbol weight and the same
+    derivative count; the result weight follows the sum rule (symbol
+    weights) + 2*order/genus unless overridden.  An empty p gives the zero of the bound expansions'
     class at their least truncation.
 
     Each monomial c D_p F D_q F (two factors of one symbol, one derivative
@@ -668,12 +698,13 @@ def eval_jetpoly(p: JetPoly, bind: dict, weight=None):
 
     def factor(key: tuple):
         """The expansion of a jet variable (symbol, derivative pairs), or of
-        (symbol, derivative pairs, 2), those derivatives of the symbol's square."""
+        (symbol, derivative pairs, 2), those derivatives of the symbol's
+        square; all the pairs of a variable are taken in one pass."""
         got = cache.get(key)
         if got is None:
             sym, derivs = key[:2]
             if derivs:
-                got = factor((sym, derivs[:-1], *key[2:])).q_diff(*derivs[-1])
+                got = factor((sym, (), *key[2:]))._diff(derivs)
             elif len(key) == 3:
                 f = factor((sym, ()))
                 got = f * f  # one object as both operands: the kernel's square path

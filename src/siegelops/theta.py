@@ -11,6 +11,14 @@ and coefficient (-1)^(n . delta) i^(eps . delta), which is +-1 for even
 characteristics (asserted), so even theta constants have integer expansions.
 Odd theta constants vanish identically and are returned as zeros.
 
+The theta-null product T of the ten even genus-2 theta constants is defined
+by that product, tnull_product, but tnull_qexp makes it with no product: T
+is Gritsenko's arithmetic lift of the Jacobi form -64 eta^9 theta
+(Gritsenko-Nikulin, Amer. J. Math. 119, 1997), whose eta^9 is a power of
+Jacobi's eta^3.  The ten-theta product is the lift's exact certificate
+(verify input-lift compares the two whole expansions); _arithmetic_lift is
+the lift at any weight and key step, Maass's lift at step 8.
+
 The numeric side evaluates theta functions, their tau- and z-derivatives (up
 to second order, term by term), and harnesses for the heat equation, the
 modularity transformation law, and the nondegeneracy of the theta-null
@@ -51,10 +59,11 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from functools import lru_cache
+from math import gcd, isqrt
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
-from . import jets, opgen
+from . import brackets, jets, opgen
 from .qexp import DEFAULT_TRUNC, QExp1, QExp2, product_balanced
 
 if TYPE_CHECKING:
@@ -145,13 +154,61 @@ def theta_qexp(g: int, char: ThetaChar, trunc: int = DEFAULT_TRUNC):
     return cls(terms, half, trunc)
 
 
-def tnull_qexp(trunc: int = DEFAULT_TRUNC) -> QExp2:
-    """The theta-null product: all 10 even genus-2 theta constants, weight 5.
+def tnull_product(trunc: int = DEFAULT_TRUNC) -> QExp2:
+    """The theta-null product as defined: the ten even genus-2 theta
+    constants multiplied out.  The certificate of tnull_qexp."""
+    return product_balanced([theta_qexp(2, c, trunc) for c in _EVEN2]).with_character(True)
 
+
+def _arithmetic_lift(phi: Callable[[int, int], int], weight: int, step: int, trunc: int,
+                     odd: bool = False) -> QExp2:
+    """The arithmetic lift of a Jacobi form with coefficients phi(n, l).
+
+    The term of key (step N, step L, step M), over N, M >= 1 and
+    L^2 <= 4 N M (N, L, M odd if odd is set) within the truncation, is
+
+        a(N, L, M) = sum_{d | gcd(N, L, M)} d^(weight - 1) phi(N M / d^2, L / d),
+
+    Gritsenko's lift with trivial character, which is Maass's at step 8.
+    """
+    if trunc < 0:
+        raise ValueError(f"negative truncation {trunc}")
+    stride = 2 if odd else 1
+    top = trunc // step  # N + M <= top
+    power = weight - 1
+    terms = {}
+    for N in range(1, top, stride):
+        for M in range(1, top - N + 1, stride):
+            r = isqrt(4 * N * M)
+            lo = 1 - r if odd and r % 2 == 0 else -r  # the least L of the stride
+            for L in range(lo, r + 1, stride):
+                g = gcd(N, L, M)
+                c = phi(N * M, L) if g == 1 else sum(
+                    d ** power * phi(N * M // (d * d), L // d)
+                    for d in range(1, g + 1) if g % d == 0)
+                if c:
+                    terms[(step * N, step * L, step * M)] = c
+    return QExp2(terms, Fraction(weight), trunc)
+
+
+def tnull_qexp(trunc: int = DEFAULT_TRUNC) -> QExp2:
+    """The theta-null product T of the ten even genus-2 theta constants,
+    weight 5, made as Gritsenko's lift of -64 eta^9 theta with
+    theta(tau, z) = sum_{l odd} (-4/l) q^(l^2/8) r^(l/2).
+
+    The Jacobi form's coefficient at q^(n/2) r^(l/2) is -64 (-4/l) times the
+    coefficient of eta^9 at q^((4n - l^2)/8), and the lift's keys are
+    (4N, 4L, 4M), N, L, M odd.  Equal to tnull_product, term for term.
     Carries a character flag: only its even powers transform without sign.
     """
-    forms = [theta_qexp(2, c, trunc) for c in _EVEN2]
-    return product_balanced(forms).with_character(True)
+    top = trunc // 4  # every key 4 N M - L^2 of eta^9 read is below (N + M)^2 <= top^2
+    eta9 = {k: int(c) for (k,), c in brackets.eta_power_qexp(9, top * top).terms.items()}
+
+    def phi(n: int, l: int) -> int:
+        c = eta9.get(4 * n - l * l, 0)
+        return -64 * c if l % 4 == 1 else 64 * c
+
+    return _arithmetic_lift(phi, 5, 4, trunc, odd=True).with_character(True)
 
 
 def theta_pow8_sum(trunc: int = DEFAULT_TRUNC) -> QExp2:
@@ -234,9 +291,20 @@ def _check_index(name: str, k, g: int) -> None:
         raise ValueError(f"{name} index {k!r} is outside 1..{g}")
 
 
+@lru_cache(maxsize=8)
+def _grid(g: int, radius: int) -> np.ndarray:
+    """The points n of the box [-radius, radius]^g, one row each, read-only."""
+    import numpy as np
+    axis = np.arange(-radius, radius + 1)
+    n = np.stack(np.meshgrid(*[axis] * g, indexing="ij"), axis=-1).reshape(-1, g)
+    n.flags.writeable = False
+    return n
+
+
 def _lattice_sums(g: int, tau, z, requests, tol: float = 1e-12,
                   radius: int | None = None) -> tuple[list[complex], _Box]:
     """Every (char, d_tau, d_z) request of a batch, summed on one shared grid.
+    This is where every numeric evaluation checks its tau, once.
 
     The grid is the box [-radius, radius]^g of n, with m = n + eps/2.  The
     exponential exp(pi i (m^T tau m + 2 m.z)) is computed once per point and
@@ -269,8 +337,7 @@ def _lattice_sums(g: int, tau, z, requests, tol: float = 1e-12,
         z_shift = float(np.abs(z.imag).max())
         orders = {(len(d_tau), len(d_z)) for _, d_tau, d_z in requests}
         radius = max(_pick_radius(lam_min, g, nt, nz, z_shift, tol) for nt, nz in orders)
-    axis = np.arange(-radius, radius + 1)
-    n = np.stack(np.meshgrid(*[axis] * g, indexing="ij"), axis=-1).reshape(-1, g)
+    n = _grid(g, radius)
     upper = np.triu(tau) * (2.0 - np.eye(g))  # m^T tau m from the upper triangle
     pi_i = 1j * math.pi
     signs = {d: 1.0 - 2.0 * ((n @ np.array(d)) % 2) for d in {c.delta for c, _, _ in requests}}
@@ -336,19 +403,20 @@ def check_heat(g: int, char: ThetaChar, tau, z, tol: float = TOL_HEAT) -> HeatRe
 
 @dataclass
 class NumericForm:
-    """A numeric modular-form evaluator over theta-constant leaves."""
+    """A numeric modular-form evaluator over theta-constant leaves: fn(tau)
+    gives the value and the box, and its lattice sums check tau."""
 
     weight: int
     character: bool
     label: str
-    fn: Callable[[np.ndarray], tuple[complex, _Box]]
+    fn: Callable[[object], tuple[complex, _Box]]
 
     def eval(self, tau) -> complex:
         return self.eval_box(tau)[0]
 
     def eval_box(self, tau) -> tuple[complex, _Box]:
         """The value and the lattice box its theta sums used."""
-        value, box = self.fn(_as_matrix(tau))
+        value, box = self.fn(tau)
         return complex(value), box
 
 
@@ -463,8 +531,7 @@ def check_modularity(form: NumericForm, gamma, tau,
     reported.  Points where |f(tau)| is negligible are flagged inconclusive.
     The reported box is the larger of the two evaluations' boxes.
     """
-    tau = _as_matrix(tau)
-    f0, box = form.eval_box(tau)
+    f0, box = form.eval_box(tau)  # its lattice sums check tau
 
     def report(rel_err, sign, inconclusive=False):
         return ModularityReport(rel_err, sign, inconclusive, f0, *box)
@@ -509,7 +576,6 @@ def check_condition_star(tau, tol_zero: float = TOL_ZERO) -> ConditionReport:
 
     The gradient is the symmetrized, (1/(2 pi i))-normalized matrix.
     """
-    tau = _as_matrix(tau)
     values, box = _lattice_sums(2, tau, None, [(c, (), ()) for c in _EVEN2])
     vals = dict(zip(_EVEN2, values))
     star = min(_EVEN2, key=lambda c: abs(vals[c]))

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from siegelops.brackets import (delta1_qexp, eis1_qexp, scalar_bracket_jet,
+from siegelops.brackets import (delta1_qexp, eis1_qexp, eta_power_qexp, scalar_bracket_jet,
                                 scalar_bracket_q, sigma_power_sum, vector_bracket_jet,
                                 vector_bracket_q, weight_symbol)
 from siegelops.jets import JetPoly, jet_det_partial, jet_mod_symbol
@@ -146,3 +146,18 @@ def test_vector_bracket_q_is_symmetric_matrix():
     m = vector_bracket_q(f, g_form)
     assert m[0][1].terms == m[1][0].terms
     assert m[0][0].weight == 4 + 10 + 1
+
+
+def test_eta_powers_from_jacobis_identity():
+    """eta^3 from Jacobi's identity, its powers, and eta^24 = Delta."""
+    e3 = eta_power_qexp(3, 81)
+    assert e3.terms == {(1,): 1, (9,): -3, (25,): 5, (49,): -7, (81,): 9}
+    assert e3.weight == Fraction(3, 2)
+    e9 = eta_power_qexp(9, 8 * 6 + 3)  # prod (1 - q^m)^9 = 1 - 9q + 27q^2 - 12q^3 - 90q^4 + ...
+    assert [e9.terms.get((3 + 8 * k,), 0) for k in range(6)] == [1, -9, 27, -12, -90, 135]
+    assert e9.weight == Fraction(9, 2)
+    delta = eta_power_qexp(24, 400)
+    assert delta == delta1_qexp(400)
+    for power in (0, 2, -3):
+        with pytest.raises(ValueError, match="positive multiple of 3"):
+            eta_power_qexp(power, 24)

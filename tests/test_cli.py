@@ -135,6 +135,37 @@ def test_verify_schottky(capsys):
     assert out.count("PASS") == 2
 
 
+def test_verify_input_lift(capsys):
+    """The ten-theta product certifies the lift that form tnull writes."""
+    code, out = run_cli(["verify", "input-lift", "--trunc", "200"], capsys)
+    assert code == 0
+    assert out.splitlines()[:2] == ["# config: trunc=200",
+                                    "# lift: 8750 terms; ten-theta product: 8750 terms"]
+    assert out.count("PASS") == 2 and "(238 terms)" in out and "# 0 failure(s)" in out
+
+
+def test_verify_input_lift_fails_on_a_perturbed_theta_constant(capsys, monkeypatch):
+    """Negative control: one coefficient of one theta constant changed before
+    the product makes both comparisons fail.  The term q^(1/2) r^(1/2) s^(1/8)
+    of theta[01,00] (coefficient 2, made 3) reaches the first Fourier-Jacobi
+    coefficient."""
+    from siegelops import theta
+    from siegelops.qexp import QExp2
+    exact = theta.theta_qexp
+    target = theta.ThetaChar((0, 1), (0, 0))
+
+    def perturbed(g, char, trunc=48):
+        f = exact(g, char, trunc)
+        if char != target:
+            return f
+        assert f.terms[4, 4, 1] == 2
+        return f + QExp2({(4, 4, 1): 1}, f.weight, trunc)
+
+    monkeypatch.setattr(theta, "theta_qexp", perturbed)
+    code, out = run_cli(["verify", "input-lift", "--trunc", "48"], capsys)
+    assert code == 2 and out.count("FAIL") == 2 and "# 2 failure(s)" in out
+
+
 def test_verify_cond_default_points(capsys):
     code, out = run_cli(["verify", "cond"], capsys)
     assert code == 0
@@ -430,6 +461,7 @@ VERIFY_OPTIONS = {
     "modularity": {"form", "seed", "tol-modularity"},
     "cond": {"tau", "tol-zero"},
     "schottky-vanishing": {"trunc"},
+    "input-lift": {"trunc"},
     "table": set(),
 }
 
@@ -451,7 +483,7 @@ def test_each_subcommand_takes_only_the_options_it_reads():
     assert found == OPTIONS
     checks = _options(_subparsers(_subparsers()["verify"]))
     assert checks == VERIFY_OPTIONS
-    assert sum(map(len, found.values())) + sum(map(len, checks.values())) == 37
+    assert sum(map(len, found.values())) + sum(map(len, checks.values())) == 38
 
 
 @pytest.mark.parametrize("argv", [
@@ -568,6 +600,7 @@ def test_opgen_needs_a_weight(capsys):
     ["form", "--name", "tnull", "--trunc", "-5"],
     ["theta", "qexp", "--char", "00,00", "--trunc", "-1"],
     ["verify", "schottky-vanishing", "--trunc", "-8"],
+    ["verify", "input-lift", "--trunc", "-3"],
     ["form", "--name", "eis4", "--trunc", "-8"],
     ["form", "--name", "eis4", "--trunc", "x"],
 ])

@@ -1,6 +1,7 @@
 """Tests for truncated expansions: ring laws, differentiation, boundary data."""
 
 import hashlib
+import itertools
 import math
 import re
 from fractions import Fraction
@@ -645,3 +646,60 @@ def test_smf1_takes_only_single_spaces_and_newlines(genus):
         for reader in (read, qexp_from_text):
             with pytest.raises(ValueError, match=f"^SMF1 line {line}: "):
                 reader(bad)
+
+
+@pytest.mark.parametrize("genus", [1, 2])
+def test_one_pass_derivatives_match_the_q_diff_chain(genus):
+    """_diff(pairs) equals q_diff applied pair by pair, for every sequence of
+    at most three pairs: the same normalization, tau_factor and dropped zeros."""
+    if genus == 2:
+        f = tnull_qexp(24).scale_coeff(Fraction(3, 7)).with_character(False) + QExp2(
+            {(0, 0, 0): 5, (8, 0, 0): Fraction(1, 3), (0, 0, 16): 2, (16, 0, 8): -1}, 5, 24)
+    else:
+        f = eis1_qexp(4, 24).scale_coeff(Fraction(1, 240)) + QExp1({(3,): Fraction(2, 9)}, 4, 24)
+    pairs = [(i, j) for i in range(1, genus + 1) for j in range(1, genus + 1)]
+    sequences = [seq for n in range(4) for seq in itertools.product(pairs, repeat=n)]
+    for seq in sequences:
+        chain = f
+        for p in seq:
+            chain = chain.q_diff(*p)
+        once = f._diff(seq)
+        assert once == chain and once.tau_factor == f.tau_factor + len(seq), seq
+        assert once.to_text() == chain.to_text()
+        assert all(once.terms.values())
+    with pytest.raises(ValueError, match="out of range"):
+        f._diff(((1, 1), (1, genus + 1)))
+
+
+def test_jet_variables_take_one_pass_each(t2_48, monkeypatch):
+    """The genus-2 operator's second derivatives of F and of F F are one
+    _diff call each, and no q_diff runs."""
+    from siegelops.jets import operator_jet
+    from siegelops.opgen import build_Q
+    calls = []
+    diff = QExp2._diff
+
+    def counting(self, pairs):
+        calls.append(tuple(pairs))
+        return diff(self, pairs)
+
+    monkeypatch.setattr(QExp2, "_diff", counting)
+    monkeypatch.setattr(QExp2, "q_diff", None)
+    eval_jetpoly(operator_jet(build_Q(2, Fraction(5))), {"F": t2_48})
+    assert sorted(calls) == sorted([((1, 1), (2, 2)), ((1, 2), (1, 2))] * 2)
+
+
+def test_sum_drops_cancelled_terms_and_stays_canonical():
+    f = QExp2({(8, 0, 8): Fraction(1, 6), (8, 4, 8): Fraction(1, 3), (16, 0, 8): 2}, 5, 24)
+    g = QExp2({(8, 0, 8): Fraction(-1, 6), (8, 4, 8): Fraction(1, 6),
+               (0, 0, 16): Fraction(1, 2)}, 5, 24)
+    total = f + g
+    assert total.terms == {(8, 4, 8): Fraction(1, 2), (16, 0, 8): 2, (0, 0, 16): Fraction(1, 2)}
+    assert (total._den, total._nums) == (2, {(8, 4, 8): 1, (16, 0, 8): 4, (0, 0, 16): 1})
+    assert total == QExp2(dict(total.terms), 5, 24)
+    zero = f + (-f)
+    assert zero.is_zero() and (zero._den, zero._nums) == (1, {}) and zero == QExp2.zero(5, 24)
+    half = QExp2({(8, 0, 8): Fraction(1, 2), (8, 4, 8): Fraction(-1, 2)}, 5, 24)
+    assert ((half + half)._den, (half + half)._nums) == (1, {(8, 0, 8): 1, (8, 4, 8): -1})
+    # every term within the shorter truncation cancels
+    assert f + (-f).truncate(16) == QExp2.zero(5, 16)

@@ -7,12 +7,15 @@ from fractions import Fraction
 
 import pytest
 
-from siegelops.theta import (ThetaChar, _as_matrix, _check_tau, _lattice_sums, _pick_radius,
-                             _tnull_derivatives, all_chars, char_from_text,
-                             check_condition_star, check_heat, check_modularity, even_chars,
-                             form_tnull, form_operator_tnull, gamma_J, gamma_translation,
-                             gamma_gl, odd_chars, schottky_qexp, symplectic_act, theta_numeric,
-                             theta_pow8_sum, theta_qexp, tnull_qexp)
+from siegelops import theta
+from siegelops.brackets import eta_power_qexp
+from siegelops.theta import (ThetaChar, _arithmetic_lift, _as_matrix, _check_tau, _grid,
+                             _lattice_sums, _pick_radius, _tnull_derivatives, all_chars,
+                             char_from_text, check_condition_star, check_heat,
+                             check_modularity, even_chars, form_tnull, form_operator_tnull,
+                             gamma_J, gamma_translation, gamma_gl, odd_chars, schottky_qexp,
+                             symplectic_act, theta_numeric, theta_pow8_sum, theta_qexp,
+                             tnull_product, tnull_qexp)
 
 
 def test_parity_examples():
@@ -456,3 +459,89 @@ def test_schottky_vanishes_at_120():
     """The genus-2 degree-16 identity one truncation deeper than the N = 80
     checks of the acceptance tests."""
     assert schottky_qexp(2, 120).is_zero()
+
+
+# -- the numeric kernel's fixed costs -----------------------------------------------
+
+
+def test_lattice_grid_is_built_once_and_read_only():
+    n = _grid(2, 3)
+    assert _grid(2, 3) is n and n.shape == (49, 2) and not n.flags.writeable
+    with pytest.raises(ValueError):
+        n[0, 0] = 5
+    assert sorted(map(tuple, n.tolist())) == sorted(itertools.product(range(-3, 4), repeat=2))
+
+
+def test_each_evaluation_checks_tau_once(monkeypatch):
+    """A form evaluation and a theta value run _as_matrix once, and a
+    transformation check once per evaluation and once for gamma tau."""
+    calls = []
+
+    def counting(tau):
+        calls.append(1)
+        return _as_matrix(tau)
+
+    monkeypatch.setattr(theta, "_as_matrix", counting)
+    tau = [[0.2 + 1.3j, 0.1 + 0.08j], [0.1 + 0.08j, -0.1 + 1.4j]]
+    for form in (form_tnull(2), form_operator_tnull(5)):
+        calls.clear()
+        form.eval(tau)
+        assert len(calls) == 1
+        calls.clear()
+        assert not check_modularity(form, gamma_J(2), tau).inconclusive
+        assert len(calls) == 3  # f(tau), gamma tau and f(gamma tau)
+    calls.clear()
+    theta_numeric(2, ThetaChar((0, 0), (0, 0)), tau, d_tau=((1, 2),))
+    assert len(calls) == 1
+
+
+# -- the theta-null product as Gritsenko's lift of -64 eta^9 theta ------------------
+
+
+def test_tnull_lift_equals_the_ten_theta_product():
+    """The lift, term for term, at every truncation 0..64 and at 200."""
+    for trunc in [*range(65), 200]:
+        lift = tnull_qexp(trunc)
+        assert lift == tnull_product(trunc), trunc
+        assert (lift.weight, lift.character, lift.trunc) == (5, True, trunc)
+    assert len(lift.terms) == 8750
+    for make in (tnull_qexp, tnull_product):
+        with pytest.raises(ValueError):
+            make(-1)
+
+
+@pytest.mark.slow
+def test_tnull_lift_equals_the_ten_theta_product_at_400():
+    lift = tnull_qexp(400)
+    assert len(lift.terms) == 67638 and lift == tnull_product(400)
+
+
+def test_first_fourier_jacobi_coefficient_is_minus_64_eta9_theta():
+    """The gamma = 4 slice of the product, against -64 eta^9 theta with
+    theta = sum_{l odd} (-4/l) q^(l^2/8) r^(l/2), multiplied out here."""
+    eta9 = eta_power_qexp(9, 120).terms
+    want = {}
+    for (k,), c in eta9.items():
+        for l in range(-11, 12, 2):
+            key = (k + l * l, 4 * l)  # q^(k/8 + l^2/8) r^(l/2), scaled by 8
+            if key[0] + 4 <= 120 and key[1] ** 2 <= 16 * key[0]:
+                want[key] = want.get(key, 0) - 64 * c * (1 if l % 4 == 1 else -1)
+    assert tnull_product(120).fj_slice(Fraction(1, 2)) == {k: c for k, c in want.items() if c}
+
+
+def test_the_lift_at_weight_10_is_the_square_of_the_theta_null_product():
+    """The lift over all (N, L, M), at weight 10 (d^9 in the divisor sum) and
+    key step 8: Lift(eta^18 theta^2) = T^2 / 4096, Igusa's chi_10 up to normalization."""
+    trunc = 64
+    e18 = {k: int(c) for (k,), c in eta_power_qexp(18, trunc * trunc // 8).terms.items()}
+
+    def phi(n, l):  # the coefficient of q^n r^l in eta^18 theta^2
+        r = math.isqrt(8 * n)
+        odd = [a for a in range(-r, r + 1) if a % 2]
+        return sum((1 if a % 4 == 1 else -1) * (1 if (2 * l - a) % 4 == 1 else -1)
+                   * e18.get(8 * n - a * a - (2 * l - a) ** 2, 0) for a in odd)
+
+    lift = _arithmetic_lift(phi, 10, 8, trunc)
+    square = tnull_qexp(trunc) ** 2
+    assert len(lift.terms) == 280
+    assert lift.scale_coeff(4096) == square.with_character(False)

@@ -449,18 +449,7 @@ class _Expansion:
                 raise ValueError(f"index pair {pair} out of range for genus {self.genus}")
             idx.append(n)
             den *= SCALE if i == j else 2 * SCALE
-        items = self._nums.items()
-        # one and two pairs (a jet variable's second derivative) index the key
-        # directly, which takes about half the time of prod per term
-        if len(idx) == 1:
-            n = idx[0]
-            nums = {k: v * k[n] for k, v in items if k[n]}
-        elif len(idx) == 2:
-            n, m = idx
-            nums = {k: v * w for k, v in items if (w := k[n] * k[m])}
-        else:
-            get = itemgetter(*idx)
-            nums = {k: v * w for k, v in items if (w := prod(get(k)))}
+        nums = {k: v * w for k, v in self._nums.items() if (w := prod(k[n] for n in idx))}
         return self._clone(*_reduced(den, nums), tau_factor=self.tau_factor + len(idx))
 
     # -- boundary order and SMF1 text -------------------------------------------

@@ -16,8 +16,10 @@ by that product, tnull_product, but tnull_qexp makes it with no product: T
 is Gritsenko's arithmetic lift of the Jacobi form -64 eta^9 theta
 (Gritsenko-Nikulin, Amer. J. Math. 119, 1997), whose eta^9 is a power of
 Jacobi's eta^3.  The ten-theta product is the lift's exact certificate
-(verify input-lift compares the two whole expansions); _arithmetic_lift is
-the lift at any weight and key step, Maass's lift at step 8.
+(verify input-lift compares the product's first Fourier-Jacobi coefficient
+with minus_64_eta9_theta, the Jacobi form multiplied out, and then the two
+whole expansions); _arithmetic_lift is the lift at any weight and key step,
+Maass's lift at step 8.
 
 The numeric side evaluates theta functions, their tau- and z-derivatives (up
 to second order, term by term), and harnesses for the heat equation, the
@@ -169,7 +171,9 @@ def _arithmetic_lift(phi: Callable[[int, int], int], weight: int, step: int, tru
 
         a(N, L, M) = sum_{d | gcd(N, L, M)} d^(weight - 1) phi(N M / d^2, L / d),
 
-    Gritsenko's lift with trivial character, which is Maass's at step 8.
+    Gritsenko's lift with trivial character.  tnull_qexp takes the odd
+    (N, L, M) at step 4; every (N, L, M), with odd unset, at step 8 is
+    Maass's lift, which a weight-12 check of the Maass relations would call.
     """
     if trunc < 0:
         raise ValueError(f"negative truncation {trunc}")
@@ -189,6 +193,22 @@ def _arithmetic_lift(phi: Callable[[int, int], int], weight: int, step: int, tru
                 if c:
                     terms[(step * N, step * L, step * M)] = c
     return QExp2(terms, Fraction(weight), trunc)
+
+
+def minus_64_eta9_theta(trunc: int = DEFAULT_TRUNC) -> dict:
+    """The Jacobi form -64 eta^9 theta, with
+    theta(tau, z) = sum_{l odd} (-4/l) q^(l^2/8) r^(l/2), multiplied out term
+    by term and keyed as the gamma = 4 slice of the theta-null product,
+    (alpha, beta) with alpha + 4 <= trunc: its first Fourier-Jacobi
+    coefficient."""
+    out: dict = {}
+    top = trunc - 4
+    for (k,), c in brackets.eta_power_qexp(9, max(top, 0)).terms.items():
+        for l in range(1, isqrt(top - k) + 1, 2):
+            for m in (l, -l):  # q^((k + m^2)/8) r^(m/2), scaled by 8
+                key = (k + m * m, 4 * m)
+                out[key] = out.get(key, 0) - 64 * int(c) * (1 if m % 4 == 1 else -1)
+    return {k: c for k, c in out.items() if c}
 
 
 def tnull_qexp(trunc: int = DEFAULT_TRUNC) -> QExp2:

@@ -13,9 +13,9 @@ from siegelops.theta import (ThetaChar, _arithmetic_lift, _as_matrix, _check_tau
                              _lattice_sums, _pick_radius, _tnull_derivatives, all_chars,
                              char_from_text, check_condition_star, check_heat,
                              check_modularity, even_chars, form_tnull, form_operator_tnull,
-                             gamma_J, gamma_translation, gamma_gl, odd_chars, schottky_qexp,
-                             symplectic_act, theta_numeric, theta_pow8_sum, theta_qexp,
-                             tnull_product, tnull_qexp)
+                             gamma_J, gamma_translation, gamma_gl, minus_64_eta9_theta,
+                             odd_chars, schottky_qexp, symplectic_act, theta_numeric,
+                             theta_pow8_sum, theta_qexp, tnull_product, tnull_qexp)
 
 
 def test_parity_examples():
@@ -517,16 +517,12 @@ def test_tnull_lift_equals_the_ten_theta_product_at_400():
 
 
 def test_first_fourier_jacobi_coefficient_is_minus_64_eta9_theta():
-    """The gamma = 4 slice of the product, against -64 eta^9 theta with
-    theta = sum_{l odd} (-4/l) q^(l^2/8) r^(l/2), multiplied out here."""
-    eta9 = eta_power_qexp(9, 120).terms
-    want = {}
-    for (k,), c in eta9.items():
-        for l in range(-11, 12, 2):
-            key = (k + l * l, 4 * l)  # q^(k/8 + l^2/8) r^(l/2), scaled by 8
-            if key[0] + 4 <= 120 and key[1] ** 2 <= 16 * key[0]:
-                want[key] = want.get(key, 0) - 64 * c * (1 if l % 4 == 1 else -1)
-    assert tnull_product(120).fj_slice(Fraction(1, 2)) == {k: c for k, c in want.items() if c}
+    """The gamma = 4 slice of the product, against -64 eta^9 theta multiplied
+    out, at truncations on both sides of its first term (alpha = 4)."""
+    for trunc in (0, 7, 8, 13, 120):
+        want = minus_64_eta9_theta(trunc)
+        assert tnull_product(trunc).fj_slice(Fraction(1, 2)) == want, trunc
+    assert len(want) == 110 and want[4, 4] == -64 and want[4, -4] == 64
 
 
 def test_the_lift_at_weight_10_is_the_square_of_the_theta_null_product():

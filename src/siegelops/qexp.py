@@ -62,12 +62,16 @@ general path, so S still bounds every digit.
 
 Jet polynomials are evaluated in two steps.  First, by the Leibniz rule,
 each monomial c D_p F D_q F of two factors of one symbol with one
-derivative pair each becomes c/2 D_p D_q (F F) - c F D_p D_q F; this is
-exact, since q_diff is a derivation and truncation a ring congruence.
-F F is made once as a square, and its derivatives come from the same
-factor cache as F's.  Then the monomials are evaluated factor first: the
-monomials that share a factor are summed before that factor multiplies
-them.  The genus-2 operator, at every weight, is
+derivative pair each becomes c/2 D_p D_q (F F) - c F D_p D_q F when
+another monomial has F itself as a factor; this is exact, since q_diff is
+a derivation and truncation a ring congruence.  F F is made once as a
+square, and its derivatives come from the same factor cache as F's.  With
+no F factor to share F D_p D_q F's product, the rewrite would cost a square
+and a product where the monomial costs one product (one square if p = q),
+so the monomial stays as it is.  Then the monomials are evaluated factor
+first: the monomials that share a factor are summed before that factor
+multiplies them, and a factor whose only cofactor is itself is squared.
+The genus-2 operator, at every weight, is
 c1 F D F + c2 (F_11 F_22 - F_12^2) with D F = F_{11,22} - F_{12,12},
 which becomes c2/2 D (F F) + (c1 - c2) F D F, so it costs one square and
 one product, where the terms as they stand cost 3 products.  Each jet
@@ -672,8 +676,9 @@ def eval_jetpoly(p: JetPoly, bind: dict, weight=None):
     class at their least truncation.
 
     Each monomial c D_p F D_q F (two factors of one symbol, one derivative
-    pair each) is rewritten by the Leibniz rule of the module docstring
-    before _sum_of_products sums the monomials.
+    pair each) is rewritten by the Leibniz rule of the module docstring,
+    when another monomial has the factor F, before _sum_of_products sums
+    the monomials.
     """
     if not p.terms:
         if weight is None:
@@ -705,6 +710,7 @@ def eval_jetpoly(p: JetPoly, bind: dict, weight=None):
         return got
 
     genus = next(iter(bind.values())).genus
+    bare = {sym for mono in p.terms for sym, d in mono if not d}  # the symbols F with F a factor
     monos: dict = {}
     sym_weight = None
     order = None
@@ -720,7 +726,7 @@ def eval_jetpoly(p: JetPoly, bind: dict, weight=None):
         elif (mw, morder) != (sym_weight, order):
             raise ValueError("jet polynomial is not weight/order homogeneous")
         (sym, dp), (other, dq) = mono[0], mono[-1]
-        if len(mono) == 2 and sym == other and len(dp) == len(dq) == 1:
+        if len(mono) == 2 and sym == other and len(dp) == len(dq) == 1 and sym in bare:
             # the Leibniz rule: c D_p F D_q F = c/2 D_p D_q (F F) - c F D_p D_q F
             pq = tuple(sorted(dp + dq))
             _accumulate(monos, ((sym, pq, 2),), Fraction(coeff) / 2)
@@ -755,7 +761,11 @@ def _sum_of_products(monos: list, factor):
                 i = xs.index(pivot)
                 inner.append((c, xs[:i] + xs[i + 1:]))
         f = factor(pivot)
-        parts = [f * _sum_of_products(inner, factor)] if inner else []
+        parts = []
+        if len(inner) == 1 and inner[0][1] == (pivot,):  # c f f alone: one square
+            parts.append((f * f).scale_coeff(inner[0][0]))
+        elif inner:
+            parts.append(f * _sum_of_products(inner, factor))
         if const is not None:
             parts.append(f.scale_coeff(const))
         for part in parts:

@@ -19,7 +19,9 @@ Jacobi's eta^3.  The ten-theta product is the lift's exact certificate
 (verify input-lift compares the product's first Fourier-Jacobi coefficient
 with minus_64_eta9_theta, the Jacobi form multiplied out, and then the two
 whole expansions); _arithmetic_lift is the lift at any weight and key step,
-Maass's lift at step 8.
+Maass's lift at step 8.  The degree-16 combination schottky_qexp sums the
+8th and 16th powers of the even theta constants from one theta constant per
+orbit of the translations tau -> tau + S.
 
 The numeric side evaluates theta functions, their tau- and z-derivatives (up
 to second order, term by term), and harnesses for the heat equation, the
@@ -66,7 +68,7 @@ from math import gcd, isqrt
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from . import brackets, jets, opgen
-from .qexp import DEFAULT_TRUNC, QExp1, QExp2, product_balanced
+from .qexp import DEFAULT_TRUNC, QExp1, QExp2, _reduced, product_balanced
 
 if TYPE_CHECKING:
     import numpy as np
@@ -231,31 +233,76 @@ def tnull_qexp(trunc: int = DEFAULT_TRUNC) -> QExp2:
     return _arithmetic_lift(phi, 5, 4, trunc, odd=True).with_character(True)
 
 
+# The translation orbits of the even characteristics, one row per
+# representative eps (with delta = 0): the orbit's size and the test of the
+# keys where every character of the orbit is 1 (schottky_qexp).  At genus 2
+# the orbit of eps = 01 is that of eps = 10 with alpha and gamma swapped.
+_ORBITS = {
+    1: (((0,), 2, lambda k: k[0] % 8 == 0),
+        ((1,), 1, lambda k: True)),
+    2: (((0, 0), 4, lambda k: k[0] % 8 == 0 == k[2] % 8),
+        ((1, 0), 2, lambda k: k[2] % 8 == 0),
+        ((1, 1), 2, lambda k: k[1] % 8 == 0)),
+}
+
+
+def _theta8_sums(g: int, trunc: int) -> tuple:
+    """(sum theta_m^8, sum theta_m^16) over the even characteristics m of
+    genus g, from the 8th power of one theta constant per translation orbit
+    (the identity is schottky_qexp's)."""
+    sum8 = sum16 = None
+    for eps, size, kernel in _ORBITS[g]:
+        e8 = theta_qexp(g, ThetaChar(eps, (0,) * g), trunc) ** 8
+        parts = []
+        for f in (e8, e8 * e8):
+            part = f._clone(*_reduced(f._den, {k: size * v for k, v in f._nums.items()
+                                              if kernel(k)}))
+            if eps == (1, 0):  # and the orbit of 01: alpha and gamma swapped
+                part = part + part._clone(part._den, {k[::-1]: v for k, v in part._nums.items()})
+            parts.append(part)
+        sum8, sum16 = parts if sum8 is None else (sum8 + parts[0], sum16 + parts[1])
+    return sum8, sum16
+
+
 def theta_pow8_sum(trunc: int = DEFAULT_TRUNC) -> QExp2:
     """Sum of the eighth powers of the even theta constants (weight 4)."""
-    total = None
-    for c in _EVEN2:
-        f = theta_qexp(2, c, trunc) ** 8
-        total = f if total is None else total + f
-    return total
+    return _theta8_sums(2, trunc)[0]
 
 
 def schottky_qexp(g: int, trunc: int = DEFAULT_TRUNC):
     """The degree-16 theta-constant combination of weight 8.
 
     Identically zero on the expansion lattice for g <= 2 (checked in tests at
-    two truncation depths).  With e_i the 8th powers, it is
-    2^-g sum e_i^2 - 2^-2g (sum e_i)^2: the square of the sum takes one
-    product, not the squares and every cross term e_i e_j.
+    several truncation depths).  With e_m = theta_m^8 over the even
+    characteristics m, it is 2^-g sum e_m^2 - 2^-2g (sum e_m)^2: the square
+    of the sum takes one product, not the squares and every cross term.
+
+    The sums come from one theta constant per orbit of the translations
+    tau -> tau + S (_ORBITS).  Within one eps, theta[eps, delta] is
+    theta[eps, 0] with the summand of n multiplied by (-1)^(n . delta) (the
+    factor i^(eps . delta) is +-1 and its 8th power 1).  In a product of 8
+    summands that sign is (-1)^(N . delta) with N the sum of the n, and N
+    mod 2 is read off the key K of the product: with m = 2n + eps, an even
+    m_i gives T_ii / 4 = sum n_i^2 = N_i mod 2, and at eps = 11,
+    beta / 4 = 2 sum n_1 n_2 + N_1 + N_2 + 4 = N_1 + N_2 mod 2.  So
+    theta[eps, delta]^8 = chi_delta theta[eps, 0]^8 with chi_delta(K) the
+    sign (-1)^((alpha delta_1 + gamma delta_2) / 4) at eps = 00,
+    (-1)^(gamma / 4) at eps = 10, (-1)^(alpha / 4) at eps = 01 and
+    (-1)^(beta / 4) at eps = 11 for the even delta != 0 (at genus 1,
+    (-1)^(n / 4) at eps = 0).  As chi_delta(K + K') = chi_delta(K)
+    chi_delta(K'), the 16th powers obey the same rule.  Summed over the
+    orbit's even delta, the characters give the orbit's size on the keys
+    where they are all 1 and 0 elsewhere: 4 [alpha = gamma = 0 mod 8] at
+    eps = 00, 2 [gamma = 0 mod 8] at 10, 2 [alpha = 0 mod 8] at 01,
+    2 [beta = 0 mod 8] at 11, and at genus 1, 2 [n = 0 mod 8] at eps = 0
+    and 1 at eps = 1.  theta[01, 00] is theta[10, 00] with m_1 and m_2, so
+    alpha and gamma, swapped.  Three representatives of four squarings each
+    and the square of the sum make 13 products at genus 2, where the ten
+    characteristics took 41; genus 1 takes 9 (13).
     """
     if g not in (1, 2):
         raise ValueError("expansions are implemented for genus 1 and 2")
-    e8 = [theta_qexp(g, c, trunc) ** 8 for c in even_chars(g)]
-    sum16 = e8[0] * e8[0]
-    sum8 = e8[0]
-    for f in e8[1:]:
-        sum16 = sum16 + f * f
-        sum8 = sum8 + f
+    sum8, sum16 = _theta8_sums(g, trunc)
     sumsq = sum8 * sum8
     return sum16.scale_coeff(Fraction(1, 2 ** g)) - sumsq.scale_coeff(Fraction(1, 2 ** (2 * g)))
 

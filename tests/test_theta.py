@@ -7,11 +7,11 @@ from fractions import Fraction
 
 import pytest
 
-from siegelops import theta
+from siegelops import qexp, theta
 from siegelops.brackets import eta_power_qexp
 from siegelops.theta import (ThetaChar, _arithmetic_lift, _as_matrix, _check_tau, _grid,
-                             _lattice_sums, _pick_radius, _tnull_derivatives, all_chars,
-                             char_from_text, check_condition_star, check_heat,
+                             _lattice_sums, _pick_radius, _theta8_sums, _tnull_derivatives,
+                             all_chars, char_from_text, check_condition_star, check_heat,
                              check_modularity, even_chars, form_tnull, form_operator_tnull,
                              gamma_J, gamma_translation, gamma_gl, minus_64_eta9_theta,
                              odd_chars, schottky_qexp, symplectic_act, theta_numeric,
@@ -88,18 +88,69 @@ def test_schottky_vanishes(g):
     assert schottky_qexp(g, 48).is_zero()
 
 
+def _direct_sums(g: int, trunc: int) -> tuple:
+    """(sum theta_m^8, sum theta_m^16) with every even characteristic's
+    powers multiplied out."""
+    e8 = [theta_qexp(g, c, trunc) ** 8 for c in even_chars(g)]
+    return sum(e8[1:], e8[0]), sum((f * f for f in e8[1:]), e8[0] * e8[0])
+
+
 def test_schottky_wrong_normalization_nonzero():
     """Dropping the 1/2^(2g) factor must break the vanishing (negative control)."""
     g = 2
-    e8 = [theta_qexp(g, c, 24) ** 8 for c in even_chars(g)]
-    sum16 = e8[0] * e8[0]
-    for f in e8[1:]:
-        sum16 = sum16 + f * f
-    sum8 = e8[0]
-    for f in e8[1:]:
-        sum8 = sum8 + f
+    sum8, sum16 = _direct_sums(g, 24)
     wrong = sum16.scale_coeff(Fraction(1, 2 ** g)) - sum8 * sum8
     assert not wrong.is_zero()
+
+
+@pytest.mark.parametrize("g,trunc", [(2, 48), (2, 80), (1, 48), (1, 400)])
+def test_orbit_sums_equal_the_direct_sums(g, trunc):
+    """Both power sums, not only J (zero on both sides), match the ten (or
+    three) characteristics multiplied out."""
+    assert _theta8_sums(g, trunc) == _direct_sums(g, trunc)
+
+
+@pytest.mark.parametrize("trunc", [48, 80])
+def test_theta_01_is_theta_10_swapped(trunc):
+    t10 = theta_qexp(2, ThetaChar((1, 0), (0, 0)), trunc)
+    t01 = theta_qexp(2, ThetaChar((0, 1), (0, 0)), trunc)
+    assert t01.terms == {(c, b, a): v for (a, b, c), v in t10.terms.items()}
+
+
+@pytest.mark.parametrize("g,trunc,products", [(2, 80, 13), (1, 400, 9)])
+def test_schottky_product_count(g, trunc, products, monkeypatch):
+    """Three (two) orbit representatives of four squarings each, and the
+    square of the sum: every product is a square."""
+    made = []
+
+    def counted(na, nb, n, mul=qexp._mul_terms):
+        made.append(na is nb)
+        return mul(na, nb, n)
+
+    monkeypatch.setattr(qexp, "_mul_terms", counted)
+    assert schottky_qexp(g, trunc).is_zero()
+    assert made == [True] * products
+
+
+def test_schottky_wrong_orbit_size_nonzero(monkeypatch):
+    """The orbit of eps = 00 counted twice, not four times (negative control)."""
+    (eps, _, kernel), *rest = theta._ORBITS[2]
+    monkeypatch.setitem(theta._ORBITS, 2, ((eps, 2, kernel), *rest))
+    assert not schottky_qexp(2, 48).is_zero()
+
+
+def test_schottky_changed_theta_coefficient_nonzero(monkeypatch):
+    """One coefficient of theta[11, 00] off by one (negative control)."""
+    def changed(g, char, trunc, orig=theta.theta_qexp):
+        f = orig(g, char, trunc)
+        if char != ThetaChar((1, 1), (0, 0)):
+            return f
+        terms = dict(f.terms)
+        terms[(1, 2, 1)] += 1
+        return type(f)(terms, f.weight, f.trunc)
+
+    monkeypatch.setattr(theta, "theta_qexp", changed)
+    assert not schottky_qexp(2, 48).is_zero()
 
 
 def test_theta_numeric_classical_value():
@@ -459,6 +510,10 @@ def test_schottky_vanishes_at_120():
     """The genus-2 degree-16 identity one truncation deeper than the N = 80
     checks of the acceptance tests."""
     assert schottky_qexp(2, 120).is_zero()
+
+
+def test_schottky_vanishes_at_160():
+    assert schottky_qexp(2, 160).is_zero()
 
 
 # -- the numeric kernel's fixed costs -----------------------------------------------

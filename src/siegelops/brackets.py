@@ -11,9 +11,12 @@ weights at once while every coefficient stays in plain Q.  Weight symbols
 are multiplied in only after differentiation (jet_diff differentiates every
 symbol it sees).
 
-On expansions the normalized derivative of qexp.py is used throughout; the
-stripped powers of 2 pi i sit in the tau_factor metadata and do not affect
-boundary orders or slopes.
+On expansions each entry of vector_bracket_jet, at the operands' weights,
+is evaluated by qexp.eval_jetpoly with the normalized derivative of qexp.py;
+the stripped powers of 2 pi i sit in the tau_factor metadata and do not
+affect boundary orders or slopes.  The scalar bracket is the determinant of
+those entries (8 products at genus 2, where the scalar jet takes 12).
+Delta is eta^24, a power of Jacobi's eta^3.
 """
 
 from __future__ import annotations
@@ -25,11 +28,7 @@ from operator import mul
 
 from .jets import JetPoly, jet_diff
 from .poly import _signed_pairings
-from .qexp import DEFAULT_TRUNC, QExp1
-
-WEIGHT_F = "k"
-WEIGHT_G = "h"
-WEIGHT_H = "ell"
+from .qexp import DEFAULT_TRUNC, QExp1, eval_jetpoly
 
 
 def weight_symbol(name: str) -> JetPoly:
@@ -78,15 +77,22 @@ def scalar_bracket_jet(f, k, g_form, h, genus: int) -> JetPoly:
 
 
 def vector_bracket_q(f, g_form) -> list[list]:
-    """The bracket matrix on expansions; weights are read from the operands."""
+    """The bracket matrix on expansions: each entry of vector_bracket_jet at
+    the operands' weights, evaluated by eval_jetpoly on F = f and G = g_form."""
     if f.genus != g_form.genus:
         raise ValueError("bracket operands must share a genus")
-    k, h = f.weight, g_form.weight
     genus = f.genus
-    entry_weight = k + h + Fraction(2, genus)
-    return _symmetric(genus, lambda i, j: (g_form.scale_coeff(h) * f.q_diff(i, j)
-                                           - f.scale_coeff(k) * g_form.q_diff(i, j))
-                      .with_weight(entry_weight))
+    jet = vector_bracket_jet("F", f.weight, "G", g_form.weight, genus)
+    bind = {"F": f, "G": g_form}
+    weight = f.weight + g_form.weight + Fraction(2, genus)
+
+    def entry(i: int, j: int):
+        e = jet[i - 1][j - 1]
+        if not e.terms:  # both weights 0: the zero of d(F G), one derivative deep
+            return (f.scale_coeff(0) * g_form).q_diff(i, j).with_weight(weight)
+        return eval_jetpoly(e, bind, weight)
+
+    return _symmetric(genus, entry)
 
 
 def scalar_bracket_q(f, g_form):
@@ -113,11 +119,8 @@ def eis1_qexp(weight: int, trunc: int = DEFAULT_TRUNC) -> QExp1:
 
 
 def delta1_qexp(trunc: int = DEFAULT_TRUNC) -> QExp1:
-    """The weight-12 cusp expansion (E4^3 - E6^2)/1728."""
-    e4 = eis1_qexp(4, trunc)
-    e6 = eis1_qexp(6, trunc)
-    diff = e4 ** 3 - e6 ** 2
-    return diff.scale_coeff(Fraction(1, 1728))
+    """The weight-12 cusp form Delta = eta^24 (eta_power_qexp)."""
+    return eta_power_qexp(24, trunc)
 
 
 def eta_power_qexp(power: int, trunc: int = DEFAULT_TRUNC) -> QExp1:

@@ -374,20 +374,19 @@ def verify_pluriharmonic(spec: OperatorSpec,
 def verify_harmonic_condition(g: int, a) -> bool:
     """The coefficient identity sum_h (k - n'_h) c(n' + e_h) = 0 for all n'.
 
-    Checked on integers.  With every C(m) an integer polynomial of degree
-    g - 1 in k = 2a, the left side is one of degree g.  A numeric k = p/q
-    enters as q^g times its value.  In Q(a) the left side is evaluated at
-    k = 2^S, where 2^(S-1) exceeds (2g - 1) max_m |C(m)|, a bound on its
-    coefficients (|.| the sum of |coefficients|), so a zero value proves it
-    zero for every a.
+    Checked on integers, with the values of _integer_C.  With every C(m) an
+    integer polynomial of degree g - 1 in k = 2a, the left side is one of
+    degree g.  A numeric k = p/q enters as q^g times its value.  In Q(a) the
+    left side is evaluated at k = 2^S, where 2^(S-1) exceeds
+    (2g - 1) max_m |C(m)|, a bound on its coefficients (|.| the sum of
+    |coefficients|), so a zero value proves it zero for every a.
     """
     a = _as_weight(a)
-    C = [_constant_C_k(g, m) for m in range(1, g + 1)]
-    if isinstance(a, RatFunc):
-        kn, kd = 1 << ((2 * g - 1) * max(sum(map(abs, c)) for c in C)).bit_length() + 1, 1
-    else:
-        kn, kd = (2 * a).numerator, (2 * a).denominator
-    value = [0] + [sum(c * kn ** i * kd ** (g - 1 - i) for i, c in enumerate(cm)) for cm in C]
+    if isinstance(a, RatFunc):  # a = 2^(S-1), k = 2^S
+        bound = max(sum(map(abs, _constant_C_k(g, m))) for m in range(1, g + 1))
+        a = Fraction(1 << ((2 * g - 1) * bound).bit_length())
+    kn, kd = (2 * a).numerator, (2 * a).denominator
+    value = {0: 0, **_integer_C(g, a)}
     for nprime in index_set_Nprime(g):
         n = list(nprime)
         total = 0

@@ -249,8 +249,6 @@ class RatFunc:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if self.den == o.den:  # the constructor still reduces by the gcd
-            return RatFunc(_padd(self.num, o.num), self.den)
         return RatFunc(_padd(_pmul(self.num, o.den), _pmul(o.num, self.den)),
                        _pmul(self.den, o.den))
 
@@ -275,14 +273,6 @@ class RatFunc:
         return o + (-self)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            # a rational scalar leaves the denominator and the gcd unchanged
-            if not other:
-                return RatFunc()
-            r = RatFunc.__new__(RatFunc)
-            r.num = tuple(c * other for c in self.num)
-            r.den = self.den
-            return r
         o = self._coerce(other)
         if o is None:
             return NotImplemented

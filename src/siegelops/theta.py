@@ -28,9 +28,10 @@ to second order, term by term), and harnesses for the heat equation, the
 modularity transformation law, and the nondegeneracy of the theta-null
 gradient on its zero locus.  Double precision with explicit tail bounds;
 nothing here is certified, tolerances are arguments with stated defaults.
-Each numeric form is a jet on one function F read on the derivatives of
-the theta-null product T: T^p is the jet F^p, and the operator output is
-jets.operator_jet, the jet that apply evaluates exactly.
+Each numeric form, and condition (*), is a jet on one function F read on
+the derivatives of the theta-null product T: T^p is the jet F^p, the
+operator output is jets.operator_jet, the jet that apply evaluates exactly,
+and condition (*) is jets.jet_det_partial, det(dF), read at a zero of T.
 
 Every lattice sum goes through one batched numpy kernel, _lattice_sums.  A
 batch is a list of (characteristic, d_tau, d_z) requests at one (tau, z).
@@ -494,9 +495,10 @@ def _splits(d: tuple) -> list:
              tuple(p for i, p in enumerate(d) if not m >> i & 1)) for m in range(1 << len(d))]
 
 
-def _tnull_derivatives(tau, derivs) -> tuple[dict, _Box]:
+def _tnull_derivatives(tau, derivs) -> tuple[dict, list, _Box]:
     """The derivative of the theta-null product T for each tuple of derivs
-    (symmetrized, as a jet variable's), and the lattice box.
+    (symmetrized, as a jet variable's), the ten theta values in _EVEN2
+    order, and the lattice box.
 
     One batch asks each theta constant for the sub-tuples of derivs only;
     the product rule folds the factors in one at a time, with no division.
@@ -512,18 +514,24 @@ def _tnull_derivatives(tau, derivs) -> tuple[dict, _Box]:
     product = factors[0]
     for f in factors[1:]:
         product = {d: sum(product[left] * f[right] for left, right in rules[d]) for d in subs}
-    return {d: product[d] for d in derivs}, box
+    return {d: product[d] for d in derivs}, [f[()] for f in factors], box
+
+
+def _jet_reader(jet: jets.JetPoly) -> tuple[set, Callable[[dict], complex]]:
+    """The derivative tuples a jet on F reads, and its value on them."""
+    terms = [(float(c), [d for _, d in mono]) for mono, c in jet.terms.items()]
+    derivs = {d for _, ds in terms for d in ds}
+    return derivs, lambda values: sum(c * math.prod(values[d] for d in ds) for c, ds in terms)
 
 
 def _tnull_form(jet: jets.JetPoly, weight: int, character: bool, label: str) -> NumericForm:
     """A jet on one function F read on the theta-null product T: each jet
     variable is the derivative of T that _tnull_derivatives gives."""
-    terms = [(float(c), [d for _, d in mono]) for mono, c in jet.terms.items()]
-    derivs = {d for _, ds in terms for d in ds}
+    derivs, read = _jet_reader(jet)
 
     def fn(tau):
-        values, box = _tnull_derivatives(tau, derivs)
-        return sum(c * math.prod(values[d] for d in ds) for c, ds in terms), box
+        values, _, box = _tnull_derivatives(tau, derivs)
+        return read(values), box
 
     return NumericForm(weight, character, label, fn)
 
@@ -633,31 +641,26 @@ class ConditionReport:
 
 
 def check_condition_star(tau, tol_zero: float = TOL_ZERO) -> ConditionReport:
-    """det of the normalized gradient of the theta-null product at a zero.
+    """det of the normalized gradient of the theta-null product T at a zero.
 
-    Requires the point to lie on the zero locus (exactly one even theta
-    constant negligible there); the vanishing factor is isolated
-    analytically, so no 0/0 occurs:
+    Requires the point to lie on the zero locus (one even theta constant
+    theta_* negligible there).  The value is the jet det(dF) of
+    jets.jet_det_partial read on T's derivatives from one _tnull_derivatives
+    batch, which also gives the theta values.  Its product rule divides by
+    nothing, so no 0/0 occurs, and on the locus every term of T_(ij) but
+    theta_*,(ij) prod_{c != *} theta_c has the factor theta_*:
 
         det(grad T)|_{theta_* = 0} = det(grad theta_*) * prod_{c != *} theta_c^2.
 
     The gradient is the symmetrized, (1/(2 pi i))-normalized matrix.
     """
-    values, box = _lattice_sums(2, tau, None, [(c, (), ()) for c in _EVEN2])
-    vals = dict(zip(_EVEN2, values))
+    derivs, read = _jet_reader(jets.jet_det_partial("F", 2))
+    values, thetas, box = _tnull_derivatives(tau, derivs)
+    vals = dict(zip(_EVEN2, thetas))
     star = min(_EVEN2, key=lambda c: abs(vals[c]))
     scale = max(abs(v) for v in vals.values())
     if abs(vals[star]) > tol_zero * max(scale, 1.0):
         raise ValueError(
             f"point is not on the theta-null locus: min |theta| = {abs(vals[star]):.3e}")
-    two_pi_i = 2j * math.pi
-    pairs = ((1, 1), (1, 2), (2, 2))
-    grads, box1 = _lattice_sums(2, tau, None, [(star, (p,), ()) for p in pairs])
-    m = {(i, j): (0.5 if i != j else 1.0) * v / two_pi_i
-         for (i, j), v in zip(pairs, grads)}
-    det_star = m[(1, 1)] * m[(2, 2)] - m[(1, 2)] ** 2
-    rest = 1.0 + 0j
-    for c in _EVEN2:
-        if c != star:
-            rest *= vals[c] ** 2
-    return ConditionReport(det_star * rest, star, abs(vals[star]), *max(box, box1))
+    # each of the jet's two first derivatives carries one 2 pi i
+    return ConditionReport(read(values) / (2j * math.pi) ** 2, star, abs(vals[star]), *box)

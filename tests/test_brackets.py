@@ -4,11 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from siegelops.brackets import (delta1_qexp, eis1_qexp, eta_power_qexp, scalar_bracket_jet,
-                                scalar_bracket_q, sigma_power_sum, vector_bracket_jet,
-                                vector_bracket_q, weight_symbol)
+from siegelops import brackets, qexp
+from siegelops.brackets import (_det, _symmetric, delta1_qexp, eis1_qexp, eta_power_qexp,
+                                scalar_bracket_jet, scalar_bracket_q, sigma_power_sum,
+                                vector_bracket_jet, vector_bracket_q, weight_symbol)
+from siegelops.cli import main
 from siegelops.jets import JetPoly, jet_det_partial, jet_mod_symbol
-from siegelops.theta import theta_pow8_sum, tnull_qexp
+from siegelops.qexp import qexp_from_text
+from siegelops.theta import ThetaChar, theta_pow8_sum, theta_qexp, tnull_qexp
 
 K = weight_symbol("k")
 H = weight_symbol("h")
@@ -149,15 +152,119 @@ def test_vector_bracket_q_is_symmetric_matrix():
 
 
 def test_eta_powers_from_jacobis_identity():
-    """eta^3 from Jacobi's identity, its powers, and eta^24 = Delta."""
+    """eta^3 from Jacobi's identity and its powers."""
     e3 = eta_power_qexp(3, 81)
     assert e3.terms == {(1,): 1, (9,): -3, (25,): 5, (49,): -7, (81,): 9}
     assert e3.weight == Fraction(3, 2)
     e9 = eta_power_qexp(9, 8 * 6 + 3)  # prod (1 - q^m)^9 = 1 - 9q + 27q^2 - 12q^3 - 90q^4 + ...
     assert [e9.terms.get((3 + 8 * k,), 0) for k in range(6)] == [1, -9, 27, -12, -90, 135]
     assert e9.weight == Fraction(9, 2)
-    delta = eta_power_qexp(24, 400)
-    assert delta == delta1_qexp(400)
     for power in (0, 2, -3):
         with pytest.raises(ValueError, match="positive multiple of 3"):
             eta_power_qexp(power, 24)
+
+
+# -- the expansion bracket and Delta against their formulas multiplied out ----------
+
+
+def _reference_bracket(f, g_form):
+    """The scalar bracket by its formula: h G dF - k F dG entry by entry,
+    scaled, differentiated and multiplied on expansions, then _det."""
+    k, h = f.weight, g_form.weight
+    weight = k + h + Fraction(2, f.genus)
+    return _det(_symmetric(f.genus, lambda i, j: (g_form.scale_coeff(h) * f.q_diff(i, j)
+                                                  - f.scale_coeff(k) * g_form.q_diff(i, j))
+                           .with_weight(weight)))
+
+
+def _reference_delta(trunc):
+    """Delta as (E4^3 - E6^2)/1728."""
+    e4, e6 = eis1_qexp(4, trunc), eis1_qexp(6, trunc)
+    return (e4 ** 3 - e6 ** 2).scale_coeff(Fraction(1, 1728))
+
+
+def _genus2_pairs(trunc):
+    """theta_pow8_sum with T^2 and with theta[00,00]^8."""
+    f = theta_pow8_sum(trunc)
+    t = tnull_qexp(trunc)
+    return [(f, (t * t).with_character(False)),
+            (f, theta_qexp(2, ThetaChar((0, 0), (0, 0)), trunc) ** 8)]
+
+
+@pytest.mark.parametrize("trunc", [0, 7, 8, 80, 400, 1600])
+def test_delta_is_the_eisenstein_discriminant(trunc):
+    """eta^24 equals (E4^3 - E6^2)/1728, weight and truncation included, and
+    writes the same SMF1 bytes."""
+    delta = delta1_qexp(trunc)
+    assert delta == _reference_delta(trunc) == eta_power_qexp(24, trunc)
+    assert delta.to_text() == _reference_delta(trunc).to_text()
+
+
+@pytest.mark.parametrize("trunc", [80, 400, 1600])
+def test_genus1_bracket_matches_its_formula(trunc):
+    e4, e6 = eis1_qexp(4, trunc), eis1_qexp(6, trunc)
+    br = scalar_bracket_q(e4, e6)
+    assert br == _reference_bracket(e4, e6)
+    assert br.to_text() == _reference_bracket(e4, e6).to_text()
+
+
+@pytest.mark.parametrize("trunc", [32, 48])
+def test_genus2_bracket_matches_its_formula(trunc):
+    for f, g_form in _genus2_pairs(trunc):
+        br = scalar_bracket_q(f, g_form)
+        assert not br.is_zero()
+        assert br == _reference_bracket(f, g_form)
+        assert br.to_text() == _reference_bracket(f, g_form).to_text()
+
+
+def test_bracket_products(monkeypatch):
+    """The entries and their determinant take 8 products at genus 2 and 2
+    at genus 1."""
+    calls = []
+    real = qexp._mul_terms
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    (f, g_form), _ = _genus2_pairs(24)
+    e4, e6 = eis1_qexp(4, 80), eis1_qexp(6, 80)
+    monkeypatch.setattr(qexp, "_mul_terms", counting)
+    scalar_bracket_q(f, g_form)
+    assert len(calls) == 8
+    calls.clear()
+    scalar_bracket_q(e4, e6)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("genus", [1, 2])
+def test_bracket_of_weights_zero_writes_the_formulas_bytes(genus, tmp_path, capsys):
+    """Both weights 0 leave every entry jet empty; the bracket is still the
+    formula's zero, one derivative deep per entry (taupow g)."""
+    if genus == 1:
+        f, g_form = eis1_qexp(4, 80), eis1_qexp(6, 80)
+    else:
+        f, g_form = _genus2_pairs(24)[0]
+    paths = [tmp_path / "f.smf", tmp_path / "g.smf"]
+    for path, form in zip(paths, (f, g_form)):
+        path.write_text(form.to_text())
+    out = tmp_path / "br.smf"
+    assert main(["bracket", "--scalar", *map(str, paths), "--weights", "0", "0",
+                 "--out", str(out)]) == 0
+    assert capsys.readouterr().out == "# scalar bracket: weight 2\n"
+    want = _reference_bracket(f.with_weight(0), g_form.with_weight(0))
+    assert want.is_zero() and want.tau_factor == genus
+    assert out.read_text() == want.to_text()
+    assert qexp_from_text(out.read_text()).tau_factor == genus
+
+
+def test_bracket_with_swapped_weights_fails(monkeypatch):
+    """Negative control: with k and h swapped in vector_bracket_jet,
+    {E4, E6} is no longer 3456 Delta."""
+    e4, e6 = eis1_qexp(4, 160), eis1_qexp(6, 160)
+    want = delta1_qexp(160).scale_coeff(3456)
+    assert scalar_bracket_q(e4, e6).terms == want.terms
+    real = brackets.vector_bracket_jet
+    monkeypatch.setattr(brackets, "vector_bracket_jet",
+                        lambda f, k, g_form, h, genus: real(f, h, g_form, k, genus))
+    assert scalar_bracket_q(e4, e6).terms != want.terms

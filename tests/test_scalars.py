@@ -125,7 +125,7 @@ def test_power_matches_repeated_multiplication(x, one):
 
 
 def _general_sum(x, y):
-    """x + y by the cross-multiplied formula, with no same-denominator path."""
+    """x + y by the cross-multiplied formula, written out."""
     return RatFunc(_padd(_pmul(x.num, y.den), _pmul(y.num, x.den)), _pmul(x.den, y.den))
 
 
@@ -142,9 +142,9 @@ def test_same_denominator_sum_cancels_to_canonical_form():
 @settings(max_examples=60, deadline=None)
 @given(ratfuncs(), small_fracs.filter(bool), small_fracs, ratfuncs())
 def test_same_denominator_sum_matches_the_general_formula(x, s, t, y):
-    """s x + t has x's denominator, so x + (s x + t) and x - (s x + t) take
-    the fast path; they, and a sum over different denominators, equal the
-    general formula in canonical form."""
+    """s x + t has x's denominator, so x + (s x + t) and x - (s x + t) add
+    over one shared denominator; they, and a sum over different
+    denominators, equal the general formula in canonical form."""
     q = x * s + t
     assert q.den == x.den
     for p, r in ((x, q), (x, -q), (x, y)):

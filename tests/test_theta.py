@@ -220,7 +220,7 @@ def test_product_rule_aggregation(t2_48):
         tau = [[complex(rng.uniform(-0.3, 0.3), rng.uniform(1.0, 1.6)), complex(0.1, y3)],
                [complex(0.1, y3), complex(rng.uniform(-0.3, 0.3), rng.uniform(1.0, 1.6))]]
         pairs = [(1, 1), (1, 2), (2, 2)]
-        got, _ = _tnull_derivatives(tau, [()] + [(p,) for p in pairs])
+        got, _, _ = _tnull_derivatives(tau, [()] + [(p,) for p in pairs])
         for (i, j) in pairs:
             sym = 0.5 if i != j else 1.0
             direct = 0j
@@ -318,6 +318,53 @@ def test_condition_star_points():
 def test_condition_star_rejects_generic_point():
     with pytest.raises(ValueError):
         check_condition_star([[1.1j, 0.3 + 0.2j], [0.3 + 0.2j, 1.7j]])
+
+
+def _reference_condition(tau):
+    """det(grad theta_*) * prod_{c != *} theta_c^2 from two lattice batches,
+    the gradient of the vanishing theta_* symmetrized and divided by 2 pi i."""
+    values, _ = _lattice_sums(2, tau, None, [(c, (), ()) for c in even_chars(2)])
+    vals = dict(zip(even_chars(2), values))
+    star = min(vals, key=lambda c: abs(vals[c]))
+    pairs = [(1, 1), (1, 2), (2, 2)]
+    grads, _ = _lattice_sums(2, tau, None, [(star, (p,), ()) for p in pairs])
+    m = {p: (0.5 if p[0] != p[1] else 1.0) * v / (2j * math.pi) for p, v in zip(pairs, grads)}
+    rest = math.prod(v ** 2 for c, v in vals.items() if c != star)
+    return (m[1, 1] * m[2, 2] - m[1, 2] ** 2) * rest
+
+
+def _condition_points():
+    """The two CLI default points, the second point of test_condition_star_points
+    and ten seeded diagonal points with Im tau_ii in [0.9, 1.45]."""
+    import random
+    rng = random.Random(7)
+    points = [[[1.1j, 0], [0, 1.7j]], [[0.9j, 0], [0, 1.45j]],
+              [[0.25 + 1.05j, 0], [0, -0.35 + 1.45j]]]
+    for _ in range(10):
+        points.append([[complex(rng.uniform(-0.35, 0.35), rng.uniform(0.9, 1.45)), 0],
+                       [0, complex(rng.uniform(-0.35, 0.35), rng.uniform(0.9, 1.45))]])
+    return points
+
+
+def test_condition_star_is_the_vanishing_factors_gradient_determinant():
+    """The jet det(dF) read on T equals det(grad theta_*) prod theta_c^2."""
+    for tau in _condition_points():
+        got, want = check_condition_star(tau).det_value, _reference_condition(tau)
+        assert abs(got - want) <= 1e-12 * abs(want), tau
+
+
+def test_condition_star_with_a_wrong_jet_fails(monkeypatch):
+    """Negative control: F_11 F_22 + F_12^2 in place of det(dF) disagrees."""
+    from siegelops import jets
+
+    def first(p):
+        return jets.JetPoly({(jets.jet_var("F", (p,)),): Fraction(1)})
+
+    wrong = first((1, 1)) * first((2, 2)) + first((1, 2)) ** 2
+    monkeypatch.setattr(jets, "jet_det_partial", lambda symbol, g, field="Q": wrong)
+    for tau in _condition_points():
+        got, want = check_condition_star(tau).det_value, _reference_condition(tau)
+        assert abs(got - want) > 1e-6 * abs(want), tau
 
 
 def test_theta8_sum_has_order_zero():
@@ -441,7 +488,8 @@ def test_tnull_derivatives_match_the_per_point_loop(seed):
         return math.prod(v[c] for c in chars if c not in skip)
 
     second = [(pa, pb) for pa in pairs for pb in pairs if pa <= pb]
-    got, box = _tnull_derivatives(tau, [()] + [(p,) for p in pairs] + second)
+    got, thetas, box = _tnull_derivatives(tau, [()] + [(p,) for p in pairs] + second)
+    assert all(_close(t, v[c]) for t, c in zip(thetas, chars))
     assert _close(got[()], others())
     for p in pairs:
         assert _close(got[p,], sum(d1[c, p] * others(c) for c in chars))
@@ -528,8 +576,9 @@ def test_lattice_grid_is_built_once_and_read_only():
 
 
 def test_each_evaluation_checks_tau_once(monkeypatch):
-    """A form evaluation and a theta value run _as_matrix once, and a
-    transformation check once per evaluation and once for gamma tau."""
+    """A form evaluation, a theta value and a condition check run _as_matrix
+    once (the condition check in its one lattice batch), and a transformation
+    check once per evaluation and once for gamma tau."""
     calls = []
 
     def counting(tau):
@@ -548,6 +597,17 @@ def test_each_evaluation_checks_tau_once(monkeypatch):
     calls.clear()
     theta_numeric(2, ThetaChar((0, 0), (0, 0)), tau, d_tau=((1, 2),))
     assert len(calls) == 1
+    batches = []
+    real = theta._lattice_sums
+
+    def batch(*args):
+        batches.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(theta, "_lattice_sums", batch)
+    calls.clear()
+    check_condition_star([[1.1j, 0], [0, 1.7j]])
+    assert len(calls) == len(batches) == 1
 
 
 # -- the theta-null product as Gritsenko's lift of -64 eta^9 theta ------------------

@@ -105,7 +105,10 @@ def sigma_power_sum(power: int, n: int) -> int:
 
 
 def eis1_qexp(weight: int, trunc: int = DEFAULT_TRUNC) -> QExp1:
-    """Classical genus-1 Eisenstein expansions (exact integer coefficients)."""
+    """Classical genus-1 Eisenstein expansions (exact integer coefficients,
+    none zero, at keys 8n <= trunc: built with no second check)."""
+    if trunc < 0:
+        raise ValueError(f"negative truncation {trunc}")
     if weight == 4:
         const, power = 240, 3
     elif weight == 6:
@@ -115,7 +118,7 @@ def eis1_qexp(weight: int, trunc: int = DEFAULT_TRUNC) -> QExp1:
     terms = {(0,): 1}
     for n in range(1, trunc // QExp1.scale + 1):
         terms[(n * QExp1.scale,)] = const * sigma_power_sum(power, n)
-    return QExp1(terms, weight, trunc)
+    return QExp1._checked(1, terms, Fraction(weight), trunc, 0, False)
 
 
 def delta1_qexp(trunc: int = DEFAULT_TRUNC) -> QExp1:
@@ -128,9 +131,10 @@ def eta_power_qexp(power: int, trunc: int = DEFAULT_TRUNC) -> QExp1:
 
     Jacobi's identity gives eta^3 = sum_{m > 0 odd} (-4/m) m q^(m^2/8), with
     (-4/m) = +-1 as m = +-1 mod 4, so its keys (exponents scaled by 8) are the
-    odd squares; the powers of eta^3 are exact products of that expansion.
+    odd squares m^2 <= trunc with coefficients +-m, built with no second
+    check; the powers of eta^3 are exact products of that expansion.
     """
     if power <= 0 or power % 3:
         raise ValueError(f"eta^{power}: the power must be a positive multiple of 3")
     terms = {(m * m,): m if m % 4 == 1 else -m for m in range(1, isqrt(trunc) + 1, 2)}
-    return QExp1(terms, Fraction(3, 2), trunc) ** (power // 3)
+    return QExp1._checked(1, terms, Fraction(3, 2), trunc, 0, False) ** (power // 3)

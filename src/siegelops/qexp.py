@@ -9,8 +9,13 @@ Keys.  A term c * exp(2 pi i sum_{i<=j} T_ij tau_ij / 8) is stored under its
 g(g+1)/2 scaled exponents T_ij (i <= j), row by row: (alpha, beta, gamma) =
 (T_11, T_12, T_22) at genus 2 and (n,) at genus 1.  Theta-constant exponents
 lie in (1/8)Z on the diagonal and (1/4)Z off it, so the factor 8 makes every
-key integral.  The public constructor and the SMF1 reader check each term,
-and ring operations keep the invariants, so their results skip the check:
+key integral.  Only data from outside is checked: the public constructor
+checks each term, and the SMF1 reader each group of keys that share every
+entry but the packed one (the product kernel's, below), at the group's
+least and greatest packed entry.  Ring operations keep the invariants, and
+the builders of theta and brackets keep them by their loop bounds (a test
+rebuilds each builder's output through the public constructor), so their
+results skip the check:
 
   * every diagonal T_ii >= 0, and the weight T_11 + ... + T_gg <= trunc;
   * beta^2 <= 4 alpha gamma for each off-diagonal beta = T_ij, with
@@ -71,12 +76,15 @@ and a product where the monomial costs one product (one square if p = q),
 so the monomial stays as it is.  Then the monomials are evaluated factor
 first: the monomials that share a factor are summed before that factor
 multiplies them, and a factor whose only cofactor is itself is squared.
-The genus-2 operator, at every weight, is
-c1 F D F + c2 (F_11 F_22 - F_12^2) with D F = F_{11,22} - F_{12,12},
-which becomes c2/2 D (F F) + (c1 - c2) F D F, so it costs one square and
-one product, where the terms as they stand cost 3 products.  Each jet
-variable's derivative pairs are taken in one pass over its base expansion
-(F or F F), each term multiplied by the product of its pairs' key entries.
+Once every monomial left has one factor, they form a linear combination of
+derivatives of a few base expansions (F, F F), and the terms of one base
+and one order are applied in one pass over it (_diff): each numerator is
+multiplied by sum_j c_j prod(its key entries at pairs_j), the c_j and the
+factors 1/8 and 1/16 brought over one common denominator.  The genus-2
+operator, at every weight, is c1 F D F + c2 (F_11 F_22 - F_12^2) with
+D F = F_{11,22} - F_{12,12}, which becomes c2/2 D (F F) + (c1 - c2) F D F,
+so it costs one square, one product, two derivative passes (D on F, D on
+F F) and one sum, where the terms as they stand cost 3 products.
 """
 
 from __future__ import annotations
@@ -84,8 +92,10 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
-from math import gcd, lcm, prod
-from operator import add, itemgetter
+from functools import partial, reduce
+from itertools import repeat
+from math import gcd, lcm
+from operator import add, itemgetter, mul
 from types import MappingProxyType
 
 from .jets import JetPoly
@@ -304,8 +314,8 @@ class _Expansion:
     def _checked(cls, den: int, nums: dict, weight: Fraction, trunc: int, tau_factor: int,
                  character: bool):
         """An expansion of canonical (den, nums) whose keys already keep the
-        invariants (read and checked, or computed from checked operands): no
-        second check."""
+        invariants (read and checked, computed from checked operands, or
+        built within them by a builder's loop bounds): no second check."""
         out = cls.__new__(cls)
         out._set(den, nums, weight, trunc, tau_factor, character)
         return out
@@ -436,25 +446,42 @@ class _Expansion:
         (the off-diagonal carries the symmetrization factor 1/2), and
         records one stripped power of 2 pi i.
         """
-        return self._diff(((i, j),))
+        return self._diff([(1, ((i, j),))])
 
-    def _diff(self, pairs: tuple):
-        """q_diff for each index pair of pairs in turn, in one pass: a term
-        is multiplied by the product of its pairs' factors at once."""
-        if not pairs:
-            return self
+    def _diff(self, terms: list):
+        """The sum of c times q_diff for each index pair of pairs in turn,
+        over the (c, pairs) of terms, whose pairs are all of one length (the
+        order), in one pass.  Each c and its pairs' factors 1/8 or 1/16 are
+        brought over one common denominator D as an integer weight w, and a
+        term's numerator is multiplied by sum w * (the product of its key
+        entries at pairs) at once."""
         at = self._layout.at
-        den = self._den
-        idx = []
-        for i, j in pairs:
-            pair = (min(i, j), max(i, j))
-            n = at.get(pair)
-            if n is None:
-                raise ValueError(f"index pair {pair} out of range for genus {self.genus}")
-            idx.append(n)
-            den *= SCALE if i == j else 2 * SCALE
-        nums = {k: v * w for k, v in self._nums.items() if (w := prod(k[n] for n in idx))}
-        return self._clone(*_reduced(den, nums), tau_factor=self.tau_factor + len(idx))
+        rows = []
+        for c, pairs in terms:
+            c = Fraction(c)
+            den, idx = c.denominator, []
+            for i, j in pairs:
+                pair = (min(i, j), max(i, j))
+                n = at.get(pair)
+                if n is None:
+                    raise ValueError(f"index pair {pair} out of range for genus {self.genus}")
+                idx.append(n)
+                den *= SCALE if i == j else 2 * SCALE
+            rows.append((c.numerator, den, idx))
+        orders = {len(idx) for _, _, idx in rows}
+        if len(orders) != 1:
+            raise ValueError("the derivative terms must be of one order")
+        D = lcm(*[den for _, den, _ in rows])
+        # the multipliers column by column: the key entries at each term's
+        # pairs multiplied into its weight, and the terms added
+        keys = self._nums
+        cols = list(zip(*keys)) or [()] * len(at)
+        products = [reduce(partial(map, mul), [cols[n] for n in idx], repeat(p * (D // den)))
+                    for p, den, idx in rows]
+        multipliers = reduce(partial(map, add), products)
+        nums = {k: v * w for k, v, w in zip(keys, keys.values(), multipliers) if w}
+        return self._clone(*_reduced(self._den * D, nums),
+                           tau_factor=self.tau_factor + orders.pop())
 
     # -- boundary order and SMF1 text -------------------------------------------
 
@@ -599,11 +626,22 @@ def _smf1_from_text(text: str, cls):
             fail(idx, "character must be 0 or 1")
         idx += 1
     declared = value(idx, "terms", _int_from_text)
-    lattice = cls._layout.lattice(trunc)
-    fields = len(cls._layout.pairs) + 1
+    lay = cls._layout
+    lattice = lay.lattice(trunc)
+    fields = len(lay.pairs) + 1
     nums: dict = {}
     dens: dict = {}  # the denominator of each non-integer coefficient
     last = ()  # the previous line's key (below every key): the writer sorts the keys
+
+    def fault(j: int, why: str | None = None):
+        """Fail at the first term line that breaks the invariants (the n-th
+        key read is on line idx + 1 + n), or else at line j with why."""
+        for n, k in enumerate(nums):
+            broken = lattice(k)
+            if broken:
+                fail(idx + 1 + n, broken)
+        fail(j, why)
+
     # each distinct exponent and coefficient text is read once
     exponents, numbers = _Memo(_int_from_text), _Memo(_number_from_text)
     for j, line in enumerate(lines[idx + 1:], idx + 1):
@@ -615,19 +653,27 @@ def _smf1_from_text(text: str, cls):
             p, q = numbers[parts[-1]]
         except ValueError as exc:
             if not line:
-                fail(j, "blank line")
-            fail(j, _spacing_fault(line) or f"cannot parse {line!r} ({exc})")
-        why = lattice(key) or ("zero coefficient" if not p else None)
-        if why:
-            fail(j, why)
+                fault(j, "blank line")
+            fault(j, _spacing_fault(line) or f"cannot parse {line!r} ({exc})")
+        if not p:
+            fault(j, lattice(key) or "zero coefficient")
         if key <= last:
-            if key in nums:
-                fail(j, "duplicate exponent")
-            fail(j, f"term {key} comes after {last}; the terms are sorted by exponent")
+            fault(j, lattice(key) or ("duplicate exponent" if key in nums else f"term {key} "
+                                      f"comes after {last}; the terms are sorted by exponent"))
         nums[key] = p
         last = key
         if q > 1:
             dens[key] = q
+    # The invariants hold on a key if they hold on the least and the greatest
+    # packed entry of its group (the keys of its rest): the other tests depend
+    # only on the rest, and the packed entry's test is an interval.  In the
+    # sorted order the first key of a group has the least packed entry and
+    # the last key the greatest.
+    rest = lay.rest
+    ends = [*{rest(k): k for k in reversed(nums)}.values(),
+            *{rest(k): k for k in nums}.values()]
+    if any(map(lattice, ends)):
+        fault(len(lines))
     if len(nums) != declared:
         fail(idx, f"declares {declared} terms, found {len(nums)}")
     # reduced fractions over the lcm of their denominators are canonical
@@ -667,9 +713,10 @@ def product_balanced(factors: list):
 def eval_jetpoly(p: JetPoly, bind: dict, weight=None):
     """Realize a jet polynomial on actual expansions.
 
-    Every symbol occurring in p must be bound to an expansion; the
-    derivative pairs of each jet variable are applied in one pass, as the
-    q_diff chain would, and each variable's expansion is made once.  All
+    Every symbol occurring in p must be bound to an expansion; a linear
+    combination of derivatives of one base expansion (F or F F) is applied
+    in one pass (_diff), as the q_diff chains would sum, and each
+    expansion that a product takes is made once.  All
     monomials must carry the same total symbol weight and the same
     derivative count; the result weight follows the sum rule (symbol
     weights) + 2*order/genus unless overridden.  An empty p gives the zero of the bound expansions'
@@ -698,7 +745,7 @@ def eval_jetpoly(p: JetPoly, bind: dict, weight=None):
         if got is None:
             sym, derivs = key[:2]
             if derivs:
-                got = factor((sym, (), *key[2:]))._diff(derivs)
+                got = factor(_base(key))._diff([(1, derivs)])
             elif len(key) == 3:
                 f = factor((sym, ()))
                 got = f * f  # one object as both operands: the kernel's square path
@@ -708,6 +755,15 @@ def eval_jetpoly(p: JetPoly, bind: dict, weight=None):
                 got = bind[sym]
             cache[key] = got
         return got
+
+    def linear(terms: list):
+        """The sum of c * factor(x) over the (c, x) of terms: the terms of
+        one base expansion (F or F F) and one order take one _diff."""
+        groups: dict = {}
+        for c, key in terms:
+            groups.setdefault((_base(key), len(key[1])), []).append((c, key[1]))
+        parts = [factor(b)._diff(group) for (b, _), group in groups.items()]
+        return sum(parts[1:], parts[0])
 
     genus = next(iter(bind.values())).genus
     bare = {sym for mono in p.terms for sym, d in mono if not d}  # the symbols F with F a factor
@@ -735,20 +791,31 @@ def eval_jetpoly(p: JetPoly, bind: dict, weight=None):
             _accumulate(monos, mono, coeff)
     if weight is None:
         weight = sym_weight + Fraction(2 * order, genus)
-    return _sum_of_products([(c, m) for m, c in monos.items()], factor).with_weight(weight)
+    return _sum_of_products([(c, m) for m, c in monos.items()], factor,
+                            linear).with_weight(weight)
 
 
-def _sum_of_products(monos: list, factor):
+def _base(key: tuple) -> tuple:
+    """The jet variable key without its derivative pairs."""
+    return (key[0], (), *key[2:])
+
+
+def _sum_of_products(monos: list, factor, linear):
     """The sum of c * factor(x_1) * ... * factor(x_n) over (c, (x_1, ..., x_n))
     in monos (each tuple nonempty), with each shared factor multiplied once.
 
     The factor in the most monomials comes out first: it multiplies the sum
-    of its cofactors, which is evaluated the same way.  Exact arithmetic and
-    truncation (a ring congruence) make this equal to the term-by-term sum,
-    with fewer products.
+    of its cofactors, which is evaluated the same way.  Once every monomial
+    left has one factor, linear(terms) makes their sum, the sum of
+    c * factor(x) over the (c, x) of terms.  Exact arithmetic and truncation
+    (a ring congruence) make this equal to the term-by-term sum, with fewer
+    products.
     """
-    total = None
+    parts = []
     while monos:
+        if all(len(xs) == 1 for _, xs in monos):
+            parts.append(linear([(c, xs[0]) for c, xs in monos]))
+            break
         counts = Counter(x for _, xs in monos for x in set(xs))
         pivot = min(counts, key=lambda x: (-counts[x], x))
         inner, const, rest = [], None, []
@@ -761,14 +828,11 @@ def _sum_of_products(monos: list, factor):
                 i = xs.index(pivot)
                 inner.append((c, xs[:i] + xs[i + 1:]))
         f = factor(pivot)
-        parts = []
         if len(inner) == 1 and inner[0][1] == (pivot,):  # c f f alone: one square
             parts.append((f * f).scale_coeff(inner[0][0]))
         elif inner:
-            parts.append(f * _sum_of_products(inner, factor))
+            parts.append(f * _sum_of_products(inner, factor, linear))
         if const is not None:
             parts.append(f.scale_coeff(const))
-        for part in parts:
-            total = part if total is None else total + part
         monos = rest
-    return total
+    return sum(parts[1:], parts[0])

@@ -139,7 +139,11 @@ def _phase(char: ThetaChar, n: tuple) -> int:
 
 
 def theta_qexp(g: int, char: ThetaChar, trunc: int = DEFAULT_TRUNC):
-    """Exact expansion of a theta constant; zero for odd characteristics."""
+    """Exact expansion of a theta constant; zero for odd characteristics.
+
+    Its keys keep the invariants by construction (each is the matrix m m^T
+    of an integer vector m with |m|^2 <= trunc), so it is built with no
+    second check."""
     if g not in (1, 2):
         raise ValueError("exact expansions are implemented for genus 1 and 2")
     if char.g != g:
@@ -147,7 +151,7 @@ def theta_qexp(g: int, char: ThetaChar, trunc: int = DEFAULT_TRUNC):
     half = Fraction(1, 2)
     cls = QExp1 if g == 1 else QExp2
     if not char.is_even():
-        return cls({}, half, trunc)
+        return cls._checked(1, {}, half, trunc, 0, False)
     terms: dict = {}
     bound = (isqrt(trunc) + 1) // 2  # every kept m = 2n + eps has |m| <= isqrt(trunc)
     for n in itertools.product(range(-bound, bound + 1), repeat=g):
@@ -156,7 +160,7 @@ def theta_qexp(g: int, char: ThetaChar, trunc: int = DEFAULT_TRUNC):
             continue
         key = tuple((2 if i < j else 1) * m[i] * m[j] for i in range(g) for j in range(i, g))
         terms[key] = terms.get(key, 0) + _phase(char, n)
-    return cls(terms, half, trunc)
+    return cls._checked(1, {k: c for k, c in terms.items() if c}, half, trunc, 0, False)
 
 
 def tnull_product(trunc: int = DEFAULT_TRUNC) -> QExp2:
@@ -177,6 +181,8 @@ def _arithmetic_lift(phi: Callable[[int, int], int], weight: int, step: int, tru
     Gritsenko's lift with trivial character.  tnull_qexp takes the odd
     (N, L, M) at step 4; every (N, L, M), with odd unset, at step 8 is
     Maass's lift, which a weight-12 check of the Maass relations would call.
+    phi returns ints; the loop bounds keep the invariants of every key, so
+    the expansion is built with no second check.
     """
     if trunc < 0:
         raise ValueError(f"negative truncation {trunc}")
@@ -195,7 +201,7 @@ def _arithmetic_lift(phi: Callable[[int, int], int], weight: int, step: int, tru
                     for d in range(1, g + 1) if g % d == 0)
                 if c:
                     terms[(step * N, step * L, step * M)] = c
-    return QExp2(terms, Fraction(weight), trunc)
+    return QExp2._checked(1, terms, Fraction(weight), trunc, 0, False)
 
 
 def minus_64_eta9_theta(trunc: int = DEFAULT_TRUNC) -> dict:

@@ -614,6 +614,77 @@ def test_smf1_reader_messages_for_misplaced_keys(t2_48):
         assert str(err.value) == msg
 
 
+def _replace_lines(text: str, edits: dict) -> str:
+    """text with line idx (0-based) replaced by edits[idx]; None drops it."""
+    lines = text.split("\n")[:-1]
+    return "\n".join(l if i not in edits else edits[i] for i, l in enumerate(lines)
+                     if edits.get(i, l) is not None) + "\n"
+
+
+# each off-lattice line of t2_48 below sorts between its neighbours, so only
+# the invariants it breaks fail there
+_BETA_FAULT = {11: "4 -12 8 -64"}  # line 12: 144 > 4 * 4 * 8
+_TRUNC_FAULT = {15: "4 -12 45 5760"}  # line 16: weight 49 > 48
+_LEAST_BETA_FAULT = {8: "4 -24 28 64"}  # line 9: the least beta of group (4, 28)
+_BETA_MSG = "SMF1 line 12: term (4, -12, 8) violates beta^2 <= 4*alpha*gamma"
+
+
+@pytest.mark.parametrize("later,edits", [
+    ("parse", {19: "4 -4 x -768"}), ("blank", {19: ""}), ("zero", {19: "4 -4 28 0"}),
+    ("order", {19: "4 -4 4 -768"}), ("duplicate", {19: "4 -4 20 1728"}),
+    ("off-lattice and out of order", {19: "4 -40 4 -768"}), ("count", {7: "terms 151"}),
+    ("no final newline", {})])
+def test_smf1_names_an_off_lattice_line_before_a_later_fault(t2_48, later, edits):
+    """A term line that breaks an invariant is named even when a later line
+    fails to parse, holds a zero, is out of order or the count is off."""
+    text = _replace_lines(t2_48.to_text(), {**_BETA_FAULT, **edits})
+    if later == "no final newline":
+        text = text[:-1]
+        msg = f"SMF1 line {len(text.splitlines())}: the block does not end in a newline"
+    else:
+        msg = _BETA_MSG
+    with pytest.raises(ValueError) as err:
+        qexp2_from_text(text)
+    assert str(err.value) == msg
+
+
+def test_smf1_names_the_first_of_two_failing_groups(t2_48):
+    text = t2_48.to_text()
+    cases = [({**_BETA_FAULT, **_TRUNC_FAULT}, _BETA_MSG),
+             (_TRUNC_FAULT, "SMF1 line 16: term (4, -12, 45) exceeds truncation 48"),
+             (_LEAST_BETA_FAULT, "SMF1 line 9: term (4, -24, 28) violates beta^2 <= 4*alpha*gamma"),
+             ({**_LEAST_BETA_FAULT, **_TRUNC_FAULT},
+              "SMF1 line 9: term (4, -24, 28) violates beta^2 <= 4*alpha*gamma"),
+             ({**_LEAST_BETA_FAULT, **_BETA_FAULT, 19: "4 -4 28 0"},
+              "SMF1 line 9: term (4, -24, 28) violates beta^2 <= 4*alpha*gamma")]
+    for edits, msg in cases:
+        with pytest.raises(ValueError) as err:
+            qexp2_from_text(_replace_lines(text, edits))
+        assert str(err.value) == msg
+
+
+def test_smf1_genus1_exponents_outside_the_window():
+    """Genus-1 term lines with a negative exponent or one above trunc are
+    named before any later fault."""
+    one = QExp1({(0,): Fraction(1), (8,): Fraction(2), (16,): Fraction(3)},
+                Fraction(4), 16).to_text()
+    negative = "SMF1 line 8: negative diagonal exponent in term (-8,)"
+    cases = [({7: "-8 1"}, negative), ({7: "-8 1", 9: "24 3"}, negative),
+             ({7: "-8 1", 8: "8 0"}, negative), ({7: "-8 1", 9: "16 x"}, negative),
+             ({9: "24 3"}, "SMF1 line 10: term (24,) exceeds truncation 16"),
+             ({8: "20 2"}, "SMF1 line 9: term (20,) exceeds truncation 16"),
+             ({6: "terms 4", 8: "20 2"}, "SMF1 line 9: term (20,) exceeds truncation 16"),
+             ({6: "terms 2", 8: "17 2", 9: None},
+              "SMF1 line 9: term (17,) exceeds truncation 16")]
+    for edits, msg in cases:
+        with pytest.raises(ValueError) as err:
+            qexp1_from_text(_replace_lines(one, edits))
+        assert str(err.value) == msg
+    with pytest.raises(ValueError) as err:
+        qexp1_from_text(_replace_lines(one, {9: "24 3"}) + "32 1\n")
+    assert str(err.value) == "SMF1 line 10: term (24,) exceeds truncation 16"
+
+
 # -- SMF1 takes only what to_text writes -----------------------------------------
 
 
@@ -665,30 +736,89 @@ def test_one_pass_derivatives_match_the_q_diff_chain(genus):
         chain = f
         for p in seq:
             chain = chain.q_diff(*p)
-        once = f._diff(seq)
+        once = f._diff([(1, seq)])
         assert once == chain and once.tau_factor == f.tau_factor + len(seq), seq
         assert once.to_text() == chain.to_text()
         assert all(once.terms.values())
     with pytest.raises(ValueError, match="out of range"):
-        f._diff(((1, 1), (1, genus + 1)))
+        f._diff([(1, ((1, 1), (1, genus + 1)))])
+
+
+@pytest.mark.parametrize("genus", [1, 2])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_combined_diff_is_the_sum_of_q_diff_chains(genus, data):
+    """_diff(terms) equals the sum of c times the q_diff chain of pairs over
+    the (c, pairs) of terms, also when the terms cancel; a perturbed
+    coefficient gives another result."""
+    f, _ = data.draw(_checked_operands(genus))
+    pairs = [(i, j) for i in range(1, genus + 1) for j in range(1, genus + 1)]
+    order = data.draw(st.integers(0, 3))
+    coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+    terms = data.draw(st.lists(st.tuples(coeffs, st.tuples(*[st.sampled_from(pairs)] * order)),
+                               min_size=1, max_size=4))
+    cancel = data.draw(st.booleans())
+    if cancel:  # each term again, negated, with its pairs in reverse order
+        terms += [(-c, seq[::-1]) for c, seq in terms]
+
+    def chain(seq):
+        out = f
+        for p in seq:
+            out = out.q_diff(*p)
+        return out
+
+    def chain_sum(cs):
+        parts = [chain(seq).scale_coeff(c) for c, (_, seq) in zip(cs, terms)]
+        return sum(parts[1:], parts[0])
+
+    got = f._diff(terms)
+    want = chain_sum([c for c, _ in terms])
+    assert got == want and got.to_text() == want.to_text()
+    assert got.tau_factor == f.tau_factor + order
+    _assert_checked(got)
+    if cancel:
+        assert got.is_zero()
+    elif not chain(terms[0][1]).is_zero():  # negative control
+        assert got != chain_sum([terms[0][0] + 1] + [c for c, _ in terms[1:]])
+
+
+def test_combined_diff_rejects_mixed_orders():
+    f = tnull_qexp(24)
+    for terms in ([], [(1, ((1, 1),)), (1, ())], [(1, ((1, 2),)), (2, ((1, 1), (2, 2)))]):
+        with pytest.raises(ValueError, match="one order"):
+            f._diff(terms)
+
+
+def test_combined_diff_negative_control():
+    """The genus-2 operator's second-order part on F F against a perturbed
+    coefficient: a wrong weight shows."""
+    ff = tnull_qexp(24) ** 2
+    terms = [(Fraction(1, 2), ((1, 1), (2, 2))), (Fraction(-1, 2), ((1, 2), (1, 2)))]
+    want = (ff.q_diff(1, 1).q_diff(2, 2).scale_coeff(Fraction(1, 2))
+            - ff.q_diff(1, 2).q_diff(1, 2).scale_coeff(Fraction(1, 2)))
+    assert ff._diff(terms) == want and not want.is_zero()
+    assert ff._diff([terms[0], (Fraction(-1, 3), terms[1][1])]) != want
 
 
 def test_jet_variables_take_one_pass_each(t2_48, monkeypatch):
-    """The genus-2 operator's second derivatives of F and of F F are one
-    _diff call each, and no q_diff runs."""
+    """The genus-2 operator's second derivatives are two _diff calls, one on
+    F and one on F F, each taking both derivative terms; no q_diff runs."""
     from siegelops.jets import operator_jet
     from siegelops.opgen import build_Q
     calls = []
     diff = QExp2._diff
 
-    def counting(self, pairs):
-        calls.append(tuple(pairs))
-        return diff(self, pairs)
+    def counting(self, terms):
+        calls.append((self, sorted(pairs for _, pairs in terms)))
+        return diff(self, terms)
 
     monkeypatch.setattr(QExp2, "_diff", counting)
     monkeypatch.setattr(QExp2, "q_diff", None)
     eval_jetpoly(operator_jet(build_Q(2, Fraction(5))), {"F": t2_48})
-    assert sorted(calls) == sorted([((1, 1), (2, 2)), ((1, 2), (1, 2))] * 2)
+    both = [((1, 1), (2, 2)), ((1, 2), (1, 2))]
+    assert len(calls) == 2
+    assert sorted((base == t2_48, pairs) for base, pairs in calls) == [(False, both), (True, both)]
+    assert [base for base, _ in calls if base != t2_48] == [t2_48 * t2_48]
 
 
 def test_sum_drops_cancelled_terms_and_stays_canonical():

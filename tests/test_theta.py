@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from siegelops import qexp, theta
-from siegelops.brackets import eta_power_qexp
+from siegelops.brackets import eis1_qexp, eta_power_qexp
 from siegelops.theta import (ThetaChar, _arithmetic_lift, _as_matrix, _check_tau, _grid,
                              _lattice_sums, _pick_radius, _theta8_sums, _tnull_derivatives,
                              all_chars, char_from_text, check_condition_star, check_heat,
@@ -60,6 +60,30 @@ def test_theta00_leading_terms():
     assert t.terms[(0, 0, 4)] == 2
     assert t.terms[(4, 8, 4)] == 2
     assert t.terms[(4, -8, 4)] == 2
+
+
+@pytest.mark.parametrize("trunc", [0, 1, 7, 8, 48, 200])
+def test_builders_pass_the_public_check(trunc):
+    """The builders skip the term check, so their outputs, rebuilt through
+    the public constructor, must come back equal: every key keeps the
+    invariants, every coefficient is a nonzero int over den = 1."""
+    built = [theta_qexp(g, c, trunc) for g in (1, 2) for c in all_chars(g)]
+    built += [tnull_qexp(trunc), eis1_qexp(4, trunc), eis1_qexp(6, trunc),
+              eta_power_qexp(3, trunc),
+              _arithmetic_lift(lambda n, l: (n + 2 * l) % 5 - 2, 4, 8, trunc)]
+    for f in built:
+        assert type(f)(dict(f.terms), f.weight, f.trunc, f.tau_factor, f.character) == f
+        assert f._den == 1 and all(type(v) is int and v for v in f._nums.values())
+    for c in odd_chars(1) + odd_chars(2):
+        f = theta_qexp(c.g, c, trunc)
+        assert (f._den, f._nums) == (1, {})
+
+
+def test_builders_reject_a_negative_truncation():
+    for build in (lambda: eis1_qexp(4, -1), lambda: eta_power_qexp(3, -1),
+                  lambda: theta_qexp(2, ThetaChar((0, 0), (0, 0)), -1), lambda: tnull_qexp(-1)):
+        with pytest.raises(ValueError):
+            build()
 
 
 def test_odd_characteristics_vanish():

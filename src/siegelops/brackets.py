@@ -90,7 +90,7 @@ def vector_bracket_q(f, g_form) -> list[list]:
         e = jet[i - 1][j - 1]
         if not e.terms:  # both weights 0: the zero of d(F G), one derivative deep
             return (f.scale_coeff(0) * g_form).q_diff(i, j).with_weight(weight)
-        return eval_jetpoly(e, bind, weight)
+        return eval_jetpoly(e, bind)
 
     return _symmetric(genus, entry)
 

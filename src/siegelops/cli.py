@@ -2,10 +2,10 @@
 
 Subcommands: opgen, apply, theta, form, bracket, slope, verify.  Each one
 registers only the options its code reads, with their defaults, so the
-parsed arguments are the run configuration; verify has one subcommand per
-check, each with the options of that check alone.  opgen, apply and each
-verify check print the settings they used as a '# config:' header ('-' for
-a check that reads none).
+parsed arguments are the run configuration; theta and slope have one
+subcommand per action and verify one per check, each with the options of
+that action or check alone.  opgen, apply and each verify check print the
+settings they used as a '# config:' header ('-' for a check that reads none).
 Identical configurations produce byte-identical outputs (all serializers
 iterate in sorted order and all randomness is derived from the seed).  Exit
 status is the number of failed checks (0 = everything passed); bad input
@@ -53,12 +53,6 @@ def _tolerance(text: str) -> float:
     raise argparse.ArgumentTypeError(f"{text!r} is not a positive finite number")
 
 
-def _needed(value, option: str, command: str):
-    if value is None:
-        raise ValueError(f"{command} needs {option}")
-    return value
-
-
 def _weight(args):
     """The weight --symbolic or --weight selects: the generator of Q(a), a
     rational, or None when neither is given."""
@@ -73,8 +67,8 @@ def _weight_text(a) -> str:
     return "a (symbolic)" if isinstance(a, RatFunc) else frac_to_text(a)
 
 
-def _div_class(text: str | None) -> DivClass:
-    parts = _needed(text, "--cls LAMBDA,DELTA", "slope bound").split(",")
+def _div_class(text: str) -> DivClass:
+    parts = text.split(",")
     if len(parts) != 2:
         raise ValueError(f"--cls {text!r} is not LAMBDA,DELTA")
     return make_class(*(_rational(v, "--cls") for v in parts))
@@ -213,7 +207,7 @@ def cmd_theta(args) -> int:
         if not c.is_even():
             print("# identically zero (odd characteristic)")
         return 0
-    tau = _parse_tau(_needed(args.tau, "--tau", "theta eval"))
+    tau = _parse_tau(args.tau)
     z = [complex(v) for v in (args.z.split(",") if args.z else [])] or None
     val = theta.theta_numeric(c.g, c, tau, z)
     print(f"{val.real!r} {val.imag!r}")
@@ -279,30 +273,26 @@ def _slope_report():
 
 
 def cmd_slope(args) -> int:
-    g = args.genus
     if args.action == "table":
         sys.stdout.write(render_table())
     elif args.action == "report":
         _slope_report()
     elif args.action == "class":
-        name = _needed(args.name, "--name", "slope class")
-        if name == "tnull":
+        g = args.genus
+        if args.name == "tnull":
             c = slopes.class_tnull(g)
-        elif name == "n0prime":
+        elif args.name == "n0prime":
             c = slopes.class_N0prime(g)
         else:
             c = slopes.class_operator_output(g, slopes.class_tnull(g))
-        s = class_slope(c)
-        print(f"{c}  slope {frac_to_text(s) if s != slopes.INF else 'infinite'}")
-    elif args.hyperelliptic:
-        print(frac_to_text(slopes.hyperelliptic_bound(g)))
-    elif args.op:
-        # slope of the flagged operator-output class; coincides with the
-        # moving bound exactly when the order lower bound is attained
-        out = slopes.class_operator_output(g, _div_class(args.cls))
-        print(f"{out}  slope {frac_to_text(class_slope(out))}")
-    else:
-        print(frac_to_text(slopes.moving_bound(g, _div_class(args.cls))))
+        print(f"{c}  slope {frac_to_text(class_slope(c))}")
+    elif args.action == "hyperelliptic":
+        print(frac_to_text(slopes.hyperelliptic_bound(args.genus)))
+    else:  # bound: the slope of the operator-output class, which --op also prints
+        cls = _div_class(args.cls)
+        bound = frac_to_text(slopes.moving_bound(args.genus, cls))
+        print(f"{slopes.class_operator_output(args.genus, cls)}  slope {bound}"
+              if args.op else bound)
     return 0
 
 
@@ -449,6 +439,16 @@ def build_parser() -> argparse.ArgumentParser:
     def trunc_option(sp):
         sp.add_argument("--trunc", type=_truncation, default=48)
 
+    def actions(sp, fn, dest: str = "action", metavar: str = "ACTION"):
+        """The adder of sp's subcommands, each handled by fn; it returns their parser."""
+        group = sp.add_subparsers(dest=dest, required=True, metavar=metavar)
+
+        def action(name: str, help_text: str, **defaults):
+            ap = group.add_parser(name, help=help_text)
+            ap.set_defaults(fn=fn, **defaults)
+            return ap
+        return action
+
     sp = sub.add_parser("opgen", help="build the operator polynomial and verify it")
     sp.add_argument("--genus", type=int, required=True)
     weight_options(sp, required=True)
@@ -462,15 +462,20 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out")
     sp.set_defaults(fn=cmd_apply)
 
-    sp = sub.add_parser("theta", help="theta-constant expansions and values")
-    sp.add_argument("action", choices=["qexp", "eval"])
-    sp.add_argument("--genus", type=int)  # defaults to the genus of --char
-    sp.add_argument("--char", required=True)
-    sp.add_argument("--tau")
-    sp.add_argument("--z")
-    trunc_option(sp)
-    sp.add_argument("--out")
-    sp.set_defaults(fn=cmd_theta)
+    action = actions(sub.add_parser("theta", help="theta-constant expansions and values"),
+                     cmd_theta)
+
+    def char_options(ap):
+        ap.add_argument("--genus", type=int)  # defaults to the genus of --char
+        ap.add_argument("--char", required=True)
+        return ap
+
+    ap = char_options(action("qexp", "the exact expansion of a theta constant"))
+    trunc_option(ap)
+    ap.add_argument("--out")
+    ap = char_options(action("eval", "the value of a theta function at a point"))
+    ap.add_argument("--tau", required=True)
+    ap.add_argument("--z")
 
     sp = sub.add_parser("form", help="write a named form as an SMF1 expansion")
     sp.add_argument("--name", required=True)
@@ -486,23 +491,26 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out")
     sp.set_defaults(fn=cmd_bracket)
 
-    sp = sub.add_parser("slope", help="divisor classes, slopes, the table and the report")
-    sp.add_argument("action", choices=["table", "report", "class", "bound"])
-    sp.add_argument("--name", choices=["tnull", "n0prime", "operator-tnull"])
-    sp.add_argument("--genus", type=int, default=2)
-    sp.add_argument("--cls")
-    sp.add_argument("--op", action="store_true")
-    sp.add_argument("--hyperelliptic", action="store_true")
-    sp.set_defaults(fn=cmd_slope)
+    action = actions(sub.add_parser(
+        "slope", help="divisor classes, slopes, the table and the report"), cmd_slope)
+    action("table", "the effective and moving slope table for genus 1..6")
+    action("report", "the table with the classes and thresholds behind it")
+    ap = action("class", "a named divisor class and its slope")
+    ap.add_argument("--name", choices=["tnull", "n0prime", "operator-tnull"], required=True)
+    ap.add_argument("--genus", type=int, default=2)
+    ap = action("bound", "the moving-slope bound from a boundary-vanishing class")
+    ap.add_argument("--genus", type=int, default=2)
+    ap.add_argument("--cls", required=True, metavar="LAMBDA,DELTA")
+    ap.add_argument("--op", action="store_true")  # also print the operator-output class
+    ap = action("hyperelliptic", "the hyperelliptic slope threshold 8 + 4/g")
+    ap.add_argument("--genus", type=int, required=True)
 
-    sp = sub.add_parser("verify", help="run a named verification suite")
-    checks = sp.add_subparsers(dest="what", required=True, metavar="CHECK")
+    action = actions(sub.add_parser("verify", help="run a named verification suite"),
+                     cmd_verify, "what", "CHECK")
 
     def check(name: str, help_text: str, *settings):
         """The subparser of one check; settings are the options it reads."""
-        cp = checks.add_parser(name, help=help_text)
-        cp.set_defaults(fn=cmd_verify, settings=settings)
-        return cp
+        return action(name, help_text, settings=settings)
 
     cp = check("pluriharmonic", "the coefficient identity and the second-order verifier "
                "(Q(a) by default)", "genus", "weight")

@@ -187,7 +187,7 @@ def jet_diff(p: JetPoly, i: int, j: int) -> JetPoly:
     return JetPoly(out, p.field)
 
 
-def diffresult_expand(g: int, n: tuple, symbol: str = "F", field: str = "Q") -> JetPoly:
+def diffresult_expand(g: int, n: tuple, symbol: str = "F") -> JetPoly:
     """Minor-sum expansion of the operator attached to B(n), for admissible n.
 
     Admissible shapes have one entry m >= 1, all other entries 0 or 1 (these
@@ -203,17 +203,15 @@ def diffresult_expand(g: int, n: tuple, symbol: str = "F", field: str = "Q") -> 
     m = shape[0]
     if len(n) != g or sum(n) != g or any(v not in (0, 1) for v in shape[1:]):
         raise ValueError(f"multi-index {n} does not have an admissible shape")
-    one = _field_one(field)
     fact_gm = math.factorial(g - m)
-    total = JetPoly.zero(field)
+    total = JetPoly.zero()
     universe = list(range(1, g + 1))
     for I in itertools.combinations(universe, m):
         for J in itertools.combinations(universe, m):
             eps = (-1) ** (sum(I) + sum(J))
             Ic = [v for v in universe if v not in I]
             Jc = [v for v in universe if v not in J]
-            piece = jet_det_operator(symbol, I, J, field) * \
-                jet_minor_det_partial(symbol, Ic, Jc, field)
-            total = total + piece.scale(one * (eps * fact_gm))
-    bare = JetPoly.symbol(symbol, field)
+            piece = jet_det_operator(symbol, I, J) * jet_minor_det_partial(symbol, Ic, Jc)
+            total = total + piece.scale(Fraction(eps * fact_gm))
+    bare = JetPoly.symbol(symbol)
     return total * bare ** (m - 1)

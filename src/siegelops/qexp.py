@@ -710,7 +710,7 @@ def product_balanced(factors: list):
     return layer[0]
 
 
-def eval_jetpoly(p: JetPoly, bind: dict, weight=None):
+def eval_jetpoly(p: JetPoly, bind: dict):
     """Realize a jet polynomial on actual expansions.
 
     Every symbol occurring in p must be bound to an expansion; a linear
@@ -719,8 +719,7 @@ def eval_jetpoly(p: JetPoly, bind: dict, weight=None):
     expansion that a product takes is made once.  All
     monomials must carry the same total symbol weight and the same
     derivative count; the result weight follows the sum rule (symbol
-    weights) + 2*order/genus unless overridden.  An empty p gives the zero of the bound expansions'
-    class at their least truncation.
+    weights) + 2*order/genus.  An empty p, which carries neither, is refused.
 
     Each monomial c D_p F D_q F (two factors of one symbol, one derivative
     pair each) is rewritten by the Leibniz rule of the module docstring,
@@ -728,10 +727,7 @@ def eval_jetpoly(p: JetPoly, bind: dict, weight=None):
     the monomials.
     """
     if not p.terms:
-        if weight is None:
-            raise ValueError("cannot infer the weight of an empty jet polynomial")
-        shortest = min(bind.values(), key=lambda f: f.trunc)
-        return shortest.zero(weight=weight, trunc=shortest.trunc)
+        raise ValueError("cannot infer the weight of an empty jet polynomial")
     unbound = p.symbols() - set(bind)
     if unbound:
         raise ValueError(f"unbound symbol(s) {sorted(unbound)!r}")
@@ -789,10 +785,8 @@ def eval_jetpoly(p: JetPoly, bind: dict, weight=None):
             _accumulate(monos, ((sym, ()), (sym, pq)), -coeff)
         else:
             _accumulate(monos, mono, coeff)
-    if weight is None:
-        weight = sym_weight + Fraction(2 * order, genus)
     return _sum_of_products([(c, m) for m, c in monos.items()], factor,
-                            linear).with_weight(weight)
+                            linear).with_weight(sym_weight + Fraction(2 * order, genus))
 
 
 def _base(key: tuple) -> tuple:

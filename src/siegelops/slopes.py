@@ -179,10 +179,9 @@ def known_slopes_table() -> list[TableRow]:
     return rows
 
 
-def render_table(rows: list[TableRow] | None = None) -> str:
-    rows = rows or known_slopes_table()
+def render_table() -> str:
     lines = ["genus | s_eff        | s_mov",
              "------+--------------+--------------"]
-    for r in rows:
+    for r in known_slopes_table():
         lines.append(f"{r.genus:>5} | {r.eff.render():<12} | {r.mov.render()}")
     return "\n".join(lines) + "\n"

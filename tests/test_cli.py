@@ -118,7 +118,7 @@ def test_slope_commands(capsys):
     code, out = run_cli(["slope", "bound", "--genus", "5",
                          "--cls", "108,14"], capsys)
     assert code == 0 and out.strip().endswith("271/35")
-    code, out = run_cli(["slope", "bound", "--hyperelliptic", "--genus", "3"], capsys)
+    code, out = run_cli(["slope", "hyperelliptic", "--genus", "3"], capsys)
     assert code == 0 and out.strip().endswith("28/3")
 
 
@@ -333,8 +333,7 @@ def test_bad_weight_is_a_clean_error(capsys):
 def test_bad_tau_is_a_clean_error(tmp_path, capsys):
     for argv in (["theta", "eval", "--char", "00,00", "--tau", "diag:abc"],
                  ["verify", "cond", "--tau", "diag:1.1,x"],
-                 ["theta", "eval", "--char", "00,00", "--tau", str(tmp_path / "none")],
-                 ["theta", "eval", "--char", "00,00"]):
+                 ["theta", "eval", "--char", "00,00", "--tau", str(tmp_path / "none")]):
         code, err = run_cli_error(argv, capsys)
         assert code == 2
         assert err.startswith("error: ") and "Traceback" not in err
@@ -447,11 +446,24 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 OPTIONS = {
     "opgen": {"genus", "symbolic", "weight", "oracle-x", "out"},
     "apply": {"operator", "input", "out"},
-    "theta": {"genus", "char", "tau", "z", "trunc", "out"},
+    "theta": set(),  # each action of theta and slope is a subcommand with its own options
     "form": {"name", "genus", "trunc", "out"},
     "bracket": {"scalar", "weights", "out"},
-    "slope": {"name", "genus", "cls", "op", "hyperelliptic"},
+    "slope": set(),
     "verify": set(),  # each check of verify is a subcommand with its own options
+}
+
+THETA_OPTIONS = {
+    "qexp": {"genus", "char", "trunc", "out"},
+    "eval": {"genus", "char", "tau", "z"},
+}
+
+SLOPE_OPTIONS = {
+    "table": set(),
+    "report": set(),
+    "class": {"name", "genus"},
+    "bound": {"genus", "cls", "op"},
+    "hyperelliptic": {"genus"},
 }
 
 VERIFY_OPTIONS = {
@@ -481,9 +493,32 @@ def _options(parsers) -> dict:
 def test_each_subcommand_takes_only_the_options_it_reads():
     found = _options(_subparsers())
     assert found == OPTIONS
-    checks = _options(_subparsers(_subparsers()["verify"]))
-    assert checks == VERIFY_OPTIONS
-    assert sum(map(len, found.values())) + sum(map(len, checks.values())) == 38
+    nested = {name: _options(_subparsers(_subparsers()[name]))
+              for name in ("theta", "slope", "verify")}
+    assert nested == {"theta": THETA_OPTIONS, "slope": SLOPE_OPTIONS,
+                      "verify": VERIFY_OPTIONS}
+    counts = {name: sum(map(len, options.values())) for name, options in nested.items()}
+    assert counts["theta"] + counts["slope"] == 14
+    assert sum(map(len, found.values())) + sum(counts.values()) == 41
+
+
+@pytest.mark.parametrize("argv,option", [
+    (["theta", "eval", "--char", "0,0", "--tau", "diag:1", "--out", "F"], "--out F"),
+    (["theta", "qexp", "--char", "0,0", "--tau", "diag:1"], "--tau"),
+    (["theta", "qexp", "--char", "0,0", "--z", "0.1"], "--z"),
+    (["slope", "table", "--genus", "3"], "--genus"),
+    (["slope", "class", "--name", "tnull", "--cls", "1,2"], "--cls"),
+    (["slope", "bound", "--cls", "8,1", "--name", "tnull"], "--name"),
+    (["slope", "bound", "--hyperelliptic", "--genus", "3", "--cls", "8,1"],
+     "--hyperelliptic"),
+])
+def test_actions_reject_options_they_do_not_read(argv, option, tmp_path, monkeypatch,
+                                                 capsys):
+    """Each action of theta and slope rejects an option that only another
+    action reads, before it runs: theta eval writes no --out file."""
+    monkeypatch.chdir(tmp_path)
+    expect_usage_error(argv, capsys, f"unrecognized arguments: {option}")
+    assert not (tmp_path / "F").exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -567,9 +602,7 @@ def test_opgen_and_apply_headers_show_what_they_read(tmp_path, capsys):
     ["slope", "bound", "--op", "--genus", "4"],
 ])
 def test_slope_bound_without_cls_is_a_clean_error(argv, capsys):
-    code, err = run_cli_error(argv, capsys)
-    assert code == 2
-    assert err == "error: slope bound needs --cls LAMBDA,DELTA\n"
+    expect_usage_error(argv, capsys, "the following arguments are required: --cls")
 
 
 @pytest.mark.parametrize("cls", ["1", "1,2,3", "a,1"])
@@ -580,9 +613,22 @@ def test_slope_bound_with_a_bad_cls_names_it(cls, capsys):
 
 
 def test_slope_class_without_name_is_a_clean_error(capsys):
-    code, err = run_cli_error(["slope", "class", "--genus", "3"], capsys)
-    assert code == 2
-    assert err == "error: slope class needs --name\n"
+    expect_usage_error(["slope", "class", "--genus", "3"], capsys,
+                       "the following arguments are required: --name")
+
+
+def test_theta_eval_without_tau_is_a_clean_error(capsys):
+    expect_usage_error(["theta", "eval", "--char", "00,00"], capsys,
+                       "the following arguments are required: --tau")
+
+
+@pytest.mark.parametrize("op", [[], ["--op"]])
+@pytest.mark.parametrize("cls", ["10,0", "1,-1"])
+def test_slope_bound_needs_a_boundary_vanishing_class(cls, op, capsys):
+    """A class with delta <= 0 has no bound, and --op prints none either."""
+    code = main(["slope", "bound", *op, "--genus", "2", f"--cls={cls}"])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (2, "", "error: the bound needs a boundary-vanishing class\n")
 
 
 @pytest.mark.parametrize("command", ["opgen", "verify"])

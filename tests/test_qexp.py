@@ -168,13 +168,13 @@ def test_qexp1_diff_and_order():
         QExp1.zero().fj_order()
 
 
-def test_eval_jetpoly_empty_is_the_bound_class_zero():
+def test_eval_jetpoly_refuses_an_empty_jet():
+    """An empty jet carries no weight and no derivative order, so it has no
+    expansion; the bracket makes its zero entry itself."""
     from siegelops.brackets import eis1_qexp
-    got = eval_jetpoly(JetPoly.zero(), {"F": eis1_qexp(4, 160), "G": eis1_qexp(6, 96)},
-                       weight=10)
-    assert got == QExp1.zero(weight=10, trunc=96)
-    got = eval_jetpoly(JetPoly.zero(), {"F": QExp2.one(24)}, weight=10)
-    assert got == QExp2.zero(weight=10, trunc=24)
+    for bind in ({"F": eis1_qexp(4, 160), "G": eis1_qexp(6, 96)}, {"F": QExp2.one(24)}):
+        with pytest.raises(ValueError, match="empty jet polynomial"):
+            eval_jetpoly(JetPoly.zero(), bind)
 
 
 def _genus1(terms: dict, trunc: int, weight=Fraction(1, 2)) -> QExp1:

@@ -97,6 +97,25 @@ def _parse_tau(spec: str):
         raise ValueError(f"bad --tau {spec!r} ({exc})") from None
 
 
+def _parse_char(text: str):
+    """The --char value: two strings of 0/1 digits joined by a comma, as '00,11'."""
+    e, _, d = text.partition(",")
+    if not all(v.isdecimal() for v in e.strip() + d.strip()):
+        raise ValueError(f"--char {text!r} is not two strings of digits joined by a comma")
+    return theta.char_from_text(text)
+
+
+def _parse_z(text: str, g: int) -> list:
+    """The --z value: g complex numbers joined by commas."""
+    try:
+        z = [complex(v) for v in text.split(",")]
+    except ValueError:
+        raise ValueError(f"--z {text!r} is not complex numbers joined by commas") from None
+    if len(z) != g:
+        raise ValueError(f"--z {text!r} has {len(z)} entries, expected {g}")
+    return z
+
+
 def _emit(text: str, out: str | None):
     if out:
         with open(out, "w") as fh:
@@ -197,7 +216,7 @@ def cmd_apply(args) -> int:
 
 
 def cmd_theta(args) -> int:
-    c = theta.char_from_text(args.char)
+    c = _parse_char(args.char)
     if args.genus not in (None, c.g):
         raise ValueError(f"--genus {args.genus} disagrees with --char {args.char!r} "
                          f"of genus {c.g}")
@@ -208,7 +227,7 @@ def cmd_theta(args) -> int:
             print("# identically zero (odd characteristic)")
         return 0
     tau = _parse_tau(args.tau)
-    z = [complex(v) for v in (args.z.split(",") if args.z else [])] or None
+    z = _parse_z(args.z, c.g) if args.z else None
     val = theta.theta_numeric(c.g, c, tau, z)
     print(f"{val.real!r} {val.imag!r}")
     return 0

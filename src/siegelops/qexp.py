@@ -65,6 +65,17 @@ identity of the packed ints, since equal small ints are one object.  Each
 output integer is the same sum of the same convolution terms as in the
 general path, so S still bounds every digit.
 
+A genus-2 modular form is +-itself under the swap tau_11 <-> tau_22 (U in
+GL_2(Z) swapping the basis, F(U tau U^T) = det(U)^k F(tau) up to its
+character): a(alpha, beta, gamma) = s a(gamma, beta, alpha), s = +-1.
+_mirror_sign finds s on the packed rows (the row at (alpha, gamma) is s
+times the row at (gamma, alpha), from the same lowest slot) in O(groups).
+If both operands have one, the mirror, a bijection of the pairs of terms
+that keeps the weight, makes the product s_a s_b-symmetric exactly, so only
+pairs whose output group has alpha <= gamma are multiplied, and a group
+with alpha < gamma is decoded with its mirror.  Other operands (theta[10,00]
+alone, say) and genus 1 take the general path.
+
 Jet polynomials are evaluated in two steps.  First, by the Leibniz rule,
 each monomial c D_p F D_q F of two factors of one symbol with one
 derivative pair each becomes c/2 D_p D_q (F F) - c F D_p D_q F when
@@ -93,7 +104,7 @@ from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
 from functools import partial, reduce
-from itertools import repeat
+from itertools import compress, repeat
 from math import gcd, lcm
 from operator import add, itemgetter, mul
 from types import MappingProxyType
@@ -205,6 +216,21 @@ def _stride(*cols) -> int:
     return s or 1
 
 
+def _mirror_sign(groups: list) -> int:
+    """s = +1 or -1 if the packed row of every genus-2 group at rest
+    (alpha, gamma) is s times the row at (gamma, alpha), from the same lowest
+    slot, else 0: then a(alpha, beta, gamma) = s a(gamma, beta, alpha)."""
+    rows = {r: (o, P) for _, _, r, o, P in groups}
+    sign = 0
+    for r, (o, P) in rows.items():
+        mo, mP = rows.get(r[::-1], (None, 0))
+        s = 0 if mo != o else 1 if mP == P else -1 if mP == -P else 0
+        if not s or s == -sign:
+            return 0
+        sign = s
+    return sign
+
+
 def _mul_terms(na: dict, nb: dict, trunc: int) -> dict:
     """Truncated convolution of two {key: int} dicts of one genus; the
     result is {key: nonzero int}."""
@@ -234,6 +260,13 @@ def _mul_terms(na: dict, nb: dict, trunc: int) -> dict:
 
     xa, ga = groups(ra, ca)
     xb, gb = (xa, ga) if square else groups(rb, cb)
+    # the sign of the product under the mirror alpha <-> gamma, when both
+    # operands have one; then only output groups with alpha <= gamma are made
+    sign = _mirror_sign(ga) if lay.genus == 2 else 0
+    if sign:
+        sign *= sign if square else _mirror_sign(gb)
+    if sign:  # alpha - gamma of each partner's rest
+        db = [r[0] - r[1] for _, _, r, _, _ in gb]
     wb = [t[0] for t in gb]
     if square:  # each unordered pair once, found by position
         doubled = [(*t[:4], t[4] << 1) for t in ga]
@@ -242,11 +275,13 @@ def _mul_terms(na: dict, nb: dict, trunc: int) -> dict:
     for i, (wa, ka, rest_a, oa, Pa) in enumerate(ga):
         reach = bisect_right(wb, trunc - wa)
         if not square:
-            partners = gb[:reach]
+            lo, partners = 0, gb[:reach]
         elif i < reach:  # the group with itself (Pa * Pa), then later rows doubled
-            partners = [ga[i], *doubled[i + 1:reach]]
+            lo, partners = i, [ga[i], *doubled[i + 1:reach]]
         else:  # weight > trunc / 2, and every later group's too
             break
+        if sign:  # alpha_a + alpha_b <= gamma_a + gamma_b
+            partners = compress(partners, map((rest_a[1] - rest_a[0]).__ge__, db[lo:reach]))
         for _, kb, rest_b, ob, Pb in partners:
             key = ka + kb
             o = oa + ob
@@ -264,8 +299,12 @@ def _mul_terms(na: dict, nb: dict, trunc: int) -> dict:
         head, tail, first = r[:p], r[p:], xa + xb + s * o
         # at genus 1, decode only the slots within the truncation
         slots = max(0, (trunc - first) // s + 1) if lay.genus == 1 else None
-        for i, v in _unpack(P, S, slots):
+        digits = _unpack(P, S, slots)
+        for i, v in digits:
             out[(*head, first + s * i, *tail)] = v
+        if sign and r[0] != r[1]:  # the mirror group (gamma, alpha)
+            for i, v in digits:
+                out[(r[1], first + s * i, r[0])] = sign * v
     return out
 
 

@@ -5,16 +5,23 @@ the same dict for any operands: negative beta, strides and offsets that
 differ between the operands, mixed denominators, coefficients far above a
 machine word, empty operands and terms exactly at the truncation.  A square
 (one dict passed as both operands) takes its own path, which visits each
-unordered group pair once; it is checked the same way.
+unordered group pair once; it is checked the same way.  Operands that are
++-themselves under the mirror alpha <-> gamma, as Siegel modular forms are,
+make only half the output groups; they are checked the same way too, and a
+spy on the mirror check shows which path each product took.
 """
 
+from contextlib import contextmanager
 from fractions import Fraction
 from math import isqrt, lcm
+from unittest import mock
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from siegelops.qexp import QExp1, QExp2, _mul_terms
+from siegelops import qexp
+from siegelops.qexp import QExp1, QExp2, _mirror_sign, _mul_terms
+from siegelops.theta import char_from_text, tnull_qexp, theta_qexp
 
 
 def cleared(t: dict) -> tuple[int, dict]:
@@ -217,3 +224,124 @@ def test_powers_equal_the_left_fold_of_distinct_copies(x):
     for n in range(10):
         assert x ** n == fold, n
         fold = fold * copy
+
+
+def mirrored(t: dict, sign: int) -> dict:
+    """t with each term's mirror (gamma, beta, alpha) set to sign times it
+    (the later of two mirror partners wins); sign -1 drops the alpha = gamma
+    terms, which an antisymmetric operand cannot have."""
+    out = {}
+    for (a, b, g2), c in t.items():
+        if a != g2 or sign > 0:
+            out[(a, b, g2)], out[(g2, b, a)] = c, sign * c
+    return out
+
+
+@contextmanager
+def mirror_signs():
+    """The list of the values the kernel's mirror check returns in the block."""
+    seen = []
+
+    def spy(groups):
+        seen.append(_mirror_sign(groups))
+        return seen[-1]
+
+    with mock.patch.object(qexp, "_mirror_sign", spy):
+        yield seen
+
+
+def within(t: dict, trunc: int) -> dict:
+    return {k: c for k, c in t.items() if k[0] + k[2] <= trunc}
+
+
+signs = st.sampled_from([1, -1])
+# truncation 0, an odd one, or any; operand2 puts terms exactly at it
+mirror_truncs = st.one_of(st.just(0), st.integers(0, 5).map(lambda n: 2 * n + 1),
+                          st.integers(0, 10))
+
+
+@st.composite
+def mirror_case(draw):
+    trunc = draw(mirror_truncs)
+    sa, sb = draw(signs), draw(signs)
+    return (mirrored(draw(operand2(trunc)), sa), sa,
+            mirrored(draw(operand2(trunc)), sb), sb, trunc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(mirror_case())
+# sym x anti: the output's alpha = gamma groups cancel
+@example(({(0, 0, 1): Fraction(1), (1, 0, 0): Fraction(1)}, 1,
+          {(0, 1, 1): Fraction(2), (1, 1, 0): Fraction(-2)}, -1, 2))
+def test_mirrored_operands_match_naive_convolution(case):
+    """sym x sym, anti x anti and sym x anti take the half path (each nonempty
+    operand's check returns its sign) and agree with the reference."""
+    ta, sa, tb, sb, trunc = case
+    want = naive_mul2(ta, tb, trunc)
+    with mirror_signs() as seen:
+        assert kernel(ta, tb, trunc) == want
+    if within(ta, trunc) and within(tb, trunc):
+        assert seen == [sa, sb]
+    assert all(want.get((g2, b, a)) == sa * sb * c for (a, b, g2), c in want.items())
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.tuples(mirror_truncs, signs).flatmap(
+    lambda ts: st.tuples(operand2(ts[0]).map(lambda t: mirrored(t, ts[1])),
+                         st.just(ts[1]), st.just(ts[0]))))
+def test_mirrored_squares_match_naive_convolution(case):
+    t, sign, trunc = case
+    with mirror_signs() as seen:
+        assert square(t, trunc) == naive_mul2(t, t, trunc)
+    if within(t, trunc):
+        assert seen == [sign]
+
+
+@settings(max_examples=100, deadline=None)
+@given(mirror_case(), st.data())
+def test_a_broken_mirror_takes_the_full_path(case, data):
+    """Negative control: one coefficient off the alpha = gamma line doubled
+    breaks the mirror, so the check returns 0 and the product is made in full."""
+    ta, sa, tb, _, trunc = case
+    off = sorted(k for k in within(ta, trunc) if k[0] != k[2])
+    if not off:
+        return
+    k = data.draw(st.sampled_from(off))
+    ta = {**ta, k: 2 * ta[k]}
+    with mirror_signs() as seen:
+        assert square(ta, trunc) == naive_mul2(ta, ta, trunc)
+        assert kernel(ta, tb, trunc) == naive_mul2(ta, tb, trunc)
+    assert seen == [0, 0] if within(tb, trunc) else seen == [0]
+
+
+def test_a_mirror_shifted_in_beta_takes_the_full_path():
+    """Rows that are equal packed ints from different lowest slots (beta 0
+    at (0, 1), beta 8 at (1, 0)) are not mirrors of each other."""
+    t = {(0, 0, 1): Fraction(1), (1, 8, 0): Fraction(1), (1, 0, 1): Fraction(3)}
+    with mirror_signs() as seen:
+        assert square(t, 4) == naive_mul2(t, t, 4)
+    assert seen == [0]
+
+
+def test_siegel_forms_take_the_half_path():
+    """The theta-null product T, its square and D T = T_{11,22} - T_{12,12} are
+    symmetric under the mirror; theta[10,00] alone is not (it takes the full
+    path), and a mirrored antisymmetric operand has sign -1."""
+    t = tnull_qexp(48)
+    d = t.q_diff(1, 1).q_diff(2, 2) - t.q_diff(1, 2).q_diff(1, 2)
+    for f in (t, t * t, d):
+        with mirror_signs() as seen:
+            f * f
+        assert seen == [1]
+    with mirror_signs() as seen:
+        t * d
+    assert seen == [1, 1]
+    th = theta_qexp(2, char_from_text("10,00"), 48)
+    with mirror_signs() as seen:
+        th * t
+        t * th
+    assert seen == [0, 1, 0]
+    anti = QExp2(mirrored(dict(th.terms), -1), th.weight, th.trunc)
+    with mirror_signs() as seen:
+        anti * t
+    assert seen == [-1, 1]

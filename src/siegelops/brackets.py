@@ -31,11 +31,6 @@ from .poly import _signed_pairings
 from .qexp import DEFAULT_TRUNC, QExp1, eval_jetpoly
 
 
-def weight_symbol(name: str) -> JetPoly:
-    """A formal scalar weight as a derivative-free jet symbol."""
-    return JetPoly.symbol(name)
-
-
 def _as_jet(x, field="Q") -> JetPoly:
     if isinstance(x, JetPoly):
         return x

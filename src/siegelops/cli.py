@@ -24,7 +24,7 @@ from functools import cache
 
 from . import brackets, opgen, slopes, theta
 from .jets import operator_jet
-from .qexp import eval_jetpoly, qexp_from_text
+from .qexp import DEFAULT_TRUNC, eval_jetpoly, qexp_from_text
 from .scalars import RatFunc, frac_to_text
 from .slopes import DivClass, make_class, render_table, slope as class_slope
 
@@ -217,9 +217,6 @@ def cmd_apply(args) -> int:
 
 def cmd_theta(args) -> int:
     c = _parse_char(args.char)
-    if args.genus not in (None, c.g):
-        raise ValueError(f"--genus {args.genus} disagrees with --char {args.char!r} "
-                         f"of genus {c.g}")
     if args.action == "qexp":
         f = theta.theta_qexp(c.g, c, args.trunc)
         _emit(f.to_text(), args.out)
@@ -408,7 +405,7 @@ def cmd_verify(args) -> int:
             tau = _parse_tau(spec_txt)
             try:
                 rep = theta.check_condition_star(tau, args.tol_zero)
-            except ValueError as exc:
+            except theta.OffLocus as exc:
                 failures += _status(f"gradient determinant at {spec_txt}", False, str(exc))
                 continue
             failures += _status(f"gradient determinant at {spec_txt}",
@@ -456,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
         group.add_argument("--weight")
 
     def trunc_option(sp):
-        sp.add_argument("--trunc", type=_truncation, default=48)
+        sp.add_argument("--trunc", type=_truncation, default=DEFAULT_TRUNC)
 
     def actions(sp, fn, dest: str = "action", metavar: str = "ACTION"):
         """The adder of sp's subcommands, each handled by fn; it returns their parser."""
@@ -484,15 +481,12 @@ def build_parser() -> argparse.ArgumentParser:
     action = actions(sub.add_parser("theta", help="theta-constant expansions and values"),
                      cmd_theta)
 
-    def char_options(ap):
-        ap.add_argument("--genus", type=int)  # defaults to the genus of --char
-        ap.add_argument("--char", required=True)
-        return ap
-
-    ap = char_options(action("qexp", "the exact expansion of a theta constant"))
+    ap = action("qexp", "the exact expansion of a theta constant")
+    ap.add_argument("--char", required=True)  # its genus is the expansion's
     trunc_option(ap)
     ap.add_argument("--out")
-    ap = char_options(action("eval", "the value of a theta function at a point"))
+    ap = action("eval", "the value of a theta function at a point")
+    ap.add_argument("--char", required=True)
     ap.add_argument("--tau", required=True)
     ap.add_argument("--z")
 

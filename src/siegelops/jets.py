@@ -52,15 +52,6 @@ class JetPoly(_SparsePoly):
 
     __slots__ = ()
 
-    # the shared ring methods, in this class's own namespace (see MultiPoly)
-    __add__ = _SparsePoly.__add__
-    __neg__ = _SparsePoly.__neg__
-    __sub__ = _SparsePoly.__sub__
-    __mul__ = _SparsePoly.__mul__
-    __pow__ = _SparsePoly.__pow__
-    scale = _SparsePoly.scale
-    promote = _SparsePoly.promote
-
     @staticmethod
     def _mono_mul(m1: JetMono, m2: JetMono) -> JetMono:
         return _mono(m1 + m2)

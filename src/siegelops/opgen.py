@@ -409,17 +409,12 @@ def verify_deriv_lemma(g: int, n: tuple, h: int, k=None) -> bool:
     """
     if k is None:
         k = 2 * RatFunc.var()
-    lhs = apply_D11(g, h, coeff_R(g, n).promote() if isinstance(k, RatFunc)
-                    else coeff_R(g, n), k)
+    lhs = apply_D11(g, h, coeff_R(g, n), k)
     if n[h - 1] == 0:
         return lhs.is_zero()
     nminus = list(n)
     nminus[h - 1] -= 1
-    rhs = minor_coeff_R(g, 1, 1, tuple(nminus))
-    if isinstance(k, RatFunc):
-        rhs = rhs.promote()
-    rhs = rhs.scale(k - n[h - 1] + 1)
-    return lhs == rhs
+    return lhs == minor_coeff_R(g, 1, 1, tuple(nminus)).scale(k - n[h - 1] + 1)
 
 
 def xspace_oracle(g: int, k: int, p: MultiPoly) -> MultiPoly:

@@ -146,10 +146,18 @@ class _SparsePoly:
 
     terms maps monomials to nonzero coefficients, and field is the
     coefficient-field tag.  A subclass supplies _mono_mul, the product of two
-    of its monomials, and lists the shared methods in its own class body.
+    of its monomials.
     """
 
     __slots__ = ("terms", "field")
+
+    def __init_subclass__(cls):
+        # The shared methods are entries of each subclass's own namespace, so a
+        # wrapper set on one class's method (as the span recorder of perfbench
+        # installs) leaves the other class's method alone.
+        for name in ("__add__", "__neg__", "__sub__", "__mul__", "__pow__", "scale",
+                     "promote"):
+            setattr(cls, name, vars(_SparsePoly)[name])
 
     def __init__(self, terms: dict | None = None, field: str = "Q"):
         self.terms = {m: c for m, c in (terms or {}).items() if c}
@@ -243,16 +251,6 @@ class MultiPoly(_SparsePoly):
 
     __slots__ = ()
 
-    # The shared methods are entries of each subclass's own namespace, so a
-    # wrapper set on one class's method (as the span recorder of perfbench
-    # installs) leaves the other class's method alone.
-    __add__ = _SparsePoly.__add__
-    __neg__ = _SparsePoly.__neg__
-    __sub__ = _SparsePoly.__sub__
-    __mul__ = _SparsePoly.__mul__
-    __pow__ = _SparsePoly.__pow__
-    scale = _SparsePoly.scale
-    promote = _SparsePoly.promote
     _mono_mul = staticmethod(_mono_mul)
 
     @classmethod
@@ -626,12 +624,6 @@ def _packed_lines(g: int, den, nums: dict) -> list:
     """The lines of the POLY1 block of the cleared packed form (den, nums)
     of _packed_poly, without their newlines: header line, then the term
     lines of _Packing.term_lines, each distinct numerator formatted once."""
-    if isinstance(den, tuple):
-        field, coeff = "Qa", _Memo(lambda num: scalar_to_text(_coefficient(num, den)))
-    else:
-        def frac(num: int) -> str:
-            d = math.gcd(num, den)
-            return str(num // d) if d == den else f"{num // d}/{den // d}"
-        field, coeff = "Q", _Memo(frac)
-    return [f"POLY1 field={field} terms={len(nums)}",
+    coeff = _Memo(lambda num: scalar_to_text(_coefficient(num, den)))
+    return [f"POLY1 field={'Qa' if isinstance(den, tuple) else 'Q'} terms={len(nums)}",
             *_packing(g).term_lines(nums, coeff.__getitem__)]

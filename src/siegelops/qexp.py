@@ -110,6 +110,7 @@ from operator import add, itemgetter, mul
 from types import MappingProxyType
 
 from .jets import JetPoly
+from .poly import _cleared
 from .scalars import (RatFunc, _accumulate, _binpow, _int_from_text, _line_reader, _Memo,
                       _number_from_text, _pack, _unpack, frac_from_text, frac_to_text)
 
@@ -316,8 +317,7 @@ class _Expansion:
     docstring, and terms is their {key: Fraction} view; every key's weight
     is at most trunc.  weight is the modular weight, tau_factor the number
     of stripped powers of 2 pi i and character the sign-character flag.  A
-    subclass sets genus, which fixes the key layout, and lists the shared
-    methods in its own class body.
+    subclass sets genus, which fixes the key layout.
     """
 
     __slots__ = ("weight", "trunc", "_den", "_nums", "_terms", "tau_factor", "character")
@@ -326,6 +326,11 @@ class _Expansion:
 
     def __init_subclass__(cls):
         cls._layout = _Layout(cls.genus)
+        # the shared methods, in each subclass's own namespace (see
+        # poly._SparsePoly.__init_subclass__)
+        for name in ("__add__", "__neg__", "__sub__", "__mul__", "__pow__", "scale_coeff",
+                     "truncate", "q_diff", "to_text"):
+            setattr(cls, name, vars(_Expansion)[name])
 
     def __init__(self, terms: dict | None = None, weight=Fraction(0),
                  trunc: int = DEFAULT_TRUNC, tau_factor: int = 0,
@@ -339,10 +344,7 @@ class _Expansion:
                 raise ValueError(why)
             if type(c) is not int and not isinstance(c, Fraction):
                 raise TypeError(f"coefficient {c!r} is not an exact rational")
-        # reduced fractions over the lcm of their denominators are canonical
-        den = lcm(*{c.denominator for c in terms.values()})
-        self._set(den, {k: c.numerator * (den // c.denominator) for k, c in terms.items()},
-                  Fraction(weight), trunc, tau_factor, character)
+        self._set(*_cleared("Q", terms), Fraction(weight), trunc, tau_factor, character)
 
     def _set(self, den, nums, weight, trunc, tau_factor, character):
         self._den, self._nums, self._terms = den, nums, None
@@ -557,24 +559,6 @@ class QExp2(_Expansion):
 
     genus = 2
 
-    # The shared methods are entries of each subclass's own namespace, so a
-    # wrapper set on one class's method (as the span recorder of perfbench
-    # installs) leaves the other class's method alone.
-    __add__ = _Expansion.__add__
-    __neg__ = _Expansion.__neg__
-    __sub__ = _Expansion.__sub__
-    __mul__ = _Expansion.__mul__
-    __pow__ = _Expansion.__pow__
-    scale_coeff = _Expansion.scale_coeff
-    truncate = _Expansion.truncate
-    q_diff = _Expansion.q_diff
-    to_text = _Expansion.to_text
-
-    @classmethod
-    def monomial(cls, a: int, b: int, c: int, coeff=1, weight=Fraction(0),
-                 trunc: int = DEFAULT_TRUNC) -> "QExp2":
-        return cls({(a, b, c): Fraction(coeff)}, weight, trunc)
-
     def fj_slice(self, r) -> dict:
         """Terms with gamma/8 = r, reindexed by (alpha, beta)."""
         target = Fraction(r) * SCALE
@@ -603,15 +587,6 @@ class QExp1(_Expansion):
     __slots__ = ()
 
     genus = 1
-
-    __add__ = _Expansion.__add__
-    __neg__ = _Expansion.__neg__
-    __sub__ = _Expansion.__sub__
-    __mul__ = _Expansion.__mul__
-    __pow__ = _Expansion.__pow__
-    scale_coeff = _Expansion.scale_coeff
-    q_diff = _Expansion.q_diff
-    to_text = _Expansion.to_text
 
     def coefficient(self, n_unscaled) -> Fraction:
         key = Fraction(n_unscaled) * SCALE

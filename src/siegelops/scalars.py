@@ -26,8 +26,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-Rational = Fraction
-
 
 class PoleError(ZeroDivisionError):
     """Raised when a RatFunc is evaluated at a root of its denominator."""
@@ -215,9 +213,7 @@ class RatFunc:
 
     @staticmethod
     def _as_coeffs(v) -> tuple:
-        if isinstance(v, tuple):
-            return _ptrim([Fraction(c) for c in v])
-        if isinstance(v, list):
+        if isinstance(v, (tuple, list)):
             return _ptrim([Fraction(c) for c in v])
         if isinstance(v, (int, Fraction)):
             return _ptrim([Fraction(v)])
@@ -321,9 +317,6 @@ class RatFunc:
 
     def __str__(self):
         return ratfunc_to_text(self)
-
-
-A = RatFunc.var()
 
 
 def frac_to_text(q: Fraction) -> str:

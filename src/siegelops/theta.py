@@ -636,6 +636,10 @@ def check_modularity(form: NumericForm, gamma, tau,
 # -- nondegeneracy of the theta-null gradient on its zero locus -------------------
 
 
+class OffLocus(ValueError):
+    """A point where no even theta constant vanishes: condition (*) does not apply."""
+
+
 @dataclass
 class ConditionReport:
     det_value: complex
@@ -650,11 +654,12 @@ def check_condition_star(tau, tol_zero: float = TOL_ZERO) -> ConditionReport:
     """det of the normalized gradient of the theta-null product T at a zero.
 
     Requires the point to lie on the zero locus (one even theta constant
-    theta_* negligible there).  The value is the jet det(dF) of
-    jets.jet_det_partial read on T's derivatives from one _tnull_derivatives
-    batch, which also gives the theta values.  Its product rule divides by
-    nothing, so no 0/0 occurs, and on the locus every term of T_(ij) but
-    theta_*,(ij) prod_{c != *} theta_c has the factor theta_*:
+    theta_* negligible there), and raises OffLocus elsewhere.  The value is
+    the jet det(dF) of jets.jet_det_partial read on T's derivatives from one
+    _tnull_derivatives batch, which also gives the theta values.  Its
+    product rule divides by nothing, so no 0/0 occurs, and on the locus
+    every term of T_(ij) but theta_*,(ij) prod_{c != *} theta_c has the
+    factor theta_*:
 
         det(grad T)|_{theta_* = 0} = det(grad theta_*) * prod_{c != *} theta_c^2.
 
@@ -666,7 +671,7 @@ def check_condition_star(tau, tol_zero: float = TOL_ZERO) -> ConditionReport:
     star = min(_EVEN2, key=lambda c: abs(vals[c]))
     scale = max(abs(v) for v in vals.values())
     if abs(vals[star]) > tol_zero * max(scale, 1.0):
-        raise ValueError(
+        raise OffLocus(
             f"point is not on the theta-null locus: min |theta| = {abs(vals[star]):.3e}")
     # each of the jet's two first derivatives carries one 2 pi i
     return ConditionReport(read(values) / (2j * math.pi) ** 2, star, abs(vals[star]), *box)

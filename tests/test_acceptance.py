@@ -13,8 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from siegelops.brackets import (delta1_qexp, eis1_qexp, scalar_bracket_jet,
-                                scalar_bracket_q, weight_symbol)
+from siegelops.brackets import delta1_qexp, eis1_qexp, scalar_bracket_jet, scalar_bracket_q
 from siegelops.jets import (JetPoly, diffresult_expand, jet_apply, jet_det_partial,
                             jet_mod_symbol)
 from siegelops.opgen import (build_Q, symbolic_weight,
@@ -181,14 +180,14 @@ def test_criterion_08_condition_spot_check():
 
 
 def test_criterion_09_bracket_properties():
-    K, H = weight_symbol("k"), weight_symbol("h")
+    K, H = JetPoly.symbol("k"), JetPoly.symbol("h")
     F, G = JetPoly.symbol("F"), JetPoly.symbol("G")
     HH = JetPoly.symbol("H")
     for n in (2, 3):
         assert scalar_bracket_jet(F, K, F ** n, K.scale(Fraction(n)), 2).is_zero()
     br = scalar_bracket_jet(F, K, G, H, 2)
     assert jet_mod_symbol(br, "F") == H * H * G * G * jet_det_partial("F", 2)
-    ELL = weight_symbol("ell")
+    ELL = JetPoly.symbol("ell")
     sq = scalar_bracket_jet(HH * HH * F, K + ELL.scale(Fraction(2)), G, H, 2)
     assert sq.symbol_count("H") >= 2
     e4, e6 = eis1_qexp(4, 168), eis1_qexp(6, 168)

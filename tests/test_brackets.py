@@ -7,15 +7,15 @@ import pytest
 from siegelops import brackets, qexp
 from siegelops.brackets import (_det, _symmetric, delta1_qexp, eis1_qexp, eta_power_qexp,
                                 scalar_bracket_jet, scalar_bracket_q, sigma_power_sum,
-                                vector_bracket_jet, vector_bracket_q, weight_symbol)
+                                vector_bracket_jet, vector_bracket_q)
 from siegelops.cli import main
 from siegelops.jets import JetPoly, jet_det_partial, jet_mod_symbol
 from siegelops.qexp import qexp_from_text
 from siegelops.theta import ThetaChar, theta_pow8_sum, theta_qexp, tnull_qexp
 
-K = weight_symbol("k")
-H = weight_symbol("h")
-ELL = weight_symbol("ell")
+K = JetPoly.symbol("k")
+H = JetPoly.symbol("h")
+ELL = JetPoly.symbol("ell")
 F = JetPoly.symbol("F")
 G = JetPoly.symbol("G")
 HH = JetPoly.symbol("H")

@@ -69,8 +69,8 @@ def test_apply_rejects_weight_mismatch(tmp_path, capsys):
 
 def test_theta_qexp_command(tmp_path, capsys):
     out_file = tmp_path / "theta.smf"
-    code, _ = run_cli(["theta", "qexp", "--genus", "2", "--char", "00,11",
-                       "--trunc", "16", "--out", str(out_file)], capsys)
+    code, _ = run_cli(["theta", "qexp", "--char", "00,11", "--trunc", "16",
+                       "--out", str(out_file)], capsys)
     assert code == 0
     f = qexp_from_text(out_file.read_text())
     assert f.terms[(0, 0, 0)] == 1 and f.terms[(4, 0, 0)] == -2
@@ -81,8 +81,7 @@ def test_theta_qexp_odd_characteristic_is_noted(capsys):
     even one does not."""
     from siegelops.theta import all_chars
     for c in all_chars(1) + all_chars(2):
-        code, out = run_cli(["theta", "qexp", "--genus", str(c.g), "--char", str(c),
-                             "--trunc", "16"], capsys)
+        code, out = run_cli(["theta", "qexp", "--char", str(c), "--trunc", "16"], capsys)
         assert code == 0
         noted = out.endswith("terms 0\n# identically zero (odd characteristic)\n")
         assert noted == (not c.is_even()), str(c)
@@ -172,6 +171,17 @@ def test_verify_cond_default_points(capsys):
     assert out.count("PASS") == 2
 
 
+def test_verify_cond_off_the_locus_is_a_failed_check(tmp_path, capsys):
+    """A well-formed point where no even theta constant vanishes is a FAIL
+    line, not an input error."""
+    tau_file = tmp_path / "tau.txt"
+    tau_file.write_text("0.2,1.7 0.1,0.08\n0.1,0.08 -0.1,1.9\n")
+    code, out = run_cli(["verify", "cond", "--tau", str(tau_file)], capsys)
+    assert code == 1
+    assert f"FAIL  gradient determinant at {tau_file}  (point is not on the theta-null " \
+           "locus" in out
+
+
 def test_verify_modularity_single_form(capsys):
     code, out = run_cli(["verify", "modularity", "--form", "D25T2"], capsys)
     assert code == 0
@@ -254,6 +264,40 @@ def test_genus2_form_outputs_are_pinned(tmp_path, capsys):
                            "--out", str(out_file)], capsys)
         assert code == 0
         assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest, name
+
+
+# sha256 of the stdout of 'theta qexp --char C --trunc 48' per characteristic
+# C of genus 1 and 2; every odd genus-2 characteristic writes the same bytes
+THETA_QEXP_DIGESTS = {
+    "0,0": "0c63c4ad3065178eecf87975d21a70bba38d105d28552078439eff706f77c850",
+    "0,1": "1d44485ff44ed6e756f265357cca62cf511fc6add513dd3df4deca865343ceaa",
+    "1,0": "62ba40d86608ddeb2726a10029c9df4849d8e1fe4b6c41e2880612972084106a",
+    "1,1": "38390a5b58f117121abc4d89958ba196ea1da63f384ae04cebb44314facfdf4e",
+    "00,00": "413d2c4ed0ad87c4325afd5d5f85610f8518fc4fdeb0324a2ce1a110c73a9da8",
+    "00,01": "329ecc7c49e0e9322aabc9b69757158d49f17da0fda25d011176531e6bc17c6e",
+    "00,10": "28c6bde2b1ebd7562deb03ce237e7c446d10c5b4fdc71abe51dbb95a148ff3d8",
+    "00,11": "9ab25d5b88a7c938bba1167d6786f4760290b3b9c07d021b52a6a235d31a87fc",
+    "01,00": "d0cce46e36010a36ca211ec136829b763f6ed9589fe62b0661dfc30157cc0ebe",
+    "01,10": "d888ea20e57d11c44ce3444ea524de9086031868f5b30e570be71b94a230c062",
+    "10,00": "b5b34822ae899a20c6a47da3e43823acaf93ee0ebb8dfb0b7d7f433074ed68a3",
+    "10,01": "fb90a5fc68e30b49d4fdb7eb1342473b4936a5da458e9b0cac0973924e1301d7",
+    "11,00": "0fc0b573ff57cca5962bf56df7f8d0a8d06efc17e0277874a890c613e531b40b",
+    "11,11": "d7ee6ec6b45d3b11b5349c4cca26fcb023ad02ae16a3cc0ea7e5c4d1e3f8ccee",
+    **dict.fromkeys(("01,01", "01,11", "10,10", "10,11", "11,01", "11,10"),
+                    "b96c27bb3af16e8ecd85d90a0bd7031bdfefc9bbaf0a4a9bf37f843af3d5032d"),
+}
+
+
+def test_theta_qexp_outputs_are_pinned(capsys):
+    """theta qexp at trunc 48 for every characteristic of genus 1 and 2, byte
+    for byte."""
+    from siegelops.theta import all_chars
+    chars = all_chars(1) + all_chars(2)
+    assert sorted(map(str, chars)) == sorted(THETA_QEXP_DIGESTS)
+    for c in chars:
+        code, out = run_cli(["theta", "qexp", "--char", str(c), "--trunc", "48"], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == THETA_QEXP_DIGESTS[str(c)], str(c)
 
 
 def test_apply_scales_the_jet_before_evaluating_it(tmp_path, capsys):
@@ -352,6 +396,8 @@ def test_bad_weight_is_a_clean_error(capsys):
 def test_bad_tau_is_a_clean_error(tmp_path, capsys):
     for argv in (["theta", "eval", "--char", "00,00", "--tau", "diag:abc"],
                  ["verify", "cond", "--tau", "diag:1.1,x"],
+                 ["verify", "cond", "--tau", "diag:1,2,3"],
+                 ["verify", "cond", "--tau", "diag:-1,1"],
                  ["theta", "eval", "--char", "00,00", "--tau", str(tmp_path / "none")]):
         code, err = run_cli_error(argv, capsys)
         assert code == 2
@@ -371,18 +417,12 @@ def test_theta_genus_defaults_to_the_characteristic(capsys):
     assert f.genus == 1 and f.terms == {(0,): 1, (4,): 2, (16,): 2}
 
 
-def test_theta_eval_genus_must_match_the_characteristic(capsys):
-    code, err = run_cli_error(["theta", "eval", "--genus", "5", "--char", "0,0",
-                               "--tau", "diag:1.0"], capsys)
-    assert code == 2
-    assert err == "error: --genus 5 disagrees with --char '0,0' of genus 1\n"
-
-
-def test_theta_qexp_genus_must_match_the_characteristic(capsys):
-    code, err = run_cli_error(["theta", "qexp", "--genus", "1", "--char", "00,11",
-                               "--trunc", "16"], capsys)
-    assert code == 2
-    assert err == "error: --genus 1 disagrees with --char '00,11' of genus 2\n"
+def test_theta_takes_no_genus_option(capsys):
+    """The genus of a theta action is the genus of --char."""
+    expect_usage_error(["theta", "qexp", "--genus", "2", "--char", "00,11"], capsys,
+                       "unrecognized arguments: --genus 2")
+    expect_usage_error(["theta", "eval", "--genus", "1", "--char", "0,0", "--tau", "diag:1"],
+                       capsys, "unrecognized arguments: --genus 1")
 
 
 def test_form_genus_defaults_to_the_named_form(capsys):
@@ -472,8 +512,8 @@ OPTIONS = {
 }
 
 THETA_OPTIONS = {
-    "qexp": {"genus", "char", "trunc", "out"},
-    "eval": {"genus", "char", "tau", "z"},
+    "qexp": {"char", "trunc", "out"},
+    "eval": {"char", "tau", "z"},
 }
 
 SLOPE_OPTIONS = {
@@ -516,8 +556,8 @@ def test_each_subcommand_takes_only_the_options_it_reads():
     assert nested == {"theta": THETA_OPTIONS, "slope": SLOPE_OPTIONS,
                       "verify": VERIFY_OPTIONS}
     counts = {name: sum(map(len, options.values())) for name, options in nested.items()}
-    assert counts["theta"] + counts["slope"] == 14
-    assert sum(map(len, found.values())) + sum(counts.values()) == 41
+    assert counts["theta"] + counts["slope"] == 12
+    assert sum(map(len, found.values())) + sum(counts.values()) == 39
 
 
 @pytest.mark.parametrize("argv,option", [

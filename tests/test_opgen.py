@@ -358,9 +358,16 @@ def test_opspec_round_trip(spec2_symbolic):
     (4, A, 195364, "425c010fb02f478fb7f85c0c1ec66c28e9b856ef401807b34bbe0ca5ed24e786"),
     (5, Fraction(3), 6703524,
      "f50f506ce45fef489ecc766baf786d45e1bc530c9eccf737c219a12887da281e"),
+    (2, A, 473, "ab4b1bd6cedec782797fdb3ec1793e60589546ba58a81238f510b8115f0b4802"),
+    (3, A, 6278, "b062f176cffa6939d44b78e39ffc10b1307aafa9a9738d938328f37d70e8809d"),
+    (2, Fraction(5), 335, "5c418af32baf3781d89154bd1c6c3133e1f8f4f3209d94253a4d77c568dd88df"),
+    (3, Fraction(2), 4199, "deeba8564701d4be1480412254a974d780bdf6957677f23f039397c39e60f158"),
+    (4, Fraction(7, 3), 142498,
+     "3f686c343d7a7b181c37b374bbcca4ecc748471b6686bbde323ee839ffe85f84"),
 ])
 def test_opspec_bytes_are_pinned(g, a, size, digest):
-    """The operator files of build_Q(4, a) and build_Q(5, 3), byte for byte."""
+    """The operator files of build_Q at these genera and weights, byte for
+    byte: Q(a) and Q coefficients, and at 7/3 a weight that is no integer."""
     data = opspec_to_text(build_Q(g, a)).encode()
     assert len(data) == size
     assert hashlib.sha256(data).hexdigest() == digest

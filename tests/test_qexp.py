@@ -18,8 +18,8 @@ from siegelops.theta import ThetaChar, even_chars, theta_qexp, tnull_qexp
 
 
 def test_exponent_addition():
-    f = QExp2.monomial(0, 0, 1, trunc=16)
-    g = QExp2.monomial(0, 0, 3, trunc=16)
+    f = QExp2({(0, 0, 1): 1}, trunc=16)
+    g = QExp2({(0, 0, 3): 1}, trunc=16)
     assert (f * g).terms == {(0, 0, 4): Fraction(1)}
 
 
@@ -38,9 +38,9 @@ def test_product_fold_orders_agree():
 
 
 def test_q_diff_rules():
-    f = QExp2.monomial(0, 0, 4, trunc=16)
+    f = QExp2({(0, 0, 4): 1}, trunc=16)
     assert f.q_diff(2, 2).terms == {(0, 0, 4): Fraction(1, 2)}
-    g = QExp2.monomial(1, 2, 1, trunc=16)
+    g = QExp2({(1, 2, 1): 1}, trunc=16)
     assert g.q_diff(1, 2).terms == {(1, 2, 1): Fraction(1, 8)}
     assert QExp2.one(16).q_diff(1, 1).is_zero()
     assert g.q_diff(1, 2).tau_factor == 1

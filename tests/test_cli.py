@@ -417,12 +417,16 @@ def test_theta_genus_defaults_to_the_characteristic(capsys):
     assert f.genus == 1 and f.terms == {(0,): 1, (4,): 2, (16,): 2}
 
 
-def test_theta_takes_no_genus_option(capsys):
-    """The genus of a theta action is the genus of --char."""
-    expect_usage_error(["theta", "qexp", "--genus", "2", "--char", "00,11"], capsys,
-                       "unrecognized arguments: --genus 2")
-    expect_usage_error(["theta", "eval", "--genus", "1", "--char", "0,0", "--tau", "diag:1"],
-                       capsys, "unrecognized arguments: --genus 1")
+def test_theta_eval_genus_must_match_the_characteristic(capsys):
+    """The genus of theta eval is the genus of --char; --genus is not an option."""
+    expect_usage_error(["theta", "eval", "--genus", "5", "--char", "0,0", "--tau", "diag:1.0"],
+                       capsys, "unrecognized arguments: --genus 5")
+
+
+def test_theta_qexp_genus_must_match_the_characteristic(capsys):
+    """The genus of theta qexp is the genus of --char; --genus is not an option."""
+    expect_usage_error(["theta", "qexp", "--genus", "2", "--char", "00,11", "--trunc", "16"],
+                       capsys, "unrecognized arguments: --genus 2")
 
 
 def test_form_genus_defaults_to_the_named_form(capsys):

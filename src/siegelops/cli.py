@@ -74,27 +74,25 @@ def _div_class(text: str) -> DivClass:
     return make_class(*(_rational(v, "--cls") for v in parts))
 
 
-def _parse_tau(spec: str):
-    """A period matrix from 'diag:y1,y2' (pure imaginary diagonal) or a file
-    of whitespace-separated 're,im' entries, one matrix row per line."""
+def _parse_tau(spec: str, g: int):
+    """A g x g period matrix from 'diag:y1,y2' (pure imaginary diagonal) or a
+    file of whitespace-separated 're,im' entries, one matrix row per line."""
     try:
         if spec.startswith("diag:"):
             ys = [float(v) for v in spec[5:].split(",")]
-            return [[(1j * ys[i] if i == j else 0j) for j in range(len(ys))]
-                    for i in range(len(ys))]
-        rows = []
-        with open(spec) as fh:
-            for line in fh:
-                if not line.strip():
-                    continue
-                row = []
-                for tok in line.split():
-                    re, _, im = tok.partition(",")
-                    row.append(complex(float(re), float(im or 0)))
-                rows.append(row)
-        return rows
+            rows = [[1j * y if i == j else 0j for j in range(len(ys))] for i, y in enumerate(ys)]
+        else:
+            with open(spec) as fh:
+                rows = [[complex(float(re), float(im or 0))
+                         for re, _, im in (tok.partition(",") for tok in line.split())]
+                        for line in fh if line.strip()]
     except ValueError as exc:
         raise ValueError(f"bad --tau {spec!r} ({exc})") from None
+    if not all(math.isfinite(v.real) and math.isfinite(v.imag) for row in rows for v in row):
+        raise ValueError("tau has a non-finite entry")
+    if len(rows) != g or any(len(row) != g for row in rows):
+        raise ValueError(f"--tau {spec!r} is not a {g} x {g} matrix, as genus {g} needs")
+    return rows
 
 
 def _parse_char(text: str):
@@ -223,7 +221,7 @@ def cmd_theta(args) -> int:
         if not c.is_even():
             print("# identically zero (odd characteristic)")
         return 0
-    tau = _parse_tau(args.tau)
+    tau = _parse_tau(args.tau, c.g)
     z = _parse_z(args.z, c.g) if args.z else None
     val = theta.theta_numeric(c.g, c, tau, z)
     print(f"{val.real!r} {val.imag!r}")
@@ -402,7 +400,7 @@ def cmd_verify(args) -> int:
     elif what == "cond":
         taus = [args.tau] if args.tau else ["diag:1.1,1.7", "diag:0.9,1.45"]
         for spec_txt in taus:
-            tau = _parse_tau(spec_txt)
+            tau = _parse_tau(spec_txt, 2)
             try:
                 rep = theta.check_condition_star(tau, args.tol_zero)
             except theta.OffLocus as exc:

@@ -82,7 +82,6 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
@@ -149,9 +148,9 @@ def coeff_c(g: int, a, n: tuple):
     return constant_C(g, a, m) if m else _as_weight(a) * 0
 
 
-@dataclass
 class OperatorSpec:
-    """A built operator polynomial for genus g and weight a.
+    """A built operator polynomial for genus g and weight a, a Fraction or
+    the RatFunc a; specs compare by (g, a, den, nums) and are unhashable.
 
     Q is stored as its cleared packed form (module docstring): nums maps
     each packed monomial key to its numerator, and nums[key] / den is its
@@ -162,11 +161,18 @@ class OperatorSpec:
     the read-only MultiPoly view (the last two made on first access).
     """
 
-    g: int
-    a: object  # Fraction or RatFunc
-    den: object = field(repr=False)
-    nums: dict = field(repr=False)
-    _Q: MultiPoly | None = field(default=None, init=False, repr=False, compare=False)
+    def __init__(self, g: int, a, den, nums: dict):
+        self.g, self.a, self.den, self.nums, self._Q = g, a, den, nums, None
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.g, self.a, self.den, self.nums) == (other.g, other.a, other.den, other.nums)
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"OperatorSpec(g={self.g!r}, a={self.a!r})"
 
     @property
     def k(self):

@@ -11,16 +11,15 @@ table entries.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .scalars import frac_to_text
 
 INF = math.inf
 
 
-@dataclass(frozen=True)
-class DivClass:
+class DivClass(NamedTuple):
     """A divisor class lam * lambda - delta * delta_boundary."""
 
     lam: Fraction
@@ -97,8 +96,7 @@ def hyperelliptic_bound(g: int) -> Fraction:
     return Fraction(8) + Fraction(4, g)
 
 
-@dataclass(frozen=True)
-class CurveClass:
+class CurveClass(NamedTuple):
     """A divisor class on the one-node curve moduli space: lam1, delta'."""
 
     lam1: Fraction
@@ -127,8 +125,7 @@ CITED_GENUS1_EFF = Fraction(12)  # the discriminant cusp form, class 12L-D
 # -- the known-slopes table -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SlopeEntry:
+class SlopeEntry(NamedTuple):
     """One table cell: an exact value, an upper bound, or an interval."""
 
     value: Fraction | None = None
@@ -149,8 +146,7 @@ class SlopeEntry:
         return body
 
 
-@dataclass(frozen=True)
-class TableRow:
+class TableRow(NamedTuple):
     genus: int
     eff: SlopeEntry
     mov: SlopeEntry

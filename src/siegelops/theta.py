@@ -62,7 +62,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
@@ -79,18 +78,9 @@ TOL_MODULARITY = 1e-8
 TOL_ZERO = 1e-6
 
 
-@dataclass(frozen=True, order=True)
-class ThetaChar:
-    """A characteristic: a pair of vectors in {0,1}^g."""
-
+class _Char(NamedTuple):
     eps: tuple
     delta: tuple
-
-    def __post_init__(self):
-        if len(self.eps) != len(self.delta):
-            raise ValueError("characteristic halves have different lengths")
-        if any(v not in (0, 1) for v in self.eps + self.delta):
-            raise ValueError("characteristic entries must be 0 or 1")
 
     @property
     def g(self) -> int:
@@ -104,6 +94,20 @@ class ThetaChar:
 
     def __str__(self):
         return "".join(map(str, self.eps)) + "," + "".join(map(str, self.delta))
+
+
+class ThetaChar(_Char):
+    """A characteristic: a pair of vectors in {0,1}^g, ordered by (eps, delta)."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
+
+    def __new__(cls, eps: tuple, delta: tuple):
+        if len(eps) != len(delta):
+            raise ValueError("characteristic halves have different lengths")
+        if any(v not in (0, 1) for v in eps + delta):
+            raise ValueError("characteristic entries must be 0 or 1")
+        return super().__new__(cls, eps, delta)
 
 
 def char_from_text(s: str) -> ThetaChar:
@@ -448,8 +452,7 @@ def theta_numeric(g: int, char: ThetaChar, tau, z=None, d_tau=(), d_z=(),
     return values[0]
 
 
-@dataclass
-class HeatReport:
+class HeatReport(NamedTuple):
     max_residual: float
     entries: dict
     radius_tol: float
@@ -475,8 +478,7 @@ def check_heat(g: int, char: ThetaChar, tau, z, tol: float = TOL_HEAT) -> HeatRe
 # -- numeric forms and the transformation law -----------------------------------
 
 
-@dataclass
-class NumericForm:
+class NumericForm(NamedTuple):
     """A numeric modular-form evaluator over theta-constant leaves: fn(tau)
     gives the value and the box, and its lattice sums check tau."""
 
@@ -593,8 +595,7 @@ def symplectic_act(gamma, tau):
     return num @ np.linalg.inv(den), np.linalg.det(den)
 
 
-@dataclass
-class ModularityReport:
+class ModularityReport(NamedTuple):
     rel_err: float
     sign: int
     inconclusive: bool
@@ -640,8 +641,7 @@ class OffLocus(ValueError):
     """A point where no even theta constant vanishes: condition (*) does not apply."""
 
 
-@dataclass
-class ConditionReport:
+class ConditionReport(NamedTuple):
     det_value: complex
     vanishing_char: ThetaChar
     vanishing_abs: float

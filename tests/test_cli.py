@@ -6,6 +6,8 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import pytest
+
 from siegelops.cli import main
 from siegelops.qexp import qexp_from_text
 from siegelops.scalars import frac_to_text
@@ -404,6 +406,24 @@ def test_bad_tau_is_a_clean_error(tmp_path, capsys):
         assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv,need", [
+    (["verify", "cond", "--tau", "diag:1,2,3"], 2),
+    (["theta", "eval", "--char", "00,00", "--tau", "diag:1"], 2),
+    (["theta", "eval", "--char", "0,0", "--tau", "diag:1,2"], 1)])
+def test_tau_of_the_wrong_size_names_the_option(argv, need, capsys):
+    code, err = run_cli_error(argv, capsys)
+    assert (code, err) == (2, f"error: --tau {argv[-1]!r} is not a {need} x {need} matrix, "
+                              f"as genus {need} needs\n")
+
+
+def test_ragged_tau_file_names_the_option(tmp_path, capsys):
+    path = tmp_path / "ragged.tau"
+    path.write_text("1,1 0\n0 1,1 0\n")
+    code, err = run_cli_error(["verify", "cond", "--tau", str(path)], capsys)
+    assert (code, err) == (2, f"error: --tau {str(path)!r} is not a 2 x 2 matrix, "
+                              "as genus 2 needs\n")
+
+
 def test_theta_eval_with_short_z_is_a_clean_error(capsys):
     code, err = run_cli_error(["theta", "eval", "--char", "00,00", "--tau", "diag:1.1,1.7",
                                "--z", "0.1"], capsys)
@@ -498,8 +518,6 @@ def test_smf1_inputs_are_read_with_their_own_line_ends(tmp_path, capsys):
 import argparse
 import shlex
 from pathlib import Path
-
-import pytest
 
 from siegelops.cli import build_parser
 
@@ -767,7 +785,7 @@ def test_verify_pluriharmonic_at_weight_zero_is_a_clean_error(capsys):
 
 EXACT_PROGRAM = """
 import contextlib, io, sys
-import siegelops
+import siegelops, siegelops.cli
 from siegelops.cli import main
 
 exact = [
@@ -782,18 +800,34 @@ exact = [
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [main(argv) for argv in exact]
     exact_numpy = "numpy" in sys.modules
+    exact_stdlib = [m for m in ("dataclasses", "inspect") if m in sys.modules]
     codes.append(main(["theta", "eval", "--char", "0,0", "--tau", "diag:1.0"]))
+import numpy
+print(exact_stdlib, "inspect" in sys.modules)
 print(codes, exact_numpy, "numpy" in sys.modules)
 """
 
 
-def test_exact_commands_never_load_numpy(tmp_path):
-    """import siegelops and the exact commands leave numpy unloaded; the
-    first numeric call loads it (the control that the check can fail)."""
+@pytest.fixture(scope="module")
+def exact_program_lines(tmp_path_factory):
+    """The lines EXACT_PROGRAM prints, run once in a fresh interpreter."""
     src = str(README.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    done = subprocess.run([sys.executable, "-c", EXACT_PROGRAM], cwd=tmp_path, env=env,
+    done = subprocess.run([sys.executable, "-c", EXACT_PROGRAM],
+                          cwd=tmp_path_factory.mktemp("exact"), env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split("\n")[-2] == "[0, 0, 0, 0, 0, 0, 0, 0] False True"
+    return done.stdout.split("\n")[-3:-1]
+
+
+def test_exact_commands_never_load_numpy(exact_program_lines):
+    """import siegelops and the exact commands leave numpy unloaded; the
+    first numeric call loads it (the control that the check can fail)."""
+    assert exact_program_lines[1] == "[0, 0, 0, 0, 0, 0, 0, 0] False True"
+
+
+def test_exact_commands_never_load_dataclasses_or_inspect(exact_program_lines):
+    """import siegelops, siegelops.cli and the exact commands load neither
+    dataclasses nor inspect; import numpy loads inspect (the control)."""
+    assert exact_program_lines[0] == "[] True"

@@ -1,6 +1,5 @@
 """Tests for operator construction and the three pluriharmonicity verifiers."""
 
-import dataclasses
 import hashlib
 import itertools
 import math
@@ -11,8 +10,8 @@ import re
 
 import pytest
 
-from siegelops.opgen import (_IntegerForm, apply_D11, build_Q, coeff_c, constant_C,
-                             opspec_from_text, opspec_to_text, symbolic_weight,
+from siegelops.opgen import (OperatorSpec, _IntegerForm, apply_D11, build_Q, coeff_c,
+                             constant_C, opspec_from_text, opspec_to_text, symbolic_weight,
                              verify_deriv_lemma, verify_harmonic_condition,
                              verify_pluriharmonic, xspace_oracle)
 from siegelops.poly import (MultiPoly, _cleared, _mono_lower, _mono_times, _packing,
@@ -189,7 +188,7 @@ def test_perturbed_operator_fails(a):
     terms[m] = terms[m] + bump
     encode = _packing(3).encode
     den, nums = _cleared(spec.Q.field, {encode(m): c for m, c in terms.items()})
-    bad = dataclasses.replace(spec, den=den, nums=nums)
+    bad = OperatorSpec(spec.g, spec.a, den, nums)
     assert bad.Q == MultiPoly(terms, spec.Q.field)
     assert verify_pluriharmonic(spec)
     assert not verify_pluriharmonic(bad)
@@ -223,6 +222,16 @@ def test_operator_view_is_read_only_and_built_once(spec2_symbolic):
         spec2_symbolic.Q = MultiPoly.zero("Qa")
 
 
+def test_specs_compare_by_their_cleared_form_and_are_unhashable():
+    """Equality reads (g, a, den, nums), whether or not Q was decoded."""
+    spec, fresh = build_Q(2, 5), build_Q(2, 5)
+    assert spec.Q is spec.Q
+    assert spec == fresh and fresh == spec and spec != build_Q(2, 6)
+    assert repr(spec) == "OperatorSpec(g=2, a=Fraction(5, 1))"
+    with pytest.raises(TypeError):
+        hash(spec)
+
+
 @pytest.mark.parametrize("pick,delta", [(0, (1,)), (100, (0, 0, 0, 0, -1)), (-1, (0, 3))])
 def test_perturbed_packed_numerator_fails(spec4_symbolic, pick, delta):
     """One numerator of the packed genus-4 Q(a) changed, by a constant or a
@@ -235,7 +244,7 @@ def test_perturbed_packed_numerator_fails(spec4_symbolic, pick, delta):
     key = [key for key in spec.nums if key & r111][pick]
     num = spec.nums[key]
     bumped = tuple(x + y for x, y in itertools.zip_longest(num, delta, fillvalue=0))
-    bad = dataclasses.replace(spec, nums={**spec.nums, key: bumped})
+    bad = OperatorSpec(spec.g, spec.a, spec.den, {**spec.nums, key: bumped})
     assert verify_pluriharmonic(spec)
     assert not verify_pluriharmonic(bad)
 

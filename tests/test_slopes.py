@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from siegelops.cli import EXPECTED_TABLE
 from siegelops.slopes import (CITED_GENUS6_EFF_LOWER, CITED_GENUS6_FORM_CLASS, DivClass, INF,
-                              OPERATOR_BASES, class_N0prime, class_operator_output,
+                              OPERATOR_BASES, SlopeEntry, class_N0prime, class_operator_output,
                               class_tnull, hyperelliptic_bound, known_slopes_table,
                               make_class, moving_bound, render_table, slope,
                               torelli_pullback)
@@ -20,6 +20,21 @@ def test_slope_examples():
     g = 6
     assert slope(make_class(g + 1, 1)) == 7
     assert slope(make_class(16, 0)) == INF
+
+
+def test_classes_compare_with_their_labels_and_print_as_classes():
+    assert make_class(12, 1) == DivClass(Fraction(12), Fraction(1))
+    assert make_class(12, 1) != make_class(12, 1, label="discriminant")
+    assert str(make_class(12, 1, label="discriminant")) == "12L - 1D"
+    assert str(make_class(Fraction(17, 2), Fraction(1, 2))) == "17/2L - 1/2D"
+
+
+def test_slope_entries_render_their_qualifiers():
+    assert SlopeEntry(Fraction(54, 7)).render() == "54/7"
+    assert SlopeEntry(Fraction(6), qualifier="upper-bound").render() == "<= 6"
+    assert SlopeEntry(interval=(Fraction(53, 10), Fraction(7)),
+                      qualifier="conjectural-upper").render() == "(?) <= [53/10, 7]"
+    assert SlopeEntry().render() == ""
 
 
 def test_tnull_classes():

@@ -24,6 +24,27 @@ def test_parity_examples():
     assert char_from_text("01,10").is_even()
 
 
+def test_characteristic_checks_its_halves():
+    with pytest.raises(ValueError, match="^characteristic halves have different lengths$"):
+        ThetaChar((0, 1), (0,))
+    with pytest.raises(ValueError, match="^characteristic entries must be 0 or 1$"):
+        ThetaChar((0, 2), (0, 0))
+    with pytest.raises(ValueError, match="^characteristic entries must be 0 or 1$"):
+        ThetaChar((0,), (1,))._replace(delta=(2,))
+
+
+def test_characteristics_order_print_and_key_by_their_halves():
+    chars = all_chars(2)
+    assert sorted(reversed(chars)) == chars
+    assert [str(c) for c in chars] == [f"{e},{d}" for e in ("00", "01", "10", "11")
+                                       for d in ("00", "01", "10", "11")]
+    assert repr(chars[6]) == "ThetaChar(eps=(0, 1), delta=(1, 0))"
+    assert all(repr(c) == f"ThetaChar(eps={c.eps!r}, delta={c.delta!r})" for c in chars)
+    keys = {c: i for i, c in enumerate(chars)}
+    assert [keys[char_from_text(str(c))] for c in chars] == list(range(16))
+    assert ThetaChar((0,), (1,)) < ThetaChar((1,), (0,)) and len(set(chars + chars)) == 16
+
+
 @pytest.mark.parametrize("g", [1, 2, 3, 4])
 def test_characteristic_counts(g):
     assert len(even_chars(g)) == 2 ** (g - 1) * (2 ** g + 1)

@@ -88,8 +88,6 @@ def _parse_tau(spec: str, g: int):
                         for line in fh if line.strip()]
     except ValueError as exc:
         raise ValueError(f"bad --tau {spec!r} ({exc})") from None
-    if not all(math.isfinite(v.real) and math.isfinite(v.imag) for row in rows for v in row):
-        raise ValueError("tau has a non-finite entry")
     if len(rows) != g or any(len(row) != g for row in rows):
         raise ValueError(f"--tau {spec!r} is not a {g} x {g} matrix, as genus {g} needs")
     return rows

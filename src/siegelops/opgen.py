@@ -59,14 +59,16 @@ term) or times kd (the second-order terms, whose 1/2 symmetrization factors
 the 4 clears).  A monomial is a packed int key, so a move is one integer
 addition to the key, and every P is evaluated at a = 2^S (once per distinct
 P), so the kernel multiplies and adds plain ints: a residual coefficient is
-R(2^S).
+R(2^S).  The moves of a monomial depend only on its row-1 class, its key
+masked to the nibbles of r_{h;11}, .., r_{h;1g} of every R_h.  So the
+kernel makes each class's moves once and touches only the keys of classes
+with moves (at g = 5, 42,835 of 111,275 keys, in 55 of 215 classes).
 
 The bound behind S.  Let N be the sum of |c| over every coefficient c of
-every P, over all terms of Q, and d the largest row-1 degree of a monomial:
-the nibble sum of its key masked to the row-1 nibbles r_{h;11}, ..,
-r_{h;1g} of every R_h, taken over the distinct masked keys.  A monomial
-with row-1 exponents E_h in R_h (sum_h E_h <= d) spreads its P over moves
-whose multipliers have coefficient sums |.| at most 4 E_h |kn| (first
+every P, over all terms of Q, and d the largest row-1 degree of a
+monomial, the largest nibble sum of a row-1 class.  A monomial with row-1
+exponents E_h in R_h (sum_h E_h <= d) spreads its P over moves whose
+multipliers have coefficient sums |.| at most 4 E_h |kn| (first
 order) and 4 |f| (E_h^2 - E_h) |kd| (second order), f the second-order
 factor.  So every coefficient of R is at most N M in size,
 M = 4 d |kn| + 4 |f| d^2 |kd|.  With S = bitlength(N M) + 1, every
@@ -81,7 +83,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from fractions import Fraction
 from functools import cached_property
 
@@ -256,9 +258,10 @@ class _IntegerForm:
     """A cleared packed form (den, nums) and k, over one integer
     denominator, for the D_{h;11} kernel.
 
-    terms maps each packed key to the integer P(2^S) of its numerator; kn
-    and kd are 4 kn(2^S) and 4 kd(2^S).  Keys may hold the t_h and r_{h;ij}
-    of genus g, with exponents up to poly._MAX_EXP.
+    terms maps each packed key to the integer P(2^S) of its numerator, and
+    classes each row-1 class to its keys; kn and kd are 4 kn(2^S) and
+    4 kd(2^S).  Keys may hold the t_h and r_{h;ij} of genus g, with
+    exponents up to poly._MAX_EXP.
     """
 
     def __init__(self, g: int, den, nums: dict, k, factor: int):
@@ -272,9 +275,11 @@ class _IntegerForm:
             return x if isinstance(x, tuple) else (x,)
 
         kn, kd, L = poly(kn[0]), poly(kd), poly(den)
-        unit = self.packing.unit
-        row1 = sum(((1 << 4 * g) - 1) * unit[r_var(h, 1, 1)] for h in range(1, g + 1))
-        d = max(map(_nibble_sum, {key & row1 for key in nums}), default=0)
+        row1 = sum(((1 << 4 * g) - 1) * self.packing.unit[r_var(h, 1, 1)] for h in range(1, g + 1))
+        self.classes = defaultdict(list)
+        for key in nums:
+            self.classes[key & row1].append(key)
+        d = max(map(_nibble_sum, self.classes), default=0)
         spread = 4 * d * sum(map(abs, kn)) + 4 * abs(factor) * d * d * sum(map(abs, kd))
         if symbolic:
             counts = Counter(nums.values())
@@ -296,28 +301,22 @@ class _IntegerForm:
 
     def d11(self, hs) -> dict:
         """4 kd L sum_{h in hs} D_{h;11} p at a = 2^S: packed key -> int
-        (cancelled keys are kept with the value 0)."""
-        mask = (1 << 4 * self.g) - 1  # the row-1 nibbles r_{h;11..1g} of R_h
-        rows = [(self.packing.unit[r_var(h, 1, 1)].bit_length() - 1, h, {}) for h in hs]
-        out: dict = {}
+        (cancelled keys are kept with the value 0), one class at a time."""
+        terms, out = self.terms, {}
         get = out.get
-        for key, c in self.terms.items():
-            for shift, h, memo in rows:
-                bits = key >> shift & mask
-                if bits:
-                    moves = memo.get(bits)
-                    if moves is None:
-                        moves = memo[bits] = self._moves(h, bits)
-                    for delta, mult in moves:
+        for bits, keys in self.classes.items():
+            for h in hs:
+                for delta, mult in self._moves(h, bits):
+                    for key in keys:
                         k2 = key + delta
-                        out[k2] = get(k2, 0) + c * mult
+                        out[k2] = get(k2, 0) + terms[key] * mult
         return out
 
     def _moves(self, h: int, bits: int) -> list:
-        """(key change, multiplier) of each term of D_{h;11} on a monomial
-        whose row-1 exponents in R_h are the nibbles of bits."""
+        """(key change, multiplier) of each term of D_{h;11} on a monomial of
+        the row-1 class bits."""
         unit, f, kd = self.packing.unit, self.factor, self.kd
-        hits = [(u, bits >> 4 * (u - 1) & 15) for u in range(1, self.g + 1)]
+        hits = [(u, bits // unit[r_var(h, 1, u)] & 15) for u in range(1, self.g + 1)]
         hits = [(u, e, unit[r_var(h, 1, u)]) for u, e in hits if e]
         acc: dict = {}
 

@@ -25,18 +25,17 @@ over permutations; it serves both expansions here and every determinant of
 jets.py and brackets.py (for g <= 6 there are at most 720 permutations, so
 no elimination strategy is needed).
 
-Packed monomials.  The pencil expansion packs a monomial into one int with
-4 bits per variable, laid out in the global variable order: t_h takes
-nibble h - 1 and r_{h;ij} a nibble of the h-th block of g(g+1)/2 nibbles
-after the t's.  A pencil entry t_h r_{h;i,sigma(i)} is then an int with two
-set nibbles, and a Leibniz term's key is the sum of its g entry ints (no
-exponent exceeds g, far below 15 for any feasible g, so nibbles never
-carry).  Keys are counted, one counter per permutation parity, and the
-expansion stays a dict of packed key -> int.  Its split by t-exponent masks
-the lowest 4g bits, where the t-block sits: the masked bits give n, and
-the rest of the key is the r-part of a term of B(n), kept packed.  The
-Leibniz pass builds the keys of each permutation by partial sums, one
-matrix row at a time.  _Packing holds the layout (at most _MAX_EXP per
+Packed monomials.  A monomial is packed into one int with 4 bits per
+variable, laid out in the global variable order: t_h takes nibble h - 1
+and r_{h;ij} a nibble of the h-th block of g(g+1)/2 nibbles after the t's.
+The Leibniz pass sums the entries r_{h;i,sigma(i)} of each permutation one
+matrix row at a time, over h = 1..g, so a term's key is the sum of its g
+entry ints (no exponent exceeds g, far below 15 for any feasible g, so
+nibbles never carry), and its place among the partial sums spells its
+row-to-h assignment, whose counts are its t-exponents n.  So _t_split
+deals each permutation's keys to the buckets B(n) by place, with no
+t-unit in any key, and det_expand and minor_det_expand add each bucket's
+t-block back.  _Packing holds the layout (at most _MAX_EXP per
 nibble), its decoder and encoder, and the POLY1 text of packed keys.
 The operator Q of opgen.py and its integer D_{h;11} kernel use the same
 keys, as a cleared form: one denominator over integer numerators
@@ -56,9 +55,9 @@ boundary, each looked up in a memo of one call that is filled from
 per-block memos (_Packing).  Every cleared-form coefficient, in
 _packed_poly and jets.jet_apply, is made by _coefficient, one object per
 distinct (numerator, denominator) in a process: two views of one form
-share their coefficient objects, and each is reduced once.  det_expand
-decodes the Leibniz pass itself, not the split, so MultiPoly.t_coefficient
-on it checks the split independently.
+share their coefficient objects, and each is reduced once.  The tests
+check the split against a pass whose keys carry their t-units, split key
+by key.
 """
 
 from __future__ import annotations
@@ -520,37 +519,6 @@ def _cleared(field: str, terms: dict) -> tuple:
     return den, {key: ints[id(c)] for key, c in terms.items()}
 
 
-def _leibniz(g: int, rows: list, cols: list) -> dict:
-    """det of the pencil t_1 R_1 + ... + t_g R_g restricted to rows x cols,
-    as packed key -> nonzero int coefficient.
-
-    Every monomial is packed into one int (see the module docstring); the
-    sum over permutations and over the g summands of each entry runs on
-    packed keys only.  The even and odd permutations share no key, so the
-    result is the even counts beside the negated odd counts, none of them
-    zero: a key fixes its r-exponents summed over h, the multiset of the
-    unordered pairs {i, sigma(i)}.  These are the edges of a graph on
-    1..g whose components are the cycles of sigma (of sigma extended by
-    k -> l, for the (k, l) minor), so the key fixes the cycle lengths of
-    sigma and with them its parity.
-    """
-    unit = _packing(g).unit
-
-    def entry(h: int, i: int, j: int) -> int:
-        return unit[t_var(h)] | unit[r_var(h, i, j)]
-
-    counts = (Counter(), Counter())  # even and odd permutations
-    for sign, pairing in _signed_pairings(rows, cols):
-        keys = [0]  # the partial sums over the rows paired so far
-        for r, c in pairing:
-            row = [entry(h, r, c) for h in range(1, g + 1)]
-            keys = [k + e for k in keys for e in row]
-        counts[sign < 0].update(keys)
-    total = dict(counts[0])
-    total.update(zip(counts[1], map(operator.neg, counts[1].values())))
-    return total
-
-
 def _minor_rows(g: int, minor: tuple) -> tuple[list, list]:
     """The rows and columns of the full pencil (minor == ()) or of its
     (k, l) first minor (minor == (k, l))."""
@@ -564,6 +532,52 @@ def _minor_rows(g: int, minor: tuple) -> tuple[list, list]:
 
 
 @lru_cache(maxsize=None)
+def _t_split(g: int, minor: tuple) -> dict:
+    """{n: {packed r-part key: nonzero int}}: B(n), the coefficient of t^n in
+    the pencil's determinant (minor == ()) or its (k, l) first minor (minor
+    == (k, l)), from one Leibniz pass dealt by place (module docstring).
+
+    No key comes from both parities: it fixes the multiset of the pairs
+    {i, sigma(i)}, the edges of a graph on 1..g whose components are the
+    cycles of sigma (of sigma extended by k -> l, for a minor), so it fixes
+    their lengths and sigma's parity.  So B(n) is the even permutations'
+    counts beside the odd ones' negated, none of them zero.
+    """
+    rows, cols = _minor_rows(g, minor)
+    unit = _packing(g).unit
+    places: dict = {}  # n -> the places of the row-to-h assignments with counts n
+    for i, hs in enumerate(itertools.product(range(g), repeat=len(rows))):
+        places.setdefault(tuple(map(hs.count, range(g))), []).append(i)
+    picks = [(n, operator.itemgetter(*p) if p[1:] else operator.itemgetter(slice(p[0], p[0] + 1)))
+             for n, p in places.items()]  # a lone place as a slice, so a list comes back
+    counts = {n: (Counter(), Counter()) for n in places}
+    for sign, pairing in _signed_pairings(rows, cols):
+        # last a row in no 2-cycle: its nibble is still empty, so | adds it and
+        # leaves each key an int of its own size, where + leaves a spare digit
+        pairs = set(pairing)
+        pairing.sort(key=lambda rc: rc[0] == rc[1] or rc[::-1] not in pairs)
+        keys = [0]
+        for i, (r, c) in enumerate(pairing, 1 - len(pairing)):  # i = 0 on the last row
+            row = [unit[r_var(h, r, c)] for h in range(1, g + 1)]
+            if i or r != c and (c, r) in pairs:
+                keys = [k + e for k in keys for e in row]
+            else:
+                keys = [k | e for k in keys for e in row]
+        for n, pick in picks:
+            counts[n][sign < 0].update(pick(keys))
+    for n, (even, odd) in counts.items():  # each n's counters go as its bucket comes
+        counts[n] = bucket = dict(even)
+        bucket.update(zip(odd, map(operator.neg, odd.values())))
+    return counts
+
+
+def _t_keyed(g: int, minor: tuple) -> dict:
+    """_t_split(g, minor) as packed key -> int, each bucket's t-block added back."""
+    return {key | t: c for n, bucket in _t_split(g, minor).items()
+            for t in [sum(e << 4 * i for i, e in enumerate(n))] for key, c in bucket.items()}
+
+
+@lru_cache(maxsize=None)
 def det_expand(g: int) -> MultiPoly:
     """det(t_1 R_1 + ... + t_g R_g) as a polynomial in all t_h and r_{h;ij}.
 
@@ -573,29 +587,13 @@ def det_expand(g: int) -> MultiPoly:
     """
     if g < 1:
         raise ValueError("genus must be >= 1")
-    return _packed_poly(g, 1, _leibniz(g, *_minor_rows(g, ())))
+    return _packed_poly(g, 1, _t_keyed(g, ()))
 
 
 @lru_cache(maxsize=None)
 def minor_det_expand(g: int, k: int, l: int) -> MultiPoly:
     """det of the pencil t_1 R_1 + ... with row k and column l deleted."""
-    return _packed_poly(g, 1, _leibniz(g, *_minor_rows(g, (k, l))))
-
-
-@lru_cache(maxsize=None)
-def _t_split(g: int, minor: tuple) -> dict:
-    """{n: {packed r-part key: int}}: the coefficient of t^n in the full
-    expansion (minor == ()) or in the (k, l) first minor (minor == (k, l)),
-    from one pass over the packed Leibniz keys."""
-    tmask = (1 << 4 * g) - 1  # the t-block
-    buckets: dict = {}
-    for key, c in _leibniz(g, *_minor_rows(g, minor)).items():
-        t = key & tmask
-        bucket = buckets.get(t)
-        if bucket is None:
-            bucket = buckets[t] = {}
-        bucket[key ^ t] = c
-    return {tuple(t >> 4 * i & 15 for i in range(g)): bucket for t, bucket in buckets.items()}
+    return _packed_poly(g, 1, _t_keyed(g, (k, l)))
 
 
 @lru_cache(maxsize=None)

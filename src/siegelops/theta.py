@@ -416,27 +416,30 @@ def _lattice_sums(g: int, tau, z, requests, tol: float = 1e-12,
         orders = {(len(d_tau), len(d_z)) for _, d_tau, d_z in requests}
         radius = max(_pick_radius(lam_min, g, nt, nz, z_shift, tol) for nt, nz in orders)
     n = _grid(g, radius)
-    upper = np.triu(tau) * (2.0 - np.eye(g))  # m^T tau m from the upper triangle
     pi_i = 1j * math.pi
     signs = {d: 1.0 - 2.0 * ((n @ np.array(d)) % 2) for d in {c.delta for c, _, _ in requests}}
     out = np.empty(len(requests), dtype=complex)
-    for eps in sorted({char.eps for char, _, _ in requests}):
-        m = n + np.array(eps) / 2.0
-        expo = np.exp(pi_i * (np.einsum("pi,ij,pj->p", m, upper, m) + 2.0 * (m @ z)))
-        rows = [r for r, (char, _, _) in enumerate(requests) if char.eps == eps]
-        weights = np.empty((len(rows), len(n)))
-        for w, r in zip(weights, rows):
-            char, d_tau, d_z = requests[r]
-            w[:] = signs[char.delta]
-            const = 1j ** (sum(e * d for e, d in zip(eps, char.delta)) % 4)
-            for i, j in d_tau:
-                w *= m[:, i - 1] * m[:, j - 1]
-                const *= pi_i * (2 - (i == j))
-            for i in d_z:
-                w *= m[:, i - 1]
-                const *= 2 * pi_i
-            out[r] = const
-        out[rows] *= weights @ expo
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge tau is refused below
+        upper = np.triu(tau) * (2.0 - np.eye(g))  # m^T tau m from the upper triangle
+        for eps in sorted({char.eps for char, _, _ in requests}):
+            m = n + np.array(eps) / 2.0
+            expo = np.exp(pi_i * (np.einsum("pi,ij,pj->p", m, upper, m) + 2.0 * (m @ z)))
+            rows = [r for r, (char, _, _) in enumerate(requests) if char.eps == eps]
+            weights = np.empty((len(rows), len(n)))
+            for w, r in zip(weights, rows):
+                char, d_tau, d_z = requests[r]
+                w[:] = signs[char.delta]
+                const = 1j ** (sum(e * d for e, d in zip(eps, char.delta)) % 4)
+                for i, j in d_tau:
+                    w *= m[:, i - 1] * m[:, j - 1]
+                    const *= pi_i * (2 - (i == j))
+                for i in d_z:
+                    w *= m[:, i - 1]
+                    const *= 2 * pi_i
+                out[r] = const
+            out[rows] *= weights @ expo
+    if not np.isfinite(out).all():
+        raise ValueError("tau is too large: its lattice sum is not finite")
     return out.tolist(), _Box(radius, len(n), tol)
 
 

@@ -4,6 +4,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -409,11 +410,28 @@ def test_bad_tau_is_a_clean_error(tmp_path, capsys):
 @pytest.mark.parametrize("argv,need", [
     (["verify", "cond", "--tau", "diag:1,2,3"], 2),
     (["theta", "eval", "--char", "00,00", "--tau", "diag:1"], 2),
-    (["theta", "eval", "--char", "0,0", "--tau", "diag:1,2"], 1)])
+    (["theta", "eval", "--char", "0,0", "--tau", "diag:1,2"], 1),
+    (["theta", "eval", "--char", "00,00", "--tau", "diag:nan"], 2)])
 def test_tau_of_the_wrong_size_names_the_option(argv, need, capsys):
+    """The size is checked first: a 1-entry tau at genus 2 is the wrong size,
+    also when its entry is not finite."""
     code, err = run_cli_error(argv, capsys)
     assert (code, err) == (2, f"error: --tau {argv[-1]!r} is not a {need} x {need} matrix, "
                               f"as genus {need} needs\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["theta", "eval", "--char", "00,00", "--tau", "diag:1e308,1e308"],
+    ["theta", "eval", "--char", "0,0", "--tau", "diag:1e308"],
+    ["verify", "cond", "--tau", "diag:1e308,1e308"],
+])
+def test_a_huge_tau_is_a_clean_error(argv, capsys):
+    """A finite tau whose lattice sum overflows is refused: one error line
+    naming tau, exit status 2, and no numpy warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, err = run_cli_error(argv, capsys)
+    assert (code, err) == (2, "error: tau is too large: its lattice sum is not finite\n")
 
 
 def test_ragged_tau_file_names_the_option(tmp_path, capsys):
@@ -606,6 +624,8 @@ def test_actions_reject_options_they_do_not_read(argv, option, tmp_path, monkeyp
     ["verify", "suite", "--trunc", "80"],
     ["verify", "pluriharmonic", "--seed", "1"],
     ["verify", "schottky-vanishing", "--tau", "diag:1,1"],
+    ["verify", "heat", "--tau", "diag:1e308,1e308"],  # heat and modularity draw their points
+    ["verify", "modularity", "--tau", "diag:1e308,1e308"],
     ["verify", "cond", "--trunc", "8"],
 ])
 def test_verify_checks_reject_settings_they_do_not_read(argv, capsys):
@@ -736,7 +756,7 @@ def test_negative_trunc_is_rejected(argv, capsys):
 
 @pytest.mark.parametrize("tau,z,what", [
     ("diag:1", "nan", "z"), ("diag:1.1,1.7", "0.1,inf", "z"),
-    ("diag:nan", None, "tau"), ("diag:1.1,inf", None, "tau"),
+    ("diag:nan,1", None, "tau"), ("diag:1.1,inf", None, "tau"),
 ])
 def test_theta_eval_rejects_non_finite_input(tau, z, what, capsys):
     char = "0,0" if tau == "diag:1" else "00,00"

@@ -249,6 +249,39 @@ def test_perturbed_packed_numerator_fails(spec4_symbolic, pick, delta):
     assert not verify_pluriharmonic(bad)
 
 
+@pytest.fixture(scope="module")
+def spec5():
+    return build_Q(5, Fraction(7, 2))
+
+
+def test_genus5_factor_1_control_fails(spec5):
+    assert verify_pluriharmonic(spec5)
+    assert not verify_pluriharmonic(spec5, second_order_factor=1)
+
+
+def _row1_moves(key) -> str:
+    """The moves of D_{h;11} on a genus-5 monomial, over every h: 'first'
+    when some R_h holds r_{h;11} (and so a first-order move), else 'second'
+    when some R_h holds two row-1 factors r_{h;1u} r_{h;1w} (u = w allowed),
+    else 'none'."""
+    unit = _packing(5).unit
+    rows = [[key // unit[r_var(h, 1, u)] & 15 for u in range(1, 6)] for h in range(1, 6)]
+    if any(row[0] for row in rows):
+        return "first"
+    return "second" if any(sum(row) > 1 for row in rows) else "none"
+
+
+@pytest.mark.parametrize("moves", ["first", "second", "none"])
+def test_genus5_numerator_changed(spec5, moves):
+    """One numerator of the genus-5 Q at a = 7/2 changed by 1: the verifier
+    rejects it when the monomial's row-1 class has moves, of either order,
+    and accepts it when the class has none, since every D_{h;11} annihilates
+    such a monomial (the kernel touches only the classes with moves)."""
+    key = next(key for key in spec5.nums if _row1_moves(key) == moves)
+    bad = OperatorSpec(5, spec5.a, spec5.den, {**spec5.nums, key: spec5.nums[key] + 1})
+    assert verify_pluriharmonic(bad) == (moves == "none")
+
+
 @pytest.mark.parametrize("g", [2, 3, 4, 5, 6])
 def test_harmonic_condition_symbolic(g):
     assert verify_harmonic_condition(g, A)

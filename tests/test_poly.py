@@ -2,11 +2,13 @@
 
 import itertools
 import json
+import operator
 import os
 import random
 import re
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -15,10 +17,10 @@ from hypothesis import strategies as st
 
 from siegelops.jets import JetPoly
 from siegelops.opgen import build_Q, opspec_from_text, opspec_to_text, symbolic_weight
-from siegelops.poly import (MultiPoly, FieldMismatch, _cleared, _leibniz, _minor_rows,
-                            _packed_lines, _packed_poly, _packing, _t_split, coeff_R,
-                            det_expand, index_set_N, index_set_Nprime, minor_coeff_R,
-                            minor_det_expand, r_var, t_var)
+from siegelops.poly import (MultiPoly, FieldMismatch, _cleared, _minor_rows, _packed_lines,
+                            _packed_poly, _packing, _t_split, coeff_R, det_expand,
+                            index_set_N, index_set_Nprime, minor_coeff_R, minor_det_expand,
+                            r_var, t_var)
 from siegelops.scalars import RatFunc, scalar_to_text
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -329,13 +331,68 @@ def test_poly1_rejects_coefficients_of_the_other_field():
     _rejected(_edited(9, "POLY1 field=Q terms=7", symbolic=True), 9)
 
 
+# -- the per-key reference for the split ---------------------------------------
+
+
+_MINORS = {g: [()] + [(k, l) for k in range(1, g + 1) for l in range(1, g + 1)]
+           for g in range(1, 5)}
+
+
+def _reference_leibniz(g, minor):
+    """The pencil's determinant (minor == ()) or its (k, l) first minor, by
+    a pass whose keys carry their t-units: each Leibniz term, the product of
+    its entries t_h r_{h;i,sigma(i)}, is one packed key (t_h in nibble
+    h - 1), counted per permutation parity, the odd counts negated.  Packed
+    key -> int."""
+    unit = _packing(g).unit
+    rows, cols = _minor_rows(g, minor)
+    counts = (Counter(), Counter())
+    for sigma in itertools.permutations(cols):
+        odd = sum(s > t for s, t in itertools.combinations(sigma, 2)) % 2
+        for hs in itertools.product(range(1, g + 1), repeat=len(rows)):
+            counts[odd][sum(unit[t_var(h)] + unit[r_var(h, r, c)]
+                            for h, r, c in zip(hs, rows, sigma))] += 1
+    total = dict(counts[0])
+    total.update(zip(counts[1], map(operator.neg, counts[1].values())))
+    return total
+
+
+def _reference_split(g, minor):
+    """{n: {r-part key: int}}: the reference pass split key by key, by
+    masking the t-block off each key."""
+    tmask = (1 << 4 * g) - 1
+    split = {}
+    for key, c in _reference_leibniz(g, minor).items():
+        n = tuple(key >> 4 * i & 15 for i in range(g))
+        split.setdefault(n, {})[key & ~tmask] = c
+    return split
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4, 5])
+def test_t_split_matches_the_per_key_reference(g):
+    """The split by row assignment is the reference pass split key by key:
+    the full pencil at g = 1..5, and every first minor at g <= 4."""
+    for minor in _MINORS.get(g, [()]):
+        assert _t_split(g, minor) == _reference_split(g, minor), minor
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_det_expands_decode_the_per_key_reference(g):
+    """det_expand and minor_det_expand, made from the split with each
+    bucket's t-units added back, are the reference pass decoded."""
+    assert det_expand(g) == _packed_poly(g, 1, _reference_leibniz(g, ()))
+    for k, l in _MINORS[g][1:]:
+        assert minor_det_expand(g, k, l) == _packed_poly(g, 1, _reference_leibniz(g, (k, l)))
+
+
 @pytest.mark.parametrize("g", [1, 2, 3, 4])
 def test_leibniz_parities_share_no_key(g):
     """No packed key of a pencil's Leibniz terms, full or minor, comes from
-    permutations of both parities, so _leibniz keeps every key, with the
-    sign of its parity and no zero coefficient."""
+    permutations of both parities, so the reference pass (and the split,
+    which puts the even counts beside the negated odd ones) keeps every key,
+    with the sign of its parity and no zero coefficient."""
     unit = _packing(g).unit
-    for minor in [()] + [(k, l) for k in range(1, g + 1) for l in range(1, g + 1)]:
+    for minor in _MINORS[g]:
         rows, cols = _minor_rows(g, minor)
         parities: dict = {}
         for sigma in itertools.permutations(range(len(cols))):
@@ -345,7 +402,7 @@ def test_leibniz_parities_share_no_key(g):
                           for h, r, s in zip(hs, rows, sigma))
                 parities.setdefault(key, set()).add(sign)
         assert all(len(signs) == 1 for signs in parities.values()), minor
-        got = _leibniz(g, rows, cols)
+        got = _reference_leibniz(g, minor)
         assert set(got) == set(parities)
         assert all(c * parities[key].pop() > 0 for key, c in got.items())
 
@@ -354,10 +411,10 @@ def test_leibniz_parities_share_no_key(g):
 def test_packed_split_decodes_to_the_t_coefficient_oracle(g):
     """Each packed B(n) and minor coefficient of the split, decoded, is the
     coefficient of t^n that MultiPoly.t_coefficient scans out of the decoded
-    Leibniz pass; the split keeps no t-variable in its keys."""
+    reference pass; the split keeps no t-variable in its keys."""
     tmask = (1 << 4 * g) - 1
-    for minor in [()] + [(k, l) for k in range(1, g + 1) for l in range(1, g + 1)]:
-        full = minor_det_expand(g, *minor) if minor else det_expand(g)
+    for minor in _MINORS[g]:
+        full = _packed_poly(g, 1, _reference_leibniz(g, minor))
         split = _t_split(g, minor)
         ns = index_set_Nprime(g) if minor else index_set_N(g)
         assert set(split) <= set(ns)

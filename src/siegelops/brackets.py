@@ -31,12 +31,12 @@ from .poly import _signed_pairings
 from .qexp import DEFAULT_TRUNC, QExp1, eval_jetpoly
 
 
-def _as_jet(x, field="Q") -> JetPoly:
+def _as_jet(x) -> JetPoly:
     if isinstance(x, JetPoly):
         return x
     if isinstance(x, str):
-        return JetPoly.symbol(x, field)
-    return JetPoly.const(x, field)
+        return JetPoly.symbol(x)
+    return JetPoly.const(x)
 
 
 def vector_bracket_jet(f, k, g_form, h, genus: int) -> list[list[JetPoly]]:

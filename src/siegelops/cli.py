@@ -54,16 +54,14 @@ def _tolerance(text: str) -> float:
 
 
 def _weight(args):
-    """The weight --symbolic or --weight selects: the generator of Q(a), a
-    rational, or None when neither is given."""
-    if args.symbolic:
+    """The rational --weight gives, else (with --symbolic, or neither) the
+    generator of Q(a)."""
+    if args.weight is None:
         return opgen.symbolic_weight()
-    return None if args.weight is None else _rational(args.weight, "--weight")
+    return _rational(args.weight, "--weight")
 
 
 def _weight_text(a) -> str:
-    if a is None:
-        return "-"
     return "a (symbolic)" if isinstance(a, RatFunc) else frac_to_text(a)
 
 
@@ -331,12 +329,6 @@ def _random_z(rng: random.Random, g: int):
     return [complex(rng.uniform(-0.3, 0.3), rng.uniform(-0.2, 0.2)) for _ in range(g)]
 
 
-def _verify_weight(args):
-    """The weight verify pluriharmonic checks: --weight, else symbolic."""
-    a = _weight(args)
-    return opgen.symbolic_weight() if a is None else a
-
-
 _MODULARITY_FORMS = ("T2SQ", "D25T2")
 
 
@@ -344,7 +336,7 @@ def _setting(args, dest: str) -> str:
     """One 'name=value' of a verify header: the value the check uses."""
     value = getattr(args, dest)
     if dest == "weight":
-        return f"weight={_weight_text(_verify_weight(args))}"
+        return f"weight={_weight_text(_weight(args))}"
     if dest == "form":
         return f"form={value or ','.join(_MODULARITY_FORMS)}"
     if isinstance(value, float):
@@ -358,7 +350,7 @@ def cmd_verify(args) -> int:
     failures = 0
 
     if what == "pluriharmonic":
-        failures += _check_operator(args.genus, _verify_weight(args))[1]
+        failures += _check_operator(args.genus, _weight(args))[1]
 
     elif what == "suite":
         for name, ok in _operator_suite():

@@ -404,16 +404,16 @@ def verify_harmonic_condition(g: int, a) -> bool:
     return True
 
 
-def verify_deriv_lemma(g: int, n: tuple, h: int, k=None) -> bool:
+def verify_deriv_lemma(g: int, n: tuple, h: int) -> bool:
     """Check D_{h;11} B(n) = (k - n_h + 1) * minor-coefficient(n - e_h).
 
     Under the implemented normalization of D the stated identity holds with
     no extra constant (a global factor 2 relative to the raw Laplacian is
     shared by both sides and cancels from the convention).  For n_h = 0 the
-    derivative vanishes identically and the check is vacuous.
+    derivative vanishes identically and the check is vacuous.  k = 2a, a the
+    generator of Q(a).
     """
-    if k is None:
-        k = 2 * RatFunc.var()
+    k = 2 * RatFunc.var()
     lhs = apply_D11(g, h, coeff_R(g, n), k)
     if n[h - 1] == 0:
         return lhs.is_zero()

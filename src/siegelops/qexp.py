@@ -145,30 +145,18 @@ class _Layout:
             return f"key {k!r} is not a genus-{self.genus} key of {len(self.pairs)} integers"
         return None
 
-    def lattice(self, trunc: int):
-        """The invariants of the module docstring at truncation trunc, as a
-        function of a key of the right shape that says why the key breaks
-        one, or None.  All but the off-diagonal test depend only on the
-        diagonal, so each distinct diagonal is tested once, and gives the
-        bound 4 T_ii T_jj of each off-diagonal entry T_ij squared."""
-        diag, off = self.diag, self.off
-        bounds: dict = {}  # diagonal -> [(n, the bound of entry n), ...]
-
-        def fault(k: tuple) -> str | None:
-            d = diag(k)
-            b = bounds.get(d)
-            if b is None:
-                if min(d) < 0:
-                    return f"negative diagonal exponent in term {k}"
-                if sum(d) > trunc:
-                    return f"term {k} exceeds truncation {trunc}"
-                b = bounds[d] = [(n, 4 * k[i] * k[j]) for n, i, j in off]
-            for n, bound in b:
-                if k[n] * k[n] > bound:
-                    return f"term {k} violates beta^2 <= 4*alpha*gamma"
-            return None
-
-        return fault
+    def fault(self, k: tuple, trunc: int) -> str | None:
+        """Why a key of the right shape breaks an invariant of the module
+        docstring at truncation trunc, if so."""
+        d = self.diag(k)
+        if min(d) < 0:
+            return f"negative diagonal exponent in term {k}"
+        if sum(d) > trunc:
+            return f"term {k} exceeds truncation {trunc}"
+        for n, i, j in self.off:
+            if k[n] * k[n] > 4 * k[i] * k[j]:
+                return f"term {k} violates beta^2 <= 4*alpha*gamma"
+        return None
 
 
 def _reduced(den: int, nums: dict) -> tuple[int, dict]:
@@ -337,9 +325,9 @@ class _Expansion:
                  character: bool = False):
         """Int or Fraction coefficients (not bool); zeros are dropped."""
         terms = {k: v for k, v in (terms or {}).items() if v}
-        shape, lattice = self._layout.shape_fault, self._layout.lattice(trunc)
+        lay = self._layout
         for k, c in terms.items():
-            why = shape(k) or lattice(k)
+            why = lay.shape_fault(k) or lay.fault(k, trunc)
             if why:
                 raise ValueError(why)
             if type(c) is not int and not isinstance(c, Fraction):
@@ -641,7 +629,6 @@ def _smf1_from_text(text: str, cls):
         idx += 1
     declared = value(idx, "terms", _int_from_text)
     lay = cls._layout
-    lattice = lay.lattice(trunc)
     fields = len(lay.pairs) + 1
     nums: dict = {}
     dens: dict = {}  # the denominator of each non-integer coefficient
@@ -651,7 +638,7 @@ def _smf1_from_text(text: str, cls):
         """Fail at the first term line that breaks the invariants (the n-th
         key read is on line idx + 1 + n), or else at line j with why."""
         for n, k in enumerate(nums):
-            broken = lattice(k)
+            broken = lay.fault(k, trunc)
             if broken:
                 fail(idx + 1 + n, broken)
         fail(j, why)
@@ -670,10 +657,11 @@ def _smf1_from_text(text: str, cls):
                 fault(j, "blank line")
             fault(j, _spacing_fault(line) or f"cannot parse {line!r} ({exc})")
         if not p:
-            fault(j, lattice(key) or "zero coefficient")
+            fault(j, lay.fault(key, trunc) or "zero coefficient")
         if key <= last:
-            fault(j, lattice(key) or ("duplicate exponent" if key in nums else f"term {key} "
-                                      f"comes after {last}; the terms are sorted by exponent"))
+            fault(j, lay.fault(key, trunc) or ("duplicate exponent" if key in nums else
+                                               f"term {key} comes after {last}; the terms "
+                                               "are sorted by exponent"))
         nums[key] = p
         last = key
         if q > 1:
@@ -686,7 +674,7 @@ def _smf1_from_text(text: str, cls):
     rest = lay.rest
     ends = [*{rest(k): k for k in reversed(nums)}.values(),
             *{rest(k): k for k in nums}.values()]
-    if any(map(lattice, ends)):
+    if any(lay.fault(k, trunc) for k in ends):
         fault(len(lines))
     if len(nums) != declared:
         fail(idx, f"declares {declared} terms, found {len(nums)}")
@@ -760,8 +748,6 @@ def eval_jetpoly(p: JetPoly, bind: dict):
                 f = factor((sym, ()))
                 got = f * f  # one object as both operands: the kernel's square path
             else:
-                if sym not in bind:
-                    raise ValueError(f"unbound symbol {sym!r}")
                 got = bind[sym]
             cache[key] = got
         return got

@@ -31,8 +31,8 @@ class DivClass(NamedTuple):
         return f"{frac_to_text(self.lam)}L - {frac_to_text(self.delta)}D"
 
 
-def make_class(lam, delta, label: str = "", delta_lower_bound: bool = False) -> DivClass:
-    return DivClass(Fraction(lam), Fraction(delta), label, delta_lower_bound)
+def make_class(lam, delta, label: str = "") -> DivClass:
+    return DivClass(Fraction(lam), Fraction(delta), label)
 
 
 def slope(c: DivClass):

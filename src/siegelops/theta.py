@@ -8,7 +8,7 @@ summand attached to n has scaled exponents
     gamma = (2 n2 + eps2)^2,
 
 and coefficient (-1)^(n . delta) i^(eps . delta), which is +-1 for even
-characteristics (asserted), so even theta constants have integer expansions.
+characteristics, so even theta constants have integer expansions.
 Odd theta constants vanish identically and are returned as zeros.
 
 The theta-null product T of the ten even genus-2 theta constants is defined
@@ -134,14 +134,6 @@ _EVEN2 = tuple(even_chars(2))  # the ten factors of the theta-null product
 # -- exact expansions ---------------------------------------------------------
 
 
-def _phase(char: ThetaChar, n: tuple) -> int:
-    """The summand sign (-1)^(n.delta) i^(eps.delta); real for even chars."""
-    ed = sum(e * d for e, d in zip(char.eps, char.delta))
-    assert ed % 2 == 0, "phase is imaginary for an odd characteristic"
-    s = (-1) ** (sum(ni * d for ni, d in zip(n, char.delta)) % 2)
-    return s * (-1) ** ((ed // 2) % 2)
-
-
 def theta_qexp(g: int, char: ThetaChar, trunc: int = DEFAULT_TRUNC):
     """Exact expansion of a theta constant; zero for odd characteristics.
 
@@ -156,6 +148,8 @@ def theta_qexp(g: int, char: ThetaChar, trunc: int = DEFAULT_TRUNC):
     cls = QExp1 if g == 1 else QExp2
     if not char.is_even():
         return cls._checked(1, {}, half, trunc, 0, False)
+    # the summand sign (-1)^(n.delta) i^(eps.delta), with eps.delta even here
+    unit = -1 if sum(e * d for e, d in zip(char.eps, char.delta)) % 4 else 1
     terms: dict = {}
     bound = (isqrt(trunc) + 1) // 2  # every kept m = 2n + eps has |m| <= isqrt(trunc)
     for n in itertools.product(range(-bound, bound + 1), repeat=g):
@@ -163,7 +157,8 @@ def theta_qexp(g: int, char: ThetaChar, trunc: int = DEFAULT_TRUNC):
         if sum(x * x for x in m) > trunc:
             continue
         key = tuple((2 if i < j else 1) * m[i] * m[j] for i in range(g) for j in range(i, g))
-        terms[key] = terms.get(key, 0) + _phase(char, n)
+        sign = -unit if sum(ni * d for ni, d in zip(n, char.delta)) % 2 else unit
+        terms[key] = terms.get(key, 0) + sign
     return cls._checked(1, {k: c for k, c in terms.items() if c}, half, trunc, 0, False)
 
 
@@ -308,8 +303,7 @@ def schottky_qexp(g: int, trunc: int = DEFAULT_TRUNC):
     2 [beta = 0 mod 8] at 11, and at genus 1, 2 [n = 0 mod 8] at eps = 0
     and 1 at eps = 1.  theta[01, 00] is theta[10, 00] with m_1 and m_2, so
     alpha and gamma, swapped.  Three representatives of four squarings each
-    and the square of the sum make 13 products at genus 2, where the ten
-    characteristics took 41; genus 1 takes 9 (13).
+    and the square of the sum make 13 products at genus 2; genus 1 takes 9.
     """
     if g not in (1, 2):
         raise ValueError("expansions are implemented for genus 1 and 2")
@@ -379,10 +373,17 @@ def _grid(g: int, radius: int) -> np.ndarray:
     return n
 
 
-def _lattice_sums(g: int, tau, z, requests, tol: float = 1e-12,
-                  radius: int | None = None) -> tuple[list[complex], _Box]:
+def _lattice_sums(g: int, tau, z, requests, tol: float = 1e-12) -> tuple[list[complex], _Box]:
     """Every (char, d_tau, d_z) request of a batch, summed on one shared grid.
     This is where every numeric evaluation checks its tau, once.
+
+    The real parts are reduced first, by two identities that hold for every
+    derivative in tau and z: theta(tau, z) = (-1)^(eps.k) theta(tau, z - k)
+    for k in Z^g, and theta(tau, z) = i^(eps^T B eps / 2) theta(tau - B, z)
+    for B symmetric with even entries.  With k = round(Re z) and
+    B = 2 round(Re tau / 2), read from the upper triangle, the phase below
+    is taken at |Re z_j| <= 1/2 and |Re tau_ij| <= 1, where it keeps its
+    digits; a point already there (k = 0, B = 0) is summed as given.
 
     The grid is the box [-radius, radius]^g of n, with m = n + eps/2.  The
     exponential exp(pi i (m^T tau m + 2 m.z)) is computed once per point and
@@ -411,10 +412,15 @@ def _lattice_sums(g: int, tau, z, requests, tol: float = 1e-12,
             _check_index("d_tau", j, g)
         for k in d_z:
             _check_index("d_z", k, g)
-    if radius is None:
-        z_shift = float(np.abs(z.imag).max())
-        orders = {(len(d_tau), len(d_z)) for _, d_tau, d_z in requests}
-        radius = max(_pick_radius(lam_min, g, nt, nz, z_shift, tol) for nt, nz in orders)
+    z_shift = float(np.abs(z.imag).max())
+    orders = {(len(d_tau), len(d_z)) for _, d_tau, d_z in requests}
+    radius = max(_pick_radius(lam_min, g, nt, nz, z_shift, tol) for nt, nz in orders)
+    re_tau = tau.real.tolist()
+    k = [round(x) for x in z.real.tolist()]
+    b = [[2 * round(re_tau[min(i, j)][max(i, j)] / 2) for j in range(g)] for i in range(g)]
+    if any(k) or any(map(any, b)):
+        z = z - np.array(k, dtype=float)
+        tau = tau - np.array(b, dtype=float)
     n = _grid(g, radius)
     pi_i = 1j * math.pi
     signs = {d: 1.0 - 2.0 * ((n @ np.array(d)) % 2) for d in {c.delta for c, _, _ in requests}}
@@ -426,10 +432,13 @@ def _lattice_sums(g: int, tau, z, requests, tol: float = 1e-12,
             expo = np.exp(pi_i * (np.einsum("pi,ij,pj->p", m, upper, m) + 2.0 * (m @ z)))
             rows = [r for r, (char, _, _) in enumerate(requests) if char.eps == eps]
             weights = np.empty((len(rows), len(n)))
+            # the exponent of i the reduction multiplies by: 2 eps.k + eps^T B eps / 2
+            shift = 2 * sum(e * v for e, v in zip(eps, k)) + sum(
+                eps[i] * eps[j] * b[i][j] for i in range(g) for j in range(g)) // 2
             for w, r in zip(weights, rows):
                 char, d_tau, d_z = requests[r]
                 w[:] = signs[char.delta]
-                const = 1j ** (sum(e * d for e, d in zip(eps, char.delta)) % 4)
+                const = 1j ** ((sum(e * d for e, d in zip(eps, char.delta)) + shift) % 4)
                 for i, j in d_tau:
                     w *= m[:, i - 1] * m[:, j - 1]
                     const *= pi_i * (2 - (i == j))
@@ -444,14 +453,14 @@ def _lattice_sums(g: int, tau, z, requests, tol: float = 1e-12,
 
 
 def theta_numeric(g: int, char: ThetaChar, tau, z=None, d_tau=(), d_z=(),
-                  radius: int | None = None, tol: float = 1e-12) -> complex:
+                  tol: float = 1e-12) -> complex:
     """Lattice-sum value of a theta function or of a derivative.
 
     d_tau is a sequence of index pairs (i, j), 1-based, each contributing the
     plain derivative d/dtau_ij (no symmetrization factor); d_z a sequence of
     1-based indices for z-derivatives.  At most order 2 in each group.
     """
-    values, _ = _lattice_sums(g, tau, z, [(char, tuple(d_tau), tuple(d_z))], tol, radius)
+    values, _ = _lattice_sums(g, tau, z, [(char, tuple(d_tau), tuple(d_z))], tol)
     return values[0]
 
 
@@ -482,20 +491,22 @@ def check_heat(g: int, char: ThetaChar, tau, z, tol: float = TOL_HEAT) -> HeatRe
 
 
 class NumericForm(NamedTuple):
-    """A numeric modular-form evaluator over theta-constant leaves: fn(tau)
-    gives the value and the box, and its lattice sums check tau."""
+    """A numeric modular form: a jet on one function F, read on the
+    derivatives of the theta-null product T (T^p is the jet F^p).  Its
+    lattice sums check tau."""
 
     weight: int
     character: bool
     label: str
-    fn: Callable[[object], tuple[complex, _Box]]
+    jet: jets.JetPoly
 
     def eval(self, tau) -> complex:
         return self.eval_box(tau)[0]
 
-    def eval_box(self, tau) -> tuple[complex, _Box]:
-        """The value and the lattice box its theta sums used."""
-        value, box = self.fn(tau)
+    def eval_box(self, tau, tol: float = 1e-12) -> tuple[complex, _Box]:
+        """The value and the lattice box its theta sums used, at tail
+        tolerance tol."""
+        value, _, box = _read_on_tnull(self.jet, tau, tol)
         return complex(value), box
 
 
@@ -506,7 +517,7 @@ def _splits(d: tuple) -> list:
              tuple(p for i, p in enumerate(d) if not m >> i & 1)) for m in range(1 << len(d))]
 
 
-def _tnull_derivatives(tau, derivs) -> tuple[dict, list, _Box]:
+def _tnull_derivatives(tau, derivs, tol: float = 1e-12) -> tuple[dict, list, _Box]:
     """The derivative of the theta-null product T for each tuple of derivs
     (symmetrized, as a jet variable's), the ten theta values in _EVEN2
     order, and the lattice box.
@@ -516,7 +527,8 @@ def _tnull_derivatives(tau, derivs) -> tuple[dict, list, _Box]:
     """
     subs = sorted({left for d in derivs for left, _ in _splits(d)})
     n = len(subs)
-    values, box = _lattice_sums(2, tau, None, [(c, d, ()) for c in _EVEN2 for d in subs])
+    values, box = _lattice_sums(2, tau, None, [(c, d, ()) for c in _EVEN2 for d in subs],
+                                tol)
     # each theta constant's derivatives, with the factor (1 + delta_ij)/2 per pair
     scale = [0.5 ** sum(i != j for i, j in d) for d in subs]
     factors = [{d: c * v for d, c, v in zip(subs, scale, values[k:k + n])}
@@ -528,37 +540,27 @@ def _tnull_derivatives(tau, derivs) -> tuple[dict, list, _Box]:
     return {d: product[d] for d in derivs}, [f[()] for f in factors], box
 
 
-def _jet_reader(jet: jets.JetPoly) -> tuple[set, Callable[[dict], complex]]:
-    """The derivative tuples a jet on F reads, and its value on them."""
+def _read_on_tnull(jet: jets.JetPoly, tau, tol: float = 1e-12) -> tuple[complex, list, _Box]:
+    """A jet on F read on the theta-null product T at tau, each jet variable
+    the derivative of T that one _tnull_derivatives batch gives; with the ten
+    theta values and the lattice box of that batch."""
     terms = [(float(c), [d for _, d in mono]) for mono, c in jet.terms.items()]
-    derivs = {d for _, ds in terms for d in ds}
-    return derivs, lambda values: sum(c * math.prod(values[d] for d in ds) for c, ds in terms)
-
-
-def _tnull_form(jet: jets.JetPoly, weight: int, character: bool, label: str) -> NumericForm:
-    """A jet on one function F read on the theta-null product T: each jet
-    variable is the derivative of T that _tnull_derivatives gives."""
-    derivs, read = _jet_reader(jet)
-
-    def fn(tau):
-        values, _, box = _tnull_derivatives(tau, derivs)
-        return read(values), box
-
-    return NumericForm(weight, character, label, fn)
+    values, thetas, box = _tnull_derivatives(tau, {d for _, ds in terms for d in ds}, tol)
+    return sum(c * math.prod(values[d] for d in ds) for c, ds in terms), thetas, box
 
 
 def form_tnull(power: int = 1) -> NumericForm:
     """T^power for the genus-2 theta-null product T (weight 5, character):
     the jet F^power."""
-    return _tnull_form(jets.JetPoly.symbol("F") ** power, 5 * power, power % 2 == 1,
-                       f"tnull^{power}")
+    return NumericForm(5 * power, power % 2 == 1, f"tnull^{power}",
+                       jets.JetPoly.symbol("F") ** power)
 
 
 def form_operator_tnull(a: int) -> NumericForm:
     """The operator output on T, weight 2a+2: the jet jets.operator_jet of
     build_Q(2, a), which apply evaluates on expansions."""
-    return _tnull_form(jets.operator_jet(opgen.build_Q(2, a)), 2 * a + 2, False,
-                       f"operator output (a={a})")
+    return NumericForm(2 * a + 2, False, f"operator output (a={a})",
+                       jets.operator_jet(opgen.build_Q(2, a)))
 
 
 def gamma_J(g: int):
@@ -614,9 +616,10 @@ def check_modularity(form: NumericForm, gamma, tau,
 
     For forms with a character the sign is a free +-1 and the better match is
     reported.  Points where |f(tau)| is negligible are flagged inconclusive.
-    The reported box is the larger of the two evaluations' boxes.
+    Both evaluations sum at tail tolerance tol*1e-4; the reported box is the
+    larger of their boxes.
     """
-    f0, box = form.eval_box(tau)  # its lattice sums check tau
+    f0, box = form.eval_box(tau, tol * 1e-4)  # its lattice sums check tau
 
     def report(rel_err, sign, inconclusive=False):
         return ModularityReport(rel_err, sign, inconclusive, f0, *box)
@@ -625,7 +628,7 @@ def check_modularity(form: NumericForm, gamma, tau,
         return report(float("nan"), +1, True)
     taup, det = symplectic_act(gamma, tau)
     taup = (taup + taup.T) / 2  # symmetrize away roundoff
-    f1, box1 = form.eval_box(taup)
+    f1, box1 = form.eval_box(taup, tol * 1e-4)
     box = max(box, box1)  # radius is the first field
     target = det ** form.weight * f0
     rel_plus = abs(f1 - target) / abs(f0 * det ** form.weight)
@@ -658,8 +661,8 @@ def check_condition_star(tau, tol_zero: float = TOL_ZERO) -> ConditionReport:
 
     Requires the point to lie on the zero locus (one even theta constant
     theta_* negligible there), and raises OffLocus elsewhere.  The value is
-    the jet det(dF) of jets.jet_det_partial read on T's derivatives from one
-    _tnull_derivatives batch, which also gives the theta values.  Its
+    the jet det(dF) of jets.jet_det_partial read on T's derivatives by the
+    reader of the numeric forms, whose batch also gives the theta values.  Its
     product rule divides by nothing, so no 0/0 occurs, and on the locus
     every term of T_(ij) but theta_*,(ij) prod_{c != *} theta_c has the
     factor theta_*:
@@ -668,8 +671,7 @@ def check_condition_star(tau, tol_zero: float = TOL_ZERO) -> ConditionReport:
 
     The gradient is the symmetrized, (1/(2 pi i))-normalized matrix.
     """
-    derivs, read = _jet_reader(jets.jet_det_partial("F", 2))
-    values, thetas, box = _tnull_derivatives(tau, derivs)
+    det, thetas, box = _read_on_tnull(jets.jet_det_partial("F", 2), tau)
     vals = dict(zip(_EVEN2, thetas))
     star = min(_EVEN2, key=lambda c: abs(vals[c]))
     scale = max(abs(v) for v in vals.values())
@@ -677,4 +679,4 @@ def check_condition_star(tau, tol_zero: float = TOL_ZERO) -> ConditionReport:
         raise OffLocus(
             f"point is not on the theta-null locus: min |theta| = {abs(vals[star]):.3e}")
     # each of the jet's two first derivatives carries one 2 pi i
-    return ConditionReport(read(values) / (2j * math.pi) ** 2, star, abs(vals[star]), *box)
+    return ConditionReport(det / (2j * math.pi) ** 2, star, abs(vals[star]), *box)

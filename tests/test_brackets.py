@@ -268,3 +268,9 @@ def test_bracket_with_swapped_weights_fails(monkeypatch):
     monkeypatch.setattr(brackets, "vector_bracket_jet",
                         lambda f, k, g_form, h, genus: real(f, h, g_form, k, genus))
     assert scalar_bracket_q(e4, e6).terms != want.terms
+
+
+@pytest.mark.parametrize("bracket", [vector_bracket_q, scalar_bracket_q])
+def test_bracket_operands_must_share_a_genus(bracket):
+    with pytest.raises(ValueError, match="^bracket operands must share a genus$"):
+        bracket(eis1_qexp(4, 8), tnull_qexp(8))

@@ -112,6 +112,28 @@ def test_bracket_command(tmp_path, capsys):
     assert br.coefficient(1) == 3456
 
 
+@pytest.mark.parametrize("shifted, reduced", [
+    (("1e16,1", None), ("0,1", None)),
+    (("diag:1", "1e12"), ("diag:1", "0")),
+    (("diag:1", "1e20"), ("diag:1", "0")),
+], ids=["re-tau-1e16", "re-z-1e12", "re-z-1e20"])
+def test_theta_eval_at_a_large_real_part_is_the_value_at_the_reduced_point(
+        shifted, reduced, tmp_path, capsys):
+    """theta_00 has period 2 in tau and period 1 in z, so a real part far from
+    0 prints the value at the reduced point, digit for digit."""
+    def run(tau, z):
+        if not tau.startswith("diag:"):
+            path = tmp_path / "tau.txt"
+            path.write_text(tau + "\n")
+            tau = str(path)
+        code, out = run_cli(["theta", "eval", "--char", "0,0", "--tau", tau]
+                            + (["--z", z] if z else []), capsys)
+        assert code == 0
+        return out
+
+    assert run(*shifted) == run(*reduced)
+
+
 def test_slope_commands(capsys):
     code, out = run_cli(["slope", "table"], capsys)
     assert code == 0 and "(?) <= 43/6" in out
@@ -122,6 +144,11 @@ def test_slope_commands(capsys):
     assert code == 0 and out.strip().endswith("271/35")
     code, out = run_cli(["slope", "hyperelliptic", "--genus", "3"], capsys)
     assert code == 0 and out.strip().endswith("28/3")
+
+
+def test_slope_class_n0prime(capsys):
+    code, out = run_cli(["slope", "class", "--name", "n0prime", "--genus", "4"], capsys)
+    assert (code, out) == (0, "8L - 1D  slope 8\n")
 
 
 def test_verify_table_and_exit_codes(capsys):
@@ -851,3 +878,27 @@ def test_exact_commands_never_load_dataclasses_or_inspect(exact_program_lines):
     """import siegelops, siegelops.cli and the exact commands load neither
     dataclasses nor inspect; import numpy loads inspect (the control)."""
     assert exact_program_lines[0] == "[] True"
+
+
+@pytest.mark.parametrize("weight, note", [
+    (["--symbolic"], "note: the substitution oracle needs a numeric weight; skipped\n"),
+    (["--weight", "3/2"], "note: the substitution oracle needs an even integer 2a; skipped\n"),
+])
+def test_opgen_oracle_notes_a_weight_it_cannot_take(weight, note, capsys):
+    code, out = run_cli(["opgen", "--genus", "2", *weight, "--oracle-x"], capsys)
+    assert code == 0 and note in out and "matrix-space oracle" not in out
+
+
+def test_apply_and_form_refusals(tmp_path, capsys):
+    op_file, t_file = _pipeline_files(tmp_path, capsys)
+    e4_file, sym_file = tmp_path / "e4.smf", tmp_path / "q2a.opspec"
+    run_cli(["form", "--name", "eis4", "--trunc", "8", "--out", str(e4_file)], capsys)
+    run_cli(["opgen", "--genus", "2", "--symbolic", "--out", str(sym_file)], capsys)
+    for argv, message in [
+        (["apply", "--operator", str(op_file), "--input", str(e4_file)],
+         "operator genus 2 vs input genus 1"),
+        (["apply", "--operator", str(sym_file), "--input", str(t_file)],
+         "apply needs an operator built at a numeric weight"),
+        (["form", "--name", "nosuch"], "unknown form 'nosuch'"),
+    ]:
+        assert run_cli_error(argv, capsys) == (2, f"error: {message}\n")

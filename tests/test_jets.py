@@ -9,7 +9,7 @@ from fractions import Fraction
 from siegelops.jets import (JetPoly, diffresult_expand, jet_apply, jet_det_operator,
                             jet_det_partial, jet_diff, jet_mod_symbol, jet_var, operator_jet)
 from siegelops.opgen import symbolic_weight
-from siegelops.poly import MultiPoly, coeff_R, index_set_N, r_var
+from siegelops.poly import MultiPoly, coeff_R, index_set_N, r_var, t_var
 from siegelops.scalars import RatFunc
 
 
@@ -213,3 +213,12 @@ def test_jet_apply_matches_the_term_by_term_sum_in_Q():
 def test_jet_apply_of_the_genus3_operator_matches_the_term_by_term_sum(spec3_symbolic):
     q = spec3_symbolic.Q
     assert jet_apply(q, all_F(3), 3) == _jet_apply_term_by_term(q, all_F(3), 3)
+
+
+@pytest.mark.parametrize("q, message", [
+    (MultiPoly.var(t_var(1)), r"^operator polynomial mentions non-matrix variable \('t', 1\)$"),
+    (MultiPoly.var(r_var(3, 1, 1)), r"^matrix indices \[3\] exceed genus 2$"),
+], ids=["non-matrix-variable", "index-above-genus"])
+def test_jet_apply_refusals(q, message):
+    with pytest.raises(ValueError, match=message):
+        jet_apply(q, all_F(2), 2)

@@ -724,3 +724,15 @@ def test_opspec_read_builds_the_coefficient_table_once(spec2_symbolic, monkeypat
         spec = opspec_from_text(text)
         assert spec.coeffs == table(spec.g, spec.a)
         assert len(calls) == 1
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: constant_C(2, Fraction(3), 3), r"^m=3 out of range 1\.\.2$"),
+    (lambda: xspace_oracle(2, 2, build_Q(2, symbolic_weight()).Q),
+     r"^oracle needs numeric \(Q\) coefficients$"),
+    (lambda: xspace_oracle(2, 2, MultiPoly.var(t_var(1))),
+     r"^oracle input mentions non-matrix variable \('t', 1\)$"),
+], ids=["constant-m", "oracle-symbolic", "oracle-non-matrix"])
+def test_opgen_refusals(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

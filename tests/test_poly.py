@@ -612,3 +612,14 @@ def test_packed_reader_rejects_two_orderings_of_one_monomial():
 def test_poly1_rejects_a_zero_coefficient(coeff):
     symbolic = ";" in coeff
     _rejected(_edited(11, f"{coeff} | r[1;1,1]^1 r[1;2,2]^1", symbolic), 11)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: minor_det_expand(2, 3, 1), r"^minor indices \(3,1\) out of range for g=2$"),
+    (lambda: det_expand(0), "^genus must be >= 1$"),
+    (lambda: minor_coeff_R(2, 1, 1, (1, 1)),
+     r"^multi-index \(1, 1\) is not a composition of 1 into 2 parts$"),
+], ids=["minor-indices", "det-expand-0", "minor-multi-index"])
+def test_poly_refusals(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

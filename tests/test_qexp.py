@@ -14,6 +14,7 @@ from siegelops.brackets import delta1_qexp, eis1_qexp, scalar_bracket_q
 from siegelops.jets import JetPoly, jet_det_partial
 from siegelops.qexp import (QExp1, QExp2, eval_jetpoly, product_balanced,
                             qexp1_from_text, qexp2_from_text, qexp_from_text)
+from siegelops.scalars import RatFunc
 from siegelops.theta import ThetaChar, even_chars, theta_qexp, tnull_qexp
 
 
@@ -835,3 +836,25 @@ def test_sum_drops_cancelled_terms_and_stays_canonical():
     assert ((half + half)._den, (half + half)._nums) == (1, {(8, 0, 8): 1, (8, 4, 8): -1})
     # every term within the shorter truncation cancels
     assert f + (-f).truncate(16) == QExp2.zero(5, 16)
+
+
+def _theta00():
+    return theta_qexp(2, ThetaChar((0, 0), (0, 0)), 16)
+
+
+_F = JetPoly.symbol("F")
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: QExp2.one(16) + QExp2.one(16).with_character(True), "^character mismatch$"),
+    (lambda: product_balanced([]), "^empty product$"),
+    (lambda: eval_jetpoly(JetPoly.symbol("F", "Qa").scale(RatFunc.var()), {"F": _theta00()}),
+     "^bind a numeric weight before evaluating$"),
+    (lambda: eval_jetpoly(_F + _F * _F, {"F": _theta00()}),
+     "^jet polynomial is not weight/order homogeneous$"),
+    (lambda: eval_jetpoly(_F * _F + jet_det_partial("F", 2), {"F": _theta00()}),
+     "^jet polynomial is not weight/order homogeneous$"),
+], ids=["character", "empty-product", "symbolic-weight", "weight", "order"])
+def test_qexp_refusals(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

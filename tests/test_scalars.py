@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from siegelops.scalars import PoleError, RatFunc, _binpow, _padd, _pmul
+from siegelops.scalars import PoleError, RatFunc, _binpow, _padd, _pdivmod, _pmul
 
 A = RatFunc.var()
 
@@ -153,3 +153,14 @@ def test_same_denominator_sum_matches_the_general_formula(x, s, t, y):
         total = p + r
         assert total == _general_sum(p, r)
         assert total.num == _general_sum(p, r).num and total.den[-1] == 1
+
+
+@pytest.mark.parametrize("call, exc, message", [
+    (lambda: _pdivmod((Fraction(1),), ()), ZeroDivisionError, "^polynomial division by zero$"),
+    (lambda: _binpow(2, 0), ValueError, "^binary powering needs an exponent >= 1, got 0$"),
+    (lambda: RatFunc(1, 0), ZeroDivisionError, "^RatFunc with zero denominator$"),
+    (lambda: RatFunc("a"), TypeError, "^cannot build polynomial from 'a'$"),
+], ids=["divide-by-zero", "power-0", "zero-denominator", "not-a-polynomial"])
+def test_scalar_refusals(call, exc, message):
+    with pytest.raises(exc, match=message):
+        call()

@@ -202,9 +202,9 @@ def test_theta_numeric_classical_value():
     got = theta_numeric(1, ThetaChar((0,), (0,)), [[1j]])
     expect = math.pi ** 0.25 / math.gamma(0.75)
     assert abs(got - expect) < 1e-12
-    # two truncation radii agree
-    a = theta_numeric(1, ThetaChar((0,), (0,)), [[1j]], radius=8)
-    b = theta_numeric(1, ThetaChar((0,), (0,)), [[1j]], radius=16)
+    # two tail tolerances agree
+    a = theta_numeric(1, ThetaChar((0,), (0,)), [[1j]], tol=1e-12)
+    b = theta_numeric(1, ThetaChar((0,), (0,)), [[1j]], tol=1e-15)
     assert abs(a - b) < 1e-12
 
 
@@ -495,6 +495,32 @@ def test_kernel_matches_per_point_loop(char):
             assert _close(new, old), (d_tau, d_z, new, old)
 
 
+# an even symmetric B added to Re tau and an integral k added to Re z
+SHIFTS = {1: ([[-6]], [3]), 2: ([[2, -4], [-4, 6]], [1, -2])}
+
+
+@pytest.mark.parametrize("char", all_chars(1) + all_chars(2), ids=lambda c: f"g{c.g}-{c}")
+def test_real_parts_are_reduced_by_exact_identities(char):
+    """theta(tau + B, z + k) = (-1)^(eps.k) i^(eps^T B eps / 2) theta(tau, z)
+    for every derivative, and the kernel, which sums at the reduced point,
+    agrees with the per-point loop at the shifted one."""
+    g, eps = char.g, char.eps
+    tau, z = KERNEL_POINTS[g]
+    b, k = SHIFTS[g]
+    tau_b = [[tau[i][j] + b[i][j] for j in range(g)] for i in range(g)]
+    z_k = [v + s for v, s in zip(z, k)]
+    quad = sum(eps[i] * eps[j] * b[i][j] for i in range(g) for j in range(g))
+    phase = (-1) ** sum(e * s for e, s in zip(eps, k)) * 1j ** (quad // 2 % 4)
+    d_taus, d_zs = _derivative_orders(g)
+    for d_tau in d_taus:
+        for d_z in d_zs:
+            got = theta_numeric(g, char, tau_b, z_k, d_tau=d_tau, d_z=d_z)
+            at = theta_numeric(g, char, tau, z, d_tau=d_tau, d_z=d_z)
+            assert _close(got, phase * at), (d_tau, d_z, got, at)
+            oracle = _reference_theta(g, char, tau_b, z_k, d_tau, d_z)
+            assert abs(got - oracle) <= 1e-10 * max(1.0, abs(oracle)), (d_tau, d_z)
+
+
 @pytest.mark.parametrize("g", [1, 2])
 def test_batch_radius_is_the_largest_request_radius(g):
     tau, z = KERNEL_POINTS[g]
@@ -701,3 +727,42 @@ def test_the_lift_at_weight_10_is_the_square_of_the_theta_null_product():
     square = tnull_qexp(trunc) ** 2
     assert len(lift.terms) == 280
     assert lift.scale_coeff(4096) == square.with_character(False)
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-10])
+def test_modularity_sums_its_tails_at_its_tolerance_times_1e4(tol):
+    """check_modularity passes tol*1e-4 to both evaluations; at the default
+    tol = 1e-8 that is the kernel's own default 1e-12."""
+    tau = [[0.2 + 1.7j, 0.1 + 0.08j], [0.1 + 0.08j, -0.1 + 1.9j]]
+    form = form_tnull(2)
+    rep = check_modularity(form, gamma_J(2), tau, tol)
+    taup, _ = symplectic_act(gamma_J(2), tau)
+    boxes = [form.eval_box(t, tol * 1e-4)[1] for t in (tau, (taup + taup.T) / 2)]
+    assert rep.radius_tol == tol * 1e-4 and rep.radius == max(b.radius for b in boxes)
+    assert rep.value == form.eval_box(tau, tol * 1e-4)[0]
+    default = check_modularity(form, gamma_J(2), tau)
+    assert default.radius_tol == 1e-12 and default.value == form.eval(tau)
+
+
+_G1, _G2 = ThetaChar((0,), (0,)), ThetaChar((0, 0), (0, 0))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: theta_qexp(3, ThetaChar((0,) * 3, (0,) * 3)),
+     "^exact expansions are implemented for genus 1 and 2$"),
+    (lambda: theta_qexp(2, _G1), "^characteristic genus 1 != 2$"),
+    (lambda: schottky_qexp(3), "^expansions are implemented for genus 1 and 2$"),
+    (lambda: theta_numeric(1, _G1, [[1j, 0]]), "^tau must be a square matrix$"),
+    (lambda: theta_numeric(2, _G2, [[1j, 0.5], [0, 1j]]), "^tau must be symmetric$"),
+    (lambda: theta_numeric(1, _G1, [[1e-4j]]), "^tail bound unsatisfiable at radius 60;"),
+    (lambda: theta_numeric(2, _G2, [[1j]]), "^tau size does not match the genus$"),
+    (lambda: theta_numeric(2, _G1, KERNEL_POINTS[2][0]), "^characteristic genus mismatch$"),
+    (lambda: theta_numeric(1, _G1, [[1j]], d_z=(1, 1, 1)),
+     "^derivatives are supported up to order 2$"),
+    (lambda: gamma_translation([[1, 1], [0, 1]]), "^translation block must be symmetric$"),
+    (lambda: gamma_gl([[2, 0], [0, 1]]), r"^block must be in GL\(g, Z\)$"),
+], ids=["qexp-genus", "qexp-char-genus", "schottky-genus", "square", "symmetric", "tail",
+        "tau-size", "char-genus", "order", "translation", "gl"])
+def test_theta_refusals(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -183,7 +183,6 @@ def cmd_apply(args) -> int:
         spec = opgen.opspec_from_text(fh.read())
     with open(args.input, newline="") as fh:
         f = qexp_from_text(fh.read())
-    print(f"# config: genus={spec.g} weight={_weight_text(spec.a)} trunc={f.trunc}")
     if f.genus != spec.g:
         raise ValueError(f"operator genus {spec.g} vs input genus {f.genus}")
     if spec.symbolic:
@@ -191,6 +190,7 @@ def cmd_apply(args) -> int:
     if f.weight != spec.a:
         raise ValueError(f"operator weight a={spec.a} does not match the input "
                          f"weight {f.weight}")
+    print(f"# config: genus={spec.g} weight={_weight_text(spec.a)} trunc={f.trunc}")
     result = eval_jetpoly(operator_jet(spec), {"F": f})
     print(f"# output weight: {frac_to_text(result.weight)}")
     if result.is_zero():

@@ -10,9 +10,11 @@ g(g+1)/2 scaled exponents T_ij (i <= j), row by row: (alpha, beta, gamma) =
 (T_11, T_12, T_22) at genus 2 and (n,) at genus 1.  Theta-constant exponents
 lie in (1/8)Z on the diagonal and (1/4)Z off it, so the factor 8 makes every
 key integral.  Only data from outside is checked: the public constructor
-checks each term, and the SMF1 reader each group of keys that share every
-entry but the packed one (the product kernel's, below), at the group's
-least and greatest packed entry.  Ring operations keep the invariants, and
+checks each term, and the SMF1 reader every key, column by column (when a
+check fails it reads the block again line by line, which names the faulty
+line and checks each group of keys that share every entry but the packed
+one, the product kernel's below, at the group's least and greatest packed
+entry).  Ring operations keep the invariants, and
 the builders of theta and brackets keep them by their loop bounds (a test
 rebuilds each builder's output through the public constructor), so their
 results skip the check:
@@ -53,7 +55,10 @@ bits(min(len a, len b)) + 2 holds every output digit with its sign, and each
 output integer is decoded once with signed digits (take the low S bits r; if
 r >= 2^(S-1), the digit is r - 2^S and it borrows one from the rest).  At
 genus 1 the packed entry is the weight itself: the series is one row, and
-decoding stops at the truncation.
+decoding stops at the truncation.  The grouping depends only on an operand
+and the truncation, so a product reuses that of an operand of the product
+before it (apply's F F and F times its derivatives); S and s depend on both
+operands, so the rows are packed anew for each product.
 
 A square (one dict as both operands: x * x, and every squaring of binary
 powering) visits each unordered group pair once, which costs about half a
@@ -100,13 +105,14 @@ F F) and one sum, where the terms as they stand cost 3 products.
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
 from functools import partial, reduce
-from itertools import compress, repeat
+from itertools import chain, compress, islice, repeat
 from math import gcd, lcm
-from operator import add, itemgetter, mul
+from operator import add, floordiv, itemgetter, le, lt, mul
 from types import MappingProxyType
 
 from .jets import JetPoly
@@ -124,7 +130,8 @@ class _Layout:
     gives the diagonal entries (their sum is the weight), off holds
     (n, ii, jj) per off-diagonal entry n and its two diagonal partners; the
     kernel packs along entry pack and groups by rest(key), whose diagonal
-    entries sit at rest_diag."""
+    entries sit at rest_diag.  The diagonal entries of a key sit at diag_at,
+    and body_pattern matches the SMF1 term lines to_text writes."""
 
     def __init__(self, g: int):
         self.genus = g
@@ -134,9 +141,15 @@ class _Layout:
         self.pack = self.off[-1][0] if self.off else 0
         others = [n for n in range(len(pairs)) if n != self.pack]
         self.rest_diag = [m for m, n in enumerate(others) if pairs[n][0] == pairs[n][1]]
+        self.diag_at = [at[i, i] for i in range(1, g + 1)]
         # a genus-1 key is all diagonal, and nothing is left beside its packed entry
-        self.diag = itemgetter(*(at[i, i] for i in range(1, g + 1))) if g > 1 else tuple
+        self.diag = itemgetter(*self.diag_at) if g > 1 else tuple
         self.rest = itemgetter(*others) if g > 1 else (lambda k: ())
+        # the key entries as str writes them, the diagonal ones >= 0, then a
+        # nonzero p or p/q; re compiles it on the first read and keeps it
+        entry = {True: "(?:0|[1-9][0-9]*) ", False: "(?:0|-?[1-9][0-9]*) "}
+        self.body_pattern = "(?:%s-?[1-9][0-9]*(?:/[1-9][0-9]*)?\n)*" % "".join(
+            entry[i == j] for i, j in pairs)
 
     def shape_fault(self, k) -> str | None:
         """Why k is not a tuple of len(pairs) ints, if so."""
@@ -189,6 +202,23 @@ def _rows(nums: dict, trunc: int, lay: _Layout) -> tuple[dict, dict]:
     return nums, rows
 
 
+# The groupings of the last product's operands, {id(nums): (nums, trunc,
+# kept terms, rows)}.  Holding nums keeps its id from being reused, and an
+# expansion never changes its numerators, so a hit is the same grouping:
+# apply multiplies F by itself and by a combination of F's derivatives, and
+# the second product reuses F's.
+_GROUPED: dict = {}
+
+
+def _grouping(nums: dict, trunc: int, lay: _Layout) -> tuple:
+    """(nums, trunc, *_rows(nums, trunc, lay)), from the last product's
+    operands when nums is one of them at the same truncation."""
+    got = _GROUPED.get(id(nums))
+    if got is None or got[1] != trunc:
+        got = (nums, trunc, *_rows(nums, trunc, lay))
+    return got
+
+
 def _slot_width(ca: dict, cb: dict) -> int:
     """Bits per slot that hold any coefficient of the product with its sign."""
     return (max(map(abs, ca.values())).bit_length()
@@ -227,8 +257,11 @@ def _mul_terms(na: dict, nb: dict, trunc: int) -> dict:
         return {}
     square = na is nb
     lay = _LAYOUTS[len(next(iter(na)))]
-    ca, ra = _rows(na, trunc, lay)
-    cb, rb = (ca, ra) if square else _rows(nb, trunc, lay)
+    a = _grouping(na, trunc, lay)
+    b = a if square else _grouping(nb, trunc, lay)
+    _GROUPED.clear()
+    _GROUPED[id(na)], _GROUPED[id(nb)] = a, b
+    (_, _, ca, ra), (_, _, cb, rb) = a, b
     if not ca or not cb:
         return {}
     p = lay.pack
@@ -519,24 +552,30 @@ class _Expansion:
         (gamma/8 at genus 2, n/8 at genus 1)."""
         if not self._nums:
             raise ValueError("order undetermined at this truncation (zero expansion)")
-        return Fraction(min(k[-1] for k in self._nums), SCALE)
+        return Fraction(min(map(itemgetter(-1), self._nums)), SCALE)
 
     def to_text(self) -> str:
         """The SMF1 block: the header (with a character line from genus 2
         on), then one line per term, its key entries and its coefficient
         (an integer, or p/q in lowest terms)."""
         den, nums = self._den, self._nums
+        keys = sorted(nums)
+        ps = list(map(nums.__getitem__, keys))
         line = "%d " * len(self._layout.pairs) + "%d"
-        lines = []
-        for k in sorted(nums):
-            g = gcd(nums[k], den)
-            lines.append(line % (*k, nums[k] // g) + ("" if g == den else f"/{den // g}"))
+        if den == 1:
+            cells = map(add, keys, zip(ps))
+        else:  # p / den is (p / g) / (den / g) in lowest terms, g = gcd(p, den)
+            gs = list(map(gcd, ps, repeat(den)))
+            suffix = {g: "" if g == den else f"/{den // g}" for g in set(gs)}
+            cells = map(add, keys, zip(map(floordiv, ps, gs), map(suffix.__getitem__, gs)))
+            line += "%s"
         head = ["SMF1", f"genus {self.genus}", f"weight {frac_to_text(self.weight)}",
                 f"scale {SCALE}", f"trunc {self.trunc}", f"taupow {self.tau_factor}"]
         if self.genus > 1:
             head.append(f"character {int(self.character)}")
-        head.append(f"terms {len(lines)}")
-        return "\n".join(head + lines) + "\n"
+        head.append(f"terms {len(keys)}\n")
+        # every term line in one format call
+        return "\n".join(head) + (line + "\n") * len(keys) % tuple(chain.from_iterable(cells))
 
 
 class QExp2(_Expansion):
@@ -629,6 +668,59 @@ def _smf1_from_text(text: str, cls):
         idx += 1
     declared = value(idx, "terms", _int_from_text)
     lay = cls._layout
+    body = text[sum(map(len, lines[:idx + 1])) + idx + 1:]
+    try:
+        read = _smf1_columns(body, lay, trunc, declared)
+    except ValueError:  # an int past the digit limit
+        read = None
+    if read is None:
+        read = _smf1_lines(lines, idx, lay, trunc, declared, fail)
+    return cls._checked(*read, weight, trunc, taupow, bool(character))
+
+
+def _smf1_columns(body: str, lay: _Layout, trunc: int, declared: int) -> tuple | None:
+    """(den, nums) of an SMF1 body read column by column, or None if any
+    check fails: then _smf1_lines reads it again and names the fault.  One
+    pattern takes the lines to_text writes (diagonal entries >= 0, integers
+    as str writes them, a nonzero coefficient p or p/q with q >= 1); then
+    the key columns are read through one int memo, and the term count, the
+    key order, the weights, beta^2 <= 4 alpha gamma and q >= 2 in lowest
+    terms are checked over whole columns."""
+    if not re.fullmatch(lay.body_pattern, body):
+        return None
+    fields = len(lay.pairs) + 1
+    words = body.split()
+    if len(words) != fields * declared:
+        return None
+    entries = _Memo(int)
+    cols = [list(map(entries.__getitem__, words[n::fields])) for n in range(fields - 1)]
+    keys = list(zip(*cols))
+    if not all(map(lt, keys, islice(keys, 1, None))):
+        return None
+    if max(reduce(partial(map, add), [cols[n] for n in lay.diag_at]), default=0) > trunc:
+        return None
+    for n, i, j in lay.off:  # beta^2 <= 4 alpha gamma
+        bound = map(mul, map((4).__mul__, cols[i]), cols[j])
+        if not all(map(le, map(mul, cols[n], cols[n]), bound)):
+            return None
+    coeffs = words[fields - 1::fields]
+    if "/" not in body:
+        return 1, dict(zip(keys, map(int, coeffs)))
+    ps, _, qs = zip(*map(str.partition, coeffs, repeat("/")))
+    dens = {q: int(q) if q else 1 for q in set(qs)}  # "" for an integer
+    ps = list(map(int, ps))
+    if min(dens[q] for q in dens if q) < 2 or max(map(gcd, ps, map(dens.__getitem__, qs))) > 1:
+        return None
+    # reduced fractions over the lcm of their denominators are canonical
+    den = lcm(*dens.values())
+    scale = {q: den // d for q, d in dens.items()}
+    return den, dict(zip(keys, map(mul, ps, map(scale.__getitem__, qs))))
+
+
+def _smf1_lines(lines: list, idx: int, lay: _Layout, trunc: int, declared: int,
+                fail) -> tuple:
+    """(den, nums) of the term lines after header line idx, read line by
+    line; a malformed line raises ValueError naming it through fail."""
     fields = len(lay.pairs) + 1
     nums: dict = {}
     dens: dict = {}  # the denominator of each non-integer coefficient
@@ -682,7 +774,7 @@ def _smf1_from_text(text: str, cls):
     den = lcm(*set(dens.values()))
     if den > 1:
         nums = {k: v * (den // dens.get(k, 1)) for k, v in nums.items()}
-    return cls._checked(den, nums, weight, trunc, taupow, bool(character))
+    return den, nums
 
 
 def qexp2_from_text(text: str) -> QExp2:

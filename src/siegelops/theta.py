@@ -412,6 +412,8 @@ def _lattice_sums(g: int, tau, z, requests, tol: float = 1e-12) -> tuple[list[co
             _check_index("d_tau", j, g)
         for k in d_z:
             _check_index("d_z", k, g)
+    # a sum that overflows names z too when z is nonzero
+    too_large = "tau or z" if z.any() else "tau"
     z_shift = float(np.abs(z.imag).max())
     orders = {(len(d_tau), len(d_z)) for _, d_tau, d_z in requests}
     radius = max(_pick_radius(lam_min, g, nt, nz, z_shift, tol) for nt, nz in orders)
@@ -448,7 +450,7 @@ def _lattice_sums(g: int, tau, z, requests, tol: float = 1e-12) -> tuple[list[co
                 out[r] = const
             out[rows] *= weights @ expo
     if not np.isfinite(out).all():
-        raise ValueError("tau is too large: its lattice sum is not finite")
+        raise ValueError(f"{too_large} is too large: its lattice sum is not finite")
     return out.tolist(), _Box(radius, len(n), tol)
 
 

@@ -461,6 +461,19 @@ def test_a_huge_tau_is_a_clean_error(argv, capsys):
     assert (code, err) == (2, "error: tau is too large: its lattice sum is not finite\n")
 
 
+def test_an_overflowing_z_is_named(capsys):
+    """At tau = i the sum at z = 20i overflows, and the error names z as well
+    as tau; at z = 10i the value is finite and printed."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, err = run_cli_error(["theta", "eval", "--char", "0,0", "--tau", "diag:1",
+                                   "--z", "20j"], capsys)
+    assert (code, err) == (2, "error: tau or z is too large: its lattice sum is not finite\n")
+    code, out = run_cli(["theta", "eval", "--char", "0,0", "--tau", "diag:1", "--z", "10j"],
+                        capsys)
+    assert code == 0 and out == "2.976042006088039e+136 0.0\n"
+
+
 def test_ragged_tau_file_names_the_option(tmp_path, capsys):
     path = tmp_path / "ragged.tau"
     path.write_text("1,1 0\n0 1,1 0\n")
@@ -902,3 +915,19 @@ def test_apply_and_form_refusals(tmp_path, capsys):
         (["form", "--name", "nosuch"], "unknown form 'nosuch'"),
     ]:
         assert run_cli_error(argv, capsys) == (2, f"error: {message}\n")
+
+
+def test_a_refused_apply_prints_nothing_on_stdout(tmp_path, capsys):
+    """apply checks the operator against the input before its header: a
+    refused apply writes its one error line and nothing on stdout."""
+    op_file, t_file = _pipeline_files(tmp_path, capsys)
+    e4_file, sym_file, op4_file = (tmp_path / n for n in ("e4.smf", "q2a.opspec", "q4.opspec"))
+    run_cli(["form", "--name", "eis4", "--trunc", "8", "--out", str(e4_file)], capsys)
+    run_cli(["opgen", "--genus", "2", "--symbolic", "--out", str(sym_file)], capsys)
+    run_cli(["opgen", "--genus", "2", "--weight", "4", "--out", str(op4_file)], capsys)
+    for operator, source, message in [
+            (op_file, e4_file, "operator genus 2 vs input genus 1"),
+            (sym_file, t_file, "apply needs an operator built at a numeric weight"),
+            (op4_file, t_file, "operator weight a=4 does not match the input weight 5")]:
+        code = main(["apply", "--operator", str(operator), "--input", str(source)])
+        assert (code, *capsys.readouterr()) == (2, "", f"error: {message}\n")

@@ -3,13 +3,18 @@
 import hashlib
 import itertools
 import math
+import random
 import re
+import sys
+from contextlib import contextmanager
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from siegelops import qexp
 from siegelops.brackets import delta1_qexp, eis1_qexp, scalar_bracket_q
 from siegelops.jets import JetPoly, jet_det_partial
 from siegelops.qexp import (QExp1, QExp2, eval_jetpoly, product_balanced,
@@ -858,3 +863,148 @@ _F = JetPoly.symbol("F")
 def test_qexp_refusals(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+# -- the SMF1 column reader against the line reader ---------------------------------
+
+
+@contextmanager
+def line_reads():
+    """The list of the line reader's calls in the block: the column reader
+    fell back to it once per entry."""
+    calls = []
+    real = qexp._smf1_lines
+
+    def spy(*args):
+        calls.append(args[1])
+        return real(*args)
+
+    with mock.patch.object(qexp, "_smf1_lines", spy):
+        yield calls
+
+
+def read_by_lines(text: str):
+    """qexp_from_text with the column reader off: the line reader alone."""
+    with mock.patch.object(qexp, "_smf1_columns", lambda *args: None):
+        return qexp_from_text(text)
+
+
+@st.composite
+def expansions(draw):
+    """A genus-1 or genus-2 expansion with integer or p/q coefficients, maybe
+    zero, with terms at the truncation and, at genus 2, beta at
+    +-2 sqrt(alpha gamma) where that is an integer."""
+    genus, trunc = draw(st.sampled_from([1, 2])), draw(st.integers(0, 40))
+    dens = draw(st.sampled_from([[1], [1, 3], [2, 3, 12], [7 ** 30]]))
+    coeff = st.builds(Fraction, st.integers(-10 ** 30, 10 ** 30), st.sampled_from(dens))
+    terms = {}
+    for _ in range(draw(st.integers(0, 25))):
+        a = draw(st.integers(0, trunc))
+        c = trunc - a if draw(st.booleans()) else draw(st.integers(0, trunc - a))
+        if genus == 1:
+            terms[(a + c,)] = draw(coeff)
+            continue
+        if draw(st.booleans()):  # alpha = gamma: beta = +-2 alpha is on the boundary
+            a = c = min(a, c)
+        m = math.isqrt(4 * a * c)
+        terms[(a, draw(st.one_of(st.sampled_from([-m, m]), st.integers(-m, m))), c)] = draw(coeff)
+    cls = QExp2 if genus == 2 else QExp1
+    return cls(terms, Fraction(draw(st.integers(-9, 9)), draw(st.sampled_from([1, 2]))), trunc,
+               draw(st.integers(-3, 3)), genus == 2 and draw(st.booleans()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(expansions())
+def test_smf1_columns_read_what_the_lines_read(f):
+    """Every block to_text writes takes the column reader (the line reader
+    is never called) and reads to what the line reader reads: f itself."""
+    text = f.to_text()
+    with line_reads() as calls:
+        got = qexp_from_text(text)
+    assert calls == []
+    assert got == read_by_lines(text) == f
+    assert got.to_text() == text
+
+
+_F2 = QExp2({(0, 0, 0): Fraction(1), (4, -4, 4): Fraction(-3, 2), (4, 4, 4): Fraction(5, 3)},
+            Fraction(5), 8)
+_F1 = QExp1({(0,): Fraction(1), (8,): Fraction(-3, 2), (16,): Fraction(5, 3)}, Fraction(4), 16)
+_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.parametrize("f, edits, message", [
+    (_F2, {8: "0 0 0 1/1"},
+     "SMF1 line 9: cannot parse '0 0 0 1/1' ('1/1' is not p/q in lowest terms with q >= 2)"),
+    (_F2, {9: "4 -4 4 2/4"},
+     "SMF1 line 10: cannot parse '4 -4 4 2/4' ('2/4' is not p/q in lowest terms with q >= 2)"),
+    (_F2, {8: "0 -0 0 1"},
+     "SMF1 line 9: cannot parse '0 -0 0 1' ('-0' is not an integer as str writes it)"),
+    (_F2, {8: "0 0 0 -0"},
+     "SMF1 line 9: cannot parse '0 0 0 -0' ('-0' is not an integer as str writes it)"),
+    (_F2, {9: "0 0 0 2"}, "SMF1 line 10: duplicate exponent"),
+    (_F2, {9: "4 4 4 5/3", 10: "4 -4 4 -3/2"},
+     "SMF1 line 11: term (4, -4, 4) comes after (4, 4, 4); the terms are sorted by exponent"),
+    (_F2, {7: "terms 4"}, "SMF1 line 8: declares 4 terms, found 3"),
+    (_F2, {10: "4 4 5 5/3"}, "SMF1 line 11: term (4, 4, 5) exceeds truncation 8"),
+    (_F2, {10: "4 9 4 5/3"}, "SMF1 line 11: term (4, 9, 4) violates beta^2 <= 4*alpha*gamma"),
+    (_F2, {8: "-4 0 0 1"}, "SMF1 line 9: negative diagonal exponent in term (-4, 0, 0)"),
+    (_F1, {8: "8 -3/1"},
+     "SMF1 line 9: cannot parse '8 -3/1' ('-3/1' is not p/q in lowest terms with q >= 2)"),
+    (_F1, {9: "16 10/6"},
+     "SMF1 line 10: cannot parse '16 10/6' ('10/6' is not p/q in lowest terms with q >= 2)"),
+    (_F1, {7: "-0 1"},
+     "SMF1 line 8: cannot parse '-0 1' ('-0' is not an integer as str writes it)"),
+    (_F1, {8: "0 2"}, "SMF1 line 9: duplicate exponent"),
+    (_F1, {8: "16 5/3", 9: "8 -3/2"},
+     "SMF1 line 10: term (8,) comes after (16,); the terms are sorted by exponent"),
+    (_F1, {6: "terms 2"}, "SMF1 line 7: declares 2 terms, found 3"),
+    (_F1, {9: "24 5/3"}, "SMF1 line 10: term (24,) exceeds truncation 16"),
+    (_F1, {7: "-8 1"}, "SMF1 line 8: negative diagonal exponent in term (-8,)"),
+], ids=["g2-over-1", "g2-unreduced", "g2-minus-zero-key", "g2-minus-zero-coeff",
+        "g2-duplicate", "g2-order", "g2-count", "g2-weight", "g2-beta", "g2-negative-alpha",
+        "g1-over-1", "g1-unreduced", "g1-minus-zero", "g1-duplicate", "g1-order", "g1-count",
+        "g1-weight", "g1-negative"])
+def test_smf1_column_reader_falls_back_on_each_fault(f, edits, message):
+    """Negative controls: each block the writer cannot write reaches the
+    line reader, which raises the line reader's message."""
+    text = _replace_lines(f.to_text(), edits)
+    with line_reads() as calls, pytest.raises(ValueError) as err:
+        qexp_from_text(text)
+    assert str(err.value) == message
+    assert len(calls) == 1
+
+
+@pytest.mark.skipif(not _DIGITS, reason="this Python has no integer digit limit")
+@pytest.mark.parametrize("edits", [{8: f"{'1' * (_DIGITS + 1)} 0 0 1"},
+                                   {8: f"0 0 0 {'1' * (_DIGITS + 1)}"}], ids=["key", "coeff"])
+def test_smf1_column_reader_falls_back_past_the_digit_limit(edits):
+    """An integer longer than int() reads makes the column reader raise;
+    the line reader then names the line."""
+    text = _replace_lines(_F2.to_text(), edits)
+    with line_reads() as calls, pytest.raises(ValueError) as err:
+        qexp_from_text(text)
+    assert str(err.value).startswith(f"SMF1 line 9: cannot parse '{edits[8]}' (")
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("make", [lambda: tnull_qexp(24).scale_coeff(Fraction(-5, 6)),
+                                  lambda: eis1_qexp(4, 40).scale_coeff(Fraction(1, 240))],
+                         ids=["genus2", "genus1"])
+def test_smf1_column_and_line_readers_agree_on_edited_blocks(make):
+    """Seeded one-character edits: the reader with its column path reads
+    each edited block to the object the line reader alone reads, or raises
+    the line reader's message."""
+    text = make().to_text()
+    rng = random.Random(5)
+    alphabet = sorted(set(text) | set(" -/0123456789\n\t"))
+
+    def outcome(read, edited):
+        try:
+            return read(edited)
+        except ValueError as exc:
+            return str(exc)
+
+    for _ in range(600):
+        pos = rng.randrange(len(text))
+        edited = text[:pos] + rng.choice(["", rng.choice(alphabet)]) + text[pos + 1:]
+        assert outcome(qexp_from_text, edited) == outcome(read_by_lines, edited), edited

@@ -16,6 +16,7 @@ from fractions import Fraction
 from math import isqrt, lcm
 from unittest import mock
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -345,3 +346,60 @@ def test_siegel_forms_take_the_half_path():
     with mirror_signs() as seen:
         anti * t
     assert seen == [-1, 1]
+
+
+@contextmanager
+def groupings():
+    """The (numerators, truncation) of each grouping the kernel makes in the
+    block."""
+    made = []
+    real = qexp._rows
+
+    def spy(nums, trunc, lay):
+        made.append((nums, trunc))
+        return real(nums, trunc, lay)
+
+    with mock.patch.object(qexp, "_rows", spy):
+        yield made
+
+
+@settings(max_examples=150, deadline=None)
+@given(genus2_case())
+def test_a_reused_grouping_matches_naive_convolution(case):
+    """An operand of the last product is grouped once: a square and then
+    products with it reuse its rows, as apply's two products of F do, and
+    every result agrees with the reference."""
+    ta, tb, trunc = case
+    (da, na), (db, nb) = cleared(ta), cleared(tb)
+    qexp._GROUPED.clear()
+    with groupings() as made:
+        aa = _mul_terms(na, na, trunc)
+        ab = _mul_terms(na, nb, trunc)
+        ba = _mul_terms(nb, na, trunc)
+    assert {k: Fraction(v, da * da) for k, v in aa.items()} == naive_mul2(ta, ta, trunc)
+    want = naive_mul2(ta, tb, trunc)
+    assert {k: Fraction(v, da * db) for k, v in ab.items()} == want
+    assert {k: Fraction(v, da * db) for k, v in ba.items()} == want
+    if na and nb:
+        assert made == [(na, trunc), (nb, trunc)]
+
+
+@pytest.mark.parametrize("genus", [1, 2])
+def test_a_grouping_is_not_reused_at_another_truncation(genus):
+    """F F at F's truncation, then F times an operand of lower truncation:
+    that product is truncated lower, so F is grouped again, and both
+    products agree with the reference."""
+    if genus == 2:
+        f, naive = tnull_qexp(48), naive_mul2
+    else:
+        f = QExp1({(n,): Fraction(n % 7 - 3, n % 5 + 1) for n in range(0, 49, 3)}, trunc=48)
+        naive = lambda ta, tb, trunc: {(n,): c for n, c in naive_mul1(
+            {k[0]: c for k, c in ta.items()}, {k[0]: c for k, c in tb.items()}, trunc).items()}
+    g = f.truncate(40)
+    qexp._GROUPED.clear()
+    with groupings() as made:
+        ff, fg = f * f, f * g
+    assert [(nums is f._nums, trunc) for nums, trunc in made] == [
+        (True, 48), (True, 40), (False, 40)]
+    assert ff.terms == naive(f.terms, f.terms, 48)
+    assert fg.terms == naive(f.terms, g.terms, 40)

@@ -28,7 +28,7 @@ from operator import mul
 
 from .jets import JetPoly, jet_diff
 from .poly import _signed_pairings
-from .qexp import DEFAULT_TRUNC, QExp1, eval_jetpoly
+from .qexp import DEFAULT_TRUNC, QExp1, _check_trunc, eval_jetpoly
 
 
 def _as_jet(x) -> JetPoly:
@@ -102,8 +102,7 @@ def sigma_power_sum(power: int, n: int) -> int:
 def eis1_qexp(weight: int, trunc: int = DEFAULT_TRUNC) -> QExp1:
     """Classical genus-1 Eisenstein expansions (exact integer coefficients,
     none zero, at keys 8n <= trunc: built with no second check)."""
-    if trunc < 0:
-        raise ValueError(f"negative truncation {trunc}")
+    _check_trunc(trunc)
     if weight == 4:
         const, power = 240, 3
     elif weight == 6:
@@ -131,5 +130,6 @@ def eta_power_qexp(power: int, trunc: int = DEFAULT_TRUNC) -> QExp1:
     """
     if power <= 0 or power % 3:
         raise ValueError(f"eta^{power}: the power must be a positive multiple of 3")
+    _check_trunc(trunc)
     terms = {(m * m,): m if m % 4 == 1 else -m for m in range(1, isqrt(trunc) + 1, 2)}
     return QExp1._checked(1, terms, Fraction(3, 2), trunc, 0, False) ** (power // 3)

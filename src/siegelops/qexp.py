@@ -11,13 +11,11 @@ g(g+1)/2 scaled exponents T_ij (i <= j), row by row: (alpha, beta, gamma) =
 lie in (1/8)Z on the diagonal and (1/4)Z off it, so the factor 8 makes every
 key integral.  Only data from outside is checked: the public constructor
 checks each term, and the SMF1 reader every key, column by column (when a
-check fails it reads the block again line by line, which names the faulty
-line and checks each group of keys that share every entry but the packed
-one, the product kernel's below, at the group's least and greatest packed
-entry).  Ring operations keep the invariants, and
-the builders of theta and brackets keep them by their loop bounds (a test
-rebuilds each builder's output through the public constructor), so their
-results skip the check:
+check fails it reads the block again line by line, checking each key as it
+is read, and names the first faulty line).  Ring operations keep the
+invariants, and the builders of theta and brackets keep them by their loop
+bounds (a test rebuilds each builder's output through the public
+constructor), so their results skip the check:
 
   * every diagonal T_ii >= 0, and the weight T_11 + ... + T_gg <= trunc;
   * beta^2 <= 4 alpha gamma for each off-diagonal beta = T_ij, with
@@ -122,6 +120,12 @@ from .scalars import (RatFunc, _accumulate, _binpow, _int_from_text, _line_reade
 
 SCALE = 8
 DEFAULT_TRUNC = 48
+
+
+def _check_trunc(trunc: int) -> None:
+    """Refuse a negative truncation (the constructor, truncate, each builder)."""
+    if trunc < 0:
+        raise ValueError(f"negative truncation {trunc}")
 
 
 class _Layout:
@@ -357,6 +361,7 @@ class _Expansion:
                  trunc: int = DEFAULT_TRUNC, tau_factor: int = 0,
                  character: bool = False):
         """Int or Fraction coefficients (not bool); zeros are dropped."""
+        _check_trunc(trunc)
         terms = {k: v for k, v in (terms or {}).items() if v}
         lay = self._layout
         for k, c in terms.items():
@@ -497,6 +502,7 @@ class _Expansion:
         return self._clone(*_reduced(self._den * c.denominator, nums))
 
     def truncate(self, trunc: int):
+        _check_trunc(trunc)
         trunc = min(trunc, self.trunc)
         return self._clone(*_reduced(self._den, self._cut(trunc)), trunc=trunc)
 
@@ -639,11 +645,13 @@ def _smf1_from_text(text: str, cls):
     whitespace, and ends in one newline.  A malformed block raises
     ValueError naming its line."""
     genus = cls.genus
-    lines = text.split("\n")
+    # the header's eight lines (the eighth is a term line at genus 1), then the rest
+    lines = text.split("\n", 8)
     fail, value = _line_reader(lines, "SMF1")
-    if lines.pop():  # the text after the last newline
-        fail(len(lines), "the block does not end in a newline")
-    for j, line in enumerate(lines[:8]):  # the header (a term line at genus 1)
+    if text and text[-1] != "\n":
+        fail(text.count("\n"), "the block does not end in a newline")
+    lines.pop()  # the rest, or the empty text after the last newline
+    for j, line in enumerate(lines):
         why = _spacing_fault(line)
         if why:
             fail(j, why)
@@ -674,7 +682,7 @@ def _smf1_from_text(text: str, cls):
     except ValueError:  # an int past the digit limit
         read = None
     if read is None:
-        read = _smf1_lines(lines, idx, lay, trunc, declared, fail)
+        read = _smf1_lines(body, idx, lay, trunc, declared, fail)
     return cls._checked(*read, weight, trunc, taupow, bool(character))
 
 
@@ -717,64 +725,41 @@ def _smf1_columns(body: str, lay: _Layout, trunc: int, declared: int) -> tuple |
     return den, dict(zip(keys, map(mul, ps, map(scale.__getitem__, qs))))
 
 
-def _smf1_lines(lines: list, idx: int, lay: _Layout, trunc: int, declared: int,
+def _smf1_lines(body: str, idx: int, lay: _Layout, trunc: int, declared: int,
                 fail) -> tuple:
-    """(den, nums) of the term lines after header line idx, read line by
-    line; a malformed line raises ValueError naming it through fail."""
+    """(den, nums) of the term lines of body, which follow header line idx,
+    read line by line: the reference reader, which names the first faulty
+    line through fail (ValueError).  Each line is parsed and its key checked
+    before the next line is read."""
     fields = len(lay.pairs) + 1
-    nums: dict = {}
-    dens: dict = {}  # the denominator of each non-integer coefficient
+    terms: dict = {}  # {key: (p, q)}
     last = ()  # the previous line's key (below every key): the writer sorts the keys
-
-    def fault(j: int, why: str | None = None):
-        """Fail at the first term line that breaks the invariants (the n-th
-        key read is on line idx + 1 + n), or else at line j with why."""
-        for n, k in enumerate(nums):
-            broken = lay.fault(k, trunc)
-            if broken:
-                fail(idx + 1 + n, broken)
-        fail(j, why)
-
-    # each distinct exponent and coefficient text is read once
-    exponents, numbers = _Memo(_int_from_text), _Memo(_number_from_text)
-    for j, line in enumerate(lines[idx + 1:], idx + 1):
+    for j, line in enumerate(body.split("\n")[:-1], idx + 1):
         parts = line.split(" ")
         try:
             if len(parts) != fields:
                 raise ValueError(f"expected {fields} fields")
-            key = tuple(map(exponents.__getitem__, parts[:-1]))
-            p, q = numbers[parts[-1]]
+            key = tuple(map(_int_from_text, parts[:-1]))
+            p, q = _number_from_text(parts[-1])
         except ValueError as exc:
             if not line:
-                fault(j, "blank line")
-            fault(j, _spacing_fault(line) or f"cannot parse {line!r} ({exc})")
+                fail(j, "blank line")
+            fail(j, _spacing_fault(line) or f"cannot parse {line!r} ({exc})")
+        why = lay.fault(key, trunc)
+        if why:
+            fail(j, why)
         if not p:
-            fault(j, lay.fault(key, trunc) or "zero coefficient")
+            fail(j, "zero coefficient")
         if key <= last:
-            fault(j, lay.fault(key, trunc) or ("duplicate exponent" if key in nums else
-                                               f"term {key} comes after {last}; the terms "
-                                               "are sorted by exponent"))
-        nums[key] = p
+            fail(j, "duplicate exponent" if key in terms else
+                 f"term {key} comes after {last}; the terms are sorted by exponent")
+        terms[key] = p, q
         last = key
-        if q > 1:
-            dens[key] = q
-    # The invariants hold on a key if they hold on the least and the greatest
-    # packed entry of its group (the keys of its rest): the other tests depend
-    # only on the rest, and the packed entry's test is an interval.  In the
-    # sorted order the first key of a group has the least packed entry and
-    # the last key the greatest.
-    rest = lay.rest
-    ends = [*{rest(k): k for k in reversed(nums)}.values(),
-            *{rest(k): k for k in nums}.values()]
-    if any(lay.fault(k, trunc) for k in ends):
-        fault(len(lines))
-    if len(nums) != declared:
-        fail(idx, f"declares {declared} terms, found {len(nums)}")
+    if len(terms) != declared:
+        fail(idx, f"declares {declared} terms, found {len(terms)}")
     # reduced fractions over the lcm of their denominators are canonical
-    den = lcm(*set(dens.values()))
-    if den > 1:
-        nums = {k: v * (den // dens.get(k, 1)) for k, v in nums.items()}
-    return den, nums
+    den = lcm(*[q for _, q in terms.values()])
+    return den, {k: p * (den // q) for k, (p, q) in terms.items()}
 
 
 def qexp2_from_text(text: str) -> QExp2:

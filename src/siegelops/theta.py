@@ -17,9 +17,9 @@ is Gritsenko's arithmetic lift of the Jacobi form -64 eta^9 theta
 (Gritsenko-Nikulin, Amer. J. Math. 119, 1997), whose eta^9 is a power of
 Jacobi's eta^3.  The ten-theta product is the lift's exact certificate
 (verify input-lift compares the product's first Fourier-Jacobi coefficient
-with minus_64_eta9_theta, the Jacobi form multiplied out, and then the two
-whole expansions); _arithmetic_lift is the lift at any weight and key step,
-Maass's lift at step 8.  The degree-16 combination schottky_qexp sums the
+with minus_64_eta9_theta, the Jacobi form the lift reads listed at T's
+gamma = 4 keys, and then the two whole expansions); _arithmetic_lift is the
+lift at any weight and key step, Maass's lift at step 8.  The degree-16 combination schottky_qexp sums the
 8th and 16th powers of the even theta constants from one theta constant per
 orbit of the translations tau -> tau + S.
 
@@ -68,7 +68,7 @@ from math import gcd, isqrt
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from . import brackets, jets, opgen
-from .qexp import DEFAULT_TRUNC, QExp1, QExp2, _reduced, product_balanced
+from .qexp import DEFAULT_TRUNC, QExp1, QExp2, _check_trunc, _reduced, product_balanced
 
 if TYPE_CHECKING:
     import numpy as np
@@ -140,6 +140,7 @@ def theta_qexp(g: int, char: ThetaChar, trunc: int = DEFAULT_TRUNC):
     Its keys keep the invariants by construction (each is the matrix m m^T
     of an integer vector m with |m|^2 <= trunc), so it is built with no
     second check."""
+    _check_trunc(trunc)
     if g not in (1, 2):
         raise ValueError("exact expansions are implemented for genus 1 and 2")
     if char.g != g:
@@ -183,8 +184,7 @@ def _arithmetic_lift(phi: Callable[[int, int], int], weight: int, step: int, tru
     phi returns ints; the loop bounds keep the invariants of every key, so
     the expansion is built with no second check.
     """
-    if trunc < 0:
-        raise ValueError(f"negative truncation {trunc}")
+    _check_trunc(trunc)
     stride = 2 if odd else 1
     top = trunc // step  # N + M <= top
     power = weight - 1
@@ -203,40 +203,44 @@ def _arithmetic_lift(phi: Callable[[int, int], int], weight: int, step: int, tru
     return QExp2._checked(1, terms, Fraction(weight), trunc, 0, False)
 
 
+def _tnull_jacobi(depth: int) -> Callable[[int, int], int]:
+    """phi(n, l), the coefficient at q^(n/2) r^(l/2) of T's Jacobi form
+    -64 eta^9 theta, theta(tau, z) = sum_{l odd} (-4/l) q^(l^2/8) r^(l/2),
+    for 4n - l^2 <= depth: -64 (-4/l) times the coefficient of eta^9 at
+    q^((4n - l^2)/8)."""
+    eta9 = brackets.eta_power_qexp(9, depth)._nums  # integers over den = 1
+
+    def phi(n: int, l: int) -> int:
+        c = eta9.get((4 * n - l * l,), 0)
+        return -64 * c if l % 4 == 1 else 64 * c
+
+    return phi
+
+
 def minus_64_eta9_theta(trunc: int = DEFAULT_TRUNC) -> dict:
-    """The Jacobi form -64 eta^9 theta, with
-    theta(tau, z) = sum_{l odd} (-4/l) q^(l^2/8) r^(l/2), multiplied out term
-    by term and keyed as the gamma = 4 slice of the theta-null product,
-    (alpha, beta) with alpha + 4 <= trunc: its first Fourier-Jacobi
-    coefficient."""
-    out: dict = {}
+    """The Jacobi form -64 eta^9 theta (_tnull_jacobi) keyed as the gamma = 4
+    slice of the theta-null product, its first Fourier-Jacobi coefficient:
+    the coefficient at q^(n/2) r^(l/2), nonzero only at n and l odd with
+    l^2 < 4n, sits at (alpha, beta) = (4n, 4l), with alpha + 4 <= trunc."""
+    _check_trunc(trunc)
     top = trunc - 4
-    for (k,), c in brackets.eta_power_qexp(9, max(top, 0)).terms.items():
-        for l in range(1, isqrt(top - k) + 1, 2):
-            for m in (l, -l):  # q^((k + m^2)/8) r^(m/2), scaled by 8
-                key = (k + m * m, 4 * m)
-                out[key] = out.get(key, 0) - 64 * int(c) * (1 if m % 4 == 1 else -1)
-    return {k: c for k, c in out.items() if c}
+    phi = _tnull_jacobi(max(top, 0))
+    keys = [(n, m) for n in range(1, top // 4 + 1, 2)
+            for l in range(1, isqrt(4 * n) + 1, 2) for m in (l, -l)]
+    return {(4 * n, 4 * l): c for n, l in keys if (c := phi(n, l))}
 
 
 def tnull_qexp(trunc: int = DEFAULT_TRUNC) -> QExp2:
     """The theta-null product T of the ten even genus-2 theta constants,
-    weight 5, made as Gritsenko's lift of -64 eta^9 theta with
-    theta(tau, z) = sum_{l odd} (-4/l) q^(l^2/8) r^(l/2).
-
-    The Jacobi form's coefficient at q^(n/2) r^(l/2) is -64 (-4/l) times the
-    coefficient of eta^9 at q^((4n - l^2)/8), and the lift's keys are
-    (4N, 4L, 4M), N, L, M odd.  Equal to tnull_product, term for term.
-    Carries a character flag: only its even powers transform without sign.
+    weight 5, made as Gritsenko's lift of its Jacobi form -64 eta^9 theta
+    (_tnull_jacobi): the lift's keys are (4N, 4L, 4M), N, L, M odd.  Equal
+    to tnull_product, term for term.  Carries a character flag: only its
+    even powers transform without sign.
     """
+    _check_trunc(trunc)
     top = trunc // 4  # every key 4 N M - L^2 of eta^9 read is below (N + M)^2 <= top^2
-    eta9 = {k: int(c) for (k,), c in brackets.eta_power_qexp(9, top * top).terms.items()}
-
-    def phi(n: int, l: int) -> int:
-        c = eta9.get(4 * n - l * l, 0)
-        return -64 * c if l % 4 == 1 else 64 * c
-
-    return _arithmetic_lift(phi, 5, 4, trunc, odd=True).with_character(True)
+    return _arithmetic_lift(_tnull_jacobi(top * top), 5, 4, trunc,
+                            odd=True).with_character(True)
 
 
 # The translation orbits of the even characteristics, one row per

@@ -1008,3 +1008,76 @@ def test_smf1_column_and_line_readers_agree_on_edited_blocks(make):
         pos = rng.randrange(len(text))
         edited = text[:pos] + rng.choice(["", rng.choice(alphabet)]) + text[pos + 1:]
         assert outcome(qexp_from_text, edited) == outcome(read_by_lines, edited), edited
+
+
+# -- the SMF1 header: only its lines are split off --------------------------------
+
+
+@pytest.mark.parametrize("f, n, newline, message", [
+    (_F2, 6, True, "SMF1 line 7: expected 'character <value>', found ''"),
+    (_F2, 6, False, "SMF1 line 6: the block does not end in a newline"),
+    (_F2, 7, True, "SMF1 line 8: expected 'terms <value>', found ''"),
+    (_F2, 7, False, "SMF1 line 7: the block does not end in a newline"),
+    (_F2, 8, True, "SMF1 line 8: declares 3 terms, found 0"),
+    (_F2, 8, False, "SMF1 line 8: the block does not end in a newline"),
+    (_F2, 9, True, "SMF1 line 8: declares 3 terms, found 1"),
+    (_F2, 9, False, "SMF1 line 9: the block does not end in a newline"),
+    (_F2, 10, True, "SMF1 line 8: declares 3 terms, found 2"),
+    (_F2, 10, False, "SMF1 line 10: the block does not end in a newline"),
+    (_F1, 6, True, "SMF1 line 7: expected 'terms <value>', found ''"),
+    (_F1, 6, False, "SMF1 line 6: the block does not end in a newline"),
+    (_F1, 7, True, "SMF1 line 7: declares 3 terms, found 0"),
+    (_F1, 7, False, "SMF1 line 7: the block does not end in a newline"),
+    (_F1, 8, True, "SMF1 line 7: declares 3 terms, found 1"),
+    (_F1, 8, False, "SMF1 line 8: the block does not end in a newline"),
+    (_F1, 9, True, "SMF1 line 7: declares 3 terms, found 2"),
+    (_F1, 9, False, "SMF1 line 9: the block does not end in a newline"),
+    (_F1, 10, True, None),
+    (_F1, 10, False, "SMF1 line 10: the block does not end in a newline"),
+])
+def test_smf1_blocks_cut_around_the_header(f, n, newline, message):
+    """Blocks of 6-10 lines, on both sides of the eight lines split off as
+    the header, each read to f (the whole genus-1 block) or refused with
+    its message."""
+    text = "\n".join(f.to_text().split("\n")[:n]) + ("\n" if newline else "")
+    if message is None:
+        assert qexp_from_text(text) == f
+        return
+    with pytest.raises(ValueError) as err:
+        qexp_from_text(text)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "SMF1 line 1: not an SMF1 block"),
+    ("\n", "SMF1 line 1: not an SMF1 block"),
+    ("SMF1", "SMF1 line 1: the block does not end in a newline"),
+    ("SMF1\n", "SMF1 line 2: expected 'genus <value>', found ''"),
+], ids=["empty", "newline", "no-newline", "magic-only"])
+def test_smf1_refuses_blocks_of_at_most_one_line(text, message):
+    for read in (qexp1_from_text, qexp2_from_text):
+        with pytest.raises(ValueError) as err:
+            read(text)
+        assert str(err.value) == message
+
+
+@pytest.mark.parametrize("edits, message", [
+    ({3: "scale  8"}, "SMF1 line 4: 'scale  8' has whitespace other than single spaces "
+                      "between fields"),
+    ({7: "terms 3"}, "SMF1 line 8: declares 3 terms, found 150"),
+    ({2: "weight 5.0", 40: "4 -4 4 0"}, "SMF1 line 3: bad weight value '5.0'"),
+], ids=["spacing", "count", "weight-and-body"])
+def test_smf1_header_fault_before_a_long_body(t2_48, edits, message):
+    """A header fault is named whatever the 150 term lines after it hold."""
+    with pytest.raises(ValueError) as err:
+        qexp2_from_text(_replace_lines(t2_48.to_text(), edits))
+    assert str(err.value) == message
+
+
+def test_smf1_genus1_first_term_line_is_checked_with_the_header():
+    """At genus 1 the eighth line split off with the header is a term line;
+    its spacing is named there, before the body is read."""
+    with pytest.raises(ValueError) as err:
+        qexp1_from_text(_replace_lines(_F1.to_text(), {7: "0\t1"}))
+    assert str(err.value) == ("SMF1 line 8: '0\\t1' has whitespace other than single "
+                              "spaces between fields")

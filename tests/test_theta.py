@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from siegelops import qexp, theta
-from siegelops.brackets import eis1_qexp, eta_power_qexp
+from siegelops.brackets import delta1_qexp, eis1_qexp, eta_power_qexp
 from siegelops.theta import (ThetaChar, _arithmetic_lift, _as_matrix, _check_tau, _grid,
                              _lattice_sums, _pick_radius, _theta8_sums, _tnull_derivatives,
                              all_chars, char_from_text, check_condition_star, check_heat,
@@ -709,6 +709,38 @@ def test_first_fourier_jacobi_coefficient_is_minus_64_eta9_theta():
         want = minus_64_eta9_theta(trunc)
         assert tnull_product(trunc).fj_slice(Fraction(1, 2)) == want, trunc
     assert len(want) == 110 and want[4, 4] == -64 and want[4, -4] == 64
+
+
+@pytest.mark.parametrize("trunc", [48, 200])
+def test_minus_64_eta9_theta_is_the_lifts_gamma_4_slice(trunc):
+    """minus_64_eta9_theta lists the Jacobi form the lift reads, so it is
+    the lift's own first Fourier-Jacobi coefficient."""
+    assert minus_64_eta9_theta(trunc) == tnull_qexp(trunc).fj_slice(Fraction(1, 2))
+
+
+_C1, _C2 = ThetaChar((0,), (0,)), ThetaChar((0, 0), (0, 0))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: qexp.QExp2({}, trunc=-1), lambda: qexp.QExp1({}, trunc=-1),
+    lambda: qexp.QExp2.zero(trunc=-1), lambda: qexp.QExp1.zero(trunc=-1),
+    lambda: qexp.QExp2.one(-1), lambda: qexp.QExp1.one(-1),
+    lambda: tnull_qexp(48).truncate(-1), lambda: eis1_qexp(4, 48).truncate(-1),
+    lambda: theta_qexp(2, _C2, -1), lambda: theta_qexp(1, _C1, -1),
+    lambda: tnull_product(-1), lambda: tnull_qexp(-1), lambda: minus_64_eta9_theta(-1),
+    lambda: theta_pow8_sum(-1), lambda: schottky_qexp(2, -1), lambda: schottky_qexp(1, -1),
+    lambda: _arithmetic_lift(lambda n, l: 1, 4, 8, -1),
+    lambda: eis1_qexp(4, -1), lambda: eis1_qexp(6, -1), lambda: eta_power_qexp(3, -1),
+    lambda: delta1_qexp(-1),
+], ids=["QExp2", "QExp1", "QExp2.zero", "QExp1.zero", "QExp2.one", "QExp1.one",
+        "truncate-2", "truncate-1", "theta_qexp-2", "theta_qexp-1", "tnull_product",
+        "tnull_qexp", "minus_64_eta9_theta", "theta_pow8_sum", "schottky_qexp-2",
+        "schottky_qexp-1", "arithmetic_lift", "eis1_qexp-4", "eis1_qexp-6", "eta_power_qexp",
+        "delta1_qexp"])
+def test_every_builder_refuses_a_negative_truncation(build):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == "negative truncation -1"
 
 
 def test_the_lift_at_weight_10_is_the_square_of_the_theta_null_product():

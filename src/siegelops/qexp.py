@@ -54,8 +54,8 @@ output integer is decoded once with signed digits (take the low S bits r; if
 r >= 2^(S-1), the digit is r - 2^S and it borrows one from the rest).  At
 genus 1 the packed entry is the weight itself: the series is one row, and
 decoding stops at the truncation.  The grouping depends only on an operand
-and the truncation, so a product reuses that of an operand of the product
-before it (apply's F F and F times its derivatives); S and s depend on both
+and the truncation, so an expansion keeps its own per truncation (apply's
+F F and F times its derivatives group F once); S and s depend on both
 operands, so the rows are packed anew for each product.
 
 A square (one dict as both operands: x * x, and every squaring of binary
@@ -123,7 +123,9 @@ DEFAULT_TRUNC = 48
 
 
 def _check_trunc(trunc: int) -> None:
-    """Refuse a negative truncation (the constructor, truncate, each builder)."""
+    """Refuse a truncation that is not an int (a bool too) or is negative."""
+    if type(trunc) is not int:
+        raise ValueError(f"truncation {trunc!r} is not an integer")
     if trunc < 0:
         raise ValueError(f"negative truncation {trunc}")
 
@@ -206,23 +208,6 @@ def _rows(nums: dict, trunc: int, lay: _Layout) -> tuple[dict, dict]:
     return nums, rows
 
 
-# The groupings of the last product's operands, {id(nums): (nums, trunc,
-# kept terms, rows)}.  Holding nums keeps its id from being reused, and an
-# expansion never changes its numerators, so a hit is the same grouping:
-# apply multiplies F by itself and by a combination of F's derivatives, and
-# the second product reuses F's.
-_GROUPED: dict = {}
-
-
-def _grouping(nums: dict, trunc: int, lay: _Layout) -> tuple:
-    """(nums, trunc, *_rows(nums, trunc, lay)), from the last product's
-    operands when nums is one of them at the same truncation."""
-    got = _GROUPED.get(id(nums))
-    if got is None or got[1] != trunc:
-        got = (nums, trunc, *_rows(nums, trunc, lay))
-    return got
-
-
 def _slot_width(ca: dict, cb: dict) -> int:
     """Bits per slot that hold any coefficient of the product with its sign."""
     return (max(map(abs, ca.values())).bit_length()
@@ -254,18 +239,15 @@ def _mirror_sign(groups: list) -> int:
     return sign
 
 
-def _mul_terms(na: dict, nb: dict, trunc: int) -> dict:
-    """Truncated convolution of two {key: int} dicts of one genus; the
-    result is {key: nonzero int}."""
-    if not na or not nb:
+def _mul_terms(x, y, trunc: int) -> dict:
+    """Truncated convolution of the numerators of two expansions of one
+    genus, each grouped by its own _grouping; the result is {key: nonzero int}."""
+    if not x._nums or not y._nums:
         return {}
-    square = na is nb
-    lay = _LAYOUTS[len(next(iter(na)))]
-    a = _grouping(na, trunc, lay)
-    b = a if square else _grouping(nb, trunc, lay)
-    _GROUPED.clear()
-    _GROUPED[id(na)], _GROUPED[id(nb)] = a, b
-    (_, _, ca, ra), (_, _, cb, rb) = a, b
+    square = x._nums is y._nums  # x * x, or x times a clone of x
+    lay = x._layout
+    ca, ra = x._grouping(trunc)
+    cb, rb = (ca, ra) if square else y._grouping(trunc)
     if not ca or not cb:
         return {}
     p = lay.pack
@@ -345,7 +327,8 @@ class _Expansion:
     subclass sets genus, which fixes the key layout.
     """
 
-    __slots__ = ("weight", "trunc", "_den", "_nums", "_terms", "tau_factor", "character")
+    __slots__ = ("weight", "trunc", "_den", "_nums", "_terms", "_grouped", "tau_factor",
+                 "character")
 
     scale = SCALE
 
@@ -373,7 +356,7 @@ class _Expansion:
         self._set(*_cleared("Q", terms), Fraction(weight), trunc, tau_factor, character)
 
     def _set(self, den, nums, weight, trunc, tau_factor, character):
-        self._den, self._nums, self._terms = den, nums, None
+        self._den, self._nums, self._terms, self._grouped = den, nums, None, None
         self.weight, self.trunc = weight, trunc
         self.tau_factor, self.character = tau_factor, character
 
@@ -397,6 +380,13 @@ class _Expansion:
                 {k: Fraction(v, den) for k, v in self._nums.items()} if den > 1
                 else {k: Fraction(v) for k, v in self._nums.items()})
         return view
+
+    def _grouping(self, trunc: int) -> tuple[dict, dict]:
+        """_rows of the numerators at truncation trunc, for the product
+        kernel; made once and kept for the next product at that truncation."""
+        if self._grouped is None or self._grouped[0] != trunc:
+            self._grouped = (trunc, *_rows(self._nums, trunc, self._layout))
+        return self._grouped[1:]
 
     # -- constructors --------------------------------------------------------
 
@@ -483,7 +473,7 @@ class _Expansion:
         self._check_genus(other)
         trunc = min(self.trunc, other.trunc)
         den, nums = _reduced(self._den * other._den,
-                             _mul_terms(self._nums, other._nums, trunc))
+                             _mul_terms(self, other, trunc))
         return self._checked(den, nums, self.weight + other.weight, trunc,
                              self.tau_factor + other.tau_factor,
                              self.character != other.character)
@@ -626,10 +616,6 @@ class QExp1(_Expansion):
         if key.denominator != 1:
             return Fraction(0)
         return self.terms.get((int(key),), Fraction(0))
-
-
-# the layout of each key length, for the product kernel
-_LAYOUTS = {len(cls._layout.pairs): cls._layout for cls in (QExp1, QExp2)}
 
 
 def _spacing_fault(line: str) -> str | None:
@@ -794,11 +780,11 @@ def eval_jetpoly(p: JetPoly, bind: dict):
 
     Every symbol occurring in p must be bound to an expansion; a linear
     combination of derivatives of one base expansion (F or F F) is applied
-    in one pass (_diff), as the q_diff chains would sum, and each
-    expansion that a product takes is made once.  All
-    monomials must carry the same total symbol weight and the same
-    derivative count; the result weight follows the sum rule (symbol
-    weights) + 2*order/genus.  An empty p, which carries neither, is refused.
+    in one pass (_diff), as the q_diff chains would sum, and each expansion
+    that a product takes is made once.  All monomials must carry the same
+    total symbol weight and the same derivative count; the result weight
+    follows the sum rule (symbol weights) + 2*order/genus.  An empty p,
+    which carries neither, and a p with a constant term are refused.
 
     Each monomial c D_p F D_q F (two factors of one symbol, one derivative
     pair each) is rewritten by the Leibniz rule of the module docstring,
@@ -807,6 +793,8 @@ def eval_jetpoly(p: JetPoly, bind: dict):
     """
     if not p.terms:
         raise ValueError("cannot infer the weight of an empty jet polynomial")
+    if () in p.terms:
+        raise ValueError("jet polynomial has a constant term")
     unbound = p.symbols() - set(bind)
     if unbound:
         raise ValueError(f"unbound symbol(s) {sorted(unbound)!r}")

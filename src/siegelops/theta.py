@@ -19,9 +19,10 @@ Jacobi's eta^3.  The ten-theta product is the lift's exact certificate
 (verify input-lift compares the product's first Fourier-Jacobi coefficient
 with minus_64_eta9_theta, the Jacobi form the lift reads listed at T's
 gamma = 4 keys, and then the two whole expansions); _arithmetic_lift is the
-lift at any weight and key step, Maass's lift at step 8.  The degree-16 combination schottky_qexp sums the
-8th and 16th powers of the even theta constants from one theta constant per
-orbit of the translations tau -> tau + S.
+lift at any weight and key step, Maass's lift at step 8.  theta_pow8_sum
+sums the 8th powers of the even theta constants from one theta constant per
+orbit of the translations tau -> tau + S; the degree-16 combination
+schottky_qexp sums those 8th powers and their squares the same way.
 
 The numeric side evaluates theta functions, their tau- and z-derivatives (up
 to second order, term by term), and harnesses for the heat equation, the
@@ -256,27 +257,26 @@ _ORBITS = {
 }
 
 
-def _theta8_sums(g: int, trunc: int) -> tuple:
-    """(sum theta_m^8, sum theta_m^16) over the even characteristics m of
-    genus g, from the 8th power of one theta constant per translation orbit
-    (the identity is schottky_qexp's)."""
-    sum8 = sum16 = None
-    for eps, size, kernel in _ORBITS[g]:
-        e8 = theta_qexp(g, ThetaChar(eps, (0,) * g), trunc) ** 8
-        parts = []
-        for f in (e8, e8 * e8):
-            part = f._clone(*_reduced(f._den, {k: size * v for k, v in f._nums.items()
-                                              if kernel(k)}))
-            if eps == (1, 0):  # and the orbit of 01: alpha and gamma swapped
-                part = part + part._clone(part._den, {k[::-1]: v for k, v in part._nums.items()})
-            parts.append(part)
-        sum8, sum16 = parts if sum8 is None else (sum8 + parts[0], sum16 + parts[1])
-    return sum8, sum16
+def _theta8(g: int, trunc: int) -> list:
+    """theta[eps, 0]^8 for each orbit representative eps of _ORBITS[g]."""
+    return [theta_qexp(g, ThetaChar(eps, (0,) * g), trunc) ** 8 for eps, _, _ in _ORBITS[g]]
+
+
+def _orbit_sum(g: int, powers) -> QExp1 | QExp2:
+    """sum theta_m^(8j) over the even characteristics m of genus g, from
+    powers, the 8j-th powers of _theta8's representatives (schottky_qexp)."""
+    total = None
+    for (eps, size, kernel), f in zip(_ORBITS[g], powers):
+        part = f._clone(*_reduced(f._den, {k: size * v for k, v in f._nums.items() if kernel(k)}))
+        if eps == (1, 0):  # and the orbit of 01: alpha and gamma swapped
+            part = part + part._clone(part._den, {k[::-1]: v for k, v in part._nums.items()})
+        total = part if total is None else total + part
+    return total
 
 
 def theta_pow8_sum(trunc: int = DEFAULT_TRUNC) -> QExp2:
     """Sum of the eighth powers of the even theta constants (weight 4)."""
-    return _theta8_sums(2, trunc)[0]
+    return _orbit_sum(2, _theta8(2, trunc))
 
 
 def schottky_qexp(g: int, trunc: int = DEFAULT_TRUNC):
@@ -287,10 +287,12 @@ def schottky_qexp(g: int, trunc: int = DEFAULT_TRUNC):
     characteristics m, it is 2^-g sum e_m^2 - 2^-2g (sum e_m)^2: the square
     of the sum takes one product, not the squares and every cross term.
 
-    The sums come from one theta constant per orbit of the translations
-    tau -> tau + S (_ORBITS).  Within one eps, theta[eps, delta] is
-    theta[eps, 0] with the summand of n multiplied by (-1)^(n . delta) (the
-    factor i^(eps . delta) is +-1 and its 8th power 1).  In a product of 8
+    Both sums come from one theta constant per orbit of the translations
+    tau -> tau + S (_ORBITS): _theta8 makes each representative's 8th power,
+    and _orbit_sum sums those powers, then their squares, over the orbits.
+    Within one eps, theta[eps, delta] is theta[eps, 0] with the summand of n
+    multiplied by (-1)^(n . delta) (the factor i^(eps . delta) is +-1 and
+    its 8th power 1).  In a product of 8
     summands that sign is (-1)^(N . delta) with N the sum of the n, and N
     mod 2 is read off the key K of the product: with m = 2n + eps, an even
     m_i gives T_ii / 4 = sum n_i^2 = N_i mod 2, and at eps = 11,
@@ -306,12 +308,15 @@ def schottky_qexp(g: int, trunc: int = DEFAULT_TRUNC):
     eps = 00, 2 [gamma = 0 mod 8] at 10, 2 [alpha = 0 mod 8] at 01,
     2 [beta = 0 mod 8] at 11, and at genus 1, 2 [n = 0 mod 8] at eps = 0
     and 1 at eps = 1.  theta[01, 00] is theta[10, 00] with m_1 and m_2, so
-    alpha and gamma, swapped.  Three representatives of four squarings each
-    and the square of the sum make 13 products at genus 2; genus 1 takes 9.
+    alpha and gamma, swapped.  Three 8th powers (9 squarings, all that
+    theta_pow8_sum makes), their squares and the square of the sum make 13
+    products at genus 2; genus 1 takes 9.
     """
     if g not in (1, 2):
         raise ValueError("expansions are implemented for genus 1 and 2")
-    sum8, sum16 = _theta8_sums(g, trunc)
+    e8 = _theta8(g, trunc)
+    sum8 = _orbit_sum(g, e8)
+    sum16 = _orbit_sum(g, (f * f for f in e8))
     sumsq = sum8 * sum8
     return sum16.scale_coeff(Fraction(1, 2 ** g)) - sumsq.scale_coeff(Fraction(1, 2 ** (2 * g)))
 

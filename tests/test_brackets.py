@@ -1,5 +1,6 @@
 """Tests for the bracket operators on jets and on expansions."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -235,6 +236,27 @@ def test_bracket_products(monkeypatch):
     calls.clear()
     scalar_bracket_q(e4, e6)
     assert len(calls) == 2
+
+
+def test_genus2_bracket_groups_f_once(monkeypatch):
+    """Every entry multiplies F, and F keeps its grouping: one grouping of
+    F's numerators for the whole bracket; the output is the 356 terms whose
+    SMF1 bytes are pinned."""
+    f, t = theta_pow8_sum(80), tnull_qexp(80)
+    g_form = (t * t).with_character(False)
+    made = []
+    real = qexp._rows
+
+    def spy(nums, trunc, lay):
+        made.append(nums is f._nums)
+        return real(nums, trunc, lay)
+
+    monkeypatch.setattr(qexp, "_rows", spy)
+    br = scalar_bracket_q(f, g_form)
+    assert made.count(True) == 1
+    assert len(br.terms) == 356
+    assert hashlib.sha256(br.to_text().encode()).hexdigest() == (
+        "49a19eb72b14ff937a5ed03ed4ab7d817ea4e9507c36d21a69385d017e9cf8af")
 
 
 @pytest.mark.parametrize("genus", [1, 2])

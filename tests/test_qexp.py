@@ -859,7 +859,13 @@ _F = JetPoly.symbol("F")
      "^jet polynomial is not weight/order homogeneous$"),
     (lambda: eval_jetpoly(_F * _F + jet_det_partial("F", 2), {"F": _theta00()}),
      "^jet polynomial is not weight/order homogeneous$"),
-], ids=["character", "empty-product", "symbolic-weight", "weight", "order"])
+    (lambda: eval_jetpoly(JetPoly.const(3), {"F": _theta00()}),
+     "^jet polynomial has a constant term$"),
+    (lambda: eval_jetpoly(_F + JetPoly.const(1), {"F": _theta00()}),
+     "^jet polynomial has a constant term$"),
+    (lambda: eval_jetpoly(JetPoly.const(3), {}), "^jet polynomial has a constant term$"),
+], ids=["character", "empty-product", "symbolic-weight", "weight", "order", "constant",
+        "constant-term", "constant-unbound"])
 def test_qexp_refusals(call, message):
     with pytest.raises(ValueError, match=message):
         call()

@@ -31,17 +31,31 @@ def cleared(t: dict) -> tuple[int, dict]:
     return d, {k: c.numerator * (d // c.denominator) for k, c in t.items()}
 
 
+def expansion(t: dict, trunc: int, genus: int):
+    """The unchecked expansion of t's cleared numerators (the kernel's operand)."""
+    cls = QExp1 if genus == 1 else QExp2
+    return cls._checked(*cleared(t), Fraction(0), trunc, 0, False)
+
+
+def _genus(*ts: dict) -> int:
+    """The genus of the keys of ts, 2 when they hold none."""
+    keys = [k for t in ts for k in t]
+    return 1 if keys and len(keys[0]) == 1 else 2
+
+
 def kernel(ta: dict, tb: dict, trunc: int) -> dict:
-    """_mul_terms on the cleared integer numerators of two Fraction dicts,
-    the product's numerators read back over the product of the denominators."""
-    (da, na), (db, nb) = cleared(ta), cleared(tb)
-    return {k: Fraction(v, da * db) for k, v in _mul_terms(na, nb, trunc).items()}
+    """_mul_terms on the expansions of the cleared integer numerators of two
+    Fraction dicts, the product's numerators read back over the product of
+    the denominators."""
+    g = _genus(ta, tb)
+    x, y = expansion(ta, trunc, g), expansion(tb, trunc, g)
+    return {k: Fraction(v, x._den * y._den) for k, v in _mul_terms(x, y, trunc).items()}
 
 
 def square(t: dict, trunc: int) -> dict:
-    """kernel(t, t, trunc) with one dict of numerators passed as both operands."""
-    d, n = cleared(t)
-    return {k: Fraction(v, d * d) for k, v in _mul_terms(n, n, trunc).items()}
+    """kernel(t, t, trunc) with one expansion passed as both operands."""
+    x = expansion(t, trunc, _genus(t))
+    return {k: Fraction(v, x._den * x._den) for k, v in _mul_terms(x, x, trunc).items()}
 
 
 def naive_mul2(ta: dict, tb: dict, trunc: int) -> dict:
@@ -366,16 +380,16 @@ def groupings():
 @settings(max_examples=150, deadline=None)
 @given(genus2_case())
 def test_a_reused_grouping_matches_naive_convolution(case):
-    """An operand of the last product is grouped once: a square and then
-    products with it reuse its rows, as apply's two products of F do, and
-    every result agrees with the reference."""
+    """An operand is grouped once per truncation: a square and then products
+    with it reuse its rows, as apply's two products of F do, and every
+    result agrees with the reference."""
     ta, tb, trunc = case
-    (da, na), (db, nb) = cleared(ta), cleared(tb)
-    qexp._GROUPED.clear()
+    x, y = expansion(ta, trunc, 2), expansion(tb, trunc, 2)
+    (da, na), (db, nb) = (x._den, x._nums), (y._den, y._nums)
     with groupings() as made:
-        aa = _mul_terms(na, na, trunc)
-        ab = _mul_terms(na, nb, trunc)
-        ba = _mul_terms(nb, na, trunc)
+        aa = _mul_terms(x, x, trunc)
+        ab = _mul_terms(x, y, trunc)
+        ba = _mul_terms(y, x, trunc)
     assert {k: Fraction(v, da * da) for k, v in aa.items()} == naive_mul2(ta, ta, trunc)
     want = naive_mul2(ta, tb, trunc)
     assert {k: Fraction(v, da * db) for k, v in ab.items()} == want
@@ -396,10 +410,22 @@ def test_a_grouping_is_not_reused_at_another_truncation(genus):
         naive = lambda ta, tb, trunc: {(n,): c for n, c in naive_mul1(
             {k[0]: c for k, c in ta.items()}, {k[0]: c for k, c in tb.items()}, trunc).items()}
     g = f.truncate(40)
-    qexp._GROUPED.clear()
     with groupings() as made:
         ff, fg = f * f, f * g
     assert [(nums is f._nums, trunc) for nums, trunc in made] == [
         (True, 48), (True, 40), (False, 40)]
     assert ff.terms == naive(f.terms, f.terms, 48)
     assert fg.terms == naive(f.terms, g.terms, 40)
+
+
+def test_an_operand_keeps_its_grouping_across_other_products():
+    """f f, g g, then f g: the third product reuses the groupings of the
+    first two, though neither was an operand of the product before it."""
+    f, g = tnull_qexp(48), theta_qexp(2, char_from_text("00,00"), 48)
+    with groupings() as made:
+        ff, gg, fg = f * f, g * g, f * g
+    assert [nums is f._nums for nums, _ in made] == [True, False]
+    assert [nums is g._nums for nums, _ in made] == [False, True]
+    assert fg.terms == naive_mul2(f.terms, g.terms, 48)
+    assert ff.terms == naive_mul2(f.terms, f.terms, 48)
+    assert gg.terms == naive_mul2(g.terms, g.terms, 48)

@@ -1,6 +1,7 @@
 """Tests for theta characteristics, exact expansions, and the numeric lab."""
 
 import cmath
+import hashlib
 import itertools
 import math
 from fractions import Fraction
@@ -10,7 +11,7 @@ import pytest
 from siegelops import qexp, theta
 from siegelops.brackets import delta1_qexp, eis1_qexp, eta_power_qexp
 from siegelops.theta import (ThetaChar, _arithmetic_lift, _as_matrix, _check_tau, _grid,
-                             _lattice_sums, _pick_radius, _theta8_sums, _tnull_derivatives,
+                             _lattice_sums, _orbit_sum, _pick_radius, _theta8, _tnull_derivatives,
                              all_chars, char_from_text, check_condition_star, check_heat,
                              check_modularity, even_chars, form_tnull, form_operator_tnull,
                              gamma_J, gamma_translation, gamma_gl, minus_64_eta9_theta,
@@ -152,7 +153,20 @@ def test_schottky_wrong_normalization_nonzero():
 def test_orbit_sums_equal_the_direct_sums(g, trunc):
     """Both power sums, not only J (zero on both sides), match the ten (or
     three) characteristics multiplied out."""
-    assert _theta8_sums(g, trunc) == _direct_sums(g, trunc)
+    e8 = _theta8(g, trunc)
+    assert (_orbit_sum(g, e8), _orbit_sum(g, [f * f for f in e8])) == _direct_sums(g, trunc)
+
+
+@pytest.mark.parametrize("trunc,terms,digest", [
+    (80, 590, "8832f911a0e8a739e0819eb5929c1274b7f64a2f707dcc9f1698363c8248caf6"),
+    (120, 1908, "ab5bb4fd61258dbd7f348af3b75aaddec8906d94d44711b85d3ea5716f599297"),
+])
+def test_theta_pow8_sum_is_pinned(trunc, terms, digest):
+    """The SMF1 bytes of the sum of the eighth powers, pinned from the
+    build that also made the 16th powers."""
+    f = theta_pow8_sum(trunc)
+    assert len(f.terms) == terms
+    assert hashlib.sha256(f.to_text().encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("trunc", [48, 80])
@@ -162,19 +176,33 @@ def test_theta_01_is_theta_10_swapped(trunc):
     assert t01.terms == {(c, b, a): v for (a, b, c), v in t10.terms.items()}
 
 
+def _products(monkeypatch) -> list:
+    """The list each later product appends to: True for a square."""
+    made = []
+
+    def counted(x, y, n, mul=qexp._mul_terms):
+        made.append(x._nums is y._nums)
+        return mul(x, y, n)
+
+    monkeypatch.setattr(qexp, "_mul_terms", counted)
+    return made
+
+
 @pytest.mark.parametrize("g,trunc,products", [(2, 80, 13), (1, 400, 9)])
 def test_schottky_product_count(g, trunc, products, monkeypatch):
     """Three (two) orbit representatives of four squarings each, and the
     square of the sum: every product is a square."""
-    made = []
-
-    def counted(na, nb, n, mul=qexp._mul_terms):
-        made.append(na is nb)
-        return mul(na, nb, n)
-
-    monkeypatch.setattr(qexp, "_mul_terms", counted)
+    made = _products(monkeypatch)
     assert schottky_qexp(g, trunc).is_zero()
     assert made == [True] * products
+
+
+def test_theta_pow8_sum_product_count(monkeypatch):
+    """Three orbit representatives of three squarings each, and no 16th
+    power: 9 products, every one a square."""
+    made = _products(monkeypatch)
+    assert not theta_pow8_sum(80).is_zero()
+    assert made == [True] * 9
 
 
 def test_schottky_wrong_orbit_size_nonzero(monkeypatch):
@@ -721,26 +749,39 @@ def test_minus_64_eta9_theta_is_the_lifts_gamma_4_slice(trunc):
 _C1, _C2 = ThetaChar((0,), (0,)), ThetaChar((0, 0), (0, 0))
 
 
-@pytest.mark.parametrize("build", [
-    lambda: qexp.QExp2({}, trunc=-1), lambda: qexp.QExp1({}, trunc=-1),
-    lambda: qexp.QExp2.zero(trunc=-1), lambda: qexp.QExp1.zero(trunc=-1),
-    lambda: qexp.QExp2.one(-1), lambda: qexp.QExp1.one(-1),
-    lambda: tnull_qexp(48).truncate(-1), lambda: eis1_qexp(4, 48).truncate(-1),
-    lambda: theta_qexp(2, _C2, -1), lambda: theta_qexp(1, _C1, -1),
-    lambda: tnull_product(-1), lambda: tnull_qexp(-1), lambda: minus_64_eta9_theta(-1),
-    lambda: theta_pow8_sum(-1), lambda: schottky_qexp(2, -1), lambda: schottky_qexp(1, -1),
-    lambda: _arithmetic_lift(lambda n, l: 1, 4, 8, -1),
-    lambda: eis1_qexp(4, -1), lambda: eis1_qexp(6, -1), lambda: eta_power_qexp(3, -1),
-    lambda: delta1_qexp(-1),
+_BUILDERS = pytest.mark.parametrize("build", [
+    lambda n: qexp.QExp2({}, trunc=n), lambda n: qexp.QExp1({}, trunc=n),
+    lambda n: qexp.QExp2.zero(trunc=n), lambda n: qexp.QExp1.zero(trunc=n),
+    lambda n: qexp.QExp2.one(n), lambda n: qexp.QExp1.one(n),
+    lambda n: tnull_qexp(48).truncate(n), lambda n: eis1_qexp(4, 48).truncate(n),
+    lambda n: theta_qexp(2, _C2, n), lambda n: theta_qexp(1, _C1, n),
+    lambda n: tnull_product(n), lambda n: tnull_qexp(n), lambda n: minus_64_eta9_theta(n),
+    lambda n: theta_pow8_sum(n), lambda n: schottky_qexp(2, n), lambda n: schottky_qexp(1, n),
+    lambda n: _arithmetic_lift(lambda m, l: 1, 4, 8, n),
+    lambda n: eis1_qexp(4, n), lambda n: eis1_qexp(6, n), lambda n: eta_power_qexp(3, n),
+    lambda n: delta1_qexp(n),
 ], ids=["QExp2", "QExp1", "QExp2.zero", "QExp1.zero", "QExp2.one", "QExp1.one",
         "truncate-2", "truncate-1", "theta_qexp-2", "theta_qexp-1", "tnull_product",
         "tnull_qexp", "minus_64_eta9_theta", "theta_pow8_sum", "schottky_qexp-2",
         "schottky_qexp-1", "arithmetic_lift", "eis1_qexp-4", "eis1_qexp-6", "eta_power_qexp",
         "delta1_qexp"])
+
+
+@_BUILDERS
 def test_every_builder_refuses_a_negative_truncation(build):
     with pytest.raises(ValueError) as err:
-        build()
+        build(-1)
     assert str(err.value) == "negative truncation -1"
+
+
+@_BUILDERS
+@pytest.mark.parametrize("trunc", [8.5, True], ids=["float", "bool"])
+def test_every_builder_refuses_a_truncation_that_is_not_an_int(build, trunc):
+    """A float or a bool truncation would be written to SMF1 as text the
+    reader refuses; it is refused before any work."""
+    with pytest.raises(ValueError) as err:
+        build(trunc)
+    assert str(err.value) == f"truncation {trunc} is not an integer"
 
 
 def test_the_lift_at_weight_10_is_the_square_of_the_theta_null_product():

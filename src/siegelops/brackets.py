@@ -27,7 +27,7 @@ from math import isqrt
 from operator import mul
 
 from .jets import JetPoly, jet_diff
-from .poly import _signed_pairings
+from .poly import _index_pairs, _leibniz
 from .qexp import DEFAULT_TRUNC, QExp1, _check_trunc, eval_jetpoly
 
 
@@ -49,7 +49,7 @@ def vector_bracket_jet(f, k, g_form, h, genus: int) -> list[list[JetPoly]]:
 
 def _symmetric(genus: int, entry) -> list[list]:
     """The symmetric matrix with entry(i, j) at 1 <= i <= j <= genus."""
-    upper = {(i, j): entry(i, j) for i in range(1, genus + 1) for j in range(i, genus + 1)}
+    upper = {(i, j): entry(i, j) for i, j in _index_pairs(genus)}
     return [[upper[min(i, j), max(i, j)] for j in range(1, genus + 1)]
             for i in range(1, genus + 1)]
 
@@ -57,13 +57,8 @@ def _symmetric(genus: int, entry) -> list[list]:
 def _det(matrix: list[list]):
     """The Leibniz determinant of a square matrix of jets or expansions:
     multiply the entries of each pairing, negate the odd terms, then sum."""
-    n = len(matrix)
-    total = None
-    for sign, pairing in _signed_pairings(range(n), range(n)):
-        term = reduce(mul, [matrix[i][j] for i, j in pairing])
-        term = term if sign > 0 else -term
-        total = term if total is None else total + term
-    return total
+    n = range(len(matrix))
+    return _leibniz(n, n, lambda pairing: reduce(mul, [matrix[i][j] for i, j in pairing]))
 
 
 def scalar_bracket_jet(f, k, g_form, h, genus: int) -> JetPoly:

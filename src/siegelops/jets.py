@@ -16,9 +16,9 @@ they must only ever be multiplied in after all differentiations.
 
 JetPoly is the second subclass of poly._SparsePoly, the sparse-dict ring
 that MultiPoly also uses; its monomial product is sorted concatenation.
-Every determinant here is a sum over poly._signed_pairings, the Leibniz
-generator that also expands the pencil determinants of poly.py and the
-bracket determinant of brackets.py.
+Every determinant here is poly._leibniz over one-term jets, the Leibniz
+sum that is also the bracket determinant of brackets.py; its pairings
+come from the generator that expands the pencil determinants of poly.py.
 
 operator_jet is the one definition of the operator's action on a function:
 apply and the numeric D25T2 form of theta both evaluate it.
@@ -30,8 +30,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from .poly import (MultiPoly, _cleared, _coefficients, _field_one, _signed_pairings,
-                   _SparsePoly)
+from .poly import MultiPoly, _cleared, _coefficients, _field_one, _leibniz, _SparsePoly
 from .scalars import _accumulate, _ptrim
 
 JetVar = tuple  # (symbol: str, derivs: tuple[(i, j), ...])
@@ -119,16 +118,6 @@ def operator_jet(spec) -> JetPoly:
     return jet.scale(Fraction(1, math.factorial(g)))
 
 
-def _jet_leibniz(rows, cols, field: str, mono) -> JetPoly:
-    """sum over the Leibniz terms of the rows x cols determinant of
-    sign * mono(pairing), where mono maps a pairing to a jet monomial."""
-    out: dict = {}
-    for sign, pairing in _signed_pairings(list(rows), list(cols)):
-        _accumulate(out, mono(pairing), sign)
-    one = _field_one(field)
-    return JetPoly({m: one * c for m, c in out.items()}, field)
-
-
 def jet_det_partial(symbol: str, g: int, field: str = "Q") -> JetPoly:
     """det of the g x g matrix of first-derivative jet variables (F_(ij))."""
     return jet_minor_det_partial(symbol, range(1, g + 1), range(1, g + 1), field)
@@ -136,8 +125,9 @@ def jet_det_partial(symbol: str, g: int, field: str = "Q") -> JetPoly:
 
 def jet_minor_det_partial(symbol: str, rows, cols, field: str = "Q") -> JetPoly:
     """det of the submatrix of (F_(ij)) with the given rows and columns."""
-    return _jet_leibniz(rows, cols, field,
-                        lambda pairing: _mono(jet_var(symbol, (p,)) for p in pairing))
+    one = _field_one(field)
+    return _leibniz(rows, cols, lambda pairing: JetPoly._nonzero(
+        {_mono(jet_var(symbol, (p,)) for p in pairing): one}, field))
 
 
 def jet_det_operator(symbol: str, rows, cols, field: str = "Q") -> JetPoly:
@@ -147,7 +137,9 @@ def jet_det_operator(symbol: str, rows, cols, field: str = "Q") -> JetPoly:
     pairs; rows == cols == 1..g gives the pure g-th order operator (det d)F,
     and empty rows and cols give the symbol itself.
     """
-    return _jet_leibniz(rows, cols, field, lambda pairing: (jet_var(symbol, pairing),))
+    one = _field_one(field)
+    return _leibniz(rows, cols, lambda pairing: JetPoly._nonzero(
+        {(jet_var(symbol, pairing),): one}, field))
 
 
 def jet_mod_symbol(p: JetPoly, symbol: str) -> JetPoly:

@@ -90,8 +90,8 @@ from functools import cached_property
 from .poly import (MultiPoly, _cleared, _nibble_sum, _packed_lines, _packed_poly, _packing,
                    _t_split, coeff_R, index_set_N, index_set_Nprime, minor_coeff_R, r_var,
                    x_var)
-from .scalars import (RatFunc, _int_from_text, _line_reader, _pmul, _unpack, frac_from_text,
-                      frac_to_text, scalar_to_text)
+from .scalars import (RatFunc, _horner, _int_from_text, _line_reader, _pmul, _unpack,
+                      frac_from_text, frac_to_text, scalar_to_text)
 
 SECOND_ORDER_FACTOR = 2
 
@@ -129,11 +129,7 @@ def _constant_C_k(g: int, m: int) -> list:
 
 def constant_C(g: int, a, m: int):
     """The coefficient constants; exact in Q(a) or Q."""
-    k = 2 * _as_weight(a)
-    out = k * 0
-    for c in reversed(_constant_C_k(g, m)):
-        out = out * k + c
-    return out
+    return _horner(_constant_C_k(g, m), 2 * _as_weight(a))
 
 
 def _stratum(n) -> int:
@@ -286,17 +282,14 @@ class _IntegerForm:
             size = sum(n * sum(map(abs, P)) for P, n in counts.items())
         else:
             size = sum(map(abs, nums.values()))
-        self.s = s = (size * spread).bit_length() + 1
-
-        def at_2s(P):
-            return sum(c << s * j for j, c in enumerate(P))
-
+        self.s = (size * spread).bit_length() + 1
+        point = 1 << self.s  # a = 2^S
         if symbolic:
-            value = {P: at_2s(P) for P in counts}
+            value = {P: _horner(P, point) for P in counts}
             self.terms = {key: value[P] for key, P in nums.items()}
         else:
             self.terms = nums
-        self.kn, self.kd = 4 * at_2s(kn), 4 * at_2s(kd)
+        self.kn, self.kd = 4 * _horner(kn, point), 4 * _horner(kd, point)
         self.den = _pmul(tuple(4 * c for c in kd), L)
 
     def d11(self, hs) -> dict:

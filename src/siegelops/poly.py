@@ -21,9 +21,10 @@ The central objects built here are the coefficients of
 with n running over nonnegative integer vectors summing to g, together with
 the same expansion for first minors.  One Leibniz generator,
 _signed_pairings, yields the signed row-column pairings of a determinant
-over permutations; it serves both expansions here and every determinant of
-jets.py and brackets.py (for g <= 6 there are at most 720 permutations, so
-no elimination strategy is needed).
+over permutations; it serves both expansions here, and _leibniz, the sum
+of sign * term over those pairings in the ring of the terms, is every
+determinant of jets.py and brackets.py (for g <= 6 there are at most 720
+permutations, so no elimination strategy is needed).
 
 Packed monomials.  A monomial is packed into one int with 4 bits per
 variable, laid out in the global variable order: t_h takes nibble h - 1
@@ -34,9 +35,9 @@ entry ints (no exponent exceeds g, far below 15 for any feasible g, so
 nibbles never carry), and its place among the partial sums spells its
 row-to-h assignment, whose counts are its t-exponents n.  So _t_split
 deals each permutation's keys to the buckets B(n) by place, with no
-t-unit in any key, and det_expand and minor_det_expand add each bucket's
-t-block back.  _Packing holds the layout (at most _MAX_EXP per
-nibble), its decoder and encoder, and the POLY1 text of packed keys.
+t-unit in any key, and det_expand adds each bucket's t-block back.
+_Packing holds the layout (at most _MAX_EXP per nibble), its decoder and
+encoder, and the POLY1 text of packed keys.
 The operator Q of opgen.py and its integer D_{h;11} kernel use the same
 keys, as a cleared form: one denominator over integer numerators
 (_packed_poly and _cleared convert between such a form and a MultiPoly).
@@ -47,9 +48,9 @@ and comparing the writer's lines with the text.  The writer puts the terms
 in increasing order of their keys, the order of the ints themselves
 (exponent vectors compared from the last variable r_{g;gg} down).
 
-Decoding is lazy: det_expand, minor_det_expand, coeff_R and minor_coeff_R
-decode packed keys to Monos only when called (the genus <= 4 callers of
-jets.py and the derivative lemma), and spec.Q of opgen.py on first access.
+Decoding is lazy: det_expand, coeff_R and minor_coeff_R decode packed
+keys to Monos only when called (the genus <= 4 callers of jets.py and the
+derivative lemma), and spec.Q of opgen.py on first access.
 A key is decoded, and written as POLY1 text, in two halves cut at a block
 boundary, each looked up in a memo of one call that is filled from
 per-block memos (_Packing).  Every cleared-form coefficient, in
@@ -67,7 +68,7 @@ import math
 import operator
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache, partial, reduce
 
 from .scalars import (RatFunc, _accumulate, _binpow, _Memo, _pdivmod, _pgcd, _pmul,
                       scalar_to_text)
@@ -106,20 +107,6 @@ def _mono_mul(m1: Mono, m2: Mono) -> Mono:
     for v, e in m2:
         acc[v] = acc.get(v, 0) + e
     return tuple(sorted(acc.items(), key=lambda p: _var_key(p[0])))
-
-
-def _mono_times(m: Mono, v: VarId, e: int = 1) -> Mono:
-    """m * v^e, inserting v at its place in the variable order."""
-    if not e:
-        return m
-    key = _var_key(v)
-    for idx, (w, f) in enumerate(m):
-        if w == v:
-            rest = m[idx + 1:]
-            return m[:idx] + ((v, f + e),) + rest if f + e else m[:idx] + rest
-        if _var_key(w) > key:
-            return m[:idx] + ((v, e),) + m[idx:]
-    return m + ((v, e),)
 
 
 def _mono_lower(m: Mono, idx: int, e: int = 1) -> Mono:
@@ -277,8 +264,8 @@ class MultiPoly(_SparsePoly):
         return MultiPoly(out, self.field)
 
     def mul_var(self, v: VarId, e: int = 1) -> "MultiPoly":
-        return MultiPoly({_mono_times(m, v, e): c for m, c in self.terms.items()},
-                         self.field)
+        mono = ((v, e),) if e else ()  # _mono_mul would keep a zero exponent
+        return MultiPoly({_mono_mul(m, mono): c for m, c in self.terms.items()}, self.field)
 
     def substitute(self, mapping: dict) -> "MultiPoly":
         """Substitute some variables by polynomials (others are kept)."""
@@ -318,6 +305,12 @@ class MultiPoly(_SparsePoly):
 
 # -- multi-indices ----------------------------------------------------------
 
+def _index_pairs(g: int) -> list[tuple]:
+    """The entries (i, j), 1 <= i <= j <= g, of a symmetric matrix, row by
+    row: the order of the r_{h;ij} of each R_h and of an expansion's T_ij."""
+    return [(i, j) for i in range(1, g + 1) for j in range(i, g + 1)]
+
+
 def multi_indices(g: int, total: int) -> list[tuple]:
     """All nonnegative integer g-vectors with the given coordinate sum."""
     if g == 1:
@@ -354,6 +347,13 @@ def _signed_pairings(rows: list, cols: list):
         yield (-1) ** inversions, [(r, cols[s]) for r, s in zip(rows, sigma)]
 
 
+def _leibniz(rows, cols, term):
+    """The sum of sign * term(pairing) over _signed_pairings(rows, cols), in
+    the ring of the terms: the determinant with those Leibniz terms."""
+    return reduce(operator.add, (term(p) if sign > 0 else -term(p)
+                                 for sign, p in _signed_pairings(list(rows), list(cols))))
+
+
 _MAX_EXP = 14  # the largest exponent of a packed variable (a nibble holds 15)
 
 
@@ -382,7 +382,7 @@ class _Packing:
     """
 
     def __init__(self, g: int):
-        pairs = [(i, j) for i in range(1, g + 1) for j in range(i, g + 1)]
+        pairs = _index_pairs(g)
         blocks = [[t_var(h) for h in range(1, g + 1)]]
         blocks += [[r_var(h, i, j) for i, j in pairs] for h in range(1, g + 1)]
         self.g = g
@@ -588,12 +588,6 @@ def det_expand(g: int) -> MultiPoly:
     if g < 1:
         raise ValueError("genus must be >= 1")
     return _packed_poly(g, 1, _t_keyed(g, ()))
-
-
-@lru_cache(maxsize=None)
-def minor_det_expand(g: int, k: int, l: int) -> MultiPoly:
-    """det of the pencil t_1 R_1 + ... with row k and column l deleted."""
-    return _packed_poly(g, 1, _t_keyed(g, (k, l)))
 
 
 @lru_cache(maxsize=None)

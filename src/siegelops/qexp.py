@@ -114,7 +114,7 @@ from operator import add, floordiv, itemgetter, le, lt, mul
 from types import MappingProxyType
 
 from .jets import JetPoly
-from .poly import _cleared
+from .poly import _cleared, _index_pairs
 from .scalars import (RatFunc, _accumulate, _binpow, _int_from_text, _line_reader, _Memo,
                       _number_from_text, _pack, _unpack, frac_from_text, frac_to_text)
 
@@ -141,7 +141,7 @@ class _Layout:
 
     def __init__(self, g: int):
         self.genus = g
-        self.pairs = pairs = [(i, j) for i in range(1, g + 1) for j in range(i, g + 1)]
+        self.pairs = pairs = _index_pairs(g)
         self.at = at = {p: n for n, p in enumerate(pairs)}
         self.off = [(at[i, j], at[i, i], at[j, j]) for i, j in pairs if i < j]
         self.pack = self.off[-1][0] if self.off else 0
@@ -778,7 +778,8 @@ def product_balanced(factors: list):
 def eval_jetpoly(p: JetPoly, bind: dict):
     """Realize a jet polynomial on actual expansions.
 
-    Every symbol occurring in p must be bound to an expansion; a linear
+    Every symbol occurring in p must be bound to an expansion, all of one
+    genus (the bindings of other symbols are not read); a linear
     combination of derivatives of one base expansion (F or F F) is applied
     in one pass (_diff), as the q_diff chains would sum, and each expansion
     that a product takes is made once.  All monomials must carry the same
@@ -795,9 +796,15 @@ def eval_jetpoly(p: JetPoly, bind: dict):
         raise ValueError("cannot infer the weight of an empty jet polynomial")
     if () in p.terms:
         raise ValueError("jet polynomial has a constant term")
-    unbound = p.symbols() - set(bind)
+    used = p.symbols()
+    unbound = used - set(bind)
     if unbound:
         raise ValueError(f"unbound symbol(s) {sorted(unbound)!r}")
+    genera = {bind[sym].genus for sym in used}
+    if len(genera) > 1:
+        raise ValueError("jet symbols bound to expansions of different genera: " + ", ".join(
+            f"{sym} genus {bind[sym].genus}" for sym in sorted(used)))
+    genus = genera.pop()
     cache: dict = {}
 
     def factor(key: tuple):
@@ -826,7 +833,6 @@ def eval_jetpoly(p: JetPoly, bind: dict):
         parts = [factor(b)._diff(group) for (b, _), group in groups.items()]
         return sum(parts[1:], parts[0])
 
-    genus = next(iter(bind.values())).genus
     bare = {sym for mono in p.terms for sym, d in mono if not d}  # the symbols F with F a factor
     monos: dict = {}
     sym_weight = None

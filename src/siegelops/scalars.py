@@ -95,10 +95,12 @@ def _pgcd(p: tuple, q: tuple) -> tuple:
     return p
 
 
-def _peval(p: tuple, a0: Fraction) -> Fraction:
-    acc = Fraction(0)
+def _horner(p, x):
+    """p(x) by Horner's rule, for coefficients p low degree first, in the
+    ring of x: the zero of that ring when p is empty."""
+    acc = x * 0
     for c in reversed(p):
-        acc = acc * a0 + c
+        acc = acc * x + c
     return acc
 
 
@@ -307,10 +309,10 @@ class RatFunc:
     def eval_at(self, a0) -> Fraction:
         """Exact value at a = a0; raises PoleError at denominator roots."""
         a0 = Fraction(a0)
-        d = _peval(self.den, a0)
+        d = _horner(self.den, a0)
         if d == 0:
             raise PoleError(a0)
-        return _peval(self.num, a0) / d
+        return _horner(self.num, a0) / d
 
     def __repr__(self):
         return f"RatFunc({ratfunc_to_text(self)!r})"

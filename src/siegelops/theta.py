@@ -42,7 +42,9 @@ the least radius > 1/2 + max|Im z| / lambda_min(Im tau) at which
     (2r + 3)^g (7 (r + 2)^2)^#d_tau (7 (r + 2))^#d_z
         exp(-pi lambda_min (r - 1/2 - max|Im z| / lambda_min)^2) < tol,
 
-so no request sums over a smaller box than it would alone.  The
+so no request sums over a smaller box than it would alone.  A box of
+more than _MAX_POINTS = 2,000,000 points is refused before its grid is
+made (genus 6 at radius 5 holds 1,771,561, genus 7 19,487,171).  The
 exponentials are computed once per lattice point and eps class and shared by
 every delta and derivative of the batch.  The checks report the radius, the
 point count and the tail tolerance they used.
@@ -69,6 +71,7 @@ from math import gcd, isqrt
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from . import brackets, jets, opgen
+from .poly import _index_pairs
 from .qexp import DEFAULT_TRUNC, QExp1, QExp2, _check_trunc, _reduced, product_balanced
 
 if TYPE_CHECKING:
@@ -77,6 +80,7 @@ if TYPE_CHECKING:
 TOL_HEAT = 1e-10
 TOL_MODULARITY = 1e-8
 TOL_ZERO = 1e-6
+_MAX_POINTS = 2_000_000  # the most lattice points one numeric batch sums over
 
 
 class _Char(NamedTuple):
@@ -153,12 +157,13 @@ def theta_qexp(g: int, char: ThetaChar, trunc: int = DEFAULT_TRUNC):
     # the summand sign (-1)^(n.delta) i^(eps.delta), with eps.delta even here
     unit = -1 if sum(e * d for e, d in zip(char.eps, char.delta)) % 4 else 1
     terms: dict = {}
+    pairs = _index_pairs(g)
     bound = (isqrt(trunc) + 1) // 2  # every kept m = 2n + eps has |m| <= isqrt(trunc)
     for n in itertools.product(range(-bound, bound + 1), repeat=g):
         m = [2 * ni + e for ni, e in zip(n, char.eps)]
         if sum(x * x for x in m) > trunc:
             continue
-        key = tuple((2 if i < j else 1) * m[i] * m[j] for i in range(g) for j in range(i, g))
+        key = tuple((2 if i < j else 1) * m[i - 1] * m[j - 1] for i, j in pairs)
         sign = -unit if sum(ni * d for ni, d in zip(n, char.delta)) % 2 else unit
         terms[key] = terms.get(key, 0) + sign
     return cls._checked(1, {k: c for k, c in terms.items() if c}, half, trunc, 0, False)
@@ -426,6 +431,9 @@ def _lattice_sums(g: int, tau, z, requests, tol: float = 1e-12) -> tuple[list[co
     z_shift = float(np.abs(z.imag).max())
     orders = {(len(d_tau), len(d_z)) for _, d_tau, d_z in requests}
     radius = max(_pick_radius(lam_min, g, nt, nz, z_shift, tol) for nt, nz in orders)
+    if (points := (2 * radius + 1) ** g) > _MAX_POINTS:
+        raise ValueError(f"the genus-{g} lattice box of radius {radius} has {points} points, "
+                         f"more than {_MAX_POINTS}")
     re_tau = tau.real.tolist()
     k = [round(x) for x in z.real.tolist()]
     b = [[2 * round(re_tau[min(i, j)][max(i, j)] / 2) for j in range(g)] for i in range(g)]
@@ -489,7 +497,7 @@ def check_heat(g: int, char: ThetaChar, tau, z, tol: float = TOL_HEAT) -> HeatRe
     Residual for (i, j):  |d2theta/dz_i dz_j - 2 pi i (1+delta_ij) dtheta/dtau_ij|,
     both sides by lattice sum at tail tolerance tol*1e-3, on one grid.
     """
-    pairs = [(i, j) for i in range(1, g + 1) for j in range(i, g + 1)]
+    pairs = _index_pairs(g)
     requests = [req for p in pairs for req in ((char, (), p), (char, (p,), ()))]
     values, box = _lattice_sums(g, tau, z, requests, tol * 1e-3)
     zz, tt = values[0::2], values[1::2]

@@ -434,6 +434,15 @@ def test_bad_tau_is_a_clean_error(tmp_path, capsys):
         assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_theta_eval_on_a_lattice_box_too_large_to_hold_is_a_clean_error(capsys):
+    """At genus 10 and tau = i the tail bound needs the box [-5, 5]^10, which
+    is refused before numpy would be asked for its 193 GiB."""
+    code, err = run_cli_error(["theta", "eval", "--char", "0000000000,0000000000",
+                               "--tau", "diag:" + ",".join(["1"] * 10)], capsys)
+    assert (code, err) == (2, "error: the genus-10 lattice box of radius 5 has 25937424601 "
+                              "points, more than 2000000\n")
+
+
 @pytest.mark.parametrize("argv,need", [
     (["verify", "cond", "--tau", "diag:1,2,3"], 2),
     (["theta", "eval", "--char", "00,00", "--tau", "diag:1"], 2),

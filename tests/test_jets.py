@@ -7,7 +7,8 @@ import pytest
 from fractions import Fraction
 
 from siegelops.jets import (JetPoly, diffresult_expand, jet_apply, jet_det_operator,
-                            jet_det_partial, jet_diff, jet_mod_symbol, jet_var, operator_jet)
+                            jet_det_partial, jet_diff, jet_minor_det_partial, jet_mod_symbol,
+                            jet_var, operator_jet)
 from siegelops.opgen import symbolic_weight
 from siegelops.poly import MultiPoly, coeff_R, index_set_N, r_var, t_var
 from siegelops.scalars import RatFunc
@@ -43,6 +44,10 @@ def test_det_partial_small_genera():
     expect2 = (JetPoly({(jet_var("F", ((1, 1),)), jet_var("F", ((2, 2),))): Fraction(1)})
                + JetPoly({(jet_var("F", ((1, 2),)), jet_var("F", ((1, 2),))): Fraction(-1)}))
     assert jet_det_partial("F", 2) == expect2
+    # the empty determinants: 1, and the operator of order 0, the bare symbol
+    empty = jet_minor_det_partial("F", [], [], "Qa")
+    assert empty == JetPoly.const(1, "Qa") and empty.field == "Qa"
+    assert jet_det_operator("F", [], []) == JetPoly.symbol("F")
 
 
 def test_det_partial_genus3_matches_apply_path():

@@ -14,7 +14,7 @@ from siegelops.opgen import (OperatorSpec, _IntegerForm, apply_D11, build_Q, coe
                              constant_C, opspec_from_text, opspec_to_text, symbolic_weight,
                              verify_deriv_lemma, verify_harmonic_condition,
                              verify_pluriharmonic, xspace_oracle)
-from siegelops.poly import (MultiPoly, _cleared, _mono_lower, _mono_times, _packing,
+from siegelops.poly import (MultiPoly, _cleared, _mono_lower, _mono_mul, _packing,
                             coeff_R, index_set_N, r_var, t_var, x_var)
 from siegelops.scalars import RatFunc, _accumulate
 
@@ -43,11 +43,11 @@ def _reference_d11(g, h, p, k, second_order_factor=2):
                 _accumulate(out, _mono_lower(m, iu), c * (k * eu))
             if eu > 1:  # f r_{h;uu} d_{h;1u}^2
                 q = Fraction(f * eu * (eu - 1), den[u] ** 2)
-                _accumulate(out, _mono_times(_mono_lower(m, iu, 2), r_var(h, u, u)), c * q)
+                _accumulate(out, _mono_mul(_mono_lower(m, iu, 2), ((r_var(h, u, u), 1),)), c * q)
             for iw, w, ew in hits[i + 1:]:  # 2 f r_{h;uw} d_{h;1u} d_{h;1w}, u < w
                 q = Fraction(2 * f * eu * ew, den[u] * den[w])
                 rest = _mono_lower(_mono_lower(m, iw), iu)
-                _accumulate(out, _mono_times(rest, r_var(h, u, w)), c * q)
+                _accumulate(out, _mono_mul(rest, ((r_var(h, u, w), 1),)), c * q)
     return MultiPoly(out, p.field)
 
 

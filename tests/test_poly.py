@@ -17,10 +17,10 @@ from hypothesis import strategies as st
 
 from siegelops.jets import JetPoly
 from siegelops.opgen import build_Q, opspec_from_text, opspec_to_text, symbolic_weight
-from siegelops.poly import (MultiPoly, FieldMismatch, _cleared, _minor_rows, _packed_lines,
-                            _packed_poly, _packing, _t_split, coeff_R, det_expand,
-                            index_set_N, index_set_Nprime, minor_coeff_R, minor_det_expand,
-                            r_var, t_var)
+from siegelops.poly import (MultiPoly, FieldMismatch, _cleared, _index_pairs, _minor_rows,
+                            _packed_lines, _packed_poly, _packing, _t_keyed, _t_split, coeff_R,
+                            det_expand, index_set_N, index_set_Nprime, minor_coeff_R, r_var,
+                            t_var)
 from siegelops.scalars import RatFunc, scalar_to_text
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -151,6 +151,29 @@ def test_sym_diff():
     assert V(r_var(2, 1, 2)).diff_sym(1, 1, 2).is_zero()
 
 
+def test_mul_var_is_the_product_with_the_variable():
+    """mul_var(v, e) is the product with v^e, on monomials with and without
+    v, and e = 0 gives an equal polynomial."""
+    v = r_var(1, 1, 2)
+    p = (V(r_var(1, 1, 1)) * V(v).scale(Fraction(3)) - V(t_var(2)) ** 2
+         + V(r_var(2, 2, 2)) * V(v) ** 2 + MultiPoly.const(5))
+    for e in (1, 2, 3):
+        assert p.mul_var(v, e) == p * V(v) ** e
+    assert p.mul_var(v, 0) == p
+
+
+def test_symmetric_entries_have_one_order():
+    """The entries (i, j), i <= j, row by row: the key entries of an
+    expansion and the r-variables of each block R_h of a packed key."""
+    from siegelops.qexp import QExp1, QExp2
+    assert _index_pairs(2) == [(1, 1), (1, 2), (2, 2)]
+    assert QExp2._layout.pairs == _index_pairs(2) and QExp1._layout.pairs == [(1, 1)]
+    names = _packing(3).names
+    for h in (1, 2, 3):
+        block = names[3 + 6 * (h - 1):3 + 6 * h]
+        assert block == [r_var(h, i, j) for i, j in _index_pairs(3)]
+
+
 def test_field_mismatch_raises():
     p = V(r_var(1, 1, 1))
     q = p.promote()
@@ -221,7 +244,7 @@ def test_t_split_matches_t_coefficient(g):
         assert coeff_R(g, n) == full.t_coefficient(n)
     for k in range(1, g + 1):
         for l in range(1, g + 1):
-            minor = minor_det_expand(g, k, l)
+            minor = _packed_poly(g, 1, _t_keyed(g, (k, l)))
             for n in index_set_Nprime(g):
                 assert minor_coeff_R(g, k, l, n) == minor.t_coefficient(n), (k, l, n)
 
@@ -378,11 +401,12 @@ def test_t_split_matches_the_per_key_reference(g):
 
 @pytest.mark.parametrize("g", [1, 2, 3, 4])
 def test_det_expands_decode_the_per_key_reference(g):
-    """det_expand and minor_det_expand, made from the split with each
+    """det_expand and the first minors, made from the split with each
     bucket's t-units added back, are the reference pass decoded."""
     assert det_expand(g) == _packed_poly(g, 1, _reference_leibniz(g, ()))
     for k, l in _MINORS[g][1:]:
-        assert minor_det_expand(g, k, l) == _packed_poly(g, 1, _reference_leibniz(g, (k, l)))
+        assert (_packed_poly(g, 1, _t_keyed(g, (k, l)))
+                == _packed_poly(g, 1, _reference_leibniz(g, (k, l))))
 
 
 @pytest.mark.parametrize("g", [1, 2, 3, 4])
@@ -615,7 +639,7 @@ def test_poly1_rejects_a_zero_coefficient(coeff):
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: minor_det_expand(2, 3, 1), r"^minor indices \(3,1\) out of range for g=2$"),
+    (lambda: minor_coeff_R(2, 3, 1, (1, 0)), r"^minor indices \(3,1\) out of range for g=2$"),
     (lambda: det_expand(0), "^genus must be >= 1$"),
     (lambda: minor_coeff_R(2, 1, 1, (1, 1)),
      r"^multi-index \(1, 1\) is not a composition of 1 into 2 parts$"),

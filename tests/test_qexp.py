@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from siegelops import qexp
 from siegelops.brackets import delta1_qexp, eis1_qexp, scalar_bracket_q
-from siegelops.jets import JetPoly, jet_det_partial
+from siegelops.jets import JetPoly, jet_det_partial, jet_diff
 from siegelops.qexp import (QExp1, QExp2, eval_jetpoly, product_balanced,
                             qexp1_from_text, qexp2_from_text, qexp_from_text)
 from siegelops.scalars import RatFunc
@@ -154,6 +154,19 @@ def test_eval_jetpoly_unbound_symbol():
     theta00 = theta_qexp(2, ThetaChar((0, 0), (0, 0)), 16)
     with pytest.raises(ValueError):
         eval_jetpoly(jet, {"F": theta00})
+
+
+def test_eval_jetpoly_takes_the_genus_of_the_symbols_it_uses(t2_48):
+    """A bound expansion that the jet does not use does not set the genus
+    (F_12 of T has weight 5 + 2/2 = 6 whatever else is bound), and the
+    expansions of the symbols it uses must share one genus."""
+    jet = jet_diff(JetPoly.symbol("F"), 1, 2)
+    genus1 = QExp1({(8,): 1}, 3, 48)
+    for bind in ({"G": genus1, "F": t2_48}, {"F": t2_48}):
+        assert eval_jetpoly(jet, bind).weight == 6
+    with pytest.raises(ValueError, match="^jet symbols bound to expansions of different "
+                                         "genera: F genus 2, G genus 1$"):
+        eval_jetpoly(jet * JetPoly.symbol("G"), {"G": genus1, "F": t2_48})
 
 
 def test_smf1_round_trip(t2_48):

@@ -674,6 +674,25 @@ def test_lattice_grid_is_built_once_and_read_only():
     assert sorted(map(tuple, n.tolist())) == sorted(itertools.product(range(-3, 4), repeat=2))
 
 
+def test_a_lattice_box_of_too_many_points_is_refused_before_its_grid(monkeypatch):
+    """Genus 7 at radius 5 (19,487,171 points) is refused by name before
+    _grid would allocate it; genus 6 at radius 5 (1,771,561) passes the cap
+    and reaches _grid."""
+    def no_grid(g, radius):
+        raise AssertionError(f"_grid({g}, {radius}) called")
+
+    def at_i(g):  # theta[0, 0] at tau = i times the identity
+        return theta_numeric(g, ThetaChar((0,) * g, (0,) * g),
+                             [[1j * (i == j) for j in range(g)] for i in range(g)])
+
+    monkeypatch.setattr(theta, "_grid", no_grid)
+    with pytest.raises(ValueError, match="^the genus-7 lattice box of radius 5 has 19487171 "
+                                         "points, more than 2000000$"):
+        at_i(7)
+    with pytest.raises(AssertionError, match=r"^_grid\(6, 5\) called$"):
+        at_i(6)
+
+
 def test_each_evaluation_checks_tau_once(monkeypatch):
     """A form evaluation, a theta value and a condition check run _as_matrix
     once (the condition check in its one lattice batch), and a transformation

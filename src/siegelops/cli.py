@@ -123,13 +123,13 @@ def _status(name: str, ok: bool, detail: str = "") -> int:
     return 0 if ok else 1
 
 
-def _check_operator(g: int, a) -> tuple:
-    """Build Q for (g, a) and check it by the coefficient identity and the
-    second-order verifier: (the spec, the number of failed checks)."""
-    spec = opgen.build_Q(g, a)
-    failures = _status(f"harmonic-condition g={g}", opgen.verify_harmonic_condition(g, a))
+def _check_operator(spec) -> int:
+    """Check a built Q by the coefficient identity and the second-order
+    verifier: the number of failed checks."""
+    g = spec.g
+    failures = _status(f"harmonic-condition g={g}", opgen.verify_harmonic_condition(g, spec.a))
     failures += _status(f"pluriharmonic g={g}", opgen.verify_pluriharmonic(spec))
-    return spec, failures
+    return failures
 
 
 def _operator_suite():
@@ -160,14 +160,18 @@ def _operator_suite():
 
 def cmd_opgen(args) -> int:
     a = _weight(args)
+    spec = opgen.build_Q(args.genus, a)  # refuses a bad genus or weight before the header
     print(f"# config: genus={args.genus} weight={_weight_text(a)}")
-    spec, failures = _check_operator(args.genus, a)
+    failures = _check_operator(spec)
     if args.oracle_x:
         k = 2 * a
         if args.symbolic:
             print("note: the substitution oracle needs a numeric weight; skipped")
         elif k.denominator != 1 or int(k) % 2:
             print("note: the substitution oracle needs an even integer 2a; skipped")
+        elif (nvars := args.genus * int(k) * args.genus) > opgen.ORACLE_MAX_VARS:
+            print(f"note: the substitution oracle takes at most {opgen.ORACLE_MAX_VARS} "
+                  f"variables, and genus {args.genus} at 2a = {k} needs {nvars}; skipped")
         else:
             failures += _status("matrix-space oracle",
                                 opgen.xspace_oracle(args.genus, int(k), spec.Q).is_zero())
@@ -346,11 +350,19 @@ def _setting(args, dest: str) -> str:
 
 def cmd_verify(args) -> int:
     what = args.what
+    # the input a check refuses is refused before its header
+    if what == "pluriharmonic":
+        spec = opgen.build_Q(args.genus, _weight(args))
+    elif what == "cond":  # each tau checked as the lattice sums check it
+        taus = [(t, _parse_tau(t, 2)) for t in ([args.tau] if args.tau
+                                                else ["diag:1.1,1.7", "diag:0.9,1.45"])]
+        for _, tau in taus:
+            theta._check_tau(theta._as_matrix(tau))
     print(f"# config: {' '.join(_setting(args, dest) for dest in args.settings) or '-'}")
     failures = 0
 
     if what == "pluriharmonic":
-        failures += _check_operator(args.genus, _weight(args))[1]
+        failures += _check_operator(spec)
 
     elif what == "suite":
         for name, ok in _operator_suite():
@@ -388,9 +400,7 @@ def cmd_verify(args) -> int:
                                         ok, f"rel {rep.rel_err:.2e}")
 
     elif what == "cond":
-        taus = [args.tau] if args.tau else ["diag:1.1,1.7", "diag:0.9,1.45"]
-        for spec_txt in taus:
-            tau = _parse_tau(spec_txt, 2)
+        for spec_txt, tau in taus:
             try:
                 rep = theta.check_condition_star(tau, args.tol_zero)
             except theta.OffLocus as exc:

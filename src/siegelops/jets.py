@@ -57,7 +57,7 @@ class JetPoly(_SparsePoly):
 
     @classmethod
     def symbol(cls, name: str, field: str = "Q") -> "JetPoly":
-        return cls({(jet_var(name),): _field_one(field)}, field)
+        return cls({(jet_var(name),): _field_one(field)})
 
     def symbols(self) -> set:
         return {v[0] for m in self.terms for v in m}
@@ -86,7 +86,7 @@ def jet_apply(q: MultiPoly, assignment: dict[int, str], g: int) -> JetPoly:
     missing = set(range(1, g + 1)) - set(assignment)
     if missing:
         raise ValueError(f"matrix indices {sorted(missing)} have no assigned symbol")
-    den, nums = _cleared(q.field, q.terms)
+    den, nums = _cleared(q.terms)
     sums: dict = {}
     for m, num in nums.items():
         per_slot: dict[int, list] = {}
@@ -106,7 +106,7 @@ def jet_apply(q: MultiPoly, assignment: dict[int, str], g: int) -> JetPoly:
     else:
         sums = {m: sum(parts) for m, parts in sums.items()}
     coeff = _coefficients(den)
-    return JetPoly._nonzero({m: coeff[s] for m, s in sums.items() if s}, q.field)
+    return JetPoly._nonzero({m: coeff[s] for m, s in sums.items() if s})
 
 
 def operator_jet(spec) -> JetPoly:
@@ -127,7 +127,7 @@ def jet_minor_det_partial(symbol: str, rows, cols, field: str = "Q") -> JetPoly:
     """det of the submatrix of (F_(ij)) with the given rows and columns."""
     one = _field_one(field)
     return _leibniz(rows, cols, lambda pairing: JetPoly._nonzero(
-        {_mono(jet_var(symbol, (p,)) for p in pairing): one}, field))
+        {_mono(jet_var(symbol, (p,)) for p in pairing): one}))
 
 
 def jet_det_operator(symbol: str, rows, cols, field: str = "Q") -> JetPoly:
@@ -139,7 +139,7 @@ def jet_det_operator(symbol: str, rows, cols, field: str = "Q") -> JetPoly:
     """
     one = _field_one(field)
     return _leibniz(rows, cols, lambda pairing: JetPoly._nonzero(
-        {(jet_var(symbol, pairing),): one}, field))
+        {(jet_var(symbol, pairing),): one}))
 
 
 def jet_mod_symbol(p: JetPoly, symbol: str) -> JetPoly:
@@ -148,7 +148,7 @@ def jet_mod_symbol(p: JetPoly, symbol: str) -> JetPoly:
     The result equals p on the zero locus of the function bound to symbol.
     """
     bare = jet_var(symbol)
-    return JetPoly({m: c for m, c in p.terms.items() if bare not in m}, p.field)
+    return JetPoly({m: c for m, c in p.terms.items() if bare not in m})
 
 
 def jet_diff(p: JetPoly, i: int, j: int) -> JetPoly:
@@ -167,7 +167,7 @@ def jet_diff(p: JetPoly, i: int, j: int) -> JetPoly:
             sym, derivs = m[idx]
             newvar = jet_var(sym, derivs + (pair,))
             _accumulate(out, _mono(m[:idx] + m[idx + 1:] + (newvar,)), c * mult)
-    return JetPoly(out, p.field)
+    return JetPoly(out)
 
 
 def diffresult_expand(g: int, n: tuple, symbol: str = "F") -> JetPoly:

@@ -94,6 +94,7 @@ from .scalars import (RatFunc, _horner, _int_from_text, _line_reader, _pmul, _un
                       frac_from_text, frac_to_text, scalar_to_text)
 
 SECOND_ORDER_FACTOR = 2
+ORACLE_MAX_VARS = 80  # the most substitution variables, g * k * g, xspace_oracle takes
 
 
 def symbolic_weight() -> RatFunc:
@@ -263,9 +264,9 @@ class _IntegerForm:
     def __init__(self, g: int, den, nums: dict, k, factor: int):
         self.g, self.factor = g, factor
         symbolic = isinstance(den, tuple)
-        self.field = "Qa" if symbolic or isinstance(k, RatFunc) else "Q"
+        self.symbolic = symbolic or isinstance(k, RatFunc)
         self.packing = _packing(g)
-        kd, kn = _cleared("Qa" if isinstance(k, RatFunc) else "Q", {0: k})
+        kd, kn = _cleared({0: k})
 
         def poly(x) -> tuple:  # an int as a constant polynomial
             return x if isinstance(x, tuple) else (x,)
@@ -332,7 +333,7 @@ class _IntegerForm:
         """A kernel residual divided back into the field of p and k; in Q(a)
         a value R(2^S) is read as R's balanced base-2^S digits."""
         nums = {key: v for key, v in residual.items() if v}
-        if self.field == "Q":
+        if not self.symbolic:
             return _packed_poly(self.g, self.den[0], nums)
         for key, v in nums.items():
             digits = dict(_unpack(v, self.s))
@@ -353,7 +354,7 @@ def apply_D11(g: int, h: int, p: MultiPoly, k,
     or k is there.
     """
     encode = _packing(g).encode
-    den, nums = _cleared(p.field, {encode(m): c for m, c in p.terms.items()})
+    den, nums = _cleared({encode(m): c for m, c in p.terms.items()})
     form = _IntegerForm(g, den, nums, k, second_order_factor)
     return form.to_poly(form.d11((h,)))
 
@@ -427,24 +428,24 @@ def xspace_oracle(g: int, k: int, p: MultiPoly) -> MultiPoly:
     if k <= 0 or k % 2:
         raise ValueError("k must be an even positive integer")
     nvars = g * k * g
-    if nvars > 80:
+    if nvars > ORACLE_MAX_VARS:
         raise ValueError(
             f"{nvars} substitution variables exceed desk scale; "
             "build the operator at a small numeric weight instead")
-    if p.field != "Q":
+    if any(isinstance(c, RatFunc) for c in p.terms.values()):
         raise ValueError("oracle needs numeric (Q) coefficients")
     mapping = {}
     for v in p.vars_used():
         if v[0] != "r":
             raise ValueError(f"oracle input mentions non-matrix variable {v}")
         _, h, u, w = v
-        acc = MultiPoly.zero("Q")
+        acc = MultiPoly.zero()
         for nu in range(1, k + 1):
             col = (h - 1) * k + nu
             acc = acc + MultiPoly.var(x_var(u, col)) * MultiPoly.var(x_var(w, col))
         mapping[v] = acc
     tilde = p.substitute(mapping)
-    out = MultiPoly.zero("Q")
+    out = MultiPoly.zero()
     for col in range(1, g * k + 1):
         out = out + tilde.diff_plain(x_var(1, col)).diff_plain(x_var(1, col))
     return out

@@ -8,8 +8,9 @@ Variables (VarId, a plain tuple):
 
 A monomial is a tuple of (VarId, exponent) pairs sorted by the global
 variable order (t's first, then matrix entries by (h,i,j), then x-entries);
-a polynomial is a dict mapping monomials to nonzero coefficients, plus a
-coefficient-field tag ("Q" for Fraction coefficients, "Qa" for RatFunc).
+a polynomial is a dict mapping monomials to nonzero coefficients, which
+say its field: it is in Q(a) when one of them is a RatFunc, and in Q when
+all are Fractions.
 The ring code on such dicts lives once, in the private base _SparsePoly:
 MultiPoly and the JetPoly of jets.py are its two subclasses and differ only
 in their monomial product and their own constructors and methods.
@@ -117,12 +118,8 @@ def _mono_lower(m: Mono, idx: int, e: int = 1) -> Mono:
     return m[:idx] + m[idx + 1:]
 
 
-class FieldMismatch(ValueError):
-    pass
-
-
 def _field_one(field: str):
-    """The unit coefficient of a field tag: 1 in Q or in Q(a)."""
+    """The unit coefficient of the field "Q" or "Qa": 1 in Q or in Q(a)."""
     return RatFunc(1) if field == "Qa" else Fraction(1)
 
 
@@ -130,12 +127,14 @@ class _SparsePoly:
     """A sparse dict polynomial over Q or Q(a): the ring code shared by
     MultiPoly and JetPoly.
 
-    terms maps monomials to nonzero coefficients, and field is the
-    coefficient-field tag.  A subclass supplies _mono_mul, the product of two
-    of its monomials.
+    terms maps monomials to nonzero coefficients, Fractions or RatFuncs.
+    The polynomial is in Q(a) when one of them is a RatFunc; a Fraction
+    beside it is the constant of Q(a) it equals, since the two types
+    coerce in every ring operation.  A subclass supplies _mono_mul, the
+    product of two of its monomials.
     """
 
-    __slots__ = ("terms", "field")
+    __slots__ = ("terms",)
 
     def __init_subclass__(cls):
         # The shared methods are entries of each subclass's own namespace, so a
@@ -145,28 +144,27 @@ class _SparsePoly:
                      "promote"):
             setattr(cls, name, vars(_SparsePoly)[name])
 
-    def __init__(self, terms: dict | None = None, field: str = "Q"):
+    def __init__(self, terms: dict | None = None):
         self.terms = {m: c for m, c in (terms or {}).items() if c}
-        self.field = field
 
     @classmethod
-    def _nonzero(cls, terms: dict, field: str):
+    def _nonzero(cls, terms: dict):
         """The polynomial of terms, taken as is: no coefficient may be zero."""
         out = cls.__new__(cls)
-        out.terms, out.field = terms, field
+        out.terms = terms
         return out
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, field: str = "Q"):
-        return cls({}, field)
+    def zero(cls):
+        return cls({})
 
     @classmethod
     def const(cls, c, field: str = "Q"):
         if not isinstance(c, RatFunc):
             c = RatFunc.const(c) if field == "Qa" else Fraction(c)
-        return cls({(): c} if c else {}, field)
+        return cls({(): c} if c else {})
 
     # -- predicates --------------------------------------------------------
 
@@ -184,52 +182,44 @@ class _SparsePoly:
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
-    def _check_field(self, other):
-        if self.field != other.field:
-            raise FieldMismatch(f"field tags differ: {self.field} vs {other.field}")
-
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
-        self._check_field(other)
         out = dict(self.terms)
         for m, c in other.terms.items():
             _accumulate(out, m, c)
-        return type(self)(out, self.field)
+        return type(self)(out)
 
     def __neg__(self):
-        return type(self)({m: -c for m, c in self.terms.items()}, self.field)
+        return type(self)({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        self._check_field(other)
         mono_mul = self._mono_mul
         out: dict = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 _accumulate(out, mono_mul(m1, m2), c1 * c2)
-        return type(self)(out, self.field)
+        return type(self)(out)
 
     def __pow__(self, n: int):
-        return _binpow(self, n) if n else self.const(1, self.field)
+        return _binpow(self, n) if n else self.const(1)
 
     def scale(self, c):
-        """Multiply by a scalar; promotes the field tag when c is a RatFunc."""
-        field = "Qa" if isinstance(c, RatFunc) else self.field
+        """Multiply by a scalar, a Fraction or a RatFunc."""
         if not c:
-            return self.zero(field)
-        return type(self)({m: c * cm for m, cm in self.terms.items()}, field)
+            return self.zero()
+        return type(self)({m: c * cm for m, cm in self.terms.items()})
 
     def promote(self):
-        """View a Q-polynomial as a Q(a)-polynomial."""
-        if self.field == "Qa":
-            return self
-        return type(self)({m: RatFunc(c) for m, c in self.terms.items()}, "Qa")
+        """The same polynomial with every coefficient a RatFunc: in Q(a)."""
+        return type(self)({m: c if isinstance(c, RatFunc) else RatFunc(c)
+                           for m, c in self.terms.items()})
 
     def __repr__(self):
-        return f"{type(self).__name__}({len(self.terms)} terms, field={self.field})"
+        return f"{type(self).__name__}({len(self.terms)} terms)"
 
 
 class MultiPoly(_SparsePoly):
@@ -241,7 +231,7 @@ class MultiPoly(_SparsePoly):
 
     @classmethod
     def var(cls, v: VarId, field: str = "Q") -> "MultiPoly":
-        return cls({((v, 1),): _field_one(field)}, field)
+        return cls({((v, 1),): _field_one(field)})
 
     # -- calculus and substitution ----------------------------------------
 
@@ -261,17 +251,17 @@ class MultiPoly(_SparsePoly):
                 if vm == v:
                     _accumulate(out, _mono_lower(m, idx), c * (e * factor))
                     break
-        return MultiPoly(out, self.field)
+        return MultiPoly(out)
 
     def mul_var(self, v: VarId, e: int = 1) -> "MultiPoly":
         mono = ((v, e),) if e else ()  # _mono_mul would keep a zero exponent
-        return MultiPoly({_mono_mul(m, mono): c for m, c in self.terms.items()}, self.field)
+        return MultiPoly({_mono_mul(m, mono): c for m, c in self.terms.items()})
 
     def substitute(self, mapping: dict) -> "MultiPoly":
         """Substitute some variables by polynomials (others are kept)."""
-        out = MultiPoly.zero(self.field)
+        out = MultiPoly.zero()
         for m, c in self.terms.items():
-            term = MultiPoly.const(c, self.field)
+            term = MultiPoly.const(c)
             for v, e in m:
                 if v in mapping:
                     term = term * mapping[v] ** e
@@ -297,10 +287,7 @@ class MultiPoly(_SparsePoly):
                     rest.append((v, e))
             if tuple(texp) == tuple(n):
                 out[tuple(rest)] = c
-        return MultiPoly(out, self.field)
-
-    def __repr__(self):
-        return f"MultiPoly({len(self.terms)} terms, field={self.field})"
+        return MultiPoly(out)
 
 
 # -- multi-indices ----------------------------------------------------------
@@ -487,13 +474,13 @@ def _packed_poly(g: int, den, nums: dict) -> MultiPoly:
     numerator becomes one coefficient object, shared by its terms.
     """
     coeffs = map(_coefficients(den).__getitem__, nums.values())
-    return MultiPoly._nonzero(dict(zip(_packing(g).decode(nums), coeffs)),
-                              "Qa" if isinstance(den, tuple) else "Q")
+    return MultiPoly._nonzero(dict(zip(_packing(g).decode(nums), coeffs)))
 
 
-def _cleared(field: str, terms: dict) -> tuple:
+def _cleared(terms: dict) -> tuple:
     """(den, nums) with nums[key] / den == terms[key]: the cleared form of
-    _packed_poly for coefficients of the field tagged field.
+    _packed_poly for the coefficients of terms, in Q(a) when one of them
+    is a RatFunc and in Q otherwise.
 
     In Q, den is the lcm of the coefficient denominators; in Q(a), the lcm L
     of the denominator polynomials, times the least integer that makes L
@@ -503,7 +490,7 @@ def _cleared(field: str, terms: dict) -> tuple:
     leading coefficient).  Each distinct coefficient object is cleared once.
     """
     distinct = {id(c): c for c in terms.values()}
-    if field == "Q":
+    if not any(isinstance(c, RatFunc) for c in distinct.values()):
         den = math.lcm(*(c.denominator for c in distinct.values()))
         ints = {i: c.numerator * (den // c.denominator) for i, c in distinct.items()}
     else:
@@ -571,12 +558,6 @@ def _t_split(g: int, minor: tuple) -> dict:
     return counts
 
 
-def _t_keyed(g: int, minor: tuple) -> dict:
-    """_t_split(g, minor) as packed key -> int, each bucket's t-block added back."""
-    return {key | t: c for n, bucket in _t_split(g, minor).items()
-            for t in [sum(e << 4 * i for i, e in enumerate(n))] for key, c in bucket.items()}
-
-
 @lru_cache(maxsize=None)
 def det_expand(g: int) -> MultiPoly:
     """det(t_1 R_1 + ... + t_g R_g) as a polynomial in all t_h and r_{h;ij}.
@@ -587,7 +568,9 @@ def det_expand(g: int) -> MultiPoly:
     """
     if g < 1:
         raise ValueError("genus must be >= 1")
-    return _packed_poly(g, 1, _t_keyed(g, ()))
+    return _packed_poly(g, 1, {key | t: c for n, bucket in _t_split(g, ()).items()
+                               for t in [sum(e << 4 * i for i, e in enumerate(n))]
+                               for key, c in bucket.items()})
 
 
 @lru_cache(maxsize=None)

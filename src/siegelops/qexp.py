@@ -353,7 +353,7 @@ class _Expansion:
                 raise ValueError(why)
             if type(c) is not int and not isinstance(c, Fraction):
                 raise TypeError(f"coefficient {c!r} is not an exact rational")
-        self._set(*_cleared("Q", terms), Fraction(weight), trunc, tau_factor, character)
+        self._set(*_cleared(terms), Fraction(weight), trunc, tau_factor, character)
 
     def _set(self, den, nums, weight, trunc, tau_factor, character):
         self._den, self._nums, self._terms, self._grouped = den, nums, None, None

@@ -10,8 +10,10 @@ from siegelops.brackets import (_det, _symmetric, delta1_qexp, eis1_qexp, eta_po
                                 scalar_bracket_jet, scalar_bracket_q, sigma_power_sum,
                                 vector_bracket_jet, vector_bracket_q)
 from siegelops.cli import main
-from siegelops.jets import JetPoly, jet_det_partial, jet_mod_symbol
+from siegelops.jets import JetPoly, jet_det_partial, jet_diff, jet_mod_symbol
+from siegelops.opgen import symbolic_weight
 from siegelops.qexp import qexp_from_text
+from siegelops.scalars import RatFunc
 from siegelops.theta import ThetaChar, theta_pow8_sum, theta_qexp, tnull_qexp
 
 K = JetPoly.symbol("k")
@@ -36,6 +38,21 @@ def test_antisymmetry_symbolic_weights():
     # in odd genus det(-M) = -det(M), so the scalar bracket is antisymmetric;
     # g = 3 is the first genus whose Leibniz terms include 3-cycles
     assert scalar_bracket_jet(G, H, F, K, 3) == -scalar_bracket_jet(F, K, G, H, 3)
+
+
+def test_a_formal_weight_is_a_coefficient_in_qa():
+    """With the weight a of Q(a) for F and 4 for G, each entry is
+    4 G dF - a F dG, a RatFunc beside a Fraction coefficient, and its
+    promote has every coefficient a RatFunc."""
+    a = symbolic_weight()
+    m = vector_bracket_jet("F", a, "G", 4, 2)
+    for i, j in ((1, 1), (1, 2), (2, 2)):
+        entry = m[i - 1][j - 1]
+        assert entry == ((G * jet_diff(F, i, j)).scale(Fraction(4))
+                         - (F * jet_diff(G, i, j)).scale(a))
+        promoted = entry.promote()
+        assert promoted == entry and len(promoted.terms) == 2
+        assert all(isinstance(c, RatFunc) for c in promoted.terms.values())
 
 
 def test_bilinearity_in_first_slot():

@@ -348,9 +348,32 @@ def test_apply_scales_the_jet_before_evaluating_it(tmp_path, capsys):
 
 
 def test_a_genus_above_5_exits_2_before_a_build(capsys):
+    """The refusal comes before the '# config:' header: stdout stays empty."""
     for argv in (["opgen", "--genus", "7", "--weight", "4"],
                  ["verify", "pluriharmonic", "--genus", "9", "--weight", "5"]):
-        assert run_cli_error(argv, capsys) == (2, "error: genus must be 2..5\n")
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", "error: genus must be 2..5\n")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["opgen", "--genus", "2", "--weight", "1/2"], "weight a=1/2 violates a >= g/2 = 1"),
+    (["verify", "pluriharmonic", "--genus", "2", "--weight", "1/3"],
+     "weight a=1/3 violates a >= g/2 = 1"),
+    (["verify", "cond", "--tau", "diag:1"],
+     "--tau 'diag:1' is not a 2 x 2 matrix, as genus 2 needs"),
+    (["verify", "cond", "--tau", "diag:nan,1"], "tau has a non-finite entry"),
+    (["verify", "cond", "--tau", "diag:1.1,-1"], "Im(tau) is not positive definite"),
+    (["verify", "cond", "--tau", "ASYMMETRIC"], "tau must be symmetric"),
+])
+def test_a_refused_weight_or_tau_prints_nothing_on_stdout(argv, message, tmp_path, capsys):
+    """opgen and verify refuse a weight below g/2, and verify cond a --tau of
+    the wrong size, not finite, not symmetric or with Im(tau) not positive
+    definite, before the '# config:' header: one error line, exit 2."""
+    if argv[-1] == "ASYMMETRIC":
+        argv[-1] = str(tmp_path / "asym.tau")
+        (tmp_path / "asym.tau").write_text("1,1 0,0.5\n0,0.2 1,1\n")
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def run_cli_error(args, capsys):
@@ -909,6 +932,21 @@ def test_exact_commands_never_load_dataclasses_or_inspect(exact_program_lines):
 def test_opgen_oracle_notes_a_weight_it_cannot_take(weight, note, capsys):
     code, out = run_cli(["opgen", "--genus", "2", *weight, "--oracle-x"], capsys)
     assert code == 0 and note in out and "matrix-space oracle" not in out
+
+
+def test_opgen_oracle_notes_a_size_it_cannot_take(tmp_path, capsys):
+    """Genus 4 at 2a = 6 needs 96 substitution variables, more than the
+    oracle takes: opgen notes the skip, exits 0 and writes the operator."""
+    from siegelops.opgen import build_Q, opspec_to_text
+    out_file = tmp_path / "q4.op"
+    code, out = run_cli(["opgen", "--genus", "4", "--weight", "3", "--oracle-x",
+                         "--out", str(out_file)], capsys)
+    assert code == 0 and "matrix-space oracle" not in out
+    assert out.splitlines()[1:] == [
+        "PASS  harmonic-condition g=4", "PASS  pluriharmonic g=4",
+        "note: the substitution oracle takes at most 80 variables, and genus 4 at 2a = 6 "
+        "needs 96; skipped", f"# wrote operator spec to {out_file}"]
+    assert out_file.read_text() == opspec_to_text(build_Q(4, Fraction(3)))
 
 
 def test_apply_and_form_refusals(tmp_path, capsys):

@@ -46,7 +46,8 @@ def test_det_partial_small_genera():
     assert jet_det_partial("F", 2) == expect2
     # the empty determinants: 1, and the operator of order 0, the bare symbol
     empty = jet_minor_det_partial("F", [], [], "Qa")
-    assert empty == JetPoly.const(1, "Qa") and empty.field == "Qa"
+    assert empty == JetPoly.const(1, "Qa") and empty.terms == {(): RatFunc(1)}
+    assert isinstance(empty.terms[()], RatFunc)
     assert jet_det_operator("F", [], []) == JetPoly.symbol("F")
 
 
@@ -97,13 +98,13 @@ def test_printed_genus3_operator(spec3_symbolic):
     a = symbolic_weight()
     got = jet_apply(spec3_symbolic.Q, all_F(3), 3)
     F = JetPoly.symbol("F", "Qa")
-    third = JetPoly.zero("Qa")
+    third = JetPoly.zero()
     for i in (1, 2, 3):
         for j in (1, 2, 3):
             rows = [v for v in (1, 2, 3) if v != i]
             cols = [v for v in (1, 2, 3) if v != j]
             piece = (jet_det_operator("F", rows, cols, "Qa")
-                     * JetPoly({(jet_var("F", ((i, j),)),): RatFunc(1)}, "Qa"))
+                     * JetPoly({(jet_var("F", ((i, j),)),): RatFunc(1)}))
             third = third + piece.scale(RatFunc((-1) ** (i + j)))
     expect = (jet_det_partial("F", 3, "Qa").scale(RatFunc(6))
               + (F * F * jet_det_operator("F", [1, 2, 3], [1, 2, 3], "Qa")).scale(
@@ -174,7 +175,7 @@ def _jet_apply_term_by_term(q, assignment, g):
         total = out.pop(mono, 0) + c
         if total:
             out[mono] = total
-    return JetPoly(out, q.field)
+    return JetPoly(out)
 
 
 def test_jet_apply_matches_the_term_by_term_sum_in_Qa():
@@ -194,16 +195,23 @@ def test_jet_apply_matches_the_term_by_term_sum_in_Qa():
          + (r(1, 1, 2) * r(2, 1, 1)).scale((a + 2) / (2 * a + 3))
          + (r(1, 1, 1) * r(2, 1, 2)).scale(Fraction(1, 3) / (a - 1))
          + r(2, 1, 2).scale(a * a / 7) + MultiPoly.const(Fraction(5, 2), "Qa"))
-    assert q.field == "Qa" and len(q.terms) == 6
+    assert all(isinstance(c, RatFunc) for c in q.terms.values()) and len(q.terms) == 6
     for assignment in ({1: "F", 2: "F"}, {1: "F", 2: "G"}):
         got = jet_apply(q, assignment, 2)
-        assert got == _jet_apply_term_by_term(q, assignment, 2) and got.field == "Qa"
+        assert got == _jet_apply_term_by_term(q, assignment, 2)
+        assert all(isinstance(c, RatFunc) for c in got.terms.values())
     both_F = jet_apply(q, all_F(2), 2)
     assert len(both_F.terms) == 3
     assert (jet_var("F", ((1, 1),)), jet_var("F", ((2, 2),))) not in both_F.terms
     assert both_F.terms[jet_var("F", ((1, 1),)), jet_var("F", ((1, 2),))] == \
         (a + 2) / (2 * a + 3) + Fraction(1, 3) / (a - 1)
     assert len(jet_apply(q, {1: "F", 2: "G"}, 2).terms) == 6
+    # a RatFunc constant times a variable is in Q(a), as the variable scaled by it is
+    const_a = MultiPoly.const(a) * MultiPoly.var(r_var(1, 1, 1))
+    got = jet_apply(const_a, all_F(2), 2)
+    assert got == jet_apply(MultiPoly.var(r_var(1, 1, 1)).scale(a), all_F(2), 2)
+    assert got.terms == {(jet_var("F"), jet_var("F", ((1, 1),))): a}
+    assert isinstance(got.terms[jet_var("F"), jet_var("F", ((1, 1),))], RatFunc)
 
 
 def test_jet_apply_matches_the_term_by_term_sum_in_Q():
@@ -211,7 +219,8 @@ def test_jet_apply_matches_the_term_by_term_sum_in_Q():
          + coeff_R(2, (0, 2)))
     for assignment in ({1: "F", 2: "F"}, {1: "F", 2: "G"}):
         got = jet_apply(q, assignment, 2)
-        assert got == _jet_apply_term_by_term(q, assignment, 2) and got.field == "Q"
+        assert got == _jet_apply_term_by_term(q, assignment, 2)
+        assert all(isinstance(c, Fraction) for c in got.terms.values())
     assert jet_apply(q - q, all_F(2), 2).is_zero()
 
 

@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 
 from siegelops.jets import JetPoly
 from siegelops.opgen import build_Q, opspec_from_text, opspec_to_text, symbolic_weight
-from siegelops.poly import (MultiPoly, FieldMismatch, _cleared, _index_pairs, _minor_rows,
-                            _packed_lines, _packed_poly, _packing, _t_keyed, _t_split, coeff_R,
+from siegelops.poly import (MultiPoly, _cleared, _index_pairs, _minor_rows,
+                            _packed_lines, _packed_poly, _packing, _t_split, coeff_R,
                             det_expand, index_set_N, index_set_Nprime, minor_coeff_R, r_var,
                             t_var)
 from siegelops.scalars import RatFunc, scalar_to_text
@@ -174,14 +174,29 @@ def test_symmetric_entries_have_one_order():
         assert block == [r_var(h, i, j) for i, j in _index_pairs(3)]
 
 
-def test_field_mismatch_raises():
-    p = V(r_var(1, 1, 1))
-    q = p.promote()
-    with pytest.raises(FieldMismatch):
-        _ = p + q
+def test_mixed_sums_and_products_are_in_qa():
+    """A sum or product of a Q and a Q(a) polynomial, either way round, is
+    the same operation on the promoted Q operand: each coefficient it makes
+    from a RatFunc is a RatFunc.  A RatFunc constant times a variable is the
+    variable scaled by it, and promotes to it."""
+    a = symbolic_weight()
+    p = V(r_var(1, 1, 1)).scale(Fraction(3)) + MultiPoly.const(Fraction(1, 2))
+    q = V(r_var(1, 1, 1)).scale(a) + MultiPoly.var(r_var(1, 2, 2), "Qa")
+    r111, r122 = ((r_var(1, 1, 1), 1),), ((r_var(1, 2, 2), 1),)
+    for total in (p + q, q + p):
+        assert total == p.promote() + q
+        assert total.terms[r111] == 3 + a and isinstance(total.terms[r111], RatFunc)
+        assert isinstance(total.terms[r122], RatFunc) and total.terms[()] == Fraction(1, 2)
+        assert all(isinstance(c, RatFunc) for c in total.promote().terms.values())
+    for product in (p * q, q * p):
+        assert product == p.promote() * q and len(product.terms) == 4
+        assert all(isinstance(c, RatFunc) for c in product.terms.values())
     jet = JetPoly.symbol("F")
-    with pytest.raises(FieldMismatch):
-        _ = jet * jet.promote()
+    assert jet * jet.promote() == (jet * jet).promote()
+    assert all(isinstance(c, RatFunc) for c in (jet * jet.promote()).terms.values())
+    const_a = MultiPoly.const(a) * V(r_var(1, 1, 1))
+    assert const_a == V(r_var(1, 1, 1)).scale(a) == const_a.promote()
+    assert const_a.promote().terms == {r111: a}
 
 
 def test_qa_constant_has_a_ratfunc_coefficient():
@@ -194,13 +209,23 @@ def test_qa_constant_has_a_ratfunc_coefficient():
 
 def test_poly1_round_trip():
     """A polynomial goes to its cleared packed form and back unchanged, and
-    the POLY1 text of that form is the reference writer's text of it."""
+    the POLY1 text of that form is the reference writer's text of it.  The
+    form is in Q with all-Fraction coefficients and in Q(a) with a RatFunc
+    among them: with RatFunc and Fraction coefficients side by side, it is
+    the form of the polynomial promoted."""
     p = (V(r_var(1, 1, 2)) * V(r_var(2, 2, 2)).scale(Fraction(-3, 7))
          + V(r_var(1, 1, 1)) ** 3 + MultiPoly.const(Fraction(5, 2)))
-    for q in (p, p.promote()):
-        encode = _packing(2).encode
-        assert _packed_poly(2, *_cleared(q.field, {encode(m): c for m, c in q.terms.items()})) == q
-        assert _write(q) == poly_to_text(q, 2)
+    mixed = MultiPoly({m: RatFunc(c) if i % 2 else c for i, (m, c) in enumerate(p.terms.items())})
+    encode = _packing(2).encode
+
+    def cleared(q):
+        return _cleared({encode(m): c for m, c in q.terms.items()})
+
+    assert isinstance(cleared(p)[0], int) and cleared(p)[0] == 14
+    assert cleared(p.promote()) == cleared(mixed) and cleared(mixed)[0] == (14,)
+    for q in (p, p.promote(), mixed):
+        assert _packed_poly(2, *cleared(q)) == q
+        assert _write(q) == poly_to_text(q.promote() if q is mixed else q, 2)
 
 
 _vars = [r_var(1, 1, 1), r_var(1, 1, 2), r_var(2, 2, 2), t_var(1)]
@@ -244,7 +269,7 @@ def test_t_split_matches_t_coefficient(g):
         assert coeff_R(g, n) == full.t_coefficient(n)
     for k in range(1, g + 1):
         for l in range(1, g + 1):
-            minor = _packed_poly(g, 1, _t_keyed(g, (k, l)))
+            minor = _packed_poly(g, 1, _reference_leibniz(g, (k, l)))
             for n in index_set_Nprime(g):
                 assert minor_coeff_R(g, k, l, n) == minor.t_coefficient(n), (k, l, n)
 
@@ -265,7 +290,7 @@ def _packed_to_text(g, den, nums):
 def _write(p, g=2):
     """The POLY1 text of a genus-g MultiPoly, packed and cleared first."""
     encode = _packing(g).encode
-    return _packed_to_text(g, *_cleared(p.field, {encode(m): c for m, c in p.terms.items()}))
+    return _packed_to_text(g, *_cleared({encode(m): c for m, c in p.terms.items()}))
 
 
 def _opspec_lines(symbolic=False):
@@ -401,12 +426,14 @@ def test_t_split_matches_the_per_key_reference(g):
 
 @pytest.mark.parametrize("g", [1, 2, 3, 4])
 def test_det_expands_decode_the_per_key_reference(g):
-    """det_expand and the first minors, made from the split with each
-    bucket's t-units added back, are the reference pass decoded."""
+    """det_expand, made from the split with each bucket's t-units added
+    back, is the reference pass decoded; each first-minor coefficient is
+    the reference pass's bucket of its t-units, decoded."""
     assert det_expand(g) == _packed_poly(g, 1, _reference_leibniz(g, ()))
     for k, l in _MINORS[g][1:]:
-        assert (_packed_poly(g, 1, _t_keyed(g, (k, l)))
-                == _packed_poly(g, 1, _reference_leibniz(g, (k, l))))
+        reference = _reference_split(g, (k, l))
+        for n in index_set_Nprime(g):
+            assert minor_coeff_R(g, k, l, n) == _packed_poly(g, 1, reference.get(n, {}))
 
 
 @pytest.mark.parametrize("g", [1, 2, 3, 4])
@@ -467,7 +494,8 @@ def poly_to_text(p, g) -> str:
     """An independent POLY1 writer on decoded monomials, each rendered on its
     own with its variables in the variable order (t_h by h, then r_{h;ij} by
     (h, i, j)); the terms sorted by their packed genus-g keys."""
-    lines = [f"POLY1 field={p.field} terms={len(p.terms)}"]
+    field = "Qa" if any(isinstance(c, RatFunc) for c in p.terms.values()) else "Q"
+    lines = [f"POLY1 field={field} terms={len(p.terms)}"]
     for m in sorted(p.terms, key=_packing(g).encode):
         body = " ".join(f"{_var_text(v)}^{e}" for v, e in m)
         lines.append(f"{scalar_to_text(p.terms[m])} | {body}")

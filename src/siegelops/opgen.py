@@ -44,9 +44,9 @@ a = p/q (q^(g-1) C(m) is an integer) and integer polynomials in a in Q(a)
 (C(m) is an integer polynomial in k = 2a).  Each C(m) is computed once,
 the numerators of B(n) are multiplied by it in one pass, and the form is
 divided by the integer content.  spec.Q decodes a MultiPoly on first
-access.  The OPSPEC1 writer works on the packed keys directly.  A file is
-a function of its genus and weight, so the reader builds build_Q(g, a)
-again and compares the writer's lines with the text.
+access.  The OPSPEC1 writer works on the packed keys directly, with one
+join for the POLY1 block.  A file is a function of its genus and weight,
+so the reader builds build_Q(g, a) again and compares its text with one ==.
 
 Integer proof.  verify_pluriharmonic runs on integers, in one kernel shared
 with apply_D11, which packs and clears its MultiPoly argument first.  Let
@@ -81,13 +81,12 @@ evaluation changes nothing.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import Counter, defaultdict
 from fractions import Fraction
 from functools import cached_property
 
-from .poly import (MultiPoly, _cleared, _nibble_sum, _packed_lines, _packed_poly, _packing,
+from .poly import (MultiPoly, _cleared, _nibble_sum, _packed_poly, _packed_text, _packing,
                    _t_split, coeff_R, index_set_N, index_set_Nprime, minor_coeff_R, r_var,
                    x_var)
 from .scalars import (RatFunc, _horner, _int_from_text, _line_reader, _pmul, _unpack,
@@ -455,21 +454,20 @@ def xspace_oracle(g: int, k: int, p: MultiPoly) -> MultiPoly:
 
 NORMALIZATION_LINE = "normalization second-order-factor=2 leading-coefficient=1"
 
-def _opspec_lines(spec: OperatorSpec):
-    """The lines of the OPSPEC1 file of spec, without their newlines."""
-    yield "OPSPEC1"
-    yield f"genus {spec.g}"
-    yield f"mode {'symbolic' if spec.symbolic else 'numeric'}"
-    yield f"a {'a' if spec.symbolic else frac_to_text(spec.a)}"
-    yield NORMALIZATION_LINE
-    yield f"coeffs {len(spec.coeffs)}"
-    for n in sorted(spec.coeffs):
-        yield f"n={','.join(map(str, n))} | {scalar_to_text(spec.coeffs[n])}"
-    yield from _packed_lines(spec.g, spec.den, spec.nums)
+def _opspec_text(spec: OperatorSpec) -> str:
+    """The OPSPEC1 file of spec: its header and coefficient lines, then the
+    POLY1 block of its cleared form, each line ended by a newline."""
+    head = ["OPSPEC1", f"genus {spec.g}", f"mode {'symbolic' if spec.symbolic else 'numeric'}",
+            f"a {'a' if spec.symbolic else frac_to_text(spec.a)}", NORMALIZATION_LINE,
+            f"coeffs {len(spec.coeffs)}"]
+    head += [f"n={','.join(map(str, n))} | {scalar_to_text(spec.coeffs[n])}"
+             for n in sorted(spec.coeffs)]
+    return "\n".join(head) + "\n" + _packed_text(spec.g, spec.den, spec.nums)
 
 
 def opspec_to_text(spec: OperatorSpec) -> str:
-    return "\n".join(_opspec_lines(spec)) + "\n"
+    """The OPSPEC1 file of spec: the text the reader compares a file with."""
+    return _opspec_text(spec)
 
 
 def _found(text: str, pos: int) -> str:
@@ -483,24 +481,21 @@ def _found(text: str, pos: int) -> str:
     return shown if end >= 0 else f"{shown} with no newline"
 
 
-def _match_lines(text: str, lines) -> None:
-    """Check that text is lines, each ended by a newline, and nothing more.
-    The lines are compared in place at a running offset, a batch of 1024
-    joined at a time, so no second text and no list of the lines of text
-    is made.  The first line that differs raises ValueError naming it, the
-    line expected and the line found."""
-    pos, idx, lines = 0, 1, iter(lines)  # idx: the number of the next line
-    while batch := list(itertools.islice(lines, 1024)):
-        chunk = "\n".join(batch) + "\n"
-        if not text.startswith(chunk, pos):
-            for want in batch:  # the first line that differs
-                if not text.startswith(want + "\n", pos):
-                    raise ValueError(f"OPSPEC1 line {idx}: expected {want!r}, "
-                                     f"found {_found(text, pos)}")
-                pos, idx = pos + len(want) + 1, idx + 1
-        pos, idx = pos + len(chunk), idx + len(batch)
-    if pos < len(text):
-        raise ValueError(f"OPSPEC1 line {idx}: expected end of file, found {_found(text, pos)}")
+def _first_difference(text: str, want: str) -> str:
+    """The reader's message for a text that is not the file want: the first
+    line where they part, found by a binary search that compares each stretch
+    once, the line expected (or the end of file) and the line found."""
+    lo, hi = 0, min(len(text), len(want))
+    while lo < hi:  # text[:lo] == want[:lo], and they part at or before hi
+        mid = (lo + hi + 1) // 2
+        if text.startswith(want[lo:mid], lo):
+            lo = mid
+        else:
+            hi = mid - 1
+    pos = want.rfind("\n", 0, lo) + 1  # the start of the line where they part
+    line, end = want.count("\n", 0, pos) + 1, want.find("\n", pos)
+    expected = "end of file" if end < 0 else repr(want[pos:end])
+    return f"OPSPEC1 line {line}: expected {expected}, found {_found(text, pos)}"
 
 
 def opspec_from_text(text: str) -> OperatorSpec:
@@ -508,10 +503,11 @@ def opspec_from_text(text: str) -> OperatorSpec:
 
     The file is a function of its genus and weight, so the reader takes
     those from lines 2-4, builds build_Q(g, a), and checks that the text is
-    the writer's lines for that spec, byte for byte (_match_lines).  A
-    genus outside 2.._MAX_GENUS, a mode other than symbolic and
-    numeric, and a weight that frac_from_text refuses or that violates
-    a >= g/2 are errors at their line, found before anything is built."""
+    the writer's text for that spec, byte for byte; _first_difference names
+    the line where they part.  A genus outside 2.._MAX_GENUS, a mode other
+    than symbolic and numeric, and a weight that frac_from_text refuses or
+    that violates a >= g/2 are errors at their line, found before anything
+    is built."""
     if not text.startswith("OPSPEC1\n"):
         raise ValueError(f"OPSPEC1 line 1: expected 'OPSPEC1', found {_found(text, 0)}")
     end = -1
@@ -537,5 +533,6 @@ def opspec_from_text(text: str) -> OperatorSpec:
             fail(3, f"weight a={frac_to_text(a)} violates a >= g/2 = "
                     f"{frac_to_text(Fraction(g, 2))}")
     spec = build_Q(g, a)
-    _match_lines(text, _opspec_lines(spec))
+    if text != (want := _opspec_text(spec)):
+        raise ValueError(_first_difference(text, want))
     return spec

@@ -42,12 +42,13 @@ encoder, and the POLY1 text of packed keys.
 The operator Q of opgen.py and its integer D_{h;11} kernel use the same
 keys, as a cleared form: one denominator over integer numerators
 (_packed_poly and _cleared convert between such a form and a MultiPoly).
-POLY1, the body of an OPSPEC1 file, has one writer, _packed_lines, on that
+POLY1, the body of an OPSPEC1 file, has one writer, _packed_text, on that
 form, and no reader of its own: an OPSPEC1 file is a function of its genus
-and weight, and opgen.opspec_from_text reads one by building its operator
-and comparing the writer's lines with the text.  The writer puts the terms
+and weight, and opgen.opspec_from_text reads one by building its operator,
+writing its text again and comparing the two.  The writer puts the terms
 in increasing order of their keys, the order of the ints themselves
-(exponent vectors compared from the last variable r_{g;gg} down).
+(exponent vectors compared from the last variable r_{g;gg} down), and
+makes the block as one text by one join, with no string per line.
 
 Decoding is lazy: det_expand, coeff_R and minor_coeff_R decode packed
 keys to Monos only when called (the genus <= 4 callers of jets.py and the
@@ -359,8 +360,8 @@ class _Packing:
     nibble of v, for every t_h and r_{h;ij} (i <= j) of genus g.  A key is
     cut at a block boundary into two halves:
     the low half key & low holds the t-block and R_1 .. R_{g//2}, the high
-    half key >> cut the other blocks.  term_lines writes keys in the order
-    of the ints.  decode and term_lines look a key up by its two halves, in C-level maps, and build each distinct half once
+    half key >> cut the other blocks.  decode and term_text look a key up
+    by its two halves, in C-level maps, and build each distinct half once
     per call from per-block memos (the t's, then one block per R_h) of the
     decoded pairs and the POLY1 text, which see few distinct values and
     persist.  At g = 5 the 111,275 keys of Q have 6,167 distinct low and
@@ -411,29 +412,28 @@ class _Packing:
             out += memo[bits >> shift & mask]
         return out
 
-    def _halves(self, memos: tuple, empty, keys) -> map:
-        """Per key (keys is iterated twice), its low half's entry followed by
-        its high half's: two lookups in C-level maps, each distinct half
-        built once per call from the per-block memos of memos."""
-        low, high = (_Memo(partial(self._join, blocks, empty)) for blocks in memos)
+    def decode(self, keys) -> map:
+        """The Mono of each key (keys is iterated twice), whose exponents are
+        its nibbles: its low half's pairs followed by its high half's, each
+        distinct half built once per call from the per-block memos."""
+        low, high = (_Memo(partial(self._join, blocks, ())) for blocks in self._monos)
         return map(operator.add, map(low.__getitem__, map(self.low.__and__, keys)),
                    map(high.__getitem__, map(self.cut.__rrshift__, keys)))
 
-    def decode(self, keys) -> map:
-        """The Mono of each key (keys is iterated twice), whose exponents are
-        its nibbles."""
-        return self._halves(self._monos, (), keys)
-
-    def term_lines(self, terms: dict, coeff) -> list:
+    def term_text(self, terms: dict, coeff) -> str:
         """The POLY1 term lines 'c | var^e var^e ...' of terms (packed key ->
-        value), c = coeff(value), in increasing order of the key: exponent
-        vectors compared from the last variable down."""
+        value) in increasing order of the key (exponent vectors compared from
+        the last variable down), as one join of four pieces per key: 'c |' =
+        coeff(value), its low half's text, its high half's and a newline."""
         keys = sorted(terms)
-        lines = list(map("{} |{}".format, map(coeff, map(terms.__getitem__, keys)),
-                         self._halves(self._texts, "", keys)))
+        low, high = (_Memo(partial(self._join, blocks, "")) for blocks in self._texts)
+        parts = ["\n"] * (4 * len(keys))
+        parts[0::4] = map(coeff, map(terms.__getitem__, keys))
+        parts[1::4] = map(low.__getitem__, map(self.low.__and__, keys))
+        parts[2::4] = map(high.__getitem__, map(self.cut.__rrshift__, keys))
         if keys and not keys[0]:  # the constant monomial, the least key, is written 'c | '
-            lines[0] += " "
-        return lines
+            parts[1] = " "
+        return "".join(parts)
 
     def encode(self, mono: Mono) -> int:
         """The packed key of mono, the inverse of decode."""
@@ -595,10 +595,10 @@ def _var_to_text(v: VarId) -> str:
     return f"t[{v[1]}]" if v[0] == "t" else f"r[{v[1]};{v[2]},{v[3]}]"
 
 
-def _packed_lines(g: int, den, nums: dict) -> list:
-    """The lines of the POLY1 block of the cleared packed form (den, nums)
-    of _packed_poly, without their newlines: header line, then the term
-    lines of _Packing.term_lines, each distinct numerator formatted once."""
-    coeff = _Memo(lambda num: scalar_to_text(_coefficient(num, den)))
-    return [f"POLY1 field={'Qa' if isinstance(den, tuple) else 'Q'} terms={len(nums)}",
-            *_packing(g).term_lines(nums, coeff.__getitem__)]
+def _packed_text(g: int, den, nums: dict) -> str:
+    """The POLY1 block of the cleared packed form (den, nums) of
+    _packed_poly: its header line, then the term lines of
+    _Packing.term_text, each distinct numerator formatted once."""
+    coeff = _Memo(lambda num: scalar_to_text(_coefficient(num, den)) + " |")
+    return (f"POLY1 field={'Qa' if isinstance(den, tuple) else 'Q'} terms={len(nums)}\n"
+            + _packing(g).term_text(nums, coeff.__getitem__))

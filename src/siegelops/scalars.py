@@ -303,8 +303,8 @@ class RatFunc:
             return NotImplemented
         return self.num == o.num and self.den == o.den
 
-    def __hash__(self):
-        return hash((self.num, self.den))
+    def __hash__(self):  # a constant, zero included, hashes as the Fraction it equals
+        return hash((self.num or (0,))[0] if self.is_constant() else (self.num, self.den))
 
     def eval_at(self, a0) -> Fraction:
         """Exact value at a = a0; raises PoleError at denominator roots."""

@@ -413,6 +413,9 @@ def test_opspec_round_trip(spec2_symbolic):
     (3, Fraction(2), 4199, "deeba8564701d4be1480412254a974d780bdf6957677f23f039397c39e60f158"),
     (4, Fraction(7, 3), 142498,
      "3f686c343d7a7b181c37b374bbcca4ecc748471b6686bbde323ee839ffe85f84"),
+    (5, Fraction(7, 2), 6832536,
+     "4a6be9a320eb88ecb982b58eb604edf51011d3bd0eefbafd4eb74bdb2388c27e"),
+    (5, A, 9039691, "9ed4385f22ae7cdd1f853981602edf70141e9c61940321162528292b67baac3c"),
 ])
 def test_opspec_bytes_are_pinned(g, a, size, digest):
     """The operator files of build_Q at these genera and weights, byte for
@@ -476,6 +479,27 @@ def test_opspec_rejects_wrong_coefficient_count():
     assert lines[5:8] == ["coeffs 3", "n=0,2 | -10/9", "n=1,1 | 1"]
     assert _error(lines[:6] + lines[7:]) == _differs(7, lines[6], lines[7])
     assert _error(lines[:5] + ["coeffs 4"] + lines[6:]) == _differs(6, "coeffs 3", "coeffs 4")
+
+
+def test_opspec_messages_at_genus_5():
+    """The reader names the first line of a genus-5 file that differs, in
+    the words it has always used: the last term line changed, the final
+    newline cut, a line after the end and a line dropped in the middle."""
+    text = opspec_to_text(build_Q(5, Fraction(3)))
+    lines = text.splitlines()
+    last = "324/5 | r[5;1,1]^1 r[5;2,2]^1 r[5;3,3]^1 r[5;4,4]^1 r[5;5,5]^1"
+    assert len(lines) == 111358 and lines[-1] == last
+    changed = last.replace("324/5", "324/7")
+    assert _error(lines[:-1] + [changed]) == _differs(111358, last, changed)
+    with pytest.raises(ValueError) as err:
+        opspec_from_text(text[:-1])
+    assert str(err.value) == f"{_differs(111358, last, last)} with no newline"
+    assert _error(lines + ["extra"]) == "OPSPEC1 line 111359: expected end of file, found 'extra'"
+    mid = len(lines) // 2
+    assert lines[mid:mid + 2] == [
+        "3/5 | r[1;4,4]^1 r[2;3,5]^1 r[3;3,5]^1 r[5;1,1]^1 r[5;2,2]^1",
+        "3/5 | r[1;3,5]^1 r[2;4,4]^1 r[3;3,5]^1 r[5;1,1]^1 r[5;2,2]^1"]
+    assert _error(lines[:mid] + lines[mid + 1:]) == _differs(55680, lines[mid], lines[mid + 1])
 
 
 def test_opspec_rejects_a_zero_in_the_coefficient_table():

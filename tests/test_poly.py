@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from siegelops.jets import JetPoly
 from siegelops.opgen import build_Q, opspec_from_text, opspec_to_text, symbolic_weight
 from siegelops.poly import (MultiPoly, _cleared, _index_pairs, _minor_rows,
-                            _packed_lines, _packed_poly, _packing, _t_split, coeff_R,
+                            _packed_poly, _packed_text, _packing, _t_split, coeff_R,
                             det_expand, index_set_N, index_set_Nprime, minor_coeff_R, r_var,
                             t_var)
 from siegelops.scalars import RatFunc, scalar_to_text
@@ -197,6 +197,9 @@ def test_mixed_sums_and_products_are_in_qa():
     const_a = MultiPoly.const(a) * V(r_var(1, 1, 1))
     assert const_a == V(r_var(1, 1, 1)).scale(a) == const_a.promote()
     assert const_a.promote().terms == {r111: a}
+    # a polynomial and its promote are equal, so they hash alike
+    assert len({p, p.promote()}) == 1
+    assert len({V(r_var(1, 1, 1)), V(r_var(1, 1, 1)).promote()}) == 1
 
 
 def test_qa_constant_has_a_ratfunc_coefficient():
@@ -283,14 +286,10 @@ def test_t_split_matches_t_coefficient(g):
 # line found.
 
 
-def _packed_to_text(g, den, nums):
-    return "\n".join(_packed_lines(g, den, nums)) + "\n"
-
-
 def _write(p, g=2):
     """The POLY1 text of a genus-g MultiPoly, packed and cleared first."""
     encode = _packing(g).encode
-    return _packed_to_text(g, *_cleared({encode(m): c for m, c in p.terms.items()}))
+    return _packed_text(g, *_cleared({encode(m): c for m, c in p.terms.items()}))
 
 
 def _opspec_lines(symbolic=False):
@@ -525,7 +524,7 @@ def test_packed_text_is_poly_to_text_of_the_decoded_form(g):
     polys = {key: (rng.randint(-4, 4), rng.choice([-1, 1])) for key in keys}
     for den, form in ((6, nums), ((-1, 0, 2), polys)):
         p = _packed_poly(g, den, form)
-        assert _packed_to_text(g, den, form) == poly_to_text(p, g)
+        assert _packed_text(g, den, form) == poly_to_text(p, g)
 
 
 @pytest.mark.parametrize("g", [2, 3, 4, 5])
@@ -539,7 +538,7 @@ def test_packed_writer_writes_the_keys_in_increasing_order(g):
     keys = set(_random_keys(rng, g, 300) + _shared_half_keys(rng, g, 8) + [0])
     for den, form in ((6, {key: rng.choice([-3, 1, 5]) for key in keys}),
                       ((1, 1), {key: (rng.choice([-2, 1]), 1) for key in keys})):
-        lines = _packed_to_text(g, den, form).splitlines()[1:]
+        lines = _packed_text(g, den, form).splitlines()[1:]
         coeff, _, rest = lines[0].partition(" | ")
         assert rest == "" and lines[0] == f"{coeff} | "
         read = [packing.encode([(names[name], int(e)) for name, _, e in

@@ -49,6 +49,16 @@ def test_monic_denominator():
     assert f.den[-1] == 1
 
 
+def test_a_constant_hashes_as_the_fraction_it_equals():
+    """A constant of Q(a), zero included, equals its Fraction and so hashes
+    as it: a set or dict holds the two as one."""
+    for c in (0, 1, -3, Fraction(7, 2)):
+        assert RatFunc(c) == Fraction(c) and hash(RatFunc(c)) == hash(Fraction(c))
+        assert len({Fraction(c), RatFunc(c)}) == 1
+    x = RatFunc((2, 4), (4,))  # 1/2 + a, built another way
+    assert x == Fraction(1, 2) + A and len({x, Fraction(1, 2) + A}) == 1
+
+
 small_fracs = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
 

@@ -30,7 +30,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from .poly import MultiPoly, _cleared, _coefficients, _field_one, _leibniz, _SparsePoly
+from .poly import MultiPoly, _cleared, _coefficients, _leibniz, _SparsePoly
 from .scalars import _accumulate, _ptrim
 
 JetVar = tuple  # (symbol: str, derivs: tuple[(i, j), ...])
@@ -56,8 +56,8 @@ class JetPoly(_SparsePoly):
         return _mono(m1 + m2)
 
     @classmethod
-    def symbol(cls, name: str, field: str = "Q") -> "JetPoly":
-        return cls({(jet_var(name),): _field_one(field)})
+    def symbol(cls, name: str) -> "JetPoly":
+        return cls({(jet_var(name),): Fraction(1)})
 
     def symbols(self) -> set:
         return {v[0] for m in self.terms for v in m}
@@ -83,20 +83,20 @@ def jet_apply(q: MultiPoly, assignment: dict[int, str], g: int) -> JetPoly:
     as integers, and each distinct nonzero sum becomes one coefficient
     through poly._coefficient, so no field operation runs per term.
     """
-    missing = set(range(1, g + 1)) - set(assignment)
-    if missing:
+    slots = set(range(1, g + 1))
+    if missing := slots - set(assignment):
         raise ValueError(f"matrix indices {sorted(missing)} have no assigned symbol")
     den, nums = _cleared(q.terms)
+    variables = {v for m in nums for v, _ in m}
+    if other := [v for v in variables if v[0] != "r"]:
+        raise ValueError(f"operator polynomial mentions non-matrix variable {min(other)}")
+    if unknown := {k for v in variables for k in v[1:]} - slots:  # h, i, j of each r_{h;ij}
+        raise ValueError(f"matrix indices {sorted(unknown)} exceed genus {g}")
     sums: dict = {}
     for m, num in nums.items():
         per_slot: dict[int, list] = {}
         for v, e in m:
-            if v[0] != "r":
-                raise ValueError(f"operator polynomial mentions non-matrix variable {v}")
             per_slot.setdefault(v[1], []).extend([(v[2], v[3])] * e)
-        unknown = set(per_slot) - set(range(1, g + 1))
-        if unknown:
-            raise ValueError(f"matrix indices {sorted(unknown)} exceed genus {g}")
         mono = _mono(jet_var(assignment[h], per_slot.get(h, ()))
                      for h in range(1, g + 1))
         sums.setdefault(mono, []).append(num)
@@ -119,27 +119,26 @@ def operator_jet(spec) -> JetPoly:
 
 
 def jet_det_partial(symbol: str, g: int, field: str = "Q") -> JetPoly:
-    """det of the g x g matrix of first-derivative jet variables (F_(ij))."""
-    return jet_minor_det_partial(symbol, range(1, g + 1), range(1, g + 1), field)
+    """det of the g x g matrix of first-derivative jet variables (F_(ij)), promoted
+    to Q(a) for field "Qa", an argument kept for callers that pass it by position."""
+    det = jet_minor_det_partial(symbol, range(1, g + 1), range(1, g + 1))
+    return det.promote() if field == "Qa" else det
 
 
-def jet_minor_det_partial(symbol: str, rows, cols, field: str = "Q") -> JetPoly:
+def jet_minor_det_partial(symbol: str, rows, cols) -> JetPoly:
     """det of the submatrix of (F_(ij)) with the given rows and columns."""
-    one = _field_one(field)
     return _leibniz(rows, cols, lambda pairing: JetPoly._nonzero(
-        {_mono(jet_var(symbol, (p,)) for p in pairing): one}))
+        {_mono(jet_var(symbol, (p,)) for p in pairing): Fraction(1)}))
 
 
-def jet_det_operator(symbol: str, rows, cols, field: str = "Q") -> JetPoly:
+def jet_det_operator(symbol: str, rows, cols) -> JetPoly:
     """The order-|rows| minor determinant operator applied to one symbol.
 
     Each Leibniz term is a single jet variable carrying all |rows| derivative
     pairs; rows == cols == 1..g gives the pure g-th order operator (det d)F,
     and empty rows and cols give the symbol itself.
     """
-    one = _field_one(field)
-    return _leibniz(rows, cols, lambda pairing: JetPoly._nonzero(
-        {(jet_var(symbol, pairing),): one}))
+    return _leibniz(rows, cols, lambda ps: JetPoly._nonzero({(jet_var(symbol, ps),): Fraction(1)}))
 
 
 def jet_mod_symbol(p: JetPoly, symbol: str) -> JetPoly:

@@ -352,6 +352,8 @@ def apply_D11(g: int, h: int, p: MultiPoly, k,
     this h alone and divides its residual back into the field: Q(a) when p
     or k is there.
     """
+    if not 1 <= h <= g:
+        raise ValueError(f"slot h={h!r} is outside 1..{g}")
     encode = _packing(g).encode
     den, nums = _cleared({encode(m): c for m, c in p.terms.items()})
     form = _IntegerForm(g, den, nums, k, second_order_factor)
@@ -452,7 +454,8 @@ def xspace_oracle(g: int, k: int, p: MultiPoly) -> MultiPoly:
 
 # -- operator spec serialization ----------------------------------------------
 
-NORMALIZATION_LINE = "normalization second-order-factor=2 leading-coefficient=1"
+NORMALIZATION_LINE = (f"normalization second-order-factor={SECOND_ORDER_FACTOR} "
+                      "leading-coefficient=1")
 
 def _opspec_text(spec: OperatorSpec) -> str:
     """The OPSPEC1 file of spec: its header and coefficient lines, then the

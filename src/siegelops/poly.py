@@ -72,8 +72,8 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
 
-from .scalars import (RatFunc, _accumulate, _binpow, _Memo, _pdivmod, _pgcd, _pmul,
-                      scalar_to_text)
+from .scalars import (RatFunc, _accumulate, _binpow, _exact, _Memo, _pdivmod, _pgcd,
+                      _pmul, scalar_to_text)
 
 VarId = tuple
 Mono = tuple  # tuple of (VarId, exponent) pairs, sorted by _var_key
@@ -119,11 +119,6 @@ def _mono_lower(m: Mono, idx: int, e: int = 1) -> Mono:
     return m[:idx] + m[idx + 1:]
 
 
-def _field_one(field: str):
-    """The unit coefficient of the field "Q" or "Qa": 1 in Q or in Q(a)."""
-    return RatFunc(1) if field == "Qa" else Fraction(1)
-
-
 class _SparsePoly:
     """A sparse dict polynomial over Q or Q(a): the ring code shared by
     MultiPoly and JetPoly.
@@ -162,9 +157,9 @@ class _SparsePoly:
         return cls({})
 
     @classmethod
-    def const(cls, c, field: str = "Q"):
+    def const(cls, c):
         if not isinstance(c, RatFunc):
-            c = RatFunc.const(c) if field == "Qa" else Fraction(c)
+            c = Fraction(_exact(c))
         return cls({(): c} if c else {})
 
     # -- predicates --------------------------------------------------------
@@ -210,7 +205,7 @@ class _SparsePoly:
 
     def scale(self, c):
         """Multiply by a scalar, a Fraction or a RatFunc."""
-        if not c:
+        if not _exact(c):
             return self.zero()
         return type(self)({m: c * cm for m, cm in self.terms.items()})
 
@@ -231,8 +226,8 @@ class MultiPoly(_SparsePoly):
     _mono_mul = staticmethod(_mono_mul)
 
     @classmethod
-    def var(cls, v: VarId, field: str = "Q") -> "MultiPoly":
-        return cls({((v, 1),): _field_one(field)})
+    def var(cls, v: VarId) -> "MultiPoly":
+        return cls({((v, 1),): Fraction(1)})
 
     # -- calculus and substitution ----------------------------------------
 

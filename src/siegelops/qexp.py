@@ -115,8 +115,8 @@ from types import MappingProxyType
 
 from .jets import JetPoly
 from .poly import _cleared, _index_pairs
-from .scalars import (RatFunc, _accumulate, _binpow, _int_from_text, _line_reader, _Memo,
-                      _number_from_text, _pack, _unpack, frac_from_text, frac_to_text)
+from .scalars import (RatFunc, _accumulate, _binpow, _exact, _int_from_text, _line_reader,
+                      _Memo, _number_from_text, _pack, _unpack, frac_from_text, frac_to_text)
 
 SCALE = 8
 DEFAULT_TRUNC = 48
@@ -484,7 +484,7 @@ class _Expansion:
         return _binpow(self, n) if n else self.one(self.trunc)
 
     def scale_coeff(self, c):
-        c = Fraction(c)
+        c = Fraction(_exact(c))
         if not c:
             return self._clone(1, {})
         p = c.numerator

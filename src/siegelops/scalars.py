@@ -122,6 +122,13 @@ def _binpow(base, n: int):
     return out
 
 
+def _exact(c):
+    """c itself, refused when it is a float or a complex: coefficients are exact."""
+    if isinstance(c, (float, complex)):
+        raise TypeError(f"coefficient {c!r} is not an exact rational")
+    return c
+
+
 def _accumulate(terms: dict, m, c):
     """terms[m] += c, dropping the key when the sum cancels.
 
@@ -225,10 +232,6 @@ class RatFunc:
     def var(cls) -> "RatFunc":
         """The generator a of Q(a)."""
         return cls((0, 1))
-
-    @classmethod
-    def const(cls, c) -> "RatFunc":
-        return cls(Fraction(c))
 
     def _coerce(self, other) -> "RatFunc | None":
         if isinstance(other, RatFunc):

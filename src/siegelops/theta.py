@@ -46,8 +46,8 @@ so no request sums over a smaller box than it would alone.  A box of
 more than _MAX_POINTS = 2,000,000 points is refused before its grid is
 made (genus 6 at radius 5 holds 1,771,561, genus 7 19,487,171).  The
 exponentials are computed once per lattice point and eps class and shared by
-every delta and derivative of the batch.  The checks report the radius, the
-point count and the tail tolerance they used.
+every delta and derivative of the batch.  Each check's report holds the
+box it used, one _Box of the radius, the point count and the tail tolerance.
 
 numpy is imported inside each numeric function, not by the module, so
 importing theta (and siegelops) and every exact computation run without it;
@@ -484,11 +484,11 @@ def theta_numeric(g: int, char: ThetaChar, tau, z=None, d_tau=(), d_z=(),
 
 
 class HeatReport(NamedTuple):
+    """The heat residuals at one point and the lattice box they were summed on."""
+
     max_residual: float
     entries: dict
-    radius_tol: float
-    radius: int
-    points: int
+    box: _Box
 
 
 def check_heat(g: int, char: ThetaChar, tau, z, tol: float = TOL_HEAT) -> HeatReport:
@@ -503,7 +503,7 @@ def check_heat(g: int, char: ThetaChar, tau, z, tol: float = TOL_HEAT) -> HeatRe
     zz, tt = values[0::2], values[1::2]
     entries = {(i, j): abs(zz[k] - 2j * math.pi * (1 + (i == j)) * tt[k])
                for k, (i, j) in enumerate(pairs)}
-    return HeatReport(max(entries.values()), entries, box.tol, box.radius, box.points)
+    return HeatReport(max(entries.values()), entries, box)
 
 
 # -- numeric forms and the transformation law -----------------------------------
@@ -523,8 +523,7 @@ class NumericForm(NamedTuple):
         return self.eval_box(tau)[0]
 
     def eval_box(self, tau, tol: float = 1e-12) -> tuple[complex, _Box]:
-        """The value and the lattice box its theta sums used, at tail
-        tolerance tol."""
+        """The value and the lattice box its theta sums used, at tail tolerance tol."""
         value, _, box = _read_on_tnull(self.jet, tau, tol)
         return complex(value), box
 
@@ -620,13 +619,13 @@ def symplectic_act(gamma, tau):
 
 
 class ModularityReport(NamedTuple):
+    """The transformation law's error at one point, and its evaluations' larger box."""
+
     rel_err: float
     sign: int
     inconclusive: bool
     value: complex
-    radius: int
-    points: int
-    radius_tol: float
+    box: _Box
 
 
 def check_modularity(form: NumericForm, gamma, tau,
@@ -641,7 +640,7 @@ def check_modularity(form: NumericForm, gamma, tau,
     f0, box = form.eval_box(tau, tol * 1e-4)  # its lattice sums check tau
 
     def report(rel_err, sign, inconclusive=False):
-        return ModularityReport(rel_err, sign, inconclusive, f0, *box)
+        return ModularityReport(rel_err, sign, inconclusive, f0, box)
 
     if abs(f0) < 1e-12:
         return report(float("nan"), +1, True)
@@ -667,12 +666,12 @@ class OffLocus(ValueError):
 
 
 class ConditionReport(NamedTuple):
+    """det(grad T) normalized, at a zero of T, and the lattice box of its batch."""
+
     det_value: complex
     vanishing_char: ThetaChar
     vanishing_abs: float
-    radius: int
-    points: int
-    radius_tol: float
+    box: _Box
 
 
 def check_condition_star(tau, tol_zero: float = TOL_ZERO) -> ConditionReport:
@@ -698,4 +697,4 @@ def check_condition_star(tau, tol_zero: float = TOL_ZERO) -> ConditionReport:
         raise OffLocus(
             f"point is not on the theta-null locus: min |theta| = {abs(vals[star]):.3e}")
     # each of the jet's two first derivatives carries one 2 pi i
-    return ConditionReport(det / (2j * math.pi) ** 2, star, abs(vals[star]), *box)
+    return ConditionReport(det / (2j * math.pi) ** 2, star, abs(vals[star]), box)

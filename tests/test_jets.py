@@ -45,8 +45,8 @@ def test_det_partial_small_genera():
                + JetPoly({(jet_var("F", ((1, 2),)), jet_var("F", ((1, 2),))): Fraction(-1)}))
     assert jet_det_partial("F", 2) == expect2
     # the empty determinants: 1, and the operator of order 0, the bare symbol
-    empty = jet_minor_det_partial("F", [], [], "Qa")
-    assert empty == JetPoly.const(1, "Qa") and empty.terms == {(): RatFunc(1)}
+    empty = jet_minor_det_partial("F", [], []).promote()
+    assert empty == JetPoly.const(RatFunc(1)) and empty.terms == {(): RatFunc(1)}
     assert isinstance(empty.terms[()], RatFunc)
     assert jet_det_operator("F", [], []) == JetPoly.symbol("F")
 
@@ -76,9 +76,8 @@ def test_printed_genus2_operator(spec2_symbolic):
     a = symbolic_weight()
     got = jet_apply(spec2_symbolic.Q, all_F(2), 2)
     expect = (jet_det_partial("F", 2, "Qa").scale(RatFunc(2))
-              + (JetPoly.symbol("F", "Qa")
-                 * jet_det_operator("F", [1, 2], [1, 2], "Qa")).scale(
-                     2 * (2 * a) / (1 - 2 * a)))
+              + (JetPoly.symbol("F").promote()
+                 * jet_det_operator("F", [1, 2], [1, 2])).scale(2 * (2 * a) / (1 - 2 * a)))
     assert got == expect
 
 
@@ -87,8 +86,8 @@ def test_operator_jet_is_the_genus2_operator_over_2(spec2_symbolic):
     the form that apply and the numeric D25T2 check both evaluate."""
     a = symbolic_weight()
     expect = (jet_det_partial("F", 2, "Qa")
-              + (JetPoly.symbol("F", "Qa")
-                 * jet_det_operator("F", [1, 2], [1, 2], "Qa")).scale(2 * a / (1 - 2 * a)))
+              + (JetPoly.symbol("F").promote()
+                 * jet_det_operator("F", [1, 2], [1, 2])).scale(2 * a / (1 - 2 * a)))
     assert operator_jet(spec2_symbolic) == expect
 
 
@@ -97,17 +96,17 @@ def test_printed_genus3_operator(spec3_symbolic):
     signed cofactors (the epsilon convention of the minor-sum formula)."""
     a = symbolic_weight()
     got = jet_apply(spec3_symbolic.Q, all_F(3), 3)
-    F = JetPoly.symbol("F", "Qa")
+    F = JetPoly.symbol("F").promote()
     third = JetPoly.zero()
     for i in (1, 2, 3):
         for j in (1, 2, 3):
             rows = [v for v in (1, 2, 3) if v != i]
             cols = [v for v in (1, 2, 3) if v != j]
-            piece = (jet_det_operator("F", rows, cols, "Qa")
+            piece = (jet_det_operator("F", rows, cols)
                      * JetPoly({(jet_var("F", ((i, j),)),): RatFunc(1)}))
             third = third + piece.scale(RatFunc((-1) ** (i + j)))
     expect = (jet_det_partial("F", 3, "Qa").scale(RatFunc(6))
-              + (F * F * jet_det_operator("F", [1, 2, 3], [1, 2, 3], "Qa")).scale(
+              + (F * F * jet_det_operator("F", [1, 2, 3], [1, 2, 3])).scale(
                   3 * (2 * a) ** 2 / ((2 * a - 1) * (2 * a - 2)))
               + (F * third).scale(-(3 * (2 * a)) / (2 * a - 1)))
     assert got == expect
@@ -186,7 +185,7 @@ def test_jet_apply_matches_the_term_by_term_sum_in_Qa():
     a = symbolic_weight()
 
     def r(h, i, j):
-        return MultiPoly.var(r_var(h, i, j), "Qa")
+        return MultiPoly.var(r_var(h, i, j)).promote()
 
     # with F in both slots, r_{1;11} r_{2;22} and r_{1;22} r_{2;11} give one
     # jet monomial F_11 F_22, and so do r_{1;12} r_{2;11} and r_{1;11} r_{2;12}
@@ -194,7 +193,7 @@ def test_jet_apply_matches_the_term_by_term_sum_in_Qa():
          + (r(1, 2, 2) * r(2, 1, 1)).scale(-1 / (a - 1))
          + (r(1, 1, 2) * r(2, 1, 1)).scale((a + 2) / (2 * a + 3))
          + (r(1, 1, 1) * r(2, 1, 2)).scale(Fraction(1, 3) / (a - 1))
-         + r(2, 1, 2).scale(a * a / 7) + MultiPoly.const(Fraction(5, 2), "Qa"))
+         + r(2, 1, 2).scale(a * a / 7) + MultiPoly.const(RatFunc(Fraction(5, 2))))
     assert all(isinstance(c, RatFunc) for c in q.terms.values()) and len(q.terms) == 6
     for assignment in ({1: "F", 2: "F"}, {1: "F", 2: "G"}):
         got = jet_apply(q, assignment, 2)
@@ -232,7 +231,10 @@ def test_jet_apply_of_the_genus3_operator_matches_the_term_by_term_sum(spec3_sym
 @pytest.mark.parametrize("q, message", [
     (MultiPoly.var(t_var(1)), r"^operator polynomial mentions non-matrix variable \('t', 1\)$"),
     (MultiPoly.var(r_var(3, 1, 1)), r"^matrix indices \[3\] exceed genus 2$"),
-], ids=["non-matrix-variable", "index-above-genus"])
+    (MultiPoly.var(r_var(1, 1, 3)), r"^matrix indices \[3\] exceed genus 2$"),
+    (MultiPoly.var(r_var(1, 0, 2)) * MultiPoly.var(r_var(4, 1, 1)),
+     r"^matrix indices \[0, 4\] exceed genus 2$"),
+], ids=["non-matrix-variable", "index-above-genus", "entry-above-genus", "entry-and-slot"])
 def test_jet_apply_refusals(q, message):
     with pytest.raises(ValueError, match=message):
         jet_apply(q, all_F(2), 2)

@@ -763,7 +763,11 @@ def test_opspec_read_builds_the_coefficient_table_once(spec2_symbolic, monkeypat
      r"^oracle needs numeric \(Q\) coefficients$"),
     (lambda: xspace_oracle(2, 2, MultiPoly.var(t_var(1))),
      r"^oracle input mentions non-matrix variable \('t', 1\)$"),
-], ids=["constant-m", "oracle-symbolic", "oracle-non-matrix"])
+    (lambda: apply_D11(2, 3, MultiPoly.var(r_var(1, 1, 1)), 4), r"^slot h=3 is outside 1\.\.2$"),
+    (lambda: apply_D11(2, 0, MultiPoly.var(r_var(1, 1, 1)), 4), r"^slot h=0 is outside 1\.\.2$"),
+    (lambda: verify_deriv_lemma(2, (1, 1), 3), r"^slot h=3 is outside 1\.\.2$"),
+], ids=["constant-m", "oracle-symbolic", "oracle-non-matrix", "D11-slot-above-genus",
+        "D11-slot-zero", "deriv-lemma-slot"])
 def test_opgen_refusals(call, message):
     with pytest.raises(ValueError, match=message):
         call()

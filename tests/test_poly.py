@@ -181,7 +181,7 @@ def test_mixed_sums_and_products_are_in_qa():
     variable scaled by it, and promotes to it."""
     a = symbolic_weight()
     p = V(r_var(1, 1, 1)).scale(Fraction(3)) + MultiPoly.const(Fraction(1, 2))
-    q = V(r_var(1, 1, 1)).scale(a) + MultiPoly.var(r_var(1, 2, 2), "Qa")
+    q = V(r_var(1, 1, 1)).scale(a) + MultiPoly.var(r_var(1, 2, 2)).promote()
     r111, r122 = ((r_var(1, 1, 1), 1),), ((r_var(1, 2, 2), 1),)
     for total in (p + q, q + p):
         assert total == p.promote() + q
@@ -202,11 +202,30 @@ def test_mixed_sums_and_products_are_in_qa():
     assert len({V(r_var(1, 1, 1)), V(r_var(1, 1, 1)).promote()}) == 1
 
 
+@pytest.mark.parametrize("bad", [0.1, 0.5, 1j], ids=["float", "binary-float", "complex"])
+def test_const_takes_exact_numbers_only(bad):
+    for cls in (MultiPoly, JetPoly):
+        with pytest.raises(TypeError, match=rf"^coefficient {re.escape(repr(bad))} is not an "
+                                            "exact rational$"):
+            cls.const(bad)
+    assert MultiPoly.const(RatFunc(3)).terms == {(): RatFunc(3)}
+
+
+@pytest.mark.parametrize("bad", [0.1, 0.25, 1j, 0.0], ids=["float", "binary-float", "complex",
+                                                         "float-zero"])
+def test_scale_takes_exact_factors_only(bad):
+    """A float factor would be stored as a float, which jet_apply cannot clear."""
+    for p in (MultiPoly.var(r_var(1, 1, 1)), JetPoly.symbol("F")):
+        with pytest.raises(TypeError, match=rf"^coefficient {re.escape(repr(bad))} is not an "
+                                            "exact rational$"):
+            p.scale(bad)
+
+
 def test_qa_constant_has_a_ratfunc_coefficient():
     from siegelops.scalars import RatFunc
-    p = MultiPoly.const(1, "Qa") + MultiPoly.var(r_var(1, 1, 1), "Qa")
+    p = MultiPoly.const(RatFunc(1)) + MultiPoly.var(r_var(1, 1, 1)).promote()
     assert all(isinstance(c, RatFunc) for c in p.terms.values())
-    assert all(isinstance(c, RatFunc) for c in (JetPoly.const(3, "Qa").terms.values()))
+    assert all(isinstance(c, RatFunc) for c in (JetPoly.const(RatFunc(3)).terms.values()))
     assert _write(p).splitlines()[1:] == ["1*a^0;1*a^0 | ", "1*a^0;1*a^0 | r[1;1,1]^1"]
 
 

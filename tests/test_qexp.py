@@ -70,6 +70,13 @@ def test_constructor_takes_int_and_fraction_coefficients_only():
             QExp2({(0, 0, 0): bad}, trunc=16)
 
 
+@pytest.mark.parametrize("bad", [0.1, 0.5, 1j], ids=["float", "binary-float", "complex"])
+def test_scale_coeff_takes_exact_factors_only(bad):
+    with pytest.raises(TypeError, match=rf"^coefficient {re.escape(repr(bad))} is not an exact "
+                                        "rational$"):
+        QExp2({(0, 0, 0): 1}).scale_coeff(bad)
+
+
 def test_fj_order_and_slices(t2_48):
     theta00 = theta_qexp(2, ThetaChar((0, 0), (0, 0)), 16)
     assert theta00.fj_order() == 0
@@ -866,7 +873,7 @@ _F = JetPoly.symbol("F")
 @pytest.mark.parametrize("call, message", [
     (lambda: QExp2.one(16) + QExp2.one(16).with_character(True), "^character mismatch$"),
     (lambda: product_balanced([]), "^empty product$"),
-    (lambda: eval_jetpoly(JetPoly.symbol("F", "Qa").scale(RatFunc.var()), {"F": _theta00()}),
+    (lambda: eval_jetpoly(JetPoly.symbol("F").scale(RatFunc.var()), {"F": _theta00()}),
      "^bind a numeric weight before evaluating$"),
     (lambda: eval_jetpoly(_F + _F * _F, {"F": _theta00()}),
      "^jet polynomial is not weight/order homogeneous$"),

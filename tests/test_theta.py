@@ -635,22 +635,23 @@ def test_lattice_sums_reject_a_non_finite_tau_or_z(g, bad):
 def test_reports_state_radius_points_and_tail_tolerance():
     heat = check_heat(2, ThetaChar((0, 0), (1, 1)), [[2j, 0j], [0j, 3j]], [0.1j, 0])
     lam_min, z_shift = 2.0, 0.1
-    assert heat.radius == max(_pick_radius(lam_min, 2, nt, nz, z_shift, heat.radius_tol)
-                              for nt, nz in ((0, 2), (1, 0)))
-    assert heat.points == (2 * heat.radius + 1) ** 2 and heat.radius_tol == 1e-13
+    box = heat.box
+    assert box.radius == max(_pick_radius(lam_min, 2, nt, nz, z_shift, box.tol)
+                             for nt, nz in ((0, 2), (1, 0)))
+    assert box.points == (2 * box.radius + 1) ** 2 and box.tol == 1e-13
 
     tau = [[0.2 + 1.7j, 0.1 + 0.08j], [0.1 + 0.08j, -0.1 + 1.9j]]
     form = form_tnull(2)
     rep = check_modularity(form, gamma_J(2), tau)
     taup, _ = symplectic_act(gamma_J(2), tau)
     radii = [form.eval_box(t)[1].radius for t in (tau, (taup + taup.T) / 2)]
-    assert rep.radius == max(radii) and rep.points == (2 * rep.radius + 1) ** 2
-    assert rep.radius_tol == 1e-12
+    assert rep.box.radius == max(radii) and rep.box.points == (2 * rep.box.radius + 1) ** 2
+    assert rep.box.tol == 1e-12
     assert isinstance(form.eval(tau), complex)
 
     cond = check_condition_star([[1.1j, 0], [0, 1.7j]])
-    assert cond.radius == _pick_radius(1.1, 2, 1, 0, 0.0, 1e-12)
-    assert cond.points == (2 * cond.radius + 1) ** 2 and cond.radius_tol == 1e-12
+    assert cond.box == (_pick_radius(1.1, 2, 1, 0, 0.0, 1e-12),
+                        (2 * cond.box.radius + 1) ** 2, 1e-12)
 
 
 def test_schottky_vanishes_at_120():
@@ -830,10 +831,10 @@ def test_modularity_sums_its_tails_at_its_tolerance_times_1e4(tol):
     rep = check_modularity(form, gamma_J(2), tau, tol)
     taup, _ = symplectic_act(gamma_J(2), tau)
     boxes = [form.eval_box(t, tol * 1e-4)[1] for t in (tau, (taup + taup.T) / 2)]
-    assert rep.radius_tol == tol * 1e-4 and rep.radius == max(b.radius for b in boxes)
+    assert rep.box == max(boxes) and rep.box.tol == tol * 1e-4
     assert rep.value == form.eval_box(tau, tol * 1e-4)[0]
     default = check_modularity(form, gamma_J(2), tau)
-    assert default.radius_tol == 1e-12 and default.value == form.eval(tau)
+    assert default.box.tol == 1e-12 and default.value == form.eval(tau)
 
 
 _G1, _G2 = ThetaChar((0,), (0,)), ThetaChar((0, 0), (0, 0))

@@ -29,6 +29,7 @@ from operator import mul
 from .jets import JetPoly, jet_diff
 from .poly import _index_pairs, _leibniz
 from .qexp import DEFAULT_TRUNC, QExp1, _check_trunc, eval_jetpoly
+from .scalars import _rational
 
 
 def _as_jet(x) -> JetPoly:
@@ -107,7 +108,7 @@ def eis1_qexp(weight: int, trunc: int = DEFAULT_TRUNC) -> QExp1:
     terms = {(0,): 1}
     for n in range(1, trunc // QExp1.scale + 1):
         terms[(n * QExp1.scale,)] = const * sigma_power_sum(power, n)
-    return QExp1._checked(1, terms, Fraction(weight), trunc, 0, False)
+    return QExp1._checked(1, terms, _rational(weight), trunc, 0, False)
 
 
 def delta1_qexp(trunc: int = DEFAULT_TRUNC) -> QExp1:

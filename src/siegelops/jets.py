@@ -29,9 +29,10 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from functools import reduce
 
 from .poly import MultiPoly, _cleared, _coefficients, _leibniz, _SparsePoly
-from .scalars import _accumulate, _ptrim
+from .scalars import _accumulate, _padd
 
 JetVar = tuple  # (symbol: str, derivs: tuple[(i, j), ...])
 JetMono = tuple  # sorted tuple of JetVar, repetitions allowed
@@ -100,11 +101,8 @@ def jet_apply(q: MultiPoly, assignment: dict[int, str], g: int) -> JetPoly:
         mono = _mono(jet_var(assignment[h], per_slot.get(h, ()))
                      for h in range(1, g + 1))
         sums.setdefault(mono, []).append(num)
-    if isinstance(den, tuple):  # integer polynomials, low degree first
-        sums = {m: _ptrim(list(map(sum, itertools.zip_longest(*parts, fillvalue=0))))
-                for m, parts in sums.items()}
-    else:
-        sums = {m: sum(parts) for m, parts in sums.items()}
+    sums = {m: reduce(_padd, parts) if isinstance(den, tuple) else sum(parts)
+            for m, parts in sums.items()}  # integer polynomials in Q(a), ints in Q
     coeff = _coefficients(den)
     return JetPoly._nonzero({m: coeff[s] for m, s in sums.items() if s})
 

@@ -16,7 +16,8 @@ and c(n) = C(m) exactly when n is a permutation of (m, 1, ..., 1, 0, ..., 0)
 Pluriharmonicity is verified three independent ways:
 
   * the combinatorial identity sum_h (k - n'_h) c(n' + e_h) = 0 over all
-    minor multi-indices n' (verify_harmonic_condition);
+    minor multi-indices n', each left side an integer polynomial in k = 2a
+    (verify_harmonic_condition);
   * the symbolic second-order operator D_{h;11} on the r-variables summed
     over h annihilating Q (verify_pluriharmonic);
   * a brute-force substitution oracle: r_{h;uw} -> row products of a g x k
@@ -84,13 +85,13 @@ from __future__ import annotations
 import math
 from collections import Counter, defaultdict
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 
 from .poly import (MultiPoly, _cleared, _nibble_sum, _packed_poly, _packed_text, _packing,
                    _t_split, coeff_R, index_set_N, index_set_Nprime, minor_coeff_R, r_var,
                    x_var)
-from .scalars import (RatFunc, _horner, _int_from_text, _line_reader, _pmul, _unpack,
-                      frac_from_text, frac_to_text, scalar_to_text)
+from .scalars import (RatFunc, _horner, _int_from_text, _line_reader, _padd, _pmul,
+                      _rational, _unpack, frac_from_text, frac_to_text, scalar_to_text)
 
 SECOND_ORDER_FACTOR = 2
 ORACLE_MAX_VARS = 80  # the most substitution variables, g * k * g, xspace_oracle takes
@@ -106,7 +107,7 @@ def _as_weight(a):
     constant of Q(a) is its rational; any other element of Q(a) is refused,
     since a weight is a number or the formal a, not a function of it."""
     if not isinstance(a, RatFunc):
-        return Fraction(a)
+        return _rational(a)
     if a.is_constant():
         return a.eval_at(0)
     if a != symbolic_weight():
@@ -119,12 +120,10 @@ def _constant_C_k(g: int, m: int) -> list:
     if not 1 <= m <= g:
         raise ValueError(f"m={m} out of range 1..{g}")
     if m == 1:
-        out, first = [g - 1], 1
+        out, first = (g - 1,), 1
     else:
-        out, first = [0] * (m - 1) + [(-1) ** (m - 1) * math.factorial(m - 1)], m
-    for i in range(first, g):  # times (k - i)
-        out = [lo - i * hi for lo, hi in zip([0] + out, out + [0])]
-    return out
+        out, first = (0,) * (m - 1) + ((-1) ** (m - 1) * math.factorial(m - 1),), m
+    return list(reduce(_pmul, [(-i, 1) for i in range(first, g)], out))  # times (k - i)
 
 
 def constant_C(g: int, a, m: int):
@@ -199,9 +198,8 @@ def _integer_C(g: int, a) -> dict:
     if isinstance(a, RatFunc):  # the coefficient of k^j times 2^j
         return {m: tuple(c << j for j, c in enumerate(_constant_C_k(g, m)))
                 for m in range(1, g + 1)}
-    p, q = (2 * a).numerator, (2 * a).denominator
-    return {m: sum(c * p ** j * q ** (g - 1 - j) for j, c in enumerate(_constant_C_k(g, m)))
-            for m in range(1, g + 1)}
+    scale = (2 * a).denominator ** (g - 1)
+    return {m: int(scale * constant_C(g, a, m)) for m in range(1, g + 1)}
 
 
 def _coefficient_table(g: int, a) -> dict:
@@ -374,27 +372,22 @@ def verify_pluriharmonic(spec: OperatorSpec,
 def verify_harmonic_condition(g: int, a) -> bool:
     """The coefficient identity sum_h (k - n'_h) c(n' + e_h) = 0 for all n'.
 
-    Checked on integers, with the values of _integer_C.  With every C(m) an
-    integer polynomial of degree g - 1 in k = 2a, the left side is one of
-    degree g.  A numeric k = p/q enters as q^g times its value.  In Q(a) the
-    left side is evaluated at k = 2^S, where 2^(S-1) exceeds
-    (2g - 1) max_m |C(m)|, a bound on its coefficients (|.| the sum of
-    |coefficients|), so a zero value proves it zero for every a.
+    Each C(m) is an integer polynomial of degree g - 1 in k = 2a
+    (_constant_C_k), so each left side is an integer polynomial in k of
+    degree g.  In Q(a) it must be the zero polynomial, which proves the
+    identity for every a; at a numeric weight it must vanish at that k.
     """
     a = _as_weight(a)
-    if isinstance(a, RatFunc):  # a = 2^(S-1), k = 2^S
-        bound = max(sum(map(abs, _constant_C_k(g, m))) for m in range(1, g + 1))
-        a = Fraction(1 << ((2 * g - 1) * bound).bit_length())
-    kn, kd = (2 * a).numerator, (2 * a).denominator
-    value = {0: 0, **_integer_C(g, a)}
+    C = {0: (), **{m: _constant_C_k(g, m) for m in range(1, g + 1)}}
     for nprime in index_set_Nprime(g):
         n = list(nprime)
-        total = 0
+        side = ()
         for h in range(g):
             n[h] += 1
-            total += (kn - nprime[h] * kd) * value[_stratum(n)]
+            side = _padd(side, _pmul((-nprime[h], 1), C[_stratum(n)]))
             n[h] -= 1
-        if total:
+        value = side if isinstance(a, RatFunc) else _horner(side, 2 * a)
+        if value:
             return False
     return True
 

@@ -72,8 +72,8 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
 
-from .scalars import (RatFunc, _accumulate, _binpow, _exact, _Memo, _pdivmod, _pgcd,
-                      _pmul, scalar_to_text)
+from .scalars import (RatFunc, _accumulate, _binpow, _Memo, _pdivmod, _pgcd, _pmul,
+                      _rational, scalar_to_text)
 
 VarId = tuple
 Mono = tuple  # tuple of (VarId, exponent) pairs, sorted by _var_key
@@ -158,8 +158,7 @@ class _SparsePoly:
 
     @classmethod
     def const(cls, c):
-        if not isinstance(c, RatFunc):
-            c = Fraction(_exact(c))
+        c = c if isinstance(c, RatFunc) else _rational(c)
         return cls({(): c} if c else {})
 
     # -- predicates --------------------------------------------------------
@@ -205,7 +204,8 @@ class _SparsePoly:
 
     def scale(self, c):
         """Multiply by a scalar, a Fraction or a RatFunc."""
-        if not _exact(c):
+        c = c if isinstance(c, RatFunc) else _rational(c)
+        if not c:
             return self.zero()
         return type(self)({m: c * cm for m, cm in self.terms.items()})
 

@@ -115,8 +115,9 @@ from types import MappingProxyType
 
 from .jets import JetPoly
 from .poly import _cleared, _index_pairs
-from .scalars import (RatFunc, _accumulate, _binpow, _exact, _int_from_text, _line_reader,
-                      _Memo, _number_from_text, _pack, _unpack, frac_from_text, frac_to_text)
+from .scalars import (RatFunc, _accumulate, _binpow, _int_from_text, _line_reader,
+                      _Memo, _number_from_text, _pack, _rational, _unpack, frac_from_text,
+                      frac_to_text)
 
 SCALE = 8
 DEFAULT_TRUNC = 48
@@ -343,17 +344,17 @@ class _Expansion:
     def __init__(self, terms: dict | None = None, weight=Fraction(0),
                  trunc: int = DEFAULT_TRUNC, tau_factor: int = 0,
                  character: bool = False):
-        """Int or Fraction coefficients (not bool); zeros are dropped."""
+        """Every term's key and exact coefficient is checked, then zeros dropped."""
         _check_trunc(trunc)
-        terms = {k: v for k, v in (terms or {}).items() if v}
         lay = self._layout
-        for k, c in terms.items():
+        checked = {}
+        for k, c in (terms or {}).items():
             why = lay.shape_fault(k) or lay.fault(k, trunc)
             if why:
                 raise ValueError(why)
-            if type(c) is not int and not isinstance(c, Fraction):
-                raise TypeError(f"coefficient {c!r} is not an exact rational")
-        self._set(*_cleared(terms), Fraction(weight), trunc, tau_factor, character)
+            if c := _rational(c):
+                checked[k] = c
+        self._set(*_cleared(checked), _rational(weight), trunc, tau_factor, character)
 
     def _set(self, den, nums, weight, trunc, tau_factor, character):
         self._den, self._nums, self._terms, self._grouped = den, nums, None, None
@@ -407,7 +408,7 @@ class _Expansion:
                              self.character if character is None else character)
 
     def with_weight(self, weight):
-        return self._clone(self._den, self._nums, weight=Fraction(weight))
+        return self._clone(self._den, self._nums, weight=_rational(weight))
 
     def with_character(self, flag: bool):
         return self._clone(self._den, self._nums, character=flag)
@@ -484,7 +485,7 @@ class _Expansion:
         return _binpow(self, n) if n else self.one(self.trunc)
 
     def scale_coeff(self, c):
-        c = Fraction(_exact(c))
+        c = _rational(c)
         if not c:
             return self._clone(1, {})
         p = c.numerator
@@ -584,7 +585,7 @@ class QExp2(_Expansion):
 
     def fj_slice(self, r) -> dict:
         """Terms with gamma/8 = r, reindexed by (alpha, beta)."""
-        target = Fraction(r) * SCALE
+        target = _rational(r) * SCALE
         if target.denominator != 1:
             return {}
         g2 = int(target)
@@ -612,7 +613,7 @@ class QExp1(_Expansion):
     genus = 1
 
     def coefficient(self, n_unscaled) -> Fraction:
-        key = Fraction(n_unscaled) * SCALE
+        key = _rational(n_unscaled) * SCALE
         if key.denominator != 1:
             return Fraction(0)
         return self.terms.get((int(key),), Fraction(0))

@@ -13,6 +13,11 @@ is reduced (polynomial gcd 1), and the zero function has an empty numerator.
 Canonical form makes equality a structural comparison and zero-testing a
 length check.
 
+An exact number is an int (not a bool) or a Fraction, with a RatFunc where
+Q(a) is meant; every number a caller hands the package passes the one gate
+_rational.  _padd, _pmul, _pdivmod and _pgcd are the one polynomial
+arithmetic: int tuples stay int tuples under + and *, and division is exact.
+
 Text format: a rational is ``p/q`` in lowest terms (``q`` omitted when 1);
 a RatFunc is ``num ; den``, each polynomial a ``+``-joined list of nonzero
 ``c*a^e`` terms, low degree first: ``-1*a^0+2*a^1 ; 1*a^0`` for 2a - 1.
@@ -25,6 +30,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from numbers import Number
 
 
 class PoleError(ZeroDivisionError):
@@ -37,7 +43,7 @@ class PoleError(ZeroDivisionError):
 
 # -- low-level polynomial helpers (coefficient tuples, low degree first) --
 
-def _ptrim(c: list[Fraction]) -> tuple[Fraction, ...]:
+def _ptrim(c: list) -> tuple:
     while c and c[-1] == 0:
         c.pop()
     return tuple(c)
@@ -45,7 +51,7 @@ def _ptrim(c: list[Fraction]) -> tuple[Fraction, ...]:
 
 def _padd(p: tuple, q: tuple) -> tuple:
     n = max(len(p), len(q))
-    out = [Fraction(0)] * n
+    out = [0] * n
     for i, c in enumerate(p):
         out[i] += c
     for i, c in enumerate(q):
@@ -60,7 +66,7 @@ def _pneg(p: tuple) -> tuple:
 def _pmul(p: tuple, q: tuple) -> tuple:
     if not p or not q:
         return ()
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    out = [0] * (len(p) + len(q) - 1)
     for i, ci in enumerate(p):
         for j, cj in enumerate(q):
             out[i + j] += ci * cj
@@ -71,18 +77,12 @@ def _pdivmod(p: tuple, q: tuple) -> tuple[tuple, tuple]:
     if not q:
         raise ZeroDivisionError("polynomial division by zero")
     rem = list(p)
-    quot = [Fraction(0)] * max(len(p) - len(q) + 1, 0)
-    qlead = q[-1]
-    while len(rem) >= len(q) and any(c != 0 for c in rem):
-        if rem[-1] == 0:
-            rem.pop()
-            continue
-        shift = len(rem) - len(q)
-        factor = rem[-1] / qlead
-        quot[shift] = factor
-        for i, c in enumerate(q):
+    quot = [0] * max(len(p) - len(q) + 1, 0)
+    qlead = Fraction(q[-1])  # so each quotient coefficient is a Fraction
+    for shift in reversed(range(len(quot))):  # cancel the top coefficient of rem
+        factor = quot[shift] = rem.pop() / qlead
+        for i, c in enumerate(q[:-1]):
             rem[shift + i] -= factor * c
-        rem.pop()
     return _ptrim(quot), _ptrim(rem)
 
 
@@ -90,7 +90,7 @@ def _pgcd(p: tuple, q: tuple) -> tuple:
     while q:
         p, q = q, _pdivmod(p, q)[1]
     if p:
-        lead = p[-1]
+        lead = Fraction(p[-1])
         p = tuple(c / lead for c in p)  # monic gcd
     return p
 
@@ -122,11 +122,14 @@ def _binpow(base, n: int):
     return out
 
 
-def _exact(c):
-    """c itself, refused when it is a float or a complex: coefficients are exact."""
-    if isinstance(c, (float, complex)):
-        raise TypeError(f"coefficient {c!r} is not an exact rational")
-    return c
+def _rational(x) -> Fraction:
+    """x, an int (not a bool) or a Fraction, as a Fraction: the one gate of
+    a caller's number (module docstring).  Anything else is a TypeError."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int) and x.__class__ is not bool:
+        return Fraction(x)
+    raise TypeError(f"coefficient {x!r} is not an exact rational")
 
 
 def _accumulate(terms: dict, m, c):
@@ -223,9 +226,9 @@ class RatFunc:
     @staticmethod
     def _as_coeffs(v) -> tuple:
         if isinstance(v, (tuple, list)):
-            return _ptrim([Fraction(c) for c in v])
-        if isinstance(v, (int, Fraction)):
-            return _ptrim([Fraction(v)])
+            return _ptrim([_rational(c) for c in v])
+        if isinstance(v, Number):
+            return _ptrim([_rational(v)])
         raise TypeError(f"cannot build polynomial from {v!r}")
 
     @classmethod
@@ -236,8 +239,8 @@ class RatFunc:
     def _coerce(self, other) -> "RatFunc | None":
         if isinstance(other, RatFunc):
             return other
-        if isinstance(other, (int, Fraction)):
-            return RatFunc(Fraction(other))
+        if isinstance(other, (int, Fraction)) and other.__class__ is not bool:
+            return RatFunc(other)
         return None
 
     def __bool__(self) -> bool:
@@ -311,7 +314,7 @@ class RatFunc:
 
     def eval_at(self, a0) -> Fraction:
         """Exact value at a = a0; raises PoleError at denominator roots."""
-        a0 = Fraction(a0)
+        a0 = _rational(a0)
         d = _horner(self.den, a0)
         if d == 0:
             raise PoleError(a0)

@@ -14,7 +14,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .scalars import frac_to_text
+from .scalars import _rational, frac_to_text
 
 INF = math.inf
 
@@ -32,7 +32,7 @@ class DivClass(NamedTuple):
 
 
 def make_class(lam, delta, label: str = "") -> DivClass:
-    return DivClass(Fraction(lam), Fraction(delta), label)
+    return DivClass(_rational(lam), _rational(delta), label)
 
 
 def slope(c: DivClass):

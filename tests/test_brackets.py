@@ -105,6 +105,8 @@ def test_eisenstein_coefficients():
     assert e6.coefficient(2) == -504 * 33
     with pytest.raises(ValueError):
         eis1_qexp(8)
+    with pytest.raises(TypeError, match=r"^coefficient 4\.0 is not an exact rational$"):
+        eis1_qexp(4.0)
 
 
 def test_discriminant_normalization():

@@ -202,7 +202,8 @@ def test_mixed_sums_and_products_are_in_qa():
     assert len({V(r_var(1, 1, 1)), V(r_var(1, 1, 1)).promote()}) == 1
 
 
-@pytest.mark.parametrize("bad", [0.1, 0.5, 1j], ids=["float", "binary-float", "complex"])
+@pytest.mark.parametrize("bad", [0.1, 0.5, 1j, "1/2", True],
+                         ids=["float", "binary-float", "complex", "string", "bool"])
 def test_const_takes_exact_numbers_only(bad):
     for cls in (MultiPoly, JetPoly):
         with pytest.raises(TypeError, match=rf"^coefficient {re.escape(repr(bad))} is not an "
@@ -211,8 +212,8 @@ def test_const_takes_exact_numbers_only(bad):
     assert MultiPoly.const(RatFunc(3)).terms == {(): RatFunc(3)}
 
 
-@pytest.mark.parametrize("bad", [0.1, 0.25, 1j, 0.0], ids=["float", "binary-float", "complex",
-                                                         "float-zero"])
+@pytest.mark.parametrize("bad", [0.1, 0.25, 1j, 0.0, "1/2", True],
+                         ids=["float", "binary-float", "complex", "float-zero", "string", "bool"])
 def test_scale_takes_exact_factors_only(bad):
     """A float factor would be stored as a float, which jet_apply cannot clear."""
     for p in (MultiPoly.var(r_var(1, 1, 1)), JetPoly.symbol("F")):

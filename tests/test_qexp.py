@@ -70,11 +70,29 @@ def test_constructor_takes_int_and_fraction_coefficients_only():
             QExp2({(0, 0, 0): bad}, trunc=16)
 
 
-@pytest.mark.parametrize("bad", [0.1, 0.5, 1j], ids=["float", "binary-float", "complex"])
+@pytest.mark.parametrize("bad", [0.1, 0.5, 1j, "1/2", True],
+                         ids=["float", "binary-float", "complex", "string", "bool"])
 def test_scale_coeff_takes_exact_factors_only(bad):
-    with pytest.raises(TypeError, match=rf"^coefficient {re.escape(repr(bad))} is not an exact "
-                                        "rational$"):
-        QExp2({(0, 0, 0): 1}).scale_coeff(bad)
+    """Every number an expansion takes from its caller is exact: a factor,
+    a coefficient, a weight, a slice index and an exponent."""
+    one2, one1 = QExp2.one(16), QExp1.one(16)
+    for call in (one2.scale_coeff, one1.scale_coeff, lambda c: QExp2({(0, 0, 0): c}),
+                 lambda c: QExp1({(0,): c}), lambda c: QExp2({}, c), lambda c: QExp1({}, c),
+                 one2.with_weight, one1.with_weight, one2.fj_slice, one1.coefficient):
+        with pytest.raises(TypeError, match=rf"^coefficient {re.escape(repr(bad))} is not an "
+                                            "exact rational$"):
+            call(bad)
+
+
+def test_constructor_checks_every_term_before_dropping_zeros():
+    """A zero term is checked like any other, its key and its coefficient,
+    and only then dropped."""
+    with pytest.raises(ValueError, match="^key 'junk' is not a genus-2 key of 3 integers$"):
+        QExp2({"junk": 0})
+    with pytest.raises(ValueError, match=r"^term \(10, 0, 10\) exceeds truncation 16$"):
+        QExp2({(10, 0, 10): 0}, trunc=16)
+    with pytest.raises(TypeError, match=r"^coefficient 0\.0 is not an exact rational$"):
+        QExp1({(0,): 0.0})
 
 
 def test_fj_order_and_slices(t2_48):

@@ -1,12 +1,15 @@
 """Tests for exact rational and Q(a) arithmetic."""
 
+import re
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from siegelops.scalars import PoleError, RatFunc, _binpow, _padd, _pdivmod, _pmul
+from siegelops import opgen, slopes
+from siegelops.scalars import PoleError, RatFunc, _binpow, _padd, _pdivmod, _pgcd, _pmul
 
 A = RatFunc.var()
 
@@ -165,12 +168,45 @@ def test_same_denominator_sum_matches_the_general_formula(x, s, t, y):
         assert total.num == _general_sum(p, r).num and total.den[-1] == 1
 
 
+# the entry points of the exact-rational gate outside qexp and poly, each
+# given an inexact number: (id, call of it, inexact numbers)
+_INEXACT = {"half": 0.5, "string": "1/2", "bool": True, "complex": 1j}
+_GATED = [
+    ("ratfunc-entry", lambda x: RatFunc((x, 1)), {**_INEXACT, "tenth": 0.1}),
+    ("ratfunc-scalar", RatFunc, {k: v for k, v in _INEXACT.items() if k != "string"}),
+    ("eval-at", RatFunc(1).eval_at, _INEXACT),
+    ("build-Q", partial(opgen.build_Q, 2), {**_INEXACT, "5.1": 5.1}),
+    ("constant-C", lambda x: opgen.constant_C(2, x, 1), _INEXACT),
+    ("harmonic-condition", partial(opgen.verify_harmonic_condition, 2), _INEXACT),
+    ("make-class", lambda x: slopes.make_class(x, 1), {**_INEXACT, "12.0": 12.0}),
+]
+
+
 @pytest.mark.parametrize("call, exc, message", [
     (lambda: _pdivmod((Fraction(1),), ()), ZeroDivisionError, "^polynomial division by zero$"),
     (lambda: _binpow(2, 0), ValueError, "^binary powering needs an exponent >= 1, got 0$"),
     (lambda: RatFunc(1, 0), ZeroDivisionError, "^RatFunc with zero denominator$"),
     (lambda: RatFunc("a"), TypeError, "^cannot build polynomial from 'a'$"),
-], ids=["divide-by-zero", "power-0", "zero-denominator", "not-a-polynomial"])
+    (lambda: A + True, TypeError, "^unsupported operand type"),
+    *[(partial(call, x), TypeError, rf"^coefficient {re.escape(repr(x))} is not an exact rational$")
+      for _, call, bad in _GATED for x in bad.values()],
+], ids=["divide-by-zero", "power-0", "zero-denominator", "not-a-polynomial", "bool-operand",
+        *[f"{name}-{kind}" for name, _, bad in _GATED for kind in bad]])
 def test_scalar_refusals(call, exc, message):
     with pytest.raises(exc, match=message):
         call()
+
+
+def test_polynomial_helpers_stay_exact_on_integers():
+    """Integer polynomials add and multiply as int tuples; a quotient, a
+    remainder and a monic gcd are Fractions, never rounded floats."""
+    for p in (_padd((1, 2), (3,)), _pmul((1, 1), (-1, 1))):
+        assert all(type(c) is int for c in p), p
+    assert _padd((1, 2), (3,)) == (4, 2) and _pmul((1, 1), (-1, 1)) == (-1, 0, 1)
+    quot, rem = _pdivmod((1, 2), (1, 1))
+    assert (quot, rem) == ((2,), (-1,))
+    assert _pdivmod((1, 2, 3), (2, 4)) == ((Fraction(1, 8), Fraction(3, 4)), (Fraction(3, 4),))
+    gcd = _pgcd((2, 2), (1, 1))
+    assert gcd == (1, 1)
+    for p in (quot, rem, gcd, *_pdivmod((1, 2, 3), (2, 4))):
+        assert all(type(c) is Fraction for c in p), p

@@ -163,18 +163,11 @@ def cmd_opgen(args) -> int:
     spec = opgen.build_Q(args.genus, a)  # refuses a bad genus or weight before the header
     print(f"# config: genus={args.genus} weight={_weight_text(a)}")
     failures = _check_operator(spec)
-    if args.oracle_x:
-        k = 2 * a
-        if args.symbolic:
-            print("note: the substitution oracle needs a numeric weight; skipped")
-        elif k.denominator != 1 or int(k) % 2:
-            print("note: the substitution oracle needs an even integer 2a; skipped")
-        elif (nvars := args.genus * int(k) * args.genus) > opgen.ORACLE_MAX_VARS:
-            print(f"note: the substitution oracle takes at most {opgen.ORACLE_MAX_VARS} "
-                  f"variables, and genus {args.genus} at 2a = {k} needs {nvars}; skipped")
-        else:
-            failures += _status("matrix-space oracle",
-                                opgen.xspace_oracle(args.genus, int(k), spec.Q).is_zero())
+    if args.oracle_x and (why := opgen._oracle_fault(args.genus, spec.k)):
+        print(f"note: {why}; skipped")
+    elif args.oracle_x:
+        oracle = opgen.xspace_oracle(args.genus, spec.k, spec.Q)
+        failures += _status("matrix-space oracle", oracle.is_zero())
     _emit(opgen.opspec_to_text(spec), args.out)
     if args.out:
         print(f"# wrote operator spec to {args.out}")

@@ -56,6 +56,18 @@ class JetPoly(_SparsePoly):
     def _mono_mul(m1: JetMono, m2: JetMono) -> JetMono:
         return _mono(m1 + m2)
 
+    @staticmethod
+    def _mono_fault(m) -> str | None:
+        """Why m is not a JetMono, if so: a sorted tuple of jet variables,
+        each a str symbol with int index pairs and equal to jet_var of itself."""
+        if (type(m) is tuple and all(
+                type(v) is tuple and len(v) == 2 and type(v[0]) is str and type(v[1]) is tuple
+                and all(type(p) is tuple and len(p) == 2 and type(p[0]) is type(p[1]) is int
+                        for p in v[1]) and jet_var(*v) == v
+                for v in m) and m == _mono(m)):
+            return None
+        return f"jet monomial {m!r} is not a sorted tuple of canonical jet variables"
+
     @classmethod
     def symbol(cls, name: str) -> "JetPoly":
         return cls({(jet_var(name),): Fraction(1)})
@@ -145,7 +157,7 @@ def jet_mod_symbol(p: JetPoly, symbol: str) -> JetPoly:
     The result equals p on the zero locus of the function bound to symbol.
     """
     bare = jet_var(symbol)
-    return JetPoly({m: c for m, c in p.terms.items() if bare not in m})
+    return JetPoly._nonzero({m: c for m, c in p.terms.items() if bare not in m})
 
 
 def jet_diff(p: JetPoly, i: int, j: int) -> JetPoly:
@@ -164,7 +176,7 @@ def jet_diff(p: JetPoly, i: int, j: int) -> JetPoly:
             sym, derivs = m[idx]
             newvar = jet_var(sym, derivs + (pair,))
             _accumulate(out, _mono(m[:idx] + m[idx + 1:] + (newvar,)), c * mult)
-    return JetPoly(out)
+    return JetPoly._nonzero(out)
 
 
 def diffresult_expand(g: int, n: tuple, symbol: str = "F") -> JetPoly:

@@ -410,7 +410,20 @@ def verify_deriv_lemma(g: int, n: tuple, h: int) -> bool:
     return lhs == minor_coeff_R(g, 1, 1, tuple(nminus)).scale(k - n[h - 1] + 1)
 
 
-def xspace_oracle(g: int, k: int, p: MultiPoly) -> MultiPoly:
+def _oracle_fault(g: int, k, coefficients=()) -> str | None:
+    """Why xspace_oracle refuses genus g, k = 2a (any exact number) and these
+    coefficients: a weight not numeric, 2a odd or <= 0, or too many variables."""
+    if any(isinstance(c, RatFunc) for c in (k, *coefficients)):
+        return "the substitution oracle needs a numeric weight"
+    if (k := _rational(k)) <= 0 or k.denominator != 1 or k % 2:
+        return "the substitution oracle needs an even integer 2a"
+    if (nvars := g * int(k) * g) > ORACLE_MAX_VARS:
+        return (f"the substitution oracle takes at most {ORACLE_MAX_VARS} variables, "
+                f"and genus {g} at 2a = {k} needs {nvars}")
+    return None
+
+
+def xspace_oracle(g: int, k, p: MultiPoly) -> MultiPoly:
     """Brute-force pluriharmonicity oracle in the matrix-space variables.
 
     Substitutes r_{h;uw} = sum_nu x_{u,(h-1)k+nu} x_{w,(h-1)k+nu} (row
@@ -419,15 +432,9 @@ def xspace_oracle(g: int, k: int, p: MultiPoly) -> MultiPoly:
     result is the zero polynomial iff p is pluriharmonic in the first slot,
     which suffices for polynomials with the determinant scaling symmetry.
     """
-    if k <= 0 or k % 2:
-        raise ValueError("k must be an even positive integer")
-    nvars = g * k * g
-    if nvars > ORACLE_MAX_VARS:
-        raise ValueError(
-            f"{nvars} substitution variables exceed desk scale; "
-            "build the operator at a small numeric weight instead")
-    if any(isinstance(c, RatFunc) for c in p.terms.values()):
-        raise ValueError("oracle needs numeric (Q) coefficients")
+    if why := _oracle_fault(g, k, p.terms.values()):
+        raise ValueError(why)
+    k = int(k)
     mapping = {}
     for v in p.vars_used():
         if v[0] != "r":
@@ -479,19 +486,14 @@ def _found(text: str, pos: int) -> str:
 
 def _first_difference(text: str, want: str) -> str:
     """The reader's message for a text that is not the file want: the first
-    line where they part, found by a binary search that compares each stretch
-    once, the line expected (or the end of file) and the line found."""
-    lo, hi = 0, min(len(text), len(want))
-    while lo < hi:  # text[:lo] == want[:lo], and they part at or before hi
-        mid = (lo + hi + 1) // 2
-        if text.startswith(want[lo:mid], lo):
-            lo = mid
-        else:
-            hi = mid - 1
-    pos = want.rfind("\n", 0, lo) + 1  # the start of the line where they part
-    line, end = want.count("\n", 0, pos) + 1, want.find("\n", pos)
-    expected = "end of file" if end < 0 else repr(want[pos:end])
-    return f"OPSPEC1 line {line}: expected {expected}, found {_found(text, pos)}"
+    line where they part, the line expected (or the end of file) and the
+    line found."""
+    got, lines = text.split("\n"), want.split("\n")
+    last = min(len(got), len(lines)) - 1  # the last line both have, ended or not
+    i = next((i for i in range(last) if got[i] != lines[i]), last)
+    expected = "end of file" if i == len(lines) - 1 else repr(lines[i])
+    pos = sum(map(len, lines[:i])) + i  # the start of line i + 1 in both texts
+    return f"OPSPEC1 line {i + 1}: expected {expected}, found {_found(text, pos)}"
 
 
 def opspec_from_text(text: str) -> OperatorSpec:

@@ -13,7 +13,8 @@ say its field: it is in Q(a) when one of them is a RatFunc, and in Q when
 all are Fractions.
 The ring code on such dicts lives once, in the private base _SparsePoly:
 MultiPoly and the JetPoly of jets.py are its two subclasses and differ only
-in their monomial product and their own constructors and methods.
+in their monomial product and its check, which with scalars._admit is all
+the public constructor checks, and in their own constructors and methods.
 
 The central objects built here are the coefficients of
 
@@ -72,8 +73,8 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
 
-from .scalars import (RatFunc, _accumulate, _binpow, _Memo, _pdivmod, _pgcd, _pmul,
-                      _rational, scalar_to_text)
+from .scalars import (RatFunc, _accumulate, _admit, _binpow, _Memo, _pdivmod, _pgcd,
+                      _pmul, _rational, scalar_to_text)
 
 VarId = tuple
 Mono = tuple  # tuple of (VarId, exponent) pairs, sorted by _var_key
@@ -100,6 +101,28 @@ def x_var(i: int, nu: int) -> VarId:
     return ("x", i, nu)
 
 
+def _is_var(v) -> bool:
+    """v is a t, r or x VarId of int indices, with i <= j for an r."""
+    return (type(v) is tuple and v[:1] + (len(v),) in (("t", 2), ("r", 4), ("x", 3))
+            and all(type(n) is int for n in v[1:]) and (v[0] != "r" or v[2] <= v[3]))
+
+
+def _mono_fault(m) -> str | None:
+    """Why m is not a Mono as _mono_mul makes it, if so: distinct VarIds in
+    _var_key order, each with an int exponent >= 1."""
+    if (type(m) is tuple and all(type(p) is tuple and len(p) == 2 and _is_var(p[0])
+                                 and type(p[1]) is int and p[1] >= 1 for p in m)
+            and all(_var_key(u) < _var_key(v) for (u, _), (v, _) in zip(m, m[1:]))):
+        return None
+    return (f"monomial {m!r} is not distinct t, r or x variables in order, "
+            "each to an int power >= 1")
+
+
+def _scalar(c):
+    """c as a coefficient: a RatFunc as is, else through scalars._rational."""
+    return c if isinstance(c, RatFunc) else _rational(c)
+
+
 def _mono_mul(m1: Mono, m2: Mono) -> Mono:
     if not m1:
         return m2
@@ -123,11 +146,11 @@ class _SparsePoly:
     """A sparse dict polynomial over Q or Q(a): the ring code shared by
     MultiPoly and JetPoly.
 
-    terms maps monomials to nonzero coefficients, Fractions or RatFuncs.
-    The polynomial is in Q(a) when one of them is a RatFunc; a Fraction
-    beside it is the constant of Q(a) it equals, since the two types
-    coerce in every ring operation.  A subclass supplies _mono_mul, the
-    product of two of its monomials.
+    terms maps monomials to nonzero Fractions or RatFuncs, which coerce in
+    every ring operation (a Fraction beside a RatFunc is a constant of Q(a)).
+    A subclass supplies _mono_mul, the product of two of its monomials, and
+    _mono_fault, why a caller's key is not such a product: the constructor
+    admits a caller's terms by it and _scalar; ring results come by _nonzero.
     """
 
     __slots__ = ("terms",)
@@ -141,7 +164,7 @@ class _SparsePoly:
             setattr(cls, name, vars(_SparsePoly)[name])
 
     def __init__(self, terms: dict | None = None):
-        self.terms = {m: c for m, c in (terms or {}).items() if c}
+        self.terms = _admit(terms, self._mono_fault, _scalar)
 
     @classmethod
     def _nonzero(cls, terms: dict):
@@ -158,8 +181,7 @@ class _SparsePoly:
 
     @classmethod
     def const(cls, c):
-        c = c if isinstance(c, RatFunc) else _rational(c)
-        return cls({(): c} if c else {})
+        return cls({(): c})
 
     # -- predicates --------------------------------------------------------
 
@@ -183,10 +205,10 @@ class _SparsePoly:
         out = dict(self.terms)
         for m, c in other.terms.items():
             _accumulate(out, m, c)
-        return type(self)(out)
+        return self._nonzero(out)
 
     def __neg__(self):
-        return type(self)({m: -c for m, c in self.terms.items()})
+        return self._nonzero({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -197,22 +219,20 @@ class _SparsePoly:
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 _accumulate(out, mono_mul(m1, m2), c1 * c2)
-        return type(self)(out)
+        return self._nonzero(out)
 
     def __pow__(self, n: int):
         return _binpow(self, n) if n else self.const(1)
 
     def scale(self, c):
         """Multiply by a scalar, a Fraction or a RatFunc."""
-        c = c if isinstance(c, RatFunc) else _rational(c)
-        if not c:
-            return self.zero()
-        return type(self)({m: c * cm for m, cm in self.terms.items()})
+        c = _scalar(c)
+        return self._nonzero({m: c * cm for m, cm in self.terms.items()} if c else {})
 
     def promote(self):
         """The same polynomial with every coefficient a RatFunc: in Q(a)."""
-        return type(self)({m: c if isinstance(c, RatFunc) else RatFunc(c)
-                           for m, c in self.terms.items()})
+        return self._nonzero({m: c if isinstance(c, RatFunc) else RatFunc(c)
+                              for m, c in self.terms.items()})
 
     def __repr__(self):
         return f"{type(self).__name__}({len(self.terms)} terms)"
@@ -224,6 +244,7 @@ class MultiPoly(_SparsePoly):
     __slots__ = ()
 
     _mono_mul = staticmethod(_mono_mul)
+    _mono_fault = staticmethod(_mono_fault)
 
     @classmethod
     def var(cls, v: VarId) -> "MultiPoly":
@@ -247,11 +268,11 @@ class MultiPoly(_SparsePoly):
                 if vm == v:
                     _accumulate(out, _mono_lower(m, idx), c * (e * factor))
                     break
-        return MultiPoly(out)
+        return MultiPoly._nonzero(out)
 
     def mul_var(self, v: VarId, e: int = 1) -> "MultiPoly":
         mono = ((v, e),) if e else ()  # _mono_mul would keep a zero exponent
-        return MultiPoly({_mono_mul(m, mono): c for m, c in self.terms.items()})
+        return MultiPoly._nonzero({_mono_mul(m, mono): c for m, c in self.terms.items()})
 
     def substitute(self, mapping: dict) -> "MultiPoly":
         """Substitute some variables by polynomials (others are kept)."""
@@ -283,7 +304,7 @@ class MultiPoly(_SparsePoly):
                     rest.append((v, e))
             if tuple(texp) == tuple(n):
                 out[tuple(rest)] = c
-        return MultiPoly(out)
+        return MultiPoly._nonzero(out)
 
 
 # -- multi-indices ----------------------------------------------------------

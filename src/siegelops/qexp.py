@@ -10,7 +10,7 @@ g(g+1)/2 scaled exponents T_ij (i <= j), row by row: (alpha, beta, gamma) =
 (T_11, T_12, T_22) at genus 2 and (n,) at genus 1.  Theta-constant exponents
 lie in (1/8)Z on the diagonal and (1/4)Z off it, so the factor 8 makes every
 key integral.  Only data from outside is checked: the public constructor
-checks each term, and the SMF1 reader every key, column by column (when a
+checks each term (scalars._admit), the SMF1 reader every key, by column (when a
 check fails it reads the block again line by line, checking each key as it
 is read, and names the first faulty line).  Ring operations keep the
 invariants, and the builders of theta and brackets keep them by their loop
@@ -115,7 +115,7 @@ from types import MappingProxyType
 
 from .jets import JetPoly
 from .poly import _cleared, _index_pairs
-from .scalars import (RatFunc, _accumulate, _binpow, _int_from_text, _line_reader,
+from .scalars import (RatFunc, _accumulate, _admit, _binpow, _int_from_text, _line_reader,
                       _Memo, _number_from_text, _pack, _rational, _unpack, frac_from_text,
                       frac_to_text)
 
@@ -347,13 +347,7 @@ class _Expansion:
         """Every term's key and exact coefficient is checked, then zeros dropped."""
         _check_trunc(trunc)
         lay = self._layout
-        checked = {}
-        for k, c in (terms or {}).items():
-            why = lay.shape_fault(k) or lay.fault(k, trunc)
-            if why:
-                raise ValueError(why)
-            if c := _rational(c):
-                checked[k] = c
+        checked = _admit(terms, lambda k: lay.shape_fault(k) or lay.fault(k, trunc), _rational)
         self._set(*_cleared(checked), _rational(weight), trunc, tau_factor, character)
 
     def _set(self, den, nums, weight, trunc, tau_factor, character):

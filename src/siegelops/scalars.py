@@ -15,8 +15,10 @@ length check.
 
 An exact number is an int (not a bool) or a Fraction, with a RatFunc where
 Q(a) is meant; every number a caller hands the package passes the one gate
-_rational.  _padd, _pmul, _pdivmod and _pgcd are the one polynomial
-arithmetic: int tuples stay int tuples under + and *, and division is exact.
+_rational, and every term of a ring constructor's dict passes _admit (ring
+results are not checked).  _padd, _pmul, _pdivmod and _pgcd are the one
+polynomial arithmetic: int tuples stay int tuples under + and *, and
+division is exact.
 
 Text format: a rational is ``p/q`` in lowest terms (``q`` omitted when 1);
 a RatFunc is ``num ; den``, each polynomial a ``+``-joined list of nonzero
@@ -130,6 +132,15 @@ def _rational(x) -> Fraction:
     if isinstance(x, int) and x.__class__ is not bool:
         return Fraction(x)
     raise TypeError(f"coefficient {x!r} is not an exact rational")
+
+
+def _admit(terms: dict | None, fault, gate) -> dict:
+    """A caller's nonzero terms: each key checked by fault, then each coefficient by gate."""
+    terms = terms or {}
+    for k in terms:
+        if why := fault(k):
+            raise ValueError(why)
+    return {k: c for k, c in zip(terms, map(gate, terms.values())) if c}
 
 
 def _accumulate(terms: dict, m, c):

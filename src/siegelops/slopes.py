@@ -16,8 +16,6 @@ from typing import NamedTuple
 
 from .scalars import _rational, frac_to_text
 
-INF = math.inf
-
 
 class DivClass(NamedTuple):
     """A divisor class lam * lambda - delta * delta_boundary."""
@@ -35,11 +33,12 @@ def make_class(lam, delta, label: str = "") -> DivClass:
     return DivClass(_rational(lam), _rational(delta), label)
 
 
-def slope(c: DivClass):
-    """lam/delta exactly; forms that do not vanish on the boundary get inf."""
-    if c.delta == 0:
-        return INF
-    return c.lam / c.delta
+def slope(c) -> Fraction:
+    """lam/delta (lam1/delta' of a CurveClass) exactly; delta = 0 has none."""
+    lam, delta = c[:2]
+    if delta == 0:
+        raise ValueError(f"the class {c.label or c} has delta = 0 and so no slope")
+    return lam / delta
 
 
 def class_tnull(g: int) -> DivClass:
@@ -103,8 +102,8 @@ class CurveClass(NamedTuple):
     deltap: Fraction
     label: str = ""
 
-    def slope(self):
-        return INF if self.deltap == 0 else self.lam1 / self.deltap
+    def slope(self) -> Fraction:
+        return slope(self)
 
 
 def torelli_pullback(c: DivClass) -> CurveClass:

@@ -392,6 +392,23 @@ def test_xspace_guard():
         xspace_oracle(2, 3, MultiPoly.var(r_var(1, 1, 1)))
 
 
+@pytest.mark.parametrize("g, k, reason", [
+    (2, 2 * symbolic_weight(), "the substitution oracle needs a numeric weight"),
+    (2, Fraction(3), "the substitution oracle needs an even integer 2a"),
+    (2, -2, "the substitution oracle needs an even integer 2a"),
+    (3, Fraction(10), "the substitution oracle takes at most 80 variables, and genus 3 at "
+                      "2a = 10 needs 90"),
+], ids=["symbolic", "odd", "negative", "too-many-variables"])
+def test_xspace_oracle_refuses_a_weight_with_its_reason(g, k, reason):
+    with pytest.raises(ValueError, match=f"^{re.escape(reason)}$"):
+        xspace_oracle(g, k, MultiPoly.var(r_var(1, 1, 1)))
+
+
+def test_xspace_oracle_takes_2a_as_any_exact_number():
+    p = MultiPoly.var(r_var(1, 1, 1))
+    assert xspace_oracle(2, Fraction(4), p) == xspace_oracle(2, 4, p) == MultiPoly.const(8)
+
+
 def test_opspec_round_trip(spec2_symbolic):
     text = opspec_to_text(spec2_symbolic)
     back = opspec_from_text(text)
@@ -760,7 +777,7 @@ def test_opspec_read_builds_the_coefficient_table_once(spec2_symbolic, monkeypat
 @pytest.mark.parametrize("call, message", [
     (lambda: constant_C(2, Fraction(3), 3), r"^m=3 out of range 1\.\.2$"),
     (lambda: xspace_oracle(2, 2, build_Q(2, symbolic_weight()).Q),
-     r"^oracle needs numeric \(Q\) coefficients$"),
+     r"^the substitution oracle needs a numeric weight$"),
     (lambda: xspace_oracle(2, 2, MultiPoly.var(t_var(1))),
      r"^oracle input mentions non-matrix variable \('t', 1\)$"),
     (lambda: apply_D11(2, 3, MultiPoly.var(r_var(1, 1, 1)), 4), r"^slot h=3 is outside 1\.\.2$"),

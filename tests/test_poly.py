@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from siegelops.jets import JetPoly
+from siegelops.jets import JetPoly, jet_var
 from siegelops.opgen import build_Q, opspec_from_text, opspec_to_text, symbolic_weight
 from siegelops.poly import (MultiPoly, _cleared, _index_pairs, _minor_rows,
                             _packed_poly, _packed_text, _packing, _t_split, coeff_R,
@@ -206,10 +206,49 @@ def test_mixed_sums_and_products_are_in_qa():
                          ids=["float", "binary-float", "complex", "string", "bool"])
 def test_const_takes_exact_numbers_only(bad):
     for cls in (MultiPoly, JetPoly):
-        with pytest.raises(TypeError, match=rf"^coefficient {re.escape(repr(bad))} is not an "
-                                            "exact rational$"):
-            cls.const(bad)
+        for make in (cls.const, lambda c: cls({(): c})):
+            with pytest.raises(TypeError, match=rf"^coefficient {re.escape(repr(bad))} is not "
+                                                "an exact rational$"):
+                make(bad)
     assert MultiPoly.const(RatFunc(3)).terms == {(): RatFunc(3)}
+
+
+_R111, _T1 = r_var(1, 1, 1), t_var(1)
+_F, _G = jet_var("F"), jet_var("G")
+
+
+@pytest.mark.parametrize("cls, mono", [
+    (MultiPoly, ((_R111, 1), (_T1, 1))),
+    (MultiPoly, ((_T1, 1), (_T1, 1))),
+    (MultiPoly, ((_T1, 0),)),
+    (MultiPoly, ((_T1, True),)),
+    (MultiPoly, ((("r", 1, 2, 1), 1),)),
+    (MultiPoly, ("r", 1, 2, 1)),
+    (MultiPoly, "junk"),
+    (MultiPoly, (("junk", 1),)),
+    (JetPoly, (_G, _F)),
+    (JetPoly, (("F", ((2, 1),)),)),
+    (JetPoly, "junk"),
+], ids=["out-of-order", "repeated", "exponent-0", "exponent-bool", "r-entry-i-above-j",
+        "bare-variable", "string", "unknown-variable", "jet-out-of-order", "jet-unsorted-pair",
+        "jet-string"])
+def test_constructors_refuse_a_monomial_not_in_ring_form(cls, mono):
+    """A key the ring's own product would not make is refused, naming it,
+    whatever its coefficient: the ring compares monomials as it makes them."""
+    for c in (1, 0):
+        with pytest.raises(ValueError, match=rf"monomial {re.escape(repr(mono))} is not "):
+            cls({mono: c})
+
+
+def test_a_product_written_as_a_key_is_the_product_in_ring_form_only():
+    """The key in ring form is the product; the same factors in another
+    order are refused, where they made a polynomial unequal to it."""
+    assert MultiPoly({((_T1, 1), (_R111, 1)): 2}) == (V(_T1) * V(_R111)).scale(2)
+    F, G = JetPoly.symbol("F"), JetPoly.symbol("G")
+    assert JetPoly({(_F, _G): 1}) == F * G == G * F
+    for cls, key in ((MultiPoly, ((_R111, 1), (_T1, 1))), (JetPoly, (_G, _F))):
+        with pytest.raises(ValueError):
+            cls({key: 1})
 
 
 @pytest.mark.parametrize("bad", [0.1, 0.25, 1j, 0.0, "1/2", True],

@@ -3,7 +3,7 @@ operators on Siegel modular forms, with theta-constant expansions, bracket
 operators, and divisor-class slope bookkeeping."""
 
 from .scalars import PoleError, RatFunc
-from .poly import MultiPoly, coeff_R, det_expand, index_set_N, minor_coeff_R
+from .poly import MultiPoly, PackedPoly, coeff_R, det_expand, index_set_N, minor_coeff_R
 from .jets import JetPoly, diffresult_expand, jet_apply, jet_det_partial, jet_mod_symbol
 from .opgen import (OperatorSpec, apply_D11, build_Q, constant_C, symbolic_weight,
                     verify_deriv_lemma, verify_harmonic_condition,

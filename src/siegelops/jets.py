@@ -20,6 +20,7 @@ Every determinant here is poly._leibniz over one-term jets, the Leibniz
 sum that is also the bracket determinant of brackets.py; its pairings
 come from the generator that expands the pencil determinants of poly.py.
 
+jet_apply reads the poly.PackedPoly of coeff_R and build_Q, with no decode.
 operator_jet is the one definition of the operator's action on a function:
 apply and the numeric D25T2 form of theta both evaluate it.
 """
@@ -28,11 +29,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
-from functools import reduce
+from functools import partial, reduce
 
-from .poly import MultiPoly, _cleared, _coefficients, _leibniz, _SparsePoly
-from .scalars import _accumulate, _padd
+from .poly import PackedPoly, _coefficients, _index_pairs, _leibniz, _packing, _SparsePoly
+from .scalars import _accumulate, _Memo, _padd
 
 JetVar = tuple  # (symbol: str, derivs: tuple[(i, j), ...])
 JetMono = tuple  # sorted tuple of JetVar, repetitions allowed
@@ -75,47 +77,45 @@ class JetPoly(_SparsePoly):
     def symbols(self) -> set:
         return {v[0] for m in self.terms for v in m}
 
-    def symbol_count(self, name: str) -> int:
-        """Minimum multiplicity of a symbol (derived occurrences included) over monomials."""
-        if not self.terms:
-            return 0
-        return min(sum(1 for v in m if v[0] == name) for m in self.terms)
+
+def _slot_var(symbol: str, pairs: list, bits: int) -> JetVar:
+    """The jet variable of a slot whose R_h block of nibbles is bits."""
+    return jet_var(symbol, [ij for p, ij in enumerate(pairs) for _ in range(bits >> 4 * p & 15)])
 
 
-def jet_apply(q: MultiPoly, assignment: dict[int, str], g: int) -> JetPoly:
+def jet_apply(q: PackedPoly, assignment: dict[int, str], g: int) -> JetPoly:
     """Expand the constant-coefficient operator attached to q on g function slots.
 
     Each monomial prod_h prod_s r_{h; i_s j_s} becomes the product over all
     slots h = 1..g of the jet variable (assignment[h], pairs for slot h);
-    slots without matrix entries contribute the bare symbol.  q must involve
-    matrix entries only.
+    slots without matrix entries contribute the bare symbol.  q, a genus-g
+    PackedPoly, must involve matrix entries only.
 
-    The sums run on q's cleared form (poly._cleared): integer numerators
-    over one denominator, integer polynomials in a for Q(a).  The
-    numerators of the monomials that meet in one jet monomial are added
-    as integers, and each distinct nonzero sum becomes one coefficient
-    through poly._coefficient, so no field operation runs per term.
+    Slot h's jet variable is read from the R_h block of each packed key,
+    through one memo per block.  The integer numerators of the monomials
+    that meet in one jet monomial are added (integer polynomials in a for
+    Q(a)), and each distinct nonzero sum becomes one coefficient through
+    poly._coefficient, so no field operation runs per term.
     """
     slots = set(range(1, g + 1))
     if missing := slots - set(assignment):
         raise ValueError(f"matrix indices {sorted(missing)} have no assigned symbol")
-    den, nums = _cleared(q.terms)
-    variables = {v for m in nums for v, _ in m}
-    if other := [v for v in variables if v[0] != "r"]:
-        raise ValueError(f"operator polynomial mentions non-matrix variable {min(other)}")
-    if unknown := {k for v in variables for k in v[1:]} - slots:  # h, i, j of each r_{h;ij}
-        raise ValueError(f"matrix indices {sorted(unknown)} exceed genus {g}")
+    if q.g != g:
+        raise ValueError(f"operator polynomial of genus {q.g} on {g} slots")
+    if t := reduce(operator.or_, q.nums, 0) & (1 << 4 * g) - 1:  # the t-block nibbles
+        lowest = _packing(g).names[((t & -t).bit_length() - 1) // 4]
+        raise ValueError(f"operator polynomial mentions non-matrix variable {lowest}")
+    pairs = _index_pairs(g)
+    mask = (1 << 4 * len(pairs)) - 1
+    blocks = [(4 * (g + (h - 1) * len(pairs)), _Memo(partial(_slot_var, assignment[h], pairs)))
+              for h in range(1, g + 1)]
     sums: dict = {}
-    for m, num in nums.items():
-        per_slot: dict[int, list] = {}
-        for v, e in m:
-            per_slot.setdefault(v[1], []).extend([(v[2], v[3])] * e)
-        mono = _mono(jet_var(assignment[h], per_slot.get(h, ()))
-                     for h in range(1, g + 1))
+    for key, num in q.nums.items():
+        mono = _mono([memo[key >> shift & mask] for shift, memo in blocks])
         sums.setdefault(mono, []).append(num)
-    sums = {m: reduce(_padd, parts) if isinstance(den, tuple) else sum(parts)
+    sums = {m: reduce(_padd, parts) if isinstance(q.den, tuple) else sum(parts)
             for m, parts in sums.items()}  # integer polynomials in Q(a), ints in Q
-    coeff = _coefficients(den)
+    coeff = _coefficients(q.den)
     return JetPoly._nonzero({m: coeff[s] for m, s in sums.items() if s})
 
 

@@ -38,19 +38,19 @@ what pins the convention.
 Packed operator.  build_Q never leaves the packed monomials of poly.py.
 Every key of the Leibniz pass determines its n (the degree in R_h is the
 t_h-exponent n_h), so C(1) Q is the union of the packed B(n) with
-c(n) != 0, each scaled by c(n) = C(m).  OperatorSpec stores Q as one
-cleared form:
+c(n) != 0, each scaled by c(n) = C(m).  spec.Q is one poly.PackedPoly:
 integer numerators over one denominator, both integers at a numeric weight
 a = p/q (q^(g-1) C(m) is an integer) and integer polynomials in a in Q(a)
 (C(m) is an integer polynomial in k = 2a).  Each C(m) is computed once,
 the numerators of B(n) are multiplied by it in one pass, and the form is
-divided by the integer content.  spec.Q decodes a MultiPoly on first
-access.  The OPSPEC1 writer works on the packed keys directly, with one
-join for the POLY1 block.  A file is a function of its genus and weight,
-so the reader builds build_Q(g, a) again and compares its text with one ==.
+divided by the integer content.  Only the substitution oracle decodes it
+to a MultiPoly.  The OPSPEC1 writer works on the packed keys directly,
+with one join for the POLY1 block.  A file is a function of its genus and
+weight, so the reader builds build_Q(g, a) again and compares its text
+with one ==.
 
 Integer proof.  verify_pluriharmonic runs on integers, in one kernel shared
-with apply_D11, which packs and clears its MultiPoly argument first.  Let
+with apply_D11, which takes and returns a PackedPoly.  Let
 Q = sum over packed keys of P(a) / L(a) times a monomial, the cleared form:
 L and every P are integer polynomials (constants for a numeric weight).
 Likewise k = kn(a) / kd(a) with integer polynomials.  Then 4 kd L times
@@ -87,9 +87,9 @@ from collections import Counter, defaultdict
 from fractions import Fraction
 from functools import cached_property, reduce
 
-from .poly import (MultiPoly, _cleared, _nibble_sum, _packed_poly, _packed_text, _packing,
-                   _t_split, coeff_R, index_set_N, index_set_Nprime, minor_coeff_R, r_var,
-                   x_var)
+from .poly import (MultiPoly, PackedPoly, _cleared, _nibble_sum, _packed_text, _packing,
+                   _scalar, _t_split, coeff_R, index_set_N, index_set_Nprime, minor_coeff_R,
+                   r_var, x_var)
 from .scalars import (RatFunc, _horner, _int_from_text, _line_reader, _padd, _pmul,
                       _rational, _unpack, frac_from_text, frac_to_text, scalar_to_text)
 
@@ -139,32 +139,22 @@ def _stratum(n) -> int:
     return big[0] if big else 1
 
 
-def coeff_c(g: int, a, n: tuple):
-    """c(n): C(1) for all ones, C(m) on the admissible shapes, else 0."""
-    m = _stratum(n)
-    return constant_C(g, a, m) if m else _as_weight(a) * 0
-
-
 class OperatorSpec:
     """A built operator polynomial for genus g and weight a, a Fraction or
-    the RatFunc a; specs compare by (g, a, den, nums) and are unhashable.
+    the RatFunc a; specs compare by (g, a, Q) and are unhashable.
 
-    Q is stored as its cleared packed form (module docstring): nums maps
-    each packed monomial key to its numerator, and nums[key] / den is its
-    coefficient; den and the numerators are ints for a numeric weight and
-    integer polynomials in a (tuples, low degree first) in Q(a), with no
-    common integer factor and den > 0 (or a positive leading coefficient).
-    The rest follows: k = 2a, symbolic, the coefficient table coeffs and Q,
-    the read-only MultiPoly view (the last two made on first access).
+    Q is the operator's poly.PackedPoly (module docstring).  The rest
+    follows: k = 2a, symbolic and the coefficient table coeffs (made on
+    first access).
     """
 
-    def __init__(self, g: int, a, den, nums: dict):
-        self.g, self.a, self.den, self.nums, self._Q = g, a, den, nums, None
+    def __init__(self, g: int, a, Q: PackedPoly):
+        self.g, self.a, self.Q = g, a, Q
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.g, self.a, self.den, self.nums) == (other.g, other.a, other.den, other.nums)
+        return (self.g, self.a, self.Q) == (other.g, other.a, other.Q)
 
     __hash__ = None
 
@@ -183,12 +173,6 @@ class OperatorSpec:
     def coeffs(self) -> dict:
         """The normalized coefficient table {n: c(n)/C(1)}, c(n) != 0."""
         return _coefficient_table(self.g, self.a)
-
-    @property
-    def Q(self) -> MultiPoly:
-        if self._Q is None:
-            self._Q = _packed_poly(self.g, self.den, self.nums)
-        return self._Q
 
 
 def _integer_C(g: int, a) -> dict:
@@ -242,28 +226,31 @@ def build_Q(g: int, a) -> OperatorSpec:
             scaled = {b: b * Cm // G for b in set(bucket.values())}
         nums.update(zip(bucket, map(scaled.__getitem__, bucket.values())))
     den = tuple(c // G for c in C[1]) if symbolic else C[1] // G
-    return OperatorSpec(g, a, den, nums)
+    return OperatorSpec(g, a, PackedPoly(g, den, nums))
 
 
 # -- the integer D_{h;11} kernel (see "Integer proof" above) -----------------
 
 
 class _IntegerForm:
-    """A cleared packed form (den, nums) and k, over one integer
-    denominator, for the D_{h;11} kernel.
+    """A PackedPoly p and k (a RatFunc or through _rational) over one integer
+    denominator, for the D_{h;11} kernel with an integer second-order factor.
 
     terms maps each packed key to the integer P(2^S) of its numerator, and
     classes each row-1 class to its keys; kn and kd are 4 kn(2^S) and
-    4 kd(2^S).  Keys may hold the t_h and r_{h;ij} of genus g, with
-    exponents up to poly._MAX_EXP.
+    4 kd(2^S).  Keys may hold the t_h and r_{h;ij} of genus p.g.
     """
 
-    def __init__(self, g: int, den, nums: dict, k, factor: int):
-        self.g, self.factor = g, factor
+    def __init__(self, p: PackedPoly, k, factor):
+        factor = _rational(factor)
+        if factor.denominator != 1:
+            raise ValueError(f"second-order factor {factor} is not an integer")
+        g, den, nums = p.g, p.den, p.nums
+        self.g, self.factor = g, int(factor)
         symbolic = isinstance(den, tuple)
-        self.symbolic = symbolic or isinstance(k, RatFunc)
+        kd, kn = _cleared({0: _scalar(k)})
+        self.symbolic = symbolic or isinstance(kd, tuple)
         self.packing = _packing(g)
-        kd, kn = _cleared({0: k})
 
         def poly(x) -> tuple:  # an int as a constant polynomial
             return x if isinstance(x, tuple) else (x,)
@@ -274,7 +261,7 @@ class _IntegerForm:
         for key in nums:
             self.classes[key & row1].append(key)
         d = max(map(_nibble_sum, self.classes), default=0)
-        spread = 4 * d * sum(map(abs, kn)) + 4 * abs(factor) * d * d * sum(map(abs, kd))
+        spread = 4 * d * sum(map(abs, kn)) + 4 * abs(self.factor) * d * d * sum(map(abs, kd))
         if symbolic:
             counts = Counter(nums.values())
             size = sum(n * sum(map(abs, P)) for P, n in counts.items())
@@ -326,35 +313,40 @@ class _IntegerForm:
                     2 * f * eu * ew * kd // (2 if u == 1 else 4))
         return [(delta, mult) for delta, mult in acc.items() if mult]
 
-    def to_poly(self, residual: dict) -> MultiPoly:
-        """A kernel residual divided back into the field of p and k; in Q(a)
-        a value R(2^S) is read as R's balanced base-2^S digits."""
+    def to_poly(self, residual: dict) -> PackedPoly:
+        """A kernel residual divided back into the field of p and k, made
+        canonical; in Q(a) a value R(2^S) is read as R's balanced base-2^S
+        digits."""
         nums = {key: v for key, v in residual.items() if v}
-        if not self.symbolic:
-            return _packed_poly(self.g, self.den[0], nums)
-        for key, v in nums.items():
-            digits = dict(_unpack(v, self.s))
-            nums[key] = tuple(digits.get(j, 0) for j in range(max(digits) + 1))
-        return _packed_poly(self.g, self.den, nums)
+        den = self.den if self.symbolic else self.den[0]
+        if self.symbolic:
+            for key, v in nums.items():
+                digits = dict(_unpack(v, self.s))
+                nums[key] = tuple(digits.get(j, 0) for j in range(max(digits) + 1))
+        return PackedPoly(self.g, *_cleared(PackedPoly(self.g, den, nums).terms))
 
 
-def apply_D11(g: int, h: int, p: MultiPoly, k,
-              second_order_factor: int = SECOND_ORDER_FACTOR) -> MultiPoly:
+def apply_D11(g: int, h: int, p: PackedPoly, k,
+              second_order_factor: int = SECOND_ORDER_FACTOR) -> PackedPoly:
     """The row-(1,1) second-order operator on the R_h variables.
 
     D_{h;11} P = k d_{h;11} P + factor * sum_{u,w} r_{h;uw} d_{h;1u} d_{h;1w} P
     with symmetrized derivatives d.  The default factor 2 matches the
     pullback Laplacian up to an irrelevant global constant.
 
-    Packs and clears p, runs the integer kernel of verify_pluriharmonic for
-    this h alone and divides its residual back into the field: Q(a) when p
-    or k is there.
+    Runs the integer kernel of verify_pluriharmonic on p, a genus-g
+    PackedPoly, for this h alone and divides its residual back into the
+    field: Q(a) when p or k is there.  A move raises an exponent by at most
+    1, so p may hold exponents up to 14 and no nibble of a key carries.
     """
     if not 1 <= h <= g:
         raise ValueError(f"slot h={h!r} is outside 1..{g}")
-    encode = _packing(g).encode
-    den, nums = _cleared({encode(m): c for m, c in p.terms.items()})
-    form = _IntegerForm(g, den, nums, k, second_order_factor)
+    if p.g != g:
+        raise ValueError(f"polynomial of genus {p.g} is not of genus {g}")
+    ones = sum(_packing(g).unit.values())  # the lowest bit of every nibble
+    if any(key & key >> 1 & key >> 2 & key >> 3 & ones for key in p.nums):
+        raise ValueError("polynomial has an exponent of 15, above the 14 apply_D11 takes")
+    form = _IntegerForm(p, k, second_order_factor)
     return form.to_poly(form.d11((h,)))
 
 
@@ -365,7 +357,7 @@ def verify_pluriharmonic(spec: OperatorSpec,
     One scan of Q by the integer kernel for every h at once; in Q(a) a
     zero residual proves the identity for every a (module docstring).
     """
-    form = _IntegerForm(spec.g, spec.den, spec.nums, spec.k, second_order_factor)
+    form = _IntegerForm(spec.Q, spec.k, second_order_factor)
     return not any(form.d11(range(1, spec.g + 1)).values())
 
 
@@ -376,7 +368,11 @@ def verify_harmonic_condition(g: int, a) -> bool:
     (_constant_C_k), so each left side is an integer polynomial in k of
     degree g.  In Q(a) it must be the zero polynomial, which proves the
     identity for every a; at a numeric weight it must vanish at that k.
+    A genus below 2 is refused: g = 0 has no minor index, and at g = 1
+    C(1) = 0, so Q is undefined.
     """
+    if g < 2:
+        raise ValueError(f"genus must be >= 2, found {g}")
     a = _as_weight(a)
     C = {0: (), **{m: _constant_C_k(g, m) for m in range(1, g + 1)}}
     for nprime in index_set_Nprime(g):
@@ -407,13 +403,14 @@ def verify_deriv_lemma(g: int, n: tuple, h: int) -> bool:
         return lhs.is_zero()
     nminus = list(n)
     nminus[h - 1] -= 1
-    return lhs == minor_coeff_R(g, 1, 1, tuple(nminus)).scale(k - n[h - 1] + 1)
+    factor, minor = k - n[h - 1] + 1, minor_coeff_R(g, 1, 1, tuple(nminus)).terms
+    return lhs == PackedPoly(g, *_cleared({key: factor * c for key, c in minor.items()}))
 
 
-def _oracle_fault(g: int, k, coefficients=()) -> str | None:
-    """Why xspace_oracle refuses genus g, k = 2a (any exact number) and these
-    coefficients: a weight not numeric, 2a odd or <= 0, or too many variables."""
-    if any(isinstance(c, RatFunc) for c in (k, *coefficients)):
+def _oracle_fault(g: int, k, den=1) -> str | None:
+    """Why xspace_oracle refuses genus g, k = 2a (any exact number) and a form
+    over den: a weight not numeric, 2a odd or <= 0, or too many variables."""
+    if isinstance(k, RatFunc) or isinstance(den, tuple):
         return "the substitution oracle needs a numeric weight"
     if (k := _rational(k)) <= 0 or k.denominator != 1 or k % 2:
         return "the substitution oracle needs an even integer 2a"
@@ -423,7 +420,7 @@ def _oracle_fault(g: int, k, coefficients=()) -> str | None:
     return None
 
 
-def xspace_oracle(g: int, k, p: MultiPoly) -> MultiPoly:
+def xspace_oracle(g: int, k, p: PackedPoly) -> MultiPoly:
     """Brute-force pluriharmonicity oracle in the matrix-space variables.
 
     Substitutes r_{h;uw} = sum_nu x_{u,(h-1)k+nu} x_{w,(h-1)k+nu} (row
@@ -431,12 +428,15 @@ def xspace_oracle(g: int, k, p: MultiPoly) -> MultiPoly:
     applies the literal first-row Laplacian sum_col d^2/dx_{1,col}^2.  The
     result is the zero polynomial iff p is pluriharmonic in the first slot,
     which suffices for polynomials with the determinant scaling symmetry.
+    p, a genus-g PackedPoly, is decoded: the substitution needs MultiPoly.
     """
-    if why := _oracle_fault(g, k, p.terms.values()):
+    if p.g != g:
+        raise ValueError(f"polynomial of genus {p.g} is not of genus {g}")
+    if why := _oracle_fault(g, k, p.den):
         raise ValueError(why)
-    k = int(k)
+    k, p = int(k), p.decode()
     mapping = {}
-    for v in p.vars_used():
+    for v in {v for m in p.terms for v, _ in m}:
         if v[0] != "r":
             raise ValueError(f"oracle input mentions non-matrix variable {v}")
         _, h, u, w = v
@@ -465,7 +465,7 @@ def _opspec_text(spec: OperatorSpec) -> str:
             f"coeffs {len(spec.coeffs)}"]
     head += [f"n={','.join(map(str, n))} | {scalar_to_text(spec.coeffs[n])}"
              for n in sorted(spec.coeffs)]
-    return "\n".join(head) + "\n" + _packed_text(spec.g, spec.den, spec.nums)
+    return "\n".join(head) + "\n" + _packed_text(spec.Q)
 
 
 def opspec_to_text(spec: OperatorSpec) -> str:

@@ -38,27 +38,24 @@ nibbles never carry), and its place among the partial sums spells its
 row-to-h assignment, whose counts are its t-exponents n.  So _t_split
 deals each permutation's keys to the buckets B(n) by place, with no
 t-unit in any key, and det_expand adds each bucket's t-block back.
-_Packing holds the layout (at most _MAX_EXP per nibble), its decoder and
-encoder, and the POLY1 text of packed keys.
-The operator Q of opgen.py and its integer D_{h;11} kernel use the same
-keys, as a cleared form: one denominator over integer numerators
-(_packed_poly and _cleared convert between such a form and a MultiPoly).
-POLY1, the body of an OPSPEC1 file, has one writer, _packed_text, on that
-form, and no reader of its own: an OPSPEC1 file is a function of its genus
-and weight, and opgen.opspec_from_text reads one by building its operator,
-writing its text again and comparing the two.  The writer puts the terms
-in increasing order of their keys, the order of the ints themselves
+_Packing holds the layout, its decoder and the POLY1 text of packed keys.
+PackedPoly, a cleared form on those keys, is the one polynomial of what
+the pencil makes: det_expand, coeff_R, minor_coeff_R and the operator Q
+of opgen.py are one, and its D_{h;11} kernel takes and returns one.  Only
+the substitution oracle and the tests decode one, to the MultiPoly ring of
+the x-variables, substitute and diff_plain.  POLY1, the body of an OPSPEC1
+file, has one writer, _packed_text, on that form, and no reader of its
+own: opgen.opspec_from_text builds the operator of a file's genus and
+weight, writes its text again and compares the two.  The writer puts the
+terms in increasing order of their keys, the order of the ints themselves
 (exponent vectors compared from the last variable r_{g;gg} down), and
 makes the block as one text by one join, with no string per line.
 
-Decoding is lazy: det_expand, coeff_R and minor_coeff_R decode packed
-keys to Monos only when called (the genus <= 4 callers of jets.py and the
-derivative lemma), and spec.Q of opgen.py on first access.
 A key is decoded, and written as POLY1 text, in two halves cut at a block
 boundary, each looked up in a memo of one call that is filled from
 per-block memos (_Packing).  Every cleared-form coefficient, in
-_packed_poly and jets.jet_apply, is made by _coefficient, one object per
-distinct (numerator, denominator) in a process: two views of one form
+PackedPoly.terms and jets.jet_apply, is made by _coefficient, one object
+per distinct (numerator, denominator) in a process: two views of one form
 share their coefficient objects, and each is reduced once.  The tests
 check the split against a pass whose keys carry their t-units, split key
 by key.
@@ -287,9 +284,6 @@ class MultiPoly(_SparsePoly):
             out = out + term
         return out
 
-    def vars_used(self) -> set:
-        return {v for m in self.terms for v, _ in m}
-
     def t_coefficient(self, n: tuple) -> "MultiPoly":
         """Coefficient of t^n (the t-variables are removed from the result)."""
         g = len(n)
@@ -356,9 +350,6 @@ def _leibniz(rows, cols, term):
     the ring of the terms: the determinant with those Leibniz terms."""
     return reduce(operator.add, (term(p) if sign > 0 else -term(p)
                                  for sign, p in _signed_pairings(list(rows), list(cols))))
-
-
-_MAX_EXP = 14  # the largest exponent of a packed variable (a nibble holds 15)
 
 
 _NIBBLE_SUMS = bytes((b & 15) + (b >> 4) for b in range(256))  # byte -> its nibble sum
@@ -451,16 +442,6 @@ class _Packing:
             parts[1] = " "
         return "".join(parts)
 
-    def encode(self, mono: Mono) -> int:
-        """The packed key of mono, the inverse of decode."""
-        key = 0
-        for v, e in mono:
-            if v not in self.unit or not 0 < e <= _MAX_EXP:
-                raise ValueError(f"factor {v}^{e} is not a genus-{self.g} variable "
-                                 f"to a power up to {_MAX_EXP}")
-            key += e * self.unit[v]
-        return key
-
 
 @lru_cache(maxsize=None)
 def _packing(g: int) -> _Packing:
@@ -469,7 +450,7 @@ def _packing(g: int) -> _Packing:
 
 @lru_cache(maxsize=None)
 def _coefficient(num, den):
-    """The coefficient num / den of a cleared form (see _packed_poly), one
+    """The coefficient num / den of a cleared form (see PackedPoly), one
     object per distinct (num, den) in a process: each is reduced once, and
     two views of one form hold the same objects, so comparing them takes
     the identity shortcut of dict equality."""
@@ -481,21 +462,52 @@ def _coefficients(den) -> _Memo:
     return _Memo(lambda num: _coefficient(num, den))
 
 
-def _packed_poly(g: int, den, nums: dict) -> MultiPoly:
-    """The MultiPoly sum of nums[key] / den * (key decoded).
+class PackedPoly:
+    """A polynomial in the t_h and r_{h;ij} of genus g as a cleared form on
+    packed keys: nums[key] / den is the coefficient of the monomial key.
 
-    A cleared form: den is a positive int and each numerator an int (field
-    Q), or den and each numerator an integer polynomial in a, a tuple of
-    ints low degree first (field Q(a)); no numerator is zero.  Each distinct
-    numerator becomes one coefficient object, shared by its terms.
+    den is a positive int and each numerator a nonzero int (field Q), or den
+    and each numerator an integer polynomial in a, a tuple of ints low
+    degree first (field Q(a)).  The form is canonical, as _cleared makes it:
+    no prime, and no factor of den, divides den and every numerator, and the
+    zero polynomial is (g, 1, {}).  So == on (g, den, nums) is polynomial
+    equality (within a field).  Unhashable, and immutable by convention.
     """
-    coeffs = map(_coefficients(den).__getitem__, nums.values())
-    return MultiPoly._nonzero(dict(zip(_packing(g).decode(nums), coeffs)))
+
+    __slots__ = ("g", "den", "nums")
+
+    def __init__(self, g: int, den, nums: dict):
+        self.g, self.den, self.nums = g, den, nums
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.g, self.den, self.nums) == (other.g, other.den, other.nums)
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"PackedPoly(g={self.g}, {len(self.nums)} terms)"
+
+    @property
+    def terms(self) -> dict:
+        """{packed key: coefficient}, one coefficient object per distinct
+        numerator; no key is decoded."""
+        return dict(zip(self.nums, map(_coefficients(self.den).__getitem__, self.nums.values())))
+
+    def is_zero(self) -> bool:
+        return not self.nums
+
+    def decode(self) -> MultiPoly:
+        """The MultiPoly of the form: each key decoded to its Mono, whose
+        coefficient objects are those of terms."""
+        terms = self.terms
+        return MultiPoly._nonzero(dict(zip(_packing(self.g).decode(terms), terms.values())))
 
 
 def _cleared(terms: dict) -> tuple:
     """(den, nums) with nums[key] / den == terms[key]: the cleared form of
-    _packed_poly for the coefficients of terms, in Q(a) when one of them
+    PackedPoly for the coefficients of terms, in Q(a) when one of them
     is a RatFunc and in Q otherwise.
 
     In Q, den is the lcm of the coefficient denominators; in Q(a), the lcm L
@@ -575,7 +587,7 @@ def _t_split(g: int, minor: tuple) -> dict:
 
 
 @lru_cache(maxsize=None)
-def det_expand(g: int) -> MultiPoly:
+def det_expand(g: int) -> PackedPoly:
     """det(t_1 R_1 + ... + t_g R_g) as a polynomial in all t_h and r_{h;ij}.
 
     Homogeneous of degree g in the t's and of degree g in matrix entries.
@@ -584,24 +596,24 @@ def det_expand(g: int) -> MultiPoly:
     """
     if g < 1:
         raise ValueError("genus must be >= 1")
-    return _packed_poly(g, 1, {key | t: c for n, bucket in _t_split(g, ()).items()
-                               for t in [sum(e << 4 * i for i, e in enumerate(n))]
-                               for key, c in bucket.items()})
+    return PackedPoly(g, 1, {key | t: c for n, bucket in _t_split(g, ()).items()
+                             for t in [sum(e << 4 * i for i, e in enumerate(n))]
+                             for key, c in bucket.items()})
 
 
 @lru_cache(maxsize=None)
-def coeff_R(g: int, n: tuple) -> MultiPoly:
+def coeff_R(g: int, n: tuple) -> PackedPoly:
     """The basis polynomial B(n): coefficient of t^n in det(t_1 R_1 + ...)."""
     if len(n) != g or sum(n) != g or any(k < 0 for k in n):
         raise ValueError(f"multi-index {n} is not a composition of {g} into {g} parts")
-    return _packed_poly(g, 1, _t_split(g, ()).get(tuple(n), {}))
+    return PackedPoly(g, 1, _t_split(g, ()).get(tuple(n), {}))
 
 
-def minor_coeff_R(g: int, k: int, l: int, nprime: tuple) -> MultiPoly:
+def minor_coeff_R(g: int, k: int, l: int, nprime: tuple) -> PackedPoly:
     """Coefficient of t^nprime in the (k,l) first-minor expansion."""
     if len(nprime) != g or sum(nprime) != g - 1 or any(v < 0 for v in nprime):
         raise ValueError(f"multi-index {nprime} is not a composition of {g-1} into {g} parts")
-    return _packed_poly(g, 1, _t_split(g, (k, l)).get(tuple(nprime), {}))
+    return PackedPoly(g, 1, _t_split(g, (k, l)).get(tuple(nprime), {}))
 
 
 # -- POLY1 text format --------------------------------------------------------
@@ -611,10 +623,9 @@ def _var_to_text(v: VarId) -> str:
     return f"t[{v[1]}]" if v[0] == "t" else f"r[{v[1]};{v[2]},{v[3]}]"
 
 
-def _packed_text(g: int, den, nums: dict) -> str:
-    """The POLY1 block of the cleared packed form (den, nums) of
-    _packed_poly: its header line, then the term lines of
+def _packed_text(p: PackedPoly) -> str:
+    """The POLY1 block of p: its header line, then the term lines of
     _Packing.term_text, each distinct numerator formatted once."""
-    coeff = _Memo(lambda num: scalar_to_text(_coefficient(num, den)) + " |")
-    return (f"POLY1 field={'Qa' if isinstance(den, tuple) else 'Q'} terms={len(nums)}\n"
-            + _packing(g).term_text(nums, coeff.__getitem__))
+    coeff = _Memo(lambda num: scalar_to_text(_coefficient(num, p.den)) + " |")
+    return (f"POLY1 field={'Qa' if isinstance(p.den, tuple) else 'Q'} terms={len(p.nums)}\n"
+            + _packing(p.g).term_text(p.nums, coeff.__getitem__))

@@ -585,18 +585,6 @@ class QExp2(_Expansion):
         g2 = int(target)
         return {(k[0], k[1]): v for k, v in self.terms.items() if k[2] == g2}
 
-    def eval_numeric(self, tau) -> complex:
-        """Evaluate at a period matrix (the stripped (2 pi i)-power is NOT
-        reinstated; multiply by (2 pi i)**tau_factor to compare with true
-        derivative values)."""
-        import cmath
-        t11, t12, t22 = complex(tau[0][0]), complex(tau[0][1]), complex(tau[1][1])
-        total = 0j
-        for (a, b, g2), c in sorted(self.terms.items()):
-            total += float(c) * cmath.exp(
-                2j * cmath.pi * (a * t11 + b * t12 + g2 * t22) / SCALE)
-        return total
-
 
 class QExp1(_Expansion):
     """Truncated genus-1 expansion; keys are (n,), the exponent scaled by 8

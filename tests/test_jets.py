@@ -6,6 +6,7 @@ import pytest
 
 from fractions import Fraction
 
+from conftest import packed
 from siegelops.jets import (JetPoly, diffresult_expand, jet_apply, jet_det_operator,
                             jet_det_partial, jet_diff, jet_minor_det_partial, jet_mod_symbol,
                             jet_var, operator_jet)
@@ -30,7 +31,7 @@ def test_apply_top_shape_gives_F_times_operator_det():
 
 
 def test_apply_single_entry():
-    got = jet_apply(MultiPoly.var(r_var(1, 1, 1)), {1: "F"}, 1)
+    got = jet_apply(packed(MultiPoly.var(r_var(1, 1, 1)), 1), {1: "F"}, 1)
     assert got == JetPoly({(jet_var("F", ((1, 1),)),): Fraction(1)})
 
 
@@ -162,7 +163,8 @@ def test_jet_diff_leibniz():
 
 
 def _jet_apply_term_by_term(q, assignment, g):
-    """The oracle of jet_apply: each term's jet monomial built on its own,
+    """The oracle of jet_apply on the MultiPoly q: each term's jet monomial
+    built on its own from its decoded monomial,
     its coefficient added in the field, one RatFunc or Fraction sum per
     term, dropping a sum that cancels."""
     out: dict = {}
@@ -196,45 +198,49 @@ def test_jet_apply_matches_the_term_by_term_sum_in_Qa():
          + r(2, 1, 2).scale(a * a / 7) + MultiPoly.const(RatFunc(Fraction(5, 2))))
     assert all(isinstance(c, RatFunc) for c in q.terms.values()) and len(q.terms) == 6
     for assignment in ({1: "F", 2: "F"}, {1: "F", 2: "G"}):
-        got = jet_apply(q, assignment, 2)
+        got = jet_apply(packed(q, 2), assignment, 2)
         assert got == _jet_apply_term_by_term(q, assignment, 2)
         assert all(isinstance(c, RatFunc) for c in got.terms.values())
-    both_F = jet_apply(q, all_F(2), 2)
+    both_F = jet_apply(packed(q, 2), all_F(2), 2)
     assert len(both_F.terms) == 3
     assert (jet_var("F", ((1, 1),)), jet_var("F", ((2, 2),))) not in both_F.terms
     assert both_F.terms[jet_var("F", ((1, 1),)), jet_var("F", ((1, 2),))] == \
         (a + 2) / (2 * a + 3) + Fraction(1, 3) / (a - 1)
-    assert len(jet_apply(q, {1: "F", 2: "G"}, 2).terms) == 6
+    assert len(jet_apply(packed(q, 2), {1: "F", 2: "G"}, 2).terms) == 6
     # a RatFunc constant times a variable is in Q(a), as the variable scaled by it is
     const_a = MultiPoly.const(a) * MultiPoly.var(r_var(1, 1, 1))
-    got = jet_apply(const_a, all_F(2), 2)
-    assert got == jet_apply(MultiPoly.var(r_var(1, 1, 1)).scale(a), all_F(2), 2)
+    got = jet_apply(packed(const_a, 2), all_F(2), 2)
+    assert got == jet_apply(packed(MultiPoly.var(r_var(1, 1, 1)).scale(a), 2), all_F(2), 2)
     assert got.terms == {(jet_var("F"), jet_var("F", ((1, 1),))): a}
     assert isinstance(got.terms[jet_var("F"), jet_var("F", ((1, 1),))], RatFunc)
 
 
 def test_jet_apply_matches_the_term_by_term_sum_in_Q():
-    q = (coeff_R(2, (1, 1)).scale(Fraction(3, 4)) + coeff_R(2, (2, 0)).scale(Fraction(-5, 6))
-         + coeff_R(2, (0, 2)))
+    b11, b20, b02 = (coeff_R(2, n).decode() for n in ((1, 1), (2, 0), (0, 2)))
+    q = b11.scale(Fraction(3, 4)) + b20.scale(Fraction(-5, 6)) + b02
     for assignment in ({1: "F", 2: "F"}, {1: "F", 2: "G"}):
-        got = jet_apply(q, assignment, 2)
+        got = jet_apply(packed(q, 2), assignment, 2)
         assert got == _jet_apply_term_by_term(q, assignment, 2)
         assert all(isinstance(c, Fraction) for c in got.terms.values())
-    assert jet_apply(q - q, all_F(2), 2).is_zero()
+    assert jet_apply(packed(q - q, 2), all_F(2), 2).is_zero()
 
 
 def test_jet_apply_of_the_genus3_operator_matches_the_term_by_term_sum(spec3_symbolic):
     q = spec3_symbolic.Q
-    assert jet_apply(q, all_F(3), 3) == _jet_apply_term_by_term(q, all_F(3), 3)
+    assert jet_apply(q, all_F(3), 3) == _jet_apply_term_by_term(q.decode(), all_F(3), 3)
 
 
 @pytest.mark.parametrize("q, message", [
-    (MultiPoly.var(t_var(1)), r"^operator polynomial mentions non-matrix variable \('t', 1\)$"),
-    (MultiPoly.var(r_var(3, 1, 1)), r"^matrix indices \[3\] exceed genus 2$"),
-    (MultiPoly.var(r_var(1, 1, 3)), r"^matrix indices \[3\] exceed genus 2$"),
-    (MultiPoly.var(r_var(1, 0, 2)) * MultiPoly.var(r_var(4, 1, 1)),
-     r"^matrix indices \[0, 4\] exceed genus 2$"),
-], ids=["non-matrix-variable", "index-above-genus", "entry-above-genus", "entry-and-slot"])
+    (packed(MultiPoly.var(t_var(1)), 2),
+     r"^operator polynomial mentions non-matrix variable \('t', 1\)$"),
+    (packed(MultiPoly.var(t_var(2)) * MultiPoly.var(r_var(1, 1, 1)), 2),
+     r"^operator polynomial mentions non-matrix variable \('t', 2\)$"),
+    (packed(MultiPoly.var(t_var(2)) * MultiPoly.var(t_var(1)), 2),
+     r"^operator polynomial mentions non-matrix variable \('t', 1\)$"),
+    (packed(MultiPoly.var(r_var(3, 1, 1)), 3), r"^operator polynomial of genus 3 on 2 slots$"),
+    (packed(MultiPoly.var(r_var(1, 1, 3)), 3), r"^operator polynomial of genus 3 on 2 slots$"),
+], ids=["non-matrix-variable", "second-t-variable", "lowest-non-matrix-variable",
+        "index-above-genus", "entry-above-genus"])
 def test_jet_apply_refusals(q, message):
     with pytest.raises(ValueError, match=message):
         jet_apply(q, all_F(2), 2)

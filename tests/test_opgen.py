@@ -10,16 +10,24 @@ import re
 
 import pytest
 
-from siegelops.opgen import (OperatorSpec, _IntegerForm, apply_D11, build_Q, coeff_c,
-                             constant_C, opspec_from_text, opspec_to_text, symbolic_weight,
-                             verify_deriv_lemma, verify_harmonic_condition,
+from conftest import packed
+from siegelops.opgen import (OperatorSpec, _as_weight, _IntegerForm, _stratum, apply_D11,
+                             build_Q, constant_C, opspec_from_text, opspec_to_text,
+                             symbolic_weight, verify_deriv_lemma, verify_harmonic_condition,
                              verify_pluriharmonic, xspace_oracle)
-from siegelops.poly import (MultiPoly, _cleared, _mono_lower, _mono_mul, _packing,
-                            coeff_R, index_set_N, r_var, t_var, x_var)
+from siegelops.poly import (MultiPoly, PackedPoly, _mono_lower, _mono_mul, _packing, coeff_R,
+                            index_set_N, r_var, t_var)
 from siegelops.scalars import RatFunc, _accumulate
 
 A = symbolic_weight()
 K = 2 * A
+R111 = packed(MultiPoly.var(r_var(1, 1, 1)), 2)
+
+
+def coeff_c(g, a, n):
+    """c(n): C(1) for all ones, C(m) on the admissible shapes, else 0."""
+    m = _stratum(n)
+    return constant_C(g, a, m) if m else _as_weight(a) * 0
 
 
 def _reference_d11(g, h, p, k, second_order_factor=2):
@@ -83,9 +91,9 @@ def test_coefficient_classification():
 def test_build_Q_genus2_printed_coefficients(spec2_symbolic):
     ratio = -(2 * A) / (2 * A - 1)
     assert spec2_symbolic.coeffs == {(1, 1): RatFunc(1), (2, 0): ratio, (0, 2): ratio}
-    assert spec2_symbolic.Q == (
-        coeff_R(2, (1, 1)).promote()
-        + (coeff_R(2, (2, 0)) + coeff_R(2, (0, 2))).promote().scale(ratio))
+    assert spec2_symbolic.Q.decode() == (
+        coeff_R(2, (1, 1)).decode().promote()
+        + (coeff_R(2, (2, 0)).decode() + coeff_R(2, (0, 2)).decode()).promote().scale(ratio))
 
 
 def test_build_Q_genus3_coefficient_orbits(spec3_symbolic):
@@ -117,10 +125,11 @@ def test_build_Q_rejects_bad_input():
 def test_apply_D11_hand_values():
     detR1 = coeff_R(2, (2, 0))
     assert apply_D11(2, 1, detR1, K) == \
-        MultiPoly.var(r_var(1, 2, 2)).promote().scale(K - 1)
+        packed(MultiPoly.var(r_var(1, 2, 2)).promote().scale(K - 1), 2)
     assert apply_D11(2, 1, coeff_R(2, (1, 1)), K) == \
-        MultiPoly.var(r_var(2, 2, 2)).promote().scale(K)
+        packed(MultiPoly.var(r_var(2, 2, 2)).promote().scale(K), 2)
     assert apply_D11(2, 2, detR1, K).is_zero()
+    assert apply_D11(2, 2, detR1, K) == PackedPoly(2, 1, {})
 
 
 def test_pluriharmonic_genus2_symbolic(spec2_symbolic):
@@ -131,7 +140,7 @@ def test_misnormalized_operator_fails_with_known_residual(spec2_symbolic):
     assert not verify_pluriharmonic(spec2_symbolic, second_order_factor=1)
     total = MultiPoly.zero()
     for h in (1, 2):
-        total = total + apply_D11(2, h, spec2_symbolic.Q, K, second_order_factor=1)
+        total = total + apply_D11(2, h, spec2_symbolic.Q, K, second_order_factor=1).decode()
     residual = ((MultiPoly.var(r_var(1, 2, 2)) + MultiPoly.var(r_var(2, 2, 2)))
                 .promote().scale(2 * A * Fraction(-1, 2) / (2 * A - 1)))
     assert total == residual
@@ -145,43 +154,52 @@ def test_kernel_residual_matches_reference(g, a, factor):
     per-term reference residual; at factor 1 it is nonzero, so in Q(a) a
     packing base 2^S too small to hold its coefficients would show here."""
     spec = build_Q(g, a)
-    form = _IntegerForm(g, spec.den, spec.nums, spec.k, factor)
+    form = _IntegerForm(spec.Q, spec.k, factor)
     residual = form.to_poly(form.d11(range(1, g + 1)))
     reference = MultiPoly.zero()
     for h in range(1, g + 1):
-        reference = reference + _reference_d11(g, h, spec.Q, spec.k, factor)
+        reference = reference + _reference_d11(g, h, spec.Q.decode(), spec.k, factor)
     field = RatFunc if spec.symbolic else Fraction
-    assert all(isinstance(c, field) for q in (residual, reference, spec.Q)
+    assert all(isinstance(c, field) for q in (residual.decode(), reference, spec.Q.decode())
                for c in q.terms.values())
-    assert residual == reference
+    assert residual.decode() == reference
+    assert residual == packed(reference, g)
     assert residual.is_zero() == (factor == 2)
     assert verify_pluriharmonic(spec, factor) == (factor == 2)
 
 
 @pytest.mark.parametrize("g,h,p,k", [
-    (3, 1, coeff_R(3, (2, 1, 0)), K),
-    (3, 2, coeff_R(3, (1, 1, 1)).promote(), Fraction(7, 3)),
-    (2, 1, coeff_R(2, (2, 0)) * MultiPoly.var(t_var(2)) ** 3, Fraction(5)),
+    (3, 1, coeff_R(3, (2, 1, 0)).decode(), K),
+    (3, 2, coeff_R(3, (1, 1, 1)).decode().promote(), Fraction(7, 3)),
+    (2, 1, coeff_R(2, (2, 0)).decode() * MultiPoly.var(t_var(2)) ** 3, Fraction(5)),
     (2, 2, MultiPoly.var(r_var(2, 1, 1)) ** 4 * MultiPoly.var(r_var(2, 1, 2)) ** 3,
      1 / (A + 3)),
     (2, 1, MultiPoly.const(A) * MultiPoly.var(r_var(1, 1, 1)) ** 2, K),
     (2, 1, MultiPoly.const(A) * MultiPoly.var(r_var(1, 1, 1)) ** 2, Fraction(5)),
 ])
 def test_apply_D11_matches_reference(g, h, p, k):
-    """apply_D11 runs the kernel for one h: the reference's exact output,
-    for either field of p and k, high exponents and t-variables; a RatFunc
-    constant times a monomial is the monomial scaled by it."""
+    """apply_D11 runs the kernel for one h on the packed p: the canonical
+    form of the reference's exact output, for either field of p and k, high
+    exponents and t-variables; a RatFunc constant times a monomial is the
+    monomial scaled by it."""
     for factor in (1, 2):
-        got = apply_D11(g, h, p, k, factor)
-        assert got == _reference_d11(g, h, p, k, factor)
-        assert got == apply_D11(g, h, p.promote(), k, factor)
+        got = apply_D11(g, h, packed(p, g), k, factor)
+        assert got.decode() == _reference_d11(g, h, p, k, factor)
+        assert got == packed(_reference_d11(g, h, p, k, factor), g)
+        assert got.decode() == apply_D11(g, h, packed(p.promote(), g), k, factor).decode()
 
 
-def test_apply_D11_rejects_what_the_packing_cannot_hold():
-    for p in (MultiPoly.var(x_var(1, 1)), MultiPoly.var(r_var(3, 1, 1)),
-              MultiPoly.var(r_var(1, 1, 2)) ** 15):
-        with pytest.raises(ValueError, match="is not a genus-2 variable to a power up to 14"):
-            apply_D11(2, 1, p, K)
+def test_apply_D11_takes_exponents_up_to_14_and_refuses_15():
+    """A move raises one exponent by 1, so D_{h;11} of a form with exponents
+    up to 14 is exact, with an exponent of 15 in its result; that result,
+    given back, is refused, not carried into the next variable's nibble."""
+    p = MultiPoly.var(r_var(1, 1, 2)) ** 4 * MultiPoly.var(r_var(1, 2, 2)) ** 14
+    once = apply_D11(2, 1, packed(p, 2), 4)
+    assert once.decode() == _reference_d11(2, 1, p, 4) == \
+        (MultiPoly.var(r_var(1, 1, 2)) ** 2 * MultiPoly.var(r_var(1, 2, 2)) ** 15).scale(6)
+    with pytest.raises(ValueError, match="^polynomial has an exponent of 15, above the 14 "
+                                         "apply_D11 takes$"):
+        apply_D11(2, 1, once, 4)
 
 
 @pytest.mark.parametrize("a", [A, Fraction(3)])
@@ -189,14 +207,13 @@ def test_perturbed_operator_fails(a):
     """One coefficient of Q changed, by a term with a fresh denominator, and
     the verifier rejects the result."""
     spec = build_Q(3, a)
-    m = next(m for m in sorted(spec.Q.terms) if m[0] == (r_var(1, 1, 1), 1))
+    q = spec.Q.decode()
+    m = next(m for m in sorted(q.terms) if m[0] == (r_var(1, 1, 1), 1))
     bump = 1 / (A ** 3 + 7) if spec.symbolic else Fraction(1, 10 ** 30)
-    terms = dict(spec.Q.terms)
+    terms = dict(q.terms)
     terms[m] = terms[m] + bump
-    encode = _packing(3).encode
-    den, nums = _cleared({encode(m): c for m, c in terms.items()})
-    bad = OperatorSpec(spec.g, spec.a, den, nums)
-    assert bad.Q == MultiPoly(terms)
+    bad = OperatorSpec(spec.g, spec.a, packed(MultiPoly(terms), 3))
+    assert bad.Q.decode() == MultiPoly(terms)
     assert verify_pluriharmonic(spec)
     assert not verify_pluriharmonic(bad)
 
@@ -211,32 +228,29 @@ def test_packed_build_matches_the_basis_sum(g, a):
     for n in index_set_N(g):
         c = coeff_c(g, a, n) / constant_C(g, a, 1)
         if c:
-            b = coeff_R(g, n).promote() if spec.symbolic else coeff_R(g, n)
-            expect = expect + b.scale(c)
+            b = coeff_R(g, n).decode()
+            expect = expect + (b.promote() if spec.symbolic else b).scale(c)
             assert spec.coeffs[n] == c
-    assert spec.Q == expect and set(spec.coeffs) == {n for n in index_set_N(g)
-                                                     if coeff_c(g, a, n)}
+    assert spec.Q.decode() == expect and set(spec.coeffs) == {n for n in index_set_N(g)
+                                                              if coeff_c(g, a, n)}
+    assert spec.Q == packed(expect, g)
+    den, nums = spec.Q.den, spec.Q.nums
     if spec.symbolic:
-        assert spec.den[-1] > 0
-        assert math.gcd(*spec.den, *(c for P in spec.nums.values() for c in P)) == 1
+        assert den[-1] > 0
+        assert math.gcd(*den, *(c for P in nums.values() for c in P)) == 1
     else:
-        assert spec.den > 0 and math.gcd(spec.den, *spec.nums.values()) == 1
-
-
-def test_operator_view_is_read_only_and_built_once(spec2_symbolic):
-    assert spec2_symbolic.Q is spec2_symbolic.Q
-    with pytest.raises(AttributeError):
-        spec2_symbolic.Q = MultiPoly.zero()
+        assert den > 0 and math.gcd(den, *nums.values()) == 1
 
 
 def test_specs_compare_by_their_cleared_form_and_are_unhashable():
-    """Equality reads (g, a, den, nums), whether or not Q was decoded."""
+    """Equality reads (g, a, Q), and Q compares by its (g, den, nums)."""
     spec, fresh = build_Q(2, 5), build_Q(2, 5)
-    assert spec.Q is spec.Q
+    assert spec.Q is not fresh.Q and spec.Q == fresh.Q
     assert spec == fresh and fresh == spec and spec != build_Q(2, 6)
     assert repr(spec) == "OperatorSpec(g=2, a=Fraction(5, 1))"
-    with pytest.raises(TypeError):
-        hash(spec)
+    for unhashable in (spec, spec.Q):
+        with pytest.raises(TypeError):
+            hash(unhashable)
 
 
 @pytest.mark.parametrize("pick,delta", [(0, (1,)), (100, (0, 0, 0, 0, -1)), (-1, (0, 3))])
@@ -248,10 +262,10 @@ def test_perturbed_packed_numerator_fails(spec4_symbolic, pick, delta):
     D_{h;11}, and changing its coefficient keeps Q pluriharmonic)."""
     spec = spec4_symbolic
     r111 = 15 * _packing(4).unit[r_var(1, 1, 1)]
-    key = [key for key in spec.nums if key & r111][pick]
-    num = spec.nums[key]
-    bumped = tuple(x + y for x, y in itertools.zip_longest(num, delta, fillvalue=0))
-    bad = OperatorSpec(spec.g, spec.a, spec.den, {**spec.nums, key: bumped})
+    nums = spec.Q.nums
+    key = [key for key in nums if key & r111][pick]
+    bumped = tuple(x + y for x, y in itertools.zip_longest(nums[key], delta, fillvalue=0))
+    bad = OperatorSpec(spec.g, spec.a, PackedPoly(4, spec.Q.den, {**nums, key: bumped}))
     assert verify_pluriharmonic(spec)
     assert not verify_pluriharmonic(bad)
 
@@ -284,8 +298,9 @@ def test_genus5_numerator_changed(spec5, moves):
     rejects it when the monomial's row-1 class has moves, of either order,
     and accepts it when the class has none, since every D_{h;11} annihilates
     such a monomial (the kernel touches only the classes with moves)."""
-    key = next(key for key in spec5.nums if _row1_moves(key) == moves)
-    bad = OperatorSpec(5, spec5.a, spec5.den, {**spec5.nums, key: spec5.nums[key] + 1})
+    nums = spec5.Q.nums
+    key = next(key for key in nums if _row1_moves(key) == moves)
+    bad = OperatorSpec(5, spec5.a, PackedPoly(5, spec5.Q.den, {**nums, key: nums[key] + 1}))
     assert verify_pluriharmonic(bad) == (moves == "none")
 
 
@@ -321,7 +336,7 @@ def test_a_weight_is_a_rational_or_the_symbolic_a():
         with pytest.raises(ValueError):
             verify_harmonic_condition(2, bad)
     const, rational = build_Q(2, RatFunc(3)), build_Q(2, 3)
-    assert (const.a, const.den, const.nums) == (rational.a, rational.den, rational.nums)
+    assert (const.a, const.Q.den, const.Q.nums) == (rational.a, rational.Q.den, rational.Q.nums)
     assert opspec_to_text(const) == opspec_to_text(rational)
     assert verify_harmonic_condition(3, RatFunc(Fraction(7, 2)))
 
@@ -361,7 +376,7 @@ def test_deriv_lemma_hand_instances():
 
 def test_xspace_single_entry_laplacian():
     for k in (2, 4):
-        out = xspace_oracle(2, k, MultiPoly.var(r_var(1, 1, 1)))
+        out = xspace_oracle(2, k, R111)
         assert out == MultiPoly.const(Fraction(2 * k))
 
 
@@ -377,19 +392,19 @@ def test_oracle_agrees_with_symbolic_verifier():
         spec = build_Q(2, Fraction(a))
         assert xspace_oracle(2, 2 * a, spec.Q).is_zero() == verify_pluriharmonic(spec)
     # a non-pluriharmonic polynomial trips both
-    bad = coeff_R(2, (2, 0)) + coeff_R(2, (0, 2))
+    bad = packed(coeff_R(2, (2, 0)).decode() + coeff_R(2, (0, 2)).decode(), 2)
     assert not xspace_oracle(2, 2, bad).is_zero()
     total = MultiPoly.zero()
     for h in (1, 2):
-        total = total + apply_D11(2, h, bad, Fraction(2))
+        total = total + apply_D11(2, h, bad, Fraction(2)).decode()
     assert not total.is_zero()
 
 
 def test_xspace_guard():
     with pytest.raises(ValueError):
-        xspace_oracle(4, 10, MultiPoly.var(r_var(1, 1, 1)))
+        xspace_oracle(4, 10, packed(MultiPoly.var(r_var(1, 1, 1)), 4))
     with pytest.raises(ValueError):
-        xspace_oracle(2, 3, MultiPoly.var(r_var(1, 1, 1)))
+        xspace_oracle(2, 3, R111)
 
 
 @pytest.mark.parametrize("g, k, reason", [
@@ -401,12 +416,11 @@ def test_xspace_guard():
 ], ids=["symbolic", "odd", "negative", "too-many-variables"])
 def test_xspace_oracle_refuses_a_weight_with_its_reason(g, k, reason):
     with pytest.raises(ValueError, match=f"^{re.escape(reason)}$"):
-        xspace_oracle(g, k, MultiPoly.var(r_var(1, 1, 1)))
+        xspace_oracle(g, k, packed(MultiPoly.var(r_var(1, 1, 1)), g))
 
 
 def test_xspace_oracle_takes_2a_as_any_exact_number():
-    p = MultiPoly.var(r_var(1, 1, 1))
-    assert xspace_oracle(2, Fraction(4), p) == xspace_oracle(2, 4, p) == MultiPoly.const(8)
+    assert xspace_oracle(2, Fraction(4), R111) == xspace_oracle(2, 4, R111) == MultiPoly.const(8)
 
 
 def test_opspec_round_trip(spec2_symbolic):
@@ -751,7 +765,7 @@ def test_opspec_coefficients_stay_within_the_degree_bound(g):
     most g - 1, and the file's coefficients reach it (at g <= 4; the g = 5
     file is 9 MB)."""
     spec = build_Q(g, A)
-    assert max(map(len, [spec.den, *spec.nums.values()])) - 1 == g - 1
+    assert max(map(len, [spec.Q.den, *spec.Q.nums.values()])) - 1 == g - 1
     if g < 5:
         text = opspec_to_text(spec)
         assert max(map(int, re.findall(r"\*a\^(\d+)", text))) == g - 1
@@ -778,13 +792,74 @@ def test_opspec_read_builds_the_coefficient_table_once(spec2_symbolic, monkeypat
     (lambda: constant_C(2, Fraction(3), 3), r"^m=3 out of range 1\.\.2$"),
     (lambda: xspace_oracle(2, 2, build_Q(2, symbolic_weight()).Q),
      r"^the substitution oracle needs a numeric weight$"),
-    (lambda: xspace_oracle(2, 2, MultiPoly.var(t_var(1))),
+    (lambda: xspace_oracle(2, 2, packed(MultiPoly.var(t_var(1)), 2)),
      r"^oracle input mentions non-matrix variable \('t', 1\)$"),
-    (lambda: apply_D11(2, 3, MultiPoly.var(r_var(1, 1, 1)), 4), r"^slot h=3 is outside 1\.\.2$"),
-    (lambda: apply_D11(2, 0, MultiPoly.var(r_var(1, 1, 1)), 4), r"^slot h=0 is outside 1\.\.2$"),
+    (lambda: apply_D11(2, 3, R111, 4), r"^slot h=3 is outside 1\.\.2$"),
+    (lambda: apply_D11(2, 0, R111, 4), r"^slot h=0 is outside 1\.\.2$"),
     (lambda: verify_deriv_lemma(2, (1, 1), 3), r"^slot h=3 is outside 1\.\.2$"),
+    (lambda: apply_D11(2, 1, packed(MultiPoly.var(r_var(3, 1, 1)), 3), 4),
+     r"^polynomial of genus 3 is not of genus 2$"),
+    (lambda: xspace_oracle(2, 2, packed(MultiPoly.var(r_var(3, 1, 1)), 3)),
+     r"^polynomial of genus 3 is not of genus 2$"),
+    (lambda: apply_D11(2, 1, R111, 4, Fraction(3, 2)),
+     r"^second-order factor 3/2 is not an integer$"),
+    (lambda: verify_pluriharmonic(build_Q(2, 3), Fraction(-1, 2)),
+     r"^second-order factor -1/2 is not an integer$"),
+    (lambda: verify_harmonic_condition(0, A), r"^genus must be >= 2, found 0$"),
+    (lambda: verify_harmonic_condition(1, Fraction(3)), r"^genus must be >= 2, found 1$"),
 ], ids=["constant-m", "oracle-symbolic", "oracle-non-matrix", "D11-slot-above-genus",
-        "D11-slot-zero", "deriv-lemma-slot"])
+        "D11-slot-zero", "deriv-lemma-slot", "D11-other-genus", "oracle-other-genus",
+        "D11-fractional-factor",
+        "verifier-fractional-factor", "harmonic-condition-genus-0",
+        "harmonic-condition-genus-1"])
 def test_opgen_refusals(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+@pytest.mark.parametrize("call, bad", [
+    (lambda: apply_D11(2, 1, R111, "3"), "'3'"),
+    (lambda: apply_D11(2, 1, R111, 1j), "1j"),
+    (lambda: apply_D11(2, 1, R111, 0.5), "0.5"),
+    (lambda: apply_D11(2, 1, R111, True), "True"),
+    (lambda: apply_D11(2, 1, R111, 4, 1.5), "1.5"),
+    (lambda: apply_D11(2, 1, R111, 4, True), "True"),
+    (lambda: verify_pluriharmonic(build_Q(2, 3), True), "True"),
+], ids=["k-string", "k-complex", "k-float", "k-bool", "factor-float", "factor-bool",
+        "verifier-factor-bool"])
+def test_the_D11_kernel_takes_exact_numbers_only(call, bad):
+    """k and the second-order factor pass the one gate of a caller's number
+    (a RatFunc k too): a bool is no number, and no float is read."""
+    with pytest.raises(TypeError, match=rf"^coefficient {re.escape(bad)} is not an exact "
+                                        "rational$"):
+        call()
+
+
+def test_the_D11_kernel_takes_an_integral_fraction_as_its_factor():
+    spec, detR1 = build_Q(2, 3), coeff_R(2, (2, 0))
+    assert verify_pluriharmonic(spec, Fraction(2)) and not verify_pluriharmonic(spec, Fraction(1))
+    assert apply_D11(2, 1, detR1, K, Fraction(1)) == apply_D11(2, 1, detR1, K, 1)
+
+
+def test_only_the_oracle_decodes_a_packed_polynomial(monkeypatch):
+    """With PackedPoly.decode raising, the genus-5 path runs as the
+    benchmark runs it: build_Q(5, 3), the verifier, the OPSPEC1 round trip
+    compared by ==, and the term count; so do the jets of the operator and
+    of B(n), and the derivative lemma.  Only the substitution oracle
+    decodes."""
+    from siegelops.jets import jet_apply, operator_jet
+
+    def no_decode(self):
+        raise AssertionError("PackedPoly.decode called")
+
+    monkeypatch.setattr(PackedPoly, "decode", no_decode)
+    spec = build_Q(5, 3)
+    assert verify_pluriharmonic(spec)
+    back = opspec_from_text(opspec_to_text(spec))
+    assert back == spec and back.Q == spec.Q
+    assert len(spec.Q.terms) == 111275
+    assert not operator_jet(build_Q(2, 5)).is_zero()
+    assert not jet_apply(coeff_R(3, (2, 1, 0)), {1: "F", 2: "F", 3: "F"}, 3).is_zero()
+    assert verify_deriv_lemma(3, (2, 1, 0), 1)
+    with pytest.raises(AssertionError, match="decode called"):
+        xspace_oracle(2, 10, build_Q(2, 5).Q)

@@ -15,12 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import encode, packed
 from siegelops.jets import JetPoly, jet_var
 from siegelops.opgen import build_Q, opspec_from_text, opspec_to_text, symbolic_weight
-from siegelops.poly import (MultiPoly, _cleared, _index_pairs, _minor_rows,
-                            _packed_poly, _packed_text, _packing, _t_split, coeff_R,
-                            det_expand, index_set_N, index_set_Nprime, minor_coeff_R, r_var,
-                            t_var)
+from siegelops.poly import (MultiPoly, PackedPoly, _index_pairs, _minor_rows, _packed_text,
+                            _packing, _t_split, coeff_R, det_expand, index_set_N,
+                            index_set_Nprime, minor_coeff_R, r_var, t_var)
 from siegelops.scalars import RatFunc, scalar_to_text
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -48,12 +48,12 @@ def leibniz_det(entries):
 
 
 def test_det_expand_genus1():
-    assert det_expand(1) == V(t_var(1)) * V(r_var(1, 1, 1))
+    assert det_expand(1).decode() == V(t_var(1)) * V(r_var(1, 1, 1))
 
 
 def test_det_expand_genus2_by_hand():
     # 2x2 determinant of the pencil, expanded by hand
-    d = det_expand(2)
+    d = det_expand(2).decode()
     detR1 = V(r_var(1, 1, 1)) * V(r_var(1, 2, 2)) - V(r_var(1, 1, 2)) ** 2
     detR2 = V(r_var(2, 1, 1)) * V(r_var(2, 2, 2)) - V(r_var(2, 1, 2)) ** 2
     mixed = (V(r_var(1, 1, 1)) * V(r_var(2, 2, 2))
@@ -65,7 +65,7 @@ def test_det_expand_genus2_by_hand():
 
 
 def test_genus3_t1_cube_coefficient_is_det_R1():
-    got = coeff_R(3, (3, 0, 0))
+    got = coeff_R(3, (3, 0, 0)).decode()
     entries = [[V(r_var(1, i, j)) for j in range(1, 4)] for i in range(1, 4)]
     assert got == leibniz_det(entries)
 
@@ -74,7 +74,7 @@ def test_genus3_t1_cube_coefficient_is_det_R1():
 def test_det_expand_at_t_equal_one(g):
     """Specializing every t to 1 matches an independent Leibniz determinant."""
     subs = {t_var(h): MultiPoly.const(1) for h in range(1, g + 1)}
-    lhs = det_expand(g).substitute(subs)
+    lhs = det_expand(g).decode().substitute(subs)
     entries = [[sum((V(r_var(h, i, j)) for h in range(1, g + 1)),
                     MultiPoly.zero()) for j in range(1, g + 1)]
                for i in range(1, g + 1)]
@@ -89,7 +89,7 @@ def test_collapsed_sum_scales_like_det_of_gR(g):
         for i in range(1, g + 1):
             for j in range(i, g + 1):
                 subs[r_var(h, i, j)] = V(r_var(1, i, j))
-    collapsed = det_expand(g).substitute(subs)
+    collapsed = det_expand(g).decode().substitute(subs)
     entries = [[V(r_var(1, i, j)) for j in range(1, g + 1)] for i in range(1, g + 1)]
     assert collapsed == leibniz_det(entries).scale(Fraction(g ** g))
 
@@ -115,17 +115,17 @@ def test_congruence_scaling(g):
                             acc = acc + V(r_var(h, p, q)).scale(Fraction(c))
                 subs[r_var(h, i, j)] = acc
     for n in [(1,) * g, (g,) + (0,) * (g - 1)]:
-        b = coeff_R(g, n)
+        b = coeff_R(g, n).decode()
         assert b.substitute(subs) == b.scale(Fraction(det_a ** 2))
 
 
 def test_coeff_R_examples():
     detR1 = V(r_var(1, 1, 1)) * V(r_var(1, 2, 2)) - V(r_var(1, 1, 2)) ** 2
-    assert coeff_R(2, (2, 0)) == detR1
+    assert coeff_R(2, (2, 0)).decode() == detR1
     mixed = (V(r_var(1, 1, 1)) * V(r_var(2, 2, 2))
              + V(r_var(2, 1, 1)) * V(r_var(1, 2, 2))
              - V(r_var(1, 1, 2)) * V(r_var(2, 1, 2)).scale(Fraction(2)))
-    assert coeff_R(2, (1, 1)) == mixed
+    assert coeff_R(2, (1, 1)).decode() == mixed
 
 
 def test_index_sets():
@@ -137,10 +137,10 @@ def test_index_sets():
 
 
 def test_minor_coefficients():
-    assert minor_coeff_R(2, 1, 1, (0, 1)) == V(r_var(2, 2, 2))
-    assert minor_coeff_R(2, 1, 1, (1, 0)) == V(r_var(1, 2, 2))
+    assert minor_coeff_R(2, 1, 1, (0, 1)).decode() == V(r_var(2, 2, 2))
+    assert minor_coeff_R(2, 1, 1, (1, 0)).decode() == V(r_var(1, 2, 2))
     # deleting row 1, column 2 leaves the (2,1) entry of the pencil
-    assert minor_coeff_R(2, 1, 2, (1, 0)) == V(r_var(1, 1, 2))
+    assert minor_coeff_R(2, 1, 2, (1, 0)).decode() == V(r_var(1, 1, 2))
 
 
 def test_sym_diff():
@@ -278,15 +278,10 @@ def test_poly1_round_trip():
     p = (V(r_var(1, 1, 2)) * V(r_var(2, 2, 2)).scale(Fraction(-3, 7))
          + V(r_var(1, 1, 1)) ** 3 + MultiPoly.const(Fraction(5, 2)))
     mixed = MultiPoly({m: RatFunc(c) if i % 2 else c for i, (m, c) in enumerate(p.terms.items())})
-    encode = _packing(2).encode
-
-    def cleared(q):
-        return _cleared({encode(m): c for m, c in q.terms.items()})
-
-    assert isinstance(cleared(p)[0], int) and cleared(p)[0] == 14
-    assert cleared(p.promote()) == cleared(mixed) and cleared(mixed)[0] == (14,)
+    assert isinstance(packed(p, 2).den, int) and packed(p, 2).den == 14
+    assert packed(p.promote(), 2) == packed(mixed, 2) and packed(mixed, 2).den == (14,)
     for q in (p, p.promote(), mixed):
-        assert _packed_poly(2, *cleared(q)) == q
+        assert packed(q, 2).decode() == q
         assert _write(q) == poly_to_text(q.promote() if q is mixed else q, 2)
 
 
@@ -315,7 +310,7 @@ def test_ring_laws(p, q, r):
 def test_product_reassociation_random_order():
     """Products of determinant-expansion pieces agree under any association."""
     rng = random.Random(7)
-    parts = [coeff_R(2, n) for n in index_set_N(2)]
+    parts = [coeff_R(2, n).decode() for n in index_set_N(2)]
     ordered = parts[0] * parts[1] * parts[2]
     shuffled = parts[:]
     rng.shuffle(shuffled)
@@ -326,14 +321,14 @@ def test_product_reassociation_random_order():
 @pytest.mark.parametrize("g", [1, 2, 3, 4])
 def test_t_split_matches_t_coefficient(g):
     """The cached split by t-exponent agrees with a scan for each n."""
-    full = det_expand(g)
+    full = det_expand(g).decode()
     for n in index_set_N(g):
-        assert coeff_R(g, n) == full.t_coefficient(n)
+        assert coeff_R(g, n).decode() == full.t_coefficient(n)
     for k in range(1, g + 1):
         for l in range(1, g + 1):
-            minor = _packed_poly(g, 1, _reference_leibniz(g, (k, l)))
+            minor = PackedPoly(g, 1, _reference_leibniz(g, (k, l))).decode()
             for n in index_set_Nprime(g):
-                assert minor_coeff_R(g, k, l, n) == minor.t_coefficient(n), (k, l, n)
+                assert minor_coeff_R(g, k, l, n).decode() == minor.t_coefficient(n), (k, l, n)
 
 
 # -- POLY1: the packed writer, and its lines in an OPSPEC1 file ----------------
@@ -347,8 +342,7 @@ def test_t_split_matches_t_coefficient(g):
 
 def _write(p, g=2):
     """The POLY1 text of a genus-g MultiPoly, packed and cleared first."""
-    encode = _packing(g).encode
-    return _packed_text(g, *_cleared({encode(m): c for m, c in p.terms.items()}))
+    return _packed_text(packed(p, g))
 
 
 def _opspec_lines(symbolic=False):
@@ -485,13 +479,14 @@ def test_t_split_matches_the_per_key_reference(g):
 @pytest.mark.parametrize("g", [1, 2, 3, 4])
 def test_det_expands_decode_the_per_key_reference(g):
     """det_expand, made from the split with each bucket's t-units added
-    back, is the reference pass decoded; each first-minor coefficient is
-    the reference pass's bucket of its t-units, decoded."""
-    assert det_expand(g) == _packed_poly(g, 1, _reference_leibniz(g, ()))
+    back, is the reference pass, key for key and decoded; each first-minor
+    coefficient is the reference pass's bucket of its t-units."""
+    assert det_expand(g) == PackedPoly(g, 1, _reference_leibniz(g, ()))
+    assert det_expand(g).decode() == PackedPoly(g, 1, _reference_leibniz(g, ())).decode()
     for k, l in _MINORS[g][1:]:
         reference = _reference_split(g, (k, l))
         for n in index_set_Nprime(g):
-            assert minor_coeff_R(g, k, l, n) == _packed_poly(g, 1, reference.get(n, {}))
+            assert minor_coeff_R(g, k, l, n) == PackedPoly(g, 1, reference.get(n, {}))
 
 
 @pytest.mark.parametrize("g", [1, 2, 3, 4])
@@ -523,14 +518,14 @@ def test_packed_split_decodes_to_the_t_coefficient_oracle(g):
     reference pass; the split keeps no t-variable in its keys."""
     tmask = (1 << 4 * g) - 1
     for minor in _MINORS[g]:
-        full = _packed_poly(g, 1, _reference_leibniz(g, minor))
+        full = PackedPoly(g, 1, _reference_leibniz(g, minor)).decode()
         split = _t_split(g, minor)
         ns = index_set_Nprime(g) if minor else index_set_N(g)
         assert set(split) <= set(ns)
         for n in ns:
             bucket = split.get(n, {})
             assert not any(key & tmask for key in bucket)
-            assert _packed_poly(g, 1, bucket) == full.t_coefficient(n), (minor, n)
+            assert PackedPoly(g, 1, bucket).decode() == full.t_coefficient(n), (minor, n)
 
 
 def _random_keys(rng, g, count, first=0):
@@ -554,7 +549,7 @@ def poly_to_text(p, g) -> str:
     (h, i, j)); the terms sorted by their packed genus-g keys."""
     field = "Qa" if any(isinstance(c, RatFunc) for c in p.terms.values()) else "Q"
     lines = [f"POLY1 field={field} terms={len(p.terms)}"]
-    for m in sorted(p.terms, key=_packing(g).encode):
+    for m in sorted(p.terms, key=lambda m: encode(m, g)):
         body = " ".join(f"{_var_text(v)}^{e}" for v, e in m)
         lines.append(f"{scalar_to_text(p.terms[m])} | {body}")
     return "\n".join(lines) + "\n"
@@ -582,8 +577,8 @@ def test_packed_text_is_poly_to_text_of_the_decoded_form(g):
     nums = {key: rng.choice([-3, -1, 1, 2, 6]) for key in keys}
     polys = {key: (rng.randint(-4, 4), rng.choice([-1, 1])) for key in keys}
     for den, form in ((6, nums), ((-1, 0, 2), polys)):
-        p = _packed_poly(g, den, form)
-        assert _packed_text(g, den, form) == poly_to_text(p, g)
+        p = PackedPoly(g, den, form)
+        assert _packed_text(p) == poly_to_text(p.decode(), g)
 
 
 @pytest.mark.parametrize("g", [2, 3, 4, 5])
@@ -597,11 +592,11 @@ def test_packed_writer_writes_the_keys_in_increasing_order(g):
     keys = set(_random_keys(rng, g, 300) + _shared_half_keys(rng, g, 8) + [0])
     for den, form in ((6, {key: rng.choice([-3, 1, 5]) for key in keys}),
                       ((1, 1), {key: (rng.choice([-2, 1]), 1) for key in keys})):
-        lines = _packed_text(g, den, form).splitlines()[1:]
+        lines = _packed_text(PackedPoly(g, den, form)).splitlines()[1:]
         coeff, _, rest = lines[0].partition(" | ")
         assert rest == "" and lines[0] == f"{coeff} | "
-        read = [packing.encode([(names[name], int(e)) for name, _, e in
-                                (tok.rpartition("^") for tok in ln.split(" | ")[1].split())])
+        read = [encode([(names[name], int(e)) for name, _, e in
+                        (tok.rpartition("^") for tok in ln.split(" | ")[1].split())], g)
                 for ln in lines]
         assert all(k1 < k2 for k1, k2 in zip(read, read[1:])) and set(read) == keys
 
@@ -642,13 +637,33 @@ def test_packed_poly_views_share_their_coefficient_objects(den, nums):
     """Two views of one cleared form hold the same coefficient objects, one
     per distinct numerator, so their comparison takes the identity shortcut;
     numerators given as equal but distinct tuples give them too."""
-    p, q = _packed_poly(2, den, nums), _packed_poly(2, den, dict(nums))
+    p, q = PackedPoly(2, den, nums).decode(), PackedPoly(2, den, dict(nums)).decode()
     assert p == q and all(p.terms[m] is q.terms[m] for m in p.terms)
     first, third = (p.terms[m] for m in _packing(2).decode([0, 1 << 24]))
     assert first is third and first == (Fraction(1, 2) if den == 6 else RatFunc(1, (1, 2)))
     copy = {key: num if isinstance(num, int) else tuple(list(num)) for key, num in nums.items()}
-    r = _packed_poly(2, den, copy)
+    r = PackedPoly(2, den, copy).decode()
     assert all(r.terms[m] is p.terms[m] for m in p.terms)
+
+
+def test_a_packed_poly_is_a_plain_canonical_form():
+    """A PackedPoly is no tuple: +, * and iteration are refused, not tuple
+    operations, and it is unhashable.  Its terms are the packed keys of its
+    decode, with no decode; the canonical forms of one polynomial compare
+    equal, so the cleared form of a build or of a decode is the form
+    itself, and zero is (g, 1, {})."""
+    b = coeff_R(2, (2, 0))
+    for op in (lambda: b + b, lambda: b * 2, lambda: iter(b), lambda: hash(b)):
+        with pytest.raises(TypeError):
+            op()
+    assert b.terms == {encode(m, 2): c for m, c in b.decode().terms.items()}
+    assert packed(b.decode(), 2) == b and b != coeff_R(2, (0, 2)) and b != b.decode()
+    half = packed(b.decode().scale(Fraction(3, 2)), 2)
+    assert half.den == 2 and set(half.nums.values()) == {3, -3}
+    zero = packed(MultiPoly.zero(), 2)
+    assert zero == PackedPoly(2, 1, {}) and zero.is_zero() and not b.is_zero()
+    for spec in (build_Q(3, symbolic_weight()), build_Q(3, Fraction(7, 3))):
+        assert packed(spec.Q.decode(), 3) == spec.Q
 
 
 def test_importing_the_package_leaves_every_cache_cold(tmp_path):
@@ -679,7 +694,7 @@ def test_packed_reader_round_trips_the_writer(g):
         spec = build_Q(g, a)
         text = opspec_to_text(spec)
         back = opspec_from_text(text)
-        assert (back.g, back.a, back.den, back.nums) == (g, a, spec.den, spec.nums)
+        assert (back.g, back.a, back.Q.den, back.Q.nums) == (g, a, spec.Q.den, spec.Q.nums)
         assert opspec_to_text(back) == text
 
 

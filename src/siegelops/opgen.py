@@ -15,9 +15,10 @@ and c(n) = C(m) exactly when n is a permutation of (m, 1, ..., 1, 0, ..., 0)
 
 Pluriharmonicity is verified three independent ways:
 
-  * the combinatorial identity sum_h (k - n'_h) c(n' + e_h) = 0 over all
-    minor multi-indices n', each left side an integer polynomial in k = 2a
-    (verify_harmonic_condition);
+  * the combinatorial identity sum_h (k - n'_h) c(n' + e_h) = 0 on the
+    g - 1 shapes of minor multi-index n' that carry a term, each left side
+    an integer polynomial in k = 2a: a recurrence between C(j) and C(j+1)
+    that holds at every genus (verify_harmonic_condition);
   * the symbolic second-order operator D_{h;11} on the r-variables summed
     over h annihilating Q (verify_pluriharmonic);
   * a brute-force substitution oracle: r_{h;uw} -> row products of a g x k
@@ -87,9 +88,9 @@ from collections import Counter, defaultdict
 from fractions import Fraction
 from functools import cached_property, reduce
 
-from .poly import (MultiPoly, PackedPoly, _cleared, _nibble_sum, _packed_text, _packing,
-                   _scalar, _t_split, coeff_R, index_set_N, index_set_Nprime, minor_coeff_R,
-                   r_var, x_var)
+from .poly import (_MAX_GENUS, MultiPoly, PackedPoly, _cleared, _nibble_sum, _packed_text,
+                   _packing, _scalar, _t_split, coeff_R, index_set_N, minor_coeff_R, r_var,
+                   x_var)
 from .scalars import (RatFunc, _horner, _int_from_text, _line_reader, _padd, _pmul,
                       _rational, _unpack, frac_from_text, frac_to_text, scalar_to_text)
 
@@ -192,9 +193,6 @@ def _coefficient_table(g: int, a) -> dict:
     C = _integer_C(g, a)
     ratio = RatFunc if isinstance(a, RatFunc) else Fraction
     return {n: ratio(C[m], C[1]) for n in index_set_N(g) if (m := _stratum(n))}
-
-
-_MAX_GENUS = 5  # the largest genus whose Q is built and whose operator file is read
 
 
 def build_Q(g: int, a) -> OperatorSpec:
@@ -362,30 +360,38 @@ def verify_pluriharmonic(spec: OperatorSpec,
 
 
 def verify_harmonic_condition(g: int, a) -> bool:
-    """The coefficient identity sum_h (k - n'_h) c(n' + e_h) = 0 for all n'.
+    """The coefficient identity sum_h (k - n'_h) c(n' + e_h) = 0 for every
+    minor multi-index n' (sum g - 1), checked on its g - 1 shapes.
 
-    Each C(m) is an integer polynomial of degree g - 1 in k = 2a
-    (_constant_C_k), so each left side is an integer polynomial in k of
-    degree g.  In Q(a) it must be the zero polynomial, which proves the
-    identity for every a; at a numeric weight it must vanish at that k.
-    A genus below 2 is refused: g = 0 has no minor index, and at g = 1
-    C(1) = 0, so Q is undefined.
+    c(n) != 0 only when n is a permutation of (m, 1^(g-m), 0^(m-1)), so
+    n' + e_h is in the support only when n' is, up to order, one of
+    s_j = (j, 1^(g-1-j), 0^j), j = 1..g-1; at any other n' every term
+    vanishes.  c is symmetric, so one n' per shape is enough.  At s_1 (g - 1
+    ones and a 0) raising a 1 gives C(2) and raising the 0 gives C(1):
+
+        (g - 1)(k - 1) C(2) + k C(1) = 0.
+
+    At s_j, j >= 2, raising the j gives C(j + 1), raising a 0 gives C(j)
+    and raising a 1 leaves two entries above 1, so c = 0:
+
+        (k - j) C(j + 1) + j k C(j) = 0.
+
+    Each C(m) is an integer polynomial in k = 2a (_constant_C_k), so each
+    side is one too.  By the C(m) of the module docstring,
+    (g - 1)(k - 1) C(2) = -k C(1) and (k - j) C(j + 1) = -j k C(j) as
+    polynomials in k (both sides are one product of factors k and k - i),
+    so every side is the zero polynomial: the identity holds at every genus
+    g >= 2 for every a.  In Q(a) each side must be the zero polynomial; at a numeric
+    weight it must vanish at that k.  A genus below 2 is refused: g = 0 has
+    no minor index, and at g = 1 C(1) = 0, so Q is undefined.
     """
     if g < 2:
         raise ValueError(f"genus must be >= 2, found {g}")
     a = _as_weight(a)
-    C = {0: (), **{m: _constant_C_k(g, m) for m in range(1, g + 1)}}
-    for nprime in index_set_Nprime(g):
-        n = list(nprime)
-        side = ()
-        for h in range(g):
-            n[h] += 1
-            side = _padd(side, _pmul((-nprime[h], 1), C[_stratum(n)]))
-            n[h] -= 1
-        value = side if isinstance(a, RatFunc) else _horner(side, 2 * a)
-        if value:
-            return False
-    return True
+    C = [()] + [_constant_C_k(g, m) for m in range(1, g + 1)]
+    sides = [_padd(_pmul((1 - g, g - 1), C[2]), _pmul((0, 1), C[1]))]
+    sides += [_padd(_pmul((-j, 1), C[j + 1]), _pmul((0, j), C[j])) for j in range(2, g)]
+    return not any(side if isinstance(a, RatFunc) else _horner(side, 2 * a) for side in sides)
 
 
 def verify_deriv_lemma(g: int, n: tuple, h: int) -> bool:

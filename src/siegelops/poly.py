@@ -325,11 +325,6 @@ def index_set_N(g: int) -> list[tuple]:
     return multi_indices(g, g)
 
 
-def index_set_Nprime(g: int) -> list[tuple]:
-    """The minor index set (sum = g - 1)."""
-    return multi_indices(g, g - 1)
-
-
 # -- determinant expansions --------------------------------------------------
 
 def _signed_pairings(rows: list, cols: list):
@@ -470,8 +465,11 @@ class PackedPoly:
     and each numerator an integer polynomial in a, a tuple of ints low
     degree first (field Q(a)).  The form is canonical, as _cleared makes it:
     no prime, and no factor of den, divides den and every numerator, and the
-    zero polynomial is (g, 1, {}).  So == on (g, den, nums) is polynomial
-    equality (within a field).  Unhashable, and immutable by convention.
+    zero polynomial is (g, 1, {}).  A form in Q, (d, {key: n}), is compared
+    with one in Q(a) as ((d,), {key: (n,)}), its canonical form there (no
+    integer divides d and every n), so == is polynomial equality, across
+    the two fields as MultiPoly's is.  Unhashable, and immutable by
+    convention.
     """
 
     __slots__ = ("g", "den", "nums")
@@ -482,7 +480,14 @@ class PackedPoly:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.g, self.den, self.nums) == (other.g, other.den, other.nums)
+        return self.g == other.g and self._beside(other) == other._beside(self)
+
+    def _beside(self, other) -> tuple:
+        """(den, nums), lifted to its canonical Q(a) form when self is in Q
+        and other in Q(a)."""
+        if isinstance(self.den, int) and isinstance(other.den, tuple):
+            return (self.den,), {key: (n,) for key, n in self.nums.items()}
+        return self.den, self.nums
 
     __hash__ = None
 
@@ -586,6 +591,17 @@ def _t_split(g: int, minor: tuple) -> dict:
     return counts
 
 
+_MAX_GENUS = 5  # the largest genus whose Leibniz pass is run, Q built and operator file read
+
+
+def _leibniz_genus(g: int):
+    """Refuse a genus outside 1.._MAX_GENUS before a Leibniz pass: the pass
+    grows like g! g^g (13.8M terms at g = 6)."""
+    if not 1 <= g <= _MAX_GENUS:
+        raise ValueError("genus must be >= 1" if g < 1
+                         else f"genus must be <= {_MAX_GENUS}, found {g}")
+
+
 @lru_cache(maxsize=None)
 def det_expand(g: int) -> PackedPoly:
     """det(t_1 R_1 + ... + t_g R_g) as a polynomial in all t_h and r_{h;ij}.
@@ -594,8 +610,7 @@ def det_expand(g: int) -> PackedPoly:
     Expanded by Leibniz over permutations, with each matrix entry of the
     pencil distributed over its g summands t_h r_{h;i,sigma(i)}.
     """
-    if g < 1:
-        raise ValueError("genus must be >= 1")
+    _leibniz_genus(g)
     return PackedPoly(g, 1, {key | t: c for n, bucket in _t_split(g, ()).items()
                              for t in [sum(e << 4 * i for i, e in enumerate(n))]
                              for key, c in bucket.items()})
@@ -604,6 +619,7 @@ def det_expand(g: int) -> PackedPoly:
 @lru_cache(maxsize=None)
 def coeff_R(g: int, n: tuple) -> PackedPoly:
     """The basis polynomial B(n): coefficient of t^n in det(t_1 R_1 + ...)."""
+    _leibniz_genus(g)
     if len(n) != g or sum(n) != g or any(k < 0 for k in n):
         raise ValueError(f"multi-index {n} is not a composition of {g} into {g} parts")
     return PackedPoly(g, 1, _t_split(g, ()).get(tuple(n), {}))
@@ -611,6 +627,7 @@ def coeff_R(g: int, n: tuple) -> PackedPoly:
 
 def minor_coeff_R(g: int, k: int, l: int, nprime: tuple) -> PackedPoly:
     """Coefficient of t^nprime in the (k,l) first-minor expansion."""
+    _leibniz_genus(g)
     if len(nprime) != g or sum(nprime) != g - 1 or any(v < 0 for v in nprime):
         raise ValueError(f"multi-index {nprime} is not a composition of {g-1} into {g} parts")
     return PackedPoly(g, 1, _t_split(g, (k, l)).get(tuple(nprime), {}))

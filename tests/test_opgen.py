@@ -11,13 +11,14 @@ import re
 import pytest
 
 from conftest import packed
+from siegelops import opgen
 from siegelops.opgen import (OperatorSpec, _as_weight, _IntegerForm, _stratum, apply_D11,
                              build_Q, constant_C, opspec_from_text, opspec_to_text,
                              symbolic_weight, verify_deriv_lemma, verify_harmonic_condition,
                              verify_pluriharmonic, xspace_oracle)
 from siegelops.poly import (MultiPoly, PackedPoly, _mono_lower, _mono_mul, _packing, coeff_R,
-                            index_set_N, r_var, t_var)
-from siegelops.scalars import RatFunc, _accumulate
+                            index_set_N, multi_indices, r_var, t_var)
+from siegelops.scalars import RatFunc, _accumulate, _horner, _padd, _pmul
 
 A = symbolic_weight()
 K = 2 * A
@@ -181,12 +182,25 @@ def test_apply_D11_matches_reference(g, h, p, k):
     """apply_D11 runs the kernel for one h on the packed p: the canonical
     form of the reference's exact output, for either field of p and k, high
     exponents and t-variables; a RatFunc constant times a monomial is the
-    monomial scaled by it."""
+    monomial scaled by it.  The residuals of p and of p promoted to Q(a)
+    are equal forms, as their decodes are."""
     for factor in (1, 2):
         got = apply_D11(g, h, packed(p, g), k, factor)
         assert got.decode() == _reference_d11(g, h, p, k, factor)
         assert got == packed(_reference_d11(g, h, p, k, factor), g)
-        assert got.decode() == apply_D11(g, h, packed(p.promote(), g), k, factor).decode()
+        assert got == apply_D11(g, h, packed(p.promote(), g), k, factor)
+
+
+def test_packed_forms_of_one_polynomial_compare_equal_across_fields():
+    """The Q form and the Q(a) form of one polynomial are equal, either way
+    round, and a Q form differs from another polynomial's Q(a) form, such as
+    the same keys times a, and from the Q(a) form of another genus."""
+    p = MultiPoly.var(r_var(1, 1, 1)) ** 2 * MultiPoly.var(r_var(1, 2, 2)).scale(Fraction(3, 2))
+    q, qa = packed(p, 2), packed(p.promote(), 2)
+    assert (q.den, qa.den) == (2, (2,)) and q == qa and qa == q
+    times_a = packed(p.promote().scale(A), 2)
+    assert set(times_a.nums) == set(q.nums) and q != times_a and times_a != q
+    assert packed(p, 3) != qa and packed(p.scale(2), 2) != qa
 
 
 def test_apply_D11_takes_exponents_up_to_14_and_refuses_15():
@@ -339,6 +353,86 @@ def test_a_weight_is_a_rational_or_the_symbolic_a():
     assert (const.a, const.Q.den, const.Q.nums) == (rational.a, rational.Q.den, rational.Q.nums)
     assert opspec_to_text(const) == opspec_to_text(rational)
     assert verify_harmonic_condition(3, RatFunc(Fraction(7, 2)))
+
+
+def _reference_harmonic_condition(g, a):
+    """The coefficient identity checked at every minor multi-index n', the
+    C(2g-2, g-1) of them: the reference for verify_harmonic_condition's
+    g - 1 shape recurrences.  C(m) is read through opgen._constant_C_k, so
+    a monkeypatched constant bites here too."""
+    if g < 2:
+        raise ValueError(f"genus must be >= 2, found {g}")
+    a = _as_weight(a)
+    C = {0: (), **{m: opgen._constant_C_k(g, m) for m in range(1, g + 1)}}
+    for nprime in multi_indices(g, g - 1):
+        n = list(nprime)
+        side = ()
+        for h in range(g):
+            n[h] += 1
+            side = _padd(side, _pmul((-nprime[h], 1), C[_stratum(n)]))
+            n[h] -= 1
+        value = side if isinstance(a, RatFunc) else _horner(side, 2 * a)
+        if value:
+            return False
+    return True
+
+
+def _general_weights(g):
+    """Q(a) and three weights where no C(m) vanishes."""
+    return [A, Fraction(g, 2), Fraction(g + 3, 2), Fraction(7, 3)]
+
+
+@pytest.mark.parametrize("g", range(2, 11))
+def test_harmonic_condition_matches_the_minor_index_loop(g):
+    """The g - 1 shape recurrences give the verdict of the loop over every
+    minor multi-index, in Q(a) and at numeric weights, also at each 2a in
+    1..g-1, where some C(m) vanish.  At g = 10 the loop takes about 0.8 s
+    a weight, so there it runs at Q(a), a = 7/3 and 2a = 5 alone."""
+    weights = _general_weights(g) + [Fraction(k, 2) for k in range(1, g)]
+    if g == 10:
+        weights = [A, Fraction(7, 3), Fraction(5, 2)]
+    for a in weights:
+        assert verify_harmonic_condition(g, a) is _reference_harmonic_condition(g, a) is True, a
+
+
+def _scale_C(monkeypatch, m):
+    """Make C(m), and no other constant, 11/10 times itself."""
+    exact = opgen._constant_C_k
+
+    def scaled(g, mm):
+        return [c * Fraction(11, 10) for c in exact(g, mm)] if mm == m else exact(g, mm)
+
+    monkeypatch.setattr(opgen, "_constant_C_k", scaled)
+
+
+@pytest.mark.parametrize("g", range(2, 11))
+@pytest.mark.parametrize("which", ["C(2)", "C(g)"])
+def test_harmonic_condition_rejects_a_scaled_constant_on_both_routes(monkeypatch, g, which):
+    """Negative controls: with C(2) or C(g) times 11/10 the identity fails
+    in Q(a) and at weights where no C(m) vanishes, by the shape recurrences
+    and by the loop over every minor multi-index."""
+    _scale_C(monkeypatch, 2 if which == "C(2)" else g)
+    for a in _general_weights(g):
+        assert not verify_harmonic_condition(g, a), a
+        assert not _reference_harmonic_condition(g, a), a
+
+
+def test_harmonic_condition_at_genus_30(monkeypatch):
+    """The shapes make the identity O(g) work: g = 30, whose loop would
+    visit C(58, 29) minor multi-indices, holds in Q(a) and fails with C(2)
+    times 11/10.  verify_harmonic_condition builds one side per shape."""
+    sides = []
+
+    def counted(p, q):
+        sides.append(_padd(p, q))
+        return sides[-1]
+
+    monkeypatch.setattr(opgen, "_padd", counted)
+    assert verify_harmonic_condition(30, A)
+    assert len(sides) == 29
+    monkeypatch.undo()
+    _scale_C(monkeypatch, 2)
+    assert not verify_harmonic_condition(30, A)
 
 
 @pytest.mark.parametrize("m,g", [(m, g) for g in (2, 3, 4, 5, 6)
@@ -807,11 +901,13 @@ def test_opspec_read_builds_the_coefficient_table_once(spec2_symbolic, monkeypat
      r"^second-order factor -1/2 is not an integer$"),
     (lambda: verify_harmonic_condition(0, A), r"^genus must be >= 2, found 0$"),
     (lambda: verify_harmonic_condition(1, Fraction(3)), r"^genus must be >= 2, found 1$"),
+    (lambda: verify_deriv_lemma(0, (), 1), r"^genus must be >= 1$"),
+    (lambda: verify_deriv_lemma(6, (1,) * 6, 1), r"^genus must be <= 5, found 6$"),
 ], ids=["constant-m", "oracle-symbolic", "oracle-non-matrix", "D11-slot-above-genus",
         "D11-slot-zero", "deriv-lemma-slot", "D11-other-genus", "oracle-other-genus",
         "D11-fractional-factor",
         "verifier-fractional-factor", "harmonic-condition-genus-0",
-        "harmonic-condition-genus-1"])
+        "harmonic-condition-genus-1", "deriv-lemma-genus-0", "deriv-lemma-genus-6"])
 def test_opgen_refusals(call, message):
     with pytest.raises(ValueError, match=message):
         call()

@@ -20,7 +20,7 @@ from siegelops.jets import JetPoly, jet_var
 from siegelops.opgen import build_Q, opspec_from_text, opspec_to_text, symbolic_weight
 from siegelops.poly import (MultiPoly, PackedPoly, _index_pairs, _minor_rows, _packed_text,
                             _packing, _t_split, coeff_R, det_expand, index_set_N,
-                            index_set_Nprime, minor_coeff_R, r_var, t_var)
+                            minor_coeff_R, multi_indices, r_var, t_var)
 from siegelops.scalars import RatFunc, scalar_to_text
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -131,7 +131,7 @@ def test_coeff_R_examples():
 def test_index_sets():
     assert len(index_set_N(3)) == 10
     assert all(sum(n) == 3 for n in index_set_N(3))
-    assert len(index_set_Nprime(3)) == 6
+    assert len(multi_indices(3, 2)) == 6
     with pytest.raises(ValueError):
         coeff_R(2, (2, 1))
 
@@ -327,7 +327,7 @@ def test_t_split_matches_t_coefficient(g):
     for k in range(1, g + 1):
         for l in range(1, g + 1):
             minor = PackedPoly(g, 1, _reference_leibniz(g, (k, l))).decode()
-            for n in index_set_Nprime(g):
+            for n in multi_indices(g, g - 1):
                 assert minor_coeff_R(g, k, l, n).decode() == minor.t_coefficient(n), (k, l, n)
 
 
@@ -485,7 +485,7 @@ def test_det_expands_decode_the_per_key_reference(g):
     assert det_expand(g).decode() == PackedPoly(g, 1, _reference_leibniz(g, ())).decode()
     for k, l in _MINORS[g][1:]:
         reference = _reference_split(g, (k, l))
-        for n in index_set_Nprime(g):
+        for n in multi_indices(g, g - 1):
             assert minor_coeff_R(g, k, l, n) == PackedPoly(g, 1, reference.get(n, {}))
 
 
@@ -520,7 +520,7 @@ def test_packed_split_decodes_to_the_t_coefficient_oracle(g):
     for minor in _MINORS[g]:
         full = PackedPoly(g, 1, _reference_leibniz(g, minor)).decode()
         split = _t_split(g, minor)
-        ns = index_set_Nprime(g) if minor else index_set_N(g)
+        ns = multi_indices(g, g - 1) if minor else index_set_N(g)
         assert set(split) <= set(ns)
         for n in ns:
             bucket = split.get(n, {})
@@ -748,3 +748,19 @@ def test_poly1_rejects_a_zero_coefficient(coeff):
 def test_poly_refusals(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda g: det_expand(g),
+    lambda g: coeff_R(g, (1,) * g),
+    lambda g: minor_coeff_R(g, 1, 1, (1,) * (g - 1) + (0,)),
+], ids=["det_expand", "coeff_R", "minor_coeff_R"])
+def test_every_leibniz_entry_refuses_a_genus_outside_1_to_5(call):
+    """det_expand, coeff_R and minor_coeff_R share one genus check, made
+    before any work: g = 0 (where coeff_R(0, ()) passes the index check) and
+    g = 6, whose pass of 13.8M terms build_Q refuses too."""
+    with pytest.raises(ValueError, match="^genus must be >= 1$"):
+        call(0)
+    with pytest.raises(ValueError, match="^genus must be <= 5, found 6$"):
+        call(6)
+    assert call(1).g == 1

@@ -6,6 +6,16 @@ parsed arguments are the run configuration; theta and slope have one
 subcommand per action and verify one per check, each with the options of
 that action or check alone.  opgen, apply and each verify check print the
 settings they used as a '# config:' header ('-' for a check that reads none).
+
+argparse is the one dispatch: each leaf parser binds its own function as
+``fn``, which ``main`` calls.  A verify check binds ``cmd_verify`` as ``fn``
+and its own ``check_*`` function as ``check``.  A check function refuses bad
+input when it is called and returns its rows, each (name, passed[, detail]),
+computed when the runner reaches them; ``cmd_verify`` prints the header,
+each row as it is computed, and the failure count.  The parser binds only
+functions of this module, which look each layer function up when they call
+it, so a wrapper installed on a layer function later is the one called.
+
 Identical configurations produce byte-identical outputs (all serializers
 iterate in sorted order and all randomness is derived from the seed).  Exit
 status is the number of failed checks (0 = everything passed); bad input
@@ -123,36 +133,17 @@ def _status(name: str, ok: bool, detail: str = "") -> int:
     return 0 if ok else 1
 
 
-def _check_operator(spec) -> int:
-    """Check a built Q by the coefficient identity and the second-order
-    verifier: the number of failed checks."""
+def _report(rows) -> int:
+    """Print each (name, passed[, detail]) row as it is computed: the number
+    that failed."""
+    return sum(_status(*row) for row in rows)
+
+
+def _operator_checks(spec):
+    """A built Q's rows: the coefficient identity and the second-order verifier."""
     g = spec.g
-    failures = _status(f"harmonic-condition g={g}", opgen.verify_harmonic_condition(g, spec.a))
-    failures += _status(f"pluriharmonic g={g}", opgen.verify_pluriharmonic(spec))
-    return failures
-
-
-def _operator_suite():
-    """The pluriharmonicity sweep as (stage, passed), each computed when it is
-    reached: the coefficient identity for genus 2..6 and the second-order
-    verifier for genus 2..4, all in Q(a); the verifier at genus 5 at two
-    weights; the matrix-space oracle at the small genus-2 weights; and the
-    factor-1 normalization, which must fail."""
-    a = opgen.symbolic_weight()
-    for g in range(2, 7):
-        yield (f"coefficient condition, genus {g} (symbolic)",
-               opgen.verify_harmonic_condition(g, a))
-    for g in (2, 3, 4):
-        yield (f"second-order verifier, genus {g} (symbolic)",
-               opgen.verify_pluriharmonic(opgen.build_Q(g, a)))
-    for w in (3, 108):
-        yield (f"second-order verifier, genus 5, weight {w}",
-               opgen.verify_pluriharmonic(opgen.build_Q(5, Fraction(w))))
-    for w in (1, 2):
-        yield (f"matrix-space oracle, genus 2, weight {w}",
-               opgen.xspace_oracle(2, 2 * w, opgen.build_Q(2, Fraction(w)).Q).is_zero())
-    yield ("mis-normalized control fails (factor 1)",
-           not opgen.verify_pluriharmonic(opgen.build_Q(2, a), second_order_factor=1))
+    yield f"harmonic-condition g={g}", opgen.verify_harmonic_condition(g, spec.a)
+    yield f"pluriharmonic g={g}", opgen.verify_pluriharmonic(spec)
 
 
 # -- subcommands -----------------------------------------------------------------
@@ -162,7 +153,7 @@ def cmd_opgen(args) -> int:
     a = _weight(args)
     spec = opgen.build_Q(args.genus, a)  # refuses a bad genus or weight before the header
     print(f"# config: genus={args.genus} weight={_weight_text(a)}")
-    failures = _check_operator(spec)
+    failures = _report(_operator_checks(spec))
     if args.oracle_x and (why := opgen._oracle_fault(args.genus, spec.k)):
         print(f"note: {why}; skipped")
     elif args.oracle_x:
@@ -206,14 +197,17 @@ def cmd_apply(args) -> int:
     return 0
 
 
-def cmd_theta(args) -> int:
+def cmd_theta_qexp(args) -> int:
     c = _parse_char(args.char)
-    if args.action == "qexp":
-        f = theta.theta_qexp(c.g, c, args.trunc)
-        _emit(f.to_text(), args.out)
-        if not c.is_even():
-            print("# identically zero (odd characteristic)")
-        return 0
+    f = theta.theta_qexp(c.g, c, args.trunc)
+    _emit(f.to_text(), args.out)
+    if not c.is_even():
+        print("# identically zero (odd characteristic)")
+    return 0
+
+
+def cmd_theta_eval(args) -> int:
+    c = _parse_char(args.char)
     tau = _parse_tau(args.tau, c.g)
     z = _parse_z(args.z, c.g) if args.z else None
     val = theta.theta_numeric(c.g, c, tau, z)
@@ -263,7 +257,12 @@ def cmd_bracket(args) -> int:
     return 0
 
 
-def _slope_report():
+def cmd_slope_table(args) -> int:
+    sys.stdout.write(render_table())
+    return 0
+
+
+def cmd_slope_report(args) -> int:
     """The slope ledger: the table, the operator-output class behind each
     row, the hyperelliptic thresholds and the genus-4 curve-side pullback."""
     print(render_table())
@@ -277,29 +276,33 @@ def _slope_report():
     pb = slopes.torelli_pullback(slopes.class_operator_output(4, slopes.OPERATOR_BASES[4][0]))
     print(f"curve-side pullback at g=4: {pb.lam1}L1 - {pb.deltap}D'  "
           f"slope {pb.slope()}")
+    return 0
 
 
-def cmd_slope(args) -> int:
-    if args.action == "table":
-        sys.stdout.write(render_table())
-    elif args.action == "report":
-        _slope_report()
-    elif args.action == "class":
-        g = args.genus
-        if args.name == "tnull":
-            c = slopes.class_tnull(g)
-        elif args.name == "n0prime":
-            c = slopes.class_N0prime(g)
-        else:
-            c = slopes.class_operator_output(g, slopes.class_tnull(g))
-        print(f"{c}  slope {frac_to_text(class_slope(c))}")
-    elif args.action == "hyperelliptic":
-        print(frac_to_text(slopes.hyperelliptic_bound(args.genus)))
-    else:  # bound: the slope of the operator-output class, which --op also prints
-        cls = _div_class(args.cls)
-        bound = frac_to_text(slopes.moving_bound(args.genus, cls))
-        print(f"{slopes.class_operator_output(args.genus, cls)}  slope {bound}"
-              if args.op else bound)
+def cmd_slope_class(args) -> int:
+    g = args.genus
+    if args.name == "tnull":
+        c = slopes.class_tnull(g)
+    elif args.name == "n0prime":
+        c = slopes.class_N0prime(g)
+    else:
+        c = slopes.class_operator_output(g, slopes.class_tnull(g))
+    print(f"{c}  slope {frac_to_text(class_slope(c))}")
+    return 0
+
+
+def cmd_slope_bound(args) -> int:
+    """The moving-slope bound of --cls: the slope of the operator-output
+    class, which --op also prints."""
+    cls = _div_class(args.cls)
+    bound = frac_to_text(slopes.moving_bound(args.genus, cls))
+    print(f"{slopes.class_operator_output(args.genus, cls)}  slope {bound}"
+          if args.op else bound)
+    return 0
+
+
+def cmd_slope_hyperelliptic(args) -> int:
+    print(frac_to_text(slopes.hyperelliptic_bound(args.genus)))
     return 0
 
 
@@ -326,7 +329,12 @@ def _random_z(rng: random.Random, g: int):
     return [complex(rng.uniform(-0.3, 0.3), rng.uniform(-0.2, 0.2)) for _ in range(g)]
 
 
-_MODULARITY_FORMS = ("T2SQ", "D25T2")
+# each --form of verify modularity and a function that makes it, looking its
+# layer function up when called
+_MODULARITY_FORMS = {
+    "T2SQ": lambda: theta.form_tnull(2),
+    "D25T2": lambda: theta.form_operator_tnull(5),
+}
 
 
 def _setting(args, dest: str) -> str:
@@ -336,101 +344,118 @@ def _setting(args, dest: str) -> str:
         return f"weight={_weight_text(_weight(args))}"
     if dest == "form":
         return f"form={value or ','.join(_MODULARITY_FORMS)}"
-    if isinstance(value, float):
-        return f"{dest.replace('_', '-')}={value:g}"
+    if isinstance(value, float):  # repr reads back to the tolerance used
+        return f"{dest.replace('_', '-')}={value!r}"
     return f"{dest}={'-' if value is None else value}"
 
 
 def cmd_verify(args) -> int:
-    what = args.what
-    # the input a check refuses is refused before its header
-    if what == "pluriharmonic":
-        spec = opgen.build_Q(args.genus, _weight(args))
-    elif what == "cond":  # each tau checked as the lattice sums check it
-        taus = [(t, _parse_tau(t, 2)) for t in ([args.tau] if args.tau
-                                                else ["diag:1.1,1.7", "diag:0.9,1.45"])]
-        for _, tau in taus:
-            theta._check_tau(theta._as_matrix(tau))
+    rows = args.check(args)  # a refused input is refused here, before the header
     print(f"# config: {' '.join(_setting(args, dest) for dest in args.settings) or '-'}")
-    failures = 0
-
-    if what == "pluriharmonic":
-        failures += _check_operator(spec)
-
-    elif what == "suite":
-        for name, ok in _operator_suite():
-            failures += _status(name, ok)
-
-    elif what == "heat":
-        rng = random.Random(args.seed)
-        for g in (1, 2):
-            for i in range(5):
-                tau = _random_tau(rng, g)
-                z = _random_z(rng, g)
-                chars = theta.even_chars(g)
-                c = chars[rng.randrange(len(chars))]
-                rep = theta.check_heat(g, c, tau, z, args.tol_heat)
-                failures += _status(f"heat g={g} point {i + 1}",
-                                    rep.max_residual < args.tol_heat,
-                                    f"residual {rep.max_residual:.2e}")
-
-    elif what == "modularity":
-        rng = random.Random(args.seed)
-        forms = {"T2SQ": theta.form_tnull(2), "D25T2": theta.form_operator_tnull(5)}
-        wanted = [args.form] if args.form else list(forms)
-        import numpy as np
-        gammas = [("J", theta.gamma_J(2)),
-                  ("T_B", theta.gamma_translation(np.array([[1, 1], [1, 0]]))),
-                  ("U", theta.gamma_gl(np.array([[1, 1], [0, 1]])))]
-        for name in wanted:
-            form = forms[name]
-            for i in range(3):
-                tau = _random_tau(rng, 2)
-                for gname, gam in gammas:
-                    rep = theta.check_modularity(form, gam, tau, args.tol_modularity)
-                    ok = (not rep.inconclusive) and rep.rel_err < args.tol_modularity
-                    failures += _status(f"modularity {name} {gname} point {i + 1}",
-                                        ok, f"rel {rep.rel_err:.2e}")
-
-    elif what == "cond":
-        for spec_txt, tau in taus:
-            try:
-                rep = theta.check_condition_star(tau, args.tol_zero)
-            except theta.OffLocus as exc:
-                failures += _status(f"gradient determinant at {spec_txt}", False, str(exc))
-                continue
-            failures += _status(f"gradient determinant at {spec_txt}",
-                                abs(rep.det_value) > 1e-6,
-                                f"|det| {abs(rep.det_value):.2e}")
-
-    elif what == "schottky-vanishing":
-        failures += _status(f"genus-2 vanishing at trunc {args.trunc}",
-                            theta.schottky_qexp(2, args.trunc).is_zero())
-        failures += _status(f"genus-1 vanishing at trunc {args.trunc}",
-                            theta.schottky_qexp(1, args.trunc).is_zero())
-
-    elif what == "input-lift":
-        lift = theta.tnull_qexp(args.trunc)
-        product = theta.tnull_product(args.trunc)
-        print(f"# lift: {len(lift.terms)} terms; ten-theta product: "
-              f"{len(product.terms)} terms")
-        # the product's gamma = 4 slice is the Jacobi form the lift lifts
-        first = product.fj_slice(Fraction(1, 2))
-        failures += _status(f"first Fourier-Jacobi coefficient is -64 eta^9 theta "
-                            f"at trunc {args.trunc}",
-                            first == theta.minus_64_eta9_theta(args.trunc),
-                            f"{len(first)} terms")
-        failures += _status(f"ten-theta product equals the lift at trunc {args.trunc}",
-                            product == lift)
-
-    else:  # table
-        for row in slopes.known_slopes_table():
-            want = EXPECTED_TABLE[row.genus]
-            got = (row.eff.render(), row.mov.render())
-            failures += _status(f"table row g={row.genus}", got == want, f"{got}")
-
+    failures = _report(rows)
     print(f"# {failures} failure(s)")
     return failures
+
+
+# -- verify checks: each takes the parsed arguments, checks its input at once
+# and returns its rows, each computed when it is reached -------------------------
+
+
+def check_pluriharmonic(args):
+    return _operator_checks(opgen.build_Q(args.genus, _weight(args)))
+
+
+def check_suite(args):
+    """The pluriharmonicity sweep: the coefficient identity for genus 2..6
+    and the second-order verifier for genus 2..4, all in Q(a); the verifier
+    at genus 5 at two weights; the matrix-space oracle at the small genus-2
+    weights; and the factor-1 normalization, which must fail."""
+    a = opgen.symbolic_weight()
+    for g in range(2, 7):
+        yield (f"coefficient condition, genus {g} (symbolic)",
+               opgen.verify_harmonic_condition(g, a))
+    for g in (2, 3, 4):
+        yield (f"second-order verifier, genus {g} (symbolic)",
+               opgen.verify_pluriharmonic(opgen.build_Q(g, a)))
+    for w in (3, 108):
+        yield (f"second-order verifier, genus 5, weight {w}",
+               opgen.verify_pluriharmonic(opgen.build_Q(5, Fraction(w))))
+    for w in (1, 2):
+        yield (f"matrix-space oracle, genus 2, weight {w}",
+               opgen.xspace_oracle(2, 2 * w, opgen.build_Q(2, Fraction(w)).Q).is_zero())
+    yield ("mis-normalized control fails (factor 1)",
+           not opgen.verify_pluriharmonic(opgen.build_Q(2, a), second_order_factor=1))
+
+
+def check_heat(args):
+    rng = random.Random(args.seed)
+    for g in (1, 2):
+        for i in range(5):
+            tau = _random_tau(rng, g)
+            z = _random_z(rng, g)
+            chars = theta.even_chars(g)
+            c = chars[rng.randrange(len(chars))]
+            rep = theta.check_heat(g, c, tau, z, args.tol_heat)
+            yield (f"heat g={g} point {i + 1}", rep.max_residual < args.tol_heat,
+                   f"residual {rep.max_residual:.2e}")
+
+
+def check_modularity(args):
+    import numpy as np
+    rng = random.Random(args.seed)
+    gammas = [("J", theta.gamma_J(2)),
+              ("T_B", theta.gamma_translation(np.array([[1, 1], [1, 0]]))),
+              ("U", theta.gamma_gl(np.array([[1, 1], [0, 1]])))]
+    for name in [args.form] if args.form else _MODULARITY_FORMS:
+        form = _MODULARITY_FORMS[name]()
+        for i in range(3):
+            tau = _random_tau(rng, 2)
+            for gname, gam in gammas:
+                rep = theta.check_modularity(form, gam, tau, args.tol_modularity)
+                yield (f"modularity {name} {gname} point {i + 1}",
+                       not rep.inconclusive and rep.rel_err < args.tol_modularity,
+                       f"rel {rep.rel_err:.2e}")
+
+
+def _gradient_row(text: str, tau, tol_zero: float):
+    name = f"gradient determinant at {text}"
+    try:
+        rep = theta.check_condition_star(tau, tol_zero)
+    except theta.OffLocus as exc:
+        return name, False, str(exc)
+    return name, abs(rep.det_value) > 1e-6, f"|det| {abs(rep.det_value):.2e}"
+
+
+def check_cond(args):
+    taus = [(t, _parse_tau(t, 2)) for t in ([args.tau] if args.tau
+                                            else ["diag:1.1,1.7", "diag:0.9,1.45"])]
+    for _, tau in taus:  # each tau checked as the lattice sums check it
+        theta._check_tau(theta._as_matrix(tau))
+    return (_gradient_row(text, tau, args.tol_zero) for text, tau in taus)
+
+
+def check_schottky_vanishing(args):
+    for g in (2, 1):
+        yield (f"genus-{g} vanishing at trunc {args.trunc}",
+               theta.schottky_qexp(g, args.trunc).is_zero())
+
+
+def check_input_lift(args):
+    lift = theta.tnull_qexp(args.trunc)
+    product = theta.tnull_product(args.trunc)
+    print(f"# lift: {len(lift.terms)} terms; ten-theta product: "
+          f"{len(product.terms)} terms")
+    # the product's gamma = 4 slice is the Jacobi form the lift lifts
+    first = product.fj_slice(Fraction(1, 2))
+    yield (f"first Fourier-Jacobi coefficient is -64 eta^9 theta at trunc {args.trunc}",
+           first == theta.minus_64_eta9_theta(args.trunc), f"{len(first)} terms")
+    yield f"ten-theta product equals the lift at trunc {args.trunc}", product == lift
+
+
+def check_table(args):
+    for row in slopes.known_slopes_table():
+        got = (row.eff.render(), row.mov.render())
+        yield f"table row g={row.genus}", got == EXPECTED_TABLE[row.genus], f"{got}"
 
 
 @cache  # parse_args leaves the parser as it was; in-process callers build it once
@@ -446,11 +471,12 @@ def build_parser() -> argparse.ArgumentParser:
     def trunc_option(sp):
         sp.add_argument("--trunc", type=_truncation, default=DEFAULT_TRUNC)
 
-    def actions(sp, fn, dest: str = "action", metavar: str = "ACTION"):
-        """The adder of sp's subcommands, each handled by fn; it returns their parser."""
+    def actions(sp, dest: str = "action", metavar: str = "ACTION"):
+        """The adder of sp's subcommands: action(name, help_text, fn) adds one
+        that fn handles and returns its parser."""
         group = sp.add_subparsers(dest=dest, required=True, metavar=metavar)
 
-        def action(name: str, help_text: str, **defaults):
+        def action(name: str, help_text: str, fn, **defaults):
             ap = group.add_parser(name, help=help_text)
             ap.set_defaults(fn=fn, **defaults)
             return ap
@@ -469,14 +495,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out")
     sp.set_defaults(fn=cmd_apply)
 
-    action = actions(sub.add_parser("theta", help="theta-constant expansions and values"),
-                     cmd_theta)
-
-    ap = action("qexp", "the exact expansion of a theta constant")
+    action = actions(sub.add_parser("theta", help="theta-constant expansions and values"))
+    ap = action("qexp", "the exact expansion of a theta constant", cmd_theta_qexp)
     ap.add_argument("--char", required=True)  # its genus is the expansion's
     trunc_option(ap)
     ap.add_argument("--out")
-    ap = action("eval", "the value of a theta function at a point")
+    ap = action("eval", "the value of a theta function at a point", cmd_theta_eval)
     ap.add_argument("--char", required=True)
     ap.add_argument("--tau", required=True)
     ap.add_argument("--z")
@@ -496,47 +520,52 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_bracket)
 
     action = actions(sub.add_parser(
-        "slope", help="divisor classes, slopes, the table and the report"), cmd_slope)
-    action("table", "the effective and moving slope table for genus 1..6")
-    action("report", "the table with the classes and thresholds behind it")
-    ap = action("class", "a named divisor class and its slope")
+        "slope", help="divisor classes, slopes, the table and the report"))
+    action("table", "the effective and moving slope table for genus 1..6", cmd_slope_table)
+    action("report", "the table with the classes and thresholds behind it", cmd_slope_report)
+    ap = action("class", "a named divisor class and its slope", cmd_slope_class)
     ap.add_argument("--name", choices=["tnull", "n0prime", "operator-tnull"], required=True)
     ap.add_argument("--genus", type=int, default=2)
-    ap = action("bound", "the moving-slope bound from a boundary-vanishing class")
+    ap = action("bound", "the moving-slope bound from a boundary-vanishing class",
+                cmd_slope_bound)
     ap.add_argument("--genus", type=int, default=2)
     ap.add_argument("--cls", required=True, metavar="LAMBDA,DELTA")
     ap.add_argument("--op", action="store_true")  # also print the operator-output class
-    ap = action("hyperelliptic", "the hyperelliptic slope threshold 8 + 4/g")
+    ap = action("hyperelliptic", "the hyperelliptic slope threshold 8 + 4/g",
+                cmd_slope_hyperelliptic)
     ap.add_argument("--genus", type=int, required=True)
 
     action = actions(sub.add_parser("verify", help="run a named verification suite"),
-                     cmd_verify, "what", "CHECK")
+                     "what", "CHECK")
 
-    def check(name: str, help_text: str, *settings):
-        """The subparser of one check; settings are the options it reads."""
-        return action(name, help_text, settings=settings)
+    def check(name: str, help_text: str, fn, *settings):
+        """The subparser of check fn, which cmd_verify runs; settings are the
+        options it reads."""
+        return action(name, help_text, cmd_verify, check=fn, settings=settings)
 
     cp = check("pluriharmonic", "the coefficient identity and the second-order verifier "
-               "(Q(a) by default)", "genus", "weight")
+               "(Q(a) by default)", check_pluriharmonic, "genus", "weight")
     cp.add_argument("--genus", type=int, default=2)
     weight_options(cp, required=False)
-    check("suite", "the whole pluriharmonicity sweep")
-    cp = check("heat", "theta heat equation at seeded points", "seed", "tol_heat")
+    check("suite", "the whole pluriharmonicity sweep", check_suite)
+    cp = check("heat", "theta heat equation at seeded points", check_heat, "seed", "tol_heat")
     cp.add_argument("--seed", type=int, default=0)
     cp.add_argument("--tol-heat", dest="tol_heat", type=_tolerance, default=theta.TOL_HEAT)
-    cp = check("modularity", "transformation laws at seeded points",
+    cp = check("modularity", "transformation laws at seeded points", check_modularity,
                "form", "seed", "tol_modularity")
     cp.add_argument("--form", choices=_MODULARITY_FORMS)
     cp.add_argument("--seed", type=int, default=0)
     cp.add_argument("--tol-modularity", dest="tol_modularity", type=_tolerance,
                     default=theta.TOL_MODULARITY)
-    cp = check("cond", "the gradient determinant on the theta-null locus", "tau", "tol_zero")
+    cp = check("cond", "the gradient determinant on the theta-null locus", check_cond,
+               "tau", "tol_zero")
     cp.add_argument("--tau")
     cp.add_argument("--tol-zero", dest="tol_zero", type=_tolerance, default=theta.TOL_ZERO)
-    trunc_option(check("schottky-vanishing", "the degree-16 vanishing identity", "trunc"))
+    trunc_option(check("schottky-vanishing", "the degree-16 vanishing identity",
+                       check_schottky_vanishing, "trunc"))
     trunc_option(check("input-lift", "the ten-theta product against its lift, "
-                       "the form tnull writes", "trunc"))
-    check("table", "the slope table against its expected rows")
+                       "the form tnull writes", check_input_lift, "trunc"))
+    check("table", "the slope table against its expected rows", check_table)
 
     return p
 

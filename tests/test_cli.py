@@ -218,6 +218,63 @@ def test_verify_modularity_single_form(capsys):
     assert out.count("PASS") == 9  # 3 points x 3 generators
 
 
+def _row_names(out: str) -> list:
+    """The names of the PASS and FAIL rows of a verify output, in order."""
+    return [ln[6:].split("  (")[0] for ln in out.splitlines() if ln[:4] in ("PASS", "FAIL")]
+
+
+def test_verify_heat_runs_its_seeded_points(capsys):
+    code, out = run_cli(["verify", "heat"], capsys)
+    lines = out.splitlines()
+    assert code == 0
+    assert lines[0] == "# config: seed=0 tol-heat=1e-10"
+    assert lines[-1] == "# 0 failure(s)" and len(lines) == 12
+    assert all(ln.startswith("PASS  ") for ln in lines[1:-1])
+    assert _row_names(out) == [f"heat g={g} point {i}" for g in (1, 2) for i in range(1, 6)]
+
+
+def test_verify_modularity_checks_both_forms_by_default(capsys):
+    code, out = run_cli(["verify", "modularity"], capsys)
+    assert code == 0 and out.endswith("# 0 failure(s)\n")
+    assert _row_names(out) == [f"modularity {form} {gamma} point {i}"
+                               for form in ("T2SQ", "D25T2") for i in (1, 2, 3)
+                               for gamma in ("J", "T_B", "U")]
+
+
+def test_verify_modularity_builds_only_the_form_it_checks(capsys, monkeypatch):
+    from siegelops import theta
+
+    def refuse(*args):
+        raise AssertionError("form D25T2 built for a run that checks T2SQ alone")
+
+    monkeypatch.setattr(theta, "form_operator_tnull", refuse)
+    code, out = run_cli(["verify", "modularity", "--form", "T2SQ"], capsys)
+    assert code == 0 and out.count("PASS") == 9
+
+
+def test_verify_prints_each_row_as_it_is_computed(capsys, monkeypatch):
+    """A check that fails midway leaves the rows before it on stdout: the
+    runner prints each row when the check yields it, not after the last."""
+    from siegelops import theta
+    exact = theta.check_heat
+    calls = []
+
+    def third_call_fails(*args):
+        calls.append(args)
+        if len(calls) == 3:
+            raise ValueError("the third point is refused")
+        return exact(*args)
+
+    monkeypatch.setattr(theta, "check_heat", third_call_fails)
+    code = main(["verify", "heat"])
+    out, err = capsys.readouterr()
+    assert code == 2 and err == "error: the third point is refused\n"
+    lines = out.splitlines()
+    assert lines[0] == "# config: seed=0 tol-heat=1e-10" and len(lines) == 3
+    assert _row_names(out) == ["heat g=1 point 1", "heat g=1 point 2"]
+    assert all(ln.startswith("PASS  ") for ln in lines[1:])
+
+
 def test_slope_bound_op_class(capsys):
     code, out = run_cli(["slope", "bound", "--op", "--genus", "4",
                          "--cls", "8,1"], capsys)
@@ -251,6 +308,18 @@ def test_config_header_reports_defaults(capsys):
     assert (args.seed, args.tol_heat) == (0, 1e-10)
     _, out = run_cli(["verify", "pluriharmonic", "--genus", "2"], capsys)
     assert out.splitlines()[0] == "# config: genus=2 weight=a (symbolic)"
+
+
+def test_config_header_keeps_each_tolerance_exactly(capsys):
+    """Two tolerances that agree to six digits give two headers, each of
+    which reads back to the tolerance the run used."""
+    headers = []
+    for tol in ("1.234567891e-6", "1.234567892e-6"):
+        _, out = run_cli(["verify", "cond", "--tol-zero", tol], capsys)
+        headers.append(out.splitlines()[0])
+        assert headers[-1].startswith("# config: tau=- tol-zero=")
+        assert float(headers[-1].rpartition("=")[2]) == float(tol)
+    assert headers[0] != headers[1]
 
 
 def test_apply_zero_input_is_flagged(tmp_path, capsys):
@@ -670,6 +739,20 @@ def test_each_subcommand_takes_only_the_options_it_reads():
     counts = {name: sum(map(len, options.values())) for name, options in nested.items()}
     assert counts["theta"] + counts["slope"] == 12
     assert sum(map(len, found.values())) + sum(counts.values()) == 39
+
+
+def test_each_action_and_check_is_bound_to_its_own_function():
+    """argparse is the one dispatch: each action of theta and slope names
+    its own function, and each verify check its own check function, which
+    the one runner cmd_verify runs."""
+    from siegelops import cli
+    for name in ("theta", "slope", "verify"):
+        leaves = _subparsers(_subparsers()[name]).values()
+        key = "check" if name == "verify" else "fn"
+        fns = [leaf.get_default(key) for leaf in leaves]
+        assert len(set(fns)) == len(fns)
+        assert all(fn.__module__ == "siegelops.cli" for fn in fns)
+    assert {leaf.get_default("fn") for leaf in leaves} == {cli.cmd_verify}
 
 
 @pytest.mark.parametrize("argv,option", [

@@ -18,9 +18,10 @@ it, so a wrapper installed on a layer function later is the one called.
 
 Identical configurations produce byte-identical outputs (all serializers
 iterate in sorted order and all randomness is derived from the seed).  Exit
-status is the number of failed checks (0 = everything passed); bad input
-(an unreadable or malformed file, a bad or missing option value) prints an
-error to stderr and exits 2.
+status is 0 when every check passed and 1 when any failed (the '# N
+failure(s)' line of a verify check counts them); bad input (an unreadable
+or malformed file, a bad or missing option value) prints an error to
+stderr and exits 2.
 """
 
 from __future__ import annotations
@@ -120,12 +121,13 @@ def _parse_z(text: str, g: int) -> list:
     return z
 
 
-def _emit(text: str, out: str | None):
+def _emit(pieces, out: str | None):
+    """Write the text pieces in turn to the file out, or to stdout."""
     if out:
         with open(out, "w") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
 
 
 def _status(name: str, ok: bool, detail: str = "") -> int:
@@ -159,7 +161,7 @@ def cmd_opgen(args) -> int:
     elif args.oracle_x:
         oracle = opgen.xspace_oracle(args.genus, spec.k, spec.Q)
         failures += _status("matrix-space oracle", oracle.is_zero())
-    _emit(opgen.opspec_to_text(spec), args.out)
+    _emit(opgen._opspec_chunks(spec), args.out)
     if args.out:
         print(f"# wrote operator spec to {args.out}")
     return failures
@@ -193,14 +195,14 @@ def cmd_apply(args) -> int:
               f"(lower bound {frac_to_text(cls.delta)})")
         print(f"# output class: {actual}  slope: {frac_to_text(class_slope(actual))}"
               + ("" if actual.delta == cls.delta else "  [exceeds the generic bound]"))
-    _emit(result.to_text(), args.out)
+    _emit([result.to_text()], args.out)
     return 0
 
 
 def cmd_theta_qexp(args) -> int:
     c = _parse_char(args.char)
     f = theta.theta_qexp(c.g, c, args.trunc)
-    _emit(f.to_text(), args.out)
+    _emit([f.to_text()], args.out)
     if not c.is_even():
         print("# identically zero (odd characteristic)")
     return 0
@@ -237,7 +239,7 @@ def cmd_form(args) -> int:
         raise ValueError(f"--genus {args.genus} disagrees with form {args.name!r} "
                          f"of genus {genus}")
     f = make(genus if args.genus is None else args.genus, args.trunc)
-    _emit(f.to_text(), args.out)
+    _emit([f.to_text()], args.out)
     return 0
 
 
@@ -253,7 +255,7 @@ def cmd_bracket(args) -> int:
     print(f"# scalar bracket: weight {frac_to_text(result.weight)}")
     if not result.is_zero():
         print(f"# boundary order: {frac_to_text(result.fj_order())}")
-    _emit(result.to_text(), args.out)
+    _emit([result.to_text()], args.out)
     return 0
 
 
@@ -573,7 +575,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        return 1 if args.fn(args) else 0
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

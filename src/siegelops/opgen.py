@@ -45,10 +45,11 @@ a = p/q (q^(g-1) C(m) is an integer) and integer polynomials in a in Q(a)
 (C(m) is an integer polynomial in k = 2a).  Each C(m) is computed once,
 the numerators of B(n) are multiplied by it in one pass, and the form is
 divided by the integer content.  Only the substitution oracle decodes it
-to a MultiPoly.  The OPSPEC1 writer works on the packed keys directly,
-with one join for the POLY1 block.  A file is a function of its genus and
-weight, so the reader builds build_Q(g, a) again and compares its text
-with one ==.
+to a MultiPoly.  The OPSPEC1 writer works on the packed keys directly and
+yields the file as text chunks, the POLY1 block in runs of key-ordered
+term lines.  A file is a function of its genus and weight, so the reader
+builds build_Q(g, a) again and compares the file with the writer's chunks,
+each at its offset, with no second copy of the file.
 
 Integer proof.  verify_pluriharmonic runs on integers, in one kernel shared
 with apply_D11, which takes and returns a PackedPoly.  Let
@@ -88,7 +89,7 @@ from collections import Counter, defaultdict
 from fractions import Fraction
 from functools import cached_property, reduce
 
-from .poly import (_MAX_GENUS, MultiPoly, PackedPoly, _cleared, _nibble_sum, _packed_text,
+from .poly import (_MAX_GENUS, MultiPoly, PackedPoly, _cleared, _nibble_sum, _packed_chunks,
                    _packing, _scalar, _t_split, coeff_R, index_set_N, minor_coeff_R, r_var,
                    x_var)
 from .scalars import (RatFunc, _horner, _int_from_text, _line_reader, _padd, _pmul,
@@ -463,15 +464,22 @@ def xspace_oracle(g: int, k, p: PackedPoly) -> MultiPoly:
 NORMALIZATION_LINE = (f"normalization second-order-factor={SECOND_ORDER_FACTOR} "
                       "leading-coefficient=1")
 
-def _opspec_text(spec: OperatorSpec) -> str:
-    """The OPSPEC1 file of spec: its header and coefficient lines, then the
-    POLY1 block of its cleared form, each line ended by a newline."""
+def _opspec_chunks(spec: OperatorSpec):
+    """The OPSPEC1 file of spec as text chunks: its header and coefficient
+    lines, then the chunks of the POLY1 block of its cleared form, each line
+    ended by a newline."""
     head = ["OPSPEC1", f"genus {spec.g}", f"mode {'symbolic' if spec.symbolic else 'numeric'}",
             f"a {'a' if spec.symbolic else frac_to_text(spec.a)}", NORMALIZATION_LINE,
             f"coeffs {len(spec.coeffs)}"]
     head += [f"n={','.join(map(str, n))} | {scalar_to_text(spec.coeffs[n])}"
              for n in sorted(spec.coeffs)]
-    return "\n".join(head) + "\n" + _packed_text(spec.Q)
+    yield "\n".join(head) + "\n"
+    yield from _packed_chunks(spec.Q)
+
+
+def _opspec_text(spec: OperatorSpec) -> str:
+    """The OPSPEC1 file of spec as one text."""
+    return "".join(_opspec_chunks(spec))
 
 
 def opspec_to_text(spec: OperatorSpec) -> str:
@@ -507,11 +515,13 @@ def opspec_from_text(text: str) -> OperatorSpec:
 
     The file is a function of its genus and weight, so the reader takes
     those from lines 2-4, builds build_Q(g, a), and checks that the text is
-    the writer's text for that spec, byte for byte; _first_difference names
-    the line where they part.  A genus outside 2.._MAX_GENUS, a mode other
-    than symbolic and numeric, and a weight that frac_from_text refuses or
-    that violates a >= g/2 are errors at their line, found before anything
-    is built."""
+    the writer's text for that spec, byte for byte: each of the writer's
+    chunks must start the text where the one before it ended, and the last
+    must end it.  Only a file that differs is compared with the writer's
+    whole text, by _first_difference, which names the line where they part.
+    A genus outside 2.._MAX_GENUS, a mode other than symbolic and numeric,
+    and a weight that frac_from_text refuses or that violates a >= g/2 are
+    errors at their line, found before anything is built."""
     if not text.startswith("OPSPEC1\n"):
         raise ValueError(f"OPSPEC1 line 1: expected 'OPSPEC1', found {_found(text, 0)}")
     end = -1
@@ -537,6 +547,12 @@ def opspec_from_text(text: str) -> OperatorSpec:
             fail(3, f"weight a={frac_to_text(a)} violates a >= g/2 = "
                     f"{frac_to_text(Fraction(g, 2))}")
     spec = build_Q(g, a)
-    if text != (want := _opspec_text(spec)):
-        raise ValueError(_first_difference(text, want))
-    return spec
+    pos = 0
+    for piece in _opspec_chunks(spec):
+        if not text.startswith(piece, pos):
+            break
+        pos += len(piece)
+    else:
+        if pos == len(text):
+            return spec
+    raise ValueError(_first_difference(text, _opspec_text(spec)))

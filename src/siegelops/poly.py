@@ -44,12 +44,13 @@ the pencil makes: det_expand, coeff_R, minor_coeff_R and the operator Q
 of opgen.py are one, and its D_{h;11} kernel takes and returns one.  Only
 the substitution oracle and the tests decode one, to the MultiPoly ring of
 the x-variables, substitute and diff_plain.  POLY1, the body of an OPSPEC1
-file, has one writer, _packed_text, on that form, and no reader of its
+file, has one writer, _packed_chunks, on that form, and no reader of its
 own: opgen.opspec_from_text builds the operator of a file's genus and
-weight, writes its text again and compares the two.  The writer puts the
-terms in increasing order of their keys, the order of the ints themselves
-(exponent vectors compared from the last variable r_{g;gg} down), and
-makes the block as one text by one join, with no string per line.
+weight and compares the file with the writer's chunks, one at a time at
+its offset.  The writer puts the terms in increasing order of their keys,
+the order of the ints themselves (exponent vectors compared from the last
+variable r_{g;gg} down), sorted once, and yields them as text chunks of
+_CHUNK_TERMS lines, each made by one join, with no string per line.
 
 A key is decoded, and written as POLY1 text, in two halves cut at a block
 boundary, each looked up in a memo of one call that is filled from
@@ -355,6 +356,9 @@ def _nibble_sum(key: int) -> int:
     return sum(key.to_bytes((key.bit_length() + 7) // 8, "little").translate(_NIBBLE_SUMS))
 
 
+_CHUNK_TERMS = 4096  # the term lines of one POLY1 text chunk (_Packing.term_chunks)
+
+
 class _Packing:
     """The packed-int monomial layout of the module docstring, for genus g.
 
@@ -362,13 +366,14 @@ class _Packing:
     nibble of v, for every t_h and r_{h;ij} (i <= j) of genus g.  A key is
     cut at a block boundary into two halves:
     the low half key & low holds the t-block and R_1 .. R_{g//2}, the high
-    half key >> cut the other blocks.  decode and term_text look a key up
+    half key >> cut the other blocks.  decode and term_chunks look a key up
     by its two halves, in C-level maps, and build each distinct half once
     per call from per-block memos (the t's, then one block per R_h) of the
     decoded pairs and the POLY1 text, which see few distinct values and
     persist.  At g = 5 the 111,275 keys of Q have 6,167 distinct low and
-    30,415 distinct high halves.  The half memos last one call: kept, they
-    would hold some 13 MB at g = 5 that a later call rarely reuses.
+    30,415 distinct high halves.  The half memos last one call (the
+    high-half text memo of term_chunks one run of keys): kept, they would
+    hold some 13 MB at g = 5 that a later call rarely reuses.
     """
 
     def __init__(self, g: int):
@@ -422,20 +427,26 @@ class _Packing:
         return map(operator.add, map(low.__getitem__, map(self.low.__and__, keys)),
                    map(high.__getitem__, map(self.cut.__rrshift__, keys)))
 
-    def term_text(self, terms: dict, coeff) -> str:
+    def term_chunks(self, terms: dict, coeff):
         """The POLY1 term lines 'c | var^e var^e ...' of terms (packed key ->
         value) in increasing order of the key (exponent vectors compared from
-        the last variable down), as one join of four pieces per key: 'c |' =
-        coeff(value), its low half's text, its high half's and a newline."""
+        the last variable down), one text per run of _CHUNK_TERMS keys, each
+        joined from four pieces per key: 'c |' = coeff(value), its low half's
+        text, its high half's and a newline.  The low-half memo lasts the
+        call and the high-half memo one run: sorted keys hold each high half
+        in one run, so at most one half per run boundary is built twice."""
         keys = sorted(terms)
-        low, high = (_Memo(partial(self._join, blocks, "")) for blocks in self._texts)
-        parts = ["\n"] * (4 * len(keys))
-        parts[0::4] = map(coeff, map(terms.__getitem__, keys))
-        parts[1::4] = map(low.__getitem__, map(self.low.__and__, keys))
-        parts[2::4] = map(high.__getitem__, map(self.cut.__rrshift__, keys))
-        if keys and not keys[0]:  # the constant monomial, the least key, is written 'c | '
-            parts[1] = " "
-        return "".join(parts)
+        low = _Memo(partial(self._join, self._texts[0], ""))
+        for start in range(0, len(keys), _CHUNK_TERMS):
+            run = keys[start:start + _CHUNK_TERMS]
+            high = _Memo(partial(self._join, self._texts[1], ""))
+            parts = ["\n"] * (4 * len(run))
+            parts[0::4] = map(coeff, map(terms.__getitem__, run))
+            parts[1::4] = map(low.__getitem__, map(self.low.__and__, run))
+            parts[2::4] = map(high.__getitem__, map(self.cut.__rrshift__, run))
+            if not run[0]:  # the constant monomial, the least key, is written 'c | '
+                parts[1] = " "
+            yield "".join(parts)
 
 
 @lru_cache(maxsize=None)
@@ -640,9 +651,9 @@ def _var_to_text(v: VarId) -> str:
     return f"t[{v[1]}]" if v[0] == "t" else f"r[{v[1]};{v[2]},{v[3]}]"
 
 
-def _packed_text(p: PackedPoly) -> str:
-    """The POLY1 block of p: its header line, then the term lines of
-    _Packing.term_text, each distinct numerator formatted once."""
+def _packed_chunks(p: PackedPoly):
+    """The POLY1 block of p as text chunks: its header line, then the runs
+    of _Packing.term_chunks, each distinct numerator formatted once."""
     coeff = _Memo(lambda num: scalar_to_text(_coefficient(num, p.den)) + " |")
-    return (f"POLY1 field={'Qa' if isinstance(p.den, tuple) else 'Q'} terms={len(p.nums)}\n"
-            + _packing(p.g).term_text(p.nums, coeff.__getitem__))
+    yield f"POLY1 field={'Qa' if isinstance(p.den, tuple) else 'Q'} terms={len(p.nums)}\n"
+    yield from _packing(p.g).term_chunks(p.nums, coeff.__getitem__)

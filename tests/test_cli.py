@@ -192,7 +192,21 @@ def test_verify_input_lift_fails_on_a_perturbed_theta_constant(capsys, monkeypat
 
     monkeypatch.setattr(theta, "theta_qexp", perturbed)
     code, out = run_cli(["verify", "input-lift", "--trunc", "48"], capsys)
-    assert code == 2 and out.count("FAIL") == 2 and "# 2 failure(s)" in out
+    assert code == 1 and out.count("FAIL") == 2 and "# 2 failure(s)" in out
+
+
+def test_failed_checks_and_refused_input_exit_differently(tmp_path, capsys, monkeypatch):
+    """Exit status 1 says that some check failed, whatever their number (the
+    '# N failure(s)' line counts them), and 2 that the input was refused:
+    two FAIL rows exit 1 and a missing --tau file exits 2."""
+    from siegelops import opgen
+    monkeypatch.setattr(opgen, "verify_harmonic_condition", lambda g, a: False)
+    monkeypatch.setattr(opgen, "verify_pluriharmonic", lambda spec: False)
+    code, out = run_cli(["verify", "pluriharmonic", "--genus", "2", "--weight", "5"], capsys)
+    assert code == 1 and out.count("FAIL") == 2 and out.endswith("# 2 failure(s)\n")
+    missing = tmp_path / "missing.txt"
+    code, err = run_cli_error(["verify", "cond", "--tau", str(missing)], capsys)
+    assert code == 2 and err.startswith("error: ") and str(missing) in err
 
 
 def test_verify_cond_default_points(capsys):

@@ -12,8 +12,9 @@ import pytest
 
 from conftest import packed
 from siegelops import opgen
-from siegelops.opgen import (OperatorSpec, _as_weight, _IntegerForm, _stratum, apply_D11,
-                             build_Q, constant_C, opspec_from_text, opspec_to_text,
+from siegelops import poly
+from siegelops.opgen import (OperatorSpec, _as_weight, _first_difference, _IntegerForm,
+                             _opspec_chunks, _opspec_text, _stratum, apply_D11, build_Q, constant_C, opspec_from_text, opspec_to_text,
                              symbolic_weight, verify_deriv_lemma, verify_harmonic_condition,
                              verify_pluriharmonic, xspace_oracle)
 from siegelops.poly import (MultiPoly, PackedPoly, _mono_lower, _mono_mul, _packing, coeff_R,
@@ -625,6 +626,75 @@ def test_opspec_messages_at_genus_5():
         "3/5 | r[1;4,4]^1 r[2;3,5]^1 r[3;3,5]^1 r[5;1,1]^1 r[5;2,2]^1",
         "3/5 | r[1;3,5]^1 r[2;4,4]^1 r[3;3,5]^1 r[5;1,1]^1 r[5;2,2]^1"]
     assert _error(lines[:mid] + lines[mid + 1:]) == _differs(55680, lines[mid], lines[mid + 1])
+
+
+CHUNK_SIZES = [1, 7, poly._CHUNK_TERMS]
+
+
+@pytest.mark.parametrize("size", CHUNK_SIZES)
+@pytest.mark.parametrize("g", [2, 3, 4])
+def test_opspec_text_does_not_depend_on_the_chunk_size(g, size, monkeypatch):
+    """The writer's chunks of term lines join to the same bytes whatever
+    their size, in Q(a) and in Q."""
+    for a in (A, Fraction(g, 2) + 1):
+        spec = build_Q(g, a)
+        want = _opspec_text(spec)
+        monkeypatch.setattr(poly, "_CHUNK_TERMS", size)
+        chunks = list(_opspec_chunks(spec))
+        monkeypatch.undo()
+        assert "".join(chunks) == want
+        # the OPSPEC1 head, the POLY1 header line, then the runs of term lines
+        assert len(chunks) == 2 + math.ceil(len(spec.Q.nums) / size)
+
+
+def _chunk_edits(chunks):
+    """Files one edit away from the join of chunks: a byte changed at the
+    first and at the last position of each chunk, the text cut at each
+    chunk boundary, one byte appended and the final newline removed."""
+    text = "".join(chunks)
+    pos = 0
+    for chunk in chunks:
+        for at in (pos, pos + len(chunk) - 1):
+            yield text[:at] + ("x" if text[at] != "x" else "y") + text[at + 1:]
+        pos += len(chunk)
+        if pos < len(text):
+            yield text[:pos]
+    yield text + "\n"
+    yield text[:-1]
+
+
+@pytest.mark.parametrize("size", CHUNK_SIZES)
+def test_opspec_reader_names_the_first_difference_across_chunk_boundaries(size, monkeypatch):
+    """An edit at a chunk's first or last byte, a file cut at a chunk
+    boundary, a byte appended and the final newline removed are each
+    rejected with the message _first_difference gives against the whole
+    writer's text, whatever the chunk size."""
+    specs = [build_Q(2, Fraction(5)), build_Q(3, A)]
+    wants = [_opspec_text(spec) for spec in specs]
+    monkeypatch.setattr(poly, "_CHUNK_TERMS", size)
+    for spec, want in zip(specs, wants):
+        assert opspec_from_text(want) == spec
+        for bad in _chunk_edits(list(_opspec_chunks(spec))):
+            with pytest.raises(ValueError) as err:
+                opspec_from_text(bad)
+            assert str(err.value) == _first_difference(bad, want)
+
+
+def test_reading_the_genus_5_file_holds_no_second_copy_of_it():
+    """The reader compares the file with the writer's chunks at their
+    offsets, so its transient memory, its peak less what the returned spec
+    keeps, stays below the size of the file; a whole second text beside the
+    file, with its pieces, would take about 2.6 times that."""
+    import tracemalloc
+    text = opspec_to_text(build_Q(5, Fraction(3)))
+    tracemalloc.start()
+    try:
+        back = opspec_from_text(text)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert back.g == 5 and len(back.Q.nums) == 111275
+    assert peak - kept < len(text)
 
 
 def test_opspec_rejects_a_zero_in_the_coefficient_table():

@@ -18,8 +18,8 @@ from hypothesis import strategies as st
 from conftest import encode, packed
 from siegelops.jets import JetPoly, jet_var
 from siegelops.opgen import build_Q, opspec_from_text, opspec_to_text, symbolic_weight
-from siegelops.poly import (MultiPoly, PackedPoly, _index_pairs, _minor_rows, _packed_text,
-                            _packing, _t_split, coeff_R, det_expand, index_set_N,
+from siegelops.poly import (MultiPoly, PackedPoly, _index_pairs, _minor_rows,
+                            _packed_chunks, _packing, _t_split, coeff_R, det_expand, index_set_N,
                             minor_coeff_R, multi_indices, r_var, t_var)
 from siegelops.scalars import RatFunc, scalar_to_text
 
@@ -338,6 +338,11 @@ def test_t_split_matches_t_coefficient(g):
 # with the text.  So each POLY1 body the writer would not write is an
 # error at the first line that differs, naming the line expected and the
 # line found.
+
+
+def _packed_text(p):
+    """The POLY1 block of a PackedPoly as one text."""
+    return "".join(_packed_chunks(p))
 
 
 def _write(p, g=2):

@@ -21,13 +21,16 @@ iterate in sorted order and all randomness is derived from the seed).  Exit
 status is 0 when every check passed and 1 when any failed (the '# N
 failure(s)' line of a verify check counts them); bad input (an unreadable
 or malformed file, a bad or missing option value) prints an error to
-stderr and exits 2.
+stderr and exits 2.  A command whose stdout is closed before it is done
+(`| head`) stops with status 141, a shell's status for a writer stopped by
+SIGPIPE, and prints nothing more.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import random
 import sys
 from fractions import Fraction
@@ -575,7 +578,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return 1 if args.fn(args) else 0
+        failed = args.fn(args)
+        sys.stdout.flush()
+        return 1 if failed else 0
+    except BrokenPipeError:  # stdout's reader left early, as `| head` does
+        try:  # so that the interpreter's flush at exit writes to nothing
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        except (AttributeError, OSError, ValueError):  # stdout has no descriptor
+            pass
+        return 141
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

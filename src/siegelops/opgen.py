@@ -200,7 +200,7 @@ def build_Q(g: int, a) -> OperatorSpec:
     """Assemble the normalized operator polynomial for genus g and weight a,
     on packed keys (module docstring).  A genus outside 2.._MAX_GENUS is
     refused before anything is built: the Leibniz pass grows like g! g^g."""
-    if not 2 <= g <= _MAX_GENUS:
+    if type(g) is not int or not 2 <= g <= _MAX_GENUS:
         raise ValueError(f"genus must be 2..{_MAX_GENUS}")
     a = _as_weight(a)
     symbolic = isinstance(a, RatFunc)
@@ -211,7 +211,7 @@ def build_Q(g: int, a) -> OperatorSpec:
     def content(x) -> int:  # of an integer or an integer polynomial
         return math.gcd(*x) if symbolic else x
 
-    split = _t_split(g, ())
+    split = _t_split(g)
     strata = {n: m for n in index_set_N(g) if (m := _stratum(n))}
     # divide the whole form by its integer content G
     G = math.gcd(content(C[1]), *(content(C[m]) * math.gcd(*split[n].values())
@@ -338,7 +338,7 @@ def apply_D11(g: int, h: int, p: PackedPoly, k,
     field: Q(a) when p or k is there.  A move raises an exponent by at most
     1, so p may hold exponents up to 14 and no nibble of a key carries.
     """
-    if not 1 <= h <= g:
+    if type(h) is not int or not 1 <= h <= g:
         raise ValueError(f"slot h={h!r} is outside 1..{g}")
     if p.g != g:
         raise ValueError(f"polynomial of genus {p.g} is not of genus {g}")
@@ -386,7 +386,7 @@ def verify_harmonic_condition(g: int, a) -> bool:
     weight it must vanish at that k.  A genus below 2 is refused: g = 0 has
     no minor index, and at g = 1 C(1) = 0, so Q is undefined.
     """
-    if g < 2:
+    if type(g) is not int or g < 2:
         raise ValueError(f"genus must be >= 2, found {g}")
     a = _as_weight(a)
     C = [()] + [_constant_C_k(g, m) for m in range(1, g + 1)]
@@ -402,7 +402,9 @@ def verify_deriv_lemma(g: int, n: tuple, h: int) -> bool:
     no extra constant (a global factor 2 relative to the raw Laplacian is
     shared by both sides and cancels from the convention).  For n_h = 0 the
     derivative vanishes identically and the check is vacuous.  k = 2a, a the
-    generator of Q(a).
+    generator of Q(a).  minor_coeff_R reads the minor by Jacobi's formula
+    as a derivative of B(n - e_h + e_1), so for h != 1 the two sides come
+    from different buckets of the one Leibniz pass.
     """
     k = 2 * RatFunc.var()
     lhs = apply_D11(g, h, coeff_R(g, n), k)

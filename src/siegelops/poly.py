@@ -20,13 +20,14 @@ The central objects built here are the coefficients of
 
     det(t_1 R_1 + ... + t_g R_g) = sum over n of  B(n) * t^n,
 
-with n running over nonnegative integer vectors summing to g, together with
-the same expansion for first minors.  One Leibniz generator,
+with n running over nonnegative integer vectors summing to g, and the
+coefficients M_kl(n') of the pencil's first minors, which Jacobi's formula
+reads off the B(n) (minor_coeff_R).  One Leibniz generator,
 _signed_pairings, yields the signed row-column pairings of a determinant
-over permutations; it serves both expansions here, and _leibniz, the sum
-of sign * term over those pairings in the ring of the terms, is every
-determinant of jets.py and brackets.py (for g <= 6 there are at most 720
-permutations, so no elimination strategy is needed).
+over permutations; it serves the one pass of the pencil here, and
+_leibniz, the sum of sign * term over those pairings in the ring of the
+terms, is every determinant of jets.py and brackets.py (for g <= 6 there
+are at most 720 permutations, so no elimination strategy is needed).
 
 Packed monomials.  A monomial is packed into one int with 4 bits per
 variable, laid out in the global variable order: t_h takes nibble h - 1
@@ -37,20 +38,23 @@ entry ints (no exponent exceeds g, far below 15 for any feasible g, so
 nibbles never carry), and its place among the partial sums spells its
 row-to-h assignment, whose counts are its t-exponents n.  So _t_split
 deals each permutation's keys to the buckets B(n) by place, with no
-t-unit in any key, and det_expand adds each bucket's t-block back.
+t-unit in any key, and det_expand adds each bucket's t-block back; it is
+the one Leibniz pass of a genus, and a minor coefficient is the packed
+derivative of one of its buckets along one r-variable.
 _Packing holds the layout, its decoder and the POLY1 text of packed keys.
 PackedPoly, a cleared form on those keys, is the one polynomial of what
-the pencil makes: det_expand, coeff_R, minor_coeff_R and the operator Q
-of opgen.py are one, and its D_{h;11} kernel takes and returns one.  Only
-the substitution oracle and the tests decode one, to the MultiPoly ring of
-the x-variables, substitute and diff_plain.  POLY1, the body of an OPSPEC1
-file, has one writer, _packed_chunks, on that form, and no reader of its
-own: opgen.opspec_from_text builds the operator of a file's genus and
-weight and compares the file with the writer's chunks, one at a time at
-its offset.  The writer puts the terms in increasing order of their keys,
-the order of the ints themselves (exponent vectors compared from the last
-variable r_{g;gg} down), sorted once, and yields them as text chunks of
-_CHUNK_TERMS lines, each made by one join, with no string per line.
+the pencil makes: det_expand, coeff_R and minor_coeff_R, each read from
+_t_split, and the operator Q of opgen.py are one, and its D_{h;11} kernel
+takes and returns one.  Only the substitution oracle and the tests decode
+one, to the MultiPoly ring of the x-variables, substitute and diff_plain.
+POLY1, the body of an OPSPEC1 file, has one writer, _packed_chunks, on
+that form, and no reader of its own: opgen.opspec_from_text builds the
+operator of a file's genus and weight and compares the file with the
+writer's chunks, one at a time at its offset.  The writer puts the terms
+in increasing order of their keys, the order of the ints themselves
+(exponent vectors compared from the last variable r_{g;gg} down), sorted
+once, and yields them as text chunks of _CHUNK_TERMS lines, each made by
+one join, with no string per line.
 
 A key is decoded, and written as POLY1 text, in two halves cut at a block
 boundary, each looked up in a memo of one call that is filled from
@@ -59,7 +63,7 @@ PackedPoly.terms and jets.jet_apply, is made by _coefficient, one object
 per distinct (numerator, denominator) in a process: two views of one form
 share their coefficient objects, and each is reduced once.  The tests
 check the split against a pass whose keys carry their t-units, split key
-by key.
+by key, and each minor coefficient against such a pass of the minor.
 """
 
 from __future__ import annotations
@@ -550,46 +554,35 @@ def _cleared(terms: dict) -> tuple:
     return den, {key: ints[id(c)] for key, c in terms.items()}
 
 
-def _minor_rows(g: int, minor: tuple) -> tuple[list, list]:
-    """The rows and columns of the full pencil (minor == ()) or of its
-    (k, l) first minor (minor == (k, l))."""
-    rows = list(range(1, g + 1))
-    if not minor:
-        return rows, rows
-    k, l = minor
-    if not (1 <= k <= g and 1 <= l <= g):
-        raise ValueError(f"minor indices ({k},{l}) out of range for g={g}")
-    return [i for i in rows if i != k], [j for j in rows if j != l]
-
-
 @lru_cache(maxsize=None)
-def _t_split(g: int, minor: tuple) -> dict:
+def _t_split(g: int) -> dict:
     """{n: {packed r-part key: nonzero int}}: B(n), the coefficient of t^n in
-    the pencil's determinant (minor == ()) or its (k, l) first minor (minor
-    == (k, l)), from one Leibniz pass dealt by place (module docstring).
+    the pencil's determinant, from one Leibniz pass dealt by place (module
+    docstring).  It is the one pass of a genus: det_expand, coeff_R, the
+    operator Q and, by Jacobi's formula, minor_coeff_R read it.
 
     No key comes from both parities: it fixes the multiset of the pairs
     {i, sigma(i)}, the edges of a graph on 1..g whose components are the
-    cycles of sigma (of sigma extended by k -> l, for a minor), so it fixes
-    their lengths and sigma's parity.  So B(n) is the even permutations'
-    counts beside the odd ones' negated, none of them zero.
+    cycles of sigma, so it fixes their lengths and sigma's parity.  So B(n)
+    is the even permutations' counts beside the odd ones' negated, none of
+    them zero.
     """
-    rows, cols = _minor_rows(g, minor)
+    rows = list(range(1, g + 1))
     unit = _packing(g).unit
     places: dict = {}  # n -> the places of the row-to-h assignments with counts n
-    for i, hs in enumerate(itertools.product(range(g), repeat=len(rows))):
+    for i, hs in enumerate(itertools.product(range(g), repeat=g)):
         places.setdefault(tuple(map(hs.count, range(g))), []).append(i)
     picks = [(n, operator.itemgetter(*p) if p[1:] else operator.itemgetter(slice(p[0], p[0] + 1)))
              for n, p in places.items()]  # a lone place as a slice, so a list comes back
     counts = {n: (Counter(), Counter()) for n in places}
-    for sign, pairing in _signed_pairings(rows, cols):
+    for sign, pairing in _signed_pairings(rows, rows):
         # last a row in no 2-cycle: its nibble is still empty, so | adds it and
         # leaves each key an int of its own size, where + leaves a spare digit
         pairs = set(pairing)
         pairing.sort(key=lambda rc: rc[0] == rc[1] or rc[::-1] not in pairs)
         keys = [0]
-        for i, (r, c) in enumerate(pairing, 1 - len(pairing)):  # i = 0 on the last row
-            row = [unit[r_var(h, r, c)] for h in range(1, g + 1)]
+        for i, (r, c) in enumerate(pairing, 1 - g):  # i = 0 on the last row
+            row = [unit[r_var(h, r, c)] for h in rows]
             if i or r != c and (c, r) in pairs:
                 keys = [k + e for k in keys for e in row]
             else:
@@ -605,43 +598,70 @@ def _t_split(g: int, minor: tuple) -> dict:
 _MAX_GENUS = 5  # the largest genus whose Leibniz pass is run, Q built and operator file read
 
 
-def _leibniz_genus(g: int):
-    """Refuse a genus outside 1.._MAX_GENUS before a Leibniz pass: the pass
-    grows like g! g^g (13.8M terms at g = 6)."""
+def _leibniz_args(g: int, n: tuple | None = None, total: int = 0):
+    """Refuse, before a Leibniz pass, a genus that is not an int in
+    1.._MAX_GENUS (the pass grows like g! g^g: 13.8M terms at g = 6), then a
+    multi-index n, if given, that is not g ints >= 0 summing to total."""
+    if type(g) is not int:
+        raise ValueError(f"genus {g!r} is not an integer")
     if not 1 <= g <= _MAX_GENUS:
         raise ValueError("genus must be >= 1" if g < 1
                          else f"genus must be <= {_MAX_GENUS}, found {g}")
+    if n is not None and (list(map(type, n)) != [int] * g or min(n) < 0 or sum(n) != total):
+        raise ValueError(f"multi-index {n} is not a composition of {total} into {g} parts")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def det_expand(g: int) -> PackedPoly:
     """det(t_1 R_1 + ... + t_g R_g) as a polynomial in all t_h and r_{h;ij}.
 
     Homogeneous of degree g in the t's and of degree g in matrix entries.
     Expanded by Leibniz over permutations, with each matrix entry of the
-    pencil distributed over its g summands t_h r_{h;i,sigma(i)}.
+    pencil distributed over its g summands t_h r_{h;i,sigma(i)}.  The cache
+    is typed, so det_expand(True) is checked, not read as det_expand(1).
     """
-    _leibniz_genus(g)
-    return PackedPoly(g, 1, {key | t: c for n, bucket in _t_split(g, ()).items()
+    _leibniz_args(g)
+    return PackedPoly(g, 1, {key | t: c for n, bucket in _t_split(g).items()
                              for t in [sum(e << 4 * i for i, e in enumerate(n))]
                              for key, c in bucket.items()})
 
 
 @lru_cache(maxsize=None)
+def _coeff_R(g: int, n: tuple) -> PackedPoly:
+    return PackedPoly(g, 1, _t_split(g).get(n, {}))
+
+
 def coeff_R(g: int, n: tuple) -> PackedPoly:
-    """The basis polynomial B(n): coefficient of t^n in det(t_1 R_1 + ...)."""
-    _leibniz_genus(g)
-    if len(n) != g or sum(n) != g or any(k < 0 for k in n):
-        raise ValueError(f"multi-index {n} is not a composition of {g} into {g} parts")
-    return PackedPoly(g, 1, _t_split(g, ()).get(tuple(n), {}))
+    """The basis polynomial B(n): coefficient of t^n in det(t_1 R_1 + ...).
+
+    The arguments are checked before the cache is read, which takes
+    (True, True) or (1.0, 1.0) for (1, 1); coeff_R has its cache's handles.
+    """
+    _leibniz_args(g, n, g)
+    return _coeff_R(g, tuple(n))
+
+
+coeff_R.cache_info, coeff_R.cache_clear = _coeff_R.cache_info, _coeff_R.cache_clear
 
 
 def minor_coeff_R(g: int, k: int, l: int, nprime: tuple) -> PackedPoly:
-    """Coefficient of t^nprime in the (k,l) first-minor expansion."""
-    _leibniz_genus(g)
-    if len(nprime) != g or sum(nprime) != g - 1 or any(v < 0 for v in nprime):
-        raise ValueError(f"multi-index {nprime} is not a composition of {g-1} into {g} parts")
-    return PackedPoly(g, 1, _t_split(g, (k, l)).get(tuple(nprime), {}))
+    """M_kl(nprime), the coefficient of t^nprime in the pencil's (k,l) first
+    minor, by Jacobi's formula from the bucket B(nprime + e_1) of _t_split.
+
+    The variable r_{1;kl} sits at (k, l) and at (l, k) of the pencil, and
+    M_kl = M_lk, so d det / d r_{1;kl} = t_1 (-1)^(k+l) (2 - delta_kl) M_kl.
+    Its coefficient of t^(nprime + e_1) gives M_kl(nprime) as (-1)^(k+l)
+    d B(nprime + e_1) / d r_{1;kl}, halved when k != l, where every
+    coefficient of that derivative is even.  Slot 1 is one choice: r_{h;kl}
+    and B(nprime + e_h) give the same minor for every h.
+    """
+    _leibniz_args(g, nprime, g - 1)
+    if not all(type(i) is int and 1 <= i <= g for i in (k, l)):
+        raise ValueError(f"minor indices ({k},{l}) out of range for g={g}")
+    u, sign, half = _packing(g).unit[r_var(1, k, l)], (-1) ** (k + l), 2 - (k == l)
+    bucket = _t_split(g).get((nprime[0] + 1, *nprime[1:]), {})
+    return PackedPoly(g, 1, {key - u: sign * c * e // half for key, c in bucket.items()
+                             if (e := key // u & 15)})
 
 
 # -- POLY1 text format --------------------------------------------------------

@@ -209,6 +209,22 @@ def test_failed_checks_and_refused_input_exit_differently(tmp_path, capsys, monk
     assert code == 2 and err.startswith("error: ") and str(missing) in err
 
 
+def test_a_closed_stdout_exits_141_in_silence(capsys, monkeypatch):
+    """A reader that leaves early (`| head`) is not refused input: the
+    command stops with 141, a shell's status for a writer stopped by
+    SIGPIPE, and writes no error."""
+    class ClosedPipe:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def flush(self):
+            pass
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert main(["slope", "table"]) == 141
+    assert capsys.readouterr().err == ""
+
+
 def test_verify_cond_default_points(capsys):
     code, out = run_cli(["verify", "cond"], capsys)
     assert code == 0

@@ -18,7 +18,7 @@ from siegelops.opgen import (OperatorSpec, _as_weight, _first_difference, _Integ
                              symbolic_weight, verify_deriv_lemma, verify_harmonic_condition,
                              verify_pluriharmonic, xspace_oracle)
 from siegelops.poly import (MultiPoly, PackedPoly, _mono_lower, _mono_mul, _packing, coeff_R,
-                            index_set_N, multi_indices, r_var, t_var)
+                            index_set_N, minor_coeff_R, multi_indices, r_var, t_var)
 from siegelops.scalars import RatFunc, _accumulate, _horner, _padd, _pmul
 
 A = symbolic_weight()
@@ -453,11 +453,19 @@ def test_all_ones_stratum_identity(g):
     assert lhs == RatFunc(0)
 
 
-@pytest.mark.parametrize("g", [2, 3])
+@pytest.mark.parametrize("g", [2, 3, 4, pytest.param(5, marks=pytest.mark.slow)])
 def test_deriv_lemma_all_indices(g):
+    """The lemma at every n and h, and every first-minor coefficient of the
+    genus beside it: together they add at most one pass, _t_split(g), to the
+    cache, since each minor is read from that pass by Jacobi's formula."""
+    before = poly._t_split.cache_info().currsize
     for n in index_set_N(g):
         for h in range(1, g + 1):
             assert verify_deriv_lemma(g, n, h), (n, h)
+    for k, l in itertools.product(range(1, g + 1), repeat=2):
+        for n in multi_indices(g, g - 1):
+            minor_coeff_R(g, k, l, n)
+    assert poly._t_split.cache_info().currsize - before <= 1
 
 
 def test_deriv_lemma_hand_instances():
@@ -973,11 +981,19 @@ def test_opspec_read_builds_the_coefficient_table_once(spec2_symbolic, monkeypat
     (lambda: verify_harmonic_condition(1, Fraction(3)), r"^genus must be >= 2, found 1$"),
     (lambda: verify_deriv_lemma(0, (), 1), r"^genus must be >= 1$"),
     (lambda: verify_deriv_lemma(6, (1,) * 6, 1), r"^genus must be <= 5, found 6$"),
+    (lambda: apply_D11(2, True, R111, 4), r"^slot h=True is outside 1\.\.2$"),
+    (lambda: verify_deriv_lemma(2, (1, 1), True), r"^slot h=True is outside 1\.\.2$"),
+    (lambda: build_Q(2.0, 5), r"^genus must be 2\.\.5$"),
+    (lambda: build_Q(True, 5), r"^genus must be 2\.\.5$"),
+    (lambda: verify_harmonic_condition(2.0, A), r"^genus must be >= 2, found 2\.0$"),
+    (lambda: verify_deriv_lemma(2.0, (1, 1), 1), r"^genus 2\.0 is not an integer$"),
 ], ids=["constant-m", "oracle-symbolic", "oracle-non-matrix", "D11-slot-above-genus",
         "D11-slot-zero", "deriv-lemma-slot", "D11-other-genus", "oracle-other-genus",
         "D11-fractional-factor",
         "verifier-fractional-factor", "harmonic-condition-genus-0",
-        "harmonic-condition-genus-1", "deriv-lemma-genus-0", "deriv-lemma-genus-6"])
+        "harmonic-condition-genus-1", "deriv-lemma-genus-0", "deriv-lemma-genus-6",
+        "D11-slot-bool", "deriv-lemma-slot-bool", "build-Q-genus-float", "build-Q-genus-bool",
+        "harmonic-condition-genus-float", "deriv-lemma-genus-float"])
 def test_opgen_refusals(call, message):
     with pytest.raises(ValueError, match=message):
         call()

@@ -18,9 +18,9 @@ from hypothesis import strategies as st
 from conftest import encode, packed
 from siegelops.jets import JetPoly, jet_var
 from siegelops.opgen import build_Q, opspec_from_text, opspec_to_text, symbolic_weight
-from siegelops.poly import (MultiPoly, PackedPoly, _index_pairs, _minor_rows,
-                            _packed_chunks, _packing, _t_split, coeff_R, det_expand, index_set_N,
-                            minor_coeff_R, multi_indices, r_var, t_var)
+from siegelops.poly import (MultiPoly, PackedPoly, _index_pairs, _packed_chunks, _packing,
+                            _t_split, coeff_R, det_expand, index_set_N, minor_coeff_R,
+                            multi_indices, r_var, t_var)
 from siegelops.scalars import RatFunc, scalar_to_text
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -443,14 +443,23 @@ _MINORS = {g: [()] + [(k, l) for k in range(1, g + 1) for l in range(1, g + 1)]
            for g in range(1, 5)}
 
 
+def _rows_and_cols(g, minor):
+    """The rows and columns of the pencil (minor == ()) or of its (k, l)
+    first minor (minor == (k, l))."""
+    rows = cols = list(range(1, g + 1))
+    if minor:
+        rows, cols = [i for i in rows if i != minor[0]], [j for j in cols if j != minor[1]]
+    return rows, cols
+
+
 def _reference_leibniz(g, minor):
     """The pencil's determinant (minor == ()) or its (k, l) first minor, by
-    a pass whose keys carry their t-units: each Leibniz term, the product of
-    its entries t_h r_{h;i,sigma(i)}, is one packed key (t_h in nibble
-    h - 1), counted per permutation parity, the odd counts negated.  Packed
-    key -> int."""
+    a pass of its own whose keys carry their t-units: each Leibniz term, the
+    product of its entries t_h r_{h;i,sigma(i)}, is one packed key (t_h in
+    nibble h - 1), counted per permutation parity, the odd counts negated.
+    Packed key -> int."""
     unit = _packing(g).unit
-    rows, cols = _minor_rows(g, minor)
+    rows, cols = _rows_and_cols(g, minor)
     counts = (Counter(), Counter())
     for sigma in itertools.permutations(cols):
         odd = sum(s > t for s, t in itertools.combinations(sigma, 2)) % 2
@@ -475,10 +484,33 @@ def _reference_split(g, minor):
 
 @pytest.mark.parametrize("g", [1, 2, 3, 4, 5])
 def test_t_split_matches_the_per_key_reference(g):
-    """The split by row assignment is the reference pass split key by key:
-    the full pencil at g = 1..5, and every first minor at g <= 4."""
-    for minor in _MINORS.get(g, [()]):
-        assert _t_split(g, minor) == _reference_split(g, minor), minor
+    """The split by row assignment is the reference pass split key by key,
+    at g = 1..5."""
+    assert _t_split(g) == _reference_split(g, ())
+
+
+@pytest.mark.parametrize("minor", [(1, 1), (1, 2), (2, 5), (5, 5)], ids=["11", "12", "25", "55"])
+def test_minor_coefficients_match_the_reference_at_genus_5(minor):
+    """At g = 5 the minors read from the pencil's buckets by Jacobi's
+    formula are the reference's own minor pass (15,000 terms), split key by
+    key, at every n'."""
+    reference = _reference_split(5, minor)
+    for n in multi_indices(5, 4):
+        assert minor_coeff_R(5, *minor, n) == PackedPoly(5, 1, reference.get(n, {})), n
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_minor_coefficients_are_jacobi_derivatives_in_every_slot(g):
+    """Jacobi's formula in every slot h: (-1)^(k+l) times the symmetrized
+    derivative of B(n' + e_h) along r_{h;kl} (halved when k != l), taken on
+    the decoded polynomial, is minor_coeff_R(g, k, l, n'), which reads slot 1
+    alone."""
+    for n in multi_indices(g, g - 1):
+        raised = [coeff_R(g, n[:h] + (n[h] + 1,) + n[h + 1:]).decode() for h in range(g)]
+        for k, l in itertools.product(range(1, g + 1), repeat=2):
+            minor = minor_coeff_R(g, k, l, n).decode()
+            for h, b in enumerate(raised, 1):
+                assert b.diff_sym(h, k, l).scale((-1) ** (k + l)) == minor, (n, k, l, h)
 
 
 @pytest.mark.parametrize("g", [1, 2, 3, 4])
@@ -502,7 +534,7 @@ def test_leibniz_parities_share_no_key(g):
     with the sign of its parity and no zero coefficient."""
     unit = _packing(g).unit
     for minor in _MINORS[g]:
-        rows, cols = _minor_rows(g, minor)
+        rows, cols = _rows_and_cols(g, minor)
         parities: dict = {}
         for sigma in itertools.permutations(range(len(cols))):
             sign = (-1) ** sum(s > t for s, t in itertools.combinations(sigma, 2))
@@ -518,19 +550,17 @@ def test_leibniz_parities_share_no_key(g):
 
 @pytest.mark.parametrize("g", [1, 2, 3, 4])
 def test_packed_split_decodes_to_the_t_coefficient_oracle(g):
-    """Each packed B(n) and minor coefficient of the split, decoded, is the
-    coefficient of t^n that MultiPoly.t_coefficient scans out of the decoded
-    reference pass; the split keeps no t-variable in its keys."""
+    """Each packed B(n) of the split and each minor coefficient, decoded, is
+    the coefficient of t^n that MultiPoly.t_coefficient scans out of the
+    decoded reference pass; neither keeps a t-variable in its keys."""
     tmask = (1 << 4 * g) - 1
+    assert set(_t_split(g)) <= set(index_set_N(g))
     for minor in _MINORS[g]:
         full = PackedPoly(g, 1, _reference_leibniz(g, minor)).decode()
-        split = _t_split(g, minor)
-        ns = multi_indices(g, g - 1) if minor else index_set_N(g)
-        assert set(split) <= set(ns)
-        for n in ns:
-            bucket = split.get(n, {})
-            assert not any(key & tmask for key in bucket)
-            assert PackedPoly(g, 1, bucket).decode() == full.t_coefficient(n), (minor, n)
+        for n in multi_indices(g, g - 1) if minor else index_set_N(g):
+            got = minor_coeff_R(g, *minor, n) if minor else coeff_R(g, n)
+            assert not any(key & tmask for key in got.nums)
+            assert got.decode() == full.t_coefficient(n), (minor, n)
 
 
 def _random_keys(rng, g, count, first=0):
@@ -749,8 +779,22 @@ def test_poly1_rejects_a_zero_coefficient(coeff):
     (lambda: det_expand(0), "^genus must be >= 1$"),
     (lambda: minor_coeff_R(2, 1, 1, (1, 1)),
      r"^multi-index \(1, 1\) is not a composition of 1 into 2 parts$"),
-], ids=["minor-indices", "det-expand-0", "minor-multi-index"])
+    (lambda: [det_expand(1), det_expand(True)], "^genus True is not an integer$"),
+    (lambda: [coeff_R(2, (1, 1)), coeff_R(2, (True, True))],
+     r"^multi-index \(True, True\) is not a composition of 2 into 2 parts$"),
+    (lambda: [coeff_R(2, (1, 1)), coeff_R(2, (1.0, 1.0))],
+     r"^multi-index \(1\.0, 1\.0\) is not a composition of 2 into 2 parts$"),
+    (lambda: minor_coeff_R(2, 1, 1, (True, 0)),
+     r"^multi-index \(True, 0\) is not a composition of 1 into 2 parts$"),
+    (lambda: minor_coeff_R(2, True, 1, (1, 0)),
+     r"^minor indices \(True,1\) out of range for g=2$"),
+    (lambda: minor_coeff_R(2, 1, 2.0, (1, 0)), r"^minor indices \(1,2\.0\) out of range for g=2$"),
+], ids=["minor-indices", "det-expand-0", "minor-multi-index", "det-expand-bool",
+        "coeff-R-bool-index", "coeff-R-float-index", "minor-bool-multi-index",
+        "minor-bool-index", "minor-float-index"])
 def test_poly_refusals(call, message):
+    """Each refusal, an int-valued bool or float among them: a cached int
+    call before it (the list) shows that no cache reads one as its int."""
     with pytest.raises(ValueError, match=message):
         call()
 

@@ -33,7 +33,8 @@ import operator
 from fractions import Fraction
 from functools import partial, reduce
 
-from .poly import PackedPoly, _coefficients, _index_pairs, _leibniz, _packing, _SparsePoly
+from .poly import (PackedPoly, _coefficients, _index_pairs, _leibniz, _leibniz_args, _packing,
+                   _SparsePoly)
 from .scalars import _accumulate, _Memo, _padd
 
 JetVar = tuple  # (symbol: str, derivs: tuple[(i, j), ...])
@@ -97,6 +98,7 @@ def jet_apply(q: PackedPoly, assignment: dict[int, str], g: int) -> JetPoly:
     Q(a)), and each distinct nonzero sum becomes one coefficient through
     poly._coefficient, so no field operation runs per term.
     """
+    _leibniz_args(g)
     slots = set(range(1, g + 1))
     if missing := slots - set(assignment):
         raise ValueError(f"matrix indices {sorted(missing)} have no assigned symbol")
@@ -191,9 +193,10 @@ def diffresult_expand(g: int, n: tuple, symbol: str = "F") -> JetPoly:
 
     with eps(I,J) = (-1)^(sum I + sum J), subsets enumerated ascending.
     """
+    _leibniz_args(g, n, g)
     shape = sorted(n, reverse=True)
     m = shape[0]
-    if len(n) != g or sum(n) != g or any(v not in (0, 1) for v in shape[1:]):
+    if any(v not in (0, 1) for v in shape[1:]):
         raise ValueError(f"multi-index {n} does not have an admissible shape")
     fact_gm = math.factorial(g - m)
     total = JetPoly.zero()

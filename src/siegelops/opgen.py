@@ -89,9 +89,9 @@ from collections import Counter, defaultdict
 from fractions import Fraction
 from functools import cached_property, reduce
 
-from .poly import (_MAX_GENUS, MultiPoly, PackedPoly, _cleared, _nibble_sum, _packed_chunks,
-                   _packing, _scalar, _t_split, coeff_R, index_set_N, minor_coeff_R, r_var,
-                   x_var)
+from .poly import (_MAX_GENUS, MultiPoly, PackedPoly, _cleared, _leibniz_args, _nibble_sum,
+                   _packed_chunks, _packing, _scalar, _t_split, coeff_R, index_set_N,
+                   minor_coeff_R, r_var, x_var)
 from .scalars import (RatFunc, _horner, _int_from_text, _line_reader, _padd, _pmul,
                       _rational, _unpack, frac_from_text, frac_to_text, scalar_to_text)
 
@@ -338,6 +338,7 @@ def apply_D11(g: int, h: int, p: PackedPoly, k,
     field: Q(a) when p or k is there.  A move raises an exponent by at most
     1, so p may hold exponents up to 14 and no nibble of a key carries.
     """
+    _leibniz_args(g)
     if type(h) is not int or not 1 <= h <= g:
         raise ValueError(f"slot h={h!r} is outside 1..{g}")
     if p.g != g:

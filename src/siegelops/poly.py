@@ -32,15 +32,19 @@ are at most 720 permutations, so no elimination strategy is needed).
 Packed monomials.  A monomial is packed into one int with 4 bits per
 variable, laid out in the global variable order: t_h takes nibble h - 1
 and r_{h;ij} a nibble of the h-th block of g(g+1)/2 nibbles after the t's.
-The Leibniz pass sums the entries r_{h;i,sigma(i)} of each permutation one
-matrix row at a time, over h = 1..g, so a term's key is the sum of its g
-entry ints (no exponent exceeds g, far below 15 for any feasible g, so
-nibbles never carry), and its place among the partial sums spells its
-row-to-h assignment, whose counts are its t-exponents n.  So _t_split
-deals each permutation's keys to the buckets B(n) by place, with no
-t-unit in any key, and det_expand adds each bucket's t-block back; it is
-the one Leibniz pass of a genus, and a minor coefficient is the packed
-derivative of one of its buckets along one r-variable.
+The Leibniz pass makes each monomial of the pencil once, with its
+coefficient in closed form, sign(sigma) times 2 per cycle of length >= 3
+and per 2-cycle whose rows carry different labels: a key, the labelled
+edges (h_i, {i, sigma(i)}) of a term, fixes sigma up to the orientation of
+those cycles and the labels up to the swap within those 2-cycles
+(_t_split).  Its steps, a 2-cycle over its label pairs h <= h' or another
+row over h, OR entry ints into nibbles still empty (no exponent exceeds g,
+far below 15), and a key's place among them spells its labels, whose
+counts are its t-exponents n.  So _t_split deals each permutation's keys
+to the buckets B(n) by place, with no t-unit in any key, and det_expand
+adds each bucket's t-block back; it is the one Leibniz pass of a genus,
+and a minor coefficient is the packed derivative of one of its buckets
+along one r-variable.
 _Packing holds the layout, its decoder and the POLY1 text of packed keys.
 PackedPoly, a cleared form on those keys, is the one polynomial of what
 the pencil makes: det_expand, coeff_R and minor_coeff_R, each read from
@@ -58,12 +62,12 @@ one join, with no string per line.
 
 A key is decoded, and written as POLY1 text, in two halves cut at a block
 boundary, each looked up in a memo of one call that is filled from
-per-block memos (_Packing).  Every cleared-form coefficient, in
-PackedPoly.terms and jets.jet_apply, is made by _coefficient, one object
-per distinct (numerator, denominator) in a process: two views of one form
-share their coefficient objects, and each is reduced once.  The tests
-check the split against a pass whose keys carry their t-units, split key
-by key, and each minor coefficient against such a pass of the minor.
+per-block memos (_Packing).  Every cleared-form coefficient, in the
+view PackedPoly.terms and jets.jet_apply, is made by _coefficient, one
+object per distinct (numerator, denominator) in a process: two views of
+one form share their coefficient objects, and each is reduced once.  The
+tests check the split against a pass that counts every Leibniz term, one
+whose keys carry their t-units, and each minor against such a pass.
 """
 
 from __future__ import annotations
@@ -71,7 +75,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from collections import Counter
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
 
@@ -510,10 +514,10 @@ class PackedPoly:
         return f"PackedPoly(g={self.g}, {len(self.nums)} terms)"
 
     @property
-    def terms(self) -> dict:
-        """{packed key: coefficient}, one coefficient object per distinct
-        numerator; no key is decoded."""
-        return dict(zip(self.nums, map(_coefficients(self.den).__getitem__, self.nums.values())))
+    def terms(self) -> _Terms:
+        """{packed key: coefficient} as a read-only view of nums, with no key
+        decoded and no coefficient made until one is read."""
+        return _Terms(self.nums, self.den)
 
     def is_zero(self) -> bool:
         return not self.nums
@@ -523,6 +527,25 @@ class PackedPoly:
         coefficient objects are those of terms."""
         terms = self.terms
         return MultiPoly._nonzero(dict(zip(_packing(self.g).decode(terms), terms.values())))
+
+
+class _Terms(Mapping):
+    """PackedPoly.terms: nums[key] / den, made by the _coefficients memo as
+    it is read; len and a lookup cost O(1)."""
+
+    __slots__ = ("nums", "coefficient")
+
+    def __init__(self, nums: dict, den):
+        self.nums, self.coefficient = nums, _coefficients(den)
+
+    def __getitem__(self, key):
+        return self.coefficient[self.nums[key]]
+
+    def __iter__(self):
+        return iter(self.nums)
+
+    def __len__(self):
+        return len(self.nums)
 
 
 def _cleared(terms: dict) -> tuple:
@@ -557,42 +580,71 @@ def _cleared(terms: dict) -> tuple:
 @lru_cache(maxsize=None)
 def _t_split(g: int) -> dict:
     """{n: {packed r-part key: nonzero int}}: B(n), the coefficient of t^n in
-    the pencil's determinant, from one Leibniz pass dealt by place (module
-    docstring).  It is the one pass of a genus: det_expand, coeff_R, the
-    operator Q and, by Jacobi's formula, minor_coeff_R read it.
+    the pencil's determinant, each monomial made once with its coefficient
+    in closed form (module docstring).  It is the one pass of a genus:
+    det_expand, coeff_R, the operator Q and, by Jacobi's formula,
+    minor_coeff_R read it.
 
-    No key comes from both parities: it fixes the multiset of the pairs
-    {i, sigma(i)}, the edges of a graph on 1..g whose components are the
-    cycles of sigma, so it fixes their lengths and sigma's parity.  So B(n)
-    is the even permutations' counts beside the odd ones' negated, none of
-    them zero.
+    A Leibniz term, a permutation sigma and a label h_i per row i, has as
+    its key the multiset of labelled edges (h_i, {i, sigma(i)}) of a graph
+    on 1..g whose components are the cycles of sigma.  So a key fixes sigma
+    up to the orientation of each cycle of length >= 3 (its labelled edges
+    stay) and the labels up to the swap within each 2-cycle.  Both keep the
+    cycle type, so the sign: no key comes from both parities, and a key's
+    coefficient is sign(sigma) * 2^(cycles of length >= 3) * 2^(2-cycles
+    whose rows carry different labels).  The pass keeps sigma only when
+    sigma(s) < sigma^-1(s) at the least element s of each long cycle, and
+    takes each 2-cycle (i j) as one step over the label pairs h <= h'.
     """
     rows = list(range(1, g + 1))
     unit = _packing(g).unit
-    places: dict = {}  # n -> the places of the row-to-h assignments with counts n
-    for i, hs in enumerate(itertools.product(range(g), repeat=g)):
-        places.setdefault(tuple(map(hs.count, range(g))), []).append(i)
-    picks = [(n, operator.itemgetter(*p) if p[1:] else operator.itemgetter(slice(p[0], p[0] + 1)))
-             for n, p in places.items()]  # a lone place as a slice, so a list comes back
-    counts = {n: (Counter(), Counter()) for n in places}
-    for sign, pairing in _signed_pairings(rows, rows):
-        # last a row in no 2-cycle: its nibble is still empty, so | adds it and
-        # leaves each key an int of its own size, where + leaves a spare digit
-        pairs = set(pairing)
-        pairing.sort(key=lambda rc: rc[0] == rc[1] or rc[::-1] not in pairs)
+    pairs = list(itertools.combinations_with_replacement(rows, 2))  # a 2-cycle's labels h <= h'
+    # a key's place among its steps (m 2-cycles, then g - 2m rows) spells its t^n and,
+    # from nibble g on, its number d of pairs h < h': its bucket and the 2^d of its value
+    t = [unit[t_var(h)] for h in rows]
+    doubles = [t[h - 1] + t[k - 1] + ((h < k) << 4 * g) for h, k in pairs]
+    deals = {}  # m -> (picks of the places by n, the spell of each place)
+    for m in range(g // 2 + 1):
+        spells = [0]
+        for step in [doubles] * m + [t] * (g - 2 * m):
+            spells = [s + e for s in spells for e in step]
+        places: dict = {}
+        for i, s in enumerate(spells):
+            places.setdefault(s & (1 << 4 * g) - 1, []).append(i)
+        deals[m] = [(tuple(n >> 4 * i & 15 for i in range(g)), operator.itemgetter(*p) if p[1:]
+                     else operator.itemgetter(slice(p[0], p[0] + 1)))  # a lone place: a list
+                    for n, p in places.items()], spells
+    values = _Memo(lambda mc: [mc[1] << (s >> 4 * g) for s in deals[mc[0]][1]])  # c 2^d by place
+    split = {n: {} for n, _ in deals[0][0]}  # with no 2-cycle, every n has a place
+    for c, m, steps in _pencil_steps(g, pairs):
         keys = [0]
-        for i, (r, c) in enumerate(pairing, 1 - g):  # i = 0 on the last row
-            row = [unit[r_var(h, r, c)] for h in rows]
-            if i or r != c and (c, r) in pairs:
-                keys = [k + e for k in keys for e in row]
-            else:
-                keys = [k | e for k in keys for e in row]
+        for step in steps:  # the edges of the steps differ: each ORs into empty nibbles
+            keys = [k | e for k in keys for e in step]
+        picks, _ = deals[m]
+        value = values[m, c]
         for n, pick in picks:
-            counts[n][sign < 0].update(pick(keys))
-    for n, (even, odd) in counts.items():  # each n's counters go as its bucket comes
-        counts[n] = bucket = dict(even)
-        bucket.update(zip(odd, map(operator.neg, odd.values())))
-    return counts
+            split[n].update(zip(pick(keys), pick(value)))
+    return split
+
+
+def _pencil_steps(g: int, pairs: list):
+    """(sign(sigma) 2^(cycles of length >= 3), m, steps) per permutation sigma
+    that _t_split keeps, with m 2-cycles: the entry ints of each 2-cycle
+    (i j), r_{h;ij} r_{h';ij} per (h, h') of pairs, then of each other row."""
+    rows = list(range(1, g + 1))
+    unit = _packing(g).unit
+    for sign, pairing in _signed_pairings(rows, rows):
+        to, back = dict(pairing), {c: r for r, c in pairing}
+        cycles = {frozenset(itertools.accumulate(rows, lambda r, _: to[r], initial=s))
+                  for s in rows}  # s, sigma(s), ..., sigma^g(s): the cycle of s
+        longs = [min(cycle) for cycle in cycles if len(cycle) > 2]
+        if any(to[s] > back[s] for s in longs):
+            continue
+        twos = sorted(sorted(cycle) for cycle in cycles if len(cycle) == 2)
+        steps = [[unit[r_var(h, i, j)] + unit[r_var(k, i, j)] for h, k in pairs] for i, j in twos]
+        steps += [[unit[r_var(h, r, to[r])] for h in rows] for r in rows
+                  if to[r] == r or to[to[r]] != r]  # the rows in no 2-cycle
+        yield sign << len(longs), len(twos), steps
 
 
 _MAX_GENUS = 5  # the largest genus whose Leibniz pass is run, Q built and operator file read

@@ -244,3 +244,25 @@ def test_jet_apply_of_the_genus3_operator_matches_the_term_by_term_sum(spec3_sym
 def test_jet_apply_refusals(q, message):
     with pytest.raises(ValueError, match=message):
         jet_apply(q, all_F(2), 2)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: jet_apply(coeff_R(1, (1,)), {1: "F"}, True), r"^genus True is not an integer$"),
+    (lambda: jet_apply(coeff_R(1, (1,)), {1: "F"}, 1.0), r"^genus 1\.0 is not an integer$"),
+    (lambda: diffresult_expand(True, (1,)), r"^genus True is not an integer$"),
+    (lambda: diffresult_expand(2.0, (1, 1)), r"^genus 2\.0 is not an integer$"),
+    (lambda: diffresult_expand(2, (True, True)),
+     r"^multi-index \(True, True\) is not a composition of 2 into 2 parts$"),
+    (lambda: diffresult_expand(2, (1.0, 1.0)),
+     r"^multi-index \(1\.0, 1\.0\) is not a composition of 2 into 2 parts$"),
+    (lambda: diffresult_expand(0, ()), "^genus must be >= 1$"),
+], ids=["jet-apply-genus-bool", "jet-apply-genus-float", "diffresult-genus-bool",
+        "diffresult-genus-float", "diffresult-bool-index", "diffresult-float-index",
+        "diffresult-genus-0"])
+def test_a_genus_and_a_multi_index_pass_the_gate_of_coeff_R(call, message):
+    """jet_apply and diffresult_expand refuse a genus that is not an int, and
+    diffresult_expand a multi-index not made of ints, as coeff_R does, where
+    an int-valued bool was read as its int and a float failed in range or
+    math.factorial."""
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -10,15 +10,15 @@ import re
 
 import pytest
 
-from conftest import packed
+from conftest import encode, packed
 from siegelops import opgen
 from siegelops import poly
 from siegelops.opgen import (OperatorSpec, _as_weight, _first_difference, _IntegerForm,
                              _opspec_chunks, _opspec_text, _stratum, apply_D11, build_Q, constant_C, opspec_from_text, opspec_to_text,
                              symbolic_weight, verify_deriv_lemma, verify_harmonic_condition,
                              verify_pluriharmonic, xspace_oracle)
-from siegelops.poly import (MultiPoly, PackedPoly, _mono_lower, _mono_mul, _packing, coeff_R,
-                            index_set_N, minor_coeff_R, multi_indices, r_var, t_var)
+from siegelops.poly import (MultiPoly, PackedPoly, _cleared, _mono_lower, _mono_mul, _packing,
+                            coeff_R, index_set_N, minor_coeff_R, multi_indices, r_var, t_var)
 from siegelops.scalars import RatFunc, _accumulate, _horner, _padd, _pmul
 
 A = symbolic_weight()
@@ -190,6 +190,24 @@ def test_apply_D11_matches_reference(g, h, p, k):
         assert got.decode() == _reference_d11(g, h, p, k, factor)
         assert got == packed(_reference_d11(g, h, p, k, factor), g)
         assert got == apply_D11(g, h, packed(p.promote(), g), k, factor)
+
+
+@pytest.mark.parametrize("g", [2, 3, 4])
+def test_readers_of_the_terms_view_read_what_a_dict_gives(g):
+    """decode, apply_D11's residual and verify_deriv_lemma read
+    PackedPoly.terms, a view of nums.  At g = 2..4, for Q and Q(a): the
+    decode holds the view's coefficient objects key for key, the view and
+    a dict copy of it clear to the form itself, and the residual at each h
+    is the canonical form of the per-term reference.  The lemma holds at
+    every n and h (test_deriv_lemma_all_indices)."""
+    for a in (Fraction(7, 2), A):
+        spec = build_Q(g, a)
+        q, decoded = spec.Q, spec.Q.decode()
+        assert len(decoded.terms) == len(q.terms)
+        assert all(q.terms[encode(m, g)] is c for m, c in decoded.terms.items())
+        assert _cleared(q.terms) == _cleared(dict(q.terms)) == (q.den, q.nums)
+        for h in range(1, g + 1):
+            assert apply_D11(g, h, q, spec.k) == packed(_reference_d11(g, h, decoded, spec.k), g)
 
 
 def test_packed_forms_of_one_polynomial_compare_equal_across_fields():
@@ -987,13 +1005,16 @@ def test_opspec_read_builds_the_coefficient_table_once(spec2_symbolic, monkeypat
     (lambda: build_Q(True, 5), r"^genus must be 2\.\.5$"),
     (lambda: verify_harmonic_condition(2.0, A), r"^genus must be >= 2, found 2\.0$"),
     (lambda: verify_deriv_lemma(2.0, (1, 1), 1), r"^genus 2\.0 is not an integer$"),
+    (lambda: apply_D11(True, 1, coeff_R(1, (1,)), 4), r"^genus True is not an integer$"),
+    (lambda: apply_D11(1.0, 1, coeff_R(1, (1,)), 4), r"^genus 1\.0 is not an integer$"),
 ], ids=["constant-m", "oracle-symbolic", "oracle-non-matrix", "D11-slot-above-genus",
         "D11-slot-zero", "deriv-lemma-slot", "D11-other-genus", "oracle-other-genus",
         "D11-fractional-factor",
         "verifier-fractional-factor", "harmonic-condition-genus-0",
         "harmonic-condition-genus-1", "deriv-lemma-genus-0", "deriv-lemma-genus-6",
         "D11-slot-bool", "deriv-lemma-slot-bool", "build-Q-genus-float", "build-Q-genus-bool",
-        "harmonic-condition-genus-float", "deriv-lemma-genus-float"])
+        "harmonic-condition-genus-float", "deriv-lemma-genus-float", "D11-genus-bool",
+        "D11-genus-float"])
 def test_opgen_refusals(call, message):
     with pytest.raises(ValueError, match=message):
         call()

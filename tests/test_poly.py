@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 import operator
 import os
 import random
@@ -16,11 +17,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import encode, packed
+from siegelops import poly
 from siegelops.jets import JetPoly, jet_var
 from siegelops.opgen import build_Q, opspec_from_text, opspec_to_text, symbolic_weight
 from siegelops.poly import (MultiPoly, PackedPoly, _index_pairs, _packed_chunks, _packing,
-                            _t_split, coeff_R, det_expand, index_set_N, minor_coeff_R,
-                            multi_indices, r_var, t_var)
+                            _pencil_steps, _signed_pairings, _t_split, coeff_R, det_expand,
+                            index_set_N, minor_coeff_R, multi_indices, r_var, t_var)
 from siegelops.scalars import RatFunc, scalar_to_text
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -489,6 +491,111 @@ def test_t_split_matches_the_per_key_reference(g):
     assert _t_split(g) == _reference_split(g, ())
 
 
+def _counting_split(g):
+    """{n: {r-part key: int}} by a pass that makes all g! g^g Leibniz terms:
+    each permutation's g^g row-to-h assignments, the key of each the sum of
+    its entries' units, are dealt by their place in the product to the n of
+    their counts and counted, per parity, the odd counts negated."""
+    rows = list(range(1, g + 1))
+    unit = _packing(g).unit
+    places: dict = {}
+    for i, hs in enumerate(itertools.product(range(g), repeat=g)):
+        places.setdefault(tuple(map(hs.count, range(g))), []).append(i)
+    counts = {n: (Counter(), Counter()) for n in places}
+    for sign, pairing in _signed_pairings(rows, rows):
+        keys = [0]
+        for r, c in pairing:
+            keys = [k + unit[r_var(h, r, c)] for k in keys for h in rows]
+        for n, p in places.items():
+            counts[n][sign < 0].update(keys[i] for i in p)
+    split = {}
+    for n, (even, odd) in counts.items():
+        split[n] = dict(even)
+        split[n].update(zip(odd, map(operator.neg, odd.values())))
+    return split
+
+
+def _closed_form_terms(g, long_cycles=True, two_labels=True):
+    """[(n, r-part key, coefficient)] of the pencil by the closed form of
+    _t_split, one entry per term it makes: the permutations with
+    sigma(s) < sigma^-1(s) at the least element s of each cycle of length
+    >= 3, each 2-cycle labelled by a pair h <= h' and each other row by one
+    h; the coefficient is sign(sigma), times 2 per long cycle (long_cycles)
+    and per 2-cycle with h != h' (two_labels)."""
+    rows = range(1, g + 1)
+    unit = _packing(g).unit
+    pairs = list(itertools.combinations_with_replacement(rows, 2))
+    out = []
+    for sigma in itertools.permutations(rows):
+        to = dict(zip(rows, sigma))
+        sign = (-1) ** sum(s > t for s, t in itertools.combinations(sigma, 2))
+        cycles = []
+        for s in rows:
+            if all(s not in cycle for cycle in cycles):
+                cycle = [s]
+                while to[cycle[-1]] != s:
+                    cycle.append(to[cycle[-1]])
+                cycles.append(cycle)
+        longs = [cycle for cycle in cycles if len(cycle) > 2]
+        if any(to[cycle[0]] > cycle[-1] for cycle in longs):
+            continue
+        twos = [cycle for cycle in cycles if len(cycle) == 2]
+        singles = [r for cycle in cycles if len(cycle) != 2 for r in cycle]
+        for labels in itertools.product(*[pairs] * len(twos), *[rows] * len(singles)):
+            labelled = [(h, *cycle) for hs, cycle in zip(labels, twos) for h in hs]
+            labelled += [(h, r, to[r]) for h, r in zip(labels[len(twos):], singles)]
+            n = tuple(sum(h == j for h, _, _ in labelled) for j in rows)
+            key = sum(unit[r_var(*entry)] for entry in labelled)
+            factor = 2 ** (long_cycles * len(longs)
+                           + two_labels * sum(h != k for h, k in labels[:len(twos)]))
+            out.append((n, key, sign * factor))
+    return out
+
+
+def _as_split(terms):
+    split = {}
+    for n, key, c in terms:
+        split.setdefault(n, {})[key] = c
+    return split
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4, 5])
+def test_t_split_is_the_counting_pass(g):
+    """Bucket by bucket, the pass that makes each monomial once with its
+    closed-form coefficient is the pass that counts every Leibniz term, and
+    det_expand is that pass with each bucket's t-units added, term by term."""
+    reference = _counting_split(g)
+    assert _t_split(g).keys() == reference.keys()
+    for n, bucket in reference.items():
+        assert _t_split(g)[n] == bucket, n
+    t = {n: sum(e << 4 * i for i, e in enumerate(n)) for n in reference}
+    assert det_expand(g).nums == {key | t[n]: c for n, bucket in reference.items()
+                                  for key, c in bucket.items()}
+
+
+def test_the_closed_form_makes_each_monomial_once():
+    """At g = 5 the closed form makes 173,125 terms, each a key of its own,
+    which are the pass's buckets.  The pass makes as many keys: the product
+    of the step sizes of each permutation it keeps, (g(g+1)/2)^(2-cycles)
+    g^(other rows), summed; so it makes no key twice."""
+    terms = _closed_form_terms(5)
+    assert len(terms) == len({key for _, key, _ in terms}) == 173125
+    assert sum(map(len, _t_split(5).values())) == 173125 == len(det_expand(5).nums)
+    assert _as_split(terms) == _t_split(5)
+    pairs = list(itertools.combinations_with_replacement(range(1, 6), 2))
+    assert sum(math.prod(map(len, steps)) for _, _, steps in _pencil_steps(5, pairs)) == 173125
+
+
+@pytest.mark.parametrize("g,drop", [(3, "long_cycles"), (2, "two_labels")])
+def test_each_factor_of_the_closed_form_is_needed(g, drop):
+    """Negative controls: without the factor 2 per cycle of length >= 3 the
+    closed form is wrong from g = 3 on, and without the factor 2 per 2-cycle
+    with two labels from g = 2 on; below those genera it still holds."""
+    assert _as_split(_closed_form_terms(g)) == _t_split(g)
+    assert _as_split(_closed_form_terms(g, **{drop: False})) != _t_split(g)
+    assert _as_split(_closed_form_terms(g - 1, **{drop: False})) == _t_split(g - 1)
+
+
 @pytest.mark.parametrize("minor", [(1, 1), (1, 2), (2, 5), (5, 5)], ids=["11", "12", "25", "55"])
 def test_minor_coefficients_match_the_reference_at_genus_5(minor):
     """At g = 5 the minors read from the pencil's buckets by Jacobi's
@@ -699,6 +806,36 @@ def test_a_packed_poly_is_a_plain_canonical_form():
     assert zero == PackedPoly(2, 1, {}) and zero.is_zero() and not b.is_zero()
     for spec in (build_Q(3, symbolic_weight()), build_Q(3, Fraction(7, 3))):
         assert packed(spec.Q.decode(), 3) == spec.Q
+
+
+def test_packed_terms_is_a_read_only_view(monkeypatch):
+    """PackedPoly.terms is a view of nums: neither it nor an entry can be
+    assigned, its size is read with no coefficient made, even for the
+    111,275 terms of the genus-5 Q, a lookup makes one, and it equals a dict
+    with the dict on either side."""
+    made = []
+
+    def spy(num, den):
+        made.append(num)
+        return coefficient(num, den)
+
+    coefficient = poly._coefficient
+    monkeypatch.setattr(poly, "_coefficient", spy)
+    q = build_Q(5, Fraction(7, 2)).Q
+    assert len(q.terms) == 111275 and made == []
+    key = next(iter(q.nums))
+    assert q.terms[key] == Fraction(q.nums[key], q.den) and len(made) == 1
+    with pytest.raises(AttributeError):
+        q.terms = {}
+    with pytest.raises(TypeError, match="does not support item assignment"):
+        q.terms[0] = Fraction(1)
+    assert not hasattr(q.terms, "__setitem__") and not hasattr(q.terms, "__delitem__")
+    for a in (Fraction(7, 2), symbolic_weight()):
+        terms = build_Q(3, a).Q.terms
+        copy = {key: terms[key] for key in terms}
+        assert terms == copy and copy == terms and terms.items() == copy.items()
+        copy[next(iter(copy))] += 1
+        assert terms != copy and copy != terms
 
 
 def test_importing_the_package_leaves_every_cache_cold(tmp_path):
